@@ -75,8 +75,9 @@ int main(int argc, char** argv) {
                    stats::to_string(kind).c_str());
       core::HaccsConfig sched = cfg;
       sched.rho = 0.5;
-      const auto history = bench::run_strategy("HACCS-P(y)", *train_fed,
-                                               *engine_config, sched);
+      const auto history = bench::run_strategy("haccs-py", *train_fed,
+                                               *engine_config, sched)
+              .history;
       tta = fl::format_tta(history.time_to_accuracy(0.5));
     }
     table.add_row({stats::to_string(kind), Table::num(clean_score, 2),

@@ -13,7 +13,6 @@
 
 #include "bench/harness.hpp"
 #include "src/common/table.hpp"
-#include "src/core/gradient_selector.hpp"
 
 int main(int argc, char** argv) {
   using namespace haccs;
@@ -46,6 +45,7 @@ int main(int argc, char** argv) {
   const std::vector<Variant> variants = {
       {"HACCS-P(y) static clusters", 0, false},
       {"HACCS-P(y) recluster every 10", 10, false},
+      // Every 5 epochs is GradientSelectorConfig's default cadence.
       {"gradient clusters (recluster every 5)", 0, true},
   };
 
@@ -68,20 +68,12 @@ int main(int argc, char** argv) {
 
     fl::FederatedTrainer trainer(fed, core::default_model_factory(fed, 99),
                                  engine_config);
-    std::unique_ptr<fl::ClientSelector> selector;
-    if (variant.gradient) {
-      core::GradientSelectorConfig cfg;
-      cfg.recluster_every = 5;
-      cfg.scheduling.rho = 0.5;
-      cfg.scheduling.initial_loss = engine_config.initial_loss;
-      selector = std::make_unique<core::GradientClusterSelector>(cfg);
-    } else {
-      core::HaccsConfig cfg;
-      cfg.rho = 0.5;
-      cfg.recluster_every = variant.recluster_every;
-      cfg.initial_loss = engine_config.initial_loss;
-      selector = std::make_unique<core::HaccsSelector>(fed, cfg);
-    }
+    core::HaccsConfig haccs;
+    haccs.rho = 0.5;
+    haccs.recluster_every = variant.recluster_every;
+    const auto selector =
+        bench::make_selector(variant.gradient ? "gradient" : "haccs-py", fed,
+                             engine_config, haccs);
     const auto history = trainer.run(*selector);
 
     // Accuracy just before the drift and 20 epochs after it.

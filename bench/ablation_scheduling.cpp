@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "  running stratified coverage...\n");
     core::HaccsConfig cfg;
     cfg.initial_loss = base_engine.initial_loss;
-    core::StratifiedSelector selector(fed, cfg);
+    core::StratifiedSelector selector(core::cluster_clients(fed, cfg));
     fl::FederatedTrainer trainer(fed, core::default_model_factory(fed, 99),
                                  base_engine);
     const auto history = trainer.run(selector);

@@ -41,20 +41,20 @@ int main(int argc, char** argv) {
   Table table({"mechanism", "selector", "tta@50% (s)", "tta@80% (s)",
                "final_acc"});
 
+  core::HaccsConfig haccs;
+  haccs.rho = 0.5;
+
   auto run_sync = [&](const std::string& label, const std::string& strategy,
                       fl::CompressionConfig compression) {
     std::fprintf(stderr, "  sync %s / %s...\n", label.c_str(),
                  strategy.c_str());
     auto engine = base_engine;
     engine.compression = compression;
-    core::HaccsConfig haccs;
-    haccs.rho = 0.5;
-    const auto history =
-        bench::run_strategy(strategy, fed, engine, haccs);
-    table.add_row({label, strategy,
-                   fl::format_tta(history.time_to_accuracy(0.5)),
-                   fl::format_tta(history.time_to_accuracy(0.8)),
-                   Table::num(history.final_accuracy(), 3)});
+    const auto run = bench::run_strategy(strategy, fed, engine, haccs);
+    table.add_row({label, run.name,
+                   fl::format_tta(run.history.time_to_accuracy(0.5)),
+                   fl::format_tta(run.history.time_to_accuracy(0.8)),
+                   Table::num(run.history.final_accuracy(), 3)});
   };
 
   auto run_async = [&](const std::string& strategy) {
@@ -70,19 +70,13 @@ int main(int argc, char** argv) {
     async_cfg.seed = base_engine.seed;
     fl::AsyncFederatedTrainer trainer(
         fed, core::default_model_factory(fed, 99), async_cfg);
-    std::unique_ptr<fl::ClientSelector> selector;
-    if (strategy == "Random") {
-      selector = std::make_unique<select::RandomSelector>();
-    } else {
-      core::HaccsConfig haccs;
-      haccs.rho = 0.5;
-      haccs.initial_loss = async_cfg.initial_loss;
-      selector = std::make_unique<core::HaccsSelector>(fed, haccs);
-    }
+    const auto selector =
+        bench::make_selector(strategy, fed, base_engine, haccs);
     const auto history = trainer.run(*selector);
     table.add_row({"async (buffer=" + std::to_string(async_cfg.buffer_size) +
                        ", staleness-weighted)",
-                   strategy, fl::format_tta(history.time_to_accuracy(0.5)),
+                   selector->name(),
+                   fl::format_tta(history.time_to_accuracy(0.5)),
                    fl::format_tta(history.time_to_accuracy(0.8)),
                    Table::num(history.final_accuracy(), 3)});
   };
@@ -94,7 +88,7 @@ int main(int argc, char** argv) {
   fl::CompressionConfig int8;
   int8.kind = fl::CompressionKind::Int8;
 
-  for (const std::string strategy : {"Random", "HACCS-P(y)"}) {
+  for (const std::string strategy : {"random", "haccs-py"}) {
     run_sync("sync, dense uplink", strategy, dense);
     run_sync("sync, top-k(10%) uplink", strategy, topk);
     run_sync("sync, int8 uplink", strategy, int8);

@@ -49,8 +49,9 @@ int main(int argc, char** argv) {
   auto run_policy = [&](const sim::DropoutSchedule& schedule) {
     fl::FederatedTrainer trainer(fed, core::default_model_factory(fed, 99),
                                  engine_config);
-    select::RandomSelector selector;
-    trainer.run(selector, schedule);
+    const auto selector =
+        bench::make_selector("random", fed, engine_config, {});
+    trainer.run(*selector, schedule);
     return trainer.final_per_client_accuracy();
   };
 

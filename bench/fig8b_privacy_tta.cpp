@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   core::HaccsConfig haccs;
   haccs.rho = 0.5;
   const auto random_history =
-      bench::run_strategy("Random", fed, engine_config, haccs);
+      bench::run_strategy("random", fed, engine_config, haccs).history;
   const double random_tta = random_history.time_to_accuracy(target);
 
   Table table({"epsilon", "tta@" + Table::num(100 * target, 0) + "% (s)",
@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
         std::isfinite(eps) ? Table::num(eps, 3) : "none (no noise)";
     std::fprintf(stderr, "  running HACCS-P(y) eps=%s...\n", label.c_str());
     const auto history =
-        bench::run_strategy("HACCS-P(y)", fed, engine_config, cfg);
+        bench::run_strategy("haccs-py", fed, engine_config, cfg).history;
     const double tta = history.time_to_accuracy(target);
     std::string reduction = "-";
     if (std::isfinite(random_tta) && std::isfinite(tta)) {

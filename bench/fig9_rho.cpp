@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
     cfg.rho = rho;
     std::fprintf(stderr, "  running rho=%.2f...\n", rho);
     const auto history =
-        bench::run_strategy("HACCS-P(y)", fed, engine_config, cfg);
+        bench::run_strategy("haccs-py", fed, engine_config, cfg).history;
     table.add_row({Table::num(rho, 2),
                    fl::format_tta(history.time_to_accuracy(target)),
                    Table::num(history.final_accuracy(), 3),

@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
   haccs.rho = 0.5;
 
   const std::vector<double> crash_rates = {0.0, 0.05, 0.15, 0.30};
-  const std::vector<std::string> strategies = {"Random", "TiFL", "Oort",
-                                               "HACCS-P(X|y)"};
+  const std::vector<std::string> strategies = {"random", "tifl", "oort",
+                                               "haccs-pxy"};
   const double target = 0.7;
 
   Table table({"strategy", "crash_rate", "hardened", "tta@70% (s)",
@@ -74,11 +74,11 @@ int main(int argc, char** argv) {
         engine.overcommit = overcommit;
         engine.deadline_quantile = deadline_q;
       }
-      for (const auto& name : strategies) {
+      for (const auto& slug : strategies) {
         std::fprintf(stderr, "  crash=%.0f%% %s %s...\n", 100.0 * crash_rate,
-                     hardened ? "hardened" : "plain", name.c_str());
-        const auto history =
-            bench::run_strategy(name, fed, engine, haccs, nullptr);
+                     hardened ? "hardened" : "plain", slug.c_str());
+        const auto [name, history] =
+            bench::run_strategy(slug, fed, engine, haccs, nullptr);
         const std::size_t dispatched = history.total_dispatched();
         const std::size_t wasted = history.total_wasted();
         table.add_row(

@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
   core::HaccsConfig haccs;
   haccs.rho = 0.5;
 
-  const std::vector<std::string> strategies = {"TiFL",    "Oort", "HACCS-P(y)",
-                                               "DPP", "FedLECC", "HiCS"};
+  const std::vector<std::string> strategies = {"tifl", "oort",    "haccs-py",
+                                               "dpp",  "fedlecc", "hics"};
 
   // The hostile availability mask: a diurnal wave (30% trough every 12
   // epochs) intersected with a regional outage (1 of 4 regions dark for the
@@ -71,9 +71,9 @@ int main(int argc, char** argv) {
   Table table({"strategy", "world", "rounds@" + Table::num(target, 2),
                "tta (s)", "final_acc", "dispatched", "wasted", "waste_frac"});
   for (int hostile = 0; hostile <= 1; ++hostile) {
-    for (const auto& name : strategies) {
+    for (const auto& slug : strategies) {
       std::fprintf(stderr, "  %s %s...\n", hostile ? "hostile" : "benign",
-                   name.c_str());
+                   slug.c_str());
       // Drift mutates the dataset in place (the trainer holds a const
       // reference), so every run gets its own working copy.
       data::FederatedDataset working = fed;
@@ -95,8 +95,8 @@ int main(int argc, char** argv) {
           data::apply_label_drift(working, gen, 0.3, drift_rng);
         };
       }
-      const auto history =
-          bench::run_strategy(name, working, engine, haccs, schedule);
+      const auto [name, history] =
+          bench::run_strategy(slug, working, engine, haccs, schedule);
       const std::size_t rounds = history.epochs_to_accuracy(target);
       const std::size_t dispatched = history.total_dispatched();
       const std::size_t wasted = history.total_wasted();

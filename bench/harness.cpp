@@ -7,9 +7,6 @@
 #include "src/common/logging.hpp"
 #include "src/common/table.hpp"
 #include "src/obs/obs.hpp"
-#include "src/select/dpp.hpp"
-#include "src/select/fedlecc.hpp"
-#include "src/select/hics.hpp"
 
 namespace haccs::bench {
 
@@ -117,57 +114,28 @@ void ExperimentConfig::apply_flags(const Flags& flags) {
   obs::configure(obs_options);
 }
 
-fl::TrainingHistory run_strategy(const std::string& name,
-                                 const data::FederatedDataset& fed,
-                                 const fl::EngineConfig& engine_config,
-                                 const core::HaccsConfig& haccs_config,
-                                 const sim::DropoutSchedule* dropout) {
+std::unique_ptr<fl::ClientSelector> make_selector(
+    const std::string& slug, const data::FederatedDataset& fed,
+    const fl::EngineConfig& engine_config,
+    const core::HaccsConfig& haccs_config) {
+  core::SelectorContext ctx;
+  ctx.haccs = haccs_config;
+  ctx.haccs.initial_loss = engine_config.initial_loss;
+  ctx.rounds = engine_config.rounds;
+  ctx.dataset = &fed;
+  return core::make_selector(slug, ctx);
+}
+
+StrategyRun run_strategy(const std::string& slug,
+                         const data::FederatedDataset& fed,
+                         const fl::EngineConfig& engine_config,
+                         const core::HaccsConfig& haccs_config,
+                         const sim::DropoutSchedule* dropout) {
   fl::FederatedTrainer trainer(fed, core::default_model_factory(fed, 99),
                                engine_config);
-  std::unique_ptr<fl::ClientSelector> selector;
-  if (name == "Random") {
-    selector = std::make_unique<select::RandomSelector>();
-  } else if (name == "TiFL") {
-    select::TiflConfig cfg;
-    cfg.expected_rounds = engine_config.rounds;
-    cfg.initial_loss = engine_config.initial_loss;
-    selector = std::make_unique<select::TiflSelector>(cfg);
-  } else if (name == "Oort") {
-    select::OortConfig cfg;
-    cfg.initial_loss = engine_config.initial_loss;
-    selector = std::make_unique<select::OortSelector>(cfg);
-  } else if (name == "HACCS-P(y)") {
-    core::HaccsConfig cfg = haccs_config;
-    cfg.summary = stats::SummaryKind::Response;
-    cfg.initial_loss = engine_config.initial_loss;
-    selector = std::make_unique<core::HaccsSelector>(fed, cfg);
-  } else if (name == "HACCS-P(X|y)") {
-    core::HaccsConfig cfg = haccs_config;
-    cfg.summary = stats::SummaryKind::Conditional;
-    cfg.initial_loss = engine_config.initial_loss;
-    selector = std::make_unique<core::HaccsSelector>(fed, cfg);
-  } else if (name == "HACCS-Q(X|y)") {
-    core::HaccsConfig cfg = haccs_config;
-    cfg.summary = stats::SummaryKind::Quantile;
-    cfg.initial_loss = engine_config.initial_loss;
-    selector = std::make_unique<core::HaccsSelector>(fed, cfg);
-  } else if (name == "DPP") {
-    select::DppConfig cfg;
-    cfg.initial_loss = engine_config.initial_loss;
-    selector = std::make_unique<select::DppSelector>(fed, cfg);
-  } else if (name == "FedLECC") {
-    select::FedLeccConfig cfg;
-    cfg.initial_loss = engine_config.initial_loss;
-    selector = std::make_unique<select::FedLeccSelector>(fed, cfg);
-  } else if (name == "HiCS") {
-    select::HicsConfig cfg;
-    cfg.initial_loss = engine_config.initial_loss;
-    selector = std::make_unique<select::HicsSelector>(fed, cfg);
-  } else {
-    throw std::invalid_argument("unknown strategy: " + name);
-  }
-  if (dropout) return trainer.run(*selector, *dropout);
-  return trainer.run(*selector);
+  const auto selector = make_selector(slug, fed, engine_config, haccs_config);
+  return {selector->name(), dropout ? trainer.run(*selector, *dropout)
+                                    : trainer.run(*selector)};
 }
 
 std::vector<StrategyRun> run_all_strategies(
@@ -175,11 +143,11 @@ std::vector<StrategyRun> run_all_strategies(
     const core::HaccsConfig& haccs_config,
     const sim::DropoutSchedule* dropout) {
   std::vector<StrategyRun> runs;
-  for (const std::string name :
-       {"Random", "TiFL", "Oort", "HACCS-P(y)", "HACCS-P(X|y)"}) {
-    std::fprintf(stderr, "  running %s...\n", name.c_str());
+  for (const std::string slug :
+       {"random", "tifl", "oort", "haccs-py", "haccs-pxy"}) {
+    std::fprintf(stderr, "  running %s...\n", slug.c_str());
     runs.push_back(
-        {name, run_strategy(name, fed, engine_config, haccs_config, dropout)});
+        run_strategy(slug, fed, engine_config, haccs_config, dropout));
   }
   return runs;
 }

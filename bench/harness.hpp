@@ -17,9 +17,7 @@
 
 #include "src/common/flags.hpp"
 #include "src/core/haccs_system.hpp"
-#include "src/select/oort.hpp"
-#include "src/select/random_selector.hpp"
-#include "src/select/tifl.hpp"
+#include "src/core/selector_registry.hpp"
 
 namespace haccs::bench {
 
@@ -69,24 +67,31 @@ struct ExperimentConfig {
 
 /// One named strategy run.
 struct StrategyRun {
-  std::string name;
+  std::string name;  ///< the selector's display name (e.g. "HACCS-P(y)")
   fl::TrainingHistory history;
 };
 
-/// Runs Random / TiFL / Oort / HACCS-P(y) / HACCS-P(X|y) on the same
-/// substrate. `haccs_config` seeds both HACCS variants (the summary kind is
-/// overridden per variant). Optional dropout schedule applies to all.
+/// Builds the selector registered as `slug` (core::selector_names) over
+/// `fed`, with the engine's initial loss and round count.
+std::unique_ptr<fl::ClientSelector> make_selector(
+    const std::string& slug, const data::FederatedDataset& fed,
+    const fl::EngineConfig& engine_config,
+    const core::HaccsConfig& haccs_config);
+
+/// Runs random / tifl / oort / haccs-py / haccs-pxy on the same substrate.
+/// `haccs_config` seeds both HACCS variants (the summary kind is overridden
+/// per variant). Optional dropout schedule applies to all.
 std::vector<StrategyRun> run_all_strategies(
     const data::FederatedDataset& fed, const fl::EngineConfig& engine_config,
     const core::HaccsConfig& haccs_config,
     const sim::DropoutSchedule* dropout = nullptr);
 
-/// Runs a single named strategy.
-fl::TrainingHistory run_strategy(const std::string& name,
-                                 const data::FederatedDataset& fed,
-                                 const fl::EngineConfig& engine_config,
-                                 const core::HaccsConfig& haccs_config,
-                                 const sim::DropoutSchedule* dropout = nullptr);
+/// Runs the single strategy registered as `slug`.
+StrategyRun run_strategy(const std::string& slug,
+                         const data::FederatedDataset& fed,
+                         const fl::EngineConfig& engine_config,
+                         const core::HaccsConfig& haccs_config,
+                         const sim::DropoutSchedule* dropout = nullptr);
 
 /// Prints a TTA summary table: one row per strategy, one column per target
 /// accuracy, plus final accuracy. Returns TTA values keyed by

@@ -44,6 +44,7 @@
 #include "src/common/table.hpp"
 #include "src/core/live_recluster.hpp"
 #include "src/core/pipeline.hpp"
+#include "src/core/selector_registry.hpp"
 #include "src/fl/checkpoint.hpp"
 #include "src/hier/tree_dispatcher.hpp"
 #include "src/fl/net_driver.hpp"
@@ -56,10 +57,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
 #include "src/obs/trace.hpp"
-#include "src/select/dpp.hpp"
 #include "src/select/fedlecc.hpp"
-#include "src/select/hics.hpp"
-#include "src/select/random_selector.hpp"
 #include "src/stats/summary_codec.hpp"
 
 namespace {
@@ -68,13 +66,12 @@ volatile std::sig_atomic_t g_stop = 0;
 extern "C" void handle_stop_signal(int) { g_stop = 1; }
 
 void print_usage() {
-  std::puts(
+  std::printf(
       "haccs_server — multi-process federated coordinator\n"
       "  --workers=N          worker processes to wait for (default 1)\n"
       "  --port=P             listen port; 0 = ephemeral (default 4242)\n"
       "  --port-file=F        write the resolved port to F (for launchers)\n"
-      "  --strategy=S         random|haccs-py|dpp|fedlecc|hics "
-      "(default haccs-py)\n"
+      "  --strategy=S         %s (default haccs-py)\n"
       "  --rho=R              Eq. 7 trade-off (default 0.5)\n"
       "  --accept-timeout-ms=T  per-worker accept deadline (default 30000)\n"
       "  --io-timeout-ms=T    per-frame send/recv deadline (default 120000)\n"
@@ -85,7 +82,7 @@ void print_usage() {
       "  --heartbeat-timeout-ms=T  declare a silent worker dead after T ms\n"
       "  --quorum=Q           commit a round at Q of its updates (default 1)\n"
       "  --quorum-grace-ms=T  straggler grace after quorum (default 0)\n"
-      "  --overcommit=F       over-select by F (e.g. 0.5 = +50%)\n"
+      "  --overcommit=F       over-select by F (e.g. 0.5 = +50%%)\n"
       "tree (DESIGN.md §5j): --aggs=A  accept A haccs_agg mid-tier\n"
       "                       aggregators instead of workers; --workers\n"
       "                       still names the federation-wide worker count\n"
@@ -108,7 +105,9 @@ void print_usage() {
       "  --flight-dir=D       crash flight recorder: dump flight-<ts>.json\n"
       "                       into D on SIGSEGV/SIGABRT/drain\n"
       "telemetry: --trace --metrics --events --log-level\n"
-      "  (--trace merges worker span shards into one Chrome trace)");
+      "  (--trace merges worker span shards into one Chrome trace)\n",
+      haccs::core::selector_usage(haccs::core::SelectorInput::ResponseSummaries)
+          .c_str());
 }
 
 /// The worker fleet: initial accept, per-session chaos wrapping, and
@@ -466,6 +465,14 @@ int main(int argc, char** argv) try {
                  "straggler deadlines via --round-timeout-ms)\n");
     return 1;
   }
+  // The server only ever holds the workers' wire-borne P(y) summaries, so a
+  // strategy needing more is rejected here, before any worker connects.
+  core::require_selector_input(strategy,
+                               core::SelectorInput::ResponseSummaries);
+  if (live_recluster && !core::selector_info(strategy).haccs_summary) {
+    std::fprintf(stderr, "--live-recluster requires --strategy=haccs-py\n");
+    return 1;
+  }
 
   std::signal(SIGTERM, handle_stop_signal);
   std::signal(SIGINT, handle_stop_signal);
@@ -525,78 +532,34 @@ int main(int argc, char** argv) try {
                                           : fleet->have_all_summaries();
 
   // ---- strategy ----
-  std::size_t num_clusters = 0;  ///< reported on /status (0 = unclustered)
-  core::HaccsConfig haccs;
-  haccs.rho = rho;
-  haccs.initial_loss = engine_config.initial_loss;
-  haccs.summary = stats::SummaryKind::Response;
-  std::unique_ptr<fl::ClientSelector> selector;
-  core::HaccsSelector* haccs_selector_ptr = nullptr;  ///< live re-cluster hook
-  if (strategy == "random") {
-    selector = std::make_unique<select::RandomSelector>();
-  } else if (strategy == "haccs-py") {
-    if (!all_summaries) {
-      std::fprintf(stderr,
-                   "missing client summaries — check each worker's "
-                   "--worker-id/--workers against --workers here\n");
-      return 1;
-    }
-    // Cluster from the summaries the workers actually sent: the wire-borne
-    // equivalent of core::cluster_clients (and identical to it for the same
-    // flags, since the f64 tables round-trip bit-exactly).
-    const auto labels = core::cluster_distances(
-        core::summary_distances(wire_summaries), haccs);
-    auto haccs_selector = std::make_unique<core::HaccsSelector>(labels, haccs);
-    // The selector's effective count (DBSCAN noise remapped to singleton
-    // clusters), which is what scheduling actually operates on.
-    num_clusters = haccs_selector->num_clusters();
-    haccs_selector_ptr = haccs_selector.get();
-    selector = std::move(haccs_selector);
-  } else if (strategy == "dpp" || strategy == "fedlecc" ||
-             strategy == "hics") {
-    if (!all_summaries) {
-      std::fprintf(stderr,
-                   "missing client summaries — check each worker's "
-                   "--worker-id/--workers against --workers here\n");
-      return 1;
-    }
-    // These selectors key off each client's label histogram, which is
-    // exactly the wire-borne P(y) response summary.
-    std::vector<std::vector<double>> label_counts;
-    label_counts.reserve(wire_summaries.size());
-    for (const auto& s : wire_summaries) {
-      if (s.kind != stats::SummaryKind::Response) {
-        std::fprintf(stderr,
-                     "--strategy=%s needs response (P(y)) summaries\n",
-                     strategy.c_str());
-        return 1;
-      }
-      const auto counts = s.response.label_counts.counts();
-      label_counts.emplace_back(counts.begin(), counts.end());
-    }
-    if (strategy == "dpp") {
-      select::DppConfig cfg;
-      cfg.initial_loss = engine_config.initial_loss;
-      selector = std::make_unique<select::DppSelector>(std::move(label_counts),
-                                                       cfg);
-    } else if (strategy == "fedlecc") {
-      select::FedLeccConfig cfg;
-      cfg.initial_loss = engine_config.initial_loss;
-      auto fedlecc = std::make_unique<select::FedLeccSelector>(
-          std::move(label_counts), cfg);
-      num_clusters = fedlecc->num_clusters();
-      selector = std::move(fedlecc);
-    } else {
-      select::HicsConfig cfg;
-      cfg.initial_loss = engine_config.initial_loss;
-      selector = std::make_unique<select::HicsSelector>(std::move(label_counts),
-                                                        cfg);
-    }
-  } else {
+  if (core::selector_info(strategy).input != core::SelectorInput::None &&
+      !all_summaries) {
     std::fprintf(stderr,
-                 "unknown strategy '%s' (random|haccs-py|dpp|fedlecc|hics)\n",
-                 strategy.c_str());
+                 "missing client summaries — check each worker's "
+                 "--worker-id/--workers against --workers here\n");
     return 1;
+  }
+  // Build from the summaries the workers actually sent: the wire-borne
+  // equivalent of the in-process dataset path (and identical to it for the
+  // same flags, since the f64 tables round-trip bit-exactly).
+  core::SelectorContext selector_ctx;
+  selector_ctx.haccs.rho = rho;
+  selector_ctx.haccs.initial_loss = engine_config.initial_loss;
+  selector_ctx.rounds = engine_config.rounds;
+  selector_ctx.summaries = &wire_summaries;
+  const auto selector = core::make_selector(strategy, selector_ctx);
+  // The --live-recluster hook (validated at startup to be a HaccsSelector).
+  auto* const haccs_selector_ptr =
+      dynamic_cast<core::HaccsSelector*>(selector.get());
+  // Reported on /status (0 = unclustered): the selector's effective count
+  // (DBSCAN noise remapped to singleton clusters), which is what scheduling
+  // actually operates on.
+  std::size_t num_clusters = 0;
+  if (haccs_selector_ptr) {
+    num_clusters = haccs_selector_ptr->num_clusters();
+  } else if (const auto* fedlecc =
+                 dynamic_cast<const select::FedLeccSelector*>(selector.get())) {
+    num_clusters = fedlecc->num_clusters();
   }
 
   // ---- train over the transports ----
@@ -630,10 +593,6 @@ int main(int argc, char** argv) try {
   // ---- live re-cluster (§5h): membership follows liveness edges ----
   std::optional<core::LiveClusterTracker> live_tracker;
   if (live_recluster) {
-    if (haccs_selector_ptr == nullptr) {
-      std::fprintf(stderr, "--live-recluster requires --strategy=haccs-py\n");
-      return 1;
-    }
     // A liveness edge covers one dispatcher peer: a worker's hosted clients
     // in flat mode, a whole subtree in tree mode.
     const std::size_t members = num_aggs > 0 ? num_aggs : num_workers;
@@ -643,7 +602,8 @@ int main(int argc, char** argv) try {
       clients_of_member[num_aggs > 0 ? w / (num_workers / num_aggs) : w]
           .push_back(c);
     }
-    live_tracker.emplace(wire_summaries, std::move(clients_of_member), haccs);
+    live_tracker.emplace(wire_summaries, std::move(clients_of_member),
+                         selector_ctx.haccs);
   }
   auto on_liveness = [&](std::size_t member, bool alive) {
     if (!live_tracker) return;

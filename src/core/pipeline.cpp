@@ -236,15 +236,19 @@ std::vector<int> cluster_summaries_scaled(
   return scale::cluster_sharded(sketches, exact, cluster, config.scale, stats);
 }
 
-std::vector<int> cluster_clients(const data::FederatedDataset& dataset,
-                                 const HaccsConfig& config) {
-  obs::Span span("cluster_clients", "clustering");
-  const auto summaries = compute_summaries(dataset, config);
+std::vector<int> cluster_summaries(const std::vector<ClientSummary>& summaries,
+                                   const HaccsConfig& config) {
   if (config.scale.enabled) {
     return cluster_summaries_scaled(summaries, config);
   }
   const auto distances = summary_distances(summaries, config.response_distance);
   return cluster_distances(distances, config);
+}
+
+std::vector<int> cluster_clients(const data::FederatedDataset& dataset,
+                                 const HaccsConfig& config) {
+  obs::Span span("cluster_clients", "clustering");
+  return cluster_summaries(compute_summaries(dataset, config), config);
 }
 
 }  // namespace haccs::core

@@ -71,9 +71,13 @@ std::vector<int> cluster_summaries_scaled(
     const std::vector<ClientSummary>& summaries, const HaccsConfig& config,
     scale::ScaleStats* stats = nullptr);
 
-/// Full pipeline: summaries -> distances -> clusters. Dispatches to the
-/// scale path when config.scale.enabled; otherwise runs the exact O(N²)
-/// pipeline unchanged.
+/// Server half of the pipeline: reported summaries -> distances -> clusters.
+/// Dispatches to the scale path when config.scale.enabled; otherwise runs
+/// the exact O(N²) pipeline unchanged.
+std::vector<int> cluster_summaries(const std::vector<ClientSummary>& summaries,
+                                   const HaccsConfig& config);
+
+/// Full pipeline: compute_summaries followed by cluster_summaries.
 std::vector<int> cluster_clients(const data::FederatedDataset& dataset,
                                  const HaccsConfig& config);
 

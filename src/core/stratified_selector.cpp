@@ -5,11 +5,6 @@
 
 namespace haccs::core {
 
-StratifiedSelector::StratifiedSelector(const data::FederatedDataset& dataset,
-                                       HaccsConfig config) {
-  build(cluster_clients(dataset, config));
-}
-
 StratifiedSelector::StratifiedSelector(std::vector<int> cluster_labels) {
   build(std::move(cluster_labels));
 }

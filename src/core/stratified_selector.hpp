@@ -12,19 +12,16 @@
 // the zero-bias end of the spectrum (contrast with rho in Eq. 7).
 #pragma once
 
-#include "src/core/haccs_config.hpp"
-#include "src/core/pipeline.hpp"
+#include <vector>
+
 #include "src/fl/selector.hpp"
 
 namespace haccs::core {
 
 class StratifiedSelector final : public fl::ClientSelector {
  public:
-  /// Clusters `dataset` with the given config (summary/privacy/clustering
-  /// knobs are honored; rho and in_cluster are ignored by this policy).
-  StratifiedSelector(const data::FederatedDataset& dataset, HaccsConfig config);
-
-  /// Uses precomputed cluster labels (noise remapped to singletons).
+  /// Uses precomputed cluster labels (e.g. core::cluster_clients; noise
+  /// remapped to singletons).
   explicit StratifiedSelector(std::vector<int> cluster_labels);
 
   std::vector<std::size_t> select(std::size_t k,

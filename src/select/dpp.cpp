@@ -10,19 +10,6 @@
 
 namespace haccs::select {
 
-namespace {
-
-std::vector<std::vector<double>> counts_of(const data::FederatedDataset& fed) {
-  std::vector<std::vector<double>> counts;
-  counts.reserve(fed.clients.size());
-  for (const auto& client : fed.clients) {
-    counts.push_back(client.train.label_counts());
-  }
-  return counts;
-}
-
-}  // namespace
-
 DppSelector::DppSelector(std::vector<std::vector<double>> label_counts,
                          DppConfig config)
     : config_(config), population_(label_counts.size()) {
@@ -45,10 +32,6 @@ DppSelector::DppSelector(std::vector<std::vector<double>> label_counts,
   observed_loss_.assign(population_, std::numeric_limits<double>::quiet_NaN());
   reliability_.assign(population_, 1.0);
 }
-
-DppSelector::DppSelector(const data::FederatedDataset& dataset,
-                         DppConfig config)
-    : DppSelector(counts_of(dataset), config) {}
 
 void DppSelector::initialize(
     const std::vector<fl::ClientRuntimeInfo>& clients) {

@@ -17,7 +17,6 @@
 
 #include <vector>
 
-#include "src/data/partition.hpp"
 #include "src/fl/selector.hpp"
 
 namespace haccs::select {
@@ -35,9 +34,6 @@ class DppSelector final : public fl::ClientSelector {
   /// `label_counts[i]` is client i's per-class label count (or distribution;
   /// normalized internally). The similarity kernel is fixed at construction.
   DppSelector(std::vector<std::vector<double>> label_counts, DppConfig config);
-  /// Convenience: summarize each client's training split of `dataset`.
-  explicit DppSelector(const data::FederatedDataset& dataset,
-                       DppConfig config = {});
 
   void initialize(const std::vector<fl::ClientRuntimeInfo>& clients) override;
   std::vector<std::size_t> select(

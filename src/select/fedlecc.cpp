@@ -12,19 +12,6 @@
 
 namespace haccs::select {
 
-namespace {
-
-std::vector<std::vector<double>> counts_of(const data::FederatedDataset& fed) {
-  std::vector<std::vector<double>> counts;
-  counts.reserve(fed.clients.size());
-  for (const auto& client : fed.clients) {
-    counts.push_back(client.train.label_counts());
-  }
-  return counts;
-}
-
-}  // namespace
-
 FedLeccSelector::FedLeccSelector(std::vector<std::vector<double>> label_counts,
                                  FedLeccConfig config)
     : config_(config), population_(label_counts.size()) {
@@ -55,10 +42,6 @@ FedLeccSelector::FedLeccSelector(std::vector<std::vector<double>> label_counts,
   observed_loss_.assign(population_, std::numeric_limits<double>::quiet_NaN());
   reliability_.assign(population_, 1.0);
 }
-
-FedLeccSelector::FedLeccSelector(const data::FederatedDataset& dataset,
-                                 FedLeccConfig config)
-    : FedLeccSelector(counts_of(dataset), config) {}
 
 void FedLeccSelector::initialize(
     const std::vector<fl::ClientRuntimeInfo>& clients) {

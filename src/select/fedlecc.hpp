@@ -11,7 +11,6 @@
 
 #include <vector>
 
-#include "src/data/partition.hpp"
 #include "src/fl/selector.hpp"
 
 namespace haccs::select {
@@ -33,8 +32,6 @@ class FedLeccSelector final : public fl::ClientSelector {
   /// normalized internally). Clustering happens once, at construction.
   FedLeccSelector(std::vector<std::vector<double>> label_counts,
                   FedLeccConfig config);
-  explicit FedLeccSelector(const data::FederatedDataset& dataset,
-                           FedLeccConfig config = {});
 
   void initialize(const std::vector<fl::ClientRuntimeInfo>& clients) override;
   std::vector<std::size_t> select(

@@ -16,7 +16,6 @@
 
 #include <vector>
 
-#include "src/data/partition.hpp"
 #include "src/fl/selector.hpp"
 
 namespace haccs::select {
@@ -39,8 +38,6 @@ class HicsSelector final : public fl::ClientSelector {
   /// normalized internally). Heterogeneity scores are fixed at construction.
   HicsSelector(std::vector<std::vector<double>> label_counts,
                HicsConfig config);
-  explicit HicsSelector(const data::FederatedDataset& dataset,
-                        HicsConfig config = {});
 
   void initialize(const std::vector<fl::ClientRuntimeInfo>& clients) override;
   std::vector<std::size_t> select(

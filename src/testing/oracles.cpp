@@ -7,6 +7,7 @@
 
 #include "src/core/haccs_selector.hpp"
 #include "src/core/pipeline.hpp"
+#include "src/core/selector_registry.hpp"
 #include "src/fl/history.hpp"
 #include "src/fl/net_driver.hpp"
 #include "src/fl/protocol.hpp"
@@ -58,6 +59,7 @@ void check_summary_mass(const data::FederatedDataset& fed,
                         const ScenarioSpec& spec, Reporter& out) {
   const stats::ConditionalSummaryConfig ccfg;
   const stats::QuantileSummaryConfig qcfg;
+  const stats::SummaryKind kind = build_haccs_config(spec).summary;
   for (std::size_t i = 0; i < fed.num_clients(); ++i) {
     const auto& train = fed.clients[i].train;
     const auto n = static_cast<double>(train.size());
@@ -72,7 +74,7 @@ void check_summary_mass(const data::FederatedDataset& fed,
       return;
     }
 
-    if (spec.selector == SelectorKind::HaccsPxy) {
+    if (kind == stats::SummaryKind::Conditional) {
       const auto cond = stats::summarize_conditional(train, ccfg);
       double mass = 0.0;
       for (const auto& h : cond.per_label) mass += h.total();
@@ -84,7 +86,7 @@ void check_summary_mass(const data::FederatedDataset& fed,
         return;
       }
     }
-    if (spec.selector == SelectorKind::HaccsQxy) {
+    if (kind == stats::SummaryKind::Quantile) {
       const auto quant = stats::summarize_quantiles(train, qcfg);
       const double mass =
           std::accumulate(quant.mass.begin(), quant.mass.end(), 0.0);
@@ -1057,7 +1059,8 @@ std::vector<Violation> check_scenario(const ScenarioSpec& spec,
     check_selection_mass(spec, fed, view, out);
     check_dead_client(spec, fed, view, out);
     check_state_roundtrip(spec, fed, view, out);
-    if (is_haccs_selector(spec.selector)) {
+    // Eq. 7 and the failure penalty exist only on HaccsSelector entries.
+    if (core::selector_info(spec.selector).haccs_summary) {
       check_eq7_and_srswr(spec, fed, view, options, out);
       check_failure_penalty(spec, fed, out);
     }

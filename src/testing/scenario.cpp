@@ -6,16 +6,9 @@
 #include <vector>
 
 #include "src/common/rng.hpp"
-#include "src/core/haccs_selector.hpp"
 #include "src/core/haccs_system.hpp"
-#include "src/core/stratified_selector.hpp"
+#include "src/core/selector_registry.hpp"
 #include "src/data/synthetic.hpp"
-#include "src/select/dpp.hpp"
-#include "src/select/fedlecc.hpp"
-#include "src/select/hics.hpp"
-#include "src/select/oort.hpp"
-#include "src/select/random_selector.hpp"
-#include "src/select/tifl.hpp"
 #include "src/sim/dropout.hpp"
 
 namespace haccs::testing {
@@ -47,22 +40,6 @@ std::string to_string(PartitionKind kind) {
   throw std::invalid_argument("bad PartitionKind");
 }
 
-std::string to_string(SelectorKind kind) {
-  switch (kind) {
-    case SelectorKind::Random: return "random";
-    case SelectorKind::Tifl: return "tifl";
-    case SelectorKind::Oort: return "oort";
-    case SelectorKind::HaccsPy: return "haccs-py";
-    case SelectorKind::HaccsPxy: return "haccs-pxy";
-    case SelectorKind::HaccsQxy: return "haccs-qxy";
-    case SelectorKind::Stratified: return "stratified";
-    case SelectorKind::Dpp: return "dpp";
-    case SelectorKind::FedLecc: return "fedlecc";
-    case SelectorKind::Hics: return "hics";
-  }
-  throw std::invalid_argument("bad SelectorKind");
-}
-
 std::string to_string(HostileKind kind) {
   switch (kind) {
     case HostileKind::None: return "none";
@@ -84,20 +61,6 @@ PartitionKind parse_partition_kind(const std::string& name) {
   throw std::invalid_argument("unknown partition kind: " + name);
 }
 
-SelectorKind parse_selector_kind(const std::string& name) {
-  if (name == "random") return SelectorKind::Random;
-  if (name == "tifl") return SelectorKind::Tifl;
-  if (name == "oort") return SelectorKind::Oort;
-  if (name == "haccs-py") return SelectorKind::HaccsPy;
-  if (name == "haccs-pxy") return SelectorKind::HaccsPxy;
-  if (name == "haccs-qxy") return SelectorKind::HaccsQxy;
-  if (name == "stratified") return SelectorKind::Stratified;
-  if (name == "dpp") return SelectorKind::Dpp;
-  if (name == "fedlecc") return SelectorKind::FedLecc;
-  if (name == "hics") return SelectorKind::Hics;
-  throw std::invalid_argument("unknown selector kind: " + name);
-}
-
 HostileKind parse_hostile_kind(const std::string& name) {
   if (name == "none") return HostileKind::None;
   if (name == "flash-crowd") return HostileKind::FlashCrowd;
@@ -106,11 +69,6 @@ HostileKind parse_hostile_kind(const std::string& name) {
   if (name == "drift") return HostileKind::Drift;
   if (name == "targeted-stragglers") return HostileKind::TargetedStragglers;
   throw std::invalid_argument("unknown hostile kind: " + name);
-}
-
-bool is_haccs_selector(SelectorKind kind) {
-  return kind == SelectorKind::HaccsPy || kind == SelectorKind::HaccsPxy ||
-         kind == SelectorKind::HaccsQxy;
 }
 
 namespace {
@@ -238,12 +196,11 @@ ScenarioSpec generate_scenario(std::uint64_t seed) {
   s.alpha = pick(rng, {0.1, 0.3, 0.5, 1.0});
   s.rotation = pick(rng, {15.0, 30.0, 45.0});
 
-  s.selector = pick(rng, {SelectorKind::Random, SelectorKind::Tifl,
-                          SelectorKind::Oort, SelectorKind::HaccsPy,
-                          SelectorKind::HaccsPy, SelectorKind::HaccsPxy,
-                          SelectorKind::HaccsQxy, SelectorKind::Stratified,
-                          SelectorKind::Dpp, SelectorKind::FedLecc,
-                          SelectorKind::Hics});
+  // A literal draw list, not the registry's name list: the order (and
+  // haccs-py's double weight) is what keeps every seed's scenario stable.
+  s.selector = pick(rng, {"random", "tifl", "oort", "haccs-py", "haccs-py",
+                          "haccs-pxy", "haccs-qxy", "stratified", "dpp",
+                          "fedlecc", "hics"});
   s.algorithm = pick(rng, {core::ClusterAlgorithm::Optics,
                            core::ClusterAlgorithm::Dbscan});
   s.extraction = pick(rng, {core::Extraction::Auto, core::Extraction::Auto,
@@ -321,6 +278,11 @@ void validate_spec(const ScenarioSpec& s) {
     fail("sample range");
   }
   if (s.test_samples == 0) fail("test_samples == 0");
+  try {
+    core::selector_info(s.selector);
+  } catch (const std::invalid_argument& e) {
+    fail(e.what());
+  }
   if (s.rho < 0.0 || s.rho > 1.0) fail("rho outside [0, 1]");
   if (s.epsilon < 0.0) fail("epsilon < 0");
   if (s.topk_fraction <= 0.0 || s.topk_fraction > 1.0) fail("topk_fraction");
@@ -359,7 +321,7 @@ std::string to_spec_string(const ScenarioSpec& s) {
      << ",partition=" << to_string(s.partition) << ",klabels=" << s.klabels
      << ",alpha=" << format_double(s.alpha)
      << ",rotation=" << format_double(s.rotation)
-     << ",selector=" << to_string(s.selector)
+     << ",selector=" << s.selector
      << ",algorithm=" << algorithm_name(s.algorithm)
      << ",extraction=" << extraction_name(s.extraction)
      << ",distance=" << stats::to_string(s.distance)
@@ -418,7 +380,7 @@ ScenarioSpec parse_spec_string(const std::string& text) {
       else if (key == "klabels") s.klabels = std::stoul(value);
       else if (key == "alpha") s.alpha = std::stod(value);
       else if (key == "rotation") s.rotation = std::stod(value);
-      else if (key == "selector") s.selector = parse_selector_kind(value);
+      else if (key == "selector") s.selector = value;
       else if (key == "algorithm") s.algorithm = parse_algorithm(value);
       else if (key == "extraction") s.extraction = parse_extraction(value);
       else if (key == "distance") s.distance = stats::parse_distance_kind(value);
@@ -522,17 +484,8 @@ fl::EngineConfig build_engine_config(const ScenarioSpec& spec) {
 
 core::HaccsConfig build_haccs_config(const ScenarioSpec& spec) {
   core::HaccsConfig cfg;
-  switch (spec.selector) {
-    case SelectorKind::HaccsPxy:
-      cfg.summary = stats::SummaryKind::Conditional;
-      break;
-    case SelectorKind::HaccsQxy:
-      cfg.summary = stats::SummaryKind::Quantile;
-      break;
-    default:
-      cfg.summary = stats::SummaryKind::Response;
-      break;
-  }
+  cfg.summary = core::selector_info(spec.selector)
+                    .haccs_summary.value_or(stats::SummaryKind::Response);
   cfg.response_distance = spec.distance;
   cfg.algorithm = spec.algorithm;
   cfg.extraction = spec.extraction;
@@ -546,34 +499,11 @@ core::HaccsConfig build_haccs_config(const ScenarioSpec& spec) {
 
 std::unique_ptr<fl::ClientSelector> build_selector(
     const ScenarioSpec& spec, const data::FederatedDataset& dataset) {
-  const auto haccs = build_haccs_config(spec);
-  switch (spec.selector) {
-    case SelectorKind::Random:
-      return std::make_unique<select::RandomSelector>();
-    case SelectorKind::Tifl: {
-      select::TiflConfig cfg;
-      cfg.expected_rounds = spec.rounds;
-      return std::make_unique<select::TiflSelector>(cfg);
-    }
-    case SelectorKind::Oort:
-      return std::make_unique<select::OortSelector>(select::OortConfig{});
-    case SelectorKind::HaccsPy:
-    case SelectorKind::HaccsPxy:
-    case SelectorKind::HaccsQxy:
-      return std::make_unique<core::HaccsSelector>(dataset, haccs);
-    case SelectorKind::Stratified:
-      return std::make_unique<core::StratifiedSelector>(dataset, haccs);
-    case SelectorKind::Dpp:
-      return std::make_unique<select::DppSelector>(dataset,
-                                                   select::DppConfig{});
-    case SelectorKind::FedLecc:
-      return std::make_unique<select::FedLeccSelector>(dataset,
-                                                       select::FedLeccConfig{});
-    case SelectorKind::Hics:
-      return std::make_unique<select::HicsSelector>(dataset,
-                                                    select::HicsConfig{});
-  }
-  throw std::invalid_argument("bad SelectorKind");
+  core::SelectorContext ctx;
+  ctx.haccs = build_haccs_config(spec);
+  ctx.rounds = spec.rounds;
+  ctx.dataset = &dataset;
+  return core::make_selector(spec.selector, ctx);
 }
 
 std::function<nn::Sequential()> build_model_factory(

@@ -29,8 +29,6 @@
 namespace haccs::testing {
 
 enum class PartitionKind { Majority, Iid, KLabels, Dirichlet, FeatureSkew };
-enum class SelectorKind { Random, Tifl, Oort, HaccsPy, HaccsPxy, HaccsQxy,
-                          Stratified, Dpp, FedLecc, Hics };
 
 /// Time-structured adversity (ROADMAP "hostile-world scenarios"): one shape
 /// per spec, parameterized by hostile_frac / hostile_at / hostile_span.
@@ -44,15 +42,9 @@ enum class HostileKind {
 };
 
 std::string to_string(PartitionKind kind);
-std::string to_string(SelectorKind kind);
 std::string to_string(HostileKind kind);
 PartitionKind parse_partition_kind(const std::string& name);
-SelectorKind parse_selector_kind(const std::string& name);
 HostileKind parse_hostile_kind(const std::string& name);
-
-/// True for the selector kinds that run the HACCS clustering pipeline (and
-/// therefore expose cluster_weights / Eq. 7 to the oracles).
-bool is_haccs_selector(SelectorKind kind);
 
 struct ScenarioSpec {
   std::uint64_t seed = 1;
@@ -72,7 +64,7 @@ struct ScenarioSpec {
   double alpha = 0.5;           ///< Dirichlet concentration
   double rotation = 30.0;       ///< feature-skew rotation, degrees
 
-  SelectorKind selector = SelectorKind::HaccsPy;
+  std::string selector = "haccs-py";  ///< a selector registry name
   core::ClusterAlgorithm algorithm = core::ClusterAlgorithm::Optics;
   core::Extraction extraction = core::Extraction::Auto;
   stats::DistanceKind distance = stats::DistanceKind::Hellinger;
@@ -144,7 +136,10 @@ void validate_spec(const ScenarioSpec& spec);
 
 data::FederatedDataset build_dataset(const ScenarioSpec& spec);
 fl::EngineConfig build_engine_config(const ScenarioSpec& spec);
+/// The HACCS config the scenario clusters with; `summary` follows the
+/// selector's registry entry (P(y) for every non-HACCS selector).
 core::HaccsConfig build_haccs_config(const ScenarioSpec& spec);
+/// The spec's selector, built through the selector registry.
 std::unique_ptr<fl::ClientSelector> build_selector(
     const ScenarioSpec& spec, const data::FederatedDataset& dataset);
 /// The deterministic model factory every run of this scenario shares.

@@ -23,6 +23,7 @@
 #include "src/core/haccs_selector.hpp"
 #include "src/core/live_recluster.hpp"
 #include "src/core/pipeline.hpp"
+#include "src/core/selector_registry.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
 #include "src/select/dpp.hpp"
@@ -38,7 +39,6 @@ namespace {
 
 using testing::HostileKind;
 using testing::ScenarioSpec;
-using testing::SelectorKind;
 
 ScenarioSpec small_spec() {
   ScenarioSpec spec;
@@ -325,33 +325,19 @@ TEST(HostileShapes, AvailabilityComposesDropoutAndShape) {
 // ---------------------------------------------------------------------------
 // Selector zoo: DPP / FedLECC / HiCS unit tests
 
-using SelectorFactory =
-    std::function<std::unique_ptr<fl::ClientSelector>(
-        const data::FederatedDataset&)>;
+const std::vector<std::string> kZoo = {"dpp", "fedlecc", "hics"};
 
-std::vector<std::pair<std::string, SelectorFactory>> zoo_factories() {
-  return {
-      {"dpp",
-       [](const data::FederatedDataset& fed) {
-         return std::make_unique<select::DppSelector>(fed, select::DppConfig{});
-       }},
-      {"fedlecc",
-       [](const data::FederatedDataset& fed) {
-         return std::make_unique<select::FedLeccSelector>(
-             fed, select::FedLeccConfig{});
-       }},
-      {"hics",
-       [](const data::FederatedDataset& fed) {
-         return std::make_unique<select::HicsSelector>(fed,
-                                                       select::HicsConfig{});
-       }},
-  };
+std::unique_ptr<fl::ClientSelector> make(const std::string& name,
+                                         const data::FederatedDataset& fed) {
+  core::SelectorContext ctx;
+  ctx.dataset = &fed;
+  return core::make_selector(name, ctx);
 }
 
 TEST(SelectorZoo, FillsToAvailabilityBoundWithDistinctIds) {
   const auto fed = testing::build_dataset(small_spec());
-  for (const auto& [name, make] : zoo_factories()) {
-    auto selector = make(fed);
+  for (const auto& name : kZoo) {
+    auto selector = make(name, fed);
     auto view = make_view(fed.clients.size());
     selector->initialize(view);
     Rng rng(123);
@@ -376,8 +362,8 @@ TEST(SelectorZoo, FillsToAvailabilityBoundWithDistinctIds) {
 
 TEST(SelectorZoo, SaveLoadRoundTripIsByteIdenticalAndBehaviorPreserving) {
   const auto fed = testing::build_dataset(small_spec());
-  for (const auto& [name, make] : zoo_factories()) {
-    auto a = make(fed);
+  for (const auto& name : kZoo) {
+    auto a = make(name, fed);
     const auto view = make_view(fed.clients.size());
     a->initialize(view);
     Rng drive(55);
@@ -394,7 +380,7 @@ TEST(SelectorZoo, SaveLoadRoundTripIsByteIdenticalAndBehaviorPreserving) {
     const auto blob = a->save_state();
     ASSERT_FALSE(blob.empty()) << name;
 
-    auto b = make(fed);
+    auto b = make(name, fed);
     b->initialize(view);
     b->load_state(blob);
     EXPECT_EQ(b->save_state(), blob) << name << ": reserialization differs";
@@ -406,11 +392,9 @@ TEST(SelectorZoo, SaveLoadRoundTripIsByteIdenticalAndBehaviorPreserving) {
     }
 
     // A blob from a different selector must be rejected, not half-applied.
-    auto foreign = make(fed);
+    auto foreign = make(name, fed);
     foreign->initialize(view);
-    const auto& other =
-        zoo_factories()[name == "dpp" ? 1 : 0];
-    auto donor = other.second(fed);
+    auto donor = make(kZoo[name == "dpp" ? 1 : 0], fed);
     donor->initialize(view);
     EXPECT_THROW(foreign->load_state(donor->save_state()), std::runtime_error)
         << name;
@@ -421,9 +405,13 @@ TEST(SelectorZoo, ReportedFailuresLowerReliabilityAndSuccessesRecoverIt) {
   const auto fed = testing::build_dataset(small_spec());
   const auto view = make_view(fed.clients.size());
 
-  select::DppSelector dpp(fed, select::DppConfig{});
-  select::FedLeccSelector fedlecc(fed, select::FedLeccConfig{});
-  select::HicsSelector hics(fed, select::HicsConfig{});
+  std::vector<std::vector<double>> counts;
+  for (const auto& client : fed.clients) {
+    counts.push_back(client.train.label_counts());
+  }
+  select::DppSelector dpp(counts, select::DppConfig{});
+  select::FedLeccSelector fedlecc(counts, select::FedLeccConfig{});
+  select::HicsSelector hics(counts, select::HicsConfig{});
   dpp.initialize(view);
   fedlecc.initialize(view);
   hics.initialize(view);
@@ -541,9 +529,8 @@ TEST(ScenarioSpecRoundTrip, EveryHostileKindNameRoundTrips) {
         HostileKind::TargetedStragglers}) {
     EXPECT_EQ(testing::parse_hostile_kind(testing::to_string(kind)), kind);
   }
-  for (const auto kind :
-       {SelectorKind::Dpp, SelectorKind::FedLecc, SelectorKind::Hics}) {
-    EXPECT_EQ(testing::parse_selector_kind(testing::to_string(kind)), kind);
+  for (const auto& name : kZoo) {
+    EXPECT_EQ(testing::parse_spec_string("selector=" + name).selector, name);
   }
 }
 
@@ -583,7 +570,7 @@ TEST(HostileShapes, EveryShapeRunsCleanThroughCheckScenario) {
     spec.hostile_frac = 0.4;
     spec.hostile_at = 1;
     spec.hostile_span = 2;
-    spec.selector = SelectorKind::HaccsPy;
+    spec.selector = "haccs-py";
     const auto violations = testing::check_scenario(spec, options);
     for (const auto& v : violations) {
       ADD_FAILURE() << testing::to_string(kind) << ": " << v.oracle << " — "
@@ -591,15 +578,14 @@ TEST(HostileShapes, EveryShapeRunsCleanThroughCheckScenario) {
     }
   }
   // And the three new selectors under the nastiest availability shape.
-  for (const auto selector :
-       {SelectorKind::Dpp, SelectorKind::FedLecc, SelectorKind::Hics}) {
+  for (const auto& selector : kZoo) {
     auto spec = small_spec();
     spec.hostile = HostileKind::Outage;
     spec.hostile_frac = 0.5;
     spec.selector = selector;
     const auto violations = testing::check_scenario(spec, options);
     for (const auto& v : violations) {
-      ADD_FAILURE() << testing::to_string(selector) << ": " << v.oracle
+      ADD_FAILURE() << selector << ": " << v.oracle
                     << " — " << v.detail << "\n  "
                     << testing::replay_command(spec);
     }

@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
-# Benchmark runner: builds the Release tree, runs the micro benchmark suite
-# with JSON output (the tracked kernel perf baseline), and an end-to-end
-# 200-round haccs_run whose machine-readable summary (wall time, TTA, wasted
-# client-rounds) is the tracked e2e baseline.
+# Benchmark runner: builds the Release tree and runs the google-benchmark
+# suites with JSON output (the tracked kernel, wire-protocol and scale perf
+# baselines). End-to-end run cost is measured by the repo benchmark,
+# `python3 benchmark/run.py` (benchmark/README.md).
 #
-# Usage: tools/bench.sh [output.json] [--filter=REGEX] [--skip-e2e]
-#        [--e2e-only] [--skip-net] [--net-only] [--skip-scale]
-#        [--scale-only] [--check]
+# Usage: tools/bench.sh [output.json] [--filter=REGEX] [--skip-net]
+#        [--net-only] [--skip-scale] [--scale-only] [--check]
 #
 #   output.json   where to write the google-benchmark JSON
 #                 (default: BENCH_kernels.json at the repo root — the
@@ -15,8 +14,6 @@
 #   --filter=RE   restrict to benchmarks matching RE (default: the compute
 #                 kernels — GEMM family, conv, train step, evaluation,
 #                 FedAvg accumulation)
-#   --skip-e2e    kernel micro benchmarks only
-#   --e2e-only    end-to-end run only (writes BENCH_e2e.json)
 #   --skip-net    skip the wire-protocol benchmarks
 #   --net-only    wire-protocol benchmarks only (writes BENCH_net.json —
 #                 CRC32 throughput, ClientUpdate encode/decode for each
@@ -32,8 +29,7 @@
 #                 Each suite has its own noise threshold (kernels 0.6, net
 #                 0.8, scale 1.0); override per suite with
 #                 HACCS_BENCH_TOLERANCE_<SUITE> or globally with
-#                 HACCS_BENCH_TOLERANCE. The e2e summary has its own schema
-#                 and is not gated.
+#                 HACCS_BENCH_TOLERANCE.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -43,19 +39,16 @@ out="$repo/BENCH_kernels.json"
 filter='BM_Gemm|BM_Conv2d|BM_MlpTrainStep|BM_Evaluation|BM_FedAvgAccumulate'
 net_filter='BM_Crc32|BM_EncodeUpdate|BM_DecodeUpdate|BM_FlatRoundDispatch|BM_TreeRoundDispatch'
 run_micro=1
-run_e2e=1
 run_net=1
 run_scale=1
 check=0
 for arg in "$@"; do
   case "$arg" in
     --filter=*) filter="${arg#--filter=}" ;;
-    --skip-e2e) run_e2e=0 ;;
-    --e2e-only) run_micro=0; run_net=0; run_scale=0 ;;
     --skip-net) run_net=0 ;;
-    --net-only) run_micro=0; run_e2e=0; run_scale=0 ;;
+    --net-only) run_micro=0; run_scale=0 ;;
     --skip-scale) run_scale=0 ;;
-    --scale-only) run_micro=0; run_e2e=0; run_net=0 ;;
+    --scale-only) run_micro=0; run_net=0 ;;
     --check) check=1 ;;
     *) out="$arg" ;;
   esac
@@ -124,17 +117,4 @@ if [[ "$run_scale" -eq 1 ]]; then
     --benchmark_repetitions=1
 
   check_or_keep scale "$repo/BENCH_scale.json" "$scale_out"
-fi
-
-if [[ "$run_e2e" -eq 1 ]]; then
-  # Fixed end-to-end config: the default femnist-like workload (50 clients,
-  # 10/round) for 200 rounds. --summary-json captures wall time, TTA per
-  # target, and dispatched/wasted client-rounds; the committed BENCH_e2e.json
-  # is the regression reference for whole-pipeline cost (selection +
-  # clustering + training + aggregation), not just kernels.
-  cmake --build "$repo/build" -j "$jobs" --target haccs_run
-  "$repo/build/tools/haccs_run" \
-    --strategy=haccs-py --partition=majority --rounds=200 --seed=1 \
-    --log-level=warn --summary-json="$repo/BENCH_e2e.json"
-  echo "wrote $repo/BENCH_e2e.json"
 fi

@@ -10,11 +10,11 @@
 //   haccs_run --strategy=haccs-pxy --dropout=0.1 --epsilon=0.1 \
 //             --save-model=/tmp/model.bin --csv=/tmp/run
 //
-// Strategies: random | tifl | oort | haccs-py | haccs-pxy | gradient |
-//             stratified | dpp | fedlecc | hics
+// Strategies: every selector registry name (src/core/selector_registry.hpp)
 // Partitions: majority | iid | klabels | feature-skew | dirichlet | groups
 // Hostile-world shapes (--hostile): flash-crowd | diurnal | outage | drift |
 //             targeted-stragglers
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -25,23 +25,14 @@
 #include "src/fl/run_summary.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
-#include "src/core/gradient_selector.hpp"
-#include "src/core/stratified_selector.hpp"
 #include "src/nn/serialize.hpp"
-#include "src/select/dpp.hpp"
-#include "src/select/fedlecc.hpp"
-#include "src/select/hics.hpp"
-#include "src/select/oort.hpp"
-#include "src/select/random_selector.hpp"
-#include "src/select/tifl.hpp"
 
 namespace {
 
 void print_usage() {
-  std::puts(
+  std::printf(
       "haccs_run — federated training experiment driver\n"
-      "  --strategy=S    random|tifl|oort|haccs-py|haccs-pxy|haccs-qxy|"
-      "gradient|stratified|dpp|fedlecc|hics (default haccs-py)\n"
+      "  --strategy=S    %s (default haccs-py)\n"
       "  --partition=P   majority|iid|klabels|feature-skew|dirichlet|groups "
       "(default majority)\n"
       "  --dataset=D     mnist|femnist|cifar (default femnist)\n"
@@ -51,6 +42,8 @@ void print_usage() {
       "  --rotation=DEG  feature-skew rotation (default 45)\n"
       "  --rho=R         Eq. 7 trade-off (default 0.5)\n"
       "  --epsilon=E     DP budget for summaries (default: no noise)\n"
+      "  --mechanism=M   laplace|gaussian DP noise for --epsilon (default "
+      "laplace)\n"
       "  --dropout=F     per-epoch unavailable fraction (default 0)\n"
       "  --recluster=N   re-cluster every N epochs (default 0 = static)\n"
       "hostile-world shapes (TESTING.md):\n"
@@ -77,7 +70,8 @@ void print_usage() {
       "  --events=F      write per-round structured events (JSONL)\n"
       "  --log-level=L   debug|info|warn|error|off (default info)\n"
       "  --summary-json=F  write machine-readable run summary JSON\n"
-      "  --help          this text");
+      "  --help          this text\n",
+      haccs::core::selector_usage().c_str());
 }
 
 std::vector<double> parse_targets(const std::string& csv) {
@@ -138,6 +132,27 @@ int main(int argc, char** argv) {
   const std::string summary_json = flags.get_string("summary-json", "");
   flags.check_unused();
 
+  // Reject bad names before any data is generated.
+  try {
+    core::selector_info(strategy);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
+  const char* const kHostileShapes[] = {"",       "none",  "flash-crowd",
+                                        "diurnal", "outage", "drift",
+                                        "targeted-stragglers"};
+  if (std::find(std::begin(kHostileShapes), std::end(kHostileShapes),
+                hostile) == std::end(kHostileShapes)) {
+    std::fprintf(stderr, "unknown hostile shape '%s' (--help for options)\n",
+                 hostile.c_str());
+    return 1;
+  }
+  if (mechanism != "laplace" && mechanism != "gaussian") {
+    std::fprintf(stderr, "unknown mechanism '%s'\n", mechanism.c_str());
+    return 1;
+  }
+
   // ---- data ----
   auto gen = exp.make_generator();
   Rng rng(exp.seed);
@@ -187,7 +202,6 @@ int main(int argc, char** argv) {
   core::HaccsConfig haccs;
   haccs.rho = rho;
   haccs.recluster_every = recluster;
-  haccs.initial_loss = engine_config.initial_loss;
   haccs.scale.enabled = scale_enabled;
   haccs.scale.shard_size = scale_shard;
   haccs.scale.sketch_dim = scale_sketch_dim;
@@ -197,56 +211,10 @@ int main(int argc, char** argv) {
     haccs.privacy = stats::PrivacyConfig{epsilon};
     if (mechanism == "gaussian") {
       haccs.privacy.mechanism = stats::NoiseMechanism::Gaussian;
-    } else if (mechanism != "laplace") {
-      std::fprintf(stderr, "unknown mechanism '%s'\n", mechanism.c_str());
-      return 1;
     }
   }
-
-  std::unique_ptr<fl::ClientSelector> selector;
-  if (strategy == "random") {
-    selector = std::make_unique<select::RandomSelector>();
-  } else if (strategy == "tifl") {
-    select::TiflConfig cfg;
-    cfg.expected_rounds = engine_config.rounds;
-    cfg.initial_loss = engine_config.initial_loss;
-    selector = std::make_unique<select::TiflSelector>(cfg);
-  } else if (strategy == "oort") {
-    select::OortConfig cfg;
-    cfg.initial_loss = engine_config.initial_loss;
-    selector = std::make_unique<select::OortSelector>(cfg);
-  } else if (strategy == "haccs-py") {
-    haccs.summary = stats::SummaryKind::Response;
-    selector = std::make_unique<core::HaccsSelector>(fed, haccs);
-  } else if (strategy == "haccs-pxy") {
-    haccs.summary = stats::SummaryKind::Conditional;
-    selector = std::make_unique<core::HaccsSelector>(fed, haccs);
-  } else if (strategy == "haccs-qxy") {
-    haccs.summary = stats::SummaryKind::Quantile;
-    selector = std::make_unique<core::HaccsSelector>(fed, haccs);
-  } else if (strategy == "gradient") {
-    core::GradientSelectorConfig cfg;
-    cfg.scheduling = haccs;
-    selector = std::make_unique<core::GradientClusterSelector>(cfg);
-  } else if (strategy == "stratified") {
-    selector = std::make_unique<core::StratifiedSelector>(fed, haccs);
-  } else if (strategy == "dpp") {
-    select::DppConfig cfg;
-    cfg.initial_loss = engine_config.initial_loss;
-    selector = std::make_unique<select::DppSelector>(fed, cfg);
-  } else if (strategy == "fedlecc") {
-    select::FedLeccConfig cfg;
-    cfg.initial_loss = engine_config.initial_loss;
-    selector = std::make_unique<select::FedLeccSelector>(fed, cfg);
-  } else if (strategy == "hics") {
-    select::HicsConfig cfg;
-    cfg.initial_loss = engine_config.initial_loss;
-    selector = std::make_unique<select::HicsSelector>(fed, cfg);
-  } else {
-    std::fprintf(stderr, "unknown strategy '%s' (--help for options)\n",
-                 strategy.c_str());
-    return 1;
-  }
+  const auto selector =
+      bench::make_selector(strategy, fed, engine_config, haccs);
 
   // ---- run ----
   std::fprintf(stderr, "running %s on %s/%s: %zu clients, %zu/round, %zu rounds\n",
@@ -268,11 +236,6 @@ int main(int argc, char** argv) {
   } else if (hostile == "outage") {
     shape = sim::make_regional_outage(fed.num_clients(), 4, hostile_frac,
                                       hostile_at, hostile_span, exp.seed + 211);
-  } else if (!hostile.empty() && hostile != "none" && hostile != "drift" &&
-             hostile != "targeted-stragglers") {
-    std::fprintf(stderr, "unknown hostile shape '%s' (--help for options)\n",
-                 hostile.c_str());
-    return 1;
   }
   if (shape) {
     schedule = schedule ? sim::make_intersection(std::move(schedule),

@@ -32,6 +32,20 @@ build="${1:-$repo/build}"
 obs_dir="$(mktemp -d)"
 trap 'rm -rf "$obs_dir"' EXIT
 
+echo "== startup validation: bad strategies fail before the listener opens =="
+# An unknown name and one that needs more than the wire's P(y) summaries.
+for strategy in bogus haccs-pxy; do
+  rm -f "$obs_dir/port"
+  rc=0
+  timeout 30 "$build/examples/haccs_server" --strategy="$strategy" \
+    --port=0 --port-file="$obs_dir/port" 2>"$obs_dir/strategy.log" || rc=$?
+  cat "$obs_dir/strategy.log"
+  [[ "$rc" -eq 1 && ! -e "$obs_dir/port" ]] || {
+    echo "--strategy=$strategy: exit $rc, port file written or not" >&2
+    exit 1
+  }
+done
+
 echo "== chaos smoke: serving mode completes under a hostile TCP wire =="
 chaos_flags=(--rounds=3 --clients=12 --per-round=4 --classes=6 --seed=7)
 rm -f "$obs_dir/port"
