@@ -34,7 +34,6 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -46,19 +45,18 @@
 #include "src/core/pipeline.hpp"
 #include "src/core/selector_registry.hpp"
 #include "src/fl/checkpoint.hpp"
-#include "src/hier/tree_dispatcher.hpp"
 #include "src/fl/net_driver.hpp"
 #include "src/fl/run_summary.hpp"
+#include "src/hier/fleet.hpp"
+#include "src/hier/tree_dispatcher.hpp"
 #include "src/net/chaos.hpp"
 #include "src/net/status.hpp"
 #include "src/net/tcp.hpp"
-#include "src/net/wire.hpp"
 #include "src/obs/flight.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
 #include "src/obs/trace.hpp"
 #include "src/select/fedlecc.hpp"
-#include "src/stats/summary_codec.hpp"
 
 namespace {
 
@@ -74,7 +72,9 @@ void print_usage() {
       "  --strategy=S         %s (default haccs-py)\n"
       "  --rho=R              Eq. 7 trade-off (default 0.5)\n"
       "  --accept-timeout-ms=T  per-worker accept deadline (default 30000)\n"
-      "  --io-timeout-ms=T    per-frame send/recv deadline (default 120000)\n"
+      "  --io-timeout-ms=T    per-frame send and handshake deadline, and the\n"
+      "                       whole-round update collection budget\n"
+      "                       (default 120000)\n"
       "  --summary-json=F     machine-readable run summary\n"
       "serving: --checkpoint=F  crash-resume checkpoint file\n"
       "  --checkpoint-every=N  persist every N rounds (default 1)\n"
@@ -109,285 +109,6 @@ void print_usage() {
       haccs::core::selector_usage(haccs::core::SelectorInput::ResponseSummaries)
           .c_str());
 }
-
-/// The worker fleet: initial accept, per-session chaos wrapping, and
-/// mid-run re-accept of reconnecting workers (serving mode).
-///
-/// Reconnects are staged in per-worker pending slots and only swapped into
-/// the live slot inside reacquire(w) for exactly the worker the dispatcher
-/// has declared dead. A worker can observe a disconnect and re-Hello before
-/// the server's next send/recv on the old link notices, so installing the
-/// fresh session eagerly would destroy a transport the dispatcher still
-/// holds a raw pointer to (use-after-free on the next fan-out).
-class Fleet {
- public:
-  Fleet(haccs::net::TcpListener& listener, std::size_t num_workers,
-        std::size_t num_clients, int io_timeout_ms,
-        haccs::net::ChaosOptions chaos)
-      : listener_(listener),
-        num_clients_(num_clients),
-        io_timeout_ms_(io_timeout_ms),
-        chaos_(chaos),
-        slots_(num_workers),
-        pending_(num_workers),
-        generation_(num_workers, 0),
-        summaries_(num_clients),
-        have_summary_(num_clients, false) {}
-
-  /// Blocks until all workers have completed the Hello + summary handshake.
-  bool accept_all(int accept_timeout_ms) {
-    std::size_t connected = 0;
-    while (connected < slots_.size()) {
-      auto transport = listener_.accept(accept_timeout_ms);
-      if (!transport) {
-        std::fprintf(stderr, "timed out waiting for worker %zu of %zu\n",
-                     connected + 1, slots_.size());
-        return false;
-      }
-      const int w = handshake(std::move(transport));
-      if (w < 0) return false;
-      const auto slot = static_cast<std::size_t>(w);
-      if (slots_[slot]) {
-        // A second Hello for an id that already completed the handshake is a
-        // launcher bug (two workers sharing a --worker-id). Fatal, as it was
-        // before serving mode: merely dropping the duplicate would let the
-        // misconfigured worker reconnect-with-backoff forever, each accept
-        // rearming the deadline — the run must not silently start with
-        // fewer distinct workers than --workers, nor hang here.
-        std::fprintf(stderr,
-                     "duplicate Hello for worker %d — check each worker's "
-                     "--worker-id\n",
-                     w);
-        pending_[slot].reset();
-        return false;
-      }
-      slots_[slot] = std::move(pending_[slot]);
-      ++connected;
-    }
-    return true;
-  }
-
-  /// TransportDispatcher reacquire hook: drains any pending reconnect
-  /// attempts (short accept timeout — called once per round per dead
-  /// worker), then hands back worker `w`'s slot if a fresh session arrived.
-  /// Only slot `w` may be touched here: the dispatcher has declared exactly
-  /// that transport dead, so freeing it is safe; reconnects from other
-  /// workers stay parked in pending_ until their own reacquire call.
-  haccs::net::Transport* reacquire(std::size_t w) {
-    for (;;) {
-      auto transport = listener_.accept(kReacceptTimeoutMs);
-      if (!transport) break;
-      handshake(std::move(transport));  // failures just drop the connection
-    }
-    if (w < pending_.size() && pending_[w]) {
-      slots_[w] = std::move(pending_[w]);
-      return slots_[w].get();
-    }
-    return nullptr;
-  }
-
-  const std::vector<std::unique_ptr<haccs::net::Transport>>& slots() const {
-    return slots_;
-  }
-  const std::vector<haccs::core::ClientSummary>& summaries() const {
-    return summaries_;
-  }
-  bool have_all_summaries() const {
-    for (bool have : have_summary_) {
-      if (!have) return false;
-    }
-    return true;
-  }
-
- private:
-  static constexpr int kReacceptTimeoutMs = 200;
-
-  /// Runs the Hello + summary handshake on a fresh connection; on success
-  /// stages it (chaos-wrapped) in its worker's pending slot and returns the
-  /// worker id, else returns -1. A newer pending session replaces an older
-  /// one — only the latest reconnect matters, and nothing outside this
-  /// class ever saw the replaced transport.
-  int handshake(std::unique_ptr<haccs::net::Transport> transport) {
-    namespace net = haccs::net;
-    net::Frame frame;
-    if (transport->recv(&frame, io_timeout_ms_) != net::TransportStatus::Ok ||
-        frame.type != net::MessageType::Hello) {
-      std::fprintf(stderr, "handshake with %s failed (no Hello frame)\n",
-                   transport->peer().c_str());
-      return -1;
-    }
-    const net::HelloMsg hello = net::decode_hello(frame);
-    if (hello.worker_id >= slots_.size()) {
-      std::fprintf(stderr, "bad worker id %u (expected 0..%zu)\n",
-                   hello.worker_id, slots_.size() - 1);
-      return -1;
-    }
-    // §IV-A uplink: one P(y) summary per hosted client — sent on the first
-    // connect and repeated on every reconnect (session resume), so a
-    // restarted server can rebuild its view from the fleet alone.
-    for (std::uint32_t s = 0; s < hello.num_clients; ++s) {
-      if (transport->recv(&frame, io_timeout_ms_) != net::TransportStatus::Ok ||
-          frame.type != net::MessageType::Summary) {
-        std::fprintf(stderr, "worker %u: summary %u of %u never arrived\n",
-                     hello.worker_id, s + 1, hello.num_clients);
-        return -1;
-      }
-      const net::SummaryMsg msg = net::decode_summary(frame);
-      if (msg.client_id >= num_clients_) {
-        std::fprintf(stderr, "summary for unknown client %u\n", msg.client_id);
-        return -1;
-      }
-      haccs::core::ClientSummary summary;
-      summary.kind = haccs::stats::SummaryKind::Response;
-      summary.response = haccs::stats::decode_response_summary(msg);
-      summaries_[msg.client_id] = std::move(summary);
-      have_summary_[msg.client_id] = true;
-    }
-    const auto w = static_cast<std::size_t>(hello.worker_id);
-    // Chaos wraps the established session; the seed forks per (worker,
-    // session) so a reconnect does not replay the identical fault script.
-    net::ChaosOptions forked = chaos_;
-    forked.seed = chaos_.seed ^ (0xa11ce11aULL * (w + 1)) ^
-                  (0x5e5510ULL * ++generation_[w]);
-    std::fprintf(stderr, "worker %u connected (%s), hosting %u client(s)\n",
-                 hello.worker_id, transport->peer().c_str(),
-                 hello.num_clients);
-    pending_[w] = net::wrap_chaos(std::move(transport), forked);
-    return static_cast<int>(w);
-  }
-
-  haccs::net::TcpListener& listener_;
-  std::size_t num_clients_;
-  int io_timeout_ms_;
-  haccs::net::ChaosOptions chaos_;
-  std::vector<std::unique_ptr<haccs::net::Transport>> slots_;
-  /// Handshaken reconnects staged per worker until the dispatcher declares
-  /// the old transport dead and claims the replacement via reacquire().
-  std::vector<std::unique_ptr<haccs::net::Transport>> pending_;
-  std::vector<std::size_t> generation_;
-  std::vector<haccs::core::ClientSummary> summaries_;
-  std::vector<bool> have_summary_;
-};
-
-/// The aggregator fleet (tree mode, §5j): accepts --aggs haccs_agg
-/// connections, each announcing its subtree with TopologyHello and relaying
-/// the summaries its workers uploaded. No reacquire path — a mid-tier
-/// process owns live downstream state (fold frontier, worker sessions) that
-/// a fresh process cannot resume, so a dead aggregator stays dead and the
-/// TreeDispatcher contains the loss (salvage or torn round).
-class AggFleet {
- public:
-  AggFleet(haccs::net::TcpListener& listener, std::size_t num_aggs,
-           std::size_t num_workers, std::size_t num_clients,
-           int io_timeout_ms, haccs::net::ChaosOptions chaos)
-      : listener_(listener),
-        num_workers_(num_workers),
-        num_clients_(num_clients),
-        io_timeout_ms_(io_timeout_ms),
-        chaos_(chaos),
-        slots_(num_aggs),
-        summaries_(num_clients),
-        have_summary_(num_clients, false) {}
-
-  /// Blocks until every aggregator has completed the TopologyHello +
-  /// summary-relay handshake. An aggregator only announces AFTER its own
-  /// downstream handshake finished, so the deadline must cover the workers'
-  /// connect time too.
-  bool accept_all(int accept_timeout_ms) {
-    namespace net = haccs::net;
-    std::size_t connected = 0;
-    while (connected < slots_.size()) {
-      auto transport = listener_.accept(accept_timeout_ms);
-      if (!transport) {
-        std::fprintf(stderr, "timed out waiting for aggregator %zu of %zu\n",
-                     connected + 1, slots_.size());
-        return false;
-      }
-      net::Frame frame;
-      if (transport->recv(&frame, io_timeout_ms_) !=
-              net::TransportStatus::Ok ||
-          frame.type != net::MessageType::TopologyHello) {
-        std::fprintf(stderr,
-                     "handshake with %s failed (no TopologyHello frame)\n",
-                     transport->peer().c_str());
-        return false;
-      }
-      const net::TopologyHelloMsg hello = net::decode_topology_hello(frame);
-      const std::size_t per = num_workers_ / slots_.size();
-      if (hello.num_aggs != slots_.size() || hello.agg_id >= slots_.size() ||
-          hello.worker_begin != hello.agg_id * per ||
-          hello.worker_end != (hello.agg_id + 1) * per) {
-        std::fprintf(stderr,
-                     "aggregator topology mismatch (agg %u/%u, workers "
-                     "[%u, %u)) — check --aggs/--workers on every tier\n",
-                     hello.agg_id, hello.num_aggs, hello.worker_begin,
-                     hello.worker_end);
-        return false;
-      }
-      if (slots_[hello.agg_id]) {
-        std::fprintf(stderr,
-                     "duplicate TopologyHello for aggregator %u — check "
-                     "each aggregator's --agg-id\n",
-                     hello.agg_id);
-        return false;
-      }
-      // The relayed §IV-A uplink: the subtree's one-per-client summaries.
-      for (std::uint32_t s = 0; s < hello.num_clients; ++s) {
-        if (transport->recv(&frame, io_timeout_ms_) !=
-                net::TransportStatus::Ok ||
-            frame.type != net::MessageType::Summary) {
-          std::fprintf(stderr, "agg %u: summary %u of %u never arrived\n",
-                       hello.agg_id, s + 1, hello.num_clients);
-          return false;
-        }
-        const net::SummaryMsg msg = net::decode_summary(frame);
-        if (msg.client_id >= num_clients_) {
-          std::fprintf(stderr, "summary for unknown client %u\n",
-                       msg.client_id);
-          return false;
-        }
-        haccs::core::ClientSummary summary;
-        summary.kind = haccs::stats::SummaryKind::Response;
-        summary.response = haccs::stats::decode_response_summary(msg);
-        summaries_[msg.client_id] = std::move(summary);
-        have_summary_[msg.client_id] = true;
-      }
-      net::ChaosOptions forked = chaos_;
-      forked.seed = chaos_.seed ^ (0xa11ce11aULL * (hello.agg_id + 1));
-      std::fprintf(stderr,
-                   "aggregator %u connected (%s), fronting workers [%u, %u) "
-                   "with %u client(s)\n",
-                   hello.agg_id, transport->peer().c_str(),
-                   hello.worker_begin, hello.worker_end, hello.num_clients);
-      slots_[hello.agg_id] = net::wrap_chaos(std::move(transport), forked);
-      ++connected;
-    }
-    return true;
-  }
-
-  const std::vector<std::unique_ptr<haccs::net::Transport>>& slots() const {
-    return slots_;
-  }
-  const std::vector<haccs::core::ClientSummary>& summaries() const {
-    return summaries_;
-  }
-  bool have_all_summaries() const {
-    for (bool have : have_summary_) {
-      if (!have) return false;
-    }
-    return true;
-  }
-
- private:
-  haccs::net::TcpListener& listener_;
-  std::size_t num_workers_;
-  std::size_t num_clients_;
-  int io_timeout_ms_;
-  haccs::net::ChaosOptions chaos_;
-  std::vector<std::unique_ptr<haccs::net::Transport>> slots_;
-  std::vector<haccs::core::ClientSummary> summaries_;
-  std::vector<bool> have_summary_;
-};
 
 }  // namespace
 
@@ -513,27 +234,26 @@ int main(int argc, char** argv) try {
                listener.port(), num_aggs > 0 ? num_aggs : num_workers,
                num_aggs > 0 ? "aggregator(s)" : "worker(s)");
 
-  // Exactly one fleet exists: workers (flat) or mid-tier aggregators
-  // (tree). Both yield the same wire-borne summary view.
-  std::optional<Fleet> fleet;
-  std::optional<AggFleet> agg_fleet;
-  if (num_aggs > 0) {
-    agg_fleet.emplace(listener, num_aggs, num_workers, fed.num_clients(),
-                      io_timeout_ms, chaos);
-    if (!agg_fleet->accept_all(accept_timeout_ms)) return 1;
-  } else {
-    fleet.emplace(listener, num_workers, fed.num_clients(), io_timeout_ms,
-                  chaos);
-    if (!fleet->accept_all(accept_timeout_ms)) return 1;
+  // The peers are workers (flat) or mid-tier aggregators (tree); both yield
+  // the same wire-borne summary view.
+  hier::FleetConfig fleet_config;
+  fleet_config.num_workers = num_workers;
+  fleet_config.num_aggs = num_aggs;
+  fleet_config.num_clients = fed.num_clients();
+  fleet_config.io_timeout_ms = io_timeout_ms;
+  fleet_config.chaos = chaos;
+  hier::Fleet fleet(fleet_config, [&listener](int timeout_ms) {
+    return listener.accept(timeout_ms);
+  });
+  fleet.accept_all(accept_timeout_ms);
+  std::vector<core::ClientSummary> wire_summaries(fed.num_clients());
+  for (std::size_t c = 0; c < wire_summaries.size(); ++c) {
+    wire_summaries[c].response = fleet.summaries()[c];
   }
-  const std::vector<core::ClientSummary>& wire_summaries =
-      num_aggs > 0 ? agg_fleet->summaries() : fleet->summaries();
-  const bool all_summaries = num_aggs > 0 ? agg_fleet->have_all_summaries()
-                                          : fleet->have_all_summaries();
 
   // ---- strategy ----
   if (core::selector_info(strategy).input != core::SelectorInput::None &&
-      !all_summaries) {
+      !fleet.have_all_summaries()) {
     std::fprintf(stderr,
                  "missing client summaries — check each worker's "
                  "--worker-id/--workers against --workers here\n");
@@ -582,11 +302,10 @@ int main(int argc, char** argv) try {
   dispatch_config.agg_groups = agg_groups;
   dispatch_config.max_update_norm = engine_config.max_update_norm;
   // Liveness mode implies fleet management: dead workers may reconnect and
-  // reclaim their slot. With the default flags the dispatcher stays on the
-  // original strictly-serial path, byte-identical to earlier releases.
-  if (fleet && (heartbeat_timeout_ms > 0 || quorum < 1.0)) {
+  // reclaim their slot. With the default flags a dead worker stays dead.
+  if (num_aggs == 0 && (heartbeat_timeout_ms > 0 || quorum < 1.0)) {
     dispatch_config.reacquire = [&fleet](std::size_t w) {
-      return fleet->reacquire(w);
+      return fleet.reacquire(w);
     };
   }
 
@@ -676,11 +395,6 @@ int main(int argc, char** argv) try {
                  status_server->port());
   }
 
-  std::vector<net::Transport*> peer_ptrs;
-  const auto& peer_slots = num_aggs > 0 ? agg_fleet->slots() : fleet->slots();
-  peer_ptrs.reserve(peer_slots.size());
-  for (const auto& t : peer_slots) peer_ptrs.push_back(t.get());
-
   std::optional<fl::TransportDispatcher> flat_dispatcher;
   std::optional<hier::TreeDispatcher> tree_dispatcher;
   if (num_aggs > 0) {
@@ -694,10 +408,10 @@ int main(int argc, char** argv) try {
     if (obs::trace_enabled()) tree_config.on_trace_shard = collect_shard;
     if (status_port >= 0) tree_config.status_board = &status_board;
     if (live_tracker) tree_config.on_liveness = on_liveness;
-    tree_dispatcher.emplace(std::move(peer_ptrs), std::move(tree_config));
+    tree_dispatcher.emplace(fleet.transports(), std::move(tree_config));
     engine_config.dispatcher = &*tree_dispatcher;
   } else {
-    flat_dispatcher.emplace(std::move(peer_ptrs), dispatch_config);
+    flat_dispatcher.emplace(fleet.transports(), dispatch_config);
     engine_config.dispatcher = &*flat_dispatcher;
   }
   engine_config.stop_requested = [] { return g_stop != 0; };
@@ -753,43 +467,7 @@ int main(int argc, char** argv) try {
     report.trace.trace_id = obs::process_trace_id();
     report.trace.round = static_cast<std::int64_t>(history.records().size());
   }
-  for (const auto& t : peer_slots) {
-    if (!t) continue;
-    t->send(net::encode_eval_report(report), io_timeout_ms);
-    t->send(net::encode_shutdown(), io_timeout_ms);
-  }
-  if (obs::trace_enabled()) {
-    // Drain the final TraceShards shipped in response to the traced
-    // EvalReport: one per worker in flat mode, the whole relayed subtree
-    // per aggregator in tree mode. Late heartbeats are skipped; Closed (or
-    // the shard quota) ends that peer's drain.
-    const std::size_t shards_per_peer =
-        num_aggs > 0 ? num_workers / num_aggs : 1;
-    for (const auto& t : peer_slots) {
-      if (!t) continue;
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::milliseconds(3000);
-      std::size_t collected = 0;
-      while (collected < shards_per_peer &&
-             std::chrono::steady_clock::now() < deadline) {
-        net::Frame frame;
-        const auto status = t->recv(&frame, 250);
-        if (status == net::TransportStatus::Closed) break;
-        if (status != net::TransportStatus::Ok) continue;
-        if (frame.type == net::MessageType::TraceShard) {
-          try {
-            collect_shard(net::decode_trace_shard(frame));
-          } catch (const net::WireError& e) {
-            std::fprintf(stderr, "discarding bad trace shard: %s\n",
-                         e.what());
-          }
-          ++collected;
-          continue;
-        }
-        if (frame.type != net::MessageType::Heartbeat) break;
-      }
-    }
-  }
+  fleet.shut_down(report, collect_shard);
 
   // ---- report ----
   auto counter_value = [](const char* name) {

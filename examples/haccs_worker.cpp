@@ -32,12 +32,12 @@
 #include "examples/multiprocess_common.hpp"
 #include "src/common/logging.hpp"
 #include "src/fl/net_driver.hpp"
+#include "src/hier/fleet.hpp"
 #include "src/net/chaos.hpp"
 #include "src/net/tcp.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
 #include "src/obs/trace.hpp"
-#include "src/stats/summary_codec.hpp"
 
 namespace {
 
@@ -118,11 +118,6 @@ int main(int argc, char** argv) try {
 
   const data::FederatedDataset fed = examples::build_federation(exp);
 
-  std::vector<std::size_t> hosted;
-  for (std::size_t id = 0; id < fed.num_clients(); ++id) {
-    if (id % num_workers == worker_id) hosted.push_back(id);
-  }
-
   fl::WorkerLoopConfig loop_config;
   loop_config.worker_id = worker_id;
   loop_config.recv_timeout_ms = idle_timeout_ms;
@@ -149,25 +144,10 @@ int main(int argc, char** argv) try {
       port = examples::wait_for_port_file(port_file, 30000);
     }
     auto transport = net::connect_tcp(host, port, net::TcpConnectOptions{});
-    bool handshake_ok = false;
-    if (transport) {
-      // Session (re-)establishment: Hello with the hosted-client roster,
-      // then the one-per-client summary uplink — same protocol on first
-      // connect and on every resume, so the server can rebuild its view.
-      handshake_ok =
-          transport->send(net::encode_hello(net::HelloMsg{
-              worker_id, static_cast<std::uint32_t>(hosted.size())})) ==
-          net::TransportStatus::Ok;
-      for (std::size_t id : hosted) {
-        if (!handshake_ok) break;
-        const auto summary = stats::summarize_response(fed.clients[id].train);
-        handshake_ok =
-            transport->send(net::encode_summary(stats::encode_summary_msg(
-                static_cast<std::uint32_t>(id), summary))) ==
-            net::TransportStatus::Ok;
-      }
-    }
-    if (!transport || !handshake_ok) {
+    // Session (re-)establishment: the same Hello + summary uplink on first
+    // connect and on every resume, so the server can rebuild its view.
+    if (!transport ||
+        !hier::send_worker_hello(*transport, fed, worker_id, num_workers)) {
       ++failed_connects;
       if (failed_connects > reconnect_attempts) {
         std::fprintf(stderr,
@@ -190,9 +170,8 @@ int main(int argc, char** argv) try {
     if (sessions > 0) reconnects.inc();
     ++sessions;
     std::fprintf(stderr,
-                 "worker %u: session %zu on %s, hosting %zu client(s)\n",
-                 worker_id, sessions, transport->peer().c_str(),
-                 hosted.size());
+                 "worker %u: session %zu on %s\n", worker_id, sessions,
+                 transport->peer().c_str());
 
     // Chaos wraps the established session (the handshake above runs clean;
     // chaos targets steady-state serving traffic). Fork the seed per

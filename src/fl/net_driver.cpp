@@ -18,9 +18,9 @@ namespace haccs::fl {
 
 namespace {
 
-/// Per-worker poll slice in the serving collection loop: short enough that
-/// one silent worker cannot starve the others' liveness checks.
-constexpr int kServeSliceMs = 10;
+/// Per-worker poll slice in the collection loop: short enough that one
+/// silent worker cannot starve the others' liveness checks.
+constexpr int kSliceMs = 10;
 
 struct ServingMetrics {
   obs::Counter& heartbeats_missed =
@@ -357,11 +357,7 @@ void TransportDispatcher::execute(std::span<const TrainJobSpec> jobs,
     }
   }
 
-  if (serving_enabled()) {
-    collect_serving(jobs, global_params, outcomes);
-  } else {
-    collect_serial(jobs, global_params, outcomes);
-  }
+  collect(jobs, global_params, outcomes);
 
   if (config_.agg_groups > 0) fold_groups(jobs, global_params, outcomes);
 
@@ -371,42 +367,9 @@ void TransportDispatcher::execute(std::span<const TrainJobSpec> jobs,
   }
 }
 
-void TransportDispatcher::collect_serial(std::span<const TrainJobSpec> jobs,
-                                         const std::vector<float>& global_params,
-                                         std::vector<TrainOutcome>& outcomes) {
-  // Collect everything still outstanding, worker by worker.
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    while (!outstanding_[w].empty()) {
-      net::Frame frame;
-      const auto status = workers_[w]->recv(&frame, config_.recv_timeout_ms);
-      if (status == net::TransportStatus::Ok) {
-        board_note_heard(w);
-        handle_frame(w, frame, jobs, global_params, outcomes);
-        continue;
-      }
-      if (status == net::TransportStatus::Corrupt) {
-        board_note_heard(w);
-        fail_front(w, FailureKind::CorruptUpdate, outcomes);
-        continue;
-      }
-      if (status == net::TransportStatus::Timeout) {
-        HACCS_WARN << "recv timeout from " << workers_[w]->peer() << "; "
-                   << outstanding_[w].size() << " job(s) abandoned";
-        fail_all(w, FailureKind::Timeout, outcomes);
-      } else {
-        HACCS_WARN << "transport to " << workers_[w]->peer() << " closed; "
-                   << outstanding_[w].size() << " job(s) abandoned";
-        fail_all(w, FailureKind::Crash, outcomes);
-      }
-      break;
-    }
-  }
-}
-
-void TransportDispatcher::collect_serving(
-    std::span<const TrainJobSpec> jobs,
-    const std::vector<float>& global_params,
-    std::vector<TrainOutcome>& outcomes) {
+void TransportDispatcher::collect(std::span<const TrainJobSpec> jobs,
+                                  const std::vector<float>& global_params,
+                                  std::vector<TrainOutcome>& outcomes) {
   ServingMetrics& metrics = ServingMetrics::get();
   const std::int64_t start = steady_ms();
   std::vector<std::int64_t> last_heard(workers_.size(), start);
@@ -435,7 +398,7 @@ void TransportDispatcher::collect_serving(
     const std::int64_t now = steady_ms();
     // Whole-round collection budget: fail the remainder rather than hang.
     if (config_.recv_timeout_ms >= 0 && now - start > config_.recv_timeout_ms) {
-      HACCS_WARN << "serving: round collection budget ("
+      HACCS_WARN << "round collection budget ("
                  << config_.recv_timeout_ms << " ms) exhausted; "
                  << outstanding_total() << " job(s) abandoned";
       for (std::size_t w = 0; w < workers_.size(); ++w) {
@@ -472,7 +435,7 @@ void TransportDispatcher::collect_serving(
     for (std::size_t w = 0; w < workers_.size(); ++w) {
       if (outstanding_[w].empty()) continue;
       net::Frame frame;
-      const auto status = workers_[w]->recv(&frame, kServeSliceMs);
+      const auto status = workers_[w]->recv(&frame, kSliceMs);
       switch (status) {
         case net::TransportStatus::Ok:
           last_heard[w] = steady_ms();

@@ -4,7 +4,7 @@
 //   * TransportDispatcher — the server side of the dispatch seam. Serializes
 //     each TrainJobSpec as a TrainJob frame, fans jobs out over one or more
 //     worker transports (client_id % workers), and collects ClientUpdate
-//     frames with per-message timeouts. Transport failures surface as
+//     frames within one whole-round budget. Transport failures surface as
 //     undelivered outcomes: Corrupt -> FailureKind::CorruptUpdate, Timeout
 //     -> Timeout, Closed -> Crash — the engine routes them into
 //     ClientSelector::report_failure exactly like simulated faults.
@@ -19,13 +19,15 @@
 //     (pinned in tests/net_test.cpp); examples/haccs_server + haccs_worker
 //     run the same driver across real processes over TCP.
 //
-// Serving mode (DESIGN.md §5g): with heartbeat_timeout_ms, quorum_fraction,
-// or reacquire configured, the dispatcher collects with a round-robin poll
-// over live workers — any inbound frame (including Heartbeat) refreshes a
-// worker's liveness deadline, a silent worker is escalated to Crash, and the
-// round commits once a quorum of updates has landed instead of blocking on
-// stragglers. With all three left at their defaults the dispatcher runs the
-// original strictly-serial collection path, byte-identical to before.
+// Collection is one loop: a round-robin poll, one short slice per worker
+// that still owes updates, until every job settles or recv_timeout_ms — the
+// whole-round budget — runs out and the remainder fails as Timeout. Serving
+// mode (DESIGN.md §5g) adds rules to the same loop: with
+// heartbeat_timeout_ms any inbound frame (including Heartbeat) refreshes a
+// worker's liveness deadline and a silent worker is escalated to Crash;
+// with quorum_fraction < 1 the round commits once a quorum of updates has
+// landed instead of blocking on stragglers; with reacquire a dead worker's
+// replacement transport rejoins at the next fan-out.
 //
 // Corrupt-frame attribution: a frame that fails its CRC cannot name its
 // client, but workers process jobs strictly FIFO per transport, so the
@@ -97,8 +99,8 @@ struct TransportDispatcherConfig {
   LocalWorkConfig work;
   /// Per-frame send deadline, milliseconds (<0 = wait forever).
   int send_timeout_ms = 30000;
-  /// Per-frame receive deadline while collecting updates (<0 = forever).
-  /// In serving mode this is the whole-round collection budget instead.
+  /// Whole-round collection budget, measured from the end of the fan-out:
+  /// jobs still outstanding when it runs out fail as Timeout (<0 = none).
   int recv_timeout_ms = 30000;
   /// Serving-mode liveness: a worker that has been silent (no update, no
   /// heartbeat, nothing) for this long while it owes updates is declared
@@ -155,11 +157,6 @@ class TransportDispatcher final : public RoundDispatcher {
   }
 
  private:
-  bool serving_enabled() const {
-    return config_.heartbeat_timeout_ms > 0 || config_.quorum_fraction < 1.0 ||
-           static_cast<bool>(config_.reacquire);
-  }
-
   /// Handles one frame received from worker `w`; returns true when it
   /// settled an outstanding job.
   bool handle_frame(std::size_t w, const net::Frame& frame,
@@ -177,16 +174,11 @@ class TransportDispatcher final : public RoundDispatcher {
   /// Stamps worker `w`'s last-heard clock on the status board.
   void board_note_heard(std::size_t w);
 
-  /// The original strictly-serial collection (flags-off path, byte-identical
-  /// to the pre-serving driver).
-  void collect_serial(std::span<const TrainJobSpec> jobs,
-                      const std::vector<float>& global_params,
-                      std::vector<TrainOutcome>& outcomes);
-  /// Serving-mode collection: round-robin slice polling with heartbeat
-  /// deadlines and quorum commit.
-  void collect_serving(std::span<const TrainJobSpec> jobs,
-                       const std::vector<float>& global_params,
-                       std::vector<TrainOutcome>& outcomes);
+  /// Collects outstanding updates: round-robin slice polling under the
+  /// whole-round budget, heartbeat deadlines and quorum commit.
+  void collect(std::span<const TrainJobSpec> jobs,
+               const std::vector<float>& global_params,
+               std::vector<TrainOutcome>& outcomes);
 
   /// Grouped post-collection fold (§5j): walks the round's jobs in slot
   /// order and folds each delivered update into its group's partial with

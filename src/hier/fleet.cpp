@@ -1,0 +1,238 @@
+#include "src/hier/fleet.hpp"
+
+#include <chrono>
+#include <string>
+#include <utility>
+
+#include "src/common/logging.hpp"
+#include "src/net/wire.hpp"
+#include "src/stats/summary_codec.hpp"
+
+namespace haccs::hier {
+
+namespace {
+
+/// Accept deadline per reacquire() drain: short, since reacquire runs once
+/// per round per dead worker on the engine thread.
+constexpr int kReacceptTimeoutMs = 200;
+
+}  // namespace
+
+Fleet::Fleet(FleetConfig config, Acceptor accept)
+    : config_(std::move(config)),
+      accept_(std::move(accept)),
+      summaries_(config_.num_clients, stats::ResponseSummary(1)),
+      have_summary_(config_.num_clients, false) {
+  if (config_.num_workers == 0 ||
+      (tree() && config_.num_workers % config_.num_aggs != 0)) {
+    throw std::invalid_argument(
+        "Fleet: num_aggs must evenly divide a non-zero num_workers");
+  }
+  const std::size_t peers = tree() ? config_.num_aggs : config_.num_workers;
+  slots_.resize(peers);
+  pending_.resize(peers);
+  sessions_.assign(peers, 0);
+}
+
+std::size_t Fleet::admit(std::unique_ptr<net::Transport> transport) {
+  const std::string peer = transport->peer();
+  const std::string role = tree() ? "aggregator" : "worker";
+  auto refuse = [&peer](const std::string& why) {
+    return FleetError("handshake with " + peer + " refused: " + why);
+  };
+  try {
+    net::Frame frame;
+    const auto hello_type =
+        tree() ? net::MessageType::TopologyHello : net::MessageType::Hello;
+    if (transport->recv(&frame, config_.io_timeout_ms) !=
+            net::TransportStatus::Ok ||
+        frame.type != hello_type) {
+      throw refuse(tree() ? "no TopologyHello frame" : "no Hello frame");
+    }
+    std::size_t id = 0;
+    std::uint32_t num_clients = 0;
+    if (tree()) {
+      const net::TopologyHelloMsg hello = net::decode_topology_hello(frame);
+      const std::size_t per = config_.num_workers / config_.num_aggs;
+      if (hello.num_aggs != config_.num_aggs ||
+          hello.agg_id >= config_.num_aggs ||
+          hello.worker_begin != hello.agg_id * per ||
+          hello.worker_end != (hello.agg_id + 1) * per) {
+        throw refuse("aggregator topology mismatch (agg " +
+                     std::to_string(hello.agg_id) + "/" +
+                     std::to_string(hello.num_aggs) + ", workers [" +
+                     std::to_string(hello.worker_begin) + ", " +
+                     std::to_string(hello.worker_end) +
+                     ")) — check --aggs/--workers on every tier");
+      }
+      id = hello.agg_id;
+      num_clients = hello.num_clients;
+    } else {
+      const net::HelloMsg hello = net::decode_hello(frame);
+      if (hello.worker_id >= slots_.size()) {
+        throw refuse("bad worker id " + std::to_string(hello.worker_id) +
+                     " (expected 0.." + std::to_string(slots_.size() - 1) +
+                     ")");
+      }
+      id = hello.worker_id;
+      num_clients = hello.num_clients;
+    }
+    if (num_clients > config_.num_clients) {
+      throw refuse(role + " " + std::to_string(id) + " claims " +
+                   std::to_string(num_clients) + " clients of " +
+                   std::to_string(config_.num_clients));
+    }
+    // §IV-A uplink: one P(y) summary per hosted client — sent on the first
+    // connect and repeated on every reconnect, so a restarted root rebuilds
+    // its view from the fleet alone. Committed only once all arrived.
+    std::vector<std::pair<std::uint32_t, stats::ResponseSummary>> received;
+    for (std::uint32_t s = 0; s < num_clients; ++s) {
+      if (transport->recv(&frame, config_.io_timeout_ms) !=
+              net::TransportStatus::Ok ||
+          frame.type != net::MessageType::Summary) {
+        throw refuse(role + " " + std::to_string(id) + ": summary " +
+                     std::to_string(s + 1) + " of " +
+                     std::to_string(num_clients) + " never arrived");
+      }
+      const net::SummaryMsg msg = net::decode_summary(frame);
+      if (msg.client_id >= config_.num_clients) {
+        throw refuse(role + " " + std::to_string(id) +
+                     ": summary for unknown client " +
+                     std::to_string(msg.client_id));
+      }
+      received.emplace_back(msg.client_id,
+                            stats::decode_response_summary(msg));
+    }
+    for (auto& [client, summary] : received) {
+      summaries_[client] = std::move(summary);
+      have_summary_[client] = true;
+    }
+    // The chaos seed forks per peer, and per session for workers so a
+    // reconnect does not replay its fault script.
+    net::ChaosOptions forked = config_.chaos;
+    forked.seed = config_.chaos.seed ^ (0xa11ce11aULL * (id + 1)) ^
+                  (0x5e5510ULL * (tree() ? 0 : ++sessions_[id]));
+    HACCS_INFO << role << " " << id << " connected (" << peer
+               << "), hosting " << num_clients << " client(s)";
+    pending_[id] = net::wrap_chaos(std::move(transport), forked);
+    return id;
+  } catch (const net::WireError& e) {
+    // CRC-valid but malformed (truncated Hello, a Conditional or empty
+    // Summary): refuse this peer only.
+    throw refuse(std::string("malformed frame: ") + e.what());
+  }
+}
+
+void Fleet::accept_all(int accept_timeout_ms) {
+  for (std::size_t connected = 0; connected < slots_.size(); ++connected) {
+    auto transport = accept_(accept_timeout_ms);
+    if (!transport) {
+      throw FleetError("timed out waiting for " +
+                       std::string(tree() ? "aggregator " : "worker ") +
+                       std::to_string(connected + 1) + " of " +
+                       std::to_string(slots_.size()));
+    }
+    const std::size_t id = admit(std::move(transport));
+    if (slots_[id]) {
+      // Two peers sharing an id. Dropping the second would let it reconnect
+      // with backoff forever, each accept rearming the deadline.
+      pending_[id].reset();
+      const std::string role = tree() ? "aggregator" : "worker";
+      throw FleetError("duplicate " + role + " id " + std::to_string(id) +
+                       " — check each " + role + "'s --" +
+                       (tree() ? "agg-id" : "worker-id"));
+    }
+    slots_[id] = std::move(pending_[id]);
+  }
+}
+
+net::Transport* Fleet::reacquire(std::size_t w) {
+  while (auto transport = accept_(kReacceptTimeoutMs)) {
+    try {
+      admit(std::move(transport));
+    } catch (const FleetError& e) {
+      HACCS_WARN << "fleet: " << e.what() << "; connection dropped";
+    }
+  }
+  if (w >= pending_.size() || !pending_[w]) return nullptr;
+  slots_[w] = std::move(pending_[w]);
+  return slots_[w].get();
+}
+
+void Fleet::shut_down(
+    const net::EvalReportMsg& report,
+    const std::function<void(net::TraceShardMsg&&)>& on_shard) {
+  for (const auto& t : slots_) {
+    if (!t) continue;
+    t->send(net::encode_eval_report(report), config_.io_timeout_ms);
+    t->send(net::encode_shutdown(), config_.io_timeout_ms);
+  }
+  if (!report.trace.valid()) return;
+  // Late heartbeats are skipped; Closed, any other frame, or the shard
+  // quota ends a peer's drain.
+  const std::size_t shards_per_peer =
+      tree() ? config_.num_workers / config_.num_aggs : 1;
+  for (const auto& t : slots_) {
+    if (!t) continue;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(3000);
+    std::size_t collected = 0;
+    while (collected < shards_per_peer &&
+           std::chrono::steady_clock::now() < deadline) {
+      net::Frame frame;
+      const auto status = t->recv(&frame, 250);
+      if (status == net::TransportStatus::Closed) break;
+      if (status != net::TransportStatus::Ok) continue;
+      if (frame.type == net::MessageType::TraceShard) {
+        try {
+          on_shard(net::decode_trace_shard(frame));
+        } catch (const net::WireError& e) {
+          HACCS_WARN << "discarding bad trace shard: " << e.what();
+        }
+        ++collected;
+        continue;
+      }
+      if (frame.type != net::MessageType::Heartbeat) break;
+    }
+  }
+}
+
+std::vector<net::Transport*> Fleet::transports() const {
+  std::vector<net::Transport*> out;
+  out.reserve(slots_.size());
+  for (const auto& t : slots_) out.push_back(t.get());
+  return out;
+}
+
+bool Fleet::have_all_summaries() const {
+  for (bool have : have_summary_) {
+    if (!have) return false;
+  }
+  return true;
+}
+
+bool send_worker_hello(net::Transport& transport,
+                       const data::FederatedDataset& dataset,
+                       std::uint32_t worker_id, std::uint32_t num_workers) {
+  std::vector<std::uint32_t> hosted;
+  for (std::size_t c = worker_id; c < dataset.clients.size();
+       c += num_workers) {
+    hosted.push_back(static_cast<std::uint32_t>(c));
+  }
+  if (transport.send(net::encode_hello(net::HelloMsg{
+                         worker_id, static_cast<std::uint32_t>(hosted.size())}))
+      != net::TransportStatus::Ok) {
+    return false;
+  }
+  for (const std::uint32_t c : hosted) {
+    const auto summary = stats::summarize_response(dataset.clients[c].train);
+    if (transport.send(net::encode_summary(
+            stats::encode_summary_msg(c, summary))) !=
+        net::TransportStatus::Ok) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace haccs::hier

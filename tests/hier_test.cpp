@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <set>
 #include <string>
@@ -26,6 +27,7 @@
 #include "src/core/pipeline.hpp"
 #include "src/fl/engine.hpp"
 #include "src/fl/net_driver.hpp"
+#include "src/hier/fleet.hpp"
 #include "src/hier/mid_tier.hpp"
 #include "src/hier/tree_dispatcher.hpp"
 #include "src/net/fanin.hpp"
@@ -36,8 +38,6 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
 #include "src/select/random_selector.hpp"
-#include "src/stats/summary.hpp"
-#include "src/stats/summary_codec.hpp"
 
 namespace haccs {
 namespace {
@@ -319,12 +319,28 @@ TEST(HierCodec, SubtreeUpdateRoundTrip) {
 
 /// An in-process 3-tier federation: the root talks to `aggs` MidTierAggregator
 /// threads over loopback pairs; each aggregator fronts its slice of `workers`
-/// WorkerLoop threads over real TCP through its FanInServer.
+/// WorkerLoop threads over real TCP through its FanInServer. The root side
+/// of the handshake runs through the library fleet, exactly as
+/// haccs_server's does.
 struct TreeHarness {
   TreeHarness(const data::FederatedDataset& fed,
               std::function<nn::Sequential()> factory, std::size_t num_aggs,
               std::size_t num_workers, const fl::EngineConfig& engine)
-      : num_workers_(num_workers) {
+      : fleet_(
+            [&] {
+              hier::FleetConfig config;
+              config.num_workers = num_workers;
+              config.num_aggs = num_aggs;
+              config.num_clients = fed.clients.size();
+              config.io_timeout_ms = 30000;
+              return config;
+            }(),
+            [this](int) -> std::unique_ptr<net::Transport> {
+              if (root_ends_.empty()) return nullptr;
+              auto transport = std::move(root_ends_.front());
+              root_ends_.pop_front();
+              return transport;
+            }) {
     const std::size_t per = num_workers / num_aggs;
     for (std::size_t a = 0; a < num_aggs; ++a) {
       hier::MidTierConfig config;
@@ -337,70 +353,43 @@ struct TreeHarness {
       config.max_update_norm = engine.max_update_norm;
       config.round_timeout_ms = 60000;
       aggs_.push_back(std::make_unique<hier::MidTierAggregator>(config));
-      pairs_.push_back(net::make_loopback_pair());
+      auto pair = net::make_loopback_pair();
+      root_ends_.push_back(std::move(pair.a));
+      agg_ends_.push_back(std::move(pair.b));
     }
     for (std::size_t a = 0; a < num_aggs; ++a) {
       threads_.emplace_back([this, a] {
-        agg_ok_[a] = aggs_[a]->run(*pairs_[a].b);
+        agg_ok_[a] = aggs_[a]->run(*agg_ends_[a]);
       });
     }
     for (std::size_t w = 0; w < num_workers; ++w) {
-      threads_.emplace_back([this, &fed, factory, w, per] {
+      threads_.emplace_back([this, &fed, factory, w, per, num_workers] {
         auto transport =
             net::connect_tcp("127.0.0.1", aggs_[w / per]->port());
-        std::vector<std::uint32_t> hosted;
-        for (std::size_t c = w; c < fed.clients.size(); c += num_workers_) {
-          hosted.push_back(static_cast<std::uint32_t>(c));
-        }
-        net::HelloMsg hello;
-        hello.worker_id = static_cast<std::uint32_t>(w);
-        hello.num_clients = static_cast<std::uint32_t>(hosted.size());
-        transport->send(net::encode_hello(hello), 10000);
-        for (const std::uint32_t c : hosted) {
-          transport->send(
-              net::encode_summary(stats::encode_summary_msg(
-                  c, stats::summarize_response(fed.clients[c].train))),
-              10000);
-        }
+        hier::send_worker_hello(*transport, fed,
+                                static_cast<std::uint32_t>(w),
+                                static_cast<std::uint32_t>(num_workers));
         fl::WorkerLoopConfig config;
         config.worker_id = static_cast<std::uint32_t>(w);
         fl::WorkerLoop loop(fed, factory, config);
         loop.serve(*transport);
       });
     }
-  }
-
-  /// Root side of the handshake: each aggregator announces its subtree with
-  /// TopologyHello and relays its workers' Summary frames.
-  void drain_handshakes(std::size_t expected_clients) {
-    const std::size_t per = num_workers_ / aggs_.size();
-    std::size_t total = 0;
-    for (std::size_t a = 0; a < aggs_.size(); ++a) {
-      net::Frame frame;
-      ASSERT_EQ(pairs_[a].a->recv(&frame, 30000), net::TransportStatus::Ok);
-      ASSERT_EQ(frame.type, net::MessageType::TopologyHello);
-      const net::TopologyHelloMsg hello = net::decode_topology_hello(frame);
-      EXPECT_EQ(hello.agg_id, a);
-      EXPECT_EQ(hello.num_aggs, aggs_.size());
-      EXPECT_EQ(hello.worker_begin, a * per);
-      EXPECT_EQ(hello.worker_end, (a + 1) * per);
-      for (std::uint32_t i = 0; i < hello.num_clients; ++i) {
-        ASSERT_EQ(pairs_[a].a->recv(&frame, 30000), net::TransportStatus::Ok);
-        ASSERT_EQ(frame.type, net::MessageType::Summary);
-        ++total;
-      }
+    try {
+      fleet_.accept_all(30000);
+    } catch (const hier::FleetError& e) {
+      ADD_FAILURE() << e.what();
     }
-    EXPECT_EQ(total, expected_clients);
+    EXPECT_TRUE(fleet_.have_all_summaries());
   }
 
   std::vector<net::Transport*> root_transports() const {
-    std::vector<net::Transport*> out;
-    for (const auto& pair : pairs_) out.push_back(pair.a.get());
-    return out;
+    return fleet_.transports();
   }
 
   void shutdown_and_join() {
-    for (auto& pair : pairs_) pair.a->send(net::encode_shutdown(), 5000);
+    fleet_.shut_down(net::EvalReportMsg{}, nullptr);
+    root_ends_.clear();  // never admitted: closing them frees their agg
     for (auto& thread : threads_) thread.join();
     threads_.clear();
   }
@@ -409,11 +398,12 @@ struct TreeHarness {
     if (!threads_.empty()) shutdown_and_join();
   }
 
-  std::size_t num_workers_;
+  std::deque<std::unique_ptr<net::Transport>> root_ends_;
+  std::vector<std::unique_ptr<net::Transport>> agg_ends_;
   std::vector<std::unique_ptr<hier::MidTierAggregator>> aggs_;
-  std::vector<net::LoopbackPair> pairs_;
   std::vector<std::thread> threads_;
   bool agg_ok_[8] = {};
+  hier::Fleet fleet_;
 };
 
 // The PR's headline acceptance criterion: a 3-tier run (root + 2 aggregators
@@ -437,7 +427,6 @@ TEST(HierTree, ThreeTierRunBitIdenticalToGroupedFlat) {
     if (tree) {
       TreeHarness harness(fed, factory, /*num_aggs=*/2, /*num_workers=*/4,
                           engine);
-      harness.drain_handshakes(fed.clients.size());
 
       hier::TreeDispatcherConfig config;
       config.work.local = engine.local;
@@ -506,7 +495,6 @@ TEST(HierTree, MidTierRejectsNonDenseUpdates) {
 
     TreeHarness harness(fed, factory, /*num_aggs=*/2, /*num_workers=*/4,
                         engine);
-    harness.drain_handshakes(fed.clients.size());
 
     hier::TreeDispatcherConfig config;
     config.work.local = engine.local;

@@ -8,6 +8,7 @@
 // ClientSelector::report_failure like simulated faults.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -881,6 +882,34 @@ TEST(TransportDispatcher, RecvTimeoutSurfacesAsTimeoutFailure) {
   dispatcher.execute(jobs, global, outcomes);
   EXPECT_FALSE(outcomes[0].delivered);
   EXPECT_EQ(outcomes[0].failure, fl::FailureKind::Timeout);
+}
+
+// recv_timeout_ms is one budget for the whole round's collection, not a
+// per-frame wait: two silent workers cost one budget, not two.
+TEST(TransportDispatcher, RecvTimeoutIsOneWholeRoundBudget) {
+  auto first = net::make_loopback_pair();
+  auto second = net::make_loopback_pair();
+  fl::TransportDispatcherConfig config;
+  config.recv_timeout_ms = 200;
+  fl::TransportDispatcher dispatcher({first.a.get(), second.a.get()}, config);
+
+  std::vector<fl::TrainJobSpec> jobs(2);
+  jobs[1].slot = 1;
+  jobs[1].client_id = 1;
+  std::vector<float> global = {0.0f};
+  std::vector<fl::TrainOutcome> outcomes(2);
+  const auto start = std::chrono::steady_clock::now();
+  dispatcher.execute(jobs, global, outcomes);
+  const auto elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_GE(elapsed_ms, 200);
+  EXPECT_LT(elapsed_ms, 380);  // a per-frame wait would take 2 x 200 ms
+  for (const auto& out : outcomes) {
+    EXPECT_FALSE(out.delivered);
+    EXPECT_EQ(out.failure, fl::FailureKind::Timeout);
+  }
 }
 
 TEST(TransportDispatcher, ClosedTransportSurfacesAsCrash) {
