@@ -340,6 +340,40 @@ BENCHMARK(BM_DecodeUpdate)
     ->Args({262144, 1})
     ->Args({262144, 2});
 
+/// The stream receive path of TcpTransport::recv and FanInServer: one
+/// ~203 KB TrainJob frame (the paper-femnist model's downlink) fed in
+/// 64 KiB socket-read chunks through a persistent FrameParser, polling
+/// next() after every chunk. Loopback hands over whole frames and never
+/// reaches the parser.
+void BM_FrameParserReassembly(benchmark::State& state) {
+  constexpr std::size_t kParams = 50750;
+  constexpr std::size_t kChunk = 64 * 1024;
+  Rng rng(13);
+  net::TrainJobMsg job;
+  job.params.resize(kParams);
+  for (auto& v : job.params) v = static_cast<float>(rng.normal());
+  const auto bytes = net::encode_frame(net::encode_train_job(job));
+  const std::span<const std::uint8_t> stream(bytes);
+  net::FrameParser parser;
+  for (auto _ : state) {
+    net::Frame frame;
+    net::FrameStatus status = net::FrameStatus::NeedMore;
+    for (std::size_t offset = 0; offset < stream.size(); offset += kChunk) {
+      parser.feed(stream.subspan(offset,
+                                 std::min(kChunk, stream.size() - offset)));
+      status = parser.next(&frame);
+    }
+    if (status != net::FrameStatus::Ok) {
+      state.SkipWithError("frame reassembly failed");
+      break;
+    }
+    benchmark::DoNotOptimize(frame.payload.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_FrameParserReassembly);
+
 // ---------------------------------------------------------------------------
 // Flat vs tree round dispatch (DESIGN.md §5j): one full round's fan-out +
 // collection over loopback transports against emulated peers (no training —

@@ -9,6 +9,7 @@ namespace haccs::net {
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {
   WireWriter w;
+  w.reserve(kFrameHeaderBytes + frame.payload.size());
   w.bytes(kFrameMagic, sizeof(kFrameMagic));
   w.u16(kWireVersion);
   w.u16(static_cast<std::uint16_t>(frame.type));
@@ -48,7 +49,7 @@ FrameStatus decode_front(std::span<const std::uint8_t> bytes, Frame* out,
   }
   WireReader r(bytes);
   std::uint8_t magic[4];
-  magic[0] = r.u8(); magic[1] = r.u8(); magic[2] = r.u8(); magic[3] = r.u8();
+  r.bytes(magic, sizeof(magic));
   if (std::memcmp(magic, kFrameMagic, sizeof(kFrameMagic)) != 0) {
     return FrameStatus::BadMagic;
   }

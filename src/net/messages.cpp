@@ -6,6 +6,15 @@ namespace haccs::net {
 
 namespace {
 
+/// Fixed payload bytes ahead of a TrainJob's params data: 14 scalar fields
+/// (87 bytes) plus the params array's 8-byte count.
+constexpr std::size_t kTrainJobFixedBytes = 95;
+/// Fixed payload bytes ahead of a ClientUpdate's tensor body: 6 scalar
+/// fields (44 bytes) plus the update's kind/size/count tags (17 bytes).
+constexpr std::size_t kClientUpdateFixedBytes = 61;
+/// The optional trace-context trailer: three u64s.
+constexpr std::size_t kTraceTrailerBytes = 24;
+
 /// Decoder entry: checks the frame's type tag before parsing.
 WireReader reader_for(const Frame& frame, MessageType expected,
                       const char* what) {
@@ -26,16 +35,15 @@ void encode_update_payload(WireWriter& w, const UpdatePayload& p) {
       if (p.dense.size() != p.size) {
         throw WireError("encode: dense update size mismatch");
       }
-      w.u64(p.dense.size());
-      for (float v : p.dense) w.f32(v);
+      w.f32_array(p.dense);
       return;
     case UpdateKind::SparseTopK:
       if (p.indices.size() != p.values.size()) {
         throw WireError("encode: top-k index/value arity mismatch");
       }
       w.u64(p.indices.size());
-      for (std::uint32_t i : p.indices) w.u32(i);
-      for (float v : p.values) w.f32(v);
+      w.bytes(p.indices.data(), p.indices.size() * sizeof(std::uint32_t));
+      w.bytes(p.values.data(), p.values.size() * sizeof(float));
       return;
     case UpdateKind::Int8:
       if (p.codes.size() != p.size) {
@@ -63,7 +71,7 @@ UpdatePayload decode_update_payload(WireReader& r) {
         throw WireError("decode: dense update exceeds payload");
       }
       p.dense.resize(static_cast<std::size_t>(count));
-      for (auto& v : p.dense) v = r.f32();
+      r.bytes(p.dense.data(), p.dense.size() * sizeof(float));
       return p;
     }
     case UpdateKind::SparseTopK: {
@@ -73,11 +81,11 @@ UpdatePayload decode_update_payload(WireReader& r) {
       }
       p.indices.resize(static_cast<std::size_t>(count));
       p.values.resize(static_cast<std::size_t>(count));
-      for (auto& i : p.indices) {
-        i = r.u32();
+      r.bytes(p.indices.data(), p.indices.size() * sizeof(std::uint32_t));
+      for (const std::uint32_t i : p.indices) {
         if (i >= p.size) throw WireError("decode: top-k index out of range");
       }
-      for (auto& v : p.values) v = r.f32();
+      r.bytes(p.values.data(), p.values.size() * sizeof(float));
       return p;
     }
     case UpdateKind::Int8: {
@@ -89,7 +97,7 @@ UpdatePayload decode_update_payload(WireReader& r) {
         throw WireError("decode: int8 update exceeds payload");
       }
       p.codes.resize(static_cast<std::size_t>(count));
-      for (auto& c : p.codes) c = r.u8();
+      r.bytes(p.codes.data(), p.codes.size());
       return p;
     }
   }
@@ -175,6 +183,8 @@ HelloMsg decode_hello(const Frame& frame) {
 
 Frame encode_train_job(const TrainJobMsg& msg) {
   WireWriter w;
+  w.reserve(kTrainJobFixedBytes + msg.params.size() * sizeof(float) +
+            kTraceTrailerBytes);
   w.u64(msg.epoch);
   w.u32(msg.client_id);
   w.u64(msg.rng_seed);
@@ -219,6 +229,8 @@ TrainJobMsg decode_train_job(const Frame& frame) {
 
 Frame encode_client_update(const ClientUpdateMsg& msg) {
   WireWriter w;
+  w.reserve(kClientUpdateFixedBytes + update_body_bytes(msg.update) +
+            kTraceTrailerBytes);
   w.u64(msg.epoch);
   w.u32(msg.client_id);
   w.f64(msg.average_loss);
@@ -473,15 +485,14 @@ SubtreeUpdateMsg decode_subtree_update(const Frame& frame) {
 Frame encode_shutdown() { return Frame{MessageType::Shutdown, {}}; }
 
 std::size_t train_job_overhead_bytes() {
-  // frame header + fixed fields + the params array's 8-byte count; the
-  // params data itself (4 bytes per parameter) is the variable part.
-  return kFrameHeaderBytes + 95;
+  // The params data itself (4 bytes per parameter) is the variable part.
+  return kFrameHeaderBytes + kTrainJobFixedBytes;
 }
 
 std::size_t client_update_overhead_bytes() {
-  // frame header + fixed fields + update kind/size/count tags; the tensor
-  // body (update_body_bytes == fl::compressed_wire_bytes) is the rest.
-  return kFrameHeaderBytes + 61;
+  // The tensor body (update_body_bytes == fl::compressed_wire_bytes) is the
+  // variable part.
+  return kFrameHeaderBytes + kClientUpdateFixedBytes;
 }
 
 }  // namespace haccs::net

@@ -1,12 +1,14 @@
 // Little-endian wire primitives: WireWriter appends scalars/arrays to a byte
 // buffer, WireReader consumes them with bounds checking.
 //
-// Floats travel as their IEEE-754 bit patterns (std::bit_cast), so NaN and
-// Inf payloads round-trip bit-exactly — a corrupted client update must
-// arrive unmodified for server-side validation to reject it for the right
-// reason (fl::update_is_valid), not be laundered by the codec. All multi-
-// byte values are little-endian on the wire regardless of host order; on the
-// little-endian hosts we target this compiles to plain loads/stores.
+// Floats travel as their IEEE-754 bit patterns, so NaN and Inf payloads
+// round-trip bit-exactly — a corrupted client update must arrive unmodified
+// for server-side validation to reject it for the right reason
+// (fl::update_is_valid), not be laundered by the codec. All multi-byte
+// values are little-endian on the wire, and the codec only builds for
+// little-endian hosts (the static_assert below): a value's wire bytes are
+// its memory bytes, so every scalar is one memcpy and every array is one
+// bounds check plus one memcpy.
 #pragma once
 
 #include <bit>
@@ -19,6 +21,9 @@
 
 namespace haccs::net {
 
+static_assert(std::endian::native == std::endian::little,
+              "the wire codec copies host memory as little-endian bytes");
+
 /// Thrown by WireReader on truncated or over-long payloads. Distinct from
 /// std::runtime_error so transports can map it to a Corrupt verdict.
 class WireError : public std::runtime_error {
@@ -28,12 +33,16 @@ class WireError : public std::runtime_error {
 
 class WireWriter {
  public:
+  /// Reserves room for `bytes` in total, so an encoder that knows its size
+  /// grows the buffer once.
+  void reserve(std::size_t bytes) { bytes_.reserve(bytes); }
+
   void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u16(std::uint16_t v) { put_le(v); }
-  void u32(std::uint32_t v) { put_le(v); }
-  void u64(std::uint64_t v) { put_le(v); }
-  void f32(float v) { put_le(std::bit_cast<std::uint32_t>(v)); }
-  void f64(double v) { put_le(std::bit_cast<std::uint64_t>(v)); }
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void f32(float v) { put(v); }
+  void f64(double v) { put(v); }
 
   /// Raw bytes, no length prefix (callers write the count themselves).
   void bytes(const void* data, std::size_t len) {
@@ -42,25 +51,12 @@ class WireWriter {
   }
 
   /// Length-prefixed (u64 count) element arrays.
-  void f32_array(std::span<const float> v) {
-    u64(v.size());
-    for (float x : v) f32(x);
-  }
-  void f64_array(std::span<const double> v) {
-    u64(v.size());
-    for (double x : v) f64(x);
-  }
-  void u32_array(std::span<const std::uint32_t> v) {
-    u64(v.size());
-    for (std::uint32_t x : v) u32(x);
-  }
-  void u8_array(std::span<const std::uint8_t> v) {
-    u64(v.size());
-    bytes(v.data(), v.size());
-  }
+  void f32_array(std::span<const float> v) { put_array(v); }
+  void f64_array(std::span<const double> v) { put_array(v); }
+  void u32_array(std::span<const std::uint32_t> v) { put_array(v); }
+  void u8_array(std::span<const std::uint8_t> v) { put_array(v); }
   void string(const std::string& s) {
-    u64(s.size());
-    bytes(s.data(), s.size());
+    put_array(std::span<const char>(s.data(), s.size()));
   }
 
   std::size_t size() const { return bytes_.size(); }
@@ -69,10 +65,14 @@ class WireWriter {
 
  private:
   template <typename T>
-  void put_le(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+  void put(T v) {
+    bytes(&v, sizeof(T));
+  }
+
+  template <typename T>
+  void put_array(std::span<const T> v) {
+    u64(v.size());
+    bytes(v.data(), v.size_bytes());
   }
 
   std::vector<std::uint8_t> bytes_;
@@ -82,41 +82,31 @@ class WireReader {
  public:
   explicit WireReader(std::span<const std::uint8_t> data) : data_(data) {}
 
-  std::uint8_t u8() { return take_le<std::uint8_t>(); }
-  std::uint16_t u16() { return take_le<std::uint16_t>(); }
-  std::uint32_t u32() { return take_le<std::uint32_t>(); }
-  std::uint64_t u64() { return take_le<std::uint64_t>(); }
-  float f32() { return std::bit_cast<float>(take_le<std::uint32_t>()); }
-  double f64() { return std::bit_cast<double>(take_le<std::uint64_t>()); }
+  std::uint8_t u8() { return take<std::uint8_t>(); }
+  std::uint16_t u16() { return take<std::uint16_t>(); }
+  std::uint32_t u32() { return take<std::uint32_t>(); }
+  std::uint64_t u64() { return take<std::uint64_t>(); }
+  float f32() { return take<float>(); }
+  double f64() { return take<double>(); }
 
-  std::vector<float> f32_array() {
-    const std::uint64_t n = checked_count(u64(), sizeof(float));
-    std::vector<float> out(static_cast<std::size_t>(n));
-    for (auto& x : out) x = f32();
-    return out;
+  /// Raw bytes into `dst`, no length prefix; throws WireError if fewer than
+  /// `len` remain.
+  void bytes(void* dst, std::size_t len) {
+    if (remaining() < len) throw WireError("wire: truncated payload");
+    if (len > 0) std::memcpy(dst, data_.data() + pos_, len);
+    pos_ += len;
   }
-  std::vector<double> f64_array() {
-    const std::uint64_t n = checked_count(u64(), sizeof(double));
-    std::vector<double> out(static_cast<std::size_t>(n));
-    for (auto& x : out) x = f64();
-    return out;
-  }
+
+  std::vector<float> f32_array() { return take_array<float>(); }
+  std::vector<double> f64_array() { return take_array<double>(); }
   std::vector<std::uint32_t> u32_array() {
-    const std::uint64_t n = checked_count(u64(), sizeof(std::uint32_t));
-    std::vector<std::uint32_t> out(static_cast<std::size_t>(n));
-    for (auto& x : out) x = u32();
-    return out;
+    return take_array<std::uint32_t>();
   }
-  std::vector<std::uint8_t> u8_array() {
-    const std::uint64_t n = checked_count(u64(), 1);
-    std::vector<std::uint8_t> out(static_cast<std::size_t>(n));
-    copy_bytes(out.data(), out.size());
-    return out;
-  }
+  std::vector<std::uint8_t> u8_array() { return take_array<std::uint8_t>(); }
   std::string string() {
     const std::uint64_t n = checked_count(u64(), 1);
     std::string out(static_cast<std::size_t>(n), '\0');
-    copy_bytes(out.data(), out.size());
+    bytes(out.data(), out.size());
     return out;
   }
 
@@ -134,14 +124,18 @@ class WireReader {
 
  private:
   template <typename T>
-  T take_le() {
-    if (remaining() < sizeof(T)) throw WireError("wire: truncated payload");
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v = static_cast<T>(v | (static_cast<T>(data_[pos_ + i]) << (8 * i)));
-    }
-    pos_ += sizeof(T);
+  T take() {
+    T v{};
+    bytes(&v, sizeof(T));
     return v;
+  }
+
+  template <typename T>
+  std::vector<T> take_array() {
+    const std::uint64_t n = checked_count(u64(), sizeof(T));
+    std::vector<T> out(static_cast<std::size_t>(n));
+    bytes(out.data(), out.size() * sizeof(T));
+    return out;
   }
 
   /// Validates a declared element count against the bytes actually present
@@ -151,12 +145,6 @@ class WireReader {
       throw WireError("wire: declared array exceeds payload");
     }
     return n;
-  }
-
-  void copy_bytes(void* dst, std::size_t len) {
-    if (remaining() < len) throw WireError("wire: truncated payload");
-    if (len > 0) std::memcpy(dst, data_.data() + pos_, len);
-    pos_ += len;
   }
 
   std::span<const std::uint8_t> data_;

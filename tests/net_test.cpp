@@ -71,6 +71,62 @@ TEST(Crc32, SeedChainsIncrementally) {
   }
 }
 
+/// The CRC-32 definition, one byte at a time and one bit at a time: no
+/// tables, so it shares nothing with the sliced implementation under test.
+std::uint32_t crc32_reference(const std::uint8_t* p, std::size_t len,
+                              std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+  return bytes;
+}
+
+TEST(Crc32, MatchesReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..256 cover every tail length after the 16-byte blocks; start
+  // offsets 0..15 cover every alignment of the word loads.
+  const auto bytes = random_bytes(256 + 16, 21);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 256; ++len) {
+      const std::uint8_t* p = bytes.data() + offset;
+      ASSERT_EQ(net::crc32(p, len), crc32_reference(p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, MatchesReferenceUnderChainedRandomSeeds) {
+  const auto bytes = random_bytes(4096, 22);
+  Rng rng(23);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+    const std::size_t len = rng.next_u64() % bytes.size();
+    const std::size_t split = len == 0 ? 0 : rng.next_u64() % (len + 1);
+    const std::uint32_t expected = crc32_reference(bytes.data(), len, seed);
+    ASSERT_EQ(net::crc32(bytes.data(), len, seed), expected)
+        << "seed " << seed << " length " << len;
+    const std::uint32_t first = net::crc32(bytes.data(), split, seed);
+    ASSERT_EQ(net::crc32(bytes.data() + split, len - split, first), expected)
+        << "seed " << seed << " length " << len << " split " << split;
+  }
+}
+
+TEST(Crc32, MatchesReferenceOnOneMebibyte) {
+  const auto bytes = random_bytes(std::size_t{1} << 20, 24);
+  EXPECT_EQ(net::crc32(bytes.data(), bytes.size()),
+            crc32_reference(bytes.data(), bytes.size()));
+}
+
 // ---------------------------------------------------------------------------
 // Wire primitives
 
@@ -756,6 +812,154 @@ TEST(Checkpoint, LegacyV1FilesStillLoad) {
   const std::string path = temp_path("ckpt_legacy.bin");
   write_file(path, bytes);
   EXPECT_EQ(nn::load_parameters(path), params);
+}
+
+// ---------------------------------------------------------------------------
+// Golden frame bytes: the length and an FNV-1a digest of one fixed instance
+// of each message family, recorded from the byte-at-a-time codec. A round
+// trip cannot catch a codec that changes the bytes the same way on both
+// ends; these pins can, so any drift in any byte on the wire fails here.
+// No payload below is a multiple of 16 bytes long, so each one also runs
+// the sliced CRC's bytewise tail.
+
+std::uint64_t fnv1a64(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+void expect_golden(const char* what, const std::vector<std::uint8_t>& bytes,
+                   std::size_t length, std::uint64_t digest) {
+  EXPECT_EQ(bytes.size(), length) << what;
+  EXPECT_EQ(fnv1a64(bytes), digest)
+      << what << ": digest 0x" << std::hex << fnv1a64(bytes);
+}
+
+/// A sign-mixed ramp with NaN, -NaN, +/-Inf and -0.0 at fixed positions:
+/// the codec must carry each bit pattern unmodified.
+std::vector<float> golden_floats(std::size_t n) {
+  std::vector<float> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = (static_cast<float>(i % 97) - 48.0f) * 0.03125f +
+           static_cast<float>(i) * 1e-3f;
+  }
+  v[1] = kNaN;
+  v[2] = kInf;
+  v[3] = -0.0f;
+  v[n / 2] = -kInf;
+  v[n - 1] = -kNaN;
+  return v;
+}
+
+net::TrainJobMsg golden_train_job() {
+  net::TrainJobMsg msg;
+  msg.epoch = 41;
+  msg.client_id = 1234;
+  msg.rng_seed = 0x9E3779B97F4A7C15ull;
+  msg.algorithm = 1;
+  msg.fedprox_mu = 0.01;
+  msg.work_fraction = 0.75;
+  msg.local_epochs = 2;
+  msg.batch_size = 20;
+  msg.learning_rate = 0.05;
+  msg.momentum = 0.9;
+  msg.weight_decay = -0.0;
+  msg.compression_kind = 2;
+  msg.topk_fraction = 0.1;
+  msg.error_feedback = 1;
+  msg.params = golden_floats(4099);
+  return msg;
+}
+
+net::ClientUpdateMsg golden_update_header() {
+  net::ClientUpdateMsg msg;
+  msg.epoch = 41;
+  msg.client_id = 1234;
+  msg.average_loss = std::numeric_limits<double>::infinity();
+  msg.final_loss = -0.0;
+  msg.batches = 9;
+  msg.sample_count = 180;
+  return msg;
+}
+
+TEST(Frame, GoldenTrainJobBytes) {
+  auto msg = golden_train_job();
+  expect_golden("untraced TrainJob",
+                net::encode_frame(net::encode_train_job(msg)), 16507,
+                0x6DFC79B2D3A0AF03ull);
+  msg.trace = {0xFEEDFACECAFEBEEFull, 77, 41};
+  expect_golden("traced TrainJob",
+                net::encode_frame(net::encode_train_job(msg)), 16531,
+                0x424274054A0FFA9Aull);
+}
+
+TEST(Frame, GoldenClientUpdateBytesForEveryKind) {
+  auto dense = golden_update_header();
+  dense.update.kind = net::UpdateKind::Dense;
+  dense.update.dense = golden_floats(1027);
+  dense.update.size = dense.update.dense.size();
+  expect_golden("Dense update",
+                net::encode_frame(net::encode_client_update(dense)), 4185,
+                0xBAAE757161E22504ull);
+
+  auto topk = golden_update_header();
+  topk.update.kind = net::UpdateKind::SparseTopK;
+  topk.update.size = 1027;
+  topk.update.values = golden_floats(103);
+  for (std::uint32_t i = 0; i < 103; ++i) {
+    topk.update.indices.push_back(i * 9 + 5);
+  }
+  topk.trace = {0xFEEDFACECAFEBEEFull, 77, 41};
+  expect_golden("TopK update",
+                net::encode_frame(net::encode_client_update(topk)), 925,
+                0xF7F65B80E086711Bull);
+
+  auto int8 = golden_update_header();
+  int8.update.kind = net::UpdateKind::Int8;
+  int8.update.size = 1027;
+  int8.update.lo = -0.0f;
+  int8.update.step = kNaN;
+  for (std::size_t i = 0; i < 1027; ++i) {
+    int8.update.codes.push_back(static_cast<std::uint8_t>(i * 37 + 11));
+  }
+  expect_golden("Int8 update",
+                net::encode_frame(net::encode_client_update(int8)), 1112,
+                0x802CCAB622BA1226ull);
+}
+
+TEST(Frame, GoldenSummaryAndSelectNoticeBytes) {
+  net::SummaryMsg summary;
+  summary.client_id = 17;
+  summary.kind = 2;
+  summary.lo = -0.0;
+  summary.hi = 255.0;
+  summary.tables = {{0.25, 0.5, 0.25},
+                    {},
+                    {std::numeric_limits<double>::quiet_NaN(), 1e-300,
+                     -std::numeric_limits<double>::infinity(), 3.0, 7.5}};
+  summary.mass = {0.1, 0.0, 0.9};
+  expect_golden("Summary", net::encode_frame(net::encode_summary(summary)),
+                165, 0xC04355E9D1810473ull);
+
+  net::SelectNoticeMsg notice;
+  notice.epoch = 41;
+  notice.deadline_s = 2.5;
+  notice.clients = {7, 3, 4000000000u, 0, 19};
+  expect_golden("SelectNotice",
+                net::encode_frame(net::encode_select_notice(notice)), 60,
+                0x9BA897487C540F8Aull);
+}
+
+TEST(Checkpoint, GoldenFileBytes) {
+  auto model = tiny_model(1);
+  model.set_parameters(golden_floats(model.get_parameters().size()));
+  const std::string path = temp_path("ckpt_golden.bin");
+  nn::save_parameters(model, path);
+  expect_golden("Checkpoint file", read_file(path), 108,
+                0xC4DD6DBD9A00EC1Dull);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@
 #   --skip-net    skip the wire-protocol benchmarks
 #   --net-only    wire-protocol benchmarks only (writes BENCH_net.json —
 #                 CRC32 throughput, ClientUpdate encode/decode for each
-#                 compression kind, and the flat-vs-tree round dispatch pair
-#                 (§5j); regenerate when src/net or src/hier changes)
+#                 compression kind, stream reassembly of one 203 KB frame
+#                 through FrameParser, and the flat-vs-tree round dispatch
+#                 pair (§5j); regenerate when src/net or src/hier changes)
 #   --skip-scale  skip the scale-pipeline benchmarks
 #   --scale-only  scale-pipeline benchmarks only (writes BENCH_scale.json —
 #                 sharded clustering + incremental re-cluster at 10k / 100k /
@@ -37,7 +38,7 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 
 out="$repo/BENCH_kernels.json"
 filter='BM_Gemm|BM_Conv2d|BM_MlpTrainStep|BM_Evaluation|BM_FedAvgAccumulate'
-net_filter='BM_Crc32|BM_EncodeUpdate|BM_DecodeUpdate|BM_FlatRoundDispatch|BM_TreeRoundDispatch'
+net_filter='BM_Crc32|BM_EncodeUpdate|BM_DecodeUpdate|BM_FrameParserReassembly|BM_FlatRoundDispatch|BM_TreeRoundDispatch'
 run_micro=1
 run_net=1
 run_scale=1
