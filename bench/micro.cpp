@@ -1,14 +1,17 @@
 // Substrate micro-benchmarks (google-benchmark): the kernels every
 // experiment leans on — the GEMM family (optimized and reference), both
 // convolution directions, full train steps, evaluation throughput, FedAvg
-// accumulation, Hellinger distances, summary computation, the Laplace
-// mechanism, OPTICS, and device-profile sampling.
+// accumulation, Hellinger distances, the population-scale summary pipeline
+// and re-cluster, the Laplace mechanism, OPTICS, and device-profile
+// sampling. Benches that run on the thread pool time real (wall) time.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <map>
 #include <thread>
 
 #include "src/clustering/optics.hpp"
+#include "src/core/haccs_selector.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/data/partition.hpp"
 #include "src/fl/client.hpp"
@@ -43,7 +46,7 @@ void BM_Gemm(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_Gemm)->Arg(64)->Arg(128)->Arg(256)->UseRealTime();
 
 void BM_GemmBT(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -57,7 +60,7 @@ void BM_GemmBT(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_GemmBT)->Arg(64)->Arg(256);
+BENCHMARK(BM_GemmBT)->Arg(64)->Arg(256)->UseRealTime();
 
 void BM_GemmAT(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -71,7 +74,7 @@ void BM_GemmAT(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_GemmAT)->Arg(64)->Arg(256);
+BENCHMARK(BM_GemmAT)->Arg(64)->Arg(256)->UseRealTime();
 
 void BM_GemmReference(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -85,7 +88,7 @@ void BM_GemmReference(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_GemmReference)->Arg(64)->Arg(256);
+BENCHMARK(BM_GemmReference)->Arg(64)->Arg(256)->UseRealTime();
 
 void BM_Conv2dForward(benchmark::State& state) {
   const ops::Conv2dShape s{8, 1, 28, 28, 6, 5, 1, 2};
@@ -101,7 +104,7 @@ void BM_Conv2dForward(benchmark::State& state) {
     benchmark::DoNotOptimize(output.raw());
   }
 }
-BENCHMARK(BM_Conv2dForward);
+BENCHMARK(BM_Conv2dForward)->UseRealTime();
 
 void BM_Conv2dBackward(benchmark::State& state) {
   const ops::Conv2dShape s{8, 1, 28, 28, 6, 5, 1, 2};
@@ -123,7 +126,7 @@ void BM_Conv2dBackward(benchmark::State& state) {
     benchmark::DoNotOptimize(grad_input.raw());
   }
 }
-BENCHMARK(BM_Conv2dBackward);
+BENCHMARK(BM_Conv2dBackward)->UseRealTime();
 
 void BM_MlpTrainStep(benchmark::State& state) {
   Rng rng(3);
@@ -163,7 +166,7 @@ void BM_Evaluation(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * set.size());
 }
-BENCHMARK(BM_Evaluation);
+BENCHMARK(BM_Evaluation)->UseRealTime();
 
 void BM_FedAvgAccumulate(benchmark::State& state) {
   // The server-side aggregation loop: weighted accumulation of K client
@@ -193,7 +196,7 @@ void BM_FedAvgAccumulate(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * clients * params);
 }
-BENCHMARK(BM_FedAvgAccumulate)->Arg(16384)->Arg(262144);
+BENCHMARK(BM_FedAvgAccumulate)->Arg(16384)->Arg(262144)->UseRealTime();
 
 void BM_Hellinger(benchmark::State& state) {
   const auto bins = static_cast<std::size_t>(state.range(0));
@@ -218,27 +221,69 @@ void BM_LaplaceMechanism(benchmark::State& state) {
 }
 BENCHMARK(BM_LaplaceMechanism);
 
-void BM_SummaryPipeline(benchmark::State& state) {
-  // Full client-summary -> distance-matrix -> clustering pipeline at the
-  // paper's scale (50 clients).
-  data::SyntheticImageConfig gcfg;
-  gcfg.height = 16;
-  gcfg.width = 16;
-  data::SyntheticImageGenerator gen(gcfg);
-  data::PartitionConfig pcfg;
-  pcfg.num_clients = 50;
-  pcfg.min_samples = 100;
-  pcfg.max_samples = 100;
-  pcfg.test_samples = 1;
-  Rng rng(6);
-  const auto fed = data::partition_majority_label(gen, pcfg, rng);
+/// A population-1500-like federation (16x16 femnist-like images at twice
+/// the default noise, 90-210 samples per client), built once per client
+/// count: google-benchmark re-enters a bench function while it sizes the
+/// iteration count, and generation takes seconds.
+const data::FederatedDataset& population_fed(std::size_t clients) {
+  static std::map<std::size_t, data::FederatedDataset> cache;
+  auto it = cache.find(clients);
+  if (it == cache.end()) {
+    auto image = data::SyntheticImageConfig::femnist_like(10);
+    image.height = image.width = 16;
+    image.noise_stddev *= 2.0;
+    data::PartitionConfig pcfg;
+    pcfg.num_clients = clients;
+    pcfg.min_samples = 90;
+    pcfg.max_samples = 210;
+    pcfg.test_samples = 1;
+    pcfg.style_brightness_stddev = 0.2;
+    pcfg.style_contrast_stddev = 0.08;
+    Rng rng(6);
+    it = cache
+             .emplace(clients, data::partition_majority_label(
+                                   data::SyntheticImageGenerator(image), pcfg,
+                                   rng))
+             .first;
+  }
+  return it->second;
+}
+
+core::HaccsConfig conditional_haccs() {
   core::HaccsConfig cfg;
+  cfg.summary = stats::SummaryKind::Conditional;
+  return cfg;
+}
+
+void BM_SummaryPipeline(benchmark::State& state) {
+  // The full exact client-summary -> distance-matrix -> clustering pipeline
+  // over P(X|y) summaries at population scale.
+  const auto& fed = population_fed(static_cast<std::size_t>(state.range(0)));
+  const auto cfg = conditional_haccs();
   for (auto _ : state) {
     auto labels = core::cluster_clients(fed, cfg);
     benchmark::DoNotOptimize(labels.data());
   }
 }
-BENCHMARK(BM_SummaryPipeline);
+BENCHMARK(BM_SummaryPipeline)
+    ->Arg(1500)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void BM_HaccsRecluster(benchmark::State& state) {
+  // A §IV-C re-cluster over unchanged data: summaries are recomputed and,
+  // being bitwise equal, reuse the cached labels.
+  const auto& fed = population_fed(static_cast<std::size_t>(state.range(0)));
+  core::HaccsSelector selector(fed, conditional_haccs());
+  for (auto _ : state) {
+    selector.recluster(fed);
+    benchmark::DoNotOptimize(selector.cluster_of().data());
+  }
+}
+BENCHMARK(BM_HaccsRecluster)
+    ->Arg(1500)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_Optics(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -27,8 +27,9 @@ enum class Kind {
   DropFailurePenalty,
   /// distance.cpp distribution_distance: silently answer L2 between the
   /// normalized distributions when Hellinger is requested — cluster
-  /// structure degrades without crashing. Detected by the distance_recompute
-  /// oracle.
+  /// structure degrades without crashing (pipeline.cpp summary_distances
+  /// leaves its prepared-row path while this is armed, so the matrix sees
+  /// it too). Detected by the distance_recompute oracle.
   ClusterDistanceL2,
 };
 

@@ -1,6 +1,7 @@
 #include "src/core/haccs_selector.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 
@@ -21,7 +22,7 @@ HaccsSelector::HaccsSelector(const data::FederatedDataset& dataset,
   if (config_.scale.enabled) {
     recluster_scaled(dataset, /*initial=*/true);
   } else {
-    build_clusters(cluster_clients(dataset, config_));
+    recluster_exact(dataset);
   }
 }
 
@@ -40,16 +41,71 @@ std::string HaccsSelector::name() const {
 
 void HaccsSelector::recluster(const data::FederatedDataset& dataset) {
   obs::Span span("recluster", "clustering");
-  obs::Registry::global().counter("recluster_total").inc();
-  if (config_.scale.enabled) {
-    recluster_scaled(dataset, /*initial=*/false);
-    return;
-  }
-  build_clusters(cluster_clients(dataset, config_));
+  auto& registry = obs::Registry::global();
+  registry.counter("recluster_total").inc();
+  // Looked up on every call so /metrics lists it before the first reuse.
+  auto& reused = registry.counter("recluster_reused_total");
+  const std::size_t changed = config_.scale.enabled
+                                  ? recluster_scaled(dataset, /*initial=*/false)
+                                  : recluster_exact(dataset);
+  span.set_arg("changed_clients", static_cast<std::int64_t>(changed));
+  if (changed == 0 && !config_.scale.enabled) reused.inc();
 }
 
-void HaccsSelector::recluster_scaled(const data::FederatedDataset& dataset,
-                                     bool initial) {
+namespace {
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Bitwise equality of two summaries: equal summaries cluster identically.
+bool same_summary(const ClientSummary& a, const ClientSummary& b) {
+  if (a.kind != b.kind ||
+      !same_bits(a.response.label_counts.counts(),
+                 b.response.label_counts.counts()) ||
+      a.conditional.per_label.size() != b.conditional.per_label.size() ||
+      a.quantile.per_label.size() != b.quantile.per_label.size() ||
+      !same_bits(a.quantile.mass, b.quantile.mass)) {
+    return false;
+  }
+  for (std::size_t c = 0; c < a.conditional.per_label.size(); ++c) {
+    if (!same_bits(a.conditional.per_label[c].counts(),
+                   b.conditional.per_label[c].counts())) {
+      return false;
+    }
+  }
+  for (std::size_t c = 0; c < a.quantile.per_label.size(); ++c) {
+    if (!same_bits(a.quantile.per_label[c], b.quantile.per_label[c])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+std::size_t HaccsSelector::recluster_exact(
+    const data::FederatedDataset& dataset) {
+  auto summaries = compute_summaries(dataset, config_);
+  const std::size_t n = summaries.size(), cached = exact_summaries_.size();
+  const std::size_t common = std::min(n, cached);
+  std::size_t changed = std::max(n, cached) - common;
+  for (std::size_t i = 0; i < common; ++i) {
+    if (!same_summary(summaries[i], exact_summaries_[i])) ++changed;
+  }
+  // An empty cache also runs the pipeline, which rejects an empty population.
+  if (changed > 0 || exact_summaries_.empty()) {
+    exact_labels_ = cluster_summaries(summaries, config_);
+    exact_summaries_ = std::move(summaries);
+  }
+  build_clusters(exact_labels_);
+  return changed;
+}
+
+std::size_t HaccsSelector::recluster_scaled(
+    const data::FederatedDataset& dataset, bool initial) {
   obs::Span span("recluster_scaled", "clustering");
   auto summaries = compute_summaries(dataset, config_);
   if (incremental_ == nullptr) {
@@ -72,6 +128,8 @@ void HaccsSelector::recluster_scaled(const data::FederatedDataset& dataset,
   const std::size_t old_n = scale_ids_.size();
   const std::size_t new_n = summaries.size();
 
+  std::size_t changed = std::max(old_n, new_n) - std::min(old_n, new_n);
+
   // Surviving clients: refresh those whose sketch changed (drift). A client
   // with an identical sketch keeps its cached summary and clean shard.
   for (std::size_t i = 0; i < std::min(old_n, new_n); ++i) {
@@ -81,6 +139,7 @@ void HaccsSelector::recluster_scaled(const data::FederatedDataset& dataset,
     if (!std::equal(current.begin(), current.end(), sketch.begin())) {
       store[scale_ids_[i]] = summaries[i];
       incremental_->update_client(scale_ids_[i], sketch);
+      ++changed;
     }
   }
   // Leaves: the dataset shrank — retire the tail.
@@ -109,6 +168,7 @@ void HaccsSelector::recluster_scaled(const data::FederatedDataset& dataset,
     labels[i] = incremental_->label_of(scale_ids_[i]);
   }
   build_clusters(std::move(labels));
+  return changed;
 }
 
 void HaccsSelector::set_clusters(std::vector<int> cluster_labels) {

@@ -56,10 +56,13 @@ class HaccsSelector final : public fl::ClientSelector {
   void load_state(std::span<const std::uint8_t> state) override;
 
   /// Re-runs clustering (e.g. after clients join/leave or summaries change,
-  /// §IV-C's real-time adaptation). With config.scale.enabled this is
-  /// incremental: unchanged clients keep their cached shard clustering, and
-  /// a full recompute happens only when churn crosses the dirtiness
-  /// threshold (scale::IncrementalClusterer).
+  /// §IV-C's real-time adaptation). The client summaries are always
+  /// recomputed. On the exact path, summaries bitwise equal to the last
+  /// pipeline run's reuse its labels (no distance matrix, no OPTICS); any
+  /// changed client or a population change reruns the full pipeline. With
+  /// config.scale.enabled this is incremental: unchanged clients keep their
+  /// cached shard clustering, and a full recompute happens only when churn
+  /// crosses the dirtiness threshold (scale::IncrementalClusterer).
   void recluster(const data::FederatedDataset& dataset);
 
   /// The incremental clusterer backing the scale path (null when
@@ -88,9 +91,15 @@ class HaccsSelector final : public fl::ClientSelector {
 
  private:
   void build_clusters(std::vector<int> raw_labels);
+  /// Exact path: recompute the summaries and re-cluster, reusing the cached
+  /// labels when no summary changed. Returns the number of changed clients
+  /// (joins and leaves included).
+  std::size_t recluster_exact(const data::FederatedDataset& dataset);
   /// Scale path: sync the incremental clusterer with the dataset (joins,
   /// leaves, changed summaries) and refresh clusters_ from its labels.
-  void recluster_scaled(const data::FederatedDataset& dataset, bool initial);
+  /// Returns the number of changed clients.
+  std::size_t recluster_scaled(const data::FederatedDataset& dataset,
+                               bool initial);
 
   HaccsConfig config_;
   /// Set only by the dataset-constructing constructor; enables
@@ -102,6 +111,11 @@ class HaccsSelector final : public fl::ClientSelector {
   std::vector<double> penalty_;
   /// Clusters owed a replacement draw after a member failed mid-round.
   std::vector<std::size_t> replacement_queue_;
+
+  /// Exact path cache: the summaries and raw (pre-remap) labels of the last
+  /// full pipeline run. Derived from the dataset, so never checkpointed.
+  std::vector<ClientSummary> exact_summaries_;
+  std::vector<int> exact_labels_;
 
   /// Scale path state. Summaries live behind a shared_ptr because the
   /// clusterer's exact-distance callback captures them; the selector can be

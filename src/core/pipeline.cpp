@@ -1,9 +1,11 @@
 #include "src/core/pipeline.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "src/common/error.hpp"
+#include "src/common/mutation.hpp"
 #include "src/common/threadpool.hpp"
 #include "src/obs/trace.hpp"
 #include "src/stats/sketch.hpp"
@@ -54,30 +56,56 @@ double ClientSummary::distance(const ClientSummary& a, const ClientSummary& b,
 std::vector<ClientSummary> compute_summaries(
     const data::FederatedDataset& dataset, const HaccsConfig& config) {
   obs::Span span("compute_summaries", "clustering");
-  std::vector<ClientSummary> summaries;
-  summaries.reserve(dataset.clients.size());
+  // Fork every device's noise stream in client order first, so client i
+  // draws exactly the noise it would in a serial loop, then summarize the
+  // clients independently.
+  const std::size_t n = dataset.clients.size();
+  std::vector<Rng> noise;
+  noise.reserve(n);
   Rng noise_root(config.privacy_seed);
-  for (const auto& client : dataset.clients) {
-    ClientSummary s;
+  for (std::size_t i = 0; i < n; ++i) noise.push_back(noise_root.fork());
+  std::vector<ClientSummary> summaries(n);
+  parallel_for(0, n, [&](std::size_t i) {
+    const data::Dataset& train = dataset.clients[i].train;
+    ClientSummary& s = summaries[i];
     s.kind = config.summary;
-    Rng client_noise = noise_root.fork();  // independent stream per device
     if (config.summary == stats::SummaryKind::Response) {
-      s.response = stats::privatize(stats::summarize_response(client.train),
-                                    config.privacy, client_noise);
+      s.response = stats::privatize(stats::summarize_response(train),
+                                    config.privacy, noise[i]);
     } else if (config.summary == stats::SummaryKind::Quantile) {
       s.quantile_config = config.quantile;
       s.quantile = stats::privatize(
-          stats::summarize_quantiles(client.train, config.quantile),
-          config.quantile, config.privacy, client_noise);
+          stats::summarize_quantiles(train, config.quantile), config.quantile,
+          config.privacy, noise[i]);
     } else {
       s.conditional = stats::privatize(
-          stats::summarize_conditional(client.train, config.conditional),
-          config.privacy, client_noise);
+          stats::summarize_conditional(train, config.conditional),
+          config.privacy, noise[i]);
     }
-    summaries.push_back(std::move(s));
-  }
+  });
   return summaries;
 }
+
+namespace {
+
+/// Whether the pairwise Hellinger of `kind` summaries can be evaluated from
+/// rows prepared once per client (stats::HellingerRows). TV, SKL, JS,
+/// cosine and Q(X|y) keep the per-pair path.
+bool uses_prepared_rows(stats::SummaryKind kind,
+                        stats::DistanceKind response_kind) {
+  if (kind == stats::SummaryKind::Conditional) return true;
+  if (kind != stats::SummaryKind::Response ||
+      response_kind != stats::DistanceKind::Hellinger) {
+    return false;
+  }
+#if HACCS_MUTATIONS
+  // The L2 mutation lives in stats::distribution_distance; keep it reachable.
+  if (mutation::enabled(mutation::Kind::ClusterDistanceL2)) return false;
+#endif
+  return true;
+}
+
+}  // namespace
 
 clustering::DistanceMatrix summary_distances(
     const std::vector<ClientSummary>& summaries,
@@ -85,10 +113,33 @@ clustering::DistanceMatrix summary_distances(
   if (summaries.empty()) {
     throw std::invalid_argument("summary_distances: no summaries");
   }
+  const stats::SummaryKind kind = summaries.front().kind;
+  const bool same_kind =
+      std::all_of(summaries.begin(), summaries.end(),
+                  [kind](const ClientSummary& s) { return s.kind == kind; });
+  if (!same_kind || !uses_prepared_rows(kind, response_kind)) {
+    return clustering::DistanceMatrix::build(
+        summaries.size(), [&](std::size_t i, std::size_t j) {
+          return ClientSummary::distance(summaries[i], summaries[j],
+                                         response_kind);
+        });
+  }
+  std::vector<stats::HellingerRows> rows(summaries.size());
+  parallel_for(0, summaries.size(), [&](std::size_t i) {
+    rows[i] = kind == stats::SummaryKind::Conditional
+                  ? stats::HellingerRows(summaries[i].conditional.per_label)
+                  : stats::HellingerRows(
+                        summaries[i].response.label_counts.counts());
+  });
+  if (kind == stats::SummaryKind::Conditional) {
+    return clustering::DistanceMatrix::build(
+        rows.size(), [&](std::size_t i, std::size_t j) {
+          return stats::weighted_hellinger_distance(rows[i], rows[j]);
+        });
+  }
   return clustering::DistanceMatrix::build(
-      summaries.size(), [&](std::size_t i, std::size_t j) {
-        return ClientSummary::distance(summaries[i], summaries[j],
-                                       response_kind);
+      rows.size(), [&](std::size_t i, std::size_t j) {
+        return stats::prepared_hellinger(rows[i].row(0), rows[j].row(0));
       });
 }
 

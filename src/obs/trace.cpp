@@ -27,21 +27,27 @@ std::atomic<std::uint64_t> g_round_parent_span{0};
 std::atomic<std::int64_t> g_round_index{-1};
 
 void append_args(std::string& out, std::uint64_t span_id,
-                 std::uint64_t parent_id, std::int64_t round) {
+                 std::uint64_t parent_id, std::int64_t round,
+                 const char* arg_name, std::int64_t arg_value) {
   char buf[128];
   std::snprintf(buf, sizeof(buf),
-                ",\"args\":{\"span\":%llu,\"parent\":%llu,\"round\":%lld}",
+                ",\"args\":{\"span\":%llu,\"parent\":%llu,\"round\":%lld",
                 static_cast<unsigned long long>(span_id),
                 static_cast<unsigned long long>(parent_id),
                 static_cast<long long>(round));
   out += buf;
+  if (arg_name != nullptr) {
+    out += ",\"" + json_escape(arg_name) + "\":" + std::to_string(arg_value);
+  }
+  out += '}';
 }
 
 void append_event(std::string& out, bool& first, int pid,
                   const std::string& name, const std::string& category,
                   std::uint32_t tid, std::uint64_t ts_ns, std::uint64_t dur_ns,
                   bool instant, std::uint64_t span_id, std::uint64_t parent_id,
-                  std::int64_t round) {
+                  std::int64_t round, const char* arg_name = nullptr,
+                  std::int64_t arg_value = 0) {
   // Chrome trace timestamps are microseconds; keep ns precision in the
   // fraction.
   const double ts_us = static_cast<double>(ts_ns) * 1e-3;
@@ -61,7 +67,9 @@ void append_event(std::string& out, bool& first, int pid,
                   pid, tid, ts_us, static_cast<double>(dur_ns) * 1e-3);
   }
   out += buf;
-  if (span_id != 0) append_args(out, span_id, parent_id, round);
+  if (span_id != 0) {
+    append_args(out, span_id, parent_id, round, arg_name, arg_value);
+  }
   out += '}';
 }
 
@@ -174,7 +182,8 @@ std::string TraceBuffer::to_chrome_json() const {
   }
   for (const TraceEvent& e : events) {
     append_event(out, first, /*pid=*/1, e.name, e.category, e.tid, e.ts_ns,
-                 e.dur_ns, e.instant, e.span_id, e.parent_id, e.round);
+                 e.dur_ns, e.instant, e.span_id, e.parent_id, e.round,
+                 e.arg_name, e.arg_value);
   }
   out += "]}";
   return out;
@@ -237,7 +246,7 @@ std::string merged_chrome_json(const std::vector<TraceEvent>& server_events,
   for (const TraceEvent& e : server_events) {
     append_event(out, first, /*pid=*/1, json_escape(e.name),
                  json_escape(e.category), e.tid, e.ts_ns, e.dur_ns, e.instant,
-                 e.span_id, e.parent_id, e.round);
+                 e.span_id, e.parent_id, e.round, e.arg_name, e.arg_value);
   }
   for (const WorkerTrack& track : workers) {
     const int pid = 2 + static_cast<int>(track.worker_id);
@@ -276,7 +285,14 @@ Span::~Span() {
   event.span_id = id_;
   event.parent_id = parent_id_;
   event.round = g_round_index.load(std::memory_order_relaxed);
+  event.arg_name = arg_name_;
+  event.arg_value = arg_value_;
   TraceBuffer::global().record(event);
+}
+
+void Span::set_arg(const char* name, std::int64_t value) {
+  arg_name_ = name;
+  arg_value_ = value;
 }
 
 void instant(const char* name, const char* category) {

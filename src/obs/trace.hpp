@@ -42,6 +42,9 @@ struct TraceEvent {
   std::uint64_t parent_id = 0;  ///< 0 = no enclosing span
   std::int64_t round = -1;      ///< federated round index; -1 = none
   bool instant = false;
+  /// Optional numeric span argument (Span::set_arg); null = none.
+  const char* arg_name = nullptr;
+  std::int64_t arg_value = 0;
 };
 
 /// Compact cross-process trace correlation token, carried as an optional
@@ -147,9 +150,16 @@ class Span {
   /// construction.
   std::uint64_t id() const { return id_; }
 
+  /// Attaches one numeric argument, exported in the event's "args" next to
+  /// the span ids (a later call replaces it). `name` must be a string
+  /// literal. Cheap and harmless while tracing is disabled.
+  void set_arg(const char* name, std::int64_t value);
+
  private:
   const char* name_;
   const char* category_;
+  const char* arg_name_ = nullptr;
+  std::int64_t arg_value_ = 0;
   std::uint64_t begin_ns_ = 0;
   std::uint64_t id_ = 0;
   std::uint64_t parent_id_ = 0;

@@ -30,6 +30,10 @@ class Histogram {
   /// Bins a value (requires the value-binned constructor).
   void observe(double value, double weight = 1.0);
 
+  /// observe(v) for every value, in one call (the P(X|y) summary bins every
+  /// feature value of every sample).
+  void observe_all(std::span<const float> values);
+
   std::span<const double> counts() const { return counts_; }
   void set_counts(std::vector<double> counts);
 
@@ -42,10 +46,25 @@ class Histogram {
   void clamp_nonnegative();
 
  private:
+  /// floor((value - lo) / (hi - lo) * bins), clamped into [0, bins - 1].
+  std::size_t bin_of(double value) const;
+
   std::vector<double> counts_;
   bool value_binned_ = false;
   double lo_ = 0.0, hi_ = 0.0;
 };
+
+/// One side of Eq. 3, prepared: out[i] = sqrt(max(counts[i], 0) / total)
+/// with total the sum of the clamped counts. An all-zero (or all-negative)
+/// vector prepares to the zero row. `out` must have counts.size() slots.
+void sqrt_probabilities(std::span<const double> counts, std::span<double> out);
+
+/// Eq. 3 over two prepared rows: (1/sqrt(2)) * || a - b ||_2. Every
+/// Hellinger distance in the repository reduces to this and
+/// sqrt_probabilities, so distances from rows prepared once per client are
+/// bit-identical to per-pair calls.
+double prepared_hellinger(std::span<const double> a,
+                          std::span<const double> b);
 
 /// Hellinger distance between two probability vectors (paper Eq. 3):
 /// H(p, q) = (1/sqrt(2)) * || sqrt(p) - sqrt(q) ||_2.
@@ -73,5 +92,37 @@ double average_hellinger_distance(std::span<const Histogram> a,
 /// one side contribute their (halved) mass at the maximal distance 1.
 double weighted_hellinger_distance(std::span<const Histogram> a,
                                    std::span<const Histogram> b);
+
+/// A histogram set prepared once for many Hellinger comparisons: per
+/// histogram its clamped mass max(total, 0) and its sqrt_probabilities row.
+/// Building an N x N distance matrix from N prepared sets does the
+/// normalization and square roots N times instead of N^2 times.
+class HellingerRows {
+ public:
+  HellingerRows() = default;
+  /// A single row from a raw count vector (mass max(sum, 0), as for a
+  /// histogram).
+  explicit HellingerRows(std::span<const double> counts);
+  /// One row per histogram, in order.
+  explicit HellingerRows(std::span<const Histogram> set);
+
+  std::size_t size() const { return mass_.size(); }
+  double mass(std::size_t r) const { return mass_[r]; }
+  std::span<const double> row(std::size_t r) const {
+    return std::span<const double>(values_).subspan(
+        offsets_[r], offsets_[r + 1] - offsets_[r]);
+  }
+
+ private:
+  void append(std::span<const double> counts, double mass);
+
+  std::vector<double> mass_;
+  std::vector<double> values_;
+  std::vector<std::size_t> offsets_{0};
+};
+
+/// weighted_hellinger_distance over prepared sets (same result, bit for bit).
+double weighted_hellinger_distance(const HellingerRows& a,
+                                   const HellingerRows& b);
 
 }  // namespace haccs::stats

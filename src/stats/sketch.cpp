@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "src/common/rng.hpp"
+#include "src/stats/histogram.hpp"
 
 namespace haccs::stats {
 
@@ -94,13 +95,8 @@ void project_add(std::span<float> out, std::uint64_t index, double value,
 }
 
 std::vector<double> sqrt_embedding(std::span<const double> counts) {
-  double total = 0.0;
-  for (double c : counts) total += std::max(c, 0.0);
-  std::vector<double> out(counts.size(), 0.0);
-  if (total <= 0.0) return out;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    out[i] = std::sqrt(std::max(counts[i], 0.0) / total);
-  }
+  std::vector<double> out(counts.size());
+  sqrt_probabilities(counts, out);
   return out;
 }
 

@@ -73,9 +73,10 @@ std::vector<float> project_embedding(std::span<const double> v,
 void project_add(std::span<float> out, std::uint64_t index, double value,
                  std::uint64_t seed);
 
-/// The sqrt-probability embedding of a count vector: sqrt(v_i / sum v).
-/// All-zero input embeds to the zero vector (matching Histogram::normalized,
-/// where "no data" is maximally distinguishable under Hellinger).
+/// The sqrt-probability embedding of a count vector: sqrt(v_i / sum v), i.e.
+/// sqrt_probabilities (histogram.hpp) into a fresh vector. All-zero input
+/// embeds to the zero vector (matching Histogram::normalized, where "no
+/// data" is maximally distinguishable under Hellinger).
 std::vector<double> sqrt_embedding(std::span<const double> counts);
 
 /// Hellinger estimate from two sqrt-embeddings: ||a - b|| / sqrt(2), clamped

@@ -44,10 +44,8 @@ ConditionalSummary summarize_conditional(
     summary.per_label.emplace_back(config.bins, config.lo, config.hi);
   }
   for (std::size_t i = 0; i < dataset.size(); ++i) {
-    auto& hist = summary.per_label[static_cast<std::size_t>(dataset.label(i))];
-    for (float v : dataset.features(i)) {
-      hist.observe(static_cast<double>(v));
-    }
+    summary.per_label[static_cast<std::size_t>(dataset.label(i))].observe_all(
+        dataset.features(i));
   }
   return summary;
 }

@@ -5,7 +5,8 @@ Usage: bench_check.py BASELINE.json CURRENT.json [--suite NAME]
                       [--tolerance FRACTION]
 
 Every benchmark present in the baseline must exist in the current run and
-its real_time must not exceed baseline * (1 + tolerance). Tolerances are
+its real_time must not exceed baseline * (1 + tolerance). When a file holds
+repetitions, the benchmark's time is its median aggregate row. Tolerances are
 deliberately generous: the gate exists to catch gross regressions — an
 accidental O(N^2) reintroduction, a dropped cache — not single-digit-percent
 noise, which shared CI runners cannot resolve.
@@ -50,15 +51,26 @@ def resolve_tolerance(suite, flag_value):
 
 
 def load_benchmarks(path):
+    """Map benchmark name -> real_time.
+
+    A single run has one iteration row per benchmark. A run with
+    --benchmark_repetitions=N has N iteration rows per benchmark plus
+    aggregate rows (mean, median, stddev, cv); there the median aggregate
+    is the benchmark's time, keyed by its run_name so it matches the
+    single-run baseline's name.
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    out = {}
+    iterations = {}
+    medians = {}
     for bench in doc.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev of repetitions).
+        name = bench.get("run_name", bench["name"])
         if bench.get("run_type") == "aggregate":
+            if bench.get("aggregate_name") == "median":
+                medians[name] = float(bench["real_time"])
             continue
-        out[bench["name"]] = float(bench["real_time"])
-    return out
+        iterations.setdefault(name, float(bench["real_time"]))
+    return {**iterations, **medians}
 
 
 def main():
