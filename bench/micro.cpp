@@ -568,10 +568,9 @@ void BM_TreeRoundDispatch(benchmark::State& state) {
     });
   }
 
-  hier::TreeDispatcherConfig config;
-  config.num_workers = kRoundWorkers;
+  fl::TransportDispatcherConfig config;
   config.recv_timeout_ms = 30000;
-  hier::TreeDispatcher dispatcher(root_side, config);
+  hier::TreeDispatcher dispatcher(root_side, config, kRoundWorkers);
   const auto jobs = bench_round_jobs();
   const std::vector<float> params(kRoundParams, 1.0f);
   for (auto _ : state) {

@@ -283,14 +283,9 @@ int main(int argc, char** argv) try {
   }
 
   // ---- train over the transports ----
-  fl::LocalWorkConfig work;
-  work.local = engine_config.local;
-  work.fedprox = engine_config.algorithm == fl::LocalAlgorithm::FedProx;
-  work.fedprox_mu = engine_config.fedprox_mu;
-  work.compression = engine_config.compression;
-
+  // One config for either root; a tree refuses the flat-only fields.
   fl::TransportDispatcherConfig dispatch_config;
-  dispatch_config.work = work;
+  dispatch_config.work = fl::local_work_config(engine_config);
   dispatch_config.send_timeout_ms = io_timeout_ms;
   dispatch_config.recv_timeout_ms = io_timeout_ms;
   dispatch_config.heartbeat_timeout_ms = heartbeat_timeout_ms;
@@ -302,7 +297,8 @@ int main(int argc, char** argv) try {
   dispatch_config.agg_groups = agg_groups;
   dispatch_config.max_update_norm = engine_config.max_update_norm;
   // Liveness mode implies fleet management: dead workers may reconnect and
-  // reclaim their slot. With the default flags a dead worker stays dead.
+  // reclaim their slot. With the default flags a dead worker stays dead, as
+  // a dead aggregator always does.
   if (num_aggs == 0 && (heartbeat_timeout_ms > 0 || quorum < 1.0)) {
     dispatch_config.reacquire = [&fleet](std::size_t w) {
       return fleet.reacquire(w);
@@ -398,20 +394,11 @@ int main(int argc, char** argv) try {
   std::optional<fl::TransportDispatcher> flat_dispatcher;
   std::optional<hier::TreeDispatcher> tree_dispatcher;
   if (num_aggs > 0) {
-    hier::TreeDispatcherConfig tree_config;
-    tree_config.work = work;
-    tree_config.num_workers = num_workers;
-    tree_config.send_timeout_ms = io_timeout_ms;
-    tree_config.recv_timeout_ms = io_timeout_ms;
-    tree_config.heartbeat_timeout_ms = heartbeat_timeout_ms;
-    tree_config.max_update_norm = engine_config.max_update_norm;
-    if (obs::trace_enabled()) tree_config.on_trace_shard = collect_shard;
-    if (status_port >= 0) tree_config.status_board = &status_board;
-    if (live_tracker) tree_config.on_liveness = on_liveness;
-    tree_dispatcher.emplace(fleet.transports(), std::move(tree_config));
+    tree_dispatcher.emplace(fleet.transports(), std::move(dispatch_config),
+                            num_workers);
     engine_config.dispatcher = &*tree_dispatcher;
   } else {
-    flat_dispatcher.emplace(fleet.transports(), dispatch_config);
+    flat_dispatcher.emplace(fleet.transports(), std::move(dispatch_config));
     engine_config.dispatcher = &*flat_dispatcher;
   }
   engine_config.stop_requested = [] { return g_stop != 0; };

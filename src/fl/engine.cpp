@@ -175,12 +175,8 @@ TrainingHistory FederatedTrainer::run(ClientSelector& selector,
   // Where this run's local training executes. The default in-process
   // dispatcher is created per run (its compression residuals start clean,
   // like the engine's old per-run residual table).
-  LocalWorkConfig work;
-  work.local = config_.local;
-  work.fedprox = config_.algorithm == LocalAlgorithm::FedProx;
-  work.fedprox_mu = config_.fedprox_mu;
-  work.compression = config_.compression;
-  InProcessDispatcher default_dispatcher(dataset_, model_factory_, work);
+  InProcessDispatcher default_dispatcher(dataset_, model_factory_,
+                                         local_work_config(config_));
   RoundDispatcher* dispatcher =
       config_.dispatcher ? config_.dispatcher : &default_dispatcher;
 
@@ -587,6 +583,15 @@ TrainingHistory FederatedTrainer::run(ClientSelector& selector,
   obs::clear_round_context();
   final_parameters_ = std::move(global_params);
   return history;
+}
+
+LocalWorkConfig local_work_config(const EngineConfig& config) {
+  LocalWorkConfig work;
+  work.local = config.local;
+  work.fedprox = config.algorithm == LocalAlgorithm::FedProx;
+  work.fedprox_mu = config.fedprox_mu;
+  work.compression = config.compression;
+  return work;
 }
 
 bool update_is_valid(std::span<const float> delta, double max_norm) {

@@ -187,6 +187,10 @@ class FederatedTrainer {
   std::size_t upload_bytes_ = 0;
 };
 
+/// The local-training recipe `config` orders for every selected client —
+/// what the in-process dispatcher runs and what a TrainJob carries.
+LocalWorkConfig local_work_config(const EngineConfig& config);
+
 /// Server-side update validation: true when every element of `delta` is
 /// finite and (when max_norm > 0) its L2 norm is within max_norm. Both
 /// engines call this before aggregation so a corrupted or diverged client

@@ -18,8 +18,8 @@ namespace haccs::fl {
 
 namespace {
 
-/// Per-worker poll slice in the collection loop: short enough that one
-/// silent worker cannot starve the others' liveness checks.
+/// Per-peer poll slice in the collection loop: short enough that one
+/// silent peer cannot starve the others' liveness checks.
 constexpr int kSliceMs = 10;
 
 struct ServingMetrics {
@@ -75,43 +75,208 @@ std::string ServingStatusBoard::to_json() const {
 }
 
 // ---------------------------------------------------------------------------
+// DispatchCore
+
+FailureKind send_failure(net::TransportStatus status) {
+  return status == net::TransportStatus::Timeout ? FailureKind::Timeout
+                                                 : FailureKind::Crash;
+}
+
+DispatchCore::DispatchCore(std::vector<net::Transport*> peers,
+                           TransportDispatcherConfig config)
+    : peers_(std::move(peers)), config_(std::move(config)) {
+  if (peers_.empty()) {
+    throw std::invalid_argument("dispatcher: no peer transports");
+  }
+  if (config_.quorum_fraction <= 0.0 || config_.quorum_fraction > 1.0) {
+    throw std::invalid_argument(
+        "dispatcher: quorum_fraction must be in (0, 1]");
+  }
+  if (config_.status_board &&
+      config_.status_board->num_workers() < peers_.size()) {
+    throw std::invalid_argument(
+        "dispatcher: status_board has fewer rows than peers");
+  }
+  dead_.assign(peers_.size(), false);
+  last_heard_.assign(peers_.size(), 0);
+}
+
+void DispatchCore::set_dead(std::size_t p, bool dead) {
+  if (dead_[p] == dead) return;
+  dead_[p] = dead;
+  if (config_.on_liveness) config_.on_liveness(p, !dead);
+  if (ServingStatusBoard* board = config_.status_board) {
+    board->worker(p).alive.store(!dead, std::memory_order_relaxed);
+  }
+}
+
+void DispatchCore::sync_board(std::size_t p, std::size_t owed) {
+  ServingStatusBoard* board = config_.status_board;
+  if (!board) return;
+  auto& row = board->worker(p);
+  row.outstanding.store(owed, std::memory_order_relaxed);
+  row.alive.store(!dead_[p], std::memory_order_relaxed);
+}
+
+void DispatchCore::note_delivered(std::size_t p) {
+  if (ServingStatusBoard* board = config_.status_board) {
+    board->delivered.fetch_add(1, std::memory_order_relaxed);
+    board->worker(p).updates.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void DispatchCore::heard(std::size_t p) {
+  last_heard_[p] = steady_ms();
+  if (ServingStatusBoard* board = config_.status_board) {
+    board->worker(p).last_heard_ms.store(last_heard_[p],
+                                         std::memory_order_relaxed);
+  }
+}
+
+std::size_t DispatchCore::quorum_target(std::size_t dispatched) const {
+  return config_.quorum_fraction < 1.0
+             ? static_cast<std::size_t>(std::ceil(
+                   config_.quorum_fraction * static_cast<double>(dispatched)))
+             : dispatched;
+}
+
+void DispatchCore::begin_round(std::uint64_t epoch, std::size_t dispatched) {
+  ServingStatusBoard* board = config_.status_board;
+  if (!board) return;
+  board->round.store(epoch, std::memory_order_relaxed);
+  board->dispatched.store(dispatched, std::memory_order_relaxed);
+  board->delivered.store(0, std::memory_order_relaxed);
+  board->quorum_met.store(false, std::memory_order_relaxed);
+  board->quorum_target.store(quorum_target(dispatched),
+                             std::memory_order_relaxed);
+  board->collecting.store(true, std::memory_order_relaxed);
+  for (std::size_t p = 0; p < peers_.size(); ++p) sync_board(p, 0);
+}
+
+void DispatchCore::end_round() {
+  ServingStatusBoard* board = config_.status_board;
+  if (!board) return;
+  board->collecting.store(false, std::memory_order_relaxed);
+  for (std::size_t p = 0; p < peers_.size(); ++p) sync_board(p, 0);
+}
+
+bool DispatchCore::reacquire(std::size_t p) {
+  if (!config_.reacquire) return false;
+  net::Transport* fresh = config_.reacquire(p);
+  if (!fresh) return false;
+  peers_[p] = fresh;
+  set_dead(p, false);
+  ServingMetrics::get().reconnects.inc();
+  if (ServingStatusBoard* board = config_.status_board) {
+    board->worker(p).sessions.fetch_add(1, std::memory_order_relaxed);
+  }
+  HACCS_INFO << "dispatcher: peer " << p << " reacquired (" << fresh->peer()
+             << ")";
+  return true;
+}
+
+net::TransportStatus DispatchCore::send(std::size_t p,
+                                        const net::Frame& frame) {
+  auto status = peers_[p]->send(frame, config_.send_timeout_ms);
+  // The link died since the last round (or mid-fan-out): try one immediate
+  // replacement before the frame's job is charged.
+  if (status == net::TransportStatus::Closed && !dead_[p] && reacquire(p)) {
+    status = peers_[p]->send(frame, config_.send_timeout_ms);
+  }
+  if (status == net::TransportStatus::Closed) set_dead(p, true);
+  return status;
+}
+
+net::TransportStatus DispatchCore::poll(std::size_t p, int timeout_ms,
+                                        const CollectHooks& hooks) {
+  net::Frame frame;
+  const auto status = peers_[p]->recv(&frame, timeout_ms);
+  if (status == net::TransportStatus::Corrupt) {
+    heard(p);  // a damaged frame is still proof of life
+    hooks.on_corrupt(p);
+  } else if (status == net::TransportStatus::Ok) {
+    heard(p);
+    if (frame.type != net::MessageType::TraceShard) {
+      hooks.on_frame(p, frame);
+    } else if (config_.on_trace_shard) {
+      // A span buffer riding home ahead of its sender's next update (§5i).
+      try {
+        config_.on_trace_shard(net::decode_trace_shard(frame));
+      } catch (const net::WireError& e) {
+        HACCS_WARN << "undecodable TraceShard from " << peers_[p]->peer()
+                   << ": " << e.what();
+      }
+    }
+  }
+  return status;
+}
+
+void DispatchCore::collect(const CollectHooks& hooks) {
+  const std::int64_t start = steady_ms();
+  last_heard_.assign(peers_.size(), start);
+  for (;;) {
+    const std::int64_t now = steady_ms();
+    if (!hooks.pending(now)) return;
+    // Whole-round collection budget: fail the remainder rather than hang.
+    if (config_.recv_timeout_ms >= 0 && now - start > config_.recv_timeout_ms) {
+      HACCS_WARN << "round collection budget (" << config_.recv_timeout_ms
+                 << " ms) exhausted; outstanding work abandoned";
+      for (std::size_t p = 0; p < peers_.size(); ++p) {
+        hooks.on_lost(p, FailureKind::Timeout);
+      }
+      return;
+    }
+    // One short poll slice per peer that still owes frames.
+    for (std::size_t p = 0; p < peers_.size(); ++p) {
+      if (!hooks.owes(p)) continue;
+      switch (poll(p, kSliceMs, hooks)) {
+        case net::TransportStatus::Ok:
+        case net::TransportStatus::Corrupt:
+          continue;
+        case net::TransportStatus::Closed:
+          HACCS_WARN << "transport to " << peers_[p]->peer()
+                     << " closed; outstanding work abandoned";
+          break;
+        case net::TransportStatus::Timeout:
+          if (config_.heartbeat_timeout_ms <= 0 ||
+              steady_ms() - last_heard_[p] <= config_.heartbeat_timeout_ms) {
+            continue;
+          }
+          ServingMetrics::get().heartbeats_missed.inc();
+          HACCS_WARN << "peer " << p << " (" << peers_[p]->peer()
+                     << ") silent for > " << config_.heartbeat_timeout_ms
+                     << " ms; declaring dead";
+          break;
+      }
+      set_dead(p, true);
+      hooks.on_lost(p, FailureKind::Crash);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // TransportDispatcher
 
 TransportDispatcher::TransportDispatcher(std::vector<net::Transport*> workers,
                                          TransportDispatcherConfig config)
-    : workers_(std::move(workers)), config_(std::move(config)) {
-  if (workers_.empty()) {
-    throw std::invalid_argument("TransportDispatcher: no workers");
-  }
-  if (config_.quorum_fraction <= 0.0 || config_.quorum_fraction > 1.0) {
-    throw std::invalid_argument(
-        "TransportDispatcher: quorum_fraction must be in (0, 1]");
-  }
-  if (config_.agg_groups > 0 &&
-      (config_.agg_groups > workers_.size() ||
-       workers_.size() % config_.agg_groups != 0)) {
+    : core_(std::move(workers), std::move(config)) {
+  const std::size_t groups = core_.config().agg_groups;
+  if (groups > 0 && (groups > core_.size() || core_.size() % groups != 0)) {
     throw std::invalid_argument(
         "TransportDispatcher: agg_groups must evenly divide the worker count");
   }
-  outstanding_.resize(workers_.size());
-  dead_.assign(workers_.size(), false);
-}
-
-void TransportDispatcher::set_dead(std::size_t w, bool dead) {
-  if (dead_[w] == dead) return;
-  dead_[w] = dead;
-  if (config_.on_liveness) config_.on_liveness(w, !dead);
+  outstanding_.resize(core_.size());
 }
 
 std::size_t TransportDispatcher::group_of(std::size_t client_id) const {
-  return (client_id % workers_.size()) /
-         (workers_.size() / config_.agg_groups);
+  return (client_id % core_.size()) /
+         (core_.size() / core_.config().agg_groups);
 }
 
 void TransportDispatcher::fold_groups(std::span<const TrainJobSpec> jobs,
                                       const std::vector<float>& global_params,
                                       std::vector<TrainOutcome>& outcomes) {
-  partials_.assign(config_.agg_groups, PartialAggregate{});
+  partials_.assign(core_.config().agg_groups, PartialAggregate{});
   // Jobs are already in slot order, so each group's fold visits its slots
   // in the same order a mid-tier aggregator would (its SelectNotice lists
   // the subtree's clients in slot order) — the bit-identity invariant.
@@ -120,7 +285,7 @@ void TransportDispatcher::fold_groups(std::span<const TrainJobSpec> jobs,
     if (!out.delivered || out.updated.empty()) continue;
     PartialAggregate& part = partials_[group_of(job.client_id)];
     if (fold_into_partial(part, out.updated, global_params, out.weight,
-                          config_.max_update_norm)) {
+                          core_.config().max_update_norm)) {
       out.pre_aggregated = true;
     } else {
       // Identical accounting to the engine's own validation rejection.
@@ -132,85 +297,57 @@ void TransportDispatcher::fold_groups(std::span<const TrainJobSpec> jobs,
   }
 }
 
-void TransportDispatcher::sync_board(std::size_t w) {
-  ServingStatusBoard* board = config_.status_board;
-  if (!board) return;
-  auto& worker = board->worker(w);
-  worker.outstanding.store(outstanding_[w].size(), std::memory_order_relaxed);
-  worker.alive.store(!dead_[w], std::memory_order_relaxed);
-}
-
-void TransportDispatcher::board_note_heard(std::size_t w) {
-  if (ServingStatusBoard* board = config_.status_board) {
-    board->worker(w).last_heard_ms.store(steady_ms(),
-                                         std::memory_order_relaxed);
-  }
-}
-
 void TransportDispatcher::fail_front(std::size_t w, FailureKind kind,
+                                     std::span<const TrainJobSpec> jobs,
                                      std::vector<TrainOutcome>& outcomes) {
   auto& queue = outstanding_[w];
   if (queue.empty()) return;
-  TrainOutcome& out = outcomes[queue.front()];
+  TrainOutcome& out = outcomes[jobs[queue.front()].slot];
   out.delivered = false;
   out.failure = kind;
   queue.pop_front();
-  sync_board(w);
+  core_.sync_board(w, queue.size());
 }
 
 void TransportDispatcher::fail_all(std::size_t w, FailureKind kind,
+                                   std::span<const TrainJobSpec> jobs,
                                    std::vector<TrainOutcome>& outcomes) {
-  while (!outstanding_[w].empty()) fail_front(w, kind, outcomes);
+  while (!outstanding_[w].empty()) fail_front(w, kind, jobs, outcomes);
 }
 
-bool TransportDispatcher::handle_frame(std::size_t w, const net::Frame& frame,
-                                       std::span<const TrainJobSpec> jobs,
-                                       const std::vector<float>& global_params,
-                                       std::vector<TrainOutcome>& outcomes) {
-  if (frame.type == net::MessageType::TraceShard) {
-    // A worker's span buffer riding home ahead of its next update (§5i).
-    if (config_.on_trace_shard) {
-      try {
-        config_.on_trace_shard(net::decode_trace_shard(frame));
-      } catch (const net::WireError& e) {
-        HACCS_WARN << "undecodable TraceShard from " << workers_[w]->peer()
-                   << ": " << e.what();
-      }
-    }
-    return false;
-  }
-  if (frame.type != net::MessageType::ClientUpdate) {
-    // Heartbeats and other control traffic are not update settlements.
-    return false;
-  }
+void TransportDispatcher::settle_update(
+    std::size_t w, const net::Frame& frame, std::span<const TrainJobSpec> jobs,
+    const std::vector<float>& global_params,
+    std::vector<TrainOutcome>& outcomes) {
+  // Heartbeats and other control traffic are not update settlements.
+  if (frame.type != net::MessageType::ClientUpdate) return;
   net::ClientUpdateMsg msg;
   try {
     msg = net::decode_client_update(frame);
   } catch (const net::WireError& e) {
     // CRC passed but the payload is still unparseable (e.g. a
     // version-skewed peer): charge it like wire damage.
-    HACCS_WARN << "undecodable ClientUpdate from " << workers_[w]->peer()
-               << ": " << e.what();
-    fail_front(w, FailureKind::CorruptUpdate, outcomes);
-    return true;
+    HACCS_WARN << "undecodable ClientUpdate from worker " << w << ": "
+               << e.what();
+    fail_front(w, FailureKind::CorruptUpdate, jobs, outcomes);
+    return;
   }
   // Workers answer strictly FIFO, so this is normally the queue front; the
   // search keeps a reordering (or duplicated) peer from mis-settling jobs.
   auto& queue = outstanding_[w];
-  const auto it = std::find_if(
-      queue.begin(), queue.end(), [&](std::size_t slot) {
-        return jobs[slot].client_id == msg.client_id &&
-               jobs[slot].epoch == msg.epoch;
-      });
-  if (it == queue.end()) return false;  // stale or duplicate — drop
+  const auto it = std::find_if(queue.begin(), queue.end(), [&](std::size_t j) {
+    return jobs[j].client_id == msg.client_id && jobs[j].epoch == msg.epoch;
+  });
+  if (it == queue.end()) return;  // stale or duplicate — drop
   const std::size_t job_index = *it;
   queue.erase(it);
+  core_.sync_board(w, queue.size());
 
   TrainOutcome& out = outcomes[jobs[job_index].slot];
   if (msg.update.size != global_params.size()) {
     out.delivered = false;
     out.failure = FailureKind::CorruptUpdate;
-    return true;
+    return;
   }
   // Payload semantics (messages.hpp): Dense carries the updated parameters
   // themselves; compressed kinds carry the delta, reconstructed with the
@@ -231,35 +368,15 @@ bool TransportDispatcher::handle_frame(std::size_t w, const net::Frame& frame,
   out.result.average_loss = msg.average_loss;
   out.result.final_loss = msg.final_loss;
   out.result.batches = static_cast<std::size_t>(msg.batches);
-  if (ServingStatusBoard* board = config_.status_board) {
-    board->delivered.fetch_add(1, std::memory_order_relaxed);
-    board->worker(w).updates.fetch_add(1, std::memory_order_relaxed);
-    sync_board(w);
-  }
-  return true;
+  core_.note_delivered(w);
 }
 
 void TransportDispatcher::execute(std::span<const TrainJobSpec> jobs,
                                   const std::vector<float>& global_params,
                                   std::vector<TrainOutcome>& outcomes) {
+  const TransportDispatcherConfig& config = core_.config();
   for (auto& queue : outstanding_) queue.clear();
-
-  if (ServingStatusBoard* board = config_.status_board) {
-    board->round.store(jobs.empty() ? 0 : jobs.front().epoch,
-                       std::memory_order_relaxed);
-    board->dispatched.store(jobs.size(), std::memory_order_relaxed);
-    board->delivered.store(0, std::memory_order_relaxed);
-    board->quorum_met.store(false, std::memory_order_relaxed);
-    board->quorum_target.store(
-        config_.quorum_fraction < 1.0
-            ? static_cast<std::uint64_t>(
-                  std::ceil(config_.quorum_fraction *
-                            static_cast<double>(jobs.size())))
-            : jobs.size(),
-        std::memory_order_relaxed);
-    board->collecting.store(true, std::memory_order_relaxed);
-    for (std::size_t w = 0; w < workers_.size(); ++w) sync_board(w);
-  }
+  core_.begin_round(jobs.empty() ? 0 : jobs.front().epoch, jobs.size());
 
   // Snapshot the engine's round context once per fan-out: every TrainJob of
   // the round carries the same parent span. Untraced runs send the invalid
@@ -270,207 +387,83 @@ void TransportDispatcher::execute(std::span<const TrainJobSpec> jobs,
   // Serving mode: give workers that died in an earlier round a fresh
   // transport before fanning out, so a reconnected process rejoins the
   // rotation instead of eating a round of Crash failures.
-  if (config_.reacquire) {
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      if (!dead_[w]) continue;
-      if (net::Transport* fresh = config_.reacquire(w)) {
-        workers_[w] = fresh;
-        set_dead(w, false);
-        ServingMetrics::get().reconnects.inc();
-        if (ServingStatusBoard* board = config_.status_board) {
-          board->worker(w).sessions.fetch_add(1, std::memory_order_relaxed);
-          sync_board(w);
-        }
-        HACCS_INFO << "dispatcher: worker " << w << " reacquired ("
-                   << fresh->peer() << ")";
+  for (std::size_t w = 0; w < core_.size(); ++w) {
+    if (core_.dead(w)) core_.reacquire(w);
+  }
+
+  const std::size_t quorum_target = core_.quorum_target(jobs.size());
+  std::int64_t quorum_deadline = -1;  // set once the quorum first lands
+  CollectHooks hooks;
+  hooks.owes = [&](std::size_t w) { return !outstanding_[w].empty(); };
+  hooks.pending = [&](std::int64_t now) {
+    std::size_t owed = 0;
+    for (const auto& queue : outstanding_) owed += queue.size();
+    if (owed == 0) return false;
+    if (config.quorum_fraction >= 1.0) return true;
+    const auto delivered = static_cast<std::size_t>(
+        std::count_if(jobs.begin(), jobs.end(), [&](const TrainJobSpec& job) {
+          return outcomes[job.slot].delivered;
+        }));
+    if (delivered < quorum_target) return true;
+    // Quorum commit: enough updates have landed — give stragglers one grace
+    // window, then cut the round loose.
+    if (quorum_deadline < 0) {
+      quorum_deadline = now + config.quorum_grace_ms;
+      if (ServingStatusBoard* board = config.status_board) {
+        board->quorum_met.store(true, std::memory_order_relaxed);
       }
     }
-  }
+    if (now < quorum_deadline) return true;
+    ServingMetrics::get().quorum_degraded.inc();
+    obs::FlightRecorder::global().note_quorum_degraded();
+    HACCS_INFO << "serving: quorum (" << quorum_target << "/" << jobs.size()
+               << ") reached; abandoning " << owed << " straggler job(s)";
+    for (std::size_t w = 0; w < core_.size(); ++w) {
+      fail_all(w, FailureKind::Timeout, jobs, outcomes);
+    }
+    return false;
+  };
+  hooks.on_frame = [&](std::size_t w, const net::Frame& frame) {
+    settle_update(w, frame, jobs, global_params, outcomes);
+  };
+  hooks.on_corrupt = [&](std::size_t w) {
+    fail_front(w, FailureKind::CorruptUpdate, jobs, outcomes);
+  };
+  hooks.on_lost = [&](std::size_t w, FailureKind kind) {
+    fail_all(w, kind, jobs, outcomes);
+  };
 
   // Fan out. After each send, drain whatever already came back so neither
   // side ever sits blocked on a full buffer (a worker may be trying to send
   // its update while we are still sending jobs).
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const TrainJobSpec& job = jobs[j];
-    const std::size_t w = job.client_id % workers_.size();
-    net::TrainJobMsg msg;
-    msg.epoch = job.epoch;
-    msg.client_id = static_cast<std::uint32_t>(job.client_id);
-    msg.rng_seed = job.rng_seed;
-    msg.algorithm = config_.work.fedprox ? 1 : 0;
-    msg.fedprox_mu = config_.work.fedprox_mu;
-    msg.work_fraction = job.work_fraction;
-    msg.local_epochs = config_.work.local.epochs;
-    msg.batch_size = config_.work.local.batch_size;
-    msg.learning_rate = config_.work.local.sgd.learning_rate;
-    msg.momentum = config_.work.local.sgd.momentum;
-    msg.weight_decay = config_.work.local.sgd.weight_decay;
-    msg.compression_kind =
-        static_cast<std::uint8_t>(config_.work.compression.kind);
-    msg.topk_fraction = config_.work.compression.topk_fraction;
-    msg.error_feedback = config_.work.compression.error_feedback ? 1 : 0;
-    msg.params = global_params;
-    msg.trace = trace_ctx;
-
-    auto status =
-        workers_[w]->send(net::encode_train_job(msg), config_.send_timeout_ms);
-    if (status == net::TransportStatus::Closed && config_.reacquire &&
-        !dead_[w]) {
-      // The transport died between rounds (or mid-fan-out): try one
-      // immediate replacement before charging the job.
-      if (net::Transport* fresh = config_.reacquire(w)) {
-        workers_[w] = fresh;
-        ServingMetrics::get().reconnects.inc();
-        HACCS_INFO << "dispatcher: worker " << w << " reacquired mid-round ("
-                   << fresh->peer() << ")";
-        status = workers_[w]->send(net::encode_train_job(msg),
-                                   config_.send_timeout_ms);
-      }
-    }
+    const std::size_t w = job.client_id % core_.size();
+    const auto status = core_.send(
+        w, net::encode_train_job(
+               make_train_job(job, config.work, global_params, trace_ctx)));
     if (status == net::TransportStatus::Ok) {
       outstanding_[w].push_back(j);
-      sync_board(w);
     } else {
-      if (status == net::TransportStatus::Closed) set_dead(w, true);
       TrainOutcome& out = outcomes[job.slot];
       out.delivered = false;
-      out.failure = status == net::TransportStatus::Timeout
-                        ? FailureKind::Timeout
-                        : FailureKind::Crash;
-      sync_board(w);
+      out.failure = send_failure(status);
     }
-    for (;;) {
-      if (outstanding_[w].empty()) break;
-      net::Frame ready;
-      const auto rs = workers_[w]->recv(&ready, 0);
-      if (rs == net::TransportStatus::Ok) {
-        board_note_heard(w);
-        handle_frame(w, ready, jobs, global_params, outcomes);
-        continue;
-      }
-      if (rs == net::TransportStatus::Corrupt) {
-        board_note_heard(w);
-        fail_front(w, FailureKind::CorruptUpdate, outcomes);
-        continue;
-      }
-      break;  // Timeout = nothing ready yet; Closed is settled below
-    }
-  }
-
-  collect(jobs, global_params, outcomes);
-
-  if (config_.agg_groups > 0) fold_groups(jobs, global_params, outcomes);
-
-  if (ServingStatusBoard* board = config_.status_board) {
-    board->collecting.store(false, std::memory_order_relaxed);
-    for (std::size_t w = 0; w < workers_.size(); ++w) sync_board(w);
-  }
-}
-
-void TransportDispatcher::collect(std::span<const TrainJobSpec> jobs,
-                                  const std::vector<float>& global_params,
-                                  std::vector<TrainOutcome>& outcomes) {
-  ServingMetrics& metrics = ServingMetrics::get();
-  const std::int64_t start = steady_ms();
-  std::vector<std::int64_t> last_heard(workers_.size(), start);
-
-  auto outstanding_total = [&] {
-    std::size_t n = 0;
-    for (const auto& queue : outstanding_) n += queue.size();
-    return n;
-  };
-  auto delivered_count = [&] {
-    std::size_t n = 0;
-    for (const TrainJobSpec& job : jobs) {
-      if (outcomes[job.slot].delivered) ++n;
-    }
-    return n;
-  };
-  const std::size_t quorum_target =
-      config_.quorum_fraction < 1.0
-          ? static_cast<std::size_t>(
-                std::ceil(config_.quorum_fraction *
-                          static_cast<double>(jobs.size())))
-          : jobs.size();
-  std::int64_t quorum_deadline = -1;  // set once the quorum first lands
-
-  while (outstanding_total() > 0) {
-    const std::int64_t now = steady_ms();
-    // Whole-round collection budget: fail the remainder rather than hang.
-    if (config_.recv_timeout_ms >= 0 && now - start > config_.recv_timeout_ms) {
-      HACCS_WARN << "round collection budget ("
-                 << config_.recv_timeout_ms << " ms) exhausted; "
-                 << outstanding_total() << " job(s) abandoned";
-      for (std::size_t w = 0; w < workers_.size(); ++w) {
-        fail_all(w, FailureKind::Timeout, outcomes);
-      }
-      break;
-    }
-    // Quorum commit: enough updates have landed — give stragglers one grace
-    // window, then cut the round loose.
-    if (config_.quorum_fraction < 1.0 && delivered_count() >= quorum_target) {
-      if (quorum_deadline < 0) {
-        quorum_deadline = now + config_.quorum_grace_ms;
-        if (ServingStatusBoard* board = config_.status_board) {
-          board->quorum_met.store(true, std::memory_order_relaxed);
-        }
-      }
-      if (now >= quorum_deadline) {
-        const std::size_t abandoned = outstanding_total();
-        if (abandoned > 0) {
-          metrics.quorum_degraded.inc();
-          obs::FlightRecorder::global().note_quorum_degraded();
-          HACCS_INFO << "serving: quorum (" << quorum_target << "/"
-                     << jobs.size() << ") reached; abandoning " << abandoned
-                     << " straggler job(s)";
-          for (std::size_t w = 0; w < workers_.size(); ++w) {
-            fail_all(w, FailureKind::Timeout, outcomes);
-          }
-        }
+    core_.sync_board(w, outstanding_[w].size());
+    while (!outstanding_[w].empty()) {
+      const auto rs = core_.poll(w, 0, hooks);
+      // Timeout = nothing ready yet; Closed is settled by the collection.
+      if (rs != net::TransportStatus::Ok &&
+          rs != net::TransportStatus::Corrupt) {
         break;
       }
     }
-    // One short poll slice per worker that still owes updates. Any frame —
-    // updates and heartbeats alike — refreshes the worker's liveness clock.
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      if (outstanding_[w].empty()) continue;
-      net::Frame frame;
-      const auto status = workers_[w]->recv(&frame, kSliceMs);
-      switch (status) {
-        case net::TransportStatus::Ok:
-          last_heard[w] = steady_ms();
-          board_note_heard(w);
-          handle_frame(w, frame, jobs, global_params, outcomes);
-          break;
-        case net::TransportStatus::Corrupt:
-          // A damaged frame is still proof of life.
-          last_heard[w] = steady_ms();
-          board_note_heard(w);
-          fail_front(w, FailureKind::CorruptUpdate, outcomes);
-          break;
-        case net::TransportStatus::Closed:
-          HACCS_WARN << "transport to " << workers_[w]->peer() << " closed; "
-                     << outstanding_[w].size() << " job(s) abandoned";
-          fail_all(w, FailureKind::Crash, outcomes);
-          set_dead(w, true);
-          sync_board(w);
-          break;
-        case net::TransportStatus::Timeout:
-          if (config_.heartbeat_timeout_ms > 0 &&
-              steady_ms() - last_heard[w] > config_.heartbeat_timeout_ms) {
-            metrics.heartbeats_missed.inc();
-            HACCS_WARN << "worker " << w << " (" << workers_[w]->peer()
-                       << ") silent for > " << config_.heartbeat_timeout_ms
-                       << " ms; declaring dead, "
-                       << outstanding_[w].size() << " job(s) abandoned";
-            fail_all(w, FailureKind::Crash, outcomes);
-            set_dead(w, true);
-            sync_board(w);
-          }
-          break;
-      }
-    }
   }
+
+  core_.collect(hooks);
+
+  if (config.agg_groups > 0) fold_groups(jobs, global_params, outcomes);
+  core_.end_round();
 }
 
 // ---------------------------------------------------------------------------
@@ -491,23 +484,8 @@ void WorkerLoop::handle_train_job(net::Transport& transport,
                << " (have " << dataset_.clients.size() << ")";
     return;  // no reply; the server's deadline covers it
   }
-  LocalWorkConfig work;
-  work.local.epochs = static_cast<std::size_t>(msg.local_epochs);
-  work.local.batch_size = static_cast<std::size_t>(msg.batch_size);
-  work.local.sgd.learning_rate = msg.learning_rate;
-  work.local.sgd.momentum = msg.momentum;
-  work.local.sgd.weight_decay = msg.weight_decay;
-  work.fedprox = msg.algorithm != 0;
-  work.fedprox_mu = msg.fedprox_mu;
-  work.compression.kind = static_cast<CompressionKind>(msg.compression_kind);
-  work.compression.topk_fraction = msg.topk_fraction;
-  work.compression.error_feedback = msg.error_feedback != 0;
-
-  TrainJobSpec job;
-  job.client_id = msg.client_id;
-  job.epoch = static_cast<std::size_t>(msg.epoch);
-  job.rng_seed = msg.rng_seed;
-  job.work_fraction = msg.work_fraction;
+  const TrainJobOrder order = read_train_job(msg);
+  const LocalWorkConfig& work = order.work;
 
   // Worker-side child span (§5i): gated on the RECEIVED context, so only a
   // tracing server makes workers read clocks or buffer events — a worker's
@@ -519,7 +497,7 @@ void WorkerLoop::handle_train_job(net::Transport& transport,
   nn::Sequential model = model_factory_();
   CompressedUpdate compressed;
   TrainOutcome outcome =
-      run_local_job(job, dataset_.clients[msg.client_id].train, model,
+      run_local_job(order.job, dataset_.clients[msg.client_id].train, model,
                     msg.params, work, residuals_[msg.client_id], &compressed);
 
   if (traced) {

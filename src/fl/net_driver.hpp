@@ -1,33 +1,31 @@
 // The protocol driver: FederatedTrainer rounds over a net::Transport.
 //
-// Three pieces:
-//   * TransportDispatcher — the server side of the dispatch seam. Serializes
-//     each TrainJobSpec as a TrainJob frame, fans jobs out over one or more
-//     worker transports (client_id % workers), and collects ClientUpdate
-//     frames within one whole-round budget. Transport failures surface as
-//     undelivered outcomes: Corrupt -> FailureKind::CorruptUpdate, Timeout
-//     -> Timeout, Closed -> Crash — the engine routes them into
-//     ClientSelector::report_failure exactly like simulated faults.
-//   * WorkerLoop — the worker side: receive TrainJob, run the identical
-//     local training (run_local_job with the job's forked RNG seed), reply
-//     with a ClientUpdate whose tensor body is the priced wire form. Holds
-//     per-client compression residuals across rounds (and across serve()
-//     calls, so a reconnecting worker resumes its error-feedback state).
+// Four pieces:
+//   * DispatchCore — the serving core both roots share: this file's
+//     TransportDispatcher (peers = workers) and hier::TreeDispatcher (peers
+//     = aggregators). One config, the peers' liveness and status-board
+//     rows, the reacquire step and the one collection loop; each root adds
+//     only its own frame handling.
+//   * TransportDispatcher — the flat root: fans TrainJobs (make_train_job,
+//     protocol.hpp) out by client_id % workers and settles ClientUpdate
+//     frames FIFO per worker. Transport failures surface as undelivered
+//     outcomes: Corrupt -> CorruptUpdate, Timeout -> Timeout, Closed ->
+//     Crash — routed into ClientSelector::report_failure like simulated
+//     faults.
+//   * WorkerLoop — the worker side: recover the job with read_train_job,
+//     run the identical local training (run_local_job with the job's forked
+//     RNG seed), reply with a ClientUpdate in the priced wire form. Keeps
+//     per-client compression residuals across rounds and reconnects.
 //   * LoopbackCluster — in-process worker threads over loopback transports:
-//     the full protocol (encode, CRC, decode) at memory speed. A loopback
-//     run is bit-identical to the direct in-process run for the same seed
-//     (pinned in tests/net_test.cpp); examples/haccs_server + haccs_worker
-//     run the same driver across real processes over TCP.
+//     the full protocol at memory speed, bit-identical to the in-process
+//     run (pinned in tests/net_test.cpp).
 //
-// Collection is one loop: a round-robin poll, one short slice per worker
-// that still owes updates, until every job settles or recv_timeout_ms — the
-// whole-round budget — runs out and the remainder fails as Timeout. Serving
-// mode (DESIGN.md §5g) adds rules to the same loop: with
-// heartbeat_timeout_ms any inbound frame (including Heartbeat) refreshes a
-// worker's liveness deadline and a silent worker is escalated to Crash;
-// with quorum_fraction < 1 the round commits once a quorum of updates has
-// landed instead of blocking on stragglers; with reacquire a dead worker's
-// replacement transport rejoins at the next fan-out.
+// Collection (DispatchCore::collect) polls one short slice per peer that
+// still owes frames until the root says the round is settled or
+// recv_timeout_ms, the whole-round budget, runs out. Serving mode (DESIGN.md
+// §5g): with heartbeat_timeout_ms any inbound frame refreshes a peer's
+// liveness and a silent peer is declared dead, like a closed one. The flat
+// root adds quorum commit (quorum_fraction < 1) and reacquire.
 //
 // Corrupt-frame attribution: a frame that fails its CRC cannot name its
 // client, but workers process jobs strictly FIFO per transport, so the
@@ -95,6 +93,10 @@ class ServingStatusBoard {
   std::vector<Worker> workers_;  ///< sized once; atomics live in place
 };
 
+/// The one root config, for the flat and the tree root alike. "Peer" is a
+/// worker under TransportDispatcher and an aggregator under
+/// hier::TreeDispatcher, which refuses the fields only a flat root can
+/// honour: quorum_fraction < 1, reacquire and agg_groups > 0.
 struct TransportDispatcherConfig {
   LocalWorkConfig work;
   /// Per-frame send deadline, milliseconds (<0 = wait forever).
@@ -102,8 +104,8 @@ struct TransportDispatcherConfig {
   /// Whole-round collection budget, measured from the end of the fan-out:
   /// jobs still outstanding when it runs out fail as Timeout (<0 = none).
   int recv_timeout_ms = 30000;
-  /// Serving-mode liveness: a worker that has been silent (no update, no
-  /// heartbeat, nothing) for this long while it owes updates is declared
+  /// Serving-mode liveness: a peer that has been silent (no update, no
+  /// heartbeat, nothing) for this long while it owes frames is declared
   /// dead — its outstanding jobs fail as Crash and the engine's circuit
   /// breaker / selector see the failure. 0 disables.
   int heartbeat_timeout_ms = 0;
@@ -119,13 +121,14 @@ struct TransportDispatcherConfig {
   /// return (non-owning, caller keeps ownership) replaces the dead
   /// transport. Unset = dead workers stay dead.
   std::function<net::Transport*(std::size_t)> reacquire;
-  /// Receives decoded TraceShard frames (workers' span buffers, §5i).
-  /// Unset = shards are drained and dropped.
+  /// Receives decoded TraceShard frames (workers' span buffers, §5i; the
+  /// tree's aggregators relay them). Unset = shards are drained and dropped.
   std::function<void(net::TraceShardMsg&&)> on_trace_shard;
-  /// Live-status mirror for /status; non-owning, may be null (default).
+  /// Live-status mirror for /status, one row per peer; non-owning, may be
+  /// null (default).
   ServingStatusBoard* status_board = nullptr;
-  /// Liveness edge callback: fired with (worker, alive=false) when a worker
-  /// is declared dead and (worker, alive=true) when a reacquired transport
+  /// Liveness edge callback: fired with (peer, alive=false) when a peer is
+  /// declared dead and (peer, alive=true) when a reacquired transport
   /// brings it back. Called from the dispatcher's (engine) thread. Feeds
   /// the live re-cluster path (§5h phase 2). Unset = no callbacks.
   std::function<void(std::size_t, bool)> on_liveness;
@@ -138,10 +141,89 @@ struct TransportDispatcherConfig {
   std::size_t agg_groups = 0;
   /// Update-norm validation threshold for the grouped fold — must match
   /// EngineConfig::max_update_norm so rejection decisions are identical.
+  /// (A tree validates at the mid tier, whose config carries its own.)
   double max_update_norm = 0.0;
 };
 
-/// Server side: ships TrainJob frames, collects ClientUpdate frames.
+/// The FailureKind a failed send charges: Timeout for a missed deadline,
+/// Crash for anything else.
+FailureKind send_failure(net::TransportStatus status);
+
+/// What the shared collection loop asks of the root running it: the loop
+/// owns the I/O rules, the hooks own what frames mean.
+struct CollectHooks {
+  /// Whether peer p still owes frames and should be read this pass.
+  std::function<bool(std::size_t)> owes;
+  /// Top of every pass, given the steady clock in ms; false ends
+  /// collection. May settle work itself (a quorum commit).
+  std::function<bool(std::int64_t)> pending;
+  /// An intact frame from peer p other than a TraceShard.
+  std::function<void(std::size_t, const net::Frame&)> on_frame;
+  /// A frame from peer p failed its CRC.
+  std::function<void(std::size_t)> on_corrupt;
+  /// Peer p's outstanding work is lost: Crash when p closed or fell silent
+  /// (p is already dead), Timeout for every peer when the budget runs out.
+  std::function<void(std::size_t, FailureKind)> on_lost;
+};
+
+/// The root's serving core: one per dispatcher, over that root's direct
+/// peers (workers or aggregators). Not thread-safe; the engine thread
+/// drives it.
+class DispatchCore {
+ public:
+  /// Throws std::invalid_argument on no peers, quorum_fraction outside
+  /// (0, 1], or a status board with fewer rows than peers.
+  DispatchCore(std::vector<net::Transport*> peers,
+               TransportDispatcherConfig config);
+
+  const TransportDispatcherConfig& config() const { return config_; }
+  std::size_t size() const { return peers_.size(); }
+  bool dead(std::size_t p) const { return dead_[p]; }
+
+  /// Mirrors peer p's liveness and `owed` outstanding jobs onto the board.
+  void sync_board(std::size_t p, std::size_t owed);
+  /// Counts one update delivered through peer p on the board.
+  void note_delivered(std::size_t p);
+  /// Publishes a round's start / end on the board (no-op without one).
+  void begin_round(std::uint64_t epoch, std::size_t dispatched);
+  void end_round();
+  /// Updates a quorum commit waits for: ceil(quorum_fraction · dispatched).
+  std::size_t quorum_target(std::size_t dispatched) const;
+
+  /// The one reacquire step: installs config().reacquire's replacement
+  /// for peer p, marks p alive and counts the session
+  /// (net_reconnects_total, the board's `sessions`). False if none.
+  bool reacquire(std::size_t p);
+  /// Sends `frame` to peer p under send_timeout_ms. A live peer whose link
+  /// turns out Closed gets one reacquire() and resend before the failure
+  /// stands; a peer still Closed is marked dead.
+  net::TransportStatus send(std::size_t p, const net::Frame& frame);
+  /// Receives at most one frame from peer p and routes it: TraceShards to
+  /// on_trace_shard, other frames to hooks.on_frame, CRC failures to
+  /// hooks.on_corrupt; both count as hearing from p.
+  net::TransportStatus poll(std::size_t p, int timeout_ms,
+                            const CollectHooks& hooks);
+  /// The collection loop: slices of poll() over every peer that owes
+  /// frames, under the whole-round budget and the heartbeat deadline,
+  /// until hooks.pending says the round is settled.
+  void collect(const CollectHooks& hooks);
+
+ private:
+  /// Flips peer p's liveness; on a change fires on_liveness and mirrors it
+  /// onto the status board.
+  void set_dead(std::size_t p, bool dead);
+  /// Stamps peer p's liveness clock and the board's last-heard age.
+  void heard(std::size_t p);
+
+  std::vector<net::Transport*> peers_;
+  TransportDispatcherConfig config_;
+  /// Peers whose transport returned Closed or fell silent.
+  std::vector<bool> dead_;
+  /// Steady-clock ms each peer was last heard from, reset per collect().
+  std::vector<std::int64_t> last_heard_;
+};
+
+/// The flat root: ships TrainJob frames, collects ClientUpdate frames.
 /// `workers` are non-owning; jobs are routed by client_id % workers.size().
 class TransportDispatcher final : public RoundDispatcher {
  public:
@@ -153,32 +235,21 @@ class TransportDispatcher final : public RoundDispatcher {
                std::vector<TrainOutcome>& outcomes) override;
 
   const std::vector<PartialAggregate>* partials() const override {
-    return config_.agg_groups > 0 ? &partials_ : nullptr;
+    return core_.config().agg_groups > 0 ? &partials_ : nullptr;
   }
 
  private:
-  /// Handles one frame received from worker `w`; returns true when it
-  /// settled an outstanding job.
-  bool handle_frame(std::size_t w, const net::Frame& frame,
-                    std::span<const TrainJobSpec> jobs,
-                    const std::vector<float>& global_params,
-                    std::vector<TrainOutcome>& outcomes);
+  /// Settles the job a ClientUpdate frame from worker `w` answers.
+  void settle_update(std::size_t w, const net::Frame& frame,
+                     std::span<const TrainJobSpec> jobs,
+                     const std::vector<float>& global_params,
+                     std::vector<TrainOutcome>& outcomes);
   void fail_front(std::size_t w, FailureKind kind,
+                  std::span<const TrainJobSpec> jobs,
                   std::vector<TrainOutcome>& outcomes);
   void fail_all(std::size_t w, FailureKind kind,
+                std::span<const TrainJobSpec> jobs,
                 std::vector<TrainOutcome>& outcomes);
-
-  /// Mirrors worker `w`'s queue depth / liveness onto the status board
-  /// (no-op with a null board).
-  void sync_board(std::size_t w);
-  /// Stamps worker `w`'s last-heard clock on the status board.
-  void board_note_heard(std::size_t w);
-
-  /// Collects outstanding updates: round-robin slice polling under the
-  /// whole-round budget, heartbeat deadlines and quorum commit.
-  void collect(std::span<const TrainJobSpec> jobs,
-               const std::vector<float>& global_params,
-               std::vector<TrainOutcome>& outcomes);
 
   /// Grouped post-collection fold (§5j): walks the round's jobs in slot
   /// order and folds each delivered update into its group's partial with
@@ -189,16 +260,11 @@ class TransportDispatcher final : public RoundDispatcher {
                    const std::vector<float>& global_params,
                    std::vector<TrainOutcome>& outcomes);
   std::size_t group_of(std::size_t client_id) const;
-  /// Flips dead_[w] and fires the on_liveness edge callback on change.
-  void set_dead(std::size_t w, bool dead);
 
-  std::vector<net::Transport*> workers_;
-  TransportDispatcherConfig config_;
+  DispatchCore core_;
   /// Outstanding job indices (into the execute() jobs span) per worker, in
   /// send order — the FIFO that corrupt frames are attributed against.
   std::vector<std::deque<std::size_t>> outstanding_;
-  /// Workers whose transport returned Closed; candidates for reacquire.
-  std::vector<bool> dead_;
   /// Per-group partial sums from the last execute() (agg_groups mode).
   std::vector<PartialAggregate> partials_;
 };

@@ -54,6 +54,50 @@ net::UpdatePayload make_update_payload(const CompressedUpdate& compressed,
   return payload;
 }
 
+net::TrainJobMsg make_train_job(const TrainJobSpec& job,
+                                const LocalWorkConfig& work,
+                                const std::vector<float>& params,
+                                const obs::TraceContext& trace) {
+  net::TrainJobMsg msg;
+  msg.epoch = job.epoch;
+  msg.client_id = static_cast<std::uint32_t>(job.client_id);
+  msg.rng_seed = job.rng_seed;
+  msg.algorithm = work.fedprox ? 1 : 0;
+  msg.fedprox_mu = work.fedprox_mu;
+  msg.work_fraction = job.work_fraction;
+  msg.local_epochs = work.local.epochs;
+  msg.batch_size = work.local.batch_size;
+  msg.learning_rate = work.local.sgd.learning_rate;
+  msg.momentum = work.local.sgd.momentum;
+  msg.weight_decay = work.local.sgd.weight_decay;
+  msg.compression_kind = static_cast<std::uint8_t>(work.compression.kind);
+  msg.topk_fraction = work.compression.topk_fraction;
+  msg.error_feedback = work.compression.error_feedback ? 1 : 0;
+  msg.params = params;
+  msg.trace = trace;
+  return msg;
+}
+
+TrainJobOrder read_train_job(const net::TrainJobMsg& msg) {
+  TrainJobOrder order;
+  order.job.client_id = msg.client_id;
+  order.job.epoch = static_cast<std::size_t>(msg.epoch);
+  order.job.rng_seed = msg.rng_seed;
+  order.job.work_fraction = msg.work_fraction;
+  LocalWorkConfig& work = order.work;
+  work.local.epochs = static_cast<std::size_t>(msg.local_epochs);
+  work.local.batch_size = static_cast<std::size_t>(msg.batch_size);
+  work.local.sgd.learning_rate = msg.learning_rate;
+  work.local.sgd.momentum = msg.momentum;
+  work.local.sgd.weight_decay = msg.weight_decay;
+  work.fedprox = msg.algorithm != 0;
+  work.fedprox_mu = msg.fedprox_mu;
+  work.compression.kind = static_cast<CompressionKind>(msg.compression_kind);
+  work.compression.topk_fraction = msg.topk_fraction;
+  work.compression.error_feedback = msg.error_feedback != 0;
+  return order;
+}
+
 std::size_t train_job_frame_bytes(std::size_t n) {
   return net::train_job_overhead_bytes() + n * sizeof(float);
 }

@@ -51,6 +51,11 @@ std::size_t Fleet::admit(std::unique_ptr<net::Transport> transport) {
     }
     std::size_t id = 0;
     std::uint32_t num_clients = 0;
+    // The peer hosts the clients whose worker (client % num_workers) lies
+    // in [first_worker, end_worker): its own for a worker, its subtree's
+    // for an aggregator.
+    std::size_t first_worker = 0;
+    std::size_t end_worker = 0;
     if (tree()) {
       const net::TopologyHelloMsg hello = net::decode_topology_hello(frame);
       const std::size_t per = config_.num_workers / config_.num_aggs;
@@ -67,6 +72,8 @@ std::size_t Fleet::admit(std::unique_ptr<net::Transport> transport) {
       }
       id = hello.agg_id;
       num_clients = hello.num_clients;
+      first_worker = hello.worker_begin;
+      end_worker = hello.worker_end;
     } else {
       const net::HelloMsg hello = net::decode_hello(frame);
       if (hello.worker_id >= slots_.size()) {
@@ -76,6 +83,8 @@ std::size_t Fleet::admit(std::unique_ptr<net::Transport> transport) {
       }
       id = hello.worker_id;
       num_clients = hello.num_clients;
+      first_worker = id;
+      end_worker = id + 1;
     }
     if (num_clients > config_.num_clients) {
       throw refuse(role + " " + std::to_string(id) + " claims " +
@@ -99,6 +108,14 @@ std::size_t Fleet::admit(std::unique_ptr<net::Transport> transport) {
         throw refuse(role + " " + std::to_string(id) +
                      ": summary for unknown client " +
                      std::to_string(msg.client_id));
+      }
+      const std::size_t worker = msg.client_id % config_.num_workers;
+      if (worker < first_worker || worker >= end_worker) {
+        // A peer started with the wrong --workers would otherwise overwrite
+        // summaries of clients another peer hosts.
+        throw refuse(role + " " + std::to_string(id) + ": summary for client " +
+                     std::to_string(msg.client_id) +
+                     ", which it does not host (check --workers)");
       }
       received.emplace_back(msg.client_id,
                             stats::decode_response_summary(msg));

@@ -1,12 +1,12 @@
 #include "src/hier/tree_dispatcher.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
 #include "src/common/logging.hpp"
+#include "src/fl/protocol.hpp"
 #include "src/net/wire.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
@@ -15,20 +15,10 @@ namespace haccs::hier {
 
 namespace {
 
-/// Per-aggregator poll slice while collecting (same cadence as the flat
-/// serving path).
-constexpr int kSliceMs = 10;
-
 /// Chunks stashed per aggregator before the root stops reading from it —
 /// TCP backpressure then holds the data at the sender, which is what bounds
 /// root memory to O(chunk × aggregators).
 constexpr std::size_t kMaxStashChunks = 8;
-
-std::int64_t steady_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct TreeMetrics {
   obs::Counter& chunks =
@@ -47,38 +37,30 @@ struct TreeMetrics {
 }  // namespace
 
 TreeDispatcher::TreeDispatcher(std::vector<net::Transport*> aggs,
-                               TreeDispatcherConfig config)
-    : aggs_(std::move(aggs)), config_(std::move(config)) {
-  if (aggs_.empty()) {
-    throw std::invalid_argument("TreeDispatcher: no aggregators");
+                               fl::TransportDispatcherConfig config,
+                               std::size_t num_workers)
+    : core_(std::move(aggs), std::move(config)), num_workers_(num_workers) {
+  const fl::TransportDispatcherConfig& c = core_.config();
+  const std::pair<bool, const char*> flat_only[] = {
+      {c.quorum_fraction < 1.0, "quorum_fraction < 1"},
+      {static_cast<bool>(c.reacquire), "reacquire"},
+      {c.agg_groups > 0, "agg_groups > 0"}};
+  for (const auto& [set, field] : flat_only) {
+    if (set) {
+      throw std::invalid_argument(std::string("TreeDispatcher: ") + field +
+                                  " is a flat-root setting a tree cannot "
+                                  "honour");
+    }
   }
-  if (config_.num_workers == 0 ||
-      config_.num_workers % aggs_.size() != 0) {
+  if (num_workers_ == 0 || num_workers_ % core_.size() != 0) {
     throw std::invalid_argument(
         "TreeDispatcher: aggregator count must evenly divide num_workers");
   }
-  dead_.assign(aggs_.size(), false);
   partials_.assign(1, fl::PartialAggregate{});
 }
 
 std::size_t TreeDispatcher::group_of(std::size_t client_id) const {
-  return (client_id % config_.num_workers) /
-         (config_.num_workers / aggs_.size());
-}
-
-void TreeDispatcher::set_dead(std::size_t a, bool dead) {
-  if (dead_[a] == dead) return;
-  dead_[a] = dead;
-  if (config_.on_liveness) config_.on_liveness(a, !dead);
-  sync_board(a);
-}
-
-void TreeDispatcher::sync_board(std::size_t a) {
-  if (fl::ServingStatusBoard* board = config_.status_board) {
-    if (a < board->num_workers()) {
-      board->worker(a).alive.store(!dead_[a], std::memory_order_relaxed);
-    }
-  }
+  return (client_id % num_workers_) / (num_workers_ / core_.size());
 }
 
 bool TreeDispatcher::agg_finished(const AggRound& round,
@@ -131,112 +113,118 @@ void TreeDispatcher::try_fold(std::vector<AggRound>& rounds,
   }
 }
 
+void TreeDispatcher::fan_out(std::span<const fl::TrainJobSpec> jobs,
+                             const std::vector<float>& global_params,
+                             std::vector<AggRound>& rounds,
+                             std::vector<fl::TrainOutcome>& outcomes) {
+  const obs::TraceContext trace_ctx =
+      obs::trace_enabled() ? obs::round_context() : obs::TraceContext{};
+  for (std::size_t a = 0; a < rounds.size(); ++a) {
+    AggRound& round = rounds[a];
+    if (round.job_indices.empty()) continue;
+    // SelectNotice scopes the subtree round (and fixes the fold order),
+    // then the TrainJobs follow in slot order down the same link.
+    auto status = net::TransportStatus::Closed;  // a dead agg fails as Crash
+    if (!core_.dead(a)) {
+      net::SelectNoticeMsg notice;
+      notice.epoch = jobs[round.job_indices.front()].epoch;
+      for (const std::size_t j : round.job_indices) {
+        notice.clients.push_back(static_cast<std::uint32_t>(jobs[j].client_id));
+      }
+      status = core_.send(a, net::encode_select_notice(notice));
+    }
+    for (std::size_t i = 0;
+         i < round.job_indices.size() && status == net::TransportStatus::Ok;
+         ++i) {
+      status = core_.send(
+          a, net::encode_train_job(
+                 fl::make_train_job(jobs[round.job_indices[i]],
+                                    core_.config().work, global_params,
+                                    trace_ctx)));
+    }
+    if (status != net::TransportStatus::Ok) {
+      for (const std::size_t j : round.job_indices) {
+        outcomes[jobs[j].slot].delivered = false;
+        outcomes[jobs[j].slot].failure = fl::send_failure(status);
+      }
+      continue;
+    }
+    round.participating = true;
+    core_.sync_board(a, round.job_indices.size());
+  }
+}
+
+void TreeDispatcher::receive(std::size_t a, const net::Frame& frame,
+                             std::uint64_t epoch,
+                             std::vector<AggRound>& rounds,
+                             std::vector<double>& acc) {
+  AggRound& round = rounds[a];
+  try {
+    if (frame.type == net::MessageType::SubtreeChunk) {
+      auto msg = net::decode_subtree_chunk(frame);
+      if (msg.epoch != epoch) return;  // stale round — drop
+      round.stash.emplace(msg.offset, std::move(msg.data));
+    } else if (frame.type == net::MessageType::SubtreeUpdate) {
+      auto msg = net::decode_subtree_update(frame);
+      if (msg.epoch != epoch) return;
+      round.update = std::move(msg);
+      round.trailer = true;  // n_chunks == 0 may open gates
+    } else {
+      return;  // Heartbeat: liveness already refreshed
+    }
+  } catch (const net::WireError& e) {
+    HACCS_WARN << "tree: bad subtree frame from agg " << a << ": "
+               << e.what();
+    return;
+  }
+  try_fold(rounds, acc);
+}
+
 void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
                              const std::vector<float>& global_params,
                              std::vector<fl::TrainOutcome>& outcomes) {
-  const std::size_t num_aggs = aggs_.size();
+  const std::size_t num_aggs = core_.size();
   const std::uint64_t epoch = jobs.empty() ? 0 : jobs.front().epoch;
   partials_.assign(1, fl::PartialAggregate{});
+  core_.begin_round(epoch, jobs.size());
+
   std::vector<AggRound> rounds(num_aggs);
-
-  if (fl::ServingStatusBoard* board = config_.status_board) {
-    board->round.store(epoch, std::memory_order_relaxed);
-    board->dispatched.store(jobs.size(), std::memory_order_relaxed);
-    board->delivered.store(0, std::memory_order_relaxed);
-    board->collecting.store(true, std::memory_order_relaxed);
-    for (std::size_t a = 0; a < num_aggs; ++a) sync_board(a);
-  }
-
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     rounds[group_of(jobs[j].client_id)].job_indices.push_back(j);
   }
-
-  auto fail_agg_jobs = [&](std::size_t a, fl::FailureKind kind) {
-    for (const std::size_t j : rounds[a].job_indices) {
-      fl::TrainOutcome& out = outcomes[jobs[j].slot];
-      if (out.delivered || out.pre_aggregated) continue;
-      out.delivered = false;
-      out.failure = kind;
-    }
-  };
-
-  const obs::TraceContext trace_ctx =
-      obs::trace_enabled() ? obs::round_context() : obs::TraceContext{};
-
-  // Fan-out: SelectNotice scopes the subtree round (and fixes the fold
-  // order), then the TrainJobs follow in slot order down the same link.
-  for (std::size_t a = 0; a < num_aggs; ++a) {
-    AggRound& round = rounds[a];
-    if (round.job_indices.empty()) continue;
-    if (dead_[a]) {
-      fail_agg_jobs(a, fl::FailureKind::Crash);
-      continue;
-    }
-    net::SelectNoticeMsg notice;
-    notice.epoch = epoch;
-    for (const std::size_t j : round.job_indices) {
-      notice.clients.push_back(static_cast<std::uint32_t>(jobs[j].client_id));
-    }
-    const auto status = aggs_[a]->send(net::encode_select_notice(notice),
-                                       config_.send_timeout_ms);
-    if (status != net::TransportStatus::Ok) {
-      if (status == net::TransportStatus::Closed) set_dead(a, true);
-      fail_agg_jobs(a, status == net::TransportStatus::Timeout
-                           ? fl::FailureKind::Timeout
-                           : fl::FailureKind::Crash);
-      continue;
-    }
-    bool alive = true;
-    for (const std::size_t j : round.job_indices) {
-      const fl::TrainJobSpec& job = jobs[j];
-      net::TrainJobMsg msg;
-      msg.epoch = job.epoch;
-      msg.client_id = static_cast<std::uint32_t>(job.client_id);
-      msg.rng_seed = job.rng_seed;
-      msg.algorithm = config_.work.fedprox ? 1 : 0;
-      msg.fedprox_mu = config_.work.fedprox_mu;
-      msg.work_fraction = job.work_fraction;
-      msg.local_epochs = config_.work.local.epochs;
-      msg.batch_size = config_.work.local.batch_size;
-      msg.learning_rate = config_.work.local.sgd.learning_rate;
-      msg.momentum = config_.work.local.sgd.momentum;
-      msg.weight_decay = config_.work.local.sgd.weight_decay;
-      msg.compression_kind =
-          static_cast<std::uint8_t>(config_.work.compression.kind);
-      msg.topk_fraction = config_.work.compression.topk_fraction;
-      msg.error_feedback = config_.work.compression.error_feedback ? 1 : 0;
-      msg.params = global_params;
-      msg.trace = trace_ctx;
-      const auto js =
-          aggs_[a]->send(net::encode_train_job(msg), config_.send_timeout_ms);
-      if (js != net::TransportStatus::Ok) {
-        if (js == net::TransportStatus::Closed) set_dead(a, true);
-        fail_agg_jobs(a, js == net::TransportStatus::Timeout
-                             ? fl::FailureKind::Timeout
-                             : fl::FailureKind::Crash);
-        alive = false;
-        break;
-      }
-    }
-    round.participating = alive;
-  }
+  fan_out(jobs, global_params, rounds, outcomes);
 
   // Collection: fold gated chunks as they arrive.
   std::vector<double> acc(global_params.size(), 0.0);
-  const std::int64_t start = steady_ms();
-  std::vector<std::int64_t> last_heard(num_aggs, start);
   bool torn = false;
-
-  auto all_done = [&] {
-    for (std::size_t a = 0; a < num_aggs; ++a) {
-      if (rounds[a].participating &&
-          !agg_finished(rounds[a], global_params.size())) {
-        return false;
-      }
-    }
-    return true;
+  auto unfinished = [&](std::size_t a) {
+    return rounds[a].participating && !agg_finished(rounds[a], acc.size());
   };
-  auto drop_agg = [&](std::size_t a, fl::FailureKind kind) {
+  fl::CollectHooks hooks;
+  hooks.owes = [&](std::size_t a) {
+    // A full stash means the aggregator is ahead of the fold gate: stop
+    // reading so TCP holds the bytes at the sender instead of root memory.
+    return !torn && unfinished(a) &&
+           rounds[a].stash.size() < kMaxStashChunks;
+  };
+  hooks.pending = [&](std::int64_t) {
+    if (torn) return false;
+    try_fold(rounds, acc);  // a salvaged predecessor may have opened gates
+    for (std::size_t a = 0; a < num_aggs; ++a) {
+      if (unfinished(a)) return true;
+    }
+    return false;
+  };
+  hooks.on_frame = [&](std::size_t a, const net::Frame& frame) {
+    receive(a, frame, epoch, rounds, acc);
+  };
+  hooks.on_corrupt = [&](std::size_t a) {
+    // The frame (possibly a chunk) is gone, so the aggregator can no longer
+    // finish; the budget tears the round.
+    HACCS_WARN << "tree: corrupt frame from agg " << a;
+  };
+  hooks.on_lost = [&](std::size_t a, fl::FailureKind kind) {
+    if (!unfinished(a)) return;
     AggRound& round = rounds[a];
     if (round.folded_upto > 0 || round.folded_chunks > 0) {
       // Its partial sum is already mixed into the shared accumulator and
@@ -249,110 +237,14 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
     round.participating = false;
     round.trailer = false;
     round.stash.clear();
-    fail_agg_jobs(a, kind);
+    for (const std::size_t j : round.job_indices) {
+      fl::TrainOutcome& out = outcomes[jobs[j].slot];
+      out.delivered = false;
+      out.failure = kind;
+    }
     TreeMetrics::get().salvaged.inc();
   };
-
-  while (!torn && !all_done()) {
-    const std::int64_t now = steady_ms();
-    if (config_.recv_timeout_ms >= 0 &&
-        now - start > config_.recv_timeout_ms) {
-      HACCS_WARN << "tree: round " << epoch << " collection budget ("
-                 << config_.recv_timeout_ms << " ms) exhausted";
-      for (std::size_t a = 0; a < num_aggs; ++a) {
-        if (rounds[a].participating &&
-            !agg_finished(rounds[a], global_params.size())) {
-          drop_agg(a, fl::FailureKind::Timeout);
-        }
-      }
-      break;
-    }
-    for (std::size_t a = 0; a < num_aggs && !torn; ++a) {
-      AggRound& round = rounds[a];
-      if (!round.participating ||
-          agg_finished(round, global_params.size())) {
-        continue;
-      }
-      if (round.stash.size() >= kMaxStashChunks) {
-        // Ahead of the fold gate: stop reading so TCP holds the bytes at
-        // the sender instead of growing root memory.
-        try_fold(rounds, acc);
-        continue;
-      }
-      net::Frame frame;
-      const auto status = aggs_[a]->recv(&frame, kSliceMs);
-      switch (status) {
-        case net::TransportStatus::Ok: {
-          last_heard[a] = steady_ms();
-          if (fl::ServingStatusBoard* board = config_.status_board) {
-            if (a < board->num_workers()) {
-              board->worker(a).last_heard_ms.store(last_heard[a],
-                                                   std::memory_order_relaxed);
-            }
-          }
-          switch (frame.type) {
-            case net::MessageType::SubtreeChunk:
-              try {
-                auto msg = net::decode_subtree_chunk(frame);
-                if (msg.epoch != epoch) break;  // stale round — drop
-                round.stash.emplace(msg.offset, std::move(msg.data));
-                try_fold(rounds, acc);
-              } catch (const net::WireError& e) {
-                HACCS_WARN << "tree: bad SubtreeChunk from agg " << a << ": "
-                           << e.what();
-              }
-              break;
-            case net::MessageType::SubtreeUpdate:
-              try {
-                auto msg = net::decode_subtree_update(frame);
-                if (msg.epoch != epoch) break;
-                round.update = std::move(msg);
-                round.trailer = true;
-                try_fold(rounds, acc);  // n_chunks == 0 may open gates
-              } catch (const net::WireError& e) {
-                HACCS_WARN << "tree: bad SubtreeUpdate from agg " << a << ": "
-                           << e.what();
-              }
-              break;
-            case net::MessageType::TraceShard:
-              if (config_.on_trace_shard) {
-                try {
-                  config_.on_trace_shard(net::decode_trace_shard(frame));
-                } catch (const net::WireError& e) {
-                  HACCS_WARN << "tree: undecodable TraceShard: " << e.what();
-                }
-              }
-              break;
-            default:
-              break;  // Heartbeat: liveness refreshed above
-          }
-          break;
-        }
-        case net::TransportStatus::Corrupt:
-          // Proof of life, but the frame (possibly a chunk) is gone — the
-          // aggregator can no longer finish; the budget tears the round.
-          last_heard[a] = steady_ms();
-          HACCS_WARN << "tree: corrupt frame from agg " << a;
-          break;
-        case net::TransportStatus::Closed:
-          HACCS_WARN << "tree: agg " << a << " ("
-                     << aggs_[a]->peer() << ") closed";
-          set_dead(a, true);
-          drop_agg(a, fl::FailureKind::Crash);
-          break;
-        case net::TransportStatus::Timeout:
-          if (config_.heartbeat_timeout_ms > 0 &&
-              steady_ms() - last_heard[a] > config_.heartbeat_timeout_ms) {
-            HACCS_WARN << "tree: agg " << a << " silent for > "
-                       << config_.heartbeat_timeout_ms
-                       << " ms; declaring dead";
-            set_dead(a, true);
-            drop_agg(a, fl::FailureKind::Crash);
-          }
-          break;
-      }
-    }
-  }
+  core_.collect(hooks);
 
   if (torn) {
     // Fail every slot: total weight goes to zero and the engine leaves the
@@ -368,26 +260,30 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
       out.failure = fl::FailureKind::Crash;
       out.updated.clear();
     }
-    partials_.assign(1, fl::PartialAggregate{});
-    if (fl::ServingStatusBoard* board = config_.status_board) {
-      board->collecting.store(false, std::memory_order_relaxed);
-    }
+    core_.end_round();
     return;
   }
 
   // Settle: per-client stats -> outcomes, trailer weights -> the merged
-  // partial. Clients a trailer never mentions keep their default Crash.
+  // partial. A stat counts only for a job routed to the aggregator that
+  // sent it, and only once; clients no trailer settles keep their default
+  // Crash.
   std::unordered_map<std::uint32_t, std::size_t> job_of_client;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     job_of_client[static_cast<std::uint32_t>(jobs[j].client_id)] = j;
   }
+  std::vector<bool> settled(jobs.size(), false);
   fl::PartialAggregate& merged = partials_[0];
   for (std::size_t a = 0; a < num_aggs; ++a) {
     AggRound& round = rounds[a];
     if (!round.participating || !round.trailer) continue;
     for (const net::SubtreeClientStat& stat : round.update.stats) {
       const auto it = job_of_client.find(stat.client_id);
-      if (it == job_of_client.end()) continue;  // not this round's client
+      if (it == job_of_client.end() || group_of(stat.client_id) != a ||
+          settled[it->second]) {
+        continue;  // not this subtree's job this round, or already settled
+      }
+      settled[it->second] = true;
       fl::TrainOutcome& out = outcomes[jobs[it->second].slot];
       if (stat.delivered) {
         out.delivered = true;
@@ -397,12 +293,7 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
         out.result.final_loss = stat.final_loss;
         out.result.batches = static_cast<std::size_t>(stat.batches);
         ++merged.updates;
-        if (fl::ServingStatusBoard* board = config_.status_board) {
-          board->delivered.fetch_add(1, std::memory_order_relaxed);
-          if (a < board->num_workers()) {
-            board->worker(a).updates.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
+        core_.note_delivered(a);
       } else {
         out.delivered = false;
         out.failure = stat.failure <=
@@ -415,10 +306,7 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
     merged.weight += round.update.weight;
   }
   if (merged.updates > 0) merged.sum = std::move(acc);
-
-  if (fl::ServingStatusBoard* board = config_.status_board) {
-    board->collecting.store(false, std::memory_order_relaxed);
-  }
+  core_.end_round();
 }
 
 }  // namespace haccs::hier

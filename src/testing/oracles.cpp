@@ -870,10 +870,7 @@ void check_loopback_differential(const ScenarioSpec& spec,
   fl::LoopbackCluster cluster(working, build_model_factory(spec, working),
                               spec.workers);
   fl::TransportDispatcherConfig dcfg;
-  dcfg.work.local = engine.local;
-  dcfg.work.fedprox = engine.algorithm == fl::LocalAlgorithm::FedProx;
-  dcfg.work.fedprox_mu = engine.fedprox_mu;
-  dcfg.work.compression = engine.compression;
+  dcfg.work = fl::local_work_config(engine);
   dcfg.recv_timeout_ms = 60000;
   fl::TransportDispatcher dispatcher(cluster.server_transports(), dcfg);
   const auto transported = run_scenario_mut(spec, working, &dispatcher);
@@ -901,10 +898,7 @@ void check_chaos_liveness(const ScenarioSpec& spec,
   fl::LoopbackCluster cluster(working, build_model_factory(spec, working),
                               spec.workers, copts);
   fl::TransportDispatcherConfig dcfg;
-  dcfg.work.local = engine.local;
-  dcfg.work.fedprox = engine.algorithm == fl::LocalAlgorithm::FedProx;
-  dcfg.work.fedprox_mu = engine.fedprox_mu;
-  dcfg.work.compression = engine.compression;
+  dcfg.work = fl::local_work_config(engine);
   dcfg.recv_timeout_ms = 60000;  // whole-round budget: bounds any hang
   dcfg.heartbeat_timeout_ms = 2000;
   dcfg.quorum_fraction = 0.5;

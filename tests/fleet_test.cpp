@@ -13,6 +13,7 @@
 #include "src/net/chaos.hpp"
 #include "src/net/loopback.hpp"
 #include "src/net/messages.hpp"
+#include "src/stats/summary_codec.hpp"
 
 namespace haccs {
 namespace {
@@ -202,16 +203,28 @@ TEST(HierFleet, MalformedReconnectIsRefusedAndTheSlotSurvives) {
   auto huge = listener.connect();
   ASSERT_EQ(huge->send(net::encode_hello({0, 0xFFFFFFFFu})),
             net::TransportStatus::Ok);
+  // Worker 0 sending a summary for client 1, which worker 1 hosts (a worker
+  // started with the wrong --workers): refused, not stored over client 1's.
+  auto foreign = listener.connect();
+  ASSERT_EQ(foreign->send(net::encode_hello({0, 1})), net::TransportStatus::Ok);
+  ASSERT_EQ(foreign->send(net::encode_summary(stats::encode_summary_msg(
+                1, stats::summarize_response(fed.clients[0].train)))),
+            net::TransportStatus::Ok);
 
   net::Transport* reacquired = nullptr;
   EXPECT_NO_THROW(reacquired = fleet.reacquire(0));
   EXPECT_EQ(reacquired, nullptr);
   // Each refused peer was dropped: its end of the link sees the close.
-  for (auto* peer :
-       {truncated.get(), conditional.get(), empty.get(), huge.get()}) {
+  for (auto* peer : {truncated.get(), conditional.get(), empty.get(),
+                     huge.get(), foreign.get()}) {
     net::Frame frame;
     EXPECT_EQ(peer->recv(&frame, 1000), net::TransportStatus::Closed);
   }
+  const auto kept = fleet.summaries()[1].label_counts.counts();
+  const auto hosted = stats::summarize_response(fed.clients[1].train);
+  const auto want = hosted.label_counts.counts();
+  EXPECT_EQ(std::vector<double>(kept.begin(), kept.end()),
+            std::vector<double>(want.begin(), want.end()));
 
   auto retry = listener.connect();
   ASSERT_TRUE(hier::send_worker_hello(*retry, fed, 0, 2));

@@ -2,8 +2,9 @@
 // poll/epoll fan-in endpoint (round trips, 256 concurrent peers, slow-peer
 // shedding, connection caps), the tree wire codecs, the 3-tier
 // root→aggregator→worker pipeline's bit-identity with the flat grouped
-// dispatcher, salvage on aggregator loss, StatusServer request parsing, and
-// the live join/leave re-cluster tracker.
+// dispatcher, salvage and tear on aggregator loss, trailer settlement, the
+// tree root's config refusals, StatusServer request parsing, and the live
+// join/leave re-cluster tracker.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,10 +15,13 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/haccs_config.hpp"
@@ -428,13 +432,12 @@ TEST(HierTree, ThreeTierRunBitIdenticalToGroupedFlat) {
       TreeHarness harness(fed, factory, /*num_aggs=*/2, /*num_workers=*/4,
                           engine);
 
-      hier::TreeDispatcherConfig config;
+      fl::TransportDispatcherConfig config;
       config.work.local = engine.local;
       config.work.compression = engine.compression;
-      config.num_workers = 4;
       config.recv_timeout_ms = 120000;
-      config.max_update_norm = engine.max_update_norm;
-      hier::TreeDispatcher dispatcher(harness.root_transports(), config);
+      hier::TreeDispatcher dispatcher(harness.root_transports(), config,
+                                      /*num_workers=*/4);
       engine.dispatcher = &dispatcher;
 
       fl::FederatedTrainer trainer(fed, factory, engine);
@@ -496,13 +499,12 @@ TEST(HierTree, MidTierRejectsNonDenseUpdates) {
     TreeHarness harness(fed, factory, /*num_aggs=*/2, /*num_workers=*/4,
                         engine);
 
-    hier::TreeDispatcherConfig config;
+    fl::TransportDispatcherConfig config;
     config.work.local = engine.local;
     config.work.compression = engine.compression;
-    config.num_workers = 4;
     config.recv_timeout_ms = 120000;
-    config.max_update_norm = engine.max_update_norm;
-    hier::TreeDispatcher dispatcher(harness.root_transports(), config);
+    hier::TreeDispatcher dispatcher(harness.root_transports(), config,
+                                    /*num_workers=*/4);
     engine.dispatcher = &dispatcher;
 
     fl::FederatedTrainer trainer(fed, factory, engine);
@@ -532,8 +534,10 @@ TEST(HierTree, MidTierRejectsNonDenseUpdates) {
 
 /// Emulates one mid-tier aggregator for a single round: receives the
 /// SelectNotice + TrainJobs, then settles with one chunk + trailer where
-/// every client "trained" to params + 1.
-void emulate_agg_round(net::Transport& transport, std::uint32_t agg_id) {
+/// every client "trained" to params + 1. `extra_stats` names more clients
+/// the trailer claims as delivered (a misbehaving aggregator).
+void emulate_agg_round(net::Transport& transport, std::uint32_t agg_id,
+                       const std::vector<std::uint32_t>& extra_stats = {}) {
   net::Frame frame;
   ASSERT_EQ(transport.recv(&frame, 10000), net::TransportStatus::Ok);
   ASSERT_EQ(frame.type, net::MessageType::SelectNotice);
@@ -562,7 +566,9 @@ void emulate_agg_round(net::Transport& transport, std::uint32_t agg_id) {
   update.agg_id = agg_id;
   update.weight = weight;
   update.n_chunks = 1;
-  for (const std::uint32_t c : notice.clients) {
+  std::vector<std::uint32_t> named = notice.clients;
+  named.insert(named.end(), extra_stats.begin(), extra_stats.end());
+  for (const std::uint32_t c : named) {
     net::SubtreeClientStat stat;
     stat.client_id = c;
     stat.delivered = 1;
@@ -584,10 +590,10 @@ TEST(HierTree, DeadAggregatorIsSalvagedNotTorn) {
   const double salvaged_before =
       obs::Registry::global().counter("hier_aggs_salvaged_total").value();
 
-  hier::TreeDispatcherConfig config;
-  config.num_workers = 4;
+  fl::TransportDispatcherConfig config;
   config.recv_timeout_ms = 10000;
-  hier::TreeDispatcher dispatcher({live.a.get(), dead.a.get()}, config);
+  hier::TreeDispatcher dispatcher({live.a.get(), dead.a.get()}, config,
+                                  /*num_workers=*/4);
 
   std::thread agg([&] { emulate_agg_round(*live.b, 0); });
   // Aggregator 1 accepts its round and then dies before contributing a
@@ -631,6 +637,189 @@ TEST(HierTree, DeadAggregatorIsSalvagedNotTorn) {
       obs::Registry::global().counter("hier_aggs_salvaged_total").value(),
       salvaged_before + 1.0);
   obs::set_metrics_enabled(false);
+}
+
+/// The two-job round the emulated-aggregator tests run: client 0 routes to
+/// aggregator 0 and client 2 to aggregator 1 (4 workers, 2 aggregators).
+std::vector<fl::TrainJobSpec> two_subtree_jobs() {
+  std::vector<fl::TrainJobSpec> jobs(2);
+  jobs[0].slot = 0;
+  jobs[0].client_id = 0;
+  jobs[1].slot = 1;
+  jobs[1].client_id = 2;
+  return jobs;
+}
+
+// An aggregator that dies after one of its chunks folded tears the round:
+// the shared accumulator cannot be unfolded, so every slot fails as Crash
+// and the merged partial carries no weight.
+TEST(HierTree, AggregatorLostAfterFoldingTearsTheRound) {
+  obs::set_metrics_enabled(true);
+  auto folding = net::make_loopback_pair();
+  auto healthy = net::make_loopback_pair();
+  const double torn_before =
+      obs::Registry::global().counter("hier_rounds_torn_total").value();
+
+  fl::TransportDispatcherConfig config;
+  config.recv_timeout_ms = 10000;
+  hier::TreeDispatcher dispatcher({folding.a.get(), healthy.a.get()}, config,
+                                  /*num_workers=*/4);
+
+  // Aggregator 0 folds the first two of three elements, then dies. It has
+  // no predecessor, so its chunk folds as soon as it lands.
+  std::thread dying([&] {
+    net::Frame frame;
+    folding.b->recv(&frame, 10000);  // SelectNotice
+    folding.b->recv(&frame, 10000);  // its one TrainJob
+    net::SubtreeChunkMsg chunk;
+    chunk.epoch = 0;
+    chunk.offset = 0;
+    chunk.data = {1.0, 2.0};
+    folding.b->send(net::encode_subtree_chunk(chunk), 10000);
+    folding.b.reset();
+  });
+  std::thread agg([&] { emulate_agg_round(*healthy.b, 1); });
+
+  const auto jobs = two_subtree_jobs();
+  const std::vector<float> params = {1.0f, 2.0f, 3.0f};
+  std::vector<fl::TrainOutcome> outcomes(2);
+  dispatcher.execute(jobs, params, outcomes);
+  dying.join();
+  agg.join();
+
+  for (const fl::TrainOutcome& out : outcomes) {
+    EXPECT_FALSE(out.delivered);
+    EXPECT_FALSE(out.pre_aggregated);
+    EXPECT_EQ(out.failure, fl::FailureKind::Crash);
+  }
+  const auto* partials = dispatcher.partials();
+  ASSERT_NE(partials, nullptr);
+  ASSERT_EQ(partials->size(), 1u);
+  EXPECT_EQ((*partials)[0].weight, 0.0);
+  EXPECT_EQ((*partials)[0].updates, 0u);
+  EXPECT_EQ(obs::Registry::global().counter("hier_rounds_torn_total").value(),
+            torn_before + 1.0);
+  obs::set_metrics_enabled(false);
+}
+
+// An aggregator that stays connected but silent past the heartbeat timeout
+// is declared dead; it folded nothing, so it is salvaged, not torn.
+TEST(HierTree, SilentAggregatorIsDeclaredDeadAndSalvaged) {
+  obs::set_metrics_enabled(true);
+  auto live = net::make_loopback_pair();
+  auto silent = net::make_loopback_pair();
+  const double salvaged_before =
+      obs::Registry::global().counter("hier_aggs_salvaged_total").value();
+  const double missed_before =
+      obs::Registry::global().counter("heartbeats_missed_total").value();
+
+  fl::TransportDispatcherConfig config;
+  config.recv_timeout_ms = 10000;
+  config.heartbeat_timeout_ms = 250;
+  hier::TreeDispatcher dispatcher({live.a.get(), silent.a.get()}, config,
+                                  /*num_workers=*/4);
+
+  std::thread agg([&] { emulate_agg_round(*live.b, 0); });
+  const auto jobs = two_subtree_jobs();
+  const std::vector<float> params = {1.0f, 2.0f, 3.0f};
+  std::vector<fl::TrainOutcome> outcomes(2);
+  const auto started = std::chrono::steady_clock::now();
+  dispatcher.execute(jobs, params, outcomes);
+  const auto elapsed = std::chrono::steady_clock::now() - started;
+  agg.join();
+
+  // Declared dead by the heartbeat deadline, long before the budget.
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+  EXPECT_TRUE(outcomes[0].delivered);
+  EXPECT_FALSE(outcomes[1].delivered);
+  EXPECT_EQ(outcomes[1].failure, fl::FailureKind::Crash);
+  EXPECT_TRUE(dispatcher.agg_alive(0));
+  EXPECT_FALSE(dispatcher.agg_alive(1));
+  const auto* partials = dispatcher.partials();
+  ASSERT_NE(partials, nullptr);
+  EXPECT_EQ((*partials)[0].weight, 10.0);
+  EXPECT_EQ((*partials)[0].updates, 1u);
+  EXPECT_EQ(
+      obs::Registry::global().counter("hier_aggs_salvaged_total").value(),
+      salvaged_before + 1.0);
+  // The shared collection loop counts a silent aggregator like a silent
+  // worker.
+  EXPECT_EQ(
+      obs::Registry::global().counter("heartbeats_missed_total").value(),
+      missed_before + 1.0);
+  obs::set_metrics_enabled(false);
+}
+
+// A trailer settles only the clients routed to the aggregator that sent it,
+// each once: naming the other subtree's client, or its own client twice,
+// must neither deliver that client nor inflate the update count.
+TEST(HierTree, TrailerSettlesOnlyItsOwnSubtreeOnce) {
+  auto live = net::make_loopback_pair();
+  auto dead = net::make_loopback_pair();
+  fl::TransportDispatcherConfig config;
+  config.recv_timeout_ms = 10000;
+  hier::TreeDispatcher dispatcher({live.a.get(), dead.a.get()}, config,
+                                  /*num_workers=*/4);
+
+  // Aggregator 0's trailer names client 0 again and client 2, which routes
+  // to aggregator 1 — and aggregator 1 dies without settling anything.
+  std::thread agg([&] { emulate_agg_round(*live.b, 0, {0, 2}); });
+  std::thread dying([&] {
+    net::Frame frame;
+    dead.b->recv(&frame, 10000);  // SelectNotice
+    dead.b->recv(&frame, 10000);  // its one TrainJob
+    dead.b.reset();
+  });
+
+  const auto jobs = two_subtree_jobs();
+  const std::vector<float> params = {1.0f, 2.0f, 3.0f};
+  std::vector<fl::TrainOutcome> outcomes(2);
+  dispatcher.execute(jobs, params, outcomes);
+  agg.join();
+  dying.join();
+
+  EXPECT_TRUE(outcomes[0].delivered);
+  EXPECT_FALSE(outcomes[1].delivered);
+  EXPECT_EQ(outcomes[1].failure, fl::FailureKind::Crash);
+  const auto* partials = dispatcher.partials();
+  ASSERT_NE(partials, nullptr);
+  EXPECT_EQ((*partials)[0].updates, 1u);
+}
+
+// The tree takes the flat root's config; each field only a flat root can
+// honour makes the constructor throw, naming the field.
+TEST(HierTree, UnsupportedConfigFieldIsRejectedByName) {
+  auto a0 = net::make_loopback_pair();
+  auto a1 = net::make_loopback_pair();
+  const std::vector<net::Transport*> aggs = {a0.a.get(), a1.a.get()};
+  const std::vector<
+      std::pair<std::string, std::function<void(fl::TransportDispatcherConfig&)>>>
+      cases = {
+          {"quorum_fraction",
+           [](fl::TransportDispatcherConfig& c) { c.quorum_fraction = 0.5; }},
+          {"reacquire",
+           [](fl::TransportDispatcherConfig& c) {
+             c.reacquire = [](std::size_t) -> net::Transport* {
+               return nullptr;
+             };
+           }},
+          {"agg_groups",
+           [](fl::TransportDispatcherConfig& c) { c.agg_groups = 2; }},
+      };
+  for (const auto& [field, set] : cases) {
+    fl::TransportDispatcherConfig config;
+    set(config);
+    try {
+      hier::TreeDispatcher dispatcher(aggs, config, /*num_workers=*/4);
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+  // The defaults are all honoured.
+  EXPECT_NO_THROW(
+      hier::TreeDispatcher(aggs, fl::TransportDispatcherConfig{}, 4));
 }
 
 // ---------------------------------------------------------------------------

@@ -357,6 +357,57 @@ TEST(NetCodec, TrainJobRoundTripsEveryField) {
   }
 }
 
+// make_train_job and its inverse read_train_job: every recipe field an
+// EngineConfig orders and every spec field but the dispatcher-local slot
+// survive make_train_job -> wire -> read_train_job.
+TEST(NetCodec, MakeAndReadTrainJobRecoverRecipeAndSpec) {
+  fl::EngineConfig engine;
+  engine.local.epochs = 3;
+  engine.local.batch_size = 16;
+  engine.local.sgd.learning_rate = 0.05;
+  engine.local.sgd.momentum = 0.9;
+  engine.local.sgd.weight_decay = 1e-4;
+  engine.algorithm = fl::LocalAlgorithm::FedProx;
+  engine.fedprox_mu = 0.03;
+  engine.compression.kind = fl::CompressionKind::TopK;
+  engine.compression.topk_fraction = 0.25;
+  engine.compression.error_feedback = false;
+  const fl::LocalWorkConfig work = fl::local_work_config(engine);
+  fl::TrainJobSpec spec;
+  spec.slot = 5;
+  spec.client_id = 9;
+  spec.epoch = 41;
+  spec.rng_seed = 0xFEEDFACECAFEBEEFull;
+  spec.work_fraction = 0.4;
+  const std::vector<float> params = {1.0f, -2.5f};
+  obs::TraceContext trace;
+  trace.trace_id = 7;
+  trace.parent_span = 8;
+  trace.round = 41;
+
+  const net::TrainJobMsg msg = net::decode_train_job(
+      net::encode_train_job(fl::make_train_job(spec, work, params, trace)));
+  EXPECT_EQ(msg.params, params);
+  EXPECT_EQ(msg.trace.trace_id, 7u);
+  EXPECT_EQ(msg.trace.parent_span, 8u);
+  const fl::TrainJobOrder order = fl::read_train_job(msg);
+  EXPECT_EQ(order.job.slot, 0u);
+  EXPECT_EQ(order.job.client_id, spec.client_id);
+  EXPECT_EQ(order.job.epoch, spec.epoch);
+  EXPECT_EQ(order.job.rng_seed, spec.rng_seed);
+  EXPECT_EQ(order.job.work_fraction, spec.work_fraction);
+  EXPECT_EQ(order.work.local.epochs, 3u);
+  EXPECT_EQ(order.work.local.batch_size, 16u);
+  EXPECT_EQ(order.work.local.sgd.learning_rate, 0.05);
+  EXPECT_EQ(order.work.local.sgd.momentum, 0.9);
+  EXPECT_EQ(order.work.local.sgd.weight_decay, 1e-4);
+  EXPECT_TRUE(order.work.fedprox);
+  EXPECT_EQ(order.work.fedprox_mu, 0.03);
+  EXPECT_EQ(order.work.compression.kind, fl::CompressionKind::TopK);
+  EXPECT_EQ(order.work.compression.topk_fraction, 0.25);
+  EXPECT_FALSE(order.work.compression.error_feedback);
+}
+
 TEST(NetCodec, EmptyParamsRoundTrip) {
   net::TrainJobMsg msg;  // zero-length model: degenerate but legal
   const auto back = net::decode_train_job(net::encode_train_job(msg));
@@ -1071,21 +1122,25 @@ TEST(Tcp, ConnectGivesUpAfterConfiguredAttempts) {
 
 TEST(TransportDispatcher, RecvTimeoutSurfacesAsTimeoutFailure) {
   // One transport, nobody serving the other end: the send lands in the
-  // queue, the collect phase times out, the job fails as Timeout.
+  // queue, the collect phase times out, the job fails as Timeout — in the
+  // job's slot, which is not its index when the engine skipped a crashed
+  // client's slot.
   auto pair = net::make_loopback_pair();
   fl::TransportDispatcherConfig config;
   config.recv_timeout_ms = 30;
   fl::TransportDispatcher dispatcher({pair.a.get()}, config);
 
   fl::TrainJobSpec job;
-  job.slot = 0;
+  job.slot = 1;
   job.client_id = 3;
   std::vector<fl::TrainJobSpec> jobs = {job};
   std::vector<float> global = {0.0f, 1.0f};
-  std::vector<fl::TrainOutcome> outcomes(1);
+  std::vector<fl::TrainOutcome> outcomes(2);
+  outcomes[0].failure = fl::FailureKind::CorruptUpdate;
   dispatcher.execute(jobs, global, outcomes);
-  EXPECT_FALSE(outcomes[0].delivered);
-  EXPECT_EQ(outcomes[0].failure, fl::FailureKind::Timeout);
+  EXPECT_FALSE(outcomes[1].delivered);
+  EXPECT_EQ(outcomes[1].failure, fl::FailureKind::Timeout);
+  EXPECT_EQ(outcomes[0].failure, fl::FailureKind::CorruptUpdate);  // untouched
 }
 
 // recv_timeout_ms is one budget for the whole round's collection, not a

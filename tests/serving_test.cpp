@@ -556,6 +556,39 @@ TEST(ServingDispatcher, ReacquireHandsADeadWorkerItsSlotBack) {
   EXPECT_GE(reacquires, 2u);
 }
 
+// A link found dead mid-fan-out is reacquired through the same step as a
+// dead worker between rounds: the job goes out on the replacement, and the
+// new session shows on /status.
+TEST(ServingDispatcher, MidRoundReacquireCountsTheSession) {
+  auto first = net::make_loopback_pair({});
+  auto second = net::make_loopback_pair({});
+  first.a->close();  // worker 0's transport dies before round 1
+
+  fl::ServingStatusBoard board(1);
+  std::size_t reacquires = 0;
+  fl::TransportDispatcherConfig config;
+  config.recv_timeout_ms = 5000;
+  config.status_board = &board;
+  config.reacquire = [&](std::size_t) -> net::Transport* {
+    ++reacquires;
+    return second.a.get();
+  };
+  fl::TransportDispatcher dispatcher({first.a.get()}, config);
+
+  std::thread worker([&] { echo_jobs(*second.b, 1); });
+  const std::vector<fl::TrainJobSpec> jobs = {job_for(0, 0)};
+  const std::vector<float> params = {1.0f};
+  std::vector<fl::TrainOutcome> outcomes(1);
+  dispatcher.execute(jobs, params, outcomes);
+  worker.join();
+
+  EXPECT_TRUE(outcomes[0].delivered);
+  EXPECT_EQ(reacquires, 1u);
+  EXPECT_EQ(board.worker(0).sessions.load(), 1u);
+  EXPECT_TRUE(board.worker(0).alive.load());
+  EXPECT_EQ(board.worker(0).updates.load(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // WorkerReconnect: session resume on a fresh transport
 
