@@ -86,7 +86,7 @@ void print_usage() {
       "tree (DESIGN.md §5j): --aggs=A  accept A haccs_agg mid-tier\n"
       "                       aggregators instead of workers; --workers\n"
       "                       still names the federation-wide worker count\n"
-      "                       (A must divide it). Dense aggregation is\n"
+      "                       (A must divide it). Aggregation is\n"
       "                       bit-identical to a flat --agg-groups=A run.\n"
       "  --agg-groups=A       flat grouped aggregation: fold updates into A\n"
       "                       per-group partial sums in-process (the tree\n"

@@ -71,6 +71,27 @@ bool fold_into_partial(PartialAggregate& agg, std::span<const float> updated,
   return true;
 }
 
+void fold_groups(std::span<const TrainJobSpec> jobs,
+                 std::span<const float> global_params,
+                 std::span<TrainOutcome> outcomes,
+                 std::span<PartialAggregate> partials,
+                 const std::function<std::size_t(std::size_t)>& group_of,
+                 double max_update_norm) {
+  for (const TrainJobSpec& job : jobs) {
+    TrainOutcome& out = outcomes[job.slot];
+    if (!out.delivered || out.updated.empty()) continue;
+    if (fold_into_partial(partials[group_of(job.client_id)], out.updated,
+                          global_params, out.weight, max_update_norm)) {
+      out.pre_aggregated = true;
+    } else {
+      out.delivered = false;
+      out.failure = FailureKind::CorruptUpdate;
+    }
+    out.updated.clear();
+    out.updated.shrink_to_fit();
+  }
+}
+
 InProcessDispatcher::InProcessDispatcher(
     const data::FederatedDataset& dataset,
     std::function<nn::Sequential()> model_factory, LocalWorkConfig config)

@@ -83,6 +83,20 @@ bool fold_into_partial(PartialAggregate& agg, std::span<const float> updated,
                        std::span<const float> global_params, double weight,
                        double max_update_norm);
 
+/// The grouped post-collection fold (§5j), shared by the flat root's
+/// agg_groups mode and the mid tier: walks `jobs` in order (slot order, the
+/// fold order both tiers pin) and folds each delivered update into
+/// partials[group_of(client_id)] with fold_into_partial. A validation
+/// reject becomes an undelivered CorruptUpdate outcome, the engine's own
+/// accounting for it; a folded outcome becomes pre_aggregated. Either way
+/// the outcome's update is released.
+void fold_groups(std::span<const TrainJobSpec> jobs,
+                 std::span<const float> global_params,
+                 std::span<TrainOutcome> outcomes,
+                 std::span<PartialAggregate> partials,
+                 const std::function<std::size_t(std::size_t)>& group_of,
+                 double max_update_norm);
+
 /// Executes one round's jobs. `outcomes` is pre-sized to the round's
 /// dispatch count; implementations fill outcomes[job.slot] for every job
 /// (and only those slots).

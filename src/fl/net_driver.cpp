@@ -36,13 +36,13 @@ struct ServingMetrics {
   }
 };
 
+}  // namespace
+
 std::int64_t steady_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-}  // namespace
 
 std::string ServingStatusBoard::to_json() const {
   const std::int64_t now = steady_ms();
@@ -120,8 +120,7 @@ void DispatchCore::sync_board(std::size_t p, std::size_t owed) {
 
 void DispatchCore::note_delivered(std::size_t p) {
   if (ServingStatusBoard* board = config_.status_board) {
-    board->delivered.fetch_add(1, std::memory_order_relaxed);
-    board->worker(p).updates.fetch_add(1, std::memory_order_relaxed);
+    board->note_delivered(p);
   }
 }
 
@@ -255,72 +254,38 @@ void DispatchCore::collect(const CollectHooks& hooks) {
 }
 
 // ---------------------------------------------------------------------------
-// TransportDispatcher
+// UpdateLedger
 
-TransportDispatcher::TransportDispatcher(std::vector<net::Transport*> workers,
-                                         TransportDispatcherConfig config)
-    : core_(std::move(workers), std::move(config)) {
-  const std::size_t groups = core_.config().agg_groups;
-  if (groups > 0 && (groups > core_.size() || core_.size() % groups != 0)) {
-    throw std::invalid_argument(
-        "TransportDispatcher: agg_groups must evenly divide the worker count");
-  }
-  outstanding_.resize(core_.size());
+void UpdateLedger::clear() {
+  for (auto& queue : owed_) queue.clear();
 }
 
-std::size_t TransportDispatcher::group_of(std::size_t client_id) const {
-  return (client_id % core_.size()) /
-         (core_.size() / core_.config().agg_groups);
+std::size_t UpdateLedger::owed() const {
+  std::size_t total = 0;
+  for (const auto& queue : owed_) total += queue.size();
+  return total;
 }
 
-void TransportDispatcher::fold_groups(std::span<const TrainJobSpec> jobs,
-                                      const std::vector<float>& global_params,
-                                      std::vector<TrainOutcome>& outcomes) {
-  partials_.assign(core_.config().agg_groups, PartialAggregate{});
-  // Jobs are already in slot order, so each group's fold visits its slots
-  // in the same order a mid-tier aggregator would (its SelectNotice lists
-  // the subtree's clients in slot order) — the bit-identity invariant.
-  for (const TrainJobSpec& job : jobs) {
-    TrainOutcome& out = outcomes[job.slot];
-    if (!out.delivered || out.updated.empty()) continue;
-    PartialAggregate& part = partials_[group_of(job.client_id)];
-    if (fold_into_partial(part, out.updated, global_params, out.weight,
-                          core_.config().max_update_norm)) {
-      out.pre_aggregated = true;
-    } else {
-      // Identical accounting to the engine's own validation rejection.
-      out.delivered = false;
-      out.failure = FailureKind::CorruptUpdate;
-    }
-    out.updated.clear();
-    out.updated.shrink_to_fit();
-  }
-}
-
-void TransportDispatcher::fail_front(std::size_t w, FailureKind kind,
-                                     std::span<const TrainJobSpec> jobs,
-                                     std::vector<TrainOutcome>& outcomes) {
-  auto& queue = outstanding_[w];
+void UpdateLedger::fail_front(std::size_t w, FailureKind kind,
+                              std::span<TrainOutcome> outcomes) {
+  auto& queue = owed_[w];
   if (queue.empty()) return;
-  TrainOutcome& out = outcomes[jobs[queue.front()].slot];
+  TrainOutcome& out = outcomes[queue.front().slot];
   out.delivered = false;
   out.failure = kind;
   queue.pop_front();
-  core_.sync_board(w, queue.size());
 }
 
-void TransportDispatcher::fail_all(std::size_t w, FailureKind kind,
-                                   std::span<const TrainJobSpec> jobs,
-                                   std::vector<TrainOutcome>& outcomes) {
-  while (!outstanding_[w].empty()) fail_front(w, kind, jobs, outcomes);
+void UpdateLedger::fail_all(std::size_t w, FailureKind kind,
+                            std::span<TrainOutcome> outcomes) {
+  while (!owed_[w].empty()) fail_front(w, kind, outcomes);
 }
 
-void TransportDispatcher::settle_update(
-    std::size_t w, const net::Frame& frame, std::span<const TrainJobSpec> jobs,
-    const std::vector<float>& global_params,
-    std::vector<TrainOutcome>& outcomes) {
+bool UpdateLedger::settle(std::size_t w, const net::Frame& frame,
+                          std::span<const float> global_params,
+                          std::span<TrainOutcome> outcomes) {
   // Heartbeats and other control traffic are not update settlements.
-  if (frame.type != net::MessageType::ClientUpdate) return;
+  if (frame.type != net::MessageType::ClientUpdate) return false;
   net::ClientUpdateMsg msg;
   try {
     msg = net::decode_client_update(frame);
@@ -329,25 +294,25 @@ void TransportDispatcher::settle_update(
     // version-skewed peer): charge it like wire damage.
     HACCS_WARN << "undecodable ClientUpdate from worker " << w << ": "
                << e.what();
-    fail_front(w, FailureKind::CorruptUpdate, jobs, outcomes);
-    return;
+    fail_front(w, FailureKind::CorruptUpdate, outcomes);
+    return false;
   }
   // Workers answer strictly FIFO, so this is normally the queue front; the
-  // search keeps a reordering (or duplicated) peer from mis-settling jobs.
-  auto& queue = outstanding_[w];
-  const auto it = std::find_if(queue.begin(), queue.end(), [&](std::size_t j) {
-    return jobs[j].client_id == msg.client_id && jobs[j].epoch == msg.epoch;
-  });
-  if (it == queue.end()) return;  // stale or duplicate — drop
-  const std::size_t job_index = *it;
+  // search keeps a reordering (or duplicated) peer from mis-settling jobs,
+  // and a job owed by another worker is never settled from this one.
+  auto& queue = owed_[w];
+  const auto it =
+      std::find_if(queue.begin(), queue.end(), [&](const TrainJobSpec& job) {
+        return job.client_id == msg.client_id && job.epoch == msg.epoch;
+      });
+  if (it == queue.end()) return false;  // stale or duplicate — drop
+  TrainOutcome& out = outcomes[it->slot];
   queue.erase(it);
-  core_.sync_board(w, queue.size());
 
-  TrainOutcome& out = outcomes[jobs[job_index].slot];
   if (msg.update.size != global_params.size()) {
     out.delivered = false;
     out.failure = FailureKind::CorruptUpdate;
-    return;
+    return false;
   }
   // Payload semantics (messages.hpp): Dense carries the updated parameters
   // themselves; compressed kinds carry the delta, reconstructed with the
@@ -368,14 +333,27 @@ void TransportDispatcher::settle_update(
   out.result.average_loss = msg.average_loss;
   out.result.final_loss = msg.final_loss;
   out.result.batches = static_cast<std::size_t>(msg.batches);
-  core_.note_delivered(w);
+  return true;
+}
+
+// ---------------------------------------------------------------------------
+// TransportDispatcher
+
+TransportDispatcher::TransportDispatcher(std::vector<net::Transport*> workers,
+                                         TransportDispatcherConfig config)
+    : core_(std::move(workers), std::move(config)), ledger_(core_.size()) {
+  const std::size_t groups = core_.config().agg_groups;
+  if (groups > 0 && (groups > core_.size() || core_.size() % groups != 0)) {
+    throw std::invalid_argument(
+        "TransportDispatcher: agg_groups must evenly divide the worker count");
+  }
 }
 
 void TransportDispatcher::execute(std::span<const TrainJobSpec> jobs,
                                   const std::vector<float>& global_params,
                                   std::vector<TrainOutcome>& outcomes) {
   const TransportDispatcherConfig& config = core_.config();
-  for (auto& queue : outstanding_) queue.clear();
+  ledger_.clear();
   core_.begin_round(jobs.empty() ? 0 : jobs.front().epoch, jobs.size());
 
   // Snapshot the engine's round context once per fan-out: every TrainJob of
@@ -394,10 +372,9 @@ void TransportDispatcher::execute(std::span<const TrainJobSpec> jobs,
   const std::size_t quorum_target = core_.quorum_target(jobs.size());
   std::int64_t quorum_deadline = -1;  // set once the quorum first lands
   CollectHooks hooks;
-  hooks.owes = [&](std::size_t w) { return !outstanding_[w].empty(); };
+  hooks.owes = [&](std::size_t w) { return ledger_.owed(w) > 0; };
   hooks.pending = [&](std::int64_t now) {
-    std::size_t owed = 0;
-    for (const auto& queue : outstanding_) owed += queue.size();
+    const std::size_t owed = ledger_.owed();
     if (owed == 0) return false;
     if (config.quorum_fraction >= 1.0) return true;
     const auto delivered = static_cast<std::size_t>(
@@ -419,38 +396,42 @@ void TransportDispatcher::execute(std::span<const TrainJobSpec> jobs,
     HACCS_INFO << "serving: quorum (" << quorum_target << "/" << jobs.size()
                << ") reached; abandoning " << owed << " straggler job(s)";
     for (std::size_t w = 0; w < core_.size(); ++w) {
-      fail_all(w, FailureKind::Timeout, jobs, outcomes);
+      ledger_.fail_all(w, FailureKind::Timeout, outcomes);
     }
     return false;
   };
   hooks.on_frame = [&](std::size_t w, const net::Frame& frame) {
-    settle_update(w, frame, jobs, global_params, outcomes);
+    if (ledger_.settle(w, frame, global_params, outcomes)) {
+      core_.note_delivered(w);
+    }
+    core_.sync_board(w, ledger_.owed(w));
   };
   hooks.on_corrupt = [&](std::size_t w) {
-    fail_front(w, FailureKind::CorruptUpdate, jobs, outcomes);
+    ledger_.fail_front(w, FailureKind::CorruptUpdate, outcomes);
+    core_.sync_board(w, ledger_.owed(w));
   };
   hooks.on_lost = [&](std::size_t w, FailureKind kind) {
-    fail_all(w, kind, jobs, outcomes);
+    ledger_.fail_all(w, kind, outcomes);
+    core_.sync_board(w, ledger_.owed(w));
   };
 
   // Fan out. After each send, drain whatever already came back so neither
   // side ever sits blocked on a full buffer (a worker may be trying to send
   // its update while we are still sending jobs).
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const TrainJobSpec& job = jobs[j];
+  for (const TrainJobSpec& job : jobs) {
     const std::size_t w = job.client_id % core_.size();
     const auto status = core_.send(
         w, net::encode_train_job(
                make_train_job(job, config.work, global_params, trace_ctx)));
     if (status == net::TransportStatus::Ok) {
-      outstanding_[w].push_back(j);
+      ledger_.expect(w, job);
     } else {
       TrainOutcome& out = outcomes[job.slot];
       out.delivered = false;
       out.failure = send_failure(status);
     }
-    core_.sync_board(w, outstanding_[w].size());
-    while (!outstanding_[w].empty()) {
+    core_.sync_board(w, ledger_.owed(w));
+    while (ledger_.owed(w) > 0) {
       const auto rs = core_.poll(w, 0, hooks);
       // Timeout = nothing ready yet; Closed is settled by the collection.
       if (rs != net::TransportStatus::Ok &&
@@ -462,7 +443,19 @@ void TransportDispatcher::execute(std::span<const TrainJobSpec> jobs,
 
   core_.collect(hooks);
 
-  if (config.agg_groups > 0) fold_groups(jobs, global_params, outcomes);
+  if (config.agg_groups > 0) {
+    // Jobs are in slot order, so each group folds its slots in the order
+    // the mid tier does (hier/mid_tier.hpp) — the bit-identity invariant.
+    // Group of a client = its worker's contiguous aggregator slice.
+    const std::size_t per_group = core_.size() / config.agg_groups;
+    partials_.assign(config.agg_groups, PartialAggregate{});
+    fold_groups(
+        jobs, global_params, outcomes, partials_,
+        [&](std::size_t client) {
+          return (client % core_.size()) / per_group;
+        },
+        config.max_update_norm);
+  }
   core_.end_round();
 }
 

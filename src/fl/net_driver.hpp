@@ -1,17 +1,23 @@
 // The protocol driver: FederatedTrainer rounds over a net::Transport.
 //
-// Four pieces:
+// Five pieces:
 //   * DispatchCore — the serving core both roots share: this file's
 //     TransportDispatcher (peers = workers) and hier::TreeDispatcher (peers
 //     = aggregators). One config, the peers' liveness and status-board
 //     rows, the reacquire step and the one collection loop; each root adds
 //     only its own frame handling.
+//   * UpdateLedger — the one set of rules for settling a job from a worker's
+//     frames: per-worker FIFOs of owed jobs, ClientUpdate matching and
+//     reconstruction, and the failure calls each tier maps its transport
+//     events onto (Corrupt -> CorruptUpdate, Closed -> Crash, time up ->
+//     Timeout). The flat root keeps one over its worker transports and
+//     hier::MidTierAggregator one over its subtree's workers, so a failure
+//     at either tier reaches the engine the same way.
 //   * TransportDispatcher — the flat root: fans TrainJobs (make_train_job,
-//     protocol.hpp) out by client_id % workers and settles ClientUpdate
-//     frames FIFO per worker. Transport failures surface as undelivered
-//     outcomes: Corrupt -> CorruptUpdate, Timeout -> Timeout, Closed ->
-//     Crash — routed into ClientSelector::report_failure like simulated
-//     faults.
+//     protocol.hpp) out by client_id % workers, settles ClientUpdate frames
+//     through its ledger and, with agg_groups, folds them with fold_groups
+//     (dispatch.hpp). Failures are routed into
+//     ClientSelector::report_failure like simulated faults.
 //   * WorkerLoop — the worker side: recover the job with read_train_job,
 //     run the identical local training (run_local_job with the job's forked
 //     RNG seed), reply with a ClientUpdate in the priced wire form. Keeps
@@ -28,8 +34,8 @@
 // root adds quorum commit (quorum_fraction < 1) and reacquire.
 //
 // Corrupt-frame attribution: a frame that fails its CRC cannot name its
-// client, but workers process jobs strictly FIFO per transport, so the
-// damage is charged to the oldest outstanding job on that transport.
+// client, but workers process jobs strictly FIFO per connection, so the
+// damage is charged to the oldest job that worker still owes.
 #pragma once
 
 #include <atomic>
@@ -77,6 +83,11 @@ class ServingStatusBoard {
 
   Worker& worker(std::size_t w) { return workers_[w]; }
   std::size_t num_workers() const { return workers_.size(); }
+  /// Counts one update delivered through worker w.
+  void note_delivered(std::size_t w) {
+    delivered.fetch_add(1, std::memory_order_relaxed);
+    workers_[w].updates.fetch_add(1, std::memory_order_relaxed);
+  }
 
   std::atomic<std::uint64_t> round{0};
   std::atomic<std::uint64_t> dispatched{0};
@@ -148,6 +159,49 @@ struct TransportDispatcherConfig {
 /// The FailureKind a failed send charges: Timeout for a missed deadline,
 /// Crash for anything else.
 FailureKind send_failure(net::TransportStatus status);
+
+/// Milliseconds on the steady clock: the one clock every serving deadline,
+/// liveness check and status-board age is measured on.
+std::int64_t steady_ms();
+
+/// The jobs each worker owes this round and the rules that settle them.
+/// Keyed by worker index (a root's transport, a mid tier's subtree slot);
+/// every call writes the outcome of the job it settles at that job's slot.
+class UpdateLedger {
+ public:
+  explicit UpdateLedger(std::size_t workers) : owed_(workers) {}
+
+  /// Forgets every owed job: a new round.
+  void clear();
+  /// Worker w now owes `job`'s update; jobs queue in send order.
+  void expect(std::size_t w, const TrainJobSpec& job) {
+    owed_[w].push_back(job);
+  }
+  std::size_t owed(std::size_t w) const { return owed_[w].size(); }
+  /// Jobs owed across every worker.
+  std::size_t owed() const;
+
+  /// Settles the job a frame from worker w answers. Only a ClientUpdate
+  /// matching (client_id, epoch) in w's own queue counts; anything else is
+  /// stale, a duplicate or not an update, and is dropped. A payload that
+  /// does not decode fails w's oldest job as CorruptUpdate; one of the
+  /// wrong size fails its own job so. Otherwise the update is rebuilt
+  /// against `global_params` — Dense carries the updated parameters,
+  /// compressed kinds the delta — and delivered. True when it delivered.
+  bool settle(std::size_t w, const net::Frame& frame,
+              std::span<const float> global_params,
+              std::span<TrainOutcome> outcomes);
+  /// Fails worker w's oldest owed job with `kind` (a CRC-bad frame).
+  void fail_front(std::size_t w, FailureKind kind,
+                  std::span<TrainOutcome> outcomes);
+  /// Fails every job worker w owes with `kind`: Crash when it is lost,
+  /// Timeout when the round's time is up.
+  void fail_all(std::size_t w, FailureKind kind,
+                std::span<TrainOutcome> outcomes);
+
+ private:
+  std::vector<std::deque<TrainJobSpec>> owed_;
+};
 
 /// What the shared collection loop asks of the root running it: the loop
 /// owns the I/O rules, the hooks own what frames mean.
@@ -239,32 +293,8 @@ class TransportDispatcher final : public RoundDispatcher {
   }
 
  private:
-  /// Settles the job a ClientUpdate frame from worker `w` answers.
-  void settle_update(std::size_t w, const net::Frame& frame,
-                     std::span<const TrainJobSpec> jobs,
-                     const std::vector<float>& global_params,
-                     std::vector<TrainOutcome>& outcomes);
-  void fail_front(std::size_t w, FailureKind kind,
-                  std::span<const TrainJobSpec> jobs,
-                  std::vector<TrainOutcome>& outcomes);
-  void fail_all(std::size_t w, FailureKind kind,
-                std::span<const TrainJobSpec> jobs,
-                std::vector<TrainOutcome>& outcomes);
-
-  /// Grouped post-collection fold (§5j): walks the round's jobs in slot
-  /// order and folds each delivered update into its group's partial with
-  /// the engine's exact arithmetic; validation rejects become undelivered
-  /// CorruptUpdate outcomes, the same accounting the engine's own
-  /// validation produces.
-  void fold_groups(std::span<const TrainJobSpec> jobs,
-                   const std::vector<float>& global_params,
-                   std::vector<TrainOutcome>& outcomes);
-  std::size_t group_of(std::size_t client_id) const;
-
   DispatchCore core_;
-  /// Outstanding job indices (into the execute() jobs span) per worker, in
-  /// send order — the FIFO that corrupt frames are attributed against.
-  std::vector<std::deque<std::size_t>> outstanding_;
+  UpdateLedger ledger_;
   /// Per-group partial sums from the last execute() (agg_groups mode).
   std::vector<PartialAggregate> partials_;
 };

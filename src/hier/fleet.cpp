@@ -16,7 +16,55 @@ namespace {
 /// per round per dead worker on the engine thread.
 constexpr int kReacceptTimeoutMs = 200;
 
+FleetError refusal(const std::string& peer, const std::string& why) {
+  return FleetError("handshake with " + peer + " refused: " + why);
+}
+
 }  // namespace
+
+net::HelloMsg check_worker_hello(const net::Frame& frame,
+                                 const PeerScope& scope) {
+  net::HelloMsg hello;
+  try {
+    hello = net::decode_hello(frame);
+  } catch (const net::WireError& e) {
+    // CRC-valid but malformed (e.g. truncated): refuse this peer only.
+    throw refusal(scope.peer, std::string("malformed frame: ") + e.what());
+  }
+  if (hello.worker_id < scope.worker_begin ||
+      hello.worker_id >= scope.worker_end) {
+    throw refusal(scope.peer, "bad worker id " +
+                                  std::to_string(hello.worker_id) +
+                                  " (expected " +
+                                  std::to_string(scope.worker_begin) + ".." +
+                                  std::to_string(scope.worker_end - 1) + ")");
+  }
+  return hello;
+}
+
+std::pair<std::uint32_t, stats::ResponseSummary> check_summary(
+    const net::Frame& frame, const PeerScope& scope, const std::string& who) {
+  try {
+    const net::SummaryMsg msg = net::decode_summary(frame);
+    if (scope.num_clients > 0 && msg.client_id >= scope.num_clients) {
+      throw refusal(scope.peer, who + ": summary for unknown client " +
+                                    std::to_string(msg.client_id));
+    }
+    const std::size_t worker = msg.client_id % scope.num_workers;
+    if (worker < scope.worker_begin || worker >= scope.worker_end) {
+      // A peer started with the wrong --workers would otherwise overwrite
+      // summaries of clients another peer hosts.
+      throw refusal(scope.peer, who + ": summary for client " +
+                                    std::to_string(msg.client_id) +
+                                    ", which it does not host (check "
+                                    "--workers)");
+    }
+    return {msg.client_id, stats::decode_response_summary(msg)};
+  } catch (const net::WireError& e) {
+    // A Conditional or empty Summary, or a truncated one.
+    throw refusal(scope.peer, std::string("malformed frame: ") + e.what());
+  }
+}
 
 Fleet::Fleet(FleetConfig config, Acceptor accept)
     : config_(std::move(config)),
@@ -35,109 +83,84 @@ Fleet::Fleet(FleetConfig config, Acceptor accept)
 }
 
 std::size_t Fleet::admit(std::unique_ptr<net::Transport> transport) {
-  const std::string peer = transport->peer();
+  PeerScope scope{transport->peer(), config_.num_workers, 0,
+                  config_.num_workers, config_.num_clients};
   const std::string role = tree() ? "aggregator" : "worker";
-  auto refuse = [&peer](const std::string& why) {
-    return FleetError("handshake with " + peer + " refused: " + why);
-  };
-  try {
-    net::Frame frame;
-    const auto hello_type =
-        tree() ? net::MessageType::TopologyHello : net::MessageType::Hello;
+  net::Frame frame;
+  const auto hello_type =
+      tree() ? net::MessageType::TopologyHello : net::MessageType::Hello;
+  if (transport->recv(&frame, config_.io_timeout_ms) !=
+          net::TransportStatus::Ok ||
+      frame.type != hello_type) {
+    throw refusal(scope.peer,
+                  tree() ? "no TopologyHello frame" : "no Hello frame");
+  }
+  std::size_t id = 0;
+  std::uint32_t num_clients = 0;
+  if (tree()) {
+    net::TopologyHelloMsg hello;
+    try {
+      hello = net::decode_topology_hello(frame);
+    } catch (const net::WireError& e) {
+      throw refusal(scope.peer, std::string("malformed frame: ") + e.what());
+    }
+    const std::size_t per = config_.num_workers / config_.num_aggs;
+    if (hello.num_aggs != config_.num_aggs ||
+        hello.agg_id >= config_.num_aggs ||
+        hello.worker_begin != hello.agg_id * per ||
+        hello.worker_end != (hello.agg_id + 1) * per) {
+      throw refusal(scope.peer,
+                    "aggregator topology mismatch (agg " +
+                        std::to_string(hello.agg_id) + "/" +
+                        std::to_string(hello.num_aggs) + ", workers [" +
+                        std::to_string(hello.worker_begin) + ", " +
+                        std::to_string(hello.worker_end) +
+                        ")) — check --aggs/--workers on every tier");
+    }
+    id = hello.agg_id;
+    num_clients = hello.num_clients;
+    scope.worker_begin = hello.worker_begin;
+    scope.worker_end = hello.worker_end;
+  } else {
+    const net::HelloMsg hello = check_worker_hello(frame, scope);
+    id = hello.worker_id;
+    num_clients = hello.num_clients;
+    scope.worker_begin = id;
+    scope.worker_end = id + 1;
+  }
+  const std::string who = role + " " + std::to_string(id);
+  if (num_clients > config_.num_clients) {
+    throw refusal(scope.peer, who + " claims " + std::to_string(num_clients) +
+                                  " clients of " +
+                                  std::to_string(config_.num_clients));
+  }
+  // §IV-A uplink: one P(y) summary per hosted client — sent on the first
+  // connect and repeated on every reconnect, so a restarted root rebuilds
+  // its view from the fleet alone. Committed only once all arrived.
+  std::vector<std::pair<std::uint32_t, stats::ResponseSummary>> received;
+  for (std::uint32_t s = 0; s < num_clients; ++s) {
     if (transport->recv(&frame, config_.io_timeout_ms) !=
             net::TransportStatus::Ok ||
-        frame.type != hello_type) {
-      throw refuse(tree() ? "no TopologyHello frame" : "no Hello frame");
+        frame.type != net::MessageType::Summary) {
+      throw refusal(scope.peer, who + ": summary " + std::to_string(s + 1) +
+                                    " of " + std::to_string(num_clients) +
+                                    " never arrived");
     }
-    std::size_t id = 0;
-    std::uint32_t num_clients = 0;
-    // The peer hosts the clients whose worker (client % num_workers) lies
-    // in [first_worker, end_worker): its own for a worker, its subtree's
-    // for an aggregator.
-    std::size_t first_worker = 0;
-    std::size_t end_worker = 0;
-    if (tree()) {
-      const net::TopologyHelloMsg hello = net::decode_topology_hello(frame);
-      const std::size_t per = config_.num_workers / config_.num_aggs;
-      if (hello.num_aggs != config_.num_aggs ||
-          hello.agg_id >= config_.num_aggs ||
-          hello.worker_begin != hello.agg_id * per ||
-          hello.worker_end != (hello.agg_id + 1) * per) {
-        throw refuse("aggregator topology mismatch (agg " +
-                     std::to_string(hello.agg_id) + "/" +
-                     std::to_string(hello.num_aggs) + ", workers [" +
-                     std::to_string(hello.worker_begin) + ", " +
-                     std::to_string(hello.worker_end) +
-                     ")) — check --aggs/--workers on every tier");
-      }
-      id = hello.agg_id;
-      num_clients = hello.num_clients;
-      first_worker = hello.worker_begin;
-      end_worker = hello.worker_end;
-    } else {
-      const net::HelloMsg hello = net::decode_hello(frame);
-      if (hello.worker_id >= slots_.size()) {
-        throw refuse("bad worker id " + std::to_string(hello.worker_id) +
-                     " (expected 0.." + std::to_string(slots_.size() - 1) +
-                     ")");
-      }
-      id = hello.worker_id;
-      num_clients = hello.num_clients;
-      first_worker = id;
-      end_worker = id + 1;
-    }
-    if (num_clients > config_.num_clients) {
-      throw refuse(role + " " + std::to_string(id) + " claims " +
-                   std::to_string(num_clients) + " clients of " +
-                   std::to_string(config_.num_clients));
-    }
-    // §IV-A uplink: one P(y) summary per hosted client — sent on the first
-    // connect and repeated on every reconnect, so a restarted root rebuilds
-    // its view from the fleet alone. Committed only once all arrived.
-    std::vector<std::pair<std::uint32_t, stats::ResponseSummary>> received;
-    for (std::uint32_t s = 0; s < num_clients; ++s) {
-      if (transport->recv(&frame, config_.io_timeout_ms) !=
-              net::TransportStatus::Ok ||
-          frame.type != net::MessageType::Summary) {
-        throw refuse(role + " " + std::to_string(id) + ": summary " +
-                     std::to_string(s + 1) + " of " +
-                     std::to_string(num_clients) + " never arrived");
-      }
-      const net::SummaryMsg msg = net::decode_summary(frame);
-      if (msg.client_id >= config_.num_clients) {
-        throw refuse(role + " " + std::to_string(id) +
-                     ": summary for unknown client " +
-                     std::to_string(msg.client_id));
-      }
-      const std::size_t worker = msg.client_id % config_.num_workers;
-      if (worker < first_worker || worker >= end_worker) {
-        // A peer started with the wrong --workers would otherwise overwrite
-        // summaries of clients another peer hosts.
-        throw refuse(role + " " + std::to_string(id) + ": summary for client " +
-                     std::to_string(msg.client_id) +
-                     ", which it does not host (check --workers)");
-      }
-      received.emplace_back(msg.client_id,
-                            stats::decode_response_summary(msg));
-    }
-    for (auto& [client, summary] : received) {
-      summaries_[client] = std::move(summary);
-      have_summary_[client] = true;
-    }
-    // The chaos seed forks per peer, and per session for workers so a
-    // reconnect does not replay its fault script.
-    net::ChaosOptions forked = config_.chaos;
-    forked.seed = config_.chaos.seed ^ (0xa11ce11aULL * (id + 1)) ^
-                  (0x5e5510ULL * (tree() ? 0 : ++sessions_[id]));
-    HACCS_INFO << role << " " << id << " connected (" << peer
-               << "), hosting " << num_clients << " client(s)";
-    pending_[id] = net::wrap_chaos(std::move(transport), forked);
-    return id;
-  } catch (const net::WireError& e) {
-    // CRC-valid but malformed (truncated Hello, a Conditional or empty
-    // Summary): refuse this peer only.
-    throw refuse(std::string("malformed frame: ") + e.what());
+    received.push_back(check_summary(frame, scope, who));
   }
+  for (auto& [client, summary] : received) {
+    summaries_[client] = std::move(summary);
+    have_summary_[client] = true;
+  }
+  // The chaos seed forks per peer, and per session for workers so a
+  // reconnect does not replay its fault script.
+  net::ChaosOptions forked = config_.chaos;
+  forked.seed = config_.chaos.seed ^ (0xa11ce11aULL * (id + 1)) ^
+                (0x5e5510ULL * (tree() ? 0 : ++sessions_[id]));
+  HACCS_INFO << who << " connected (" << scope.peer << "), hosting "
+             << num_clients << " client(s)";
+  pending_[id] = net::wrap_chaos(std::move(transport), forked);
+  return id;
 }
 
 void Fleet::accept_all(int accept_timeout_ms) {

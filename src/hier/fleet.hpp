@@ -26,6 +26,8 @@
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/data/partition.hpp"
@@ -41,6 +43,28 @@ class FleetError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// What a handshaking peer may describe: the clients whose worker
+/// (client % num_workers) lies in [worker_begin, worker_end) — its own for
+/// a worker, its subtree's for an aggregator — with ids below num_clients
+/// when the checking tier knows it (0 = unknown, as at a mid tier).
+struct PeerScope {
+  std::string peer;  ///< the connection's address, named in refusals
+  std::size_t num_workers = 1;
+  std::size_t worker_begin = 0;
+  std::size_t worker_end = 0;
+  std::size_t num_clients = 0;
+};
+
+/// The frame-level admission checks the root's Fleet and the mid tier's
+/// downstream handshake share. Each throws FleetError naming the peer.
+/// check_worker_hello decodes a Hello and checks its id lies in
+/// [worker_begin, worker_end); check_summary decodes one Summary from `who`
+/// (e.g. "worker 3") and checks the peer hosts its client.
+net::HelloMsg check_worker_hello(const net::Frame& frame,
+                                 const PeerScope& scope);
+std::pair<std::uint32_t, stats::ResponseSummary> check_summary(
+    const net::Frame& frame, const PeerScope& scope, const std::string& who);
 
 struct FleetConfig {
   /// Federation-wide worker count.
@@ -101,7 +125,8 @@ class Fleet {
   /// its peer's pending slot (a newer reconnect replaces an older staged
   /// one). Returns the peer id. Throws FleetError — naming the peer's
   /// address and, once known, its id — on a missing or malformed frame, or
-  /// a bad id, topology or client count; the transport is dropped.
+  /// a bad id, topology, client count or summary; the transport is
+  /// dropped.
   std::size_t admit(std::unique_ptr<net::Transport> transport);
 
   FleetConfig config_;

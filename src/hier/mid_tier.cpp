@@ -1,11 +1,12 @@
 #include "src/hier/mid_tier.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
 #include <utility>
 
 #include "src/common/logging.hpp"
+#include "src/fl/protocol.hpp"
+#include "src/hier/fleet.hpp"
 #include "src/net/wire.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
@@ -17,12 +18,6 @@ namespace {
 /// Poll slice for the alternating upstream/downstream pump: short enough
 /// that neither side starves the other, long enough not to spin.
 constexpr int kSliceMs = 5;
-
-std::int64_t steady_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Per-tier wire/fold telemetry (§5j): `hier_upstream_bytes_*` count exactly
 /// the framed bytes this aggregator exchanged with the root, so a clean
@@ -55,8 +50,10 @@ std::size_t frame_wire_bytes(const net::Frame& frame) {
 
 }  // namespace
 
+using fl::steady_ms;
+
 MidTierAggregator::MidTierAggregator(const MidTierConfig& config)
-    : config_(config), fanin_(config.fanin) {
+    : config_(config), fanin_(config.fanin), ledger_(0) {
   if (config_.num_aggs == 0 || config_.num_workers == 0 ||
       config_.num_workers % config_.num_aggs != 0) {
     throw std::invalid_argument(
@@ -69,26 +66,29 @@ MidTierAggregator::MidTierAggregator(const MidTierConfig& config)
     throw std::invalid_argument("MidTierAggregator: chunk_params must be > 0");
   }
   const std::uint32_t per = config_.num_workers / config_.num_aggs;
+  if (config_.status_board && config_.status_board->num_workers() < per) {
+    throw std::invalid_argument(
+        "MidTierAggregator: status_board has fewer rows than workers");
+  }
   worker_begin_ = config_.agg_id * per;
   worker_end_ = worker_begin_ + per;
   conn_of_worker_.assign(per, 0);
-  pending_.resize(per);
+  ledger_ = fl::UpdateLedger(per);
+  summary_frames_.resize(per);
 }
 
 void MidTierAggregator::note_heard(std::size_t local) {
   if (fl::ServingStatusBoard* board = config_.status_board) {
-    if (local < board->num_workers()) {
-      board->worker(local).last_heard_ms.store(steady_ms(),
-                                               std::memory_order_relaxed);
-    }
+    board->worker(local).last_heard_ms.store(steady_ms(),
+                                             std::memory_order_relaxed);
   }
 }
 
 void MidTierAggregator::sync_board(std::size_t local) {
   fl::ServingStatusBoard* board = config_.status_board;
-  if (!board || local >= board->num_workers()) return;
+  if (!board) return;
   auto& row = board->worker(local);
-  row.outstanding.store(pending_[local].size(), std::memory_order_relaxed);
+  row.outstanding.store(ledger_.owed(local), std::memory_order_relaxed);
   row.alive.store(conn_of_worker_[local] != 0, std::memory_order_relaxed);
   row.queued.store(fanin_.outbound_queued(conn_of_worker_[local]),
                    std::memory_order_relaxed);
@@ -119,13 +119,8 @@ bool MidTierAggregator::handshake(net::Transport& upstream) {
                                     ? steady_ms() + config_.handshake_timeout_ms
                                     : -1;
   auto complete = [&] {
-    for (std::uint64_t conn : conn_of_worker_) {
-      if (conn == 0) return false;
-    }
-    for (const auto& [conn, owed] : summaries_pending_) {
-      if (owed > 0) return false;
-    }
-    return true;
+    return std::find(conn_of_worker_.begin(), conn_of_worker_.end(), 0u) ==
+           conn_of_worker_.end();
   };
   while (!complete()) {
     if (deadline >= 0 && steady_ms() > deadline) {
@@ -143,17 +138,21 @@ bool MidTierAggregator::handshake(net::Transport& upstream) {
   hello.num_aggs = config_.num_aggs;
   hello.worker_begin = worker_begin_;
   hello.worker_end = worker_end_;
-  hello.num_clients = total_clients_;
+  for (const auto& frames : summary_frames_) {
+    hello.num_clients += static_cast<std::uint32_t>(frames.size());
+  }
   if (!send_upstream(upstream, net::encode_topology_hello(hello))) return false;
-  for (const net::Frame& frame : summary_frames_) {
-    if (!send_upstream(upstream, frame)) return false;
+  for (const auto& frames : summary_frames_) {
+    for (const net::Frame& frame : frames) {
+      if (!send_upstream(upstream, frame)) return false;
+    }
   }
   summary_frames_.clear();
   summary_frames_.shrink_to_fit();
   handshook_ = true;
   HACCS_INFO << "agg " << config_.agg_id << ": subtree up (workers ["
-             << worker_begin_ << ", " << worker_end_ << "), " << total_clients_
-             << " clients)";
+             << worker_begin_ << ", " << worker_end_ << "), "
+             << hello.num_clients << " clients)";
   return true;
 }
 
@@ -185,7 +184,7 @@ bool MidTierAggregator::run(net::Transport& upstream) {
           }
           return true;
         }
-        if (!handle_upstream(upstream, frame)) return false;
+        handle_upstream(frame);
         continue;
       }
       if (status == net::TransportStatus::Corrupt) {
@@ -208,17 +207,25 @@ bool MidTierAggregator::run(net::Transport& upstream) {
       busy = true;
       handle_downstream(upstream, ev);
     }
-    // Round bookkeeping: settle when every expected client is accounted
-    // for, or when the deadline fails the stragglers.
+    // Round bookkeeping: settle once every slot's job went out and no
+    // worker owes an update, or when the deadline fails the stragglers.
     if (round_.open) {
-      if (round_.deadline_ms >= 0 && steady_ms() > round_.deadline_ms) {
+      const bool late =
+          round_.deadline_ms >= 0 && steady_ms() > round_.deadline_ms;
+      if (late) {
         HACCS_WARN << "agg " << config_.agg_id << ": round " << round_.epoch
                    << " deadline; failing "
-                   << round_.expected.size() - round_.settled_count
+                   << ledger_.owed() + round_.clients.size() -
+                          round_.jobs.size()
                    << " straggler(s)";
-        fail_unsettled(fl::FailureKind::Timeout);
+        for (std::size_t l = 0; l < conn_of_worker_.size(); ++l) {
+          ledger_.fail_all(l, fl::FailureKind::Timeout, round_.outcomes);
+          sync_board(l);
+        }
       }
-      if (round_.settled_count == round_.expected.size() && !round_.implicit) {
+      if (late || (!round_.implicit &&
+                   round_.jobs.size() == round_.clients.size() &&
+                   ledger_.owed() == 0)) {
         if (!settle_round(upstream)) return false;
       }
     }
@@ -238,12 +245,16 @@ bool MidTierAggregator::run(net::Transport& upstream) {
   }
 }
 
-bool MidTierAggregator::handle_upstream(net::Transport& /*upstream*/,
-                                        const net::Frame& frame) {
+void MidTierAggregator::handle_upstream(const net::Frame& frame) {
   switch (frame.type) {
     case net::MessageType::SelectNotice:
       try {
-        open_round(net::decode_select_notice(frame));
+        const net::SelectNoticeMsg notice = net::decode_select_notice(frame);
+        open_round(notice.epoch, /*implicit=*/false);
+        for (const std::uint32_t id : notice.clients) {
+          const std::uint32_t w = id % config_.num_workers;
+          if (w >= worker_begin_ && w < worker_end_) register_client(id);
+        }
       } catch (const net::WireError& e) {
         HACCS_WARN << "agg " << config_.agg_id
                    << ": bad SelectNotice: " << e.what();
@@ -259,30 +270,25 @@ bool MidTierAggregator::handle_upstream(net::Transport& /*upstream*/,
     default:
       break;  // Heartbeat etc.: informational
   }
-  return true;
 }
 
-void MidTierAggregator::open_round(const net::SelectNoticeMsg& msg) {
+void MidTierAggregator::open_round(std::uint64_t epoch, bool implicit) {
   if (round_.open) {
     HACCS_WARN << "agg " << config_.agg_id << ": round " << round_.epoch
-               << " abandoned (" << round_.settled_count << "/"
-               << round_.expected.size() << " settled) for round " << msg.epoch;
+               << " abandoned (" << ledger_.owed() << " update(s) owed) for "
+               << "round " << epoch;
   }
   round_ = Round{};
   round_.open = true;
-  round_.epoch = msg.epoch;
-  for (std::uint32_t id : msg.clients) {
-    const std::uint32_t w = id % config_.num_workers;
-    if (w < worker_begin_ || w >= worker_end_) continue;  // not our subtree
-    register_client(id);
-  }
+  round_.implicit = implicit;
+  round_.epoch = epoch;
   if (config_.round_timeout_ms > 0) {
     round_.deadline_ms = steady_ms() + config_.round_timeout_ms;
   }
-  for (auto& queue : pending_) queue.clear();
+  ledger_.clear();
   if (fl::ServingStatusBoard* board = config_.status_board) {
-    board->round.store(round_.epoch, std::memory_order_relaxed);
-    board->dispatched.store(round_.expected.size(), std::memory_order_relaxed);
+    board->round.store(epoch, std::memory_order_relaxed);
+    board->dispatched.store(0, std::memory_order_relaxed);
     board->delivered.store(0, std::memory_order_relaxed);
     board->collecting.store(true, std::memory_order_relaxed);
     for (std::size_t l = 0; l < conn_of_worker_.size(); ++l) sync_board(l);
@@ -290,18 +296,19 @@ void MidTierAggregator::open_round(const net::SelectNoticeMsg& msg) {
 }
 
 std::size_t MidTierAggregator::register_client(std::uint32_t client_id) {
-  const auto it = round_.index_of.find(client_id);
-  if (it != round_.index_of.end()) return it->second;
-  const std::size_t index = round_.expected.size();
-  round_.expected.push_back(client_id);
-  net::SubtreeClientStat stat;
-  stat.client_id = client_id;
-  stat.delivered = 0;
-  stat.failure = static_cast<std::uint8_t>(fl::FailureKind::Crash);
-  round_.stats.push_back(stat);
-  round_.settled.push_back(0);
-  round_.index_of.emplace(client_id, index);
-  return index;
+  const auto [it, added] =
+      round_.slot_of.emplace(client_id, round_.clients.size());
+  if (added) {
+    round_.clients.push_back(client_id);
+    // A slot whose TrainJob never arrives fails as Timeout at the deadline,
+    // like a flat worker that never answers.
+    round_.outcomes.emplace_back().failure = fl::FailureKind::Timeout;
+    if (fl::ServingStatusBoard* board = config_.status_board) {
+      board->dispatched.store(round_.clients.size(),
+                              std::memory_order_relaxed);
+    }
+  }
+  return it->second;
 }
 
 void MidTierAggregator::relay_train_job(const net::Frame& frame) {
@@ -314,122 +321,134 @@ void MidTierAggregator::relay_train_job(const net::Frame& frame) {
   }
   if (!round_.open) {
     // The SelectNotice was lost (hostile link): open an implicit round
-    // scoped by the job's epoch. Its client set grows in arrival order —
+    // scoped by the job's epoch. Its slots are numbered in arrival order —
     // which IS slot order, since the root relays jobs in slot order over
     // one in-order link — and it settles only on the deadline, because the
-    // expected set is never known to be complete.
-    round_ = Round{};
-    round_.open = true;
-    round_.implicit = true;
-    round_.epoch = msg.epoch;
-    if (config_.round_timeout_ms > 0) {
-      round_.deadline_ms = steady_ms() + config_.round_timeout_ms;
-    }
-    for (auto& queue : pending_) queue.clear();
+    // client set is never known to be complete.
+    open_round(msg.epoch, /*implicit=*/true);
   }
   if (msg.epoch != round_.epoch) return;  // stale round — drop
-  if (!round_.have_global) {
-    round_.global = std::move(msg.params);
-    round_.have_global = true;
-  }
   const std::uint32_t w = msg.client_id % config_.num_workers;
   if (w < worker_begin_ || w >= worker_end_) {
     HACCS_WARN << "agg " << config_.agg_id << ": TrainJob for client "
                << msg.client_id << " outside subtree — dropped";
     return;
   }
-  const std::size_t index = register_client(msg.client_id);
+  fl::TrainJobSpec job = fl::read_train_job(msg).job;
+  job.slot = register_client(msg.client_id);
+  // Keep the jobs in slot order (the fold order) whatever order they
+  // arrive in; a duplicated TrainJob is relayed once.
+  const auto at = std::lower_bound(
+      round_.jobs.begin(), round_.jobs.end(), job.slot,
+      [](const fl::TrainJobSpec& j, std::size_t slot) { return j.slot < slot; });
+  if (at != round_.jobs.end() && at->slot == job.slot) return;
+  round_.jobs.insert(at, job);
+  if (round_.global.empty()) round_.global = std::move(msg.params);
   const std::size_t local = w - worker_begin_;
   const std::uint64_t conn = conn_of_worker_[local];
   if (conn == 0) {
-    // The worker is gone; fail the client now rather than on the deadline.
-    if (!round_.settled[index]) {
-      round_.stats[index].failure =
-          static_cast<std::uint8_t>(fl::FailureKind::Crash);
-      settle_slot(index);
-      advance_fold();
-    }
+    // The worker is gone: fail the client now, as a flat root's send to a
+    // dead worker does, rather than on the deadline.
+    round_.outcomes[job.slot].failure = fl::FailureKind::Crash;
     return;
   }
-  pending_[local].push_back(msg.client_id);
+  ledger_.expect(local, job);
   HierMetrics::get().jobs_relayed.inc();
   // A false return means the peer was just shed; the Closed event the next
-  // poll delivers fails this client along with the rest of the queue.
+  // poll delivers fails this client along with the rest of its queue.
   fanin_.send(conn, frame);
+  sync_board(local);
+}
+
+std::size_t MidTierAggregator::live_worker(std::uint64_t conn) const {
+  const auto it = sessions_.find(conn);
+  if (it == sessions_.end() || conn_of_worker_[it->second.local] != conn) {
+    return kNoWorker;
+  }
+  return it->second.local;
+}
+
+void MidTierAggregator::drop(std::uint64_t conn) {
+  sessions_.erase(conn);
+  fanin_.close_conn(conn);
+}
+
+void MidTierAggregator::handle_hello(std::uint64_t conn,
+                                     const net::Frame& frame) {
+  if (live_worker(conn) != kNoWorker) return;  // already admitted
+  net::HelloMsg hello;
+  try {
+    hello = check_worker_hello(
+        frame, PeerScope{fanin_.peer_name(conn), config_.num_workers,
+                         worker_begin_, worker_end_});
+  } catch (const FleetError& e) {
+    HACCS_WARN << "agg " << config_.agg_id << ": " << e.what()
+               << "; connection dropped";
+    drop(conn);
+    return;
+  }
+  Session& session = sessions_[conn];
+  session = Session{hello.worker_id - worker_begin_, hello.num_clients, {}};
+  if (session.owed == 0) go_live(conn, session);
+}
+
+void MidTierAggregator::handle_summary(std::uint64_t conn,
+                                       const net::Frame& frame) {
+  const auto it = sessions_.find(conn);
+  if (it == sessions_.end() || it->second.owed == 0) return;  // unexpected
+  Session& session = it->second;
+  const std::size_t worker = worker_begin_ + session.local;
+  try {
+    check_summary(frame,
+                  PeerScope{fanin_.peer_name(conn), config_.num_workers,
+                            worker, worker + 1},
+                  "worker " + std::to_string(worker));
+  } catch (const FleetError& e) {
+    HACCS_WARN << "agg " << config_.agg_id << ": " << e.what()
+               << "; connection dropped";
+    drop(conn);
+    return;
+  }
+  session.summaries.push_back(frame);
+  if (--session.owed == 0) go_live(conn, session);
+}
+
+void MidTierAggregator::go_live(std::uint64_t conn, Session& session) {
+  const std::size_t local = session.local;
+  if (const std::uint64_t old = conn_of_worker_[local]; old != 0) {
+    // Reconnect: the fresh session replaces the stale one, and the jobs
+    // the stale one owed are lost with it.
+    drop(old);
+    ledger_.fail_all(local, fl::FailureKind::Crash, round_.outcomes);
+  }
+  conn_of_worker_[local] = conn;
+  // Summaries count once per worker: a session completing before the
+  // subtree announcement replaces any earlier one's; after it, the first
+  // session's were already relayed.
+  if (!handshook_) summary_frames_[local] = std::move(session.summaries);
+  session.summaries.clear();
+  if (fl::ServingStatusBoard* board = config_.status_board) {
+    board->worker(local).sessions.fetch_add(1, std::memory_order_relaxed);
+  }
+  note_heard(local);
   sync_board(local);
 }
 
 void MidTierAggregator::handle_downstream(net::Transport& upstream,
                                           const net::FanInEvent& ev) {
   using Kind = net::FanInEvent::Kind;
+  const std::size_t local = live_worker(ev.conn);
+  if (local != kNoWorker && ev.kind != Kind::Closed) note_heard(local);
   switch (ev.kind) {
     case Kind::Accepted:
       break;  // identity arrives with the Hello frame
-    case Kind::Frame: {
-      const auto known = worker_of_conn_.find(ev.conn);
-      if (known != worker_of_conn_.end()) note_heard(known->second);
+    case Kind::Frame:
       switch (ev.frame.type) {
-        case net::MessageType::Hello: {
-          net::HelloMsg hello;
-          try {
-            hello = net::decode_hello(ev.frame);
-          } catch (const net::WireError& e) {
-            HACCS_WARN << "agg " << config_.agg_id
-                       << ": bad Hello: " << e.what();
-            fanin_.close_conn(ev.conn);
-            return;
-          }
-          if (hello.worker_id < worker_begin_ ||
-              hello.worker_id >= worker_end_) {
-            HACCS_WARN << "agg " << config_.agg_id << ": worker "
-                       << hello.worker_id << " outside subtree — refused";
-            fanin_.close_conn(ev.conn);
-            return;
-          }
-          const std::size_t local = hello.worker_id - worker_begin_;
-          if (const std::uint64_t old = conn_of_worker_[local];
-              old != 0 && old != ev.conn) {
-            // Reconnect: the fresh session replaces the stale one.
-            worker_of_conn_.erase(old);
-            summaries_pending_.erase(old);
-            fanin_.close_conn(old);
-          }
-          conn_of_worker_[local] = ev.conn;
-          worker_of_conn_[ev.conn] = local;
-          summaries_pending_[ev.conn] = hello.num_clients;
-          if (fl::ServingStatusBoard* board = config_.status_board) {
-            if (local < board->num_workers()) {
-              board->worker(local).sessions.fetch_add(1,
-                                                      std::memory_order_relaxed);
-            }
-          }
-          note_heard(local);
-          sync_board(local);
+        case net::MessageType::Hello:
+          handle_hello(ev.conn, ev.frame);
           break;
-        }
-        case net::MessageType::Summary: {
-          auto owed = summaries_pending_.find(ev.conn);
-          if (owed == summaries_pending_.end() || owed->second == 0) {
-            break;  // unexpected — drop
-          }
-          --owed->second;
-          if (!handshook_) {
-            summary_frames_.push_back(ev.frame);
-            ++total_clients_;
-          }
-          // Post-handshake (reconnect) summaries were already relayed.
-          break;
-        }
-        case net::MessageType::ClientUpdate:
-          try {
-            handle_update(net::decode_client_update(ev.frame));
-          } catch (const net::WireError& e) {
-            HACCS_WARN << "agg " << config_.agg_id
-                       << ": undecodable ClientUpdate: " << e.what();
-            if (known != worker_of_conn_.end()) {
-              fail_front(known->second, fl::FailureKind::CorruptUpdate);
-            }
-          }
+        case net::MessageType::Summary:
+          handle_summary(ev.conn, ev.frame);
           break;
         case net::MessageType::TraceShard:
           // Worker spans ride through unchanged; the root re-bases their
@@ -437,187 +456,96 @@ void MidTierAggregator::handle_downstream(net::Transport& upstream,
           send_upstream(upstream, ev.frame);
           break;
         default:
-          break;  // Heartbeat: liveness noted above
+          if (local == kNoWorker) break;
+          if (ledger_.settle(local, ev.frame, round_.global,
+                             round_.outcomes) &&
+              config_.status_board) {
+            config_.status_board->note_delivered(local);
+          }
+          sync_board(local);
+          break;
       }
       break;
-    }
-    case Kind::Corrupt: {
-      const auto known = worker_of_conn_.find(ev.conn);
-      if (known != worker_of_conn_.end()) {
-        note_heard(known->second);
-        fail_front(known->second, fl::FailureKind::CorruptUpdate);
+    case Kind::Corrupt:
+      if (local != kNoWorker) {
+        ledger_.fail_front(local, fl::FailureKind::CorruptUpdate,
+                           round_.outcomes);
+        sync_board(local);
+      } else if (sessions_.count(ev.conn) > 0) {
+        // A damaged handshake frame: this session can never complete.
+        drop(ev.conn);
       }
       break;
-    }
-    case Kind::Closed: {
-      const auto known = worker_of_conn_.find(ev.conn);
-      if (known == worker_of_conn_.end()) return;
-      const std::size_t local = known->second;
+    case Kind::Closed:
+      if (local == kNoWorker) {
+        sessions_.erase(ev.conn);
+        break;
+      }
       HACCS_WARN << "agg " << config_.agg_id << ": worker "
                  << worker_begin_ + local
                  << (ev.shed ? " shed (slow peer); " : " closed; ")
-                 << pending_[local].size() << " job(s) abandoned";
-      worker_of_conn_.erase(known);
-      summaries_pending_.erase(ev.conn);
+                 << ledger_.owed(local) << " job(s) abandoned";
+      sessions_.erase(ev.conn);
       conn_of_worker_[local] = 0;
       ++stats_.worker_failures;
       HierMetrics::get().worker_failures.inc();
-      fail_worker_pending(local, fl::FailureKind::Crash);
+      ledger_.fail_all(local, fl::FailureKind::Crash, round_.outcomes);
       sync_board(local);
       break;
-    }
   }
-}
-
-void MidTierAggregator::handle_update(net::ClientUpdateMsg&& msg) {
-  if (!round_.open || msg.epoch != round_.epoch) return;  // stale — drop
-  const auto it = round_.index_of.find(msg.client_id);
-  if (it == round_.index_of.end()) return;
-  const std::size_t index = it->second;
-  if (round_.settled[index]) return;  // duplicate — drop
-  // The update arrived: it is no longer the corrupt-attribution candidate.
-  const std::size_t local =
-      (msg.client_id % config_.num_workers) - worker_begin_;
-  auto& queue = pending_[local];
-  const auto pos = std::find(queue.begin(), queue.end(), msg.client_id);
-  if (pos != queue.end()) queue.erase(pos);
-  round_.stash.emplace(msg.client_id, std::move(msg));
-  advance_fold();
-  sync_board(local);
-}
-
-void MidTierAggregator::advance_fold() {
-  while (round_.next_fold < round_.expected.size()) {
-    const std::size_t index = round_.next_fold;
-    if (round_.settled[index]) {
-      ++round_.next_fold;
-      continue;
-    }
-    const auto it = round_.stash.find(round_.expected[index]);
-    if (it == round_.stash.end()) break;  // frontier still outstanding
-    fold_update(index, it->second);
-    round_.stash.erase(it);
-    ++round_.next_fold;
-  }
-}
-
-void MidTierAggregator::fold_update(std::size_t index,
-                                    net::ClientUpdateMsg& msg) {
-  net::SubtreeClientStat& stat = round_.stats[index];
-  stat.average_loss = msg.average_loss;
-  stat.final_loss = msg.final_loss;
-  stat.batches = msg.batches;
-  stat.sample_count = msg.sample_count;
-  // The mid tier folds Dense only (ROADMAP "non-Dense partial folds"): the
-  // upstream bit-identity proof is Dense-scoped, so a TopK/Int8 update is
-  // rejected per-client — counted in waste accounting — rather than folded
-  // through an unproven reconstruction.
-  bool ok = round_.have_global &&
-            msg.update.kind == net::UpdateKind::Dense &&
-            msg.update.size == round_.global.size();
-  if (ok) {
-    // Reconstruction identical to the flat dispatcher's handle_frame: Dense
-    // carries the updated parameters directly.
-    std::vector<float> updated = std::move(msg.update.dense);
-    ok = fl::fold_into_partial(round_.partial, updated, round_.global,
-                               static_cast<double>(msg.sample_count),
-                               config_.max_update_norm);
-  }
-  if (ok) {
-    stat.delivered = 1;
-    ++stats_.folded;
-    HierMetrics::get().folded.inc();
-    if (fl::ServingStatusBoard* board = config_.status_board) {
-      board->delivered.fetch_add(1, std::memory_order_relaxed);
-      const std::size_t local =
-          (stat.client_id % config_.num_workers) - worker_begin_;
-      if (local < board->num_workers()) {
-        board->worker(local).updates.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  } else {
-    // Same accounting as the engine's own validation rejection.
-    stat.delivered = 0;
-    stat.failure = static_cast<std::uint8_t>(fl::FailureKind::CorruptUpdate);
-    ++stats_.rejected;
-    HierMetrics::get().rejected.inc();
-  }
-  settle_slot(index);
-}
-
-void MidTierAggregator::settle_slot(std::size_t index) {
-  round_.settled[index] = 1;
-  ++round_.settled_count;
-}
-
-void MidTierAggregator::fail_front(std::size_t local, fl::FailureKind kind) {
-  auto& queue = pending_[local];
-  while (!queue.empty()) {
-    const std::uint32_t client = queue.front();
-    queue.pop_front();
-    const auto it = round_.index_of.find(client);
-    if (it == round_.index_of.end() || round_.settled[it->second]) continue;
-    round_.stats[it->second].failure = static_cast<std::uint8_t>(kind);
-    settle_slot(it->second);
-    advance_fold();
-    sync_board(local);
-    return;
-  }
-}
-
-void MidTierAggregator::fail_worker_pending(std::size_t local,
-                                            fl::FailureKind kind) {
-  while (!pending_[local].empty()) fail_front(local, kind);
-}
-
-void MidTierAggregator::fail_unsettled(fl::FailureKind kind) {
-  // Stashed updates arrived in time — fail only the truly missing clients,
-  // then let the fold frontier pass the failures and fold the stash.
-  for (std::size_t i = 0; i < round_.expected.size(); ++i) {
-    if (round_.settled[i]) continue;
-    if (round_.stash.count(round_.expected[i]) > 0) continue;
-    round_.stats[i].failure = static_cast<std::uint8_t>(kind);
-    settle_slot(i);
-  }
-  advance_fold();
-  for (std::size_t i = 0; i < round_.expected.size(); ++i) {
-    if (round_.settled[i]) continue;
-    round_.stats[i].failure = static_cast<std::uint8_t>(kind);
-    settle_slot(i);
-  }
-  for (auto& queue : pending_) queue.clear();
-  round_.stash.clear();
-  round_.implicit = false;  // the expected set is final now — settle
 }
 
 bool MidTierAggregator::settle_round(net::Transport& upstream) {
   obs::Span span("subtree_settle", "hier");
+  const auto arrived = static_cast<std::size_t>(
+      std::count_if(round_.outcomes.begin(), round_.outcomes.end(),
+                    [](const fl::TrainOutcome& out) { return out.delivered; }));
+  // One group over the subtree's own slots: the same fold, in the same slot
+  // order, that a grouped flat root runs for this group.
+  std::vector<fl::PartialAggregate> partial(1);
+  fl::fold_groups(
+      round_.jobs, round_.global, round_.outcomes, partial,
+      [](std::size_t) { return std::size_t{0}; }, config_.max_update_norm);
+  const fl::PartialAggregate& folded = partial[0];
+  stats_.folded += folded.updates;
+  stats_.rejected += arrived - folded.updates;
+  HierMetrics::get().folded.inc(folded.updates);
+  HierMetrics::get().rejected.inc(arrived - folded.updates);
+
   std::uint64_t n_chunks = 0;
-  if (round_.partial.updates > 0) {
-    const std::vector<double>& sum = round_.partial.sum;
-    for (std::size_t offset = 0; offset < sum.size();
-         offset += config_.chunk_params) {
-      const std::size_t len =
-          std::min(config_.chunk_params, sum.size() - offset);
-      net::SubtreeChunkMsg chunk;
-      chunk.epoch = round_.epoch;
-      chunk.agg_id = config_.agg_id;
-      chunk.offset = offset;
-      chunk.data.assign(
-          sum.begin() + static_cast<std::ptrdiff_t>(offset),
-          sum.begin() + static_cast<std::ptrdiff_t>(offset + len));
-      if (!send_upstream(upstream, net::encode_subtree_chunk(chunk))) {
-        return false;
-      }
-      ++n_chunks;
+  for (std::size_t offset = 0; offset < folded.sum.size();
+       offset += config_.chunk_params) {
+    const std::size_t len =
+        std::min(config_.chunk_params, folded.sum.size() - offset);
+    net::SubtreeChunkMsg chunk;
+    chunk.epoch = round_.epoch;
+    chunk.agg_id = config_.agg_id;
+    chunk.offset = offset;
+    chunk.data.assign(
+        folded.sum.begin() + static_cast<std::ptrdiff_t>(offset),
+        folded.sum.begin() + static_cast<std::ptrdiff_t>(offset + len));
+    if (!send_upstream(upstream, net::encode_subtree_chunk(chunk))) {
+      return false;
     }
+    ++n_chunks;
   }
   net::SubtreeUpdateMsg trailer;
   trailer.epoch = round_.epoch;
   trailer.agg_id = config_.agg_id;
-  trailer.weight = round_.partial.weight;
+  trailer.weight = folded.weight;
   trailer.n_chunks = n_chunks;
-  trailer.stats = std::move(round_.stats);
+  for (std::size_t slot = 0; slot < round_.clients.size(); ++slot) {
+    const fl::TrainOutcome& out = round_.outcomes[slot];
+    net::SubtreeClientStat stat;
+    stat.client_id = round_.clients[slot];
+    stat.delivered = out.delivered ? 1 : 0;
+    stat.failure = static_cast<std::uint8_t>(out.failure);
+    stat.average_loss = out.result.average_loss;
+    stat.final_loss = out.result.final_loss;
+    stat.batches = out.result.batches;
+    stat.sample_count = static_cast<std::uint64_t>(out.weight);
+    trailer.stats.push_back(stat);
+  }
   if (!send_upstream(upstream, net::encode_subtree_update(trailer))) {
     return false;
   }

@@ -6,28 +6,30 @@
 // socket per worker, per-connection buffering and backpressure); upstream it
 // speaks the same framed protocol to the root over a single Transport:
 //
-//   * handshake — collect Hello + Summary frames from every subtree worker,
-//     then announce the subtree with TopologyHello and relay the summaries.
-//   * rounds — the root's SelectNotice opens a round and fixes the fold
-//     order (the subtree's clients in slot order); TrainJob frames are
-//     relayed verbatim to the owning worker (client_id % num_workers);
-//     ClientUpdates are folded into ONE weighted partial sum with the
-//     engine's exact arithmetic (fold_into_partial), out-of-order arrivals
-//     stashed until the fold frontier reaches them.
-//   * settle — the partial sum goes upstream as bounded SubtreeChunk frames
-//     followed by a SubtreeUpdate trailer carrying per-client stats, so the
-//     root's engine keeps its normal bookkeeping without the raw updates.
+//   * handshake — admit every subtree worker with the root's own
+//     frame-level checks (check_worker_hello, check_summary in fleet.hpp),
+//     staging each connection's summaries until the last one arrives, then
+//     announce the subtree with TopologyHello and relay each summary once.
+//     A bad Hello or Summary costs only its connection.
+//   * rounds — the root's SelectNotice opens a round and numbers its slots
+//     (the subtree's clients in slot order); TrainJob frames are relayed
+//     verbatim to the owning worker (client_id % num_workers), and
+//     ClientUpdates settle through the flat root's fl::UpdateLedger.
+//   * settle — fl::fold_groups folds the delivered updates in slot order
+//     into ONE weighted partial sum, which goes upstream as bounded
+//     SubtreeChunk frames followed by a SubtreeUpdate trailer carrying the
+//     per-client stats, so the root's engine keeps its normal bookkeeping
+//     without the raw updates.
 //
-// Failure mapping mirrors the flat dispatcher exactly: a dead worker fails
-// its pending clients as Crash, a corrupt frame fails the oldest
-// outstanding client as CorruptUpdate, the round deadline fails stragglers
-// as Timeout — so the root cannot tell a tree run's failures from a flat
-// run's.
+// Since settlement and fold are the flat root's code, a tree run aggregates
+// bit-identically to a grouped flat run for every update kind, and the root
+// cannot tell a tree run's failures from a flat run's: a closed worker
+// fails what it owes as Crash, a corrupt frame its oldest owed client as
+// CorruptUpdate, the round deadline every straggler as Timeout.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -93,70 +95,65 @@ class MidTierAggregator {
   /// One open round, scoped by the root's SelectNotice.
   struct Round {
     bool open = false;
-    /// Opened by a TrainJob because the SelectNotice was lost: the expected
-    /// set grows in arrival order and the round settles only on deadline.
+    /// Opened by a TrainJob because the SelectNotice was lost: slots are
+    /// numbered in arrival order and the round settles only on deadline.
     bool implicit = false;
     std::uint64_t epoch = 0;
-    std::vector<std::uint32_t> expected;  ///< subtree clients, slot order
-    std::unordered_map<std::uint32_t, std::size_t> index_of;
-    std::vector<net::SubtreeClientStat> stats;  ///< parallel to expected
-    std::vector<std::uint8_t> settled;          ///< parallel to expected
-    std::size_t settled_count = 0;
-    /// Fold frontier: updates fold strictly in `expected` order; arrivals
-    /// ahead of the frontier wait in `stash`.
-    std::size_t next_fold = 0;
-    std::unordered_map<std::uint32_t, net::ClientUpdateMsg> stash;
-    fl::PartialAggregate partial;
+    std::vector<std::uint32_t> clients;  ///< the subtree's clients by slot
+    std::unordered_map<std::uint32_t, std::size_t> slot_of;
+    std::vector<fl::TrainJobSpec> jobs;      ///< relayed, in slot order
+    std::vector<fl::TrainOutcome> outcomes;  ///< by slot
     std::vector<float> global;  ///< captured from the round's first TrainJob
-    bool have_global = false;
     std::int64_t deadline_ms = -1;
   };
 
+  /// A downstream connection that said Hello. Its worker goes live only
+  /// once every summary it owes has arrived and passed the checks.
+  struct Session {
+    std::size_t local = 0;  ///< worker index within the slice
+    std::size_t owed = 0;   ///< summaries still to arrive
+    std::vector<net::Frame> summaries;  ///< staged until the last arrives
+  };
+
   bool handshake(net::Transport& upstream);
-  /// Returns false when the upstream link is gone.
-  bool handle_upstream(net::Transport& upstream, const net::Frame& frame);
+  void handle_upstream(const net::Frame& frame);
   void handle_downstream(net::Transport& upstream, const net::FanInEvent& ev);
-  void open_round(const net::SelectNoticeMsg& msg);
-  /// Adds `client_id` to the open round (no-op if present); returns its
-  /// slot index.
+  void handle_hello(std::uint64_t conn, const net::Frame& frame);
+  void handle_summary(std::uint64_t conn, const net::Frame& frame);
+  /// Makes a session's worker live, replacing (and failing) any older
+  /// session of the same worker.
+  void go_live(std::uint64_t conn, Session& session);
+  /// Closes a refused or replaced connection.
+  void drop(std::uint64_t conn);
+  /// The live worker behind `conn`, or kNoWorker.
+  std::size_t live_worker(std::uint64_t conn) const;
+  /// Opens a round, by SelectNotice or (implicit) by a TrainJob.
+  void open_round(std::uint64_t epoch, bool implicit);
+  /// The open round's slot for `client_id`, numbering it if new.
   std::size_t register_client(std::uint32_t client_id);
   void relay_train_job(const net::Frame& frame);
-  void handle_update(net::ClientUpdateMsg&& msg);
-  /// Folds stashed updates at the frontier, in slot order.
-  void advance_fold();
-  void fold_update(std::size_t index, net::ClientUpdateMsg& msg);
-  void settle_slot(std::size_t index);
-  /// Fails every unsettled client routed to subtree worker `local` (local
-  /// index, 0-based within the slice).
-  void fail_worker_pending(std::size_t local, fl::FailureKind kind);
-  void fail_front(std::size_t local, fl::FailureKind kind);
-  /// Deadline path: fails every client with no stashed update, then folds
-  /// the stash past the failures (fold order stays slot order).
-  void fail_unsettled(fl::FailureKind kind);
-  /// Ships SubtreeChunks + the SubtreeUpdate trailer and clears the round.
+  /// Folds the round, ships SubtreeChunks + the SubtreeUpdate trailer and
+  /// clears the round.
   bool settle_round(net::Transport& upstream);
   bool send_upstream(net::Transport& upstream, const net::Frame& frame);
   void broadcast_downstream(const net::Frame& frame);
   void sync_board(std::size_t local);
   void note_heard(std::size_t local);
 
+  static constexpr std::size_t kNoWorker = static_cast<std::size_t>(-1);
+
   MidTierConfig config_;
   std::uint32_t worker_begin_ = 0;
   std::uint32_t worker_end_ = 0;
   net::FanInServer fanin_;
-  /// Local worker index -> FanInServer connection id (0 = not connected).
+  /// Local worker index -> its live connection id (0 = none).
   std::vector<std::uint64_t> conn_of_worker_;
-  std::unordered_map<std::uint64_t, std::size_t> worker_of_conn_;
-  /// Connections that said Hello but still owe this many Summary frames
-  /// (handshake, or a reconnecting worker re-sending its summaries).
-  std::unordered_map<std::uint64_t, std::size_t> summaries_pending_;
-  /// Unsettled clients per local worker, relay order — the FIFO corrupt
-  /// frames are attributed against (same rule as the flat dispatcher).
-  std::vector<std::deque<std::uint32_t>> pending_;
-  /// Summary frames collected during the handshake, relayed after
-  /// TopologyHello.
-  std::vector<net::Frame> summary_frames_;
-  std::uint32_t total_clients_ = 0;
+  /// Every connection that said Hello, staging or live.
+  std::unordered_map<std::uint64_t, Session> sessions_;
+  /// The jobs each local worker owes this round.
+  fl::UpdateLedger ledger_;
+  /// Each local worker's summaries, relayed after TopologyHello.
+  std::vector<std::vector<net::Frame>> summary_frames_;
   bool handshook_ = false;
   Round round_;
   MidTierStats stats_;

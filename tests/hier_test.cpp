@@ -410,17 +410,20 @@ struct TreeHarness {
   hier::Fleet fleet_;
 };
 
-// The PR's headline acceptance criterion: a 3-tier run (root + 2 aggregators
-// + 4 workers) is bit-identical to the flat dispatcher running with
+// The headline §5j guarantee: a 3-tier run (root + 2 aggregators + 4
+// workers) is bit-identical to the flat dispatcher running with
 // agg_groups = 2 — per-round JSON byte equality AND bitwise-equal final
-// parameters. (Grouped-flat vs classic-flat differ in f64 fold association;
-// the pinned §5j guarantee is tree ≡ grouped-flat.)
+// parameters — for Dense, TopK and Int8 updates alike, since the mid tier
+// settles and folds with the flat root's own code. (Grouped-flat vs
+// classic-flat differ in f64 fold association; the pinned guarantee is
+// tree ≡ grouped-flat.)
 TEST(HierTree, ThreeTierRunBitIdenticalToGroupedFlat) {
   const auto fed = make_fed();
   const auto factory = core::default_model_factory(fed, 99);
 
-  auto run = [&](bool tree) {
+  auto run = [&](bool tree, fl::CompressionKind kind) {
     fl::EngineConfig engine = make_engine(3);
+    engine.compression.kind = kind;
     std::vector<float> final_params;
     engine.on_checkpoint = [&](std::size_t,
                                const fl::EngineConfig::RunStateFactory& make) {
@@ -470,64 +473,21 @@ TEST(HierTree, ThreeTierRunBitIdenticalToGroupedFlat) {
     return std::make_pair(lines, final_params);
   };
 
-  const auto [flat_lines, flat_params] = run(/*tree=*/false);
-  const auto [tree_lines, tree_params] = run(/*tree=*/true);
-
-  ASSERT_EQ(tree_lines.size(), flat_lines.size());
-  for (std::size_t r = 0; r < tree_lines.size(); ++r) {
-    EXPECT_EQ(tree_lines[r], flat_lines[r]) << "round " << r;
-  }
-  ASSERT_EQ(tree_params.size(), flat_params.size());
-  ASSERT_FALSE(tree_params.empty());
-  EXPECT_EQ(std::memcmp(tree_params.data(), flat_params.data(),
-                        flat_params.size() * sizeof(float)),
-            0);
-}
-
-// Guard-rail for ROADMAP's "non-Dense partial folds" item: the mid tier
-// folds Dense only, so a TopK/Int8 client update reaching it must come back
-// as a clean per-client rejection — counted in the round's waste accounting
-// — never a silent mis-fold into the subtree partial.
-TEST(HierTree, MidTierRejectsNonDenseUpdates) {
-  const auto fed = make_fed();
-  const auto factory = core::default_model_factory(fed, 99);
   for (const auto kind :
-       {fl::CompressionKind::TopK, fl::CompressionKind::Int8}) {
-    fl::EngineConfig engine = make_engine(2);
-    engine.compression.kind = kind;
+       {fl::CompressionKind::None, fl::CompressionKind::TopK,
+        fl::CompressionKind::Int8}) {
+    SCOPED_TRACE("compression kind " + std::to_string(static_cast<int>(kind)));
+    const auto [flat_lines, flat_params] = run(/*tree=*/false, kind);
+    const auto [tree_lines, tree_params] = run(/*tree=*/true, kind);
 
-    TreeHarness harness(fed, factory, /*num_aggs=*/2, /*num_workers=*/4,
-                        engine);
-
-    fl::TransportDispatcherConfig config;
-    config.work.local = engine.local;
-    config.work.compression = engine.compression;
-    config.recv_timeout_ms = 120000;
-    hier::TreeDispatcher dispatcher(harness.root_transports(), config,
-                                    /*num_workers=*/4);
-    engine.dispatcher = &dispatcher;
-
-    fl::FederatedTrainer trainer(fed, factory, engine);
-    select::RandomSelector selector;
-    const auto history = trainer.run(selector);
-    harness.shutdown_and_join();
-
-    ASSERT_FALSE(history.records().empty());
-    for (const auto& record : history.records()) {
-      EXPECT_GT(record.dispatched, 0u);
-      EXPECT_TRUE(record.selected.empty())
-          << "a non-Dense update was folded (kind "
-          << static_cast<int>(kind) << ", epoch " << record.epoch << ")";
-      EXPECT_EQ(record.rejected.size(), record.dispatched);
-      EXPECT_EQ(record.wasted(), record.dispatched);
+    ASSERT_EQ(tree_lines.size(), flat_lines.size());
+    for (std::size_t r = 0; r < tree_lines.size(); ++r) {
+      EXPECT_EQ(tree_lines[r], flat_lines[r]) << "round " << r;
     }
-    // Nothing ever folded, so the global model must still be bit-identical
-    // to its initialization.
-    const auto initial = factory().get_parameters();
-    const auto& final_params = trainer.final_parameters();
-    ASSERT_EQ(final_params.size(), initial.size());
-    EXPECT_EQ(std::memcmp(final_params.data(), initial.data(),
-                          initial.size() * sizeof(float)),
+    ASSERT_EQ(tree_params.size(), flat_params.size());
+    ASSERT_FALSE(tree_params.empty());
+    EXPECT_EQ(std::memcmp(tree_params.data(), flat_params.data(),
+                          flat_params.size() * sizeof(float)),
               0);
   }
 }
