@@ -53,16 +53,30 @@ data::SyntheticImageGenerator ExperimentConfig::make_generator() const {
   return data::SyntheticImageGenerator(cfg);
 }
 
+namespace {
+
+/// The engine config's fields that do not depend on the generated data.
+fl::EngineConfig data_free_engine_config(const ExperimentConfig& exp) {
+  fl::EngineConfig cfg;
+  cfg.rounds = exp.rounds;
+  cfg.clients_per_round = exp.clients_per_round;
+  cfg.eval_every = exp.eval_every;
+  cfg.seed = exp.seed;
+  cfg.local.epochs = exp.local_epochs;
+  cfg.local.batch_size = 32;
+  cfg.local.sgd.learning_rate = exp.learning_rate;
+  return cfg;
+}
+
+}  // namespace
+
+void ExperimentConfig::check() const {
+  fl::check_engine_config(data_free_engine_config(*this), num_clients);
+}
+
 fl::EngineConfig ExperimentConfig::make_engine_config(
     const data::FederatedDataset& fed) const {
-  fl::EngineConfig cfg;
-  cfg.rounds = rounds;
-  cfg.clients_per_round = clients_per_round;
-  cfg.eval_every = eval_every;
-  cfg.seed = seed;
-  cfg.local.epochs = local_epochs;
-  cfg.local.batch_size = 32;
-  cfg.local.sgd.learning_rate = learning_rate;
+  fl::EngineConfig cfg = data_free_engine_config(*this);
   // Size the serialized model like the MLP the default factory builds:
   // (C*H*W)*64 + 64*classes weights (+biases), 4 bytes each.
   const auto& shape = fed.clients.at(0).train.sample_shape();
@@ -92,14 +106,11 @@ data::PartitionConfig ExperimentConfig::make_partition_config() const {
 void ExperimentConfig::apply_flags(const Flags& flags) {
   dataset = parse_dataset(flags.get_string("dataset", "femnist"));
   full_size = flags.get_bool("full", false);
-  rounds = static_cast<std::size_t>(flags.get_int("rounds", static_cast<std::int64_t>(rounds)));
+  rounds = flags.get_count("rounds", rounds);
   seed = static_cast<std::uint64_t>(flags.get_int("seed", static_cast<std::int64_t>(seed)));
-  num_clients = static_cast<std::size_t>(
-      flags.get_int("clients", static_cast<std::int64_t>(num_clients)));
-  clients_per_round = static_cast<std::size_t>(
-      flags.get_int("per-round", static_cast<std::int64_t>(clients_per_round)));
-  classes = static_cast<std::size_t>(
-      flags.get_int("classes", static_cast<std::int64_t>(classes)));
+  num_clients = flags.get_count("clients", num_clients);
+  clients_per_round = flags.get_count("per-round", clients_per_round);
+  classes = flags.get_count("classes", classes);
   noise_scale = flags.get_double("noise-scale", noise_scale);
 
   // Telemetry flags are shared by every binary that uses the harness.

@@ -50,13 +50,19 @@ struct ExperimentConfig {
   /// MLP the default factory builds).
   fl::EngineConfig make_engine_config(const data::FederatedDataset& fed) const;
 
+  /// Throws std::invalid_argument when the engine would refuse this
+  /// experiment's config (fl::check_engine_config) — before any data is
+  /// generated.
+  void check() const;
+
   /// Reads the standard sweep flags (--dataset, --full, --rounds, --seed,
-  /// --clients, --per-round) plus the telemetry flags shared by every
-  /// binary that links the harness: --trace=FILE (Chrome trace JSON),
-  /// --metrics=FILE (metrics snapshot JSON), --events=FILE (per-round
-  /// JSONL), --log-level=error|warn|info|debug. Telemetry files are
-  /// flushed automatically at process exit (obs::configure registers an
-  /// atexit hook), so bench mains need no explicit teardown.
+  /// --clients, --per-round; counts refuse negatives) plus the telemetry
+  /// flags shared by every binary that links the harness: --trace=FILE
+  /// (Chrome trace JSON), --metrics=FILE (metrics snapshot JSON),
+  /// --events=FILE (per-round JSONL), --log-level=error|warn|info|debug.
+  /// Telemetry files are flushed automatically at process exit
+  /// (obs::configure registers an atexit hook), so bench mains need no
+  /// explicit teardown.
   void apply_flags(const Flags& flags);
 
   /// Partition config with the experiment's client counts, sample ranges,

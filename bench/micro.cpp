@@ -385,7 +385,7 @@ BENCHMARK(BM_DecodeUpdate)
     ->Args({262144, 1})
     ->Args({262144, 2});
 
-/// The stream receive path of TcpTransport::recv and FanInServer: one
+/// The stream receive path of TcpTransport::recv: one
 /// ~203 KB TrainJob frame (the paper-femnist model's downlink) fed in
 /// 64 KiB socket-read chunks through a persistent FrameParser, polling
 /// next() after every chunk. Loopback hands over whole frames and never

@@ -1,18 +1,18 @@
 // haccs_agg — the mid-tier of a hierarchical aggregation tree (DESIGN.md
 // §5j).
 //
-// One aggregator process fronts a contiguous slice of the federation's
-// workers: downstream it runs a poll/epoll FanInServer (one socket per
-// worker, per-connection buffering and backpressure), upstream it speaks the
-// normal framed protocol to the root over a single TCP connection. It is
-// deliberately workload-agnostic — it never loads a dataset or model; update
-// weights come off the wire (sample_count) and the global parameter vector
-// is captured from the TrainJobs it relays, so the same binary serves any
-// experiment the root and workers agree on.
+// One aggregator process is the flat root of its subtree: it fronts a
+// contiguous slice of the federation's workers on its own TCP listener and
+// serves them with the flat root's fleet, dispatcher and fold, and it talks
+// upstream to the root over a single TCP connection like one big worker.
+// It is deliberately workload-agnostic — it never loads a dataset or model;
+// update weights come off the wire (sample_count) and the global parameter
+// vector is captured from the TrainJobs it relays, so the same binary
+// serves any experiment the root and workers agree on.
 //
-// Lifecycle: bind the fan-in port, publish it (--listen-port-file), connect
-// upstream, collect Hello + Summary from every subtree worker, announce the
-// subtree with TopologyHello, then run rounds until the root's Shutdown
+// Lifecycle: bind the listener, publish its port (--listen-port-file),
+// connect upstream, admit every subtree worker (Hello + Summary), announce
+// the subtree with TopologyHello, then run rounds until the root's Shutdown
 // (relayed downstream) or the upstream link dies.
 //
 // Exit codes: 0 orderly shutdown; 1 usage/configuration error; 2 handshake
@@ -26,7 +26,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 
 #include "bench/harness.hpp"
 #include "examples/multiprocess_common.hpp"
@@ -54,23 +53,26 @@ void print_usage() {
       "                        divide W)\n"
       "upstream (root): --host=H --port=P or --port-file=F\n"
       "downstream (workers): --listen-port=P (default 0 = ephemeral)\n"
-      "  --listen-port-file=F  publish the bound fan-in port to F\n"
+      "  --listen-port-file=F  publish the bound listen port to F\n"
       "aggregation: --chunk-params=N   f64 elements per SubtreeChunk\n"
       "                        (default 16384)\n"
       "  --max-update-norm=X   update validation threshold; must match the\n"
       "                        root's engine (default 0 = off)\n"
-      "  --round-timeout-ms=T  straggler deadline per round (default 30000)\n"
-      "  --handshake-timeout-ms=T  downstream Hello/Summary budget\n"
-      "                        (default 60000)\n"
-      "  --heartbeat-interval-ms=T  upstream liveness cadence (default 0)\n"
-      "backpressure: --max-outbound-frames=N  per-connection queue cap\n"
-      "                        before a slow worker is shed (default 64)\n"
+      "  --round-timeout-ms=T  budget for a round's jobs to arrive from the\n"
+      "                        root, then for the subtree to answer them;\n"
+      "                        missing jobs and stragglers fail as Timeout\n"
+      "                        (default 30000)\n"
+      "  --handshake-timeout-ms=T  deadline per worker accept and per\n"
+      "                        Hello/Summary frame at startup (default 60000)\n"
+      "  --heartbeat-interval-ms=T  upstream liveness cadence, kept up\n"
+      "                        while collecting (default 0)\n"
       "ops: --status-port=P --status-port-file=F  /metrics /status /healthz\n"
       "chaos (upstream fault injection): --chaos-seed --chaos-drop\n"
       "  --chaos-dup --chaos-reorder --chaos-corrupt --chaos-truncate\n"
       "  --chaos-disconnect\n"
       "misc: --reconnect-attempts=N --reconnect-backoff-ms=T --log-level=L\n"
-      "exit codes: 0 shutdown, 1 error, 2 run failed, 3 connect exhausted");
+      "exit codes: 0 shutdown, 1 error, 2 run failed (a refused or missing\n"
+      "  worker, or the root lost), 3 connect exhausted");
 }
 
 }  // namespace
@@ -97,16 +99,15 @@ int main(int argc, char** argv) try {
   const std::string host = flags.get_string("host", "127.0.0.1");
   auto port = static_cast<std::uint16_t>(flags.get_int("port", 4242));
   const std::string port_file = flags.get_string("port-file", "");
-  const auto agg_id = static_cast<std::uint32_t>(flags.get_int("agg-id", 0));
-  const auto num_aggs = static_cast<std::uint32_t>(flags.get_int("aggs", 1));
+  const auto agg_id = static_cast<std::uint32_t>(flags.get_count("agg-id", 0));
+  const auto num_aggs = static_cast<std::uint32_t>(flags.get_count("aggs", 1));
   const auto num_workers =
-      static_cast<std::uint32_t>(flags.get_int("workers", 1));
+      static_cast<std::uint32_t>(flags.get_count("workers", 1));
   const auto listen_port =
       static_cast<std::uint16_t>(flags.get_int("listen-port", 0));
   const std::string listen_port_file =
       flags.get_string("listen-port-file", "");
-  const auto chunk_params =
-      static_cast<std::size_t>(flags.get_int("chunk-params", 16384));
+  const std::size_t chunk_params = flags.get_count("chunk-params", 16384);
   const double max_update_norm = flags.get_double("max-update-norm", 0.0);
   const int round_timeout_ms =
       static_cast<int>(flags.get_int("round-timeout-ms", 30000));
@@ -114,8 +115,6 @@ int main(int argc, char** argv) try {
       static_cast<int>(flags.get_int("handshake-timeout-ms", 60000));
   const int heartbeat_interval_ms =
       static_cast<int>(flags.get_int("heartbeat-interval-ms", 0));
-  const auto max_outbound_frames =
-      static_cast<std::size_t>(flags.get_int("max-outbound-frames", 64));
   const int status_port = static_cast<int>(flags.get_int("status-port", -1));
   const std::string status_port_file =
       flags.get_string("status-port-file", "");
@@ -151,23 +150,23 @@ int main(int argc, char** argv) try {
   config.heartbeat_interval_ms = heartbeat_interval_ms;
   config.round_timeout_ms = round_timeout_ms;
   config.handshake_timeout_ms = handshake_timeout_ms;
-  config.fanin.port = listen_port;
-  config.fanin.max_outbound_frames = max_outbound_frames;
 
-  // The board rows are this aggregator's subtree workers; the `queued`
-  // gauge mirrors FanInServer::outbound_queued (the §5j backpressure
-  // depth), surfaced per-peer on /status and in haccs_top.
+  // The board rows are this aggregator's subtree workers, surfaced per peer
+  // on /status and in haccs_top.
   fl::ServingStatusBoard status_board(num_workers / num_aggs);
   config.status_board = &status_board;
 
-  hier::MidTierAggregator agg(config);
+  net::TcpListener listener(listen_port);
+  hier::MidTierAggregator agg(config, [&listener](int timeout_ms) {
+    return listener.accept(timeout_ms);
+  });
   if (!listen_port_file.empty()) {
-    examples::write_port_file(listen_port_file, agg.port());
+    examples::write_port_file(listen_port_file, listener.port());
   }
   std::fprintf(stderr,
-               "agg %u/%u: fan-in on 127.0.0.1:%u, fronting workers "
+               "agg %u/%u: listening on 127.0.0.1:%u, fronting workers "
                "[%u, %u)\n",
-               agg_id, num_aggs, agg.port(), agg.worker_begin(),
+               agg_id, num_aggs, listener.port(), agg.worker_begin(),
                agg.worker_end());
 
   std::optional<net::StatusServer> status_server;
@@ -209,38 +208,38 @@ int main(int argc, char** argv) try {
                  status_server->port());
   }
 
-  // Connect upstream with capped exponential backoff — the root may still
-  // be binding when a scripted launch starts every tier at once.
+  // Connect upstream with backoff — the root may still be binding when a
+  // scripted launch starts every tier at once.
   Rng jitter_rng(0x7ec0ffeeULL ^ agg_id);
-  std::unique_ptr<net::Transport> upstream;
-  for (int attempt = 0; !upstream; ++attempt) {
-    if (attempt >= reconnect_attempts) {
-      std::fprintf(stderr, "agg %u: %d connect attempts failed; giving up\n",
-                   agg_id, attempt);
-      return kExitConnectExhausted;
-    }
-    if (!port_file.empty()) {
-      port = examples::wait_for_port_file(port_file, 30000);
-    }
-    upstream = net::connect_tcp(host, port, net::TcpConnectOptions{});
-    if (!upstream) {
-      const int shift = attempt < 5 ? attempt : 5;
-      const double backoff = static_cast<double>(reconnect_backoff_ms) *
-                             static_cast<double>(1 << shift) *
-                             (0.5 + jitter_rng.uniform());
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(static_cast<int>(backoff)));
-    }
+  auto upstream = examples::connect_with_backoff(
+      reconnect_attempts, reconnect_backoff_ms, jitter_rng, [&] {
+        if (!port_file.empty()) {
+          port = examples::wait_for_port_file(port_file, 30000);
+        }
+        return net::connect_tcp(host, port, net::TcpConnectOptions{});
+      });
+  if (!upstream) {
+    std::fprintf(stderr, "agg %u: %d connect attempts failed; giving up\n",
+                 agg_id, reconnect_attempts + 1);
+    return kExitConnectExhausted;
   }
   std::fprintf(stderr, "agg %u: upstream connected to %s\n", agg_id,
                upstream->peer().c_str());
 
   // Chaos wraps the aggregator's own outbound traffic on the upstream link
-  // (the smoke's "one faulty agg uplink" scenario); the downstream fan-in
-  // side stays clean.
+  // (the smoke's "one faulty agg uplink" scenario); the downstream side
+  // stays clean.
   auto session = net::wrap_chaos(std::move(upstream), chaos);
 
-  const bool ok = agg.run(*session);
+  bool ok = false;
+  try {
+    ok = agg.run(*session);
+  } catch (const hier::FleetError& e) {
+    // A refused or missing worker. Nothing went upstream, so the root in
+    // turn refuses this aggregator by name when the link closes.
+    std::fprintf(stderr, "haccs_agg: %s\n", e.what());
+    return kExitRunFailed;
+  }
   const auto& stats = agg.stats();
   std::fprintf(stderr,
                "agg %u: %s after %zu round(s), %zu folded, %zu rejected, "

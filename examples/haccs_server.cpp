@@ -126,8 +126,7 @@ int main(int argc, char** argv) try {
   // point of this binary, so the metrics pillar is always on here — the
   // summary reports actual transported bytes, not just priced ones.
   obs::set_metrics_enabled(true);
-  const auto num_workers =
-      static_cast<std::size_t>(flags.get_int("workers", 1));
+  const std::size_t num_workers = flags.get_count("workers", 1);
   const auto port_flag = static_cast<std::uint16_t>(flags.get_int("port", 4242));
   const std::string port_file = flags.get_string("port-file", "");
   const std::string strategy = flags.get_string("strategy", "haccs-py");
@@ -138,8 +137,7 @@ int main(int argc, char** argv) try {
       static_cast<int>(flags.get_int("io-timeout-ms", 120000));
   const std::string summary_json = flags.get_string("summary-json", "");
   const std::string checkpoint_path = flags.get_string("checkpoint", "");
-  const auto checkpoint_every =
-      static_cast<std::size_t>(flags.get_int("checkpoint-every", 1));
+  const std::size_t checkpoint_every = flags.get_count("checkpoint-every", 1);
   const bool resume = flags.get_bool("resume", false);
   const int heartbeat_timeout_ms =
       static_cast<int>(flags.get_int("heartbeat-timeout-ms", 0));
@@ -147,9 +145,8 @@ int main(int argc, char** argv) try {
   const int quorum_grace_ms =
       static_cast<int>(flags.get_int("quorum-grace-ms", 0));
   const double overcommit = flags.get_double("overcommit", 0.0);
-  const auto num_aggs = static_cast<std::size_t>(flags.get_int("aggs", 0));
-  const auto agg_groups =
-      static_cast<std::size_t>(flags.get_int("agg-groups", 0));
+  const std::size_t num_aggs = flags.get_count("aggs", 0);
+  const std::size_t agg_groups = flags.get_count("agg-groups", 0);
   const bool live_recluster = flags.get_bool("live-recluster", false);
   const int status_port = static_cast<int>(flags.get_int("status-port", -1));
   const std::string status_port_file =
@@ -187,9 +184,11 @@ int main(int argc, char** argv) try {
     return 1;
   }
   // The server only ever holds the workers' wire-borne P(y) summaries, so a
-  // strategy needing more is rejected here, before any worker connects.
+  // strategy needing more is rejected here, before any worker connects, as
+  // is an engine config the trainer would refuse.
   core::require_selector_input(strategy,
                                core::SelectorInput::ResponseSummaries);
+  exp.check();
   if (live_recluster && !core::selector_info(strategy).haccs_summary) {
     std::fprintf(stderr, "--live-recluster requires --strategy=haccs-py\n");
     return 1;
@@ -347,8 +346,7 @@ int main(int argc, char** argv) try {
   if (obs::trace_enabled()) dispatch_config.on_trace_shard = collect_shard;
 
   // Board rows are the dispatcher's direct peers: workers in flat mode,
-  // aggregators in tree mode (each row's `queued` gauge is that peer's
-  // outstanding-frame depth, §5j backpressure).
+  // aggregators in tree mode.
   fl::ServingStatusBoard status_board(num_aggs > 0 ? num_aggs : num_workers);
   const char* const tier = num_aggs > 0 ? "root" : "flat";
   std::optional<net::StatusServer> status_server;

@@ -20,13 +20,9 @@
 //
 //   ./haccs_worker --worker-id=0 --workers=2 --port-file=/tmp/port
 //       --rounds=5 --clients=12 --per-round=4
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
-#include <thread>
 
 #include "bench/harness.hpp"
 #include "examples/multiprocess_common.hpp"
@@ -94,9 +90,9 @@ int main(int argc, char** argv) try {
   auto port = static_cast<std::uint16_t>(flags.get_int("port", 4242));
   const std::string port_file = flags.get_string("port-file", "");
   const auto worker_id =
-      static_cast<std::uint32_t>(flags.get_int("worker-id", 0));
+      static_cast<std::uint32_t>(flags.get_count("worker-id", 0));
   const auto num_workers =
-      static_cast<std::uint32_t>(flags.get_int("workers", 1));
+      static_cast<std::uint32_t>(flags.get_count("workers", 1));
   const int idle_timeout_ms =
       static_cast<int>(flags.get_int("idle-timeout-ms", 120000));
   const int heartbeat_interval_ms =
@@ -135,38 +131,33 @@ int main(int argc, char** argv) try {
   // stampedes (each worker id jitters differently).
   Rng jitter_rng(exp.seed ^ 0x7ec0ffeeULL ^ worker_id);
 
-  int failed_connects = 0;  // consecutive; reset by a served session
   std::size_t sessions = 0;
   for (;;) {
-    // Re-read the port file every cycle: a server restarted with --resume
-    // may have re-bound to a fresh ephemeral port.
-    if (!port_file.empty()) {
-      port = examples::wait_for_port_file(port_file, 30000);
+    auto transport = examples::connect_with_backoff(
+        reconnect_attempts, reconnect_backoff_ms, jitter_rng,
+        [&]() -> std::unique_ptr<net::Transport> {
+          // Re-read the port file every attempt: a server restarted with
+          // --resume may have re-bound to a fresh ephemeral port.
+          if (!port_file.empty()) {
+            port = examples::wait_for_port_file(port_file, 30000);
+          }
+          auto dialed = net::connect_tcp(host, port, net::TcpConnectOptions{});
+          // Session (re-)establishment: the same Hello + summary uplink on
+          // first connect and on every resume, so the server can rebuild
+          // its view.
+          if (dialed && !hier::send_worker_hello(*dialed, fed, worker_id,
+                                                 num_workers)) {
+            dialed.reset();
+          }
+          return dialed;
+        });
+    if (!transport) {
+      std::fprintf(stderr,
+                   "worker %u: %d consecutive connect attempts failed; "
+                   "giving up\n",
+                   worker_id, reconnect_attempts + 1);
+      return kExitConnectExhausted;
     }
-    auto transport = net::connect_tcp(host, port, net::TcpConnectOptions{});
-    // Session (re-)establishment: the same Hello + summary uplink on first
-    // connect and on every resume, so the server can rebuild its view.
-    if (!transport ||
-        !hier::send_worker_hello(*transport, fed, worker_id, num_workers)) {
-      ++failed_connects;
-      if (failed_connects > reconnect_attempts) {
-        std::fprintf(stderr,
-                     "worker %u: %d consecutive connect attempts failed; "
-                     "giving up\n",
-                     worker_id, failed_connects);
-        return kExitConnectExhausted;
-      }
-      // Capped exponential backoff with jitter in [0.5, 1.5)x.
-      const int shift = std::min(failed_connects - 1, 5);
-      const double backoff =
-          static_cast<double>(reconnect_backoff_ms) *
-          static_cast<double>(1 << shift) *
-          (0.5 + jitter_rng.uniform());
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(static_cast<int>(backoff)));
-      continue;
-    }
-    failed_connects = 0;
     if (sessions > 0) reconnects.inc();
     ++sessions;
     std::fprintf(stderr,

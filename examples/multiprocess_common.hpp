@@ -1,4 +1,5 @@
-// Shared workload construction for the multi-process examples.
+// Shared pieces of the multi-process examples: workload construction, port
+// files, the --chaos-* flags and the upstream connect with backoff.
 //
 // haccs_server and haccs_worker each rebuild the identical federation from
 // the same flags + seed (synthetic data is a pure function of the seed), so
@@ -7,9 +8,12 @@
 // its local data.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -18,6 +22,7 @@
 #include "src/common/rng.hpp"
 #include "src/data/partition.hpp"
 #include "src/net/chaos.hpp"
+#include "src/net/transport.hpp"
 
 namespace haccs::examples {
 
@@ -64,6 +69,25 @@ inline std::uint16_t wait_for_port_file(const std::string& path,
       throw std::runtime_error("timed out waiting for port file " + path);
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+}
+
+/// Dials the upstream tier with capped exponential backoff: `dial` makes
+/// one attempt (nullptr = failed). After the k-th consecutive failure it
+/// sleeps base_ms · 2^min(k-1, 5), scaled by a jitter in [0.5, 1.5) drawn
+/// from `jitter` so a fleet's reconnects spread out. Returns nullptr once
+/// `attempts` retries have failed too.
+inline std::unique_ptr<net::Transport> connect_with_backoff(
+    int attempts, int base_ms, Rng& jitter,
+    const std::function<std::unique_ptr<net::Transport>()>& dial) {
+  for (int failures = 1;; ++failures) {
+    if (auto transport = dial()) return transport;
+    if (failures > attempts) return nullptr;
+    const double backoff = static_cast<double>(base_ms) *
+                           static_cast<double>(1 << std::min(failures - 1, 5)) *
+                           (0.5 + jitter.uniform());
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(static_cast<int>(backoff)));
   }
 }
 

@@ -1,5 +1,6 @@
 #include "src/common/flags.hpp"
 
+#include <charconv>
 #include <stdexcept>
 
 namespace haccs {
@@ -52,24 +53,45 @@ std::int64_t Flags::get_int(const std::string& name,
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
   consumed_[name] = true;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects an integer, got '" +
-                                it->second + "'");
+  const std::string& v = it->second;
+  std::int64_t value = 0;
+  const char* const last = v.data() + v.size();
+  const auto [end, error] = std::from_chars(v.data(), last, value);
+  if (v.empty() || error != std::errc() || end != last) {
+    throw std::invalid_argument("flag --" + name +
+                                " expects an integer, got '" + v + "'");
   }
+  return value;
+}
+
+std::size_t Flags::get_count(const std::string& name,
+                             std::size_t default_value) const {
+  const std::int64_t value =
+      get_int(name, static_cast<std::int64_t>(default_value));
+  if (value < 0) {
+    throw std::invalid_argument("flag --" + name +
+                                " expects a non-negative integer, got '" +
+                                values_.at(name) + "'");
+  }
+  return static_cast<std::size_t>(value);
 }
 
 double Flags::get_double(const std::string& name, double default_value) const {
   auto it = values_.find(name);
   if (it == values_.end()) return default_value;
   consumed_[name] = true;
+  std::size_t used = 0;
+  double value = 0.0;
   try {
-    return std::stod(it->second);
+    value = std::stod(it->second, &used);
   } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != it->second.size()) {
     throw std::invalid_argument("flag --" + name + " expects a number, got '" +
                                 it->second + "'");
   }
+  return value;
 }
 
 bool Flags::get_bool(const std::string& name, bool default_value) const {

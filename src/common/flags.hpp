@@ -5,6 +5,7 @@
 // fast instead of silently running the default configuration.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -21,10 +22,15 @@ class Flags {
   /// True if the flag was present on the command line.
   bool has(const std::string& name) const;
 
+  /// Typed lookups consume the whole value: "2x" is no integer. Each throws
+  /// std::invalid_argument naming the flag on a malformed value.
   std::string get_string(const std::string& name,
                          const std::string& default_value) const;
   std::int64_t get_int(const std::string& name,
                        std::int64_t default_value) const;
+  /// A count or an index: get_int that also refuses negative values.
+  std::size_t get_count(const std::string& name,
+                        std::size_t default_value) const;
   double get_double(const std::string& name, double default_value) const;
   bool get_bool(const std::string& name, bool default_value) const;
 

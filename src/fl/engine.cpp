@@ -44,6 +44,34 @@ struct EngineMetrics {
 };
 }  // namespace
 
+void check_engine_config(const EngineConfig& config,
+                         std::size_t num_clients) {
+  if (num_clients == 0) {
+    throw std::invalid_argument("FederatedTrainer: no clients");
+  }
+  if (config.clients_per_round == 0 ||
+      config.clients_per_round > num_clients) {
+    throw std::invalid_argument(
+        "FederatedTrainer: clients_per_round (" +
+        std::to_string(config.clients_per_round) + ") must lie in [1, " +
+        std::to_string(num_clients) + "], the client count");
+  }
+  if (config.eval_every == 0) {
+    throw std::invalid_argument("FederatedTrainer: eval_every must be > 0");
+  }
+  if (config.overcommit < 0.0) {
+    throw std::invalid_argument("FederatedTrainer: overcommit must be >= 0");
+  }
+  if (config.deadline_quantile < 0.0 || config.deadline_quantile > 1.0) {
+    throw std::invalid_argument(
+        "FederatedTrainer: deadline_quantile must be in [0, 1]");
+  }
+  if (config.max_update_norm < 0.0) {
+    throw std::invalid_argument(
+        "FederatedTrainer: max_update_norm must be >= 0");
+  }
+}
+
 FederatedTrainer::FederatedTrainer(const data::FederatedDataset& dataset,
                                    std::function<nn::Sequential()> model_factory,
                                    EngineConfig config)
@@ -52,28 +80,7 @@ FederatedTrainer::FederatedTrainer(const data::FederatedDataset& dataset,
       config_(config),
       latency_model_(config.latency),
       fault_model_(config.faults) {
-  if (dataset_.clients.empty()) {
-    throw std::invalid_argument("FederatedTrainer: no clients");
-  }
-  if (config_.clients_per_round == 0 ||
-      config_.clients_per_round > dataset_.clients.size()) {
-    throw std::invalid_argument(
-        "FederatedTrainer: clients_per_round out of range");
-  }
-  if (config_.eval_every == 0) {
-    throw std::invalid_argument("FederatedTrainer: eval_every must be > 0");
-  }
-  if (config_.overcommit < 0.0) {
-    throw std::invalid_argument("FederatedTrainer: overcommit must be >= 0");
-  }
-  if (config_.deadline_quantile < 0.0 || config_.deadline_quantile > 1.0) {
-    throw std::invalid_argument(
-        "FederatedTrainer: deadline_quantile must be in [0, 1]");
-  }
-  if (config_.max_update_norm < 0.0) {
-    throw std::invalid_argument(
-        "FederatedTrainer: max_update_norm must be >= 0");
-  }
+  check_engine_config(config_, dataset_.clients.size());
   // Device profiles: one stream derived from the seed, independent of the
   // training stream so that adding rounds never changes hardware assignment.
   Rng profile_rng(config_.seed ^ 0xdeadbeefcafef00dULL);

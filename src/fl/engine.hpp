@@ -114,6 +114,11 @@ struct EngineConfig {
   std::function<bool()> stop_requested;
 };
 
+/// The checks FederatedTrainer makes of its config for a federation of
+/// `num_clients`: throws std::invalid_argument naming the first field out
+/// of range. Callable before any data exists.
+void check_engine_config(const EngineConfig& config, std::size_t num_clients);
+
 class FederatedTrainer {
  public:
   /// `model_factory` must return an identically-initialized model on every

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <mutex>
 #include <utility>
 
 #include "src/common/logging.hpp"
@@ -17,10 +15,6 @@
 namespace haccs::fl {
 
 namespace {
-
-/// Per-peer poll slice in the collection loop: short enough that one
-/// silent peer cannot starve the others' liveness checks.
-constexpr int kSliceMs = 10;
 
 struct ServingMetrics {
   obs::Counter& heartbeats_missed =
@@ -65,7 +59,6 @@ std::string ServingStatusBoard::to_json() const {
     out += ",\"outstanding\":" + std::to_string(worker.outstanding.load());
     out += ",\"updates\":" + std::to_string(worker.updates.load());
     out += ",\"sessions\":" + std::to_string(worker.sessions.load());
-    out += ",\"queued\":" + std::to_string(worker.queued.load());
     out += ",\"last_heard_age_ms\":" +
            std::to_string(heard < 0 ? -1 : now - heard);
     out += '}';
@@ -228,7 +221,7 @@ void DispatchCore::collect(const CollectHooks& hooks) {
     // One short poll slice per peer that still owes frames.
     for (std::size_t p = 0; p < peers_.size(); ++p) {
       if (!hooks.owes(p)) continue;
-      switch (poll(p, kSliceMs, hooks)) {
+      switch (poll(p, kPollSliceMs, hooks)) {
         case net::TransportStatus::Ok:
         case net::TransportStatus::Corrupt:
           continue;
@@ -352,15 +345,28 @@ TransportDispatcher::TransportDispatcher(std::vector<net::Transport*> workers,
 void TransportDispatcher::execute(std::span<const TrainJobSpec> jobs,
                                   const std::vector<float>& global_params,
                                   std::vector<TrainOutcome>& outcomes) {
-  const TransportDispatcherConfig& config = core_.config();
-  ledger_.clear();
-  core_.begin_round(jobs.empty() ? 0 : jobs.front().epoch, jobs.size());
-
   // Snapshot the engine's round context once per fan-out: every TrainJob of
   // the round carries the same parent span. Untraced runs send the invalid
   // context, which the codec encodes as zero extra bytes.
   const obs::TraceContext trace_ctx =
       obs::trace_enabled() ? obs::round_context() : obs::TraceContext{};
+  dispatch(
+      jobs,
+      [&](std::size_t j) {
+        return net::encode_train_job(make_train_job(
+            jobs[j], core_.config().work, global_params, trace_ctx));
+      },
+      global_params, outcomes);
+}
+
+void TransportDispatcher::dispatch(
+    std::span<const TrainJobSpec> jobs,
+    const std::function<net::Frame(std::size_t)>& frame_of,
+    std::span<const float> global_params,
+    std::vector<TrainOutcome>& outcomes) {
+  const TransportDispatcherConfig& config = core_.config();
+  ledger_.clear();
+  core_.begin_round(jobs.empty() ? 0 : jobs.front().epoch, jobs.size());
 
   // Serving mode: give workers that died in an earlier round a fresh
   // transport before fanning out, so a reconnected process rejoins the
@@ -418,11 +424,10 @@ void TransportDispatcher::execute(std::span<const TrainJobSpec> jobs,
   // Fan out. After each send, drain whatever already came back so neither
   // side ever sits blocked on a full buffer (a worker may be trying to send
   // its update while we are still sending jobs).
-  for (const TrainJobSpec& job : jobs) {
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const TrainJobSpec& job = jobs[j];
     const std::size_t w = job.client_id % core_.size();
-    const auto status = core_.send(
-        w, net::encode_train_job(
-               make_train_job(job, config.work, global_params, trace_ctx)));
+    const auto status = core_.send(w, frame_of(j));
     if (status == net::TransportStatus::Ok) {
       ledger_.expect(w, job);
     } else {
@@ -457,6 +462,37 @@ void TransportDispatcher::execute(std::span<const TrainJobSpec> jobs,
         config.max_update_norm);
   }
   core_.end_round();
+}
+
+// ---------------------------------------------------------------------------
+// HeartbeatThread
+
+HeartbeatThread::HeartbeatThread(int interval_ms, std::function<bool()> beat) {
+  if (interval_ms <= 0) return;
+  thread_ = std::thread([this, interval_ms, beat = std::move(beat)] {
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (!cv_.wait_for(lock, std::chrono::milliseconds(interval_ms),
+                         [this] { return stop_; })) {
+      lock.unlock();  // only stop_ is guarded; beat outside the lock
+      try {
+        if (!beat()) return;  // the owner will observe the close too
+      } catch (const std::exception& e) {
+        HACCS_WARN << "heartbeat stopped: " << e.what();
+        return;
+      }
+      lock.lock();
+    }
+  });
+}
+
+HeartbeatThread::~HeartbeatThread() {
+  if (!thread_.joinable()) return;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
+  }
+  cv_.notify_all();
+  thread_.join();
 }
 
 // ---------------------------------------------------------------------------
@@ -553,54 +589,16 @@ void WorkerLoop::ship_trace_shard(net::Transport& transport) {
 }
 
 WorkerRunEnd WorkerLoop::serve(net::Transport& transport) {
-  // Serving-mode heartbeat: a side thread announces liveness on a fixed
-  // cadence so the server can tell "training a long job" from "gone".
-  // Transport::send is frame-granularity thread-safe (transport.hpp), so
-  // heartbeats may interleave with update replies but never tear them.
-  std::thread heartbeat;
-  std::mutex hb_mutex;
-  std::condition_variable hb_cv;
-  bool hb_stop = false;
-  if (config_.heartbeat_interval_ms > 0) {
-    heartbeat = std::thread([&] {
-      std::unique_lock<std::mutex> lock(hb_mutex);
-      for (;;) {
-        hb_cv.wait_for(lock,
-                       std::chrono::milliseconds(config_.heartbeat_interval_ms),
-                       [&] { return hb_stop; });
-        if (hb_stop) return;
-        net::HeartbeatMsg beat;
-        beat.sender_id = config_.worker_id;
-        beat.epoch = last_epoch_.load(std::memory_order_relaxed);
-        beat.trace.trace_id = last_trace_id_.load(std::memory_order_relaxed);
-        beat.trace.parent_span =
-            last_parent_span_.load(std::memory_order_relaxed);
-        beat.trace.round = last_round_.load(std::memory_order_relaxed);
-        if (transport.send(net::encode_heartbeat(beat)) ==
-            net::TransportStatus::Closed) {
-          return;  // the main loop will observe the close too
-        }
-      }
-    });
-  }
-  // RAII join: whatever path leaves serve() — Shutdown, close, idle
-  // timeout, or an exception escaping the loop body — the heartbeat thread
-  // is signalled and joined (a destroyed joinable std::thread terminates).
-  struct HeartbeatJoiner {
-    std::thread& thread;
-    std::mutex& mutex;
-    std::condition_variable& cv;
-    bool& stop;
-    ~HeartbeatJoiner() {
-      if (!thread.joinable()) return;
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        stop = true;
-      }
-      cv.notify_all();
-      thread.join();
-    }
-  } joiner{heartbeat, hb_mutex, hb_cv, hb_stop};
+  const HeartbeatThread heartbeat(config_.heartbeat_interval_ms, [&] {
+    net::HeartbeatMsg beat;
+    beat.sender_id = config_.worker_id;
+    beat.epoch = last_epoch_.load(std::memory_order_relaxed);
+    beat.trace.trace_id = last_trace_id_.load(std::memory_order_relaxed);
+    beat.trace.parent_span = last_parent_span_.load(std::memory_order_relaxed);
+    beat.trace.round = last_round_.load(std::memory_order_relaxed);
+    return transport.send(net::encode_heartbeat(beat)) !=
+           net::TransportStatus::Closed;
+  });
 
   WorkerRunEnd end = WorkerRunEnd::Closed;
   for (;;) {

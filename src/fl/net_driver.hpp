@@ -1,6 +1,6 @@
 // The protocol driver: FederatedTrainer rounds over a net::Transport.
 //
-// Five pieces:
+// Six pieces:
 //   * DispatchCore — the serving core both roots share: this file's
 //     TransportDispatcher (peers = workers) and hier::TreeDispatcher (peers
 //     = aggregators). One config, the peers' liveness and status-board
@@ -8,26 +8,29 @@
 //     only its own frame handling.
 //   * UpdateLedger — the one set of rules for settling a job from a worker's
 //     frames: per-worker FIFOs of owed jobs, ClientUpdate matching and
-//     reconstruction, and the failure calls each tier maps its transport
-//     events onto (Corrupt -> CorruptUpdate, Closed -> Crash, time up ->
-//     Timeout). The flat root keeps one over its worker transports and
-//     hier::MidTierAggregator one over its subtree's workers, so a failure
-//     at either tier reaches the engine the same way.
+//     reconstruction, and the failure calls each transport event maps onto
+//     (Corrupt -> CorruptUpdate, Closed -> Crash, time up -> Timeout).
 //   * TransportDispatcher — the flat root: fans TrainJobs (make_train_job,
 //     protocol.hpp) out by client_id % workers, settles ClientUpdate frames
 //     through its ledger and, with agg_groups, folds them with fold_groups
 //     (dispatch.hpp). Failures are routed into
-//     ClientSelector::report_failure like simulated faults.
+//     ClientSelector::report_failure like simulated faults. dispatch() runs
+//     the same round on TrainJob frames the caller already holds: it is how
+//     hier::MidTierAggregator, the flat root of its subtree, relays its
+//     root's frames, so a failure at either tier reaches the engine the
+//     same way.
 //   * WorkerLoop — the worker side: recover the job with read_train_job,
 //     run the identical local training (run_local_job with the job's forked
 //     RNG seed), reply with a ClientUpdate in the priced wire form. Keeps
 //     per-client compression residuals across rounds and reconnects.
+//   * HeartbeatThread — the one serving-mode heartbeat: a worker beats on
+//     its link to its root, a mid tier on its link upstream.
 //   * LoopbackCluster — in-process worker threads over loopback transports:
 //     the full protocol at memory speed, bit-identical to the in-process
 //     run (pinned in tests/net_test.cpp).
 //
-// Collection (DispatchCore::collect) polls one short slice per peer that
-// still owes frames until the root says the round is settled or
+// Collection (DispatchCore::collect) polls one kPollSliceMs slice per peer
+// that still owes frames until the root says the round is settled or
 // recv_timeout_ms, the whole-round budget, runs out. Serving mode (DESIGN.md
 // §5g): with heartbeat_timeout_ms any inbound frame refreshes a peer's
 // liveness and a silent peer is declared dead, like a closed one. The flat
@@ -39,11 +42,13 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,11 +76,6 @@ class ServingStatusBoard {
     std::atomic<std::uint64_t> outstanding{0};
     std::atomic<std::uint64_t> updates{0};  ///< delivered updates, lifetime
     std::atomic<std::uint64_t> sessions{0}; ///< reacquired transports
-    /// Outstanding-frame depth toward this peer (outbound frames queued
-    /// behind a slow connection) — the backpressure gauge §5j's fan-in
-    /// server enforces its shedding cap against. Blocking transports leave
-    /// it 0; the mid-tier aggregator mirrors FanInServer::outbound_queued.
-    std::atomic<std::uint64_t> queued{0};
   };
 
   explicit ServingStatusBoard(std::size_t num_workers)
@@ -159,6 +159,11 @@ struct TransportDispatcherConfig {
 /// The FailureKind a failed send charges: Timeout for a missed deadline,
 /// Crash for anything else.
 FailureKind send_failure(net::TransportStatus status);
+
+/// One poll slice of the serving I/O model: the collection loop reads each
+/// owing peer for this long per pass, and a mid tier closes an implicit
+/// round's job intake once its upstream has been quiet this long.
+inline constexpr int kPollSliceMs = 10;
 
 /// Milliseconds on the steady clock: the one clock every serving deadline,
 /// liveness check and status-board age is measured on.
@@ -288,6 +293,14 @@ class TransportDispatcher final : public RoundDispatcher {
                const std::vector<float>& global_params,
                std::vector<TrainOutcome>& outcomes) override;
 
+  /// execute() over TrainJob frames the caller already holds: frame_of(i)
+  /// is sent for jobs[i] as is, instead of one built from config().work.
+  /// A mid tier relays its root's frames, trace trailer included, this way.
+  void dispatch(std::span<const TrainJobSpec> jobs,
+                const std::function<net::Frame(std::size_t)>& frame_of,
+                std::span<const float> global_params,
+                std::vector<TrainOutcome>& outcomes);
+
   const std::vector<PartialAggregate>* partials() const override {
     return core_.config().agg_groups > 0 ? &partials_ : nullptr;
   }
@@ -297,6 +310,27 @@ class TransportDispatcher final : public RoundDispatcher {
   UpdateLedger ledger_;
   /// Per-group partial sums from the last execute() (agg_groups mode).
   std::vector<PartialAggregate> partials_;
+};
+
+/// Serving-mode heartbeat (§5g): a side thread that calls `beat` every
+/// interval_ms, so the far end can tell "alive but busy" from "gone". `beat`
+/// sends one Heartbeat frame and returns false once the link is closed,
+/// which ends the thread. Transport::send is frame-granularity thread-safe
+/// (transport.hpp), so beats interleave with the owner's frames but never
+/// tear them. An interval <= 0 starts no thread. The destructor stops and
+/// joins the thread, whichever way the owner's scope ends.
+class HeartbeatThread {
+ public:
+  HeartbeatThread(int interval_ms, std::function<bool()> beat);
+  ~HeartbeatThread();
+  HeartbeatThread(const HeartbeatThread&) = delete;
+  HeartbeatThread& operator=(const HeartbeatThread&) = delete;
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool stop_ = false;
+  std::thread thread_;
 };
 
 /// Why a WorkerLoop::serve() call returned.

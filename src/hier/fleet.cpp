@@ -46,7 +46,7 @@ std::pair<std::uint32_t, stats::ResponseSummary> check_summary(
     const net::Frame& frame, const PeerScope& scope, const std::string& who) {
   try {
     const net::SummaryMsg msg = net::decode_summary(frame);
-    if (scope.num_clients > 0 && msg.client_id >= scope.num_clients) {
+    if (msg.client_id >= scope.client_limit()) {
       throw refusal(scope.peer, who + ": summary for unknown client " +
                                     std::to_string(msg.client_id));
     }
@@ -76,15 +76,24 @@ Fleet::Fleet(FleetConfig config, Acceptor accept)
     throw std::invalid_argument(
         "Fleet: num_aggs must evenly divide a non-zero num_workers");
   }
-  const std::size_t peers = tree() ? config_.num_aggs : config_.num_workers;
+  if (config_.worker_end == 0) config_.worker_end = config_.num_workers;
+  if (config_.worker_begin >= config_.worker_end ||
+      config_.worker_end > config_.num_workers) {
+    throw std::invalid_argument(
+        "Fleet: [worker_begin, worker_end) must be a non-empty slice of the "
+        "workers");
+  }
+  const std::size_t peers =
+      tree() ? config_.num_aggs : config_.worker_end - config_.worker_begin;
   slots_.resize(peers);
   pending_.resize(peers);
   sessions_.assign(peers, 0);
 }
 
-std::size_t Fleet::admit(std::unique_ptr<net::Transport> transport) {
-  PeerScope scope{transport->peer(), config_.num_workers, 0,
-                  config_.num_workers, config_.num_clients};
+std::size_t Fleet::admit(std::unique_ptr<net::Transport> transport,
+                         std::vector<net::Frame>& frames) {
+  PeerScope scope{transport->peer(), config_.num_workers, config_.worker_begin,
+                  config_.worker_end, config_.num_clients};
   const std::string role = tree() ? "aggregator" : "worker";
   net::Frame frame;
   const auto hello_type =
@@ -129,15 +138,16 @@ std::size_t Fleet::admit(std::unique_ptr<net::Transport> transport) {
     scope.worker_end = id + 1;
   }
   const std::string who = role + " " + std::to_string(id);
-  if (num_clients > config_.num_clients) {
+  if (num_clients > scope.client_limit()) {
     throw refusal(scope.peer, who + " claims " + std::to_string(num_clients) +
                                   " clients of " +
-                                  std::to_string(config_.num_clients));
+                                  std::to_string(scope.num_clients));
   }
   // §IV-A uplink: one P(y) summary per hosted client — sent on the first
   // connect and repeated on every reconnect, so a restarted root rebuilds
   // its view from the fleet alone. Committed only once all arrived.
   std::vector<std::pair<std::uint32_t, stats::ResponseSummary>> received;
+  frames.clear();
   for (std::uint32_t s = 0; s < num_clients; ++s) {
     if (transport->recv(&frame, config_.io_timeout_ms) !=
             net::TransportStatus::Ok ||
@@ -147,23 +157,30 @@ std::size_t Fleet::admit(std::unique_ptr<net::Transport> transport) {
                                     " never arrived");
     }
     received.push_back(check_summary(frame, scope, who));
+    frames.push_back(std::move(frame));
   }
   for (auto& [client, summary] : received) {
+    // With the count unknown (a mid tier, which relays the frames) the
+    // table is empty: growing it to a peer-chosen id could exhaust memory.
+    if (client >= summaries_.size()) continue;
     summaries_[client] = std::move(summary);
     have_summary_[client] = true;
   }
+  const std::size_t slot = tree() ? id : id - config_.worker_begin;
   // The chaos seed forks per peer, and per session for workers so a
   // reconnect does not replay its fault script.
   net::ChaosOptions forked = config_.chaos;
   forked.seed = config_.chaos.seed ^ (0xa11ce11aULL * (id + 1)) ^
-                (0x5e5510ULL * (tree() ? 0 : ++sessions_[id]));
+                (0x5e5510ULL * (tree() ? 0 : ++sessions_[slot]));
   HACCS_INFO << who << " connected (" << scope.peer << "), hosting "
              << num_clients << " client(s)";
-  pending_[id] = net::wrap_chaos(std::move(transport), forked);
-  return id;
+  pending_[slot] = net::wrap_chaos(std::move(transport), forked);
+  return slot;
 }
 
-void Fleet::accept_all(int accept_timeout_ms) {
+std::vector<std::vector<net::Frame>> Fleet::accept_all(int accept_timeout_ms) {
+  std::vector<std::vector<net::Frame>> summary_frames(slots_.size());
+  std::vector<net::Frame> frames;
   for (std::size_t connected = 0; connected < slots_.size(); ++connected) {
     auto transport = accept_(accept_timeout_ms);
     if (!transport) {
@@ -172,24 +189,29 @@ void Fleet::accept_all(int accept_timeout_ms) {
                        std::to_string(connected + 1) + " of " +
                        std::to_string(slots_.size()));
     }
-    const std::size_t id = admit(std::move(transport));
-    if (slots_[id]) {
+    const std::string peer = transport->peer();
+    const std::size_t slot = admit(std::move(transport), frames);
+    if (slots_[slot]) {
       // Two peers sharing an id. Dropping the second would let it reconnect
       // with backoff forever, each accept rearming the deadline.
-      pending_[id].reset();
+      pending_[slot].reset();
       const std::string role = tree() ? "aggregator" : "worker";
+      const std::size_t id = tree() ? slot : config_.worker_begin + slot;
       throw FleetError("duplicate " + role + " id " + std::to_string(id) +
-                       " — check each " + role + "'s --" +
+                       " from " + peer + " — check each " + role + "'s --" +
                        (tree() ? "agg-id" : "worker-id"));
     }
-    slots_[id] = std::move(pending_[id]);
+    slots_[slot] = std::move(pending_[slot]);
+    summary_frames[slot] = std::move(frames);
   }
+  return summary_frames;
 }
 
 net::Transport* Fleet::reacquire(std::size_t w) {
+  std::vector<net::Frame> frames;  // a mid tier relays only the first ones
   while (auto transport = accept_(kReacceptTimeoutMs)) {
     try {
-      admit(std::move(transport));
+      admit(std::move(transport), frames);
     } catch (const FleetError& e) {
       HACCS_WARN << "fleet: " << e.what() << "; connection dropped";
     }

@@ -1,14 +1,16 @@
-// Fleet: the root's peer management for a multi-process run (DESIGN.md
-// §5g, §5j).
+// Fleet: a serving root's peer management for a multi-process run
+// (DESIGN.md §5g, §5j).
 //
-// The root talks to one kind of peer: workers in a flat run, mid-tier
-// aggregators in a tree run. Either way a session opens with the same
-// handshake — an identity frame (Hello, or TopologyHello checked against the
-// expected tree shape) followed by one Summary frame per hosted client, the
-// paper's §IV-A one-time P(y) uplink. The fleet runs that handshake on
-// transports someone else accepted (a TcpListener in haccs_server, loopback
-// pairs in tests), wraps each admitted session in its peer's seeded chaos,
-// keeps the wire-borne summaries, and owns the wind-down.
+// A root talks to one kind of peer: workers in a flat run, mid-tier
+// aggregators at a tree's root. A mid tier is the flat root of its subtree,
+// so it runs a flat fleet over its slice of the workers. Either way a
+// session opens with the same handshake — an identity frame (Hello, or
+// TopologyHello checked against the expected tree shape) followed by one
+// Summary frame per hosted client, the paper's §IV-A one-time P(y) uplink.
+// The fleet runs that handshake on transports someone else accepted (a
+// TcpListener in haccs_server and haccs_agg, loopback pairs in tests), wraps
+// each admitted session in its peer's seeded chaos, keeps the wire-borne
+// summaries, and owns the wind-down.
 //
 // Reconnects (workers only) are staged in per-worker pending slots and only
 // swapped into the live slot inside reacquire(w), for exactly the worker the
@@ -54,13 +56,18 @@ struct PeerScope {
   std::size_t worker_begin = 0;
   std::size_t worker_end = 0;
   std::size_t num_clients = 0;
+
+  /// Bound on client ids and on a peer's claimed client count.
+  std::size_t client_limit() const {
+    return num_clients > 0 ? num_clients : SIZE_MAX;
+  }
 };
 
-/// The frame-level admission checks the root's Fleet and the mid tier's
-/// downstream handshake share. Each throws FleetError naming the peer.
-/// check_worker_hello decodes a Hello and checks its id lies in
-/// [worker_begin, worker_end); check_summary decodes one Summary from `who`
-/// (e.g. "worker 3") and checks the peer hosts its client.
+/// The frame-level admission checks of Fleet's handshake. Each throws
+/// FleetError naming the peer. check_worker_hello decodes a Hello and
+/// checks its id lies in [worker_begin, worker_end); check_summary decodes
+/// one Summary from `who` (e.g. "worker 3") and checks the peer hosts its
+/// client.
 net::HelloMsg check_worker_hello(const net::Frame& frame,
                                  const PeerScope& scope);
 std::pair<std::uint32_t, stats::ResponseSummary> check_summary(
@@ -69,11 +76,18 @@ std::pair<std::uint32_t, stats::ResponseSummary> check_summary(
 struct FleetConfig {
   /// Federation-wide worker count.
   std::size_t num_workers = 1;
-  /// 0 = flat: the peers are the workers. > 0 = tree: the peers are this
-  /// many aggregators, aggregator a fronting workers [a·per, (a+1)·per) with
+  /// Flat: the workers this fleet fronts, [worker_begin, worker_end), peer
+  /// slot s holding worker worker_begin + s. worker_end = 0 means
+  /// num_workers: every worker, as at a flat root. A mid tier fronts its
+  /// subtree's slice.
+  std::size_t worker_begin = 0;
+  std::size_t worker_end = 0;
+  /// 0 = flat: the peers are workers. > 0 = tree: the peers are this many
+  /// aggregators, aggregator a fronting workers [a·per, (a+1)·per) with
   /// per = num_workers / num_aggs.
   std::size_t num_aggs = 0;
-  /// Summaries may name clients [0, num_clients).
+  /// Summaries may name clients [0, num_clients); 0 = unknown, as at a mid
+  /// tier (PeerScope::client_limit).
   std::size_t num_clients = 0;
   /// Per-frame deadline for handshake receives and wind-down sends.
   int io_timeout_ms = 120000;
@@ -95,11 +109,13 @@ class Fleet {
   /// FleetError: the run must neither start short of peers nor hang
   /// re-accepting a misconfigured one. An aggregator announces itself only
   /// after its own workers connected, so the deadline must cover theirs.
-  void accept_all(int accept_timeout_ms);
+  /// Returns each peer's Summary frames as they came off the wire, by peer
+  /// slot, for a mid tier to relay upstream.
+  std::vector<std::vector<net::Frame>> accept_all(int accept_timeout_ms);
 
   /// TransportDispatcher reacquire hook: admits every reconnect waiting at
-  /// the acceptor (refused ones are logged and dropped), then hands worker
-  /// `w` its staged session, if any. Only slot `w` is touched: the
+  /// the acceptor (refused ones are logged and dropped), then hands peer
+  /// slot `w` its staged session, if any. Only slot `w` is touched: the
   /// dispatcher has declared exactly that transport dead.
   net::Transport* reacquire(std::size_t w);
 
@@ -110,9 +126,10 @@ class Fleet {
   void shut_down(const net::EvalReportMsg& report,
                  const std::function<void(net::TraceShardMsg&&)>& on_shard);
 
-  /// The live sessions, indexed by peer id (non-owning).
+  /// The live sessions, indexed by peer slot (non-owning).
   std::vector<net::Transport*> transports() const;
-  /// Wire-borne P(y) summaries, indexed by client id.
+  /// Wire-borne P(y) summaries, indexed by client id (empty when the
+  /// client count is unknown).
   const std::vector<stats::ResponseSummary>& summaries() const {
     return summaries_;
   }
@@ -123,11 +140,12 @@ class Fleet {
 
   /// Runs the handshake on one accepted transport and stages the session in
   /// its peer's pending slot (a newer reconnect replaces an older staged
-  /// one). Returns the peer id. Throws FleetError — naming the peer's
-  /// address and, once known, its id — on a missing or malformed frame, or
-  /// a bad id, topology, client count or summary; the transport is
-  /// dropped.
-  std::size_t admit(std::unique_ptr<net::Transport> transport);
+  /// one), its Summary frames in `frames`. Returns the peer slot. Throws
+  /// FleetError — naming the peer's address and, once known, its id — on a
+  /// missing or malformed frame, or a bad id, topology, client count or
+  /// summary; the transport is dropped.
+  std::size_t admit(std::unique_ptr<net::Transport> transport,
+                    std::vector<net::Frame>& frames);
 
   FleetConfig config_;
   Acceptor accept_;

@@ -62,6 +62,12 @@ class Transport {
 
   /// Human-readable peer description for logs ("loopback", "127.0.0.1:4242").
   virtual std::string peer() const = 0;
+
+  /// True while part of an inbound frame has arrived but not all of it: the
+  /// peer is mid-send, so a recv() Timeout does not mean the link is quiet.
+  /// Call from the receiving thread. Transports that deliver whole frames
+  /// (loopback) never are.
+  virtual bool receiving() const { return false; }
 };
 
 /// Shared wire telemetry (obs registry instruments, cached once). Both

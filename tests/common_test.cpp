@@ -228,9 +228,27 @@ TEST(Flags, DefaultsWhenAbsent) {
 }
 
 TEST(Flags, RejectsMalformedValues) {
-  const char* argv[] = {"prog", "--n=abc"};
-  Flags flags(2, argv);
+  const char* argv[] = {"prog",          "--n=abc",      "--rounds=2x",
+                        "--workers=-1",  "--clients=",   "--rate=0.5x",
+                        "--per-round=3"};
+  Flags flags(7, argv);
   EXPECT_THROW(flags.get_int("n", 0), std::invalid_argument);
+  // A numeric prefix is not a number: the whole value must parse.
+  EXPECT_THROW(flags.get_int("rounds", 0), std::invalid_argument);
+  EXPECT_THROW(flags.get_count("rounds", 0), std::invalid_argument);
+  EXPECT_THROW(flags.get_int("clients", 0), std::invalid_argument);
+  EXPECT_THROW(flags.get_double("rate", 0.0), std::invalid_argument);
+  // Counts refuse negatives, naming the flag.
+  EXPECT_EQ(flags.get_int("workers", 0), -1);
+  try {
+    flags.get_count("workers", 1);
+    ADD_FAILURE() << "--workers=-1 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--workers"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(flags.get_count("per-round", 0), 3u);
+  EXPECT_EQ(flags.get_count("absent", 7), 7u);
 }
 
 TEST(Flags, CheckUnusedDetectsTypos) {

@@ -1,10 +1,8 @@
-// Tests for the hierarchical aggregation tree (DESIGN.md §5j): the FanInServer
-// poll/epoll fan-in endpoint (round trips, 256 concurrent peers, slow-peer
-// shedding, connection caps), the tree wire codecs, the 3-tier
-// root→aggregator→worker pipeline's bit-identity with the flat grouped
-// dispatcher, salvage and tear on aggregator loss, trailer settlement, the
-// tree root's config refusals, StatusServer request parsing, and the live
-// join/leave re-cluster tracker.
+// Tests for the hierarchical aggregation tree (DESIGN.md §5j): the tree wire
+// codecs, the 3-tier root→aggregator→worker pipeline's bit-identity with the
+// flat grouped dispatcher, salvage and tear on aggregator loss, trailer
+// settlement, the tree root's config refusals, StatusServer request parsing,
+// and the live join/leave re-cluster tracker.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -17,7 +15,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -34,7 +31,6 @@
 #include "src/hier/fleet.hpp"
 #include "src/hier/mid_tier.hpp"
 #include "src/hier/tree_dispatcher.hpp"
-#include "src/net/fanin.hpp"
 #include "src/net/loopback.hpp"
 #include "src/net/messages.hpp"
 #include "src/net/status.hpp"
@@ -75,171 +71,6 @@ std::string record_json_no_phase(const fl::RoundRecord& record) {
   fl::RoundRecord copy = record;
   copy.phase = fl::PhaseTimings{};
   return fl::round_event_json("sync", copy);
-}
-
-// ---------------------------------------------------------------------------
-// HierFanIn: the poll/epoll fan-in server
-
-/// Pumps the server until one event arrives (asserting progress) — accepts,
-/// reads, and flushes happen inside poll().
-net::FanInEvent pump_for_event(net::FanInServer& server, int budget_ms = 5000) {
-  net::FanInEvent ev;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(budget_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (server.poll(&ev, 20)) return ev;
-  }
-  ADD_FAILURE() << "no FanIn event within " << budget_ms << " ms";
-  return ev;
-}
-
-TEST(HierFanIn, HelloRoundTripEcho) {
-  net::FanInServer server(net::FanInOptions{});
-  auto client = net::connect_tcp("127.0.0.1", server.port());
-
-  ASSERT_EQ(client->send(net::encode_hello({.worker_id = 7, .num_clients = 2}),
-                         2000),
-            net::TransportStatus::Ok);
-
-  const auto accepted = pump_for_event(server);
-  ASSERT_EQ(accepted.kind, net::FanInEvent::Kind::Accepted);
-  const std::uint64_t conn = accepted.conn;
-  EXPECT_EQ(server.connection_count(), 1u);
-  EXPECT_FALSE(server.peer_name(conn).empty());
-
-  const auto framed = pump_for_event(server);
-  ASSERT_EQ(framed.kind, net::FanInEvent::Kind::Frame);
-  EXPECT_EQ(framed.conn, conn);
-  const net::HelloMsg hello = net::decode_hello(framed.frame);
-  EXPECT_EQ(hello.worker_id, 7u);
-  EXPECT_EQ(hello.num_clients, 2u);
-
-  // Echo it back; flushing happens inside subsequent poll() calls, so pump
-  // the server between client receive attempts (one thread drives both).
-  ASSERT_TRUE(server.send(conn, framed.frame));
-  net::Frame back;
-  auto status = net::TransportStatus::Timeout;
-  for (int i = 0; i < 200 && status == net::TransportStatus::Timeout; ++i) {
-    net::FanInEvent ev;
-    server.poll(&ev, 10);
-    status = client->recv(&back, 10);
-  }
-  ASSERT_EQ(status, net::TransportStatus::Ok);
-  const net::HelloMsg echoed = net::decode_hello(back);
-  EXPECT_EQ(echoed.worker_id, 7u);
-}
-
-// The §5j acceptance bar: hundreds of concurrent connections through one
-// poll loop with no frame loss.
-TEST(HierFanIn, TwoHundredFiftySixConnectionsNoFrameLoss) {
-  constexpr std::size_t kPeers = 256;
-  net::FanInServer server(net::FanInOptions{});
-
-  std::vector<std::unique_ptr<net::Transport>> clients;
-  clients.reserve(kPeers);
-  std::set<std::uint32_t> seen;
-  std::size_t accepted = 0;
-  auto drain = [&](int timeout_ms) {
-    net::FanInEvent ev;
-    while (server.poll(&ev, timeout_ms)) {
-      if (ev.kind == net::FanInEvent::Kind::Accepted) ++accepted;
-      if (ev.kind == net::FanInEvent::Kind::Frame) {
-        seen.insert(net::decode_hello(ev.frame).worker_id);
-      }
-    }
-  };
-
-  // Interleave connects with polling so the accept backlog never overflows.
-  for (std::size_t i = 0; i < kPeers; ++i) {
-    clients.push_back(net::connect_tcp("127.0.0.1", server.port()));
-    ASSERT_EQ(clients.back()->send(
-                  net::encode_hello({.worker_id = static_cast<std::uint32_t>(i),
-                                     .num_clients = 1}),
-                  2000),
-              net::TransportStatus::Ok);
-    drain(0);
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (seen.size() < kPeers &&
-         std::chrono::steady_clock::now() < deadline) {
-    drain(20);
-  }
-
-  EXPECT_EQ(server.connection_count(), kPeers);
-  EXPECT_EQ(accepted, kPeers);
-  ASSERT_EQ(seen.size(), kPeers);  // every frame delivered, none lost
-  EXPECT_EQ(*seen.begin(), 0u);
-  EXPECT_EQ(*seen.rbegin(), kPeers - 1);
-}
-
-TEST(HierFanIn, SlowPeerIsShedAtOutboundCap) {
-  net::FanInOptions options;
-  options.max_outbound_frames = 4;
-  net::FanInServer server(options);
-
-  // The peer connects and then never reads.
-  auto client = net::connect_tcp("127.0.0.1", server.port());
-  const auto accepted = pump_for_event(server);
-  ASSERT_EQ(accepted.kind, net::FanInEvent::Kind::Accepted);
-  const std::uint64_t conn = accepted.conn;
-
-  // Large frames (256 KiB of params) fill the socket buffer, then the
-  // outbound queue, then trip the cap: send() returns false exactly once at
-  // the shed point.
-  net::TrainJobMsg big;
-  big.params.assign(65536, 1.5f);
-  const net::Frame frame = net::encode_train_job(big);
-  bool shed_on_send = false;
-  for (int i = 0; i < 64 && !shed_on_send; ++i) {
-    if (!server.send(conn, frame)) {
-      shed_on_send = true;
-      break;
-    }
-    net::FanInEvent ev;
-    server.poll(&ev, 5);  // attempt a flush between sends
-  }
-  ASSERT_TRUE(shed_on_send) << "outbound cap never tripped";
-
-  // The next poll surfaces the shed as a Closed event, and the connection
-  // id is gone for good (ids are never recycled).
-  net::FanInEvent ev;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  bool closed = false;
-  while (!closed && std::chrono::steady_clock::now() < deadline) {
-    if (!server.poll(&ev, 20)) continue;
-    if (ev.kind == net::FanInEvent::Kind::Closed && ev.conn == conn) {
-      EXPECT_TRUE(ev.shed);
-      closed = true;
-    }
-  }
-  ASSERT_TRUE(closed);
-  EXPECT_EQ(server.connection_count(), 0u);
-  EXPECT_FALSE(server.send(conn, frame));
-  EXPECT_EQ(server.outbound_queued(conn), 0u);
-}
-
-TEST(HierFanIn, ConnectionCapClosesExcessPeers) {
-  net::FanInOptions options;
-  options.max_connections = 2;
-  net::FanInServer server(options);
-
-  auto first = net::connect_tcp("127.0.0.1", server.port());
-  auto second = net::connect_tcp("127.0.0.1", server.port());
-  auto third = net::connect_tcp("127.0.0.1", server.port());
-
-  // Pump the server; the third peer must observe a close, and the server
-  // must hold exactly two connections.
-  net::Frame frame;
-  auto status = net::TransportStatus::Timeout;
-  for (int i = 0; i < 200 && status == net::TransportStatus::Timeout; ++i) {
-    net::FanInEvent ev;
-    server.poll(&ev, 10);
-    status = third->recv(&frame, 10);
-  }
-  EXPECT_EQ(status, net::TransportStatus::Closed);
-  EXPECT_EQ(server.connection_count(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -323,8 +154,8 @@ TEST(HierCodec, SubtreeUpdateRoundTrip) {
 
 /// An in-process 3-tier federation: the root talks to `aggs` MidTierAggregator
 /// threads over loopback pairs; each aggregator fronts its slice of `workers`
-/// WorkerLoop threads over real TCP through its FanInServer. The root side
-/// of the handshake runs through the library fleet, exactly as
+/// WorkerLoop threads over real TCP through its own TcpListener. The root
+/// side of the handshake runs through the library fleet, exactly as
 /// haccs_server's does.
 struct TreeHarness {
   TreeHarness(const data::FederatedDataset& fed,
@@ -356,7 +187,11 @@ struct TreeHarness {
       config.chunk_params = 64;
       config.max_update_norm = engine.max_update_norm;
       config.round_timeout_ms = 60000;
-      aggs_.push_back(std::make_unique<hier::MidTierAggregator>(config));
+      listeners_.push_back(std::make_unique<net::TcpListener>(0));
+      aggs_.push_back(std::make_unique<hier::MidTierAggregator>(
+          config, [listener = listeners_.back().get()](int timeout_ms) {
+            return listener->accept(timeout_ms);
+          }));
       auto pair = net::make_loopback_pair();
       root_ends_.push_back(std::move(pair.a));
       agg_ends_.push_back(std::move(pair.b));
@@ -369,7 +204,7 @@ struct TreeHarness {
     for (std::size_t w = 0; w < num_workers; ++w) {
       threads_.emplace_back([this, &fed, factory, w, per, num_workers] {
         auto transport =
-            net::connect_tcp("127.0.0.1", aggs_[w / per]->port());
+            net::connect_tcp("127.0.0.1", listeners_[w / per]->port());
         hier::send_worker_hello(*transport, fed,
                                 static_cast<std::uint32_t>(w),
                                 static_cast<std::uint32_t>(num_workers));
@@ -404,6 +239,7 @@ struct TreeHarness {
 
   std::deque<std::unique_ptr<net::Transport>> root_ends_;
   std::vector<std::unique_ptr<net::Transport>> agg_ends_;
+  std::vector<std::unique_ptr<net::TcpListener>> listeners_;
   std::vector<std::unique_ptr<hier::MidTierAggregator>> aggs_;
   std::vector<std::thread> threads_;
   bool agg_ok_[8] = {};

@@ -1,11 +1,14 @@
 // Tests for the mid-tier aggregator (src/hier/mid_tier.hpp) driven by hand:
 // an emulated root on a loopback pair sends SelectNotice and TrainJob frames,
-// and emulated workers connect over TCP to the aggregator's fan-in port,
+// and emulated workers connect over TCP to the aggregator's listener,
 // handshake with hier::send_worker_hello and answer their jobs frame by
 // frame. HierMidTier.* pins how a closed worker, a CRC-bad frame, the round
-// deadline and a lost SelectNotice settle a subtree round, and that only a
-// client's own worker can settle it. HierMidTierHandshake.* pins which
-// downstream handshake inputs cost only their own connection.
+// budget and a lost SelectNotice settle a subtree round, that a noticed
+// round waits for jobs the root sends slowly, that only a client's own
+// worker can settle it, that heartbeats flow while a round collects, and
+// that TrainJob and Summary frames cross the tier byte for byte.
+// HierMidTierHandshake.* pins that a bad downstream handshake stops the
+// aggregator before it announces itself.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -24,6 +27,7 @@
 #include "src/net/loopback.hpp"
 #include "src/net/messages.hpp"
 #include "src/net/tcp.hpp"
+#include "src/obs/trace.hpp"
 #include "src/stats/summary.hpp"
 #include "src/stats/summary_codec.hpp"
 
@@ -75,6 +79,7 @@ class Borrowed final : public net::Transport {
 struct Settled {
   std::vector<double> sum;
   net::SubtreeUpdateMsg trailer;
+  std::size_t heartbeats = 0;  ///< Heartbeat frames ahead of the trailer
 };
 
 /// The params every hand-built round ships; small integers, so every
@@ -85,26 +90,40 @@ const std::vector<float> kParams = {1.0f, 2.0f, 3.0f, 4.0f};
 /// lives on worker c % 2), its upstream played by the test.
 class MidTierRig {
  public:
-  explicit MidTierRig(int round_timeout_ms) : fed_(make_fed()) {
+  explicit MidTierRig(int round_timeout_ms, int heartbeat_interval_ms = 0)
+      : fed_(make_fed()), listener_(0) {
     hier::MidTierConfig config;
     config.num_aggs = 1;
     config.num_workers = 2;
     config.round_timeout_ms = round_timeout_ms;
+    config.heartbeat_interval_ms = heartbeat_interval_ms;
     config.handshake_timeout_ms = kWaitMs;
-    agg_ = std::make_unique<hier::MidTierAggregator>(config);
+    agg_ = std::make_unique<hier::MidTierAggregator>(
+        config, [this](int timeout_ms) {
+          auto transport = listener_.accept(timeout_ms);
+          if (transport) accepted_.push_back(transport->peer());
+          return transport;
+        });
     auto pair = net::make_loopback_pair();
     root_ = std::move(pair.a);
     upstream_ = std::move(pair.b);
-    thread_ = std::thread([this] { ok_ = agg_->run(*upstream_); });
+    thread_ = std::thread([this] {
+      try {
+        ok_ = agg_->run(*upstream_);
+      } catch (const hier::FleetError& e) {
+        error_ = e.what();
+      }
+    });
   }
 
   ~MidTierRig() {
     if (thread_.joinable()) finish();
   }
 
-  /// A fresh TCP session to the fan-in port that has said nothing yet.
+  /// A fresh TCP session to the aggregator's listener that has said nothing
+  /// yet.
   std::unique_ptr<net::Transport> dial() {
-    return net::connect_tcp("127.0.0.1", agg_->port());
+    return net::connect_tcp("127.0.0.1", listener_.port());
   }
 
   /// A session that has run worker `w`'s whole handshake.
@@ -117,48 +136,65 @@ class MidTierRig {
     return transport;
   }
 
-  /// Connects both workers and consumes the subtree announcement upstream.
-  void handshake() {
+  /// Connects both workers and consumes the subtree announcement upstream;
+  /// returns the relayed Summary frames.
+  std::vector<net::Frame> handshake() {
     workers_[0] = connect_worker(0);
     workers_[1] = connect_worker(1);
+    std::vector<net::Frame> summaries;
     net::Frame frame;
-    ASSERT_EQ(root_->recv(&frame, kWaitMs), net::TransportStatus::Ok);
-    ASSERT_EQ(frame.type, net::MessageType::TopologyHello);
+    EXPECT_EQ(root_->recv(&frame, kWaitMs), net::TransportStatus::Ok);
+    EXPECT_EQ(frame.type, net::MessageType::TopologyHello);
     const auto hello = net::decode_topology_hello(frame);
-    ASSERT_EQ(hello.num_clients, fed_.clients.size());
+    EXPECT_EQ(hello.num_clients, fed_.clients.size());
     for (std::uint32_t s = 0; s < hello.num_clients; ++s) {
-      ASSERT_EQ(root_->recv(&frame, kWaitMs), net::TransportStatus::Ok);
-      ASSERT_EQ(frame.type, net::MessageType::Summary);
+      EXPECT_EQ(root_->recv(&frame, kWaitMs), net::TransportStatus::Ok);
+      EXPECT_EQ(frame.type, net::MessageType::Summary);
+      summaries.push_back(frame);
     }
+    return summaries;
   }
 
   /// Sends the round's SelectNotice (unless `notice` is false, as if the
-  /// link lost it) and one TrainJob per client, in the given order.
-  void open_round(std::uint64_t epoch, const std::vector<std::uint32_t>& clients,
-                  bool notice = true) {
+  /// link lost it) and one TrainJob per client, in the given order, under
+  /// `trace`, pausing `pause_ms` before each TrainJob; returns the TrainJob
+  /// frames sent.
+  std::vector<net::Frame> open_round(std::uint64_t epoch,
+                                     const std::vector<std::uint32_t>& clients,
+                                     bool notice = true,
+                                     const obs::TraceContext& trace = {},
+                                     int pause_ms = 0) {
     if (notice) {
       net::SelectNoticeMsg msg;
       msg.epoch = epoch;
       msg.clients = clients;
-      ASSERT_EQ(root_->send(net::encode_select_notice(msg)),
+      EXPECT_EQ(root_->send(net::encode_select_notice(msg)),
                 net::TransportStatus::Ok);
     }
+    std::vector<net::Frame> sent;
     for (const std::uint32_t c : clients) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(pause_ms));
       fl::TrainJobSpec spec;
       spec.client_id = c;
       spec.epoch = epoch;
-      ASSERT_EQ(root_->send(net::encode_train_job(fl::make_train_job(
-                    spec, fl::LocalWorkConfig{}, kParams, {}))),
-                net::TransportStatus::Ok);
+      sent.push_back(net::encode_train_job(
+          fl::make_train_job(spec, fl::LocalWorkConfig{}, kParams, trace)));
+      EXPECT_EQ(root_->send(sent.back()), net::TransportStatus::Ok);
     }
+    return sent;
+  }
+
+  /// The next TrainJob frame worker `w` receives.
+  net::Frame job_frame(std::size_t w) {
+    net::Frame frame;
+    EXPECT_EQ(workers_[w]->recv(&frame, kWaitMs), net::TransportStatus::Ok);
+    EXPECT_EQ(frame.type, net::MessageType::TrainJob);
+    return frame;
   }
 
   /// The next TrainJob worker `w` receives.
   net::TrainJobMsg job(std::size_t w) {
-    net::Frame frame;
-    EXPECT_EQ(workers_[w]->recv(&frame, kWaitMs), net::TransportStatus::Ok);
-    EXPECT_EQ(frame.type, net::MessageType::TrainJob);
-    return net::decode_train_job(frame);
+    return net::decode_train_job(job_frame(w));
   }
 
   /// Client `c`'s Dense update for `epoch`: params + (c + 1), weight
@@ -207,6 +243,8 @@ class MidTierRig {
       } else if (frame.type == net::MessageType::SubtreeUpdate) {
         out.trailer = net::decode_subtree_update(frame);
         return out;
+      } else if (frame.type == net::MessageType::Heartbeat) {
+        ++out.heartbeats;
       }
     }
   }
@@ -220,13 +258,26 @@ class MidTierRig {
     return ok_;
   }
 
+  /// Joins an aggregator that stopped on its own; the FleetError it threw,
+  /// or "" if none.
+  std::string stopped_with() {
+    thread_.join();
+    return error_;
+  }
+
   const data::FederatedDataset& fed() const { return fed_; }
   const hier::MidTierAggregator& agg() const { return *agg_; }
   net::Transport& root() { return *root_; }
+  /// The address of each connection the aggregator accepted, in order
+  /// (read after the aggregator stopped).
+  const std::vector<std::string>& accepted() const { return accepted_; }
   std::unique_ptr<net::Transport> workers_[2];
 
  private:
   data::FederatedDataset fed_;
+  net::TcpListener listener_;
+  std::vector<std::string> accepted_;
+  std::string error_;
   std::unique_ptr<hier::MidTierAggregator> agg_;
   std::unique_ptr<net::Transport> root_;
   std::unique_ptr<net::Transport> upstream_;
@@ -329,21 +380,21 @@ TEST(HierMidTier, DeadlineFailsStragglersAsTimeoutAndFoldsArrivals) {
   EXPECT_TRUE(rig.finish());
 }
 
-TEST(HierMidTier, LostSelectNoticeOpensAnImplicitRoundSettledAtDeadline) {
-  MidTierRig rig(kDeadlineMs);
+TEST(HierMidTier,
+     LostSelectNoticeOpensAnImplicitRoundSettledWhenItsWorkersAnswer) {
+  // A round budget far beyond settle()'s wait: settling at all proves the
+  // round did not wait for it.
+  MidTierRig rig(/*round_timeout_ms=*/6 * kWaitMs);
   rig.handshake();
-  const auto opened = std::chrono::steady_clock::now();
   rig.open_round(5, {3, 0, 1}, /*notice=*/false);
   for (const std::size_t w : {1, 0, 1}) {
     const auto job = rig.job(w);
     ASSERT_EQ(rig.workers_[w]->send(MidTierRig::update(job.client_id, 5)),
               net::TransportStatus::Ok);
   }
+  // Upstream fell quiet after the jobs, which closed the implicit round's
+  // intake; it settles once every relayed job is answered.
   const Settled settled = rig.settle();
-  // Every update is in, but an implicit round never knows its client set
-  // is complete: only the deadline settles it.
-  EXPECT_GE(std::chrono::steady_clock::now() - opened,
-            std::chrono::milliseconds(kDeadlineMs));
   EXPECT_EQ(settled.trailer.epoch, 5u);
   ASSERT_EQ(settled.trailer.stats.size(), 3u);
   expect_stat(settled.trailer, 0, 3, true);  // arrival order is slot order
@@ -351,6 +402,28 @@ TEST(HierMidTier, LostSelectNoticeOpensAnImplicitRoundSettledAtDeadline) {
   expect_stat(settled.trailer, 2, 1, true);
   EXPECT_EQ(settled.sum, MidTierRig::expected_sum({3, 0, 1}));
   EXPECT_TRUE(rig.finish());
+}
+
+// A noticed round waits for every job however slowly the root sends them:
+// gaps far longer than a poll slice (a loaded root, a large model on a slow
+// link) must not close the intake early and fail the late slots.
+TEST(HierMidTier, NoticedRoundWaitsForJobsAcrossPausesUpstream) {
+  MidTierRig rig(/*round_timeout_ms=*/kWaitMs);
+  rig.handshake();
+  rig.open_round(1, {0, 1, 2, 3}, /*notice=*/true, {}, /*pause_ms=*/50);
+  for (int i = 0; i < 2; ++i) {
+    for (const std::size_t w : {0, 1}) {
+      const auto job = rig.job(w);
+      ASSERT_EQ(rig.workers_[w]->send(MidTierRig::update(job.client_id, 1)),
+                net::TransportStatus::Ok);
+    }
+  }
+  const Settled settled = rig.settle();
+  ASSERT_EQ(settled.trailer.stats.size(), 4u);
+  for (std::uint32_t c = 0; c < 4; ++c) expect_stat(settled.trailer, c, c, true);
+  EXPECT_EQ(settled.sum, MidTierRig::expected_sum({0, 1, 2, 3}));
+  EXPECT_TRUE(rig.finish());
+  EXPECT_EQ(rig.agg().stats().folded, 4u);
 }
 
 TEST(HierMidTier, OnlyTheClientsOwnWorkerCanSettleIt) {
@@ -376,12 +449,71 @@ TEST(HierMidTier, OnlyTheClientsOwnWorkerCanSettleIt) {
   EXPECT_TRUE(rig.finish());
 }
 
-// Four bad downstream handshakes. Each of the first three closes only its
-// own connection; the fourth is worker 0 reconnecting before the subtree
-// is complete. In every case, once the correct workers connect, the
-// aggregator announces the subtree, relays each summary exactly once, and
-// the root's fleet admits it.
-TEST(HierMidTierHandshake, BadInputCostsOnlyItsConnection) {
+// The aggregator's heartbeat runs on its own thread, so the root keeps
+// hearing from it while it waits on a slow subtree.
+TEST(HierMidTier, HeartbeatsReachTheRootWhileTheRoundCollects) {
+  MidTierRig rig(/*round_timeout_ms=*/kWaitMs, /*heartbeat_interval_ms=*/10);
+  rig.handshake();
+  rig.open_round(1, {0, 1});
+  rig.job(0);
+  rig.job(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    ASSERT_EQ(rig.workers_[c]->send(MidTierRig::update(c, 1)),
+              net::TransportStatus::Ok);
+  }
+  const Settled settled = rig.settle();
+  EXPECT_GT(settled.heartbeats, 0u);
+  ASSERT_EQ(settled.trailer.stats.size(), 2u);
+  expect_stat(settled.trailer, 0, 0, true);
+  expect_stat(settled.trailer, 1, 1, true);
+  EXPECT_TRUE(rig.finish());
+}
+
+// The root's frames reach the workers, and the workers' summaries reach the
+// root, exactly as sent: TrainJobs untraced and traced (the trace trailer
+// rides along whatever the aggregator's own trace flags), and each Summary.
+TEST(HierMidTier, RelaysTrainJobsAndSummariesByteForByte) {
+  MidTierRig rig(/*round_timeout_ms=*/kWaitMs);
+  const std::vector<net::Frame> relayed = rig.handshake();
+  std::vector<net::Frame> expected;
+  for (std::uint32_t w = 0; w < 2; ++w) {
+    for (std::size_t c = w; c < rig.fed().clients.size(); c += 2) {
+      expected.push_back(net::encode_summary(stats::encode_summary_msg(
+          static_cast<std::uint32_t>(c),
+          stats::summarize_response(rig.fed().clients[c].train))));
+    }
+  }
+  ASSERT_EQ(relayed.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(relayed[i].type, expected[i].type) << "summary " << i;
+    EXPECT_EQ(relayed[i].payload, expected[i].payload) << "summary " << i;
+  }
+
+  const obs::TraceContext traced{.trace_id = 0x5eed, .parent_span = 77,
+                                 .round = 2};
+  for (const obs::TraceContext& trace : {obs::TraceContext{}, traced}) {
+    SCOPED_TRACE(trace.valid() ? "traced" : "untraced");
+    const std::uint64_t epoch = trace.valid() ? 2 : 1;
+    const std::vector<net::Frame> sent =
+        rig.open_round(epoch, {0, 1}, /*notice=*/true, trace);
+    for (std::size_t w = 0; w < 2; ++w) {
+      const net::Frame frame = rig.job_frame(w);
+      EXPECT_EQ(frame.payload, sent[w].payload) << "client " << w;
+      ASSERT_EQ(rig.workers_[w]->send(MidTierRig::update(
+                    static_cast<std::uint32_t>(w), epoch)),
+                net::TransportStatus::Ok);
+    }
+    EXPECT_EQ(rig.settle().trailer.epoch, epoch);
+  }
+  EXPECT_TRUE(rig.finish());
+}
+
+// Four bad downstream handshakes. Each stops the aggregator with a
+// FleetError naming the offending connection before anything goes
+// upstream, as a bad peer stops the root's own fleet at startup: a launcher
+// bug must not start a short subtree.
+TEST(HierMidTierHandshake, BadInputStopsTheAggregatorNamingThePeer) {
   const std::vector<std::string> cases = {"malformed summary",
                                           "foreign-client summary",
                                           "out-of-subtree hello",
@@ -391,55 +523,45 @@ TEST(HierMidTierHandshake, BadInputCostsOnlyItsConnection) {
     MidTierRig rig(/*round_timeout_ms=*/kWaitMs);
     auto bad = rig.dial();
     ASSERT_NE(bad, nullptr);
+    std::unique_ptr<net::Transport> again;
+    std::string expected = "refused: ";
     if (input == "malformed summary") {
       ASSERT_EQ(bad->send(net::encode_hello({0, 2})), net::TransportStatus::Ok);
       net::Frame garbage;
       garbage.type = net::MessageType::Summary;
       garbage.payload = {1, 2, 3};
       ASSERT_EQ(bad->send(garbage), net::TransportStatus::Ok);
+      expected += "malformed frame";
     } else if (input == "foreign-client summary") {
       // Client 1 lives on worker 1, not worker 0.
       ASSERT_EQ(bad->send(net::encode_hello({0, 2})), net::TransportStatus::Ok);
       ASSERT_EQ(bad->send(net::encode_summary(stats::encode_summary_msg(
                     1, stats::summarize_response(rig.fed().clients[1].train)))),
                 net::TransportStatus::Ok);
+      expected += "worker 0: summary for client 1, which it does not host";
     } else if (input == "out-of-subtree hello") {
       ASSERT_EQ(bad->send(net::encode_hello({2, 0})), net::TransportStatus::Ok);
+      expected += "bad worker id 2";
     } else {
       ASSERT_TRUE(hier::send_worker_hello(*bad, rig.fed(), 0, 2));
       std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      again = rig.connect_worker(0);
+      expected = "duplicate worker id 0 from ";
     }
-    net::Frame frame;
-    if (input != "reconnect during handshake") {
-      EXPECT_EQ(bad->recv(&frame, kWaitMs), net::TransportStatus::Closed);
-    }
-    rig.workers_[0] = rig.connect_worker(0);
+    const std::string error = rig.stopped_with();
+    ASSERT_FALSE(rig.accepted().empty());
+    // The refused connection is the last one accepted.
+    const std::string peer = rig.accepted().back();
     if (input == "reconnect during handshake") {
-      // The fresh session replaces the stale one.
-      EXPECT_EQ(bad->recv(&frame, kWaitMs), net::TransportStatus::Closed);
+      EXPECT_NE(error.find(expected + peer), std::string::npos) << error;
+    } else {
+      EXPECT_NE(error.find("handshake with " + peer + " " + expected),
+                std::string::npos)
+          << error;
     }
-    rig.workers_[1] = rig.connect_worker(1);
-
-    hier::FleetConfig config;
-    config.num_workers = 2;
-    config.num_aggs = 1;
-    config.num_clients = rig.fed().clients.size();
-    config.io_timeout_ms = kWaitMs;
-    bool handed = false;
-    hier::Fleet fleet(config, [&](int) -> std::unique_ptr<net::Transport> {
-      if (handed) return nullptr;
-      handed = true;
-      return std::make_unique<Borrowed>(rig.root());
-    });
-    try {
-      fleet.accept_all(kWaitMs);
-    } catch (const hier::FleetError& e) {
-      ADD_FAILURE() << e.what();
-    }
-    EXPECT_TRUE(fleet.have_all_summaries());
-    // Nothing beyond the announced summaries follows.
+    // Nothing went upstream: no TopologyHello, no summary.
+    net::Frame frame;
     EXPECT_EQ(rig.root().recv(&frame, 200), net::TransportStatus::Timeout);
-    EXPECT_TRUE(rig.finish());
   }
 }
 

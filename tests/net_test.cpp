@@ -1099,6 +1099,33 @@ TEST(Tcp, LocalhostRoundTripIncludingLargeFrames) {
   EXPECT_EQ(back.params, job.params);
 }
 
+// A recv() Timeout with half a frame in hand is not a quiet link:
+// receiving() tells the two apart.
+TEST(Tcp, ReceivingReportsAPartlyArrivedFrame) {
+  net::TcpListener listener(0);
+  std::unique_ptr<net::Transport> server;
+  std::thread acceptor([&] { server = listener.accept(5000); });
+  auto client = net::connect_tcp("127.0.0.1", listener.port());
+  acceptor.join();
+  ASSERT_NE(client, nullptr);
+  ASSERT_NE(server, nullptr);
+
+  const std::vector<std::uint8_t> bytes =
+      net::encode_frame(net::encode_hello({4, 2}));
+  const std::span<const std::uint8_t> all(bytes);
+  const std::size_t half = bytes.size() / 2;
+  net::Frame out;
+  EXPECT_EQ(server->recv(&out, 20), net::TransportStatus::Timeout);
+  EXPECT_FALSE(server->receiving());
+  ASSERT_EQ(client->send_raw(all.first(half)), net::TransportStatus::Ok);
+  EXPECT_EQ(server->recv(&out, 50), net::TransportStatus::Timeout);
+  EXPECT_TRUE(server->receiving());
+  ASSERT_EQ(client->send_raw(all.subspan(half)), net::TransportStatus::Ok);
+  ASSERT_EQ(server->recv(&out, 5000), net::TransportStatus::Ok);
+  EXPECT_EQ(net::decode_hello(out).worker_id, 4u);
+  EXPECT_FALSE(server->receiving());
+}
+
 TEST(Tcp, AcceptTimesOutWithoutAConnection) {
   net::TcpListener listener(0);
   EXPECT_EQ(listener.accept(50), nullptr);

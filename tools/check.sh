@@ -163,10 +163,12 @@ if [[ "$skip_sanitize" -eq 0 ]]; then
   # Transports under TSan: the loopback queues and the LoopbackCluster
   # worker threads are the net layer's concurrent surface (TCP I/O is
   # single-threaded per connection; the cluster drives real cross-thread
-  # frame traffic through the same dispatcher the server binary uses).
+  # frame traffic through the same dispatcher the server binary uses). The
+  # tree suites add the mid tier's heartbeat thread, which sends upstream
+  # while the aggregator collects.
   echo "== net transports under TSan =="
   "$repo/build-tsan/tests/haccs_tests" \
-    --gtest_filter='Loopback.*:Tcp.*:TransportDispatcher.*:EngineOverTransport.*:ChaosTransport.*:ServingDispatcher.*:WorkerReconnect.*:ServingTrace.*:ServingStatus.*'
+    --gtest_filter='Loopback.*:Tcp.*:TransportDispatcher.*:EngineOverTransport.*:ChaosTransport.*:ServingDispatcher.*:WorkerReconnect.*:ServingTrace.*:ServingStatus.*:HierMidTier*:HierTree.*:HierFleet.*'
 fi
 
 echo "== all checks passed =="

@@ -19,6 +19,9 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "bench/harness.hpp"
 #include "src/common/table.hpp"
@@ -80,7 +83,18 @@ std::vector<double> parse_targets(const std::string& csv) {
   while (start < csv.size()) {
     auto comma = csv.find(',', start);
     if (comma == std::string::npos) comma = csv.size();
-    out.push_back(std::stod(csv.substr(start, comma - start)));
+    const std::string item = csv.substr(start, comma - start);
+    std::size_t used = 0;
+    try {
+      out.push_back(std::stod(item, &used));
+    } catch (const std::exception&) {
+      used = 0;
+    }
+    if (used == 0 || used != item.size()) {
+      throw std::invalid_argument(
+          "flag --targets expects comma-separated numbers, got '" + item +
+          "'");
+    }
     start = comma + 1;
   }
   return out;
@@ -88,7 +102,7 @@ std::vector<double> parse_targets(const std::string& csv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace haccs;
   const auto wall_start = std::chrono::steady_clock::now();
   const Flags flags(argc, argv);
@@ -101,7 +115,7 @@ int main(int argc, char** argv) {
   exp.apply_flags(flags);
   const std::string strategy = flags.get_string("strategy", "haccs-py");
   const std::string partition = flags.get_string("partition", "majority");
-  const auto k_labels = static_cast<std::size_t>(flags.get_int("k", 5));
+  const auto k_labels = flags.get_count("k", 5);
   const double alpha = flags.get_double("alpha", 0.5);
   const double rotation = flags.get_double("rotation", 45.0);
   const double rho = flags.get_double("rho", 0.5);
@@ -110,19 +124,13 @@ int main(int argc, char** argv) {
   const double dropout_fraction = flags.get_double("dropout", 0.0);
   const std::string hostile = flags.get_string("hostile", "");
   const double hostile_frac = flags.get_double("hostile-frac", 0.3);
-  const auto hostile_at =
-      static_cast<std::size_t>(flags.get_int("hostile-at", 1));
-  const auto hostile_span =
-      static_cast<std::size_t>(flags.get_int("hostile-span", 2));
-  const auto recluster =
-      static_cast<std::size_t>(flags.get_int("recluster", 0));
+  const auto hostile_at = flags.get_count("hostile-at", 1);
+  const auto hostile_span = flags.get_count("hostile-span", 2);
+  const auto recluster = flags.get_count("recluster", 0);
   const bool scale_enabled = flags.get_bool("scale", false);
-  const auto scale_shard =
-      static_cast<std::size_t>(flags.get_int("scale-shard", 1024));
-  const auto scale_sketch_dim =
-      static_cast<std::size_t>(flags.get_int("scale-sketch-dim", 32));
-  const auto scale_exact_cutoff =
-      static_cast<std::size_t>(flags.get_int("scale-exact-cutoff", 256));
+  const auto scale_shard = flags.get_count("scale-shard", 1024);
+  const auto scale_sketch_dim = flags.get_count("scale-sketch-dim", 32);
+  const auto scale_exact_cutoff = flags.get_count("scale-exact-cutoff", 256);
   const double scale_dirty = flags.get_double("scale-dirty", 0.05);
   const bool fedprox = flags.get_bool("fedprox", false);
   const double mu = flags.get_double("mu", 0.01);
@@ -132,13 +140,10 @@ int main(int argc, char** argv) {
   const std::string summary_json = flags.get_string("summary-json", "");
   flags.check_unused();
 
-  // Reject bad names before any data is generated.
-  try {
-    core::selector_info(strategy);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
-  }
+  // Reject bad names and an engine config the trainer would refuse before
+  // any data is generated.
+  core::selector_info(strategy);
+  exp.check();
   const char* const kHostileShapes[] = {"",       "none",  "flash-crowd",
                                         "diurnal", "outage", "drift",
                                         "targeted-stragglers"};
@@ -330,4 +335,7 @@ int main(int argc, char** argv) {
   // here surfaces any write error while stderr is still in context.
   obs::flush();
   return 0;
+} catch (const std::exception& e) {
+  std::fprintf(stderr, "haccs_run: %s\n", e.what());
+  return 1;
 }

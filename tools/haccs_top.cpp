@@ -226,18 +226,15 @@ int main(int argc, char** argv) try {
                   extract_number(status, "downlink_rate_bps") / 1024.0,
                   extract_number(status, "uplink_rate_bps") / 1024.0);
       // Rows are the endpoint's direct peers: workers under a flat server
-      // or a mid-tier aggregator, aggregators under a tree root. "QD" is
-      // the per-peer outstanding-frame depth (frames queued behind a slow
-      // connection — the §5j backpressure gauge; 0 on blocking links).
+      // or a mid-tier aggregator, aggregators under a tree root.
       Table table({tier == "root" ? "agg" : "worker", "alive", "outstanding",
-                   "QD", "updates", "sessions", "last heard"});
+                   "updates", "sessions", "last heard"});
       for (const std::string& w : worker_records(status)) {
         table.add_row(
             {std::to_string(static_cast<long>(extract_number(w, "id"))),
              extract_bool(w, "alive"),
              std::to_string(
                  static_cast<long>(extract_number(w, "outstanding"))),
-             std::to_string(static_cast<long>(extract_number(w, "queued"))),
              std::to_string(static_cast<long>(extract_number(w, "updates"))),
              std::to_string(static_cast<long>(extract_number(w, "sessions"))),
              format_age(extract_number(w, "last_heard_age_ms", -1))});
