@@ -89,8 +89,8 @@ BENCHMARK(BM_ScaleClusterSharded)
     ->Unit(benchmark::kMillisecond);
 
 /// Shard fan-out thread sweep: the same 100k-client batch clustering on an
-/// explicitly sized pool (1/2/4/8 workers through cluster_sharded's pool
-/// seam). Labels are width-invariant (shards are independent); the sweep
+/// explicitly sized pool (1/2/4/8 working threads through cluster_sharded's
+/// pool seam). Labels are width-invariant (shards are independent); the sweep
 /// measures how far the per-shard parallel_for actually scales on the host
 /// — on a single-core machine all four entries should be flat, which is
 /// itself the signal (no phantom speedup from oversubscription).
@@ -104,9 +104,10 @@ void BM_ScaleClusterShardedThreads(benchmark::State& state) {
   };
   const auto cluster = bench_cluster_fn();
   const auto config = bench_config();
-  // "1 thread" = 1 pool worker; ThreadPool(0) would run inline on the
-  // calling thread, which is the same serial schedule with less queueing.
-  ThreadPool pool(threads);
+  // parallel_for runs a chunk on the calling thread, so `threads` working
+  // threads are the caller plus threads - 1 workers; ThreadPool(0) runs
+  // inline for 1.
+  ThreadPool pool(threads - 1);
   for (auto _ : state) {
     auto labels =
         cluster_sharded(sketches, exact, cluster, config, nullptr, &pool);

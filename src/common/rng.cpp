@@ -72,6 +72,22 @@ double Rng::normal() {
   return r * std::cos(theta);
 }
 
+void Rng::discard_normals(std::size_t n) {
+  if (n > 0 && has_cached_normal_) {
+    normal();
+    --n;
+  }
+  // Whole pairs draw only their raw words, with normal()'s u1 > 0 rejection.
+  // The last one or two draws go through normal() itself, so even the
+  // inactive cache slot ends up holding what normal() would leave there.
+  for (; n > 2; n -= 2) {
+    while (uniform() <= 0.0) {
+    }
+    uniform();
+  }
+  for (; n > 0; --n) normal();
+}
+
 double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }

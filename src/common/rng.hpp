@@ -49,6 +49,8 @@ class Rng {
     std::uint64_t s[4] = {0, 0, 0, 0};
     double cached_normal = 0.0;
     bool has_cached_normal = false;
+
+    bool operator==(const State&) const = default;
   };
 
   explicit Rng(std::uint64_t seed = 0x853c49e6748fea9bULL);
@@ -79,6 +81,11 @@ class Rng {
 
   /// Standard normal via Box-Muller (deterministic, cache of second value).
   double normal();
+
+  /// Advances the stream exactly as `n` calls to normal() would, skipping
+  /// the Box-Muller transform for every pair consumed whole. Afterwards
+  /// state() is bitwise what the `n` normal() calls leave behind.
+  void discard_normals(std::size_t n);
 
   /// Normal with given mean and standard deviation.
   double normal(double mean, double stddev);

@@ -9,10 +9,11 @@
 namespace haccs {
 
 namespace {
-/// Set while the current thread is a pool worker; nested parallel_for calls
-/// from inside a task run inline instead of re-entering the queue (blocking
-/// a worker on the queue it is supposed to drain can deadlock the pool).
-thread_local bool t_inside_pool_worker = false;
+/// Set while the current thread runs a pool task or the caller's chunk of a
+/// parallel_for; nested parallel_for calls then run inline instead of
+/// re-entering the queue (blocking a worker on the queue it is supposed to
+/// drain can deadlock the pool).
+thread_local bool t_inside_parallel_region = false;
 
 obs::Gauge& queue_depth_gauge() {
   static obs::Gauge& gauge =
@@ -84,9 +85,9 @@ void ThreadPool::worker_loop() {
       queue_.pop();
       queue_depth_gauge().set(static_cast<double>(queue_.size()));
     }
-    t_inside_pool_worker = true;
+    t_inside_parallel_region = true;
     task();  // exceptions are captured by the packaged_task's future
-    t_inside_pool_worker = false;
+    t_inside_parallel_region = false;
   }
 }
 
@@ -95,23 +96,32 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
   if (begin >= end) return;
   const std::size_t n = end - begin;
   const std::size_t workers = pool.size();
-  if (workers == 0 || n == 1 || t_inside_pool_worker) {
+  if (workers == 0 || n == 1 || t_inside_parallel_region) {
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
+  // One chunk per worker plus one for the calling thread, which runs chunk 0
+  // itself while the workers take the rest.
   const std::size_t chunks = std::min(n, workers + 1);
   const std::size_t chunk_size = (n + chunks - 1) / chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
+  const auto run_chunk = [&fn, begin, end, chunk_size](std::size_t c) {
     const std::size_t lo = begin + c * chunk_size;
     const std::size_t hi = std::min(end, lo + chunk_size);
-    if (lo >= hi) break;
-    futures.push_back(pool.submit([lo, hi, &fn] {
-      for (std::size_t i = lo; i < hi; ++i) fn(i);
-    }));
+    for (std::size_t i = lo; i < hi; ++i) fn(i);
+  };
+  std::vector<std::future<void>> futures;
+  futures.reserve(chunks - 1);
+  for (std::size_t c = 1; c < chunks && begin + c * chunk_size < end; ++c) {
+    futures.push_back(pool.submit([&run_chunk, c] { run_chunk(c); }));
   }
   std::exception_ptr first_error;
+  t_inside_parallel_region = true;  // it was false, or we would be inline
+  try {
+    run_chunk(0);
+  } catch (...) {
+    first_error = std::current_exception();
+  }
+  t_inside_parallel_region = false;
   for (auto& f : futures) {
     try {
       f.get();

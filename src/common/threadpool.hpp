@@ -34,7 +34,8 @@ class ThreadPool {
   /// Submit a task; the returned future reports completion or exception.
   std::future<void> submit(std::function<void()> task);
 
-  /// A process-wide default pool sized to hardware_concurrency() - 1.
+  /// A process-wide default pool sized to hardware_concurrency() - 1, so a
+  /// parallel_for's calling thread plus the workers fill every core.
   static ThreadPool& global();
 
  private:
@@ -47,9 +48,11 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Runs fn(i) for each i in [begin, end) across the pool with static
-/// chunking. Blocks until every index has completed. Exceptions from any
-/// chunk are rethrown (the first one encountered).
+/// Runs fn(i) for each i in [begin, end) with static chunking: up to
+/// size() + 1 contiguous chunks, chunk 0 on the calling thread and the rest
+/// on the pool's workers. Blocks until every index has completed. A nested
+/// call from inside fn runs inline. Exceptions from any chunk are rethrown
+/// (the first one in chunk order).
 void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn);
 

@@ -24,11 +24,20 @@ void Dataset::add(std::span<const float> features, std::int64_t label) {
   if (features.size() != sample_size_) {
     throw std::invalid_argument("Dataset::add: feature size mismatch");
   }
-  if (label < 0 || static_cast<std::size_t>(label) >= num_classes_) {
-    throw std::invalid_argument("Dataset::add: label out of range");
+  const std::size_t row = add_rows({&label, 1});
+  std::copy(features.begin(), features.end(), mutable_features(row).begin());
+}
+
+std::size_t Dataset::add_rows(std::span<const std::int64_t> labels) {
+  for (std::int64_t label : labels) {
+    if (label < 0 || static_cast<std::size_t>(label) >= num_classes_) {
+      throw std::invalid_argument("Dataset: label out of range");
+    }
   }
-  features_.insert(features_.end(), features.begin(), features.end());
-  labels_.push_back(label);
+  const std::size_t first = size();
+  features_.resize(features_.size() + labels.size() * sample_size_);
+  labels_.insert(labels_.end(), labels.begin(), labels.end());
+  return first;
 }
 
 void Dataset::append(Dataset&& other) {
@@ -45,6 +54,11 @@ void Dataset::append(Dataset&& other) {
 
 std::span<const float> Dataset::features(std::size_t i) const {
   if (i >= size()) throw std::out_of_range("Dataset::features");
+  return {features_.data() + i * sample_size_, sample_size_};
+}
+
+std::span<float> Dataset::mutable_features(std::size_t i) {
+  if (i >= size()) throw std::out_of_range("Dataset::mutable_features");
   return {features_.data() + i * sample_size_, sample_size_};
 }
 

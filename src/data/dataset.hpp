@@ -21,6 +21,16 @@ class Dataset {
 
   void add(std::span<const float> features, std::int64_t label);
 
+  /// Appends one sample per label, with zeroed features, and returns the
+  /// index of the first. Throws std::invalid_argument, adding nothing, if
+  /// any label is outside [0, num_classes()). The caller then writes each
+  /// row through mutable_features().
+  std::size_t add_rows(std::span<const std::int64_t> labels);
+
+  /// Writable view of sample i's features. Distinct rows may be written
+  /// from different threads.
+  std::span<float> mutable_features(std::size_t i);
+
   /// Moves all samples of `other` into this dataset (shapes must match).
   void append(Dataset&& other);
 

@@ -119,12 +119,12 @@ void fill_from_mixture(const SyntheticImageGenerator& gen,
   if (mixture.size() != gen.config().classes) {
     throw std::invalid_argument("fill_from_mixture: mixture arity mismatch");
   }
-  std::vector<float> buffer(gen.sample_size());
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto label = static_cast<std::int64_t>(rng.categorical(mixture));
-    gen.generate(label, rng, buffer, rotation_degrees, style);
-    dataset.add(buffer, label);
-  }
+  gen.fill(
+      dataset, count, rng,
+      [&mixture](Rng& r) {
+        return static_cast<std::int64_t>(r.categorical(mixture));
+      },
+      rotation_degrees, style);
 }
 
 FederatedDataset partition_majority_label(const SyntheticImageGenerator& gen,

@@ -4,6 +4,9 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "src/common/error.hpp"
+#include "src/common/threadpool.hpp"
+
 namespace haccs::data {
 
 SyntheticImageConfig SyntheticImageConfig::mnist_like() {
@@ -103,11 +106,7 @@ void SyntheticImageGenerator::generate(std::int64_t label, Rng& rng,
   auto proto = prototype(label);
   const std::size_t h = config_.height, w = config_.width;
   const std::size_t plane = h * w;
-  const auto shift_range = static_cast<std::int64_t>(config_.max_shift);
-  const std::int64_t dy =
-      shift_range > 0 ? rng.uniform_int(-shift_range, shift_range) : 0;
-  const std::int64_t dx =
-      shift_range > 0 ? rng.uniform_int(-shift_range, shift_range) : 0;
+  const auto [dy, dx] = draw_shift(rng);
 
   // Translated prototype with zero padding, then noise.
   for (std::size_t ch = 0; ch < config_.channels; ++ch) {
@@ -142,15 +141,58 @@ void SyntheticImageGenerator::generate(std::int64_t label, Rng& rng,
   }
 }
 
+std::pair<std::int64_t, std::int64_t> SyntheticImageGenerator::draw_shift(
+    Rng& rng) const {
+  const auto range = static_cast<std::int64_t>(config_.max_shift);
+  if (range == 0) return {0, 0};
+  const std::int64_t dy = rng.uniform_int(-range, range);
+  const std::int64_t dx = rng.uniform_int(-range, range);
+  return {dy, dx};
+}
+
+void SyntheticImageGenerator::skip(Rng& rng) const {
+  draw_shift(rng);
+  rng.discard_normals(sample_size());  // one noise draw per pixel
+}
+
 void SyntheticImageGenerator::fill(Dataset& dataset, std::int64_t label,
                                    std::size_t count, Rng& rng,
                                    double rotation_degrees,
                                    const ClientStyle& style) const {
-  std::vector<float> buffer(sample_size());
-  for (std::size_t i = 0; i < count; ++i) {
-    generate(label, rng, buffer, rotation_degrees, style);
-    dataset.add(buffer, label);
+  fill(dataset, count, rng, [label](Rng&) { return label; },
+       rotation_degrees, style);
+}
+
+void SyntheticImageGenerator::fill(
+    Dataset& dataset, std::size_t count, Rng& rng,
+    const std::function<std::int64_t(Rng&)>& draw_label,
+    double rotation_degrees, const ClientStyle& style) const {
+  if (dataset.sample_size() != sample_size()) {
+    throw std::invalid_argument("fill: dataset sample size mismatch");
   }
+  // Pass 1, serial: walk the stream in generate()'s draw order without the
+  // Box-Muller math, recording where each sample's draws begin and end.
+  std::vector<std::int64_t> labels(count);
+  std::vector<Rng::State> begins(count), ends(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    labels[i] = draw_label(rng);
+    prototype(labels[i]);  // range check before the dataset grows
+    begins[i] = rng.state();
+    skip(rng);
+    ends[i] = rng.state();
+  }
+  const std::size_t first = dataset.add_rows(labels);
+  // Pass 2, parallel: replay each sample from its start state straight into
+  // its row. Landing anywhere but the recorded end means skip() and
+  // generate() disagree on the draw order, which would corrupt every
+  // following sample.
+  parallel_for(0, count, [&](std::size_t i) {
+    Rng sample_rng;
+    sample_rng.set_state(begins[i]);
+    generate(labels[i], sample_rng, dataset.mutable_features(first + i),
+             rotation_degrees, style);
+    HACCS_CHECK(sample_rng.state() == ends[i]);
+  });
 }
 
 void rotate_image(std::span<const float> input, std::span<float> output,

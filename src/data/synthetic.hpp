@@ -13,6 +13,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -77,10 +79,24 @@ class SyntheticImageGenerator {
             double rotation_degrees = 0.0,
             const ClientStyle& style = ClientStyle::neutral()) const;
 
+  /// Appends `count` samples to `dataset`, each labelled by a `draw_label`
+  /// call on `rng` just before its pixels are drawn. The samples render in
+  /// parallel, yet the data and `rng`'s final state are bit-identical to a
+  /// serial loop of draw_label + generate() (see DESIGN.md §4).
+  void fill(Dataset& dataset, std::size_t count, Rng& rng,
+            const std::function<std::int64_t(Rng&)>& draw_label,
+            double rotation_degrees, const ClientStyle& style) const;
+
   /// The noiseless prototype for a class (exposed for tests).
   std::span<const float> prototype(std::int64_t label) const;
 
  private:
+  /// The translation (dy, dx) every sample draws before its noise.
+  std::pair<std::int64_t, std::int64_t> draw_shift(Rng& rng) const;
+
+  /// Advances `rng` exactly as one generate() call does, without rendering.
+  void skip(Rng& rng) const;
+
   SyntheticImageConfig config_;
   std::vector<float> prototypes_;  // classes * channels * h * w
 };

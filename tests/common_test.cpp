@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <thread>
 
 #include "src/common/flags.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/table.hpp"
 #include "src/common/threadpool.hpp"
+#include "src/obs/metrics.hpp"
+#include "src/obs/obs.hpp"
 
 namespace haccs {
 namespace {
@@ -163,6 +168,44 @@ TEST(Rng, ShuffleIsPermutation) {
   EXPECT_EQ(v, original);
 }
 
+// discard_normals(n) must leave the generator bit-for-bit where n normal()
+// calls would: the data generator's parallel replay depends on it.
+TEST(Rng, DiscardNormalsMatchesNormal) {
+  const auto expect_same_state = [](const Rng& a, const Rng& b,
+                                    const std::string& where) {
+    const Rng::State x = a.state(), y = b.state();
+    for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(x.s[i], y.s[i]) << where;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x.cached_normal),
+              std::bit_cast<std::uint64_t>(y.cached_normal))
+        << where;
+    EXPECT_EQ(x.has_cached_normal, y.has_cached_normal) << where;
+  };
+  // s[1] == 0 makes the first raw word 0, so the first pair goes through
+  // Box-Muller's u1 > 0 rejection.
+  Rng::State rejecting;
+  rejecting.s[0] = 0x9e3779b97f4a7c15ULL;
+  rejecting.s[2] = 0xbf58476d1ce4e5b9ULL;
+  rejecting.s[3] = 0x94d049bb133111ebULL;
+  for (int start = 0; start < 3; ++start) {
+    for (std::size_t n = 0; n <= 9; ++n) {
+      Rng drawn(41), skipped(41);
+      if (start == 1) {  // begin on the cached half of a pair
+        drawn.normal();
+        skipped.normal();
+      } else if (start == 2) {
+        drawn.set_state(rejecting);
+        skipped.set_state(rejecting);
+      }
+      for (std::size_t k = 0; k < n; ++k) drawn.normal();
+      skipped.discard_normals(n);
+      const std::string where =
+          "start " + std::to_string(start) + ", n " + std::to_string(n);
+      expect_same_state(drawn, skipped, where);
+      EXPECT_EQ(drawn.normal(), skipped.normal()) << where;
+    }
+  }
+}
+
 TEST(ThreadPool, InlineModeRunsTasks) {
   ThreadPool pool(0);
   std::atomic<int> count{0};
@@ -206,6 +249,51 @@ TEST(ParallelFor, RethrowsWorkerException) {
                               if (i == 63) throw std::runtime_error("x");
                             }),
                std::runtime_error);
+}
+
+// The calling thread runs chunk 0 itself: on a one-worker pool the two
+// indices of a two-element range run at the same time, one on the caller
+// and one on the worker. With an idle caller both would queue on the
+// single worker and the rendezvous would time out.
+TEST(ParallelFor, CallerRunsAChunk) {
+  ThreadPool pool(1);
+  std::atomic<int> arrived{0};
+  std::atomic<int> met{0};
+  std::thread::id caller_chunk;
+  parallel_for(pool, 0, 2, [&](std::size_t i) {
+    if (i == 0) caller_chunk = std::this_thread::get_id();
+    arrived.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (arrived.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (arrived.load() == 2) met.fetch_add(1);
+  });
+  EXPECT_EQ(met.load(), 2);
+  EXPECT_EQ(caller_chunk, std::this_thread::get_id());
+}
+
+// A parallel_for nested in the caller's chunk runs inline on the caller, as
+// it does on a worker, and enqueues nothing.
+TEST(ParallelFor, NestedCallInCallerChunkRunsInline) {
+  obs::set_metrics_enabled(true);
+  auto& tasks = obs::Registry::global().counter("threadpool_tasks_total");
+  ThreadPool pool(1);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::thread::id> inner(16);
+  std::uint64_t enqueued = 0;
+  parallel_for(pool, 0, 2, [&](std::size_t i) {
+    if (i != 0) return;
+    const std::uint64_t before = tasks.value();
+    parallel_for(pool, 0, inner.size(), [&](std::size_t j) {
+      inner[j] = std::this_thread::get_id();
+    });
+    enqueued = tasks.value() - before;
+  });
+  obs::set_metrics_enabled(false);
+  EXPECT_EQ(enqueued, 0u);
+  for (const auto& id : inner) EXPECT_EQ(id, caller);
 }
 
 TEST(Flags, ParsesAllForms) {

@@ -303,12 +303,13 @@ TEST_F(ObsTest, ThreadPoolMetricsAndWorkerLanes) {
   obs::set_trace_enabled(true);
   const std::uint64_t tasks_before =
       obs::Registry::global().counter("threadpool_tasks_total").value();
+  constexpr std::size_t kTasks = 64;
   {
     ThreadPool pool(2);
-    constexpr std::size_t kTasks = 64;
     std::atomic<std::size_t> ran{0};
-    parallel_for(pool, 0, kTasks, [&](std::size_t) {
+    parallel_for(pool, 0, kTasks, [&](std::size_t i) {
       obs::Span span("pool_task", "test");
+      span.set_arg("i", static_cast<std::int64_t>(i));
       ran.fetch_add(1, std::memory_order_relaxed);
     });
     EXPECT_EQ(ran.load(), kTasks);
@@ -317,16 +318,27 @@ TEST_F(ObsTest, ThreadPoolMetricsAndWorkerLanes) {
   // submit() counted every enqueued chunk and tracked queue depth.
   EXPECT_GT(obs::Registry::global().counter("threadpool_tasks_total").value(),
             tasks_before);
-  // Spans ran on named worker threads, not the main lane.
+  // Two workers plus the caller make three chunks of ceil(64 / 3) = 22
+  // indices. The caller runs chunk 0 on the main lane; the other chunks run
+  // on named worker threads.
+  constexpr std::int64_t kCallerChunk = 22;
   const std::uint32_t main_tid = obs::thread_id();
-  bool saw_worker_span = false;
+  std::size_t on_main = 0, on_workers = 0;
   for (const auto& e : obs::TraceBuffer::global().snapshot()) {
     if (std::string(e.name) != "pool_task") continue;
-    EXPECT_NE(e.tid, main_tid);
-    EXPECT_EQ(obs::thread_name(e.tid).rfind("worker-", 0), 0u);
-    saw_worker_span = true;
+    ASSERT_STREQ(e.arg_name, "i");
+    if (e.arg_value < kCallerChunk) {
+      EXPECT_EQ(e.tid, main_tid) << "index " << e.arg_value;
+      ++on_main;
+    } else {
+      EXPECT_NE(e.tid, main_tid) << "index " << e.arg_value;
+      EXPECT_EQ(obs::thread_name(e.tid).rfind("worker-", 0), 0u)
+          << "index " << e.arg_value;
+      ++on_workers;
+    }
   }
-  EXPECT_TRUE(saw_worker_span);
+  EXPECT_EQ(on_main, static_cast<std::size_t>(kCallerChunk));
+  EXPECT_EQ(on_workers, kTasks - kCallerChunk);
 }
 
 // ---------------------------------------------------------------------------

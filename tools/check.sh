@@ -169,6 +169,12 @@ if [[ "$skip_sanitize" -eq 0 ]]; then
   echo "== net transports under TSan =="
   "$repo/build-tsan/tests/haccs_tests" \
     --gtest_filter='Loopback.*:Tcp.*:TransportDispatcher.*:EngineOverTransport.*:ChaosTransport.*:ServingDispatcher.*:WorkerReconnect.*:ServingTrace.*:ServingStatus.*:HierMidTier*:HierTree.*:HierFleet.*'
+
+  # parallel_for runs a chunk on the calling thread as well as on the
+  # workers, and data generation writes every dataset row from the pool.
+  echo "== thread pool and parallel data generation under TSan =="
+  "$repo/build-tsan/tests/haccs_tests" \
+    --gtest_filter='ThreadPool.*:ParallelFor.*:Rng*:Partition.*:SyntheticGenerator.*'
 fi
 
 echo "== all checks passed =="
