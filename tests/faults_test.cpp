@@ -4,6 +4,7 @@
 // of the zero-cost default path (faults off, overcommit 0).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -466,6 +467,149 @@ TEST(EngineFaults, DefaultPathBitIdenticalToPrePRPinnedRun) {
       EXPECT_EQ(r.selected, kPinnedAsync[i].selected) << "record " << i;
       EXPECT_EQ(r.wasted(), 0u);
     }
+  }
+  ops::set_kernel_backend(ops::KernelBackend::kOptimized);
+}
+
+
+fl::EngineConfig make_fault_path_engine() {
+  auto engine = make_engine(24);
+  engine.faults.crash_rate = 0.15;
+  engine.faults.flaky_fraction = 0.25;
+  engine.faults.flaky_crash_boost = 5.0;
+  engine.faults.corruption_rate = 0.12;
+  engine.faults.straggler_rate = 0.15;
+  engine.faults.seed = 77;
+  engine.overcommit = 0.6;
+  engine.deadline_quantile = 0.8;
+  engine.max_update_norm = 50.0;
+  return engine;
+}
+
+fl::AsyncEngineConfig make_fault_path_async() {
+  fl::AsyncEngineConfig async;
+  async.aggregations = 14;
+  async.max_in_flight = 4;
+  async.buffer_size = 2;
+  async.eval_every = 4;
+  async.local.sgd.learning_rate = 0.08;
+  async.seed = 13;
+  async.faults.crash_rate = 0.2;
+  async.faults.corruption_rate = 0.15;
+  async.faults.seed = 78;
+  async.max_update_norm = 50.0;
+  return async;
+}
+
+struct PinnedFaultRecord {
+  double sim_time_s;
+  double global_accuracy;
+  double global_loss;
+  std::vector<std::size_t> selected, crashed, late, rejected;
+  std::size_t dispatched;
+  std::size_t downlink_bytes, uplink_bytes;
+};
+
+// Captured from the engine before its failure accounting was folded into
+// one settlement path, with the fixtures above: crashes (flaky-boosted,
+// enough to trip breakers), stragglers, corruption, a deadline, overcommit
+// and a norm bound under HACCS, whose penalties and replacement draws make
+// selection depend on the exact report_failure/report_result sequence.
+const std::vector<PinnedFaultRecord> kPinnedFaultSync = {
+    {1.1076778457477938, 0.19166666666666668, 2.5199917247822463, {2, 4, 9, 8}, {11, 1}, {10}, {0}, 8, 318648u, 198985u},
+    {2.7702710811551579, 0.19166666666666668, 2.5199917247822463, {11, 10}, {1, 3}, {0, 4}, {2, 8}, 8, 318648u, 159188u},
+    {4.0412691919502404, 0.19166666666666668, 2.5199917247822463, {2, 8, 4}, {7, 5}, {0, 1}, {3}, 8, 318648u, 159188u},
+    {5.2002341562943188, 0.19166666666666668, 2.5199917247822463, {4, 11}, {0, 1, 3, 5}, {7, 9}, {}, 8, 318648u, 79594u},
+    {6.1584601324421087, 0.19166666666666668, 2.5199917247822463, {8, 11, 4}, {0, 5}, {9, 2}, {7}, 8, 318648u, 159188u},
+    {7.6876608374795898, 0.27083333333333331, 2.5638743304450502, {11, 8, 4}, {}, {10, 6}, {7, 9, 2}, 8, 318648u, 238782u},
+    {9.0770964669396079, 0.27083333333333331, 2.5638743304450502, {9, 8, 4}, {}, {10, 6}, {2, 11}, 7, 278817u, 198985u},
+    {10.291280963458698, 0.27083333333333331, 2.5638743304450502, {10, 11, 8, 4, 9}, {}, {2, 6}, {}, 7, 278817u, 198985u},
+    {11.417357209061041, 0.27083333333333331, 2.5638743304450502, {11, 4, 9}, {8, 3}, {2, 6}, {10}, 8, 318648u, 159188u},
+    {12.813374735908571, 0.27083333333333331, 2.5638743304450502, {2, 10, 11}, {8, 5, 0}, {6, 9}, {}, 8, 318648u, 119391u},
+    {14.303721747001163, 0.29583333333333334, 2.2376089356305133, {8, 11, 10}, {2, 7, 1}, {6, 9}, {}, 8, 318648u, 119391u},
+    {15.697296787234707, 0.29583333333333334, 2.2376089356305133, {9, 2, 4, 11}, {}, {6, 8}, {10}, 7, 278817u, 198985u},
+    {16.978501630307299, 0.29583333333333334, 2.2376089356305133, {4, 9}, {8, 2}, {6, 11}, {10}, 7, 278817u, 119391u},
+    {18.537564475318533, 0.29583333333333334, 2.2376089356305133, {10, 11, 4}, {8, 2}, {6, 9}, {}, 7, 278817u, 119391u},
+    {19.825669380381534, 0.29583333333333334, 2.2376089356305133, {9, 4, 11, 10}, {8}, {6, 2}, {}, 7, 278817u, 159188u},
+    {27.697372623493582, 0.32500000000000001, 2.1591339558874525, {2, 9, 11}, {10}, {6}, {4}, 6, 238986u, 159188u},
+    {29.200214802446919, 0.32500000000000001, 2.1591339558874525, {10, 2, 9}, {}, {6}, {4, 11}, 6, 238986u, 198985u},
+    {30.588544594777105, 0.32500000000000001, 2.1591339558874525, {11, 3, 2}, {4, 9}, {6, 10}, {}, 7, 278817u, 119391u},
+    {32.167106319332063, 0.32500000000000001, 2.1591339558874525, {10, 11}, {9, 0, 5, 2}, {6}, {3}, 8, 318648u, 119391u},
+    {35.287645476373612, 0.32500000000000001, 2.1591339558874525, {6, 9, 3, 2, 8, 11}, {}, {7, 1}, {}, 8, 318648u, 238782u},
+    {36.592428533946673, 0.33333333333333331, 2.0471258727985515, {11, 2, 9, 3}, {7, 6}, {1}, {8}, 8, 318648u, 198985u},
+    {37.737249828190507, 0.33333333333333331, 2.0471258727985515, {8, 3, 10}, {1, 2}, {6}, {9, 11}, 8, 318648u, 198985u},
+    {39.144342032101306, 0.33333333333333331, 2.0471258727985515, {11, 8, 3, 4}, {2}, {6, 9}, {10}, 8, 318648u, 198985u},
+    {40.754515649953269, 0.33333333333333331, 1.9600534094573236, {2, 3, 11}, {8}, {6, 9}, {10, 4}, 8, 318648u, 198985u},
+};
+
+const std::vector<PinnedFaultRecord> kPinnedFaultAsync = {
+    {0.73081671270111603, 0.11666666666666668, 2.9219728884938427, {5, 3}, {}, {}, {}, 2, 0u, 0u},
+    {1.055740101180445, 0.11666666666666668, 2.9219728884938427, {11, 1}, {}, {}, {}, 2, 0u, 0u},
+    {1.7821832102846151, 0.11666666666666668, 2.9219728884938427, {7, 10}, {}, {}, {}, 2, 0u, 0u},
+    {2.1884105889359708, 0.11666666666666668, 2.9219728884938427, {1, 4}, {}, {}, {}, 2, 0u, 0u},
+    {2.8383201237953157, 0.22500000000000001, 2.6202555585661358, {11, 3}, {}, {}, {2}, 3, 0u, 0u},
+    {3.5341245665784156, 0.22500000000000001, 2.6202555585661358, {2, 4}, {5, 0, 5}, {}, {0}, 6, 0u, 0u},
+    {4.299797184580159, 0.22500000000000001, 2.6202555585661358, {7, 8}, {0, 5}, {}, {}, 4, 0u, 0u},
+    {5.0240337668543127, 0.22500000000000001, 2.6202555585661358, {5, 3}, {}, {}, {}, 2, 0u, 0u},
+    {5.0506882765307051, 0.20000000000000004, 2.5054925024100361, {7, 0}, {}, {}, {}, 2, 0u, 0u},
+    {5.9374395533500275, 0.20000000000000004, 2.5054925024100361, {8, 3}, {4, 4}, {}, {}, 4, 0u, 0u},
+    {6.650268427296175, 0.20000000000000004, 2.5054925024100361, {10, 11}, {4}, {}, {}, 3, 0u, 0u},
+    {7.1061625672646187, 0.20000000000000004, 2.5054925024100361, {4, 0}, {}, {}, {}, 2, 0u, 0u},
+    {7.3221409337600063, 0.26250000000000001, 2.3229073082957146, {5, 11}, {}, {}, {}, 2, 0u, 0u},
+    {7.9198133408942804, 0.26250000000000001, 2.2356074314265708, {7, 0}, {}, {}, {5}, 3, 0u, 0u},
+};
+
+void expect_pinned(const fl::TrainingHistory& history,
+                   const std::vector<PinnedFaultRecord>& pinned) {
+  ASSERT_EQ(history.records().size(), pinned.size());
+  for (std::size_t i = 0; i < pinned.size(); ++i) {
+    const auto& r = history.records()[i];
+    const auto& p = pinned[i];
+    EXPECT_EQ(r.sim_time_s, p.sim_time_s) << "record " << i;
+    EXPECT_EQ(r.global_accuracy, p.global_accuracy) << "record " << i;
+    EXPECT_EQ(r.global_loss, p.global_loss) << "record " << i;
+    EXPECT_EQ(r.selected, p.selected) << "record " << i;
+    EXPECT_EQ(r.crashed, p.crashed) << "record " << i;
+    EXPECT_EQ(r.late, p.late) << "record " << i;
+    EXPECT_EQ(r.rejected, p.rejected) << "record " << i;
+    EXPECT_EQ(r.dispatched, p.dispatched) << "record " << i;
+    EXPECT_EQ(r.downlink_bytes, p.downlink_bytes) << "record " << i;
+    EXPECT_EQ(r.uplink_bytes, p.uplink_bytes) << "record " << i;
+  }
+}
+
+TEST(EngineFaults, FaultPathBitIdenticalToPinnedRun) {
+  // Reference kernels, as in the default-path pin: the values must not
+  // depend on the host's SIMD path.
+  ops::set_kernel_backend(ops::KernelBackend::kReference);
+  const auto fed = make_fed();
+  core::HaccsConfig haccs;
+  haccs.rho = 0.5;
+  {
+    fl::FederatedTrainer trainer(fed, core::default_model_factory(fed, 99),
+                                 make_fault_path_engine());
+    core::HaccsSelector selector(fed, haccs);
+    const auto history = trainer.run(selector);
+    expect_pinned(history, kPinnedFaultSync);
+    // The fixture must reach the breaker: some client fails (crash or
+    // rejected update) three dispatches in a row, the default threshold.
+    std::vector<std::size_t> streak(fed.clients.size(), 0);
+    std::size_t longest = 0;
+    for (const auto& r : history.records()) {
+      for (std::size_t id : r.selected) streak[id] = 0;
+      for (const auto* failed : {&r.crashed, &r.rejected}) {
+        for (std::size_t id : *failed) {
+          longest = std::max(longest, ++streak[id]);
+        }
+      }
+    }
+    EXPECT_GE(longest, 3u);
+  }
+  {
+    fl::AsyncFederatedTrainer trainer(fed, core::default_model_factory(fed, 99),
+                                      make_fault_path_async());
+    core::HaccsSelector selector(fed, haccs);
+    expect_pinned(trainer.run(selector), kPinnedFaultAsync);
   }
   ops::set_kernel_backend(ops::KernelBackend::kOptimized);
 }
