@@ -12,6 +12,7 @@
 
 #include "bench/harness.hpp"
 #include "src/common/table.hpp"
+#include "src/core/haccs_selector.hpp"
 #include "src/core/stratified_selector.hpp"
 
 int main(int argc, char** argv) {

@@ -14,6 +14,7 @@
 
 #include "bench/harness.hpp"
 #include "src/common/table.hpp"
+#include "src/core/haccs_selector.hpp"
 
 int main(int argc, char** argv) {
   using namespace haccs;

@@ -18,6 +18,8 @@
 #include "src/common/flags.hpp"
 #include "src/core/haccs_system.hpp"
 #include "src/core/selector_registry.hpp"
+#include "src/fl/engine.hpp"
+#include "src/sim/dropout.hpp"
 
 namespace haccs::bench {
 

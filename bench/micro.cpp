@@ -149,7 +149,7 @@ BENCHMARK(BM_MlpTrainStep);
 
 void BM_Evaluation(benchmark::State& state) {
   // Test-set evaluation throughput through the const inference path — the
-  // per-round evaluate_global cost in the engines.
+  // per-client cost of Population::evaluate in both engines.
   data::SyntheticImageConfig gcfg = data::SyntheticImageConfig::femnist_like(10);
   gcfg.height = 16;
   gcfg.width = 16;

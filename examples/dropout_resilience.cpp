@@ -11,7 +11,9 @@
 // Run: ./build/examples/dropout_resilience
 #include <cstdio>
 
+#include "src/core/haccs_selector.hpp"
 #include "src/core/haccs_system.hpp"
+#include "src/fl/engine.hpp"
 #include "src/select/oort.hpp"
 #include "src/select/random_selector.hpp"
 
@@ -42,8 +44,9 @@ int main() {
 
   core::HaccsConfig haccs;
   haccs.rho = 0.5;
-  core::HaccsSystem system(federation, haccs, engine,
-                           core::default_model_factory(federation, 99));
+  fl::FederatedTrainer trainer(federation,
+                               core::default_model_factory(federation, 99),
+                               engine);
 
   std::printf("30 clients, 10 distribution groups, 6 selected per round\n");
   std::printf("dropout: 30%% of devices unavailable each epoch (recover "
@@ -52,11 +55,12 @@ int main() {
   const auto schedule =
       sim::make_per_epoch_dropout(federation.num_clients(), 0.30, 1234);
 
-  const auto haccs_history = system.train(*schedule);
+  core::HaccsSelector haccs_selector(federation, haccs);
+  const auto haccs_history = trainer.run(haccs_selector, *schedule);
   select::OortSelector oort({});
-  const auto oort_history = system.train_with(oort, *schedule);
+  const auto oort_history = trainer.run(oort, *schedule);
   select::RandomSelector random;
-  const auto random_history = system.train_with(random, *schedule);
+  const auto random_history = trainer.run(random, *schedule);
 
   std::printf("time to 70%% accuracy under 30%% dropout:\n");
   std::printf("  HACCS-P(y): %s s\n",
@@ -73,16 +77,12 @@ int main() {
 
   // Show the substitution mechanism directly: selection counts spread over
   // cluster members rather than concentrating on one device per cluster.
-  core::HaccsSelector selector(federation, haccs);
-  fl::FederatedTrainer trainer(federation,
-                               core::default_model_factory(federation, 99),
-                               engine);
-  const auto history = trainer.run(selector, *schedule);
-  const auto counts = history.selection_counts(federation.num_clients());
+  const auto counts =
+      haccs_history.selection_counts(federation.num_clients());
   std::printf("\nper-cluster participation (selections per member):\n");
-  for (std::size_t c = 0; c < selector.clusters().size(); ++c) {
+  for (std::size_t c = 0; c < haccs_selector.clusters().size(); ++c) {
     std::printf("  cluster %zu:", c);
-    for (std::size_t id : selector.clusters()[c]) {
+    for (std::size_t id : haccs_selector.clusters()[c]) {
       std::printf(" client%zu=%zu", id, counts[id]);
     }
     std::printf("\n");

@@ -6,7 +6,9 @@
 #include <cstdio>
 #include <map>
 
+#include "src/core/haccs_selector.hpp"
 #include "src/core/haccs_system.hpp"
+#include "src/fl/engine.hpp"
 #include "src/fl/evaluation.hpp"
 #include "src/nn/serialize.hpp"
 
@@ -50,9 +52,10 @@ int main() {
   engine.fedprox_mu = 0.01;
   engine.seed = 19;
 
-  core::HaccsSystem system(federation, haccs, engine,
-                           core::default_model_factory(federation, 99));
-  const auto clusters = system.cluster_labels();
+  fl::FederatedTrainer trainer(federation,
+                               core::default_model_factory(federation, 99),
+                               engine);
+  const auto clusters = core::cluster_clients(federation, haccs);
   std::size_t singleton_count = 0;
   {
     std::vector<int> copy = clusters;
@@ -68,7 +71,8 @@ int main() {
               "clusters among %zu clients\n",
               singleton_count, federation.num_clients());
 
-  const auto history = system.train();
+  core::HaccsSelector selector(federation, haccs);
+  const auto history = trainer.run(selector);
   std::printf("FedProx training: final accuracy %.3f, TTA@70%% = %s s\n",
               history.final_accuracy(),
               fl::format_tta(history.time_to_accuracy(0.7)).c_str());
@@ -76,7 +80,7 @@ int main() {
   // 3. Fairness audit: who actually participated, and how evenly does the
   //    model serve the fleet?
   const auto counts = history.selection_counts(federation.num_clients());
-  const auto& per_client = system.trainer().final_per_client_accuracy();
+  const auto& per_client = trainer.final_per_client_accuracy();
   std::printf("participation Gini: %.3f (0 = even)\n",
               fl::participation_gini(counts));
   std::printf("per-client accuracy spread (stddev): %.3f\n",
@@ -84,7 +88,7 @@ int main() {
 
   // 4. Checkpoint the trained model and prove the round trip.
   auto model = core::default_model_factory(federation, 99)();
-  model.set_parameters(system.trainer().final_parameters());
+  model.set_parameters(trainer.final_parameters());
   const std::string path = "/tmp/haccs_extensions_tour.ckpt";
   nn::save_parameters(model, path);
 

@@ -35,6 +35,8 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -158,30 +160,28 @@ int main(int argc, char** argv) try {
   const std::string trace_path = flags.get_string("trace", "");
   const net::ChaosOptions chaos = examples::parse_chaos_flags(flags);
   flags.check_unused();
+  // Startup refusals throw: the handler at the bottom prints the one line
+  // "haccs_server: <why>" and exits 1, before anything listens or any data
+  // is generated.
   if (num_workers == 0) {
-    std::fprintf(stderr, "--workers must be >= 1\n");
-    return 1;
+    throw std::invalid_argument("--workers must be >= 1");
   }
   if (resume && checkpoint_path.empty()) {
-    std::fprintf(stderr, "--resume requires --checkpoint\n");
-    return 1;
+    throw std::invalid_argument("--resume requires --checkpoint");
   }
   if (num_aggs > 0 && agg_groups > 0) {
-    std::fprintf(stderr,
-                 "--aggs and --agg-groups are exclusive (a tree run IS the "
-                 "grouped aggregation)\n");
-    return 1;
+    throw std::invalid_argument(
+        "--aggs and --agg-groups are exclusive (a tree run IS the grouped "
+        "aggregation)");
   }
   if ((num_aggs > 0 && num_workers % num_aggs != 0) ||
       (agg_groups > 0 && num_workers % agg_groups != 0)) {
-    std::fprintf(stderr, "--aggs/--agg-groups must divide --workers\n");
-    return 1;
+    throw std::invalid_argument("--aggs/--agg-groups must divide --workers");
   }
   if (num_aggs > 0 && quorum < 1.0) {
-    std::fprintf(stderr,
-                 "--quorum is not supported in tree mode (the mid tier owns "
-                 "straggler deadlines via --round-timeout-ms)\n");
-    return 1;
+    throw std::invalid_argument(
+        "--quorum is not supported in tree mode (the mid tier owns straggler "
+        "deadlines via --round-timeout-ms)");
   }
   // The server only ever holds the workers' wire-borne P(y) summaries, so a
   // strategy needing more is rejected here, before any worker connects, as
@@ -189,9 +189,17 @@ int main(int argc, char** argv) try {
   core::require_selector_input(strategy,
                                core::SelectorInput::ResponseSummaries);
   exp.check();
+  if ((num_aggs > 0 || agg_groups > 0) &&
+      core::selector_info(strategy).needs_update_deltas) {
+    throw std::invalid_argument(
+        "--strategy=" + strategy + " learns from per-client update deltas, "
+        "which " + (num_aggs > 0 ? "--aggs" : "--agg-groups") +
+        " folds away before the engine sees them");
+  }
   if (live_recluster && !core::selector_info(strategy).haccs_summary) {
-    std::fprintf(stderr, "--live-recluster requires --strategy=haccs-py\n");
-    return 1;
+    throw std::invalid_argument(
+        "--live-recluster requires --strategy=haccs-py, got --strategy=" +
+        strategy);
   }
 
   std::signal(SIGTERM, handle_stop_signal);
@@ -253,10 +261,9 @@ int main(int argc, char** argv) try {
   // ---- strategy ----
   if (core::selector_info(strategy).input != core::SelectorInput::None &&
       !fleet.have_all_summaries()) {
-    std::fprintf(stderr,
-                 "missing client summaries — check each worker's "
-                 "--worker-id/--workers against --workers here\n");
-    return 1;
+    throw std::runtime_error(
+        "missing client summaries — check each worker's "
+        "--worker-id/--workers against --workers here");
   }
   // Build from the summaries the workers actually sent: the wire-borne
   // equivalent of the in-process dataset path (and identical to it for the

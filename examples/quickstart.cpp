@@ -7,7 +7,9 @@
 // Run: ./build/examples/quickstart
 #include <cstdio>
 
+#include "src/core/haccs_selector.hpp"
 #include "src/core/haccs_system.hpp"
+#include "src/fl/engine.hpp"
 
 int main() {
   using namespace haccs;
@@ -44,13 +46,16 @@ int main() {
   engine.local.sgd.learning_rate = 0.08;
   engine.seed = 7;
 
-  // 4. Train.
-  core::HaccsSystem system(federation, haccs, engine,
-                           core::default_model_factory(federation, 99));
-  const auto history = system.train();
+  // 4. Train: the selector clusters the clients, the trainer simulates the
+  //    rounds.
+  core::HaccsSelector selector(federation, haccs);
+  fl::FederatedTrainer trainer(federation,
+                               core::default_model_factory(federation, 99),
+                               engine);
+  const auto history = trainer.run(selector);
 
   // 5. Inspect.
-  const auto clusters = system.cluster_labels();
+  const auto clusters = core::cluster_clients(federation, haccs);
   std::printf("clients: %zu\n", federation.num_clients());
   std::printf("final accuracy: %.3f\n", history.final_accuracy());
   std::printf("time to 70%% accuracy: %s simulated seconds\n",

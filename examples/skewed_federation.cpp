@@ -12,7 +12,9 @@
 #include <cstdio>
 #include <map>
 
+#include "src/core/haccs_selector.hpp"
 #include "src/core/haccs_system.hpp"
+#include "src/fl/engine.hpp"
 #include "src/select/oort.hpp"
 #include "src/select/random_selector.hpp"
 
@@ -62,11 +64,12 @@ int main() {
   core::HaccsConfig haccs;
   haccs.rho = 0.5;
 
-  core::HaccsSystem system(federation, haccs, engine,
-                           core::default_model_factory(federation, 99));
+  fl::FederatedTrainer trainer(federation,
+                               core::default_model_factory(federation, 99),
+                               engine);
 
   // How well do the privacy-preserving clusters recover the regions?
-  const auto clusters = system.cluster_labels();
+  const auto clusters = core::cluster_clients(federation, haccs);
   std::map<int, std::map<int, int>> confusion;  // region -> cluster -> count
   for (std::size_t i = 0; i < clusters.size(); ++i) {
     ++confusion[federation.true_group[i]][clusters[i]];
@@ -81,11 +84,12 @@ int main() {
   }
 
   // Train with HACCS and the two baselines on the identical substrate.
-  const auto haccs_history = system.train();
+  core::HaccsSelector haccs_selector(federation, haccs);
+  const auto haccs_history = trainer.run(haccs_selector);
   select::RandomSelector random_selector;
-  const auto random_history = system.train_with(random_selector);
+  const auto random_history = trainer.run(random_selector);
   select::OortSelector oort_selector({});
-  const auto oort_history = system.train_with(oort_selector);
+  const auto oort_history = trainer.run(oort_selector);
 
   std::printf("\ntime to 70%% accuracy (simulated seconds):\n");
   std::printf("  HACCS-P(y): %s\n",

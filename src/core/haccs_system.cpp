@@ -1,39 +1,12 @@
 #include "src/core/haccs_system.hpp"
 
+#include <memory>
 #include <stdexcept>
 
+#include "src/common/rng.hpp"
+#include "src/nn/layer.hpp"
+
 namespace haccs::core {
-
-HaccsSystem::HaccsSystem(const data::FederatedDataset& dataset,
-                         HaccsConfig haccs_config,
-                         fl::EngineConfig engine_config,
-                         std::function<nn::Sequential()> model_factory)
-    : dataset_(dataset),
-      haccs_config_(haccs_config),
-      trainer_(dataset, std::move(model_factory), engine_config) {}
-
-fl::TrainingHistory HaccsSystem::train() {
-  HaccsSelector selector(dataset_, haccs_config_);
-  return trainer_.run(selector);
-}
-
-fl::TrainingHistory HaccsSystem::train(const sim::DropoutSchedule& dropout) {
-  HaccsSelector selector(dataset_, haccs_config_);
-  return trainer_.run(selector, dropout);
-}
-
-fl::TrainingHistory HaccsSystem::train_with(fl::ClientSelector& selector) {
-  return trainer_.run(selector);
-}
-
-fl::TrainingHistory HaccsSystem::train_with(
-    fl::ClientSelector& selector, const sim::DropoutSchedule& dropout) {
-  return trainer_.run(selector, dropout);
-}
-
-std::vector<int> HaccsSystem::cluster_labels() const {
-  return cluster_clients(dataset_, haccs_config_);
-}
 
 std::function<nn::Sequential()> default_model_factory(
     const data::FederatedDataset& dataset, std::uint64_t seed, bool use_cnn) {

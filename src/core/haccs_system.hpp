@@ -1,56 +1,27 @@
-// HaccsSystem — the end-to-end public API (paper Fig. 2).
+// The model every example, bench and serving binary trains by default.
 //
-// Ties the whole stack together: a federated dataset, a model factory, the
-// simulated heterogeneous testbed, and a selection strategy. Quickstart:
+// A HACCS run is a core::HaccsSelector (clustering + Algorithm 1) driven by
+// an fl::FederatedTrainer over a federation; this header supplies the model
+// factory those callers hand the trainer. Quickstart:
 //
 //   auto gen = data::SyntheticImageGenerator(
 //       data::SyntheticImageConfig::femnist_like());
 //   Rng rng(1);
 //   auto fed = data::partition_majority_label(gen, {}, rng);
-//   core::HaccsSystem system(fed, core::HaccsConfig{}, fl::EngineConfig{},
-//                            core::default_model_factory(fed, 99));
-//   auto history = system.train();            // HACCS scheduling
+//   core::HaccsSelector selector(fed, core::HaccsConfig{});
+//   fl::FederatedTrainer trainer(fed, core::default_model_factory(fed, 99),
+//                                fl::EngineConfig{});
+//   auto history = trainer.run(selector);
 //   double tta = history.time_to_accuracy(0.8);
-//
-// Baselines run on the identical substrate via train_with(), which is how
-// every benchmark in bench/ produces its strategy comparisons.
 #pragma once
 
+#include <cstdint>
 #include <functional>
-#include <memory>
 
-#include "src/core/haccs_selector.hpp"
-#include "src/fl/engine.hpp"
+#include "src/data/partition.hpp"
+#include "src/nn/model.hpp"
 
 namespace haccs::core {
-
-class HaccsSystem {
- public:
-  HaccsSystem(const data::FederatedDataset& dataset, HaccsConfig haccs_config,
-              fl::EngineConfig engine_config,
-              std::function<nn::Sequential()> model_factory);
-
-  /// Trains with the HACCS selector; a fresh selector (and clustering) is
-  /// built per call.
-  fl::TrainingHistory train();
-  fl::TrainingHistory train(const sim::DropoutSchedule& dropout);
-
-  /// Trains with an arbitrary strategy on the same substrate.
-  fl::TrainingHistory train_with(fl::ClientSelector& selector);
-  fl::TrainingHistory train_with(fl::ClientSelector& selector,
-                                 const sim::DropoutSchedule& dropout);
-
-  /// The cluster labels HACCS would use right now (runs the pipeline).
-  std::vector<int> cluster_labels() const;
-
-  fl::FederatedTrainer& trainer() { return trainer_; }
-  const HaccsConfig& haccs_config() const { return haccs_config_; }
-
- private:
-  const data::FederatedDataset& dataset_;
-  HaccsConfig haccs_config_;
-  fl::FederatedTrainer trainer_;
-};
 
 /// A model factory suited to the dataset's sample shape: LeNet-style CNN
 /// when `use_cnn`, otherwise an MLP over flattened features. The returned

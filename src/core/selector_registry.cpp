@@ -78,7 +78,7 @@ const std::vector<Entry>& entries() {
        make_haccs},
       {{"haccs-pxy", Dataset, stats::SummaryKind::Conditional}, make_haccs},
       {{"haccs-qxy", Dataset, stats::SummaryKind::Quantile}, make_haccs},
-      {{"gradient", None, {}},
+      {{"gradient", None, {}, /*needs_update_deltas=*/true},
        [](const SelectorContext&, const HaccsConfig& config) -> SelectorPtr {
          GradientSelectorConfig cfg;
          cfg.scheduling = config;

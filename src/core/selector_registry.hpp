@@ -50,6 +50,11 @@ struct SelectorInfo {
   /// The summary kind a HaccsSelector entry clusters on; empty for every
   /// selector that is not a HaccsSelector.
   std::optional<stats::SummaryKind> haccs_summary;
+  /// True when the selector learns from each client's update delta
+  /// (ClientSelector::report_update). Grouped and tree aggregation fold
+  /// updates before the engine sees them, so such a selector cannot run
+  /// there.
+  bool needs_update_deltas = false;
 };
 
 /// Registered slugs buildable from `available`, in registry order.

@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "src/common/error.hpp"
-#include "src/fl/engine.hpp"  // update_is_valid
+#include "src/fl/dispatch.hpp"
 #include "src/obs/events.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
@@ -15,40 +15,13 @@
 
 namespace haccs::fl {
 
-namespace {
-/// Async-engine telemetry. Counter names are shared with the synchronous
-/// engine where the semantics line up (rounds_total counts aggregations
-/// here); async-only instruments get their own names.
-struct AsyncMetrics {
-  obs::Counter& rounds = obs::Registry::global().counter("rounds_total");
-  obs::Counter& dispatched =
-      obs::Registry::global().counter("clients_dispatched_total");
-  obs::Counter& crashed =
-      obs::Registry::global().counter("clients_crashed_total");
-  obs::Counter& rejected =
-      obs::Registry::global().counter("updates_rejected_total");
-  obs::Counter& evaluations =
-      obs::Registry::global().counter("evaluations_total");
-  obs::Histogram& train_ms =
-      obs::Registry::global().histogram("local_train_wall_ms");
-  obs::Histogram& staleness =
-      obs::Registry::global().histogram("async_update_staleness",
-                                        {0, 1, 2, 4, 8, 16, 32, 64});
-
-  static AsyncMetrics& get() {
-    static AsyncMetrics metrics;
-    return metrics;
-  }
-};
-}  // namespace
-
 AsyncFederatedTrainer::AsyncFederatedTrainer(
     const data::FederatedDataset& dataset,
     std::function<nn::Sequential()> model_factory, AsyncEngineConfig config)
     : dataset_(dataset),
       model_factory_(std::move(model_factory)),
       config_(config),
-      latency_model_(config.latency),
+      population_(dataset, config.latency, config.seed),
       fault_model_(config.faults) {
   if (dataset_.clients.empty()) {
     throw std::invalid_argument("AsyncFederatedTrainer: no clients");
@@ -63,32 +36,10 @@ AsyncFederatedTrainer::AsyncFederatedTrainer(
     throw std::invalid_argument(
         "AsyncFederatedTrainer: buffer_size must be in [1, max_in_flight]");
   }
-  if (config_.server_lr <= 0.0) {
-    throw std::invalid_argument("AsyncFederatedTrainer: server_lr must be > 0");
-  }
-  if (config_.staleness_alpha < 0.0) {
-    throw std::invalid_argument(
-        "AsyncFederatedTrainer: staleness_alpha must be >= 0");
-  }
   if (config_.max_update_norm < 0.0) {
     throw std::invalid_argument(
         "AsyncFederatedTrainer: max_update_norm must be >= 0");
   }
-  // Same profile stream derivation as the synchronous engine, so a given
-  // seed assigns identical hardware in both (apples-to-apples comparisons).
-  Rng profile_rng(config_.seed ^ 0xdeadbeefcafef00dULL);
-  profiles_.reserve(dataset_.clients.size());
-  for (std::size_t i = 0; i < dataset_.clients.size(); ++i) {
-    profiles_.push_back(sim::DeviceProfile::sample(profile_rng));
-  }
-}
-
-double AsyncFederatedTrainer::client_latency(std::size_t i) const {
-  if (i >= profiles_.size()) {
-    throw std::out_of_range("client_latency: bad client id");
-  }
-  return latency_model_.round_latency(profiles_[i],
-                                      dataset_.clients[i].train.size());
 }
 
 TrainingHistory AsyncFederatedTrainer::run(ClientSelector& selector) {
@@ -105,16 +56,7 @@ TrainingHistory AsyncFederatedTrainer::run(ClientSelector& selector,
   std::vector<float> global_params = model.get_parameters();
   const std::size_t n = dataset_.clients.size();
 
-  std::vector<ClientRuntimeInfo> view;
-  view.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ClientRuntimeInfo info;
-    info.id = i;
-    info.latency_s = client_latency(i);
-    info.num_samples = dataset_.clients[i].train.size();
-    info.last_loss = config_.initial_loss;
-    view.push_back(info);
-  }
+  auto view = population_.client_view(config_.initial_loss);
   selector.initialize(view);
 
   Rng select_rng(config_.seed ^ 0x5e1ec70aULL);
@@ -145,7 +87,13 @@ TrainingHistory AsyncFederatedTrainer::run(ClientSelector& selector,
   double now = 0.0;
   std::uint64_t sequence = 0;
 
-  AsyncMetrics& metrics = AsyncMetrics::get();
+  EngineMetrics& metrics = EngineMetrics::get();
+  static obs::Histogram& staleness_hist = obs::Registry::global().histogram(
+      "async_update_staleness", {0, 1, 2, 4, 8, 16, 32, 64});
+  // Plain local SGD with a dense uplink: no compression residual to keep.
+  LocalWorkConfig work;
+  work.local = config_.local;
+  std::vector<float> no_residual;
   // Wall time spent in local training since the last aggregation, for that
   // aggregation's phase breakdown.
   double train_wall_ms = 0.0;
@@ -176,27 +124,23 @@ TrainingHistory AsyncFederatedTrainer::run(ClientSelector& selector,
     event.loss = config_.initial_loss;
     // The fork is consumed even for crashed dispatches, keeping the
     // training streams aligned across fault configurations.
-    Rng client_rng = train_rng.fork();
+    TrainJobSpec job;
+    job.client_id = id;
+    job.epoch = version;
+    job.rng_seed = train_rng.next_u64();
     if (fault.kind == sim::FaultKind::Crash) {
       event.crashed = true;  // dies mid-round; its compute is wasted
     } else {
       // Train now (simulation: result materializes at completion time).
-      obs::Span train_span("local_train", "fl");
       obs::StopWatch train_clock;
       nn::Sequential local_model = model_factory_();
-      local_model.set_parameters(global_params);
-      const auto result =
-          train_local(local_model, dataset_.clients[id].train, config_.local,
-                      client_rng);
-      const double ms = train_clock.lap_ms();
-      train_wall_ms += ms;
-      metrics.train_ms.observe(ms);
-      const auto updated = local_model.get_parameters();
-      event.loss = result.average_loss;
-      event.delta.resize(updated.size());
-      for (std::size_t p = 0; p < updated.size(); ++p) {
-        event.delta[p] = updated[p] - global_params[p];
-      }
+      const TrainOutcome out =
+          run_local_job(job, dataset_.clients[id].train, local_model,
+                        global_params, work, no_residual);
+      train_wall_ms += train_clock.lap_ms();
+      event.loss = out.result.average_loss;
+      event.delta.resize(out.updated.size());
+      vec::diff(event.delta, out.updated, global_params);
       fault_model_.corrupt(fault, event.delta);
     }
     const double jitter =
@@ -226,9 +170,13 @@ TrainingHistory AsyncFederatedTrainer::run(ClientSelector& selector,
   std::vector<Event> buffer;
   double last_aggregation_time = 0.0;
   double last_accuracy = 0.0, last_loss = config_.initial_loss;
-  // Fault accounting carried into the next aggregation's record.
-  std::vector<std::size_t> crashed_since, rejected_since;
+  // Failures booked since the last aggregation, carried into its record.
+  RoundRecord pending;
   std::size_t arrived_since = 0;
+  auto fail = [&](std::size_t client, FailureKind kind) {
+    book_failure(pending, client, kind);
+    selector.report_failure(client, version, kind);
+  };
 
   while (version < config_.aggregations && !events.empty()) {
     Event event = events.top();
@@ -238,16 +186,9 @@ TrainingHistory AsyncFederatedTrainer::run(ClientSelector& selector,
     if (event.crashed) {
       // Crash event: the in-flight slot is freed at the crash instant and
       // the refill below re-dispatches immediately.
-      crashed_since.push_back(event.client);
-      obs::instant("client_crash", "fault");
-      metrics.crashed.inc();
-      selector.report_failure(event.client, version, FailureKind::Crash);
+      fail(event.client, FailureKind::Crash);
     } else if (!update_is_valid(event.delta, config_.max_update_norm)) {
-      rejected_since.push_back(event.client);
-      obs::instant("update_rejected", "fault");
-      metrics.rejected.inc();
-      selector.report_failure(event.client, version,
-                              FailureKind::CorruptUpdate);
+      fail(event.client, FailureKind::CorruptUpdate);
     } else {
       ++arrived_since;
       view[event.client].last_loss = event.loss;
@@ -261,22 +202,23 @@ TrainingHistory AsyncFederatedTrainer::run(ClientSelector& selector,
       obs::StopWatch aggregate_clock;
       std::vector<double> accumulated(global_params.size(), 0.0);
       double total_weight = 0.0;
-      RoundRecord record;
+      RoundRecord record = std::move(pending);
+      pending = RoundRecord{};
       for (const auto& update : buffer) {
         const double staleness =
             static_cast<double>(version - update.base_version);
-        metrics.staleness.observe(staleness);
+        staleness_hist.observe(staleness);
         const double weight =
             static_cast<double>(dataset_.clients[update.client].train.size()) /
-            std::pow(1.0 + staleness, config_.staleness_alpha);
+            std::pow(1.0 + staleness, kStalenessAlpha);
         vec::accumulate_scaled(accumulated, update.delta, weight);
         total_weight += weight;
         record.selected.push_back(update.client);
       }
       buffer.clear();
       for (std::size_t p = 0; p < global_params.size(); ++p) {
-        global_params[p] += static_cast<float>(
-            config_.server_lr * accumulated[p] / total_weight);
+        global_params[p] +=
+            static_cast<float>(accumulated[p] / total_weight);
       }
       ++version;
       record.phase.train_ms = train_wall_ms;
@@ -287,12 +229,8 @@ TrainingHistory AsyncFederatedTrainer::run(ClientSelector& selector,
       record.sim_time_s = now;
       record.round_duration_s = now - last_aggregation_time;
       last_aggregation_time = now;
-      record.dispatched = arrived_since + crashed_since.size() +
-                          rejected_since.size();
-      record.crashed = std::move(crashed_since);
-      record.rejected = std::move(rejected_since);
-      crashed_since.clear();
-      rejected_since.clear();
+      record.dispatched =
+          arrived_since + record.crashed.size() + record.rejected.size();
       arrived_since = 0;
 
       const bool eval_now = (version - 1) % config_.eval_every == 0 ||
@@ -301,16 +239,10 @@ TrainingHistory AsyncFederatedTrainer::run(ClientSelector& selector,
         obs::Span eval_span("evaluate", "fl");
         obs::StopWatch eval_clock;
         model.set_parameters(global_params);
-        double acc = 0.0, loss = 0.0;
-        for (const auto& client : dataset_.clients) {
-          const auto r = evaluate(model, client.test);
-          acc += r.accuracy;
-          loss += r.loss;
-        }
-        last_accuracy = acc / static_cast<double>(n);
-        last_loss = loss / static_cast<double>(n);
+        const auto eval = population_.evaluate(model);
+        last_accuracy = eval.accuracy;
+        last_loss = eval.loss;
         record.phase.evaluate_ms = eval_clock.lap_ms();
-        metrics.evaluations.inc();
       }
       record.global_accuracy = last_accuracy;
       record.global_loss = last_loss;

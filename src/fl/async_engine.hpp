@@ -9,14 +9,21 @@
 //   * each dispatched client trains from the global model version current
 //     at dispatch and finishes after its (jittered) simulated latency;
 //   * completed updates land in a buffer; every `buffer_size` arrivals the
-//     server aggregates them into the global model, discounting each update
-//     by its staleness: weight ∝ samples / (1 + versions_behind)^alpha;
+//     server adds their weighted mean delta to the global model, discounting
+//     each update by its staleness: weight ∝ samples / (1 +
+//     versions_behind)^kStalenessAlpha;
 //   * freed slots are refilled immediately via the ClientSelector (asked
 //     for one client at a time, in-flight devices masked unavailable).
 //
 // Time is a discrete-event simulation over completion events, so the fast
 // devices' updates flow at their own pace — with heterogeneous hardware the
 // wall-clock win over the synchronous engine is exactly the straggler gap.
+//
+// The population model is the synchronous engine's (fl::Population: device
+// profiles, base latencies, the selector's view, evaluation), as are local
+// training (run_local_job), update validation, failure booking and the
+// metrics. What is the async engine's own: the event queue, the staleness
+// weighting, and one sequential jitter stream in dispatch order.
 #pragma once
 
 #include <cstdint>
@@ -25,14 +32,17 @@
 
 #include "src/data/partition.hpp"
 #include "src/fl/client.hpp"
+#include "src/fl/engine.hpp"
 #include "src/fl/history.hpp"
 #include "src/fl/selector.hpp"
 #include "src/sim/dropout.hpp"
 #include "src/sim/faults.hpp"
 #include "src/sim/latency.hpp"
-#include "src/sim/profile.hpp"
 
 namespace haccs::fl {
+
+/// Staleness discount exponent: weight ∝ 1 / (1 + staleness)^alpha.
+inline constexpr double kStalenessAlpha = 0.5;
 
 struct AsyncEngineConfig {
   /// Total number of server aggregations (the async analogue of rounds).
@@ -41,10 +51,6 @@ struct AsyncEngineConfig {
   std::size_t max_in_flight = 10;
   /// Updates buffered per aggregation.
   std::size_t buffer_size = 5;
-  /// Server learning rate applied to the aggregated delta.
-  double server_lr = 1.0;
-  /// Staleness discount exponent: weight ∝ 1 / (1 + staleness)^alpha.
-  double staleness_alpha = 0.5;
   LocalTrainConfig local;
   sim::LatencyModelConfig latency;
   /// Evaluate every N aggregations (and at the last one).
@@ -75,8 +81,9 @@ class AsyncFederatedTrainer {
                       const sim::DropoutSchedule& dropout);
   TrainingHistory run(ClientSelector& selector);
 
-  const std::vector<sim::DeviceProfile>& profiles() const { return profiles_; }
-  double client_latency(std::size_t i) const;
+  const std::vector<sim::DeviceProfile>& profiles() const {
+    return population_.profiles();
+  }
 
   const std::vector<float>& final_parameters() const {
     return final_parameters_;
@@ -86,9 +93,8 @@ class AsyncFederatedTrainer {
   const data::FederatedDataset& dataset_;
   std::function<nn::Sequential()> model_factory_;
   AsyncEngineConfig config_;
-  sim::LatencyModel latency_model_;
+  Population population_;
   sim::FaultModel fault_model_;
-  std::vector<sim::DeviceProfile> profiles_;
   std::vector<float> final_parameters_;
 };
 

@@ -60,8 +60,8 @@ TrainOutcome run_local_job(const TrainJobSpec& job,
 
 bool fold_into_partial(PartialAggregate& agg, std::span<const float> updated,
                        std::span<const float> global_params, double weight,
-                       double max_update_norm) {
-  std::vector<float> delta(updated.size());
+                       double max_update_norm, std::vector<float>& delta) {
+  delta.resize(updated.size());
   vec::diff(delta, updated, global_params);
   if (!update_is_valid(delta, max_update_norm)) return false;
   if (agg.sum.empty()) agg.sum.assign(global_params.size(), 0.0);
@@ -77,11 +77,12 @@ void fold_groups(std::span<const TrainJobSpec> jobs,
                  std::span<PartialAggregate> partials,
                  const std::function<std::size_t(std::size_t)>& group_of,
                  double max_update_norm) {
+  std::vector<float> delta;
   for (const TrainJobSpec& job : jobs) {
     TrainOutcome& out = outcomes[job.slot];
     if (!out.delivered || out.updated.empty()) continue;
     if (fold_into_partial(partials[group_of(job.client_id)], out.updated,
-                          global_params, out.weight, max_update_norm)) {
+                          global_params, out.weight, max_update_norm, delta)) {
       out.pre_aggregated = true;
     } else {
       out.delivered = false;

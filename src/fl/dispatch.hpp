@@ -48,9 +48,9 @@ struct TrainOutcome {
   /// True when the dispatcher already folded this update into a
   /// PartialAggregate (grouped / hierarchical aggregation, §5j): `updated`
   /// is then empty and the engine does bookkeeping only. Pre-aggregated
-  /// updates were validated downstream with the engine's exact arithmetic;
-  /// gradient-delta selector reports and engine-side post-receipt fault
-  /// corruption are unsupported on this path.
+  /// updates were validated downstream with the engine's own fold; with no
+  /// delta left, the selector gets no report_update for them, and the
+  /// engine refuses simulated corruption on such a dispatcher.
   bool pre_aggregated = false;
   /// Updated parameters (post-compression reconstruction), same length as
   /// the global vector. Empty when pre_aggregated.
@@ -74,14 +74,16 @@ struct PartialAggregate {
   std::size_t updates = 0;
 };
 
-/// Folds one reconstructed update into `agg` with the engine's exact
-/// aggregation arithmetic (diff → norm validation → accumulate_scaled).
-/// Returns false when the delta fails `update_is_valid(max_update_norm)`
-/// — the caller maps that onto the same rejected-update accounting the
-/// engine's own validation uses. `agg.sum` is lazily sized on first fold.
+/// The FedAvg fold, the one both engines' flat rounds, the grouped flat
+/// root and the mid tier all run: delta = updated - global → validation
+/// (`update_is_valid(max_update_norm)`) → agg.sum += weight · updated, in
+/// f64. `delta` receives the parameter delta either way, for the selector's
+/// report_update. Returns false when the delta fails validation — the
+/// caller books that as a rejected (CorruptUpdate) update. `agg.sum` is
+/// lazily sized on first fold.
 bool fold_into_partial(PartialAggregate& agg, std::span<const float> updated,
                        std::span<const float> global_params, double weight,
-                       double max_update_norm);
+                       double max_update_norm, std::vector<float>& delta);
 
 /// The grouped post-collection fold (§5j), shared by the flat root's
 /// agg_groups mode and the mid tier: walks `jobs` in order (slot order, the

@@ -19,30 +19,60 @@
 namespace haccs::fl {
 
 namespace {
-/// Engine telemetry instruments, registered once and shared by both engines
-/// (one process-global registry; snapshots aggregate across runs).
-struct EngineMetrics {
-  obs::Counter& rounds = obs::Registry::global().counter("rounds_total");
-  obs::Counter& dispatched =
-      obs::Registry::global().counter("clients_dispatched_total");
-  obs::Counter& crashed =
-      obs::Registry::global().counter("clients_crashed_total");
-  obs::Counter& late = obs::Registry::global().counter("clients_late_total");
-  obs::Counter& rejected =
-      obs::Registry::global().counter("updates_rejected_total");
-  obs::Counter& evaluations =
-      obs::Registry::global().counter("evaluations_total");
-  obs::Histogram& train_ms =
-      obs::Registry::global().histogram("local_train_wall_ms");
-  obs::Histogram& round_ms =
-      obs::Registry::global().histogram("round_wall_ms");
-
-  static EngineMetrics& get() {
-    static EngineMetrics metrics;
-    return metrics;
+/// What the server waits on a slot that fails with `kind`: it gives up on a
+/// late client at the deadline (or, with none armed, when the update would
+/// have landed), hears of a crash when the connection drops — crash_frac of
+/// the way through, never past the deadline — and receives a corrupt update
+/// in full.
+double failure_wait(FailureKind kind, double latency, double crash_frac,
+                    double deadline) {
+  switch (kind) {
+    case FailureKind::Timeout:
+      return deadline > 0.0 ? deadline : latency;
+    case FailureKind::Crash: {
+      const double observed = crash_frac * latency;
+      return deadline > 0.0 ? std::min(observed, deadline) : observed;
+    }
+    case FailureKind::CorruptUpdate:
+      break;
   }
-};
+  return latency;
+}
+
+/// Uplink payload under `compression`, for the latency model (0 = dense;
+/// the parameter count comes from one throwaway factory build).
+std::size_t upload_bytes(const std::function<nn::Sequential()>& model_factory,
+                         const CompressionConfig& compression) {
+  if (compression.kind == CompressionKind::None) return 0;
+  return compressed_wire_bytes(model_factory().parameter_count(), compression);
+}
 }  // namespace
+
+EngineMetrics& EngineMetrics::get() {
+  static EngineMetrics metrics;
+  return metrics;
+}
+
+void book_failure(RoundRecord& record, std::size_t client, FailureKind kind) {
+  EngineMetrics& metrics = EngineMetrics::get();
+  switch (kind) {
+    case FailureKind::Crash:
+      record.crashed.push_back(client);
+      obs::instant("client_crash", "fault");
+      metrics.crashed.inc();
+      break;
+    case FailureKind::Timeout:
+      record.late.push_back(client);
+      obs::instant("client_late", "fault");
+      metrics.late.inc();
+      break;
+    case FailureKind::CorruptUpdate:
+      record.rejected.push_back(client);
+      obs::instant("update_rejected", "fault");
+      metrics.rejected.inc();
+      break;
+  }
+}
 
 void check_engine_config(const EngineConfig& config,
                          std::size_t num_clients) {
@@ -70,6 +100,72 @@ void check_engine_config(const EngineConfig& config,
     throw std::invalid_argument(
         "FederatedTrainer: max_update_norm must be >= 0");
   }
+  if (config.faults.corruption_rate > 0.0 && config.dispatcher != nullptr &&
+      config.dispatcher->partials() != nullptr) {
+    throw std::invalid_argument(
+        "FederatedTrainer: faults.corruption_rate needs raw updates, and "
+        "this dispatcher pre-aggregates them (grouped or tree aggregation)");
+  }
+}
+
+Population::Population(const data::FederatedDataset& dataset,
+                       const sim::LatencyModelConfig& latency,
+                       std::uint64_t seed, std::size_t upload_bytes)
+    : dataset_(dataset), latency_model_(latency), upload_bytes_(upload_bytes) {
+  Rng profile_rng(seed ^ 0xdeadbeefcafef00dULL);
+  profiles_.reserve(dataset_.clients.size());
+  for (std::size_t i = 0; i < dataset_.clients.size(); ++i) {
+    profiles_.push_back(sim::DeviceProfile::sample(profile_rng));
+  }
+}
+
+double Population::base_latency(std::size_t i) const {
+  if (i >= profiles_.size()) {
+    throw std::out_of_range("client_latency: bad client id");
+  }
+  const std::size_t samples = dataset_.clients[i].train.size();
+  if (upload_bytes_ > 0) {
+    return latency_model_.round_latency_asymmetric(
+        profiles_[i], samples, latency_model_.config().model_bytes,
+        upload_bytes_);
+  }
+  return latency_model_.round_latency(profiles_[i], samples);
+}
+
+std::vector<ClientRuntimeInfo> Population::client_view(
+    double initial_loss) const {
+  std::vector<ClientRuntimeInfo> view;
+  view.reserve(dataset_.clients.size());
+  for (std::size_t i = 0; i < dataset_.clients.size(); ++i) {
+    ClientRuntimeInfo info;
+    info.id = i;
+    info.latency_s = base_latency(i);
+    info.num_samples = dataset_.clients[i].train.size();
+    info.last_loss = initial_loss;
+    info.available = true;
+    view.push_back(info);
+  }
+  return view;
+}
+
+Population::Eval Population::evaluate(nn::Sequential& model,
+                                      std::vector<double>* per_client) const {
+  Eval eval;
+  if (per_client) per_client->assign(dataset_.clients.size(), 0.0);
+  std::vector<EvalResult> results(dataset_.clients.size());
+  parallel_for(0, dataset_.clients.size(), [&](std::size_t i) {
+    results[i] = fl::evaluate(model, dataset_.clients[i].test);
+  });
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    eval.accuracy += results[i].accuracy;
+    eval.loss += results[i].loss;
+    if (per_client) (*per_client)[i] = results[i].accuracy;
+  }
+  const auto n = static_cast<double>(dataset_.clients.size());
+  eval.accuracy /= n;
+  eval.loss /= n;
+  EngineMetrics::get().evaluations.inc();
+  return eval;
 }
 
 FederatedTrainer::FederatedTrainer(const data::FederatedDataset& dataset,
@@ -78,33 +174,10 @@ FederatedTrainer::FederatedTrainer(const data::FederatedDataset& dataset,
     : dataset_(dataset),
       model_factory_(std::move(model_factory)),
       config_(config),
-      latency_model_(config.latency),
+      population_(dataset, config.latency, config.seed,
+                  upload_bytes(model_factory_, config.compression)),
       fault_model_(config.faults) {
   check_engine_config(config_, dataset_.clients.size());
-  // Device profiles: one stream derived from the seed, independent of the
-  // training stream so that adding rounds never changes hardware assignment.
-  Rng profile_rng(config_.seed ^ 0xdeadbeefcafef00dULL);
-  profiles_.reserve(dataset_.clients.size());
-  for (std::size_t i = 0; i < dataset_.clients.size(); ++i) {
-    profiles_.push_back(sim::DeviceProfile::sample(profile_rng));
-  }
-  // Uplink payload under the configured compression (the parameter count
-  // comes from one throwaway factory build).
-  const std::size_t param_count = model_factory_().parameter_count();
-  upload_bytes_ = compressed_wire_bytes(param_count, config_.compression);
-}
-
-double FederatedTrainer::client_latency(std::size_t i) const {
-  if (i >= profiles_.size()) {
-    throw std::out_of_range("client_latency: bad client id");
-  }
-  if (config_.compression.kind != CompressionKind::None) {
-    return latency_model_.round_latency_asymmetric(
-        profiles_[i], dataset_.clients[i].train.size(),
-        config_.latency.model_bytes, upload_bytes_);
-  }
-  return latency_model_.round_latency(profiles_[i],
-                                      dataset_.clients[i].train.size());
 }
 
 double FederatedTrainer::client_latency_at(std::size_t i,
@@ -119,42 +192,7 @@ double FederatedTrainer::client_latency_at(std::size_t i,
 }
 
 std::vector<ClientRuntimeInfo> FederatedTrainer::make_client_view() const {
-  std::vector<ClientRuntimeInfo> view;
-  view.reserve(dataset_.clients.size());
-  for (std::size_t i = 0; i < dataset_.clients.size(); ++i) {
-    ClientRuntimeInfo info;
-    info.id = i;
-    info.latency_s = client_latency(i);
-    info.num_samples = dataset_.clients[i].train.size();
-    info.last_loss = config_.initial_loss;
-    info.available = true;
-    view.push_back(info);
-  }
-  return view;
-}
-
-FederatedTrainer::GlobalEval FederatedTrainer::evaluate_global(
-    nn::Sequential& model, std::vector<double>* per_client) const {
-  GlobalEval eval;
-  if (per_client) per_client->assign(dataset_.clients.size(), 0.0);
-  // "The overall accuracy is the average test accuracy on all devices" —
-  // every device counts equally, including those currently unavailable.
-  // Per-device evaluations are independent and run through the const
-  // inference path in parallel; the reduction below is serial in client
-  // order, so the totals do not depend on worker timing.
-  std::vector<EvalResult> results(dataset_.clients.size());
-  parallel_for(0, dataset_.clients.size(), [&](std::size_t i) {
-    results[i] = evaluate(model, dataset_.clients[i].test);
-  });
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    eval.accuracy += results[i].accuracy;
-    eval.loss += results[i].loss;
-    if (per_client) (*per_client)[i] = results[i].accuracy;
-  }
-  const auto n = static_cast<double>(dataset_.clients.size());
-  eval.accuracy /= n;
-  eval.loss /= n;
-  return eval;
+  return population_.client_view(config_.initial_loss);
 }
 
 TrainingHistory FederatedTrainer::run(ClientSelector& selector) {
@@ -312,13 +350,11 @@ TrainingHistory FederatedTrainer::run(ClientSelector& selector,
     }
     phase.selection_ms = phase_clock.lap_ms();
 
-    // Post-dispatch fault trace for this round: effective latency (straggler
-    // excursions applied) and the fate of each dispatched client.
-    enum class Fate { Pending, Crashed, Late };
+    // Post-dispatch fault trace for this round: each slot's effective
+    // latency (straggler excursions applied) and simulated fault.
     const std::size_t n_dispatched = dispatched.size();
     std::vector<sim::FaultEvent> faults(n_dispatched);
     std::vector<double> eff_latency(n_dispatched);
-    std::vector<Fate> fate(n_dispatched, Fate::Pending);
     for (std::size_t i = 0; i < n_dispatched; ++i) {
       eff_latency[i] = view[dispatched[i]].latency_s;
       if (faults_on) {
@@ -338,13 +374,6 @@ TrainingHistory FederatedTrainer::run(ClientSelector& selector,
           config_.deadline_quantile * static_cast<double>(sorted.size() - 1));
       deadline = sorted[idx];
     }
-    for (std::size_t i = 0; i < n_dispatched; ++i) {
-      if (faults[i].kind == sim::FaultKind::Crash) {
-        fate[i] = Fate::Crashed;
-      } else if (deadline > 0.0 && eff_latency[i] > deadline) {
-        fate[i] = Fate::Late;
-      }
-    }
     phase.dispatch_ms = phase_clock.lap_ms();
     metrics.dispatched.inc(n_dispatched);
 
@@ -362,15 +391,24 @@ TrainingHistory FederatedTrainer::run(ClientSelector& selector,
         min_latency = std::min(min_latency, view[id].latency_s);
       }
       // Fork the per-client training streams serially (deterministic order).
-      // Crashed and late clients never deliver an update, so they get no job
-      // (their fork is still consumed, keeping the streams aligned across
-      // fault configurations); the rest go to the dispatcher — thread pool,
+      // A client the fault trace crashes or makes miss the deadline never
+      // delivers: its outcome is settled as undelivered here and it gets no
+      // job (its fork is still consumed, keeping the streams aligned across
+      // fault configurations). The rest go to the dispatcher — thread pool,
       // loopback workers, or TCP peers, all computing the same update.
+      std::vector<TrainOutcome> outcomes(n_dispatched);
       std::vector<TrainJobSpec> jobs;
       jobs.reserve(n_dispatched);
       for (std::size_t i = 0; i < n_dispatched; ++i) {
         const std::uint64_t job_seed = train_rng.next_u64();
-        if (fate[i] != Fate::Pending) continue;
+        if (faults[i].kind == sim::FaultKind::Crash) {
+          outcomes[i].failure = FailureKind::Crash;
+          continue;
+        }
+        if (deadline > 0.0 && eff_latency[i] > deadline) {
+          outcomes[i].failure = FailureKind::Timeout;
+          continue;
+        }
         const std::size_t id = dispatched[i];
         TrainJobSpec job;
         job.slot = i;
@@ -380,146 +418,84 @@ TrainingHistory FederatedTrainer::run(ClientSelector& selector,
         if (config_.algorithm == LocalAlgorithm::FedProx) {
           job.work_fraction = fedprox_work_fraction(
               view[id].latency_s / std::max(min_latency, 1e-9),
-              config_.fedprox_min_work);
+              kFedProxMinWork);
         }
         jobs.push_back(job);
       }
-      std::vector<TrainOutcome> outcomes(n_dispatched);
       obs::Span train_span("local_train_round", "fl");
       dispatcher->execute(jobs, global_params, outcomes);
       phase.train_ms = phase_clock.lap_ms();
 
-      // FedAvg: weighted average of the accepted updates, accumulated in
-      // dispatch order so the result is independent of worker timing.
-      // Crashed, late, and validation-rejected clients are wasted work.
+      // Settle every slot in dispatch order, so the global model and the
+      // selector's report sequence are independent of worker timing. A raw
+      // update folds into `folded` (a pre-aggregating dispatcher already
+      // folded its own with the same function); whatever failed — simulated,
+      // on the wire, or in validation — is booked by one failure path.
       obs::Span aggregate_span("aggregate", "fl");
-      std::vector<double> accumulated(global_params.size(), 0.0);
+      PartialAggregate folded;
+      std::vector<float> delta;
       double total_weight = 0.0;
       std::size_t arrived_updates = 0;  // frames received (incl. corrupt)
       for (std::size_t i = 0; i < n_dispatched; ++i) {
         const std::size_t id = dispatched[i];
-        if (fate[i] == Fate::Crashed) {
-          // Failure surfaces when the connection drops, mid-round.
-          double observed = faults[i].crash_frac * eff_latency[i];
-          if (deadline > 0.0) observed = std::min(observed, deadline);
-          observed_times.push_back(observed);
-          record.crashed.push_back(id);
-          obs::instant("client_crash", "fault");
-          metrics.crashed.inc();
-          breakers[id].record_failure(epoch);
-          selector.report_failure(id, epoch, FailureKind::Crash);
-          continue;
-        }
-        if (fate[i] == Fate::Late) {
-          // The server waits until the deadline, then gives up on it.
-          observed_times.push_back(deadline);
-          record.late.push_back(id);
-          obs::instant("client_late", "fault");
-          metrics.late.inc();
-          selector.report_failure(id, epoch, FailureKind::Timeout);
-          continue;
-        }
         TrainOutcome& outcome = outcomes[i];
-        if (!outcome.delivered) {
-          // Transport-level failure (never on the in-process path): map it
-          // onto the same accounting the simulated faults use, so selectors
-          // cannot tell real wire damage from injected faults.
-          switch (outcome.failure) {
-            case FailureKind::Timeout:
-              observed_times.push_back(deadline > 0.0 ? deadline
-                                                      : eff_latency[i]);
-              record.late.push_back(id);
-              obs::instant("client_late", "fault");
-              metrics.late.inc();
-              selector.report_failure(id, epoch, FailureKind::Timeout);
-              break;
-            case FailureKind::CorruptUpdate:
-              // A frame arrived (it counts as uplink) but its payload died.
-              ++arrived_updates;
-              observed_times.push_back(eff_latency[i]);
-              record.rejected.push_back(id);
-              obs::instant("update_rejected", "fault");
-              metrics.rejected.inc();
-              breakers[id].record_failure(epoch);
-              selector.report_failure(id, epoch, FailureKind::CorruptUpdate);
-              break;
-            case FailureKind::Crash: {
-              double observed = eff_latency[i];
-              if (deadline > 0.0) observed = std::min(observed, deadline);
-              observed_times.push_back(observed);
-              record.crashed.push_back(id);
-              obs::instant("client_crash", "fault");
-              metrics.crashed.inc();
-              breakers[id].record_failure(epoch);
-              selector.report_failure(id, epoch, FailureKind::Crash);
-              break;
-            }
-          }
-          continue;
-        }
-        ++arrived_updates;
-        if (outcome.pre_aggregated) {
-          // Already folded into the dispatcher's partial sums (§5j) with
-          // the engine's exact diff/validate/accumulate arithmetic — only
-          // the per-slot bookkeeping remains here. The weighted sums merge
-          // after this loop; total_weight still prices from the engine's
-          // own dataset so the partials' weights can be cross-checked.
-          observed_times.push_back(eff_latency[i]);
-          const auto weight =
-              static_cast<double>(dataset_.clients[id].train.size());
-          total_weight += weight;
-          view[id].last_loss = outcome.result.average_loss;
-          breakers[id].record_success();
-          selector.report_result(id, outcome.result.average_loss, epoch);
-          record.selected.push_back(id);
-          continue;
-        }
-        std::vector<float> updated = std::move(outcome.updated);
-        if (faults[i].kind == sim::FaultKind::Corruption) {
-          // Wire-level corruption: mangle the delta the server receives
-          // (client-side state, e.g. compression residuals, stays clean).
-          // Applied post-receipt — the same pure function of the fault
-          // event and delta the old in-lambda path computed.
-          std::vector<float> corrupted(updated.size());
-          vec::diff(corrupted, updated, global_params);
-          fault_model_.corrupt(faults[i], corrupted);
-          for (std::size_t p = 0; p < updated.size(); ++p) {
-            updated[p] = global_params[p] + corrupted[p];
-          }
-        }
-        // Parameter delta: input to validation and gradient-direction
-        // schedulers alike.
-        std::vector<float> delta(updated.size());
-        vec::diff(delta, updated, global_params);
-        observed_times.push_back(eff_latency[i]);
-        if (!update_is_valid(delta, config_.max_update_norm)) {
-          HACCS_DEBUG << selector.name() << " epoch " << epoch
-                      << " rejected invalid update from client " << id;
-          record.rejected.push_back(id);
-          obs::instant("update_rejected", "fault");
-          metrics.rejected.inc();
-          breakers[id].record_failure(epoch);
-          selector.report_failure(id, epoch, FailureKind::CorruptUpdate);
-          continue;
-        }
         const auto weight =
             static_cast<double>(dataset_.clients[id].train.size());
-        vec::accumulate_scaled(accumulated, updated, weight);
+        const bool raw = outcome.delivered && !outcome.pre_aggregated;
+        if (raw) {
+          std::vector<float>& updated = outcome.updated;
+          if (faults[i].kind == sim::FaultKind::Corruption) {
+            // Wire-level corruption: mangle the delta the server receives
+            // (client-side state, e.g. compression residuals, stays clean).
+            std::vector<float> corrupted(updated.size());
+            vec::diff(corrupted, updated, global_params);
+            fault_model_.corrupt(faults[i], corrupted);
+            for (std::size_t p = 0; p < updated.size(); ++p) {
+              updated[p] = global_params[p] + corrupted[p];
+            }
+          }
+          if (!fold_into_partial(folded, updated, global_params, weight,
+                                 config_.max_update_norm, delta)) {
+            HACCS_DEBUG << selector.name() << " epoch " << epoch
+                        << " rejected invalid update from client " << id;
+            outcome.delivered = false;
+            outcome.failure = FailureKind::CorruptUpdate;
+          }
+        }
+        // A frame arrived (it counts as uplink) unless the client crashed
+        // or was given up on; a corrupt frame arrived but its payload died.
+        if (outcome.delivered ||
+            outcome.failure == FailureKind::CorruptUpdate) {
+          ++arrived_updates;
+        }
+        if (!outcome.delivered) {
+          observed_times.push_back(failure_wait(
+              outcome.failure, eff_latency[i], faults[i].crash_frac, deadline));
+          book_failure(record, id, outcome.failure);
+          if (outcome.failure != FailureKind::Timeout) {
+            breakers[id].record_failure(epoch);
+          }
+          selector.report_failure(id, epoch, outcome.failure);
+          continue;
+        }
+        observed_times.push_back(eff_latency[i]);
         total_weight += weight;
         view[id].last_loss = outcome.result.average_loss;
         breakers[id].record_success();
         selector.report_result(id, outcome.result.average_loss, epoch);
-        selector.report_update(id, delta, epoch);
+        if (raw) selector.report_update(id, delta, epoch);
         record.selected.push_back(id);
       }
+      std::vector<double>& accumulated = folded.sum;
+      double folded_weight = folded.weight;
       if (const std::vector<PartialAggregate>* parts = dispatcher->partials()) {
         // Grouped / hierarchical aggregation: merge the per-group partial
         // sums into the accumulator in group order. Per element this is the
         // identical f64 add sequence no matter which tier performed the
         // group folds, so tree and flat grouped runs converge bitwise.
-        double partial_weight = 0.0;
+        if (accumulated.empty()) accumulated.assign(global_params.size(), 0.0);
         for (const PartialAggregate& part : *parts) {
-          partial_weight += part.weight;
+          folded_weight += part.weight;
           if (part.sum.empty()) continue;
           HACCS_CHECK_MSG(part.sum.size() == accumulated.size(),
                           "partial aggregate has wrong parameter count");
@@ -527,11 +503,11 @@ TrainingHistory FederatedTrainer::run(ClientSelector& selector,
             accumulated[p] += part.sum[p];
           }
         }
-        // Integer sample-count weights sum exactly in f64, so any mismatch
-        // is a real bookkeeping bug, not rounding.
-        HACCS_CHECK_MSG(partial_weight == total_weight,
-                        "partial aggregate weights disagree with the engine");
       }
+      // Integer sample-count weights sum exactly in f64, so any mismatch
+      // is a real bookkeeping bug, not rounding.
+      HACCS_CHECK_MSG(folded_weight == total_weight,
+                      "folded weights disagree with the engine");
       if (total_weight > 0.0) {
         for (std::size_t p = 0; p < global_params.size(); ++p) {
           global_params[p] = static_cast<float>(accumulated[p] / total_weight);
@@ -561,11 +537,10 @@ TrainingHistory FederatedTrainer::run(ClientSelector& selector,
       obs::Span eval_span("evaluate", "fl");
       model.set_parameters(global_params);
       const bool final_round = epoch + 1 == config_.rounds;
-      const auto eval = evaluate_global(
+      const auto eval = population_.evaluate(
           model, final_round ? &final_per_client_accuracy_ : nullptr);
       last_accuracy = eval.accuracy;
       last_loss = eval.loss;
-      metrics.evaluations.inc();
       phase.evaluate_ms = phase_clock.lap_ms();
       HACCS_DEBUG << selector.name() << " epoch " << epoch << " t="
                   << clock.now() << "s acc=" << eval.accuracy;

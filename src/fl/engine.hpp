@@ -25,6 +25,7 @@
 #include "src/fl/fedprox.hpp"
 #include "src/fl/history.hpp"
 #include "src/fl/selector.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/sim/dropout.hpp"
 #include "src/sim/faults.hpp"
 #include "src/sim/latency.hpp"
@@ -49,8 +50,6 @@ struct EngineConfig {
   CompressionConfig compression;
   /// FedProx proximal coefficient (used when algorithm == FedProx).
   double fedprox_mu = 0.01;
-  /// Minimum work fraction a straggler performs under FedProx.
-  double fedprox_min_work = 0.3;
   sim::LatencyModelConfig latency;
   /// Evaluate the global model every `eval_every` rounds (and on the final
   /// round). Evaluation reads every client's local test set.
@@ -114,10 +113,81 @@ struct EngineConfig {
   std::function<bool()> stop_requested;
 };
 
+/// Minimum work fraction a straggler performs under FedProx.
+inline constexpr double kFedProxMinWork = 0.3;
+
 /// The checks FederatedTrainer makes of its config for a federation of
 /// `num_clients`: throws std::invalid_argument naming the first field out
-/// of range. Callable before any data exists.
+/// of range, or faults.corruption_rate on a pre-aggregating dispatcher
+/// (corruption mangles a raw update, and such a dispatcher returns none).
+/// Callable before any data exists.
 void check_engine_config(const EngineConfig& config, std::size_t num_clients);
+
+/// The simulated federation both engines train over (paper §II-A): the
+/// clients' data, one device profile per client, the latency model that
+/// prices a round, and the population-wide evaluation. Profiles come from
+/// their own stream of `seed`, so a seed assigns the same hardware in both
+/// engines and adding rounds never changes it.
+class Population {
+ public:
+  /// `upload_bytes` > 0 prices a compressed uplink of that many bytes
+  /// against a latency.model_bytes downlink; 0 prices the dense round.
+  Population(const data::FederatedDataset& dataset,
+             const sim::LatencyModelConfig& latency, std::uint64_t seed,
+             std::size_t upload_bytes = 0);
+
+  const std::vector<sim::DeviceProfile>& profiles() const { return profiles_; }
+
+  /// Base (expected) round latency of client i (profile + local data size).
+  double base_latency(std::size_t i) const;
+
+  /// The runtime view handed to selectors: every client available at its
+  /// base latency, with `initial_loss` as its last loss.
+  std::vector<ClientRuntimeInfo> client_view(double initial_loss) const;
+
+  struct Eval {
+    double accuracy = 0.0;
+    double loss = 0.0;
+  };
+  /// Mean test accuracy and loss of `model` over every client, unavailable
+  /// ones included ("the average test accuracy on all devices"). Clients
+  /// evaluate in parallel through the const inference path; the reduction
+  /// runs in client order, so the result does not depend on worker timing.
+  /// `per_client`, when set, receives each client's accuracy.
+  Eval evaluate(nn::Sequential& model,
+                std::vector<double>* per_client = nullptr) const;
+
+ private:
+  const data::FederatedDataset& dataset_;
+  sim::LatencyModel latency_model_;
+  std::size_t upload_bytes_;
+  std::vector<sim::DeviceProfile> profiles_;
+};
+
+/// Telemetry instruments both engines record into (one process-global
+/// registry; snapshots aggregate across runs).
+struct EngineMetrics {
+  obs::Counter& rounds = obs::Registry::global().counter("rounds_total");
+  obs::Counter& dispatched =
+      obs::Registry::global().counter("clients_dispatched_total");
+  obs::Counter& crashed =
+      obs::Registry::global().counter("clients_crashed_total");
+  obs::Counter& late = obs::Registry::global().counter("clients_late_total");
+  obs::Counter& rejected =
+      obs::Registry::global().counter("updates_rejected_total");
+  obs::Counter& evaluations =
+      obs::Registry::global().counter("evaluations_total");
+  obs::Histogram& round_ms =
+      obs::Registry::global().histogram("round_wall_ms");
+
+  static EngineMetrics& get();
+};
+
+/// Books one failed dispatch on `record`, the same way in both engines:
+/// Crash → `crashed`, Timeout → `late`, CorruptUpdate → `rejected`, each
+/// with its trace instant and counter. The caller reports it to the
+/// selector.
+void book_failure(RoundRecord& record, std::size_t client, FailureKind kind);
 
 class FederatedTrainer {
  public:
@@ -147,11 +217,14 @@ class FederatedTrainer {
                       const sim::DropoutSchedule& dropout,
                       const RunState* resume);
 
-  const std::vector<sim::DeviceProfile>& profiles() const { return profiles_; }
-  const sim::LatencyModel& latency_model() const { return latency_model_; }
+  const std::vector<sim::DeviceProfile>& profiles() const {
+    return population_.profiles();
+  }
 
   /// Base (expected) round latency of client i (profile + local data size).
-  double client_latency(std::size_t i) const;
+  double client_latency(std::size_t i) const {
+    return population_.base_latency(i);
+  }
 
   /// Latency of client i in a specific epoch, including the seeded
   /// log-normal jitter. Pure function of (config.seed, epoch, i).
@@ -174,22 +247,13 @@ class FederatedTrainer {
   std::vector<ClientRuntimeInfo> make_client_view() const;
 
  private:
-  struct GlobalEval {
-    double accuracy = 0.0;
-    double loss = 0.0;
-  };
-  GlobalEval evaluate_global(nn::Sequential& model,
-                             std::vector<double>* per_client = nullptr) const;
-
   const data::FederatedDataset& dataset_;
   std::function<nn::Sequential()> model_factory_;
   EngineConfig config_;
-  sim::LatencyModel latency_model_;
+  Population population_;
   sim::FaultModel fault_model_;
-  std::vector<sim::DeviceProfile> profiles_;
   std::vector<double> final_per_client_accuracy_;
   std::vector<float> final_parameters_;
-  std::size_t upload_bytes_ = 0;
 };
 
 /// The local-training recipe `config` orders for every selected client —

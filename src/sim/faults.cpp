@@ -58,9 +58,9 @@ FaultModel::FaultModel(FaultModelConfig config) : config_(config) {
       config_.crash_frac_min > config_.crash_frac_max) {
     throw std::invalid_argument("FaultModel: bad crash_frac range");
   }
-  if (config_.straggler_alpha <= 0.0 || config_.straggler_scale < 1.0 ||
-      config_.straggler_cap < config_.straggler_scale) {
-    throw std::invalid_argument("FaultModel: bad straggler parameters");
+  if (config_.straggler_cap < kStragglerScale) {
+    throw std::invalid_argument(
+        "FaultModel: straggler_cap must be >= kStragglerScale");
   }
   check_rate(config_.flaky_fraction, "flaky_fraction");
   if (config_.flaky_crash_boost < 1.0) {
@@ -120,8 +120,8 @@ FaultEvent FaultModel::at(std::size_t client, std::size_t epoch) const {
     event.kind = FaultKind::Straggler;
     // Pareto(x_m = scale, alpha) via inverse CDF; clamp the tail.
     const double tail =
-        config_.straggler_scale *
-        std::pow(1.0 - rng.uniform(), -1.0 / config_.straggler_alpha);
+        kStragglerScale *
+        std::pow(1.0 - rng.uniform(), -1.0 / kStragglerAlpha);
     event.latency_multiplier = std::min(tail, config_.straggler_cap);
     FaultMetrics::get().straggler.inc();
   }

@@ -26,6 +26,12 @@ namespace haccs::sim {
 
 enum class FaultKind { None, Crash, Corruption, Straggler };
 
+/// Pareto tail index of a straggler's excursion multiplier (smaller =
+/// heavier tail).
+inline constexpr double kStragglerAlpha = 1.5;
+/// Pareto scale: the minimum excursion multiplier.
+inline constexpr double kStragglerScale = 2.0;
+
 std::string to_string(FaultKind kind);
 
 /// How a corrupted update is mangled. The mode is part of the seeded fault
@@ -55,12 +61,9 @@ struct FaultModelConfig {
   /// Multiplier used by CorruptionMode::ScaleExplode.
   double corruption_scale = 1.0e4;
 
-  /// Per-(client, epoch) probability of a heavy-tail latency excursion.
+  /// Per-(client, epoch) probability of a heavy-tail latency excursion,
+  /// a Pareto(kStragglerScale, kStragglerAlpha) multiplier.
   double straggler_rate = 0.0;
-  /// Pareto tail index of the excursion multiplier (smaller = heavier tail).
-  double straggler_alpha = 1.5;
-  /// Pareto scale: the minimum excursion multiplier.
-  double straggler_scale = 2.0;
   /// Hard cap on the multiplier (keeps simulated clocks finite).
   double straggler_cap = 64.0;
 
@@ -87,7 +90,7 @@ struct FaultModelConfig {
 struct FaultEvent {
   FaultKind kind = FaultKind::None;
   double crash_frac = 1.0;          ///< Crash: fraction of latency survived
-  double latency_multiplier = 1.0;  ///< Straggler: >= straggler_scale
+  double latency_multiplier = 1.0;  ///< Straggler: >= kStragglerScale
   CorruptionMode corruption = CorruptionMode::MakeNaN;
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 
+#include "src/core/haccs_selector.hpp"
 #include "src/core/haccs_system.hpp"
 #include "src/fl/async_engine.hpp"
 #include "src/select/random_selector.hpp"
@@ -57,12 +58,6 @@ TEST(AsyncEngine, ValidatesConfig) {
   {
     auto cfg = make_config();
     cfg.buffer_size = 5;  // > max_in_flight
-    EXPECT_THROW(AsyncFederatedTrainer(fed, factory, cfg),
-                 std::invalid_argument);
-  }
-  {
-    auto cfg = make_config();
-    cfg.server_lr = 0.0;
     EXPECT_THROW(AsyncFederatedTrainer(fed, factory, cfg),
                  std::invalid_argument);
   }

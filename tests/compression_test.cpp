@@ -8,6 +8,7 @@
 
 #include "src/core/haccs_system.hpp"
 #include "src/fl/compression.hpp"
+#include "src/fl/engine.hpp"
 #include "src/select/random_selector.hpp"
 
 namespace haccs::fl {

@@ -1,6 +1,7 @@
 // Tests for src/core: the summary/clustering pipeline, the HACCS selector
 // (Eq. 6/7 weights, Weighted-SRSWR, min-latency in-cluster pick, dropout
-// substitution), and the HaccsSystem façade.
+// substitution), a selector-driven training run, and the default model
+// factory.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 
 #include "src/core/haccs_selector.hpp"
 #include "src/core/haccs_system.hpp"
+#include "src/fl/engine.hpp"
 #include "src/stats/metrics.hpp"
 
 namespace haccs::core {
@@ -337,9 +339,9 @@ TEST(HaccsSelectorTest, ReclusterUpdatesAssignments) {
   EXPECT_EQ(s.num_clusters(), 10u);
 }
 
-// ---- HaccsSystem ----
+// ---- End to end ----
 
-TEST(HaccsSystemTest, EndToEndTrainingRuns) {
+TEST(HaccsEndToEnd, TrainingRuns) {
   auto gen = small_gen(4);
   data::PartitionConfig pcfg;
   pcfg.num_clients = 8;
@@ -353,15 +355,15 @@ TEST(HaccsSystemTest, EndToEndTrainingRuns) {
   ecfg.rounds = 6;
   ecfg.clients_per_round = 3;
   ecfg.eval_every = 3;
-  HaccsSystem system(fed, HaccsConfig{}, ecfg,
-                     default_model_factory(fed, 31));
-  const auto history = system.train();
+  HaccsSelector selector(fed, HaccsConfig{});
+  EXPECT_GT(selector.num_clusters(), 0u);
+  fl::FederatedTrainer trainer(fed, default_model_factory(fed, 31), ecfg);
+  const auto history = trainer.run(selector);
   EXPECT_EQ(history.records().size(), 6u);
   EXPECT_GT(history.total_time(), 0.0);
-  EXPECT_FALSE(system.cluster_labels().empty());
 }
 
-TEST(HaccsSystemTest, DefaultModelFactoryDeterministic) {
+TEST(DefaultModelFactory, Deterministic) {
   const auto fed = paired_fed(50);
   auto factory = default_model_factory(fed, 7);
   auto m1 = factory();
@@ -369,7 +371,7 @@ TEST(HaccsSystemTest, DefaultModelFactoryDeterministic) {
   EXPECT_EQ(m1.get_parameters(), m2.get_parameters());
 }
 
-TEST(HaccsSystemTest, CnnFactoryBuilds) {
+TEST(DefaultModelFactory, CnnBuilds) {
   const auto fed = paired_fed(50);
   auto factory = default_model_factory(fed, 7, /*use_cnn=*/true);
   auto model = factory();

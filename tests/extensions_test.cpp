@@ -8,6 +8,7 @@
 
 #include "src/core/gradient_selector.hpp"
 #include "src/core/haccs_system.hpp"
+#include "src/fl/engine.hpp"
 #include "src/fl/fedprox.hpp"
 #include "src/select/random_selector.hpp"
 #include "src/stats/distance.hpp"

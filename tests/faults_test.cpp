@@ -10,6 +10,7 @@
 #include <set>
 #include <vector>
 
+#include "src/core/haccs_selector.hpp"
 #include "src/core/haccs_system.hpp"
 #include "src/fl/async_engine.hpp"
 #include "src/fl/engine.hpp"
@@ -121,7 +122,7 @@ TEST(FaultModel, EventFieldsWithinBounds) {
         EXPECT_LE(event.crash_frac, 0.8);
       }
       if (event.kind == sim::FaultKind::Straggler) {
-        EXPECT_GE(event.latency_multiplier, cfg.straggler_scale);
+        EXPECT_GE(event.latency_multiplier, sim::kStragglerScale);
         EXPECT_LE(event.latency_multiplier, cfg.straggler_cap);
       }
     }
@@ -664,6 +665,36 @@ TEST(EngineFaults, RoundRecordAccountingIsConsistent) {
   // Corrupted updates never reach the global model.
   for (float v : trainer.final_parameters()) {
     ASSERT_TRUE(std::isfinite(v));
+  }
+}
+
+TEST(EngineFaults, RefusesCorruptionOnAPreAggregatingDispatcher) {
+  // A grouped or tree dispatcher folds updates before the engine sees
+  // them, so the engine could not corrupt them: a grouped run would book as
+  // selected the clients a flat run books as rejected. The trainer refuses
+  // the pair instead.
+  struct Grouped final : fl::RoundDispatcher {
+    void execute(std::span<const fl::TrainJobSpec>, const std::vector<float>&,
+                 std::vector<fl::TrainOutcome>&) override {}
+    const std::vector<fl::PartialAggregate>* partials() const override {
+      return &parts;
+    }
+    std::vector<fl::PartialAggregate> parts;
+  } grouped;
+  const auto fed = make_fed();
+  auto engine = make_engine(2);
+  engine.dispatcher = &grouped;
+  engine.faults.crash_rate = 0.1;
+  EXPECT_NO_THROW(fl::FederatedTrainer(
+      fed, core::default_model_factory(fed, 99), engine));
+  engine.faults.corruption_rate = 0.1;
+  try {
+    fl::FederatedTrainer(fed, core::default_model_factory(fed, 99), engine);
+    ADD_FAILURE() << "corruption on a pre-aggregating dispatcher accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("faults.corruption_rate"),
+              std::string::npos)
+        << e.what();
   }
 }
 

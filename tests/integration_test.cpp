@@ -6,7 +6,9 @@
 #include <cmath>
 #include <set>
 
+#include "src/core/haccs_selector.hpp"
 #include "src/core/haccs_system.hpp"
+#include "src/fl/engine.hpp"
 #include "src/select/oort.hpp"
 #include "src/select/random_selector.hpp"
 #include "src/select/tifl.hpp"
@@ -46,16 +48,28 @@ fl::EngineConfig make_engine(std::size_t rounds = 80) {
   return cfg;
 }
 
+fl::FederatedTrainer make_trainer(const data::FederatedDataset& fed,
+                                  const fl::EngineConfig& engine) {
+  return fl::FederatedTrainer(fed, core::default_model_factory(fed, 99),
+                              engine);
+}
+
+/// A HACCS run: a fresh selector clusters `fed`, the trainer simulates it.
+fl::TrainingHistory train_haccs(fl::FederatedTrainer& trainer,
+                                const data::FederatedDataset& fed,
+                                const core::HaccsConfig& haccs) {
+  core::HaccsSelector selector(fed, haccs);
+  return trainer.run(selector);
+}
+
 TEST(Integration, FullRunIsDeterministic) {
   const auto fed = make_fed(12);
   const auto engine = make_engine(20);
   core::HaccsConfig haccs;
-  core::HaccsSystem s1(fed, haccs, engine,
-                       core::default_model_factory(fed, 99));
-  core::HaccsSystem s2(fed, haccs, engine,
-                       core::default_model_factory(fed, 99));
-  const auto h1 = s1.train();
-  const auto h2 = s2.train();
+  auto t1 = make_trainer(fed, engine);
+  auto t2 = make_trainer(fed, engine);
+  const auto h1 = train_haccs(t1, fed, haccs);
+  const auto h2 = train_haccs(t2, fed, haccs);
   ASSERT_EQ(h1.records().size(), h2.records().size());
   for (std::size_t i = 0; i < h1.records().size(); ++i) {
     EXPECT_EQ(h1.records()[i].selected, h2.records()[i].selected);
@@ -69,11 +83,10 @@ TEST(Integration, HaccsBeatsRandomOnSkewedData) {
   const auto engine = make_engine(100);
   core::HaccsConfig haccs;
   haccs.rho = 0.5;
-  core::HaccsSystem system(fed, haccs, engine,
-                           core::default_model_factory(fed, 99));
-  const auto haccs_history = system.train();
+  auto trainer = make_trainer(fed, engine);
+  const auto haccs_history = train_haccs(trainer, fed, haccs);
   select::RandomSelector random;
-  const auto random_history = system.train_with(random);
+  const auto random_history = trainer.run(random);
 
   const double target = 0.6;
   const double haccs_tta = haccs_history.time_to_accuracy(target);
@@ -90,9 +103,8 @@ TEST(Integration, PrivacyPreservingRunStillTrains) {
   const auto engine = make_engine(60);
   core::HaccsConfig haccs;
   haccs.privacy = stats::PrivacyConfig{0.1};
-  core::HaccsSystem system(fed, haccs, engine,
-                           core::default_model_factory(fed, 99));
-  const auto history = system.train();
+  auto trainer = make_trainer(fed, engine);
+  const auto history = train_haccs(trainer, fed, haccs);
   EXPECT_GT(history.best_accuracy(), 0.5);
 }
 
@@ -100,8 +112,7 @@ TEST(Integration, AllStrategiesReachUsefulAccuracy) {
   const auto fed = make_fed(16);
   const auto engine = make_engine(80);
   core::HaccsConfig haccs;
-  core::HaccsSystem system(fed, haccs, engine,
-                           core::default_model_factory(fed, 99));
+  auto trainer = make_trainer(fed, engine);
 
   select::RandomSelector random;
   select::TiflConfig tifl_cfg;
@@ -109,10 +120,10 @@ TEST(Integration, AllStrategiesReachUsefulAccuracy) {
   select::TiflSelector tifl(tifl_cfg);
   select::OortSelector oort({});
 
-  EXPECT_GT(system.train_with(random).best_accuracy(), 0.6);
-  EXPECT_GT(system.train_with(tifl).best_accuracy(), 0.6);
-  EXPECT_GT(system.train_with(oort).best_accuracy(), 0.6);
-  EXPECT_GT(system.train().best_accuracy(), 0.6);
+  EXPECT_GT(trainer.run(random).best_accuracy(), 0.6);
+  EXPECT_GT(trainer.run(tifl).best_accuracy(), 0.6);
+  EXPECT_GT(trainer.run(oort).best_accuracy(), 0.6);
+  EXPECT_GT(train_haccs(trainer, fed, haccs).best_accuracy(), 0.6);
 }
 
 TEST(Integration, GroupDropoutCollapsesOnlyDroppedGroups) {
@@ -165,12 +176,11 @@ TEST(Integration, HaccsSurvivesLossOfFastestClusterMembers) {
   // represented through surviving members, so accuracy stays high.
   const auto fed = make_fed(20);
   const auto engine = make_engine(100);
-  core::HaccsConfig haccs;
-  core::HaccsSystem system(fed, haccs, engine,
-                           core::default_model_factory(fed, 99));
+  core::HaccsSelector selector(fed, core::HaccsConfig{});
+  auto trainer = make_trainer(fed, engine);
   const auto schedule =
       sim::make_permanent_random_dropout(fed.num_clients(), 6, 0, 55);
-  const auto history = system.train(*schedule);
+  const auto history = trainer.run(selector, *schedule);
   EXPECT_GT(history.best_accuracy(), 0.6);
 }
 
@@ -179,9 +189,8 @@ TEST(Integration, ConditionalSummaryPipelineTrains) {
   const auto engine = make_engine(60);
   core::HaccsConfig haccs;
   haccs.summary = stats::SummaryKind::Conditional;
-  core::HaccsSystem system(fed, haccs, engine,
-                           core::default_model_factory(fed, 99));
-  const auto history = system.train();
+  auto trainer = make_trainer(fed, engine);
+  const auto history = train_haccs(trainer, fed, haccs);
   EXPECT_GT(history.best_accuracy(), 0.5);
 }
 

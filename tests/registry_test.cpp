@@ -83,6 +83,16 @@ TEST(SelectorRegistry, UnknownNameErrorListsEveryName) {
   EXPECT_THROW(make_selector("bogus", ctx), std::invalid_argument);
 }
 
+TEST(SelectorRegistry, OnlyGradientNeedsUpdateDeltas) {
+  // GradientClusterSelector clusters on report_update's deltas; grouped and
+  // tree aggregation never deliver them, so haccs_server refuses that pair
+  // on this bit.
+  for (const auto& name : selector_names()) {
+    EXPECT_EQ(selector_info(name).needs_update_deltas, name == "gradient")
+        << name;
+  }
+}
+
 TEST(SelectorRegistry, DatasetOnlyNamesAreRejectedFromSummaries) {
   const auto fed = small_federation();
   const auto summaries = compute_summaries(fed, HaccsConfig{});

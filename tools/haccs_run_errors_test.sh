@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# Bad haccs_run inputs fail cleanly: exit code 1 and one "haccs_run: ..."
-# line naming the problem, never an abort, and before any data is generated.
+# Bad inputs to haccs_run or haccs_server fail cleanly: exit code 1 and one
+# "<binary>: ..." line naming the problem, never an abort, and before any
+# data is generated or any port is opened. The binary's file name picks the
+# cases and the expected prefix.
 #
-# Usage: tools/haccs_run_errors_test.sh <path-to-haccs_run>
+# Usage: tools/haccs_run_errors_test.sh <path-to-haccs_run|haccs_server>
 set -uo pipefail
 
 run="$1"
+name="$(basename "$run")"
 failures=0
 
 # expect_error EXPECTED_SUBSTRING ARGS...
@@ -16,27 +19,49 @@ expect_error() {
   err="$(timeout 60 "$run" "$@" 2>&1 >/dev/null)"
   rc=$?
   if [[ "$rc" -ne 1 ]]; then
-    echo "FAIL: haccs_run $* exited $rc (want 1): $err"
+    echo "FAIL: $name $* exited $rc (want 1): $err"
     failures=$((failures + 1))
-  elif [[ "$err" != "haccs_run: "*"$expected"* ]]; then
-    echo "FAIL: haccs_run $* printed '$err' (want 'haccs_run: ...$expected')"
+  elif [[ "$err" != "$name: "*"$expected"* ]]; then
+    echo "FAIL: $name $* printed '$err' (want '$name: ...$expected')"
     failures=$((failures + 1))
   elif [[ "$(wc -l <<<"$err")" -ne 1 ]]; then
     # Anything more means work (data generation, training) started first.
-    echo "FAIL: haccs_run $* printed more than the error: $err"
+    echo "FAIL: $name $* printed more than the error: $err"
     failures=$((failures + 1))
   else
-    echo "ok: haccs_run $* -> $err"
+    echo "ok: $name $* -> $err"
   fi
 }
 
-expect_error "--rounds expects an integer, got 'abc'" --rounds=abc
-expect_error "--rounds expects an integer, got '2x'" --rounds=2x
-expect_error "unknown flags: --bogus" --bogus=1
-expect_error "--targets expects comma-separated numbers, got 'x'" \
-  --targets=0.5,x
-expect_error "--clients expects a non-negative integer, got '-1'" --clients=-1
-expect_error "clients_per_round (9) must lie in [1, 5]" \
-  --clients=5 --per-round=9
+case "$name" in
+  haccs_run)
+    expect_error "--rounds expects an integer, got 'abc'" --rounds=abc
+    expect_error "--rounds expects an integer, got '2x'" --rounds=2x
+    expect_error "unknown flags: --bogus" --bogus=1
+    expect_error "--targets expects comma-separated numbers, got 'x'" \
+      --targets=0.5,x
+    expect_error "--clients expects a non-negative integer, got '-1'" \
+      --clients=-1
+    expect_error "clients_per_round (9) must lie in [1, 5]" \
+      --clients=5 --per-round=9
+    ;;
+  haccs_server)
+    # Port 0 everywhere: a refusal that came too late would still not
+    # collide with anything listening.
+    expect_error "--strategy=gradient learns from per-client update deltas, which --aggs" \
+      --port=0 --workers=2 --aggs=2 --strategy=gradient
+    expect_error "--strategy=gradient learns from per-client update deltas, which --agg-groups" \
+      --port=0 --workers=2 --agg-groups=2 --strategy=gradient
+    expect_error "--aggs and --agg-groups are exclusive" \
+      --port=0 --workers=2 --aggs=2 --agg-groups=2
+    expect_error "--resume requires --checkpoint" --port=0 --resume
+    expect_error "--live-recluster requires --strategy=haccs-py, got --strategy=random" \
+      --port=0 --live-recluster --strategy=random
+    ;;
+  *)
+    echo "FAIL: no bad-input cases for '$name'"
+    failures=1
+    ;;
+esac
 
 [[ "$failures" -eq 0 ]]
