@@ -12,10 +12,12 @@
 
 #include "src/clustering/optics.hpp"
 #include "src/core/haccs_selector.hpp"
+#include "src/core/haccs_system.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/data/partition.hpp"
 #include "src/fl/client.hpp"
 #include "src/fl/compression.hpp"
+#include "src/fl/engine.hpp"
 #include "src/fl/net_driver.hpp"
 #include "src/fl/protocol.hpp"
 #include "src/hier/tree_dispatcher.hpp"
@@ -61,6 +63,28 @@ void BM_GemmBT(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_GemmBT)->Arg(64)->Arg(256)->UseRealTime();
+
+// The dense layers' real shapes, (m, n, k): one 30-sample client test set
+// through Dense(256 -> 64) (evaluation), and a 32-sample minibatch through
+// Dense(784 -> 64) (the training forward pass).
+void BM_GemmBTShape(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto k = static_cast<std::size_t>(state.range(2));
+  Rng rng(1);
+  Tensor a({m, k}), b({n, k}), c({m, n});
+  for (auto& v : a.data()) v = static_cast<float>(rng.normal());
+  for (auto& v : b.data()) v = static_cast<float>(rng.normal());
+  for (auto _ : state) {
+    ops::gemm_bt(a, b, c);
+    benchmark::DoNotOptimize(c.raw());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
+}
+BENCHMARK(BM_GemmBTShape)
+    ->Args({30, 64, 256})
+    ->Args({32, 64, 784})
+    ->UseRealTime();
 
 void BM_GemmAT(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -167,6 +191,32 @@ void BM_Evaluation(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * set.size());
 }
 BENCHMARK(BM_Evaluation)->UseRealTime();
+
+void BM_PopulationEvaluate(benchmark::State& state) {
+  // One population-wide evaluation in the population-1500 workload's
+  // shape: 1500 clients x 30 test samples of 16x16, the default MLP.
+  data::SyntheticImageConfig gcfg = data::SyntheticImageConfig::femnist_like(10);
+  gcfg.height = 16;
+  gcfg.width = 16;
+  const data::SyntheticImageGenerator gen(gcfg);
+  data::FederatedDataset fed;
+  fed.num_classes = 10;
+  Rng rng(21);
+  for (std::size_t i = 0; i < 1500; ++i) {
+    data::ClientData client{data::Dataset(gen.sample_shape(), 10),
+                            data::Dataset(gen.sample_shape(), 10)};
+    gen.fill(client.test, static_cast<std::int64_t>(i % 10), 30, rng);
+    fed.clients.push_back(std::move(client));
+  }
+  const fl::Population population(fed, sim::LatencyModelConfig{}, 1);
+  nn::Sequential model = core::default_model_factory(fed, 99)();
+  for (auto _ : state) {
+    const auto eval = population.evaluate(model);
+    benchmark::DoNotOptimize(eval.accuracy);
+  }
+  state.SetItemsProcessed(state.iterations() * 1500 * 30);
+}
+BENCHMARK(BM_PopulationEvaluate)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_FedAvgAccumulate(benchmark::State& state) {
   // The server-side aggregation loop: weighted accumulation of K client

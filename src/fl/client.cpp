@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "src/fl/evaluation.hpp"
 #include "src/nn/loss.hpp"
 
 namespace haccs::fl {
@@ -50,34 +51,9 @@ LocalTrainResult train_local(nn::Sequential& model,
   return result;
 }
 
-EvalResult evaluate(const nn::Sequential& model, const data::Dataset& dataset,
-                    std::size_t batch_size) {
-  EvalResult result;
-  if (dataset.empty()) return result;
-  if (batch_size == 0) {
-    throw std::invalid_argument("evaluate: zero batch size");
-  }
-  double loss_sum = 0.0;
-  std::size_t correct = 0;
-  std::vector<std::size_t> indices(dataset.size());
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-
-  for (std::size_t start = 0; start < indices.size(); start += batch_size) {
-    const std::size_t end = std::min(indices.size(), start + batch_size);
-    const std::span<const std::size_t> batch(indices.data() + start,
-                                             end - start);
-    const Tensor features = dataset.batch_features(batch);
-    const auto labels = dataset.batch_labels(batch);
-    const Tensor logits = model.infer(features);
-    const auto loss = nn::softmax_cross_entropy(logits, labels);
-    loss_sum += loss.loss * static_cast<double>(batch.size());
-    correct += loss.correct;
-  }
-  result.samples = dataset.size();
-  result.loss = loss_sum / static_cast<double>(dataset.size());
-  result.accuracy =
-      static_cast<double>(correct) / static_cast<double>(dataset.size());
-  return result;
+EvalResult evaluate(const nn::Sequential& model,
+                    const data::Dataset& dataset) {
+  return BlockedEvaluator({&dataset}).evaluate(model).front();
 }
 
 }  // namespace haccs::fl

@@ -42,9 +42,9 @@ struct EvalResult {
 };
 
 /// Evaluates `model` on the full dataset through the const inference path
-/// (no layer state is touched, so the same model instance can be evaluated
-/// from several threads at once). Returns zeros for an empty dataset.
-EvalResult evaluate(const nn::Sequential& model, const data::Dataset& dataset,
-                    std::size_t batch_size = 128);
+/// in 128-row chunks (no layer state is touched, so the same model instance
+/// can be evaluated from several threads at once): the one-set case of
+/// fl::BlockedEvaluator. Returns zeros for an empty dataset.
+EvalResult evaluate(const nn::Sequential& model, const data::Dataset& dataset);
 
 }  // namespace haccs::fl

@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "src/common/error.hpp"
-#include "src/common/threadpool.hpp"
 #include "src/common/logging.hpp"
 #include "src/fl/protocol.hpp"
 #include "src/obs/events.hpp"
@@ -111,7 +110,15 @@ void check_engine_config(const EngineConfig& config,
 Population::Population(const data::FederatedDataset& dataset,
                        const sim::LatencyModelConfig& latency,
                        std::uint64_t seed, std::size_t upload_bytes)
-    : dataset_(dataset), latency_model_(latency), upload_bytes_(upload_bytes) {
+    : dataset_(dataset),
+      latency_model_(latency),
+      upload_bytes_(upload_bytes),
+      evaluator_([&dataset] {
+        std::vector<const data::Dataset*> tests;
+        tests.reserve(dataset.clients.size());
+        for (const auto& client : dataset.clients) tests.push_back(&client.test);
+        return tests;
+      }()) {
   Rng profile_rng(seed ^ 0xdeadbeefcafef00dULL);
   profiles_.reserve(dataset_.clients.size());
   for (std::size_t i = 0; i < dataset_.clients.size(); ++i) {
@@ -152,10 +159,7 @@ Population::Eval Population::evaluate(nn::Sequential& model,
                                       std::vector<double>* per_client) const {
   Eval eval;
   if (per_client) per_client->assign(dataset_.clients.size(), 0.0);
-  std::vector<EvalResult> results(dataset_.clients.size());
-  parallel_for(0, dataset_.clients.size(), [&](std::size_t i) {
-    results[i] = fl::evaluate(model, dataset_.clients[i].test);
-  });
+  const std::vector<EvalResult> results = evaluator_.evaluate(model);
   for (std::size_t i = 0; i < results.size(); ++i) {
     eval.accuracy += results[i].accuracy;
     eval.loss += results[i].loss;

@@ -22,6 +22,7 @@
 #include "src/fl/client.hpp"
 #include "src/fl/compression.hpp"
 #include "src/fl/dispatch.hpp"
+#include "src/fl/evaluation.hpp"
 #include "src/fl/fedprox.hpp"
 #include "src/fl/history.hpp"
 #include "src/fl/selector.hpp"
@@ -150,10 +151,11 @@ class Population {
     double loss = 0.0;
   };
   /// Mean test accuracy and loss of `model` over every client, unavailable
-  /// ones included ("the average test accuracy on all devices"). Clients
-  /// evaluate in parallel through the const inference path; the reduction
-  /// runs in client order, so the result does not depend on worker timing.
-  /// `per_client`, when set, receives each client's accuracy.
+  /// ones included ("the average test accuracy on all devices"). The test
+  /// sets evaluate in row blocks (fl::BlockedEvaluator, planned once at
+  /// construction); the reduction runs in client order, so the result does
+  /// not depend on worker timing. `per_client`, when set, receives each
+  /// client's accuracy.
   Eval evaluate(nn::Sequential& model,
                 std::vector<double>* per_client = nullptr) const;
 
@@ -162,6 +164,7 @@ class Population {
   sim::LatencyModel latency_model_;
   std::size_t upload_bytes_;
   std::vector<sim::DeviceProfile> profiles_;
+  BlockedEvaluator evaluator_;
 };
 
 /// Telemetry instruments both engines record into (one process-global

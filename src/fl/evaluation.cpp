@@ -2,115 +2,156 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
+#include "src/common/error.hpp"
 #include "src/common/threadpool.hpp"
 #include "src/nn/loss.hpp"
 
 namespace haccs::fl {
 
-ConfusionMatrix::ConfusionMatrix(std::size_t classes)
-    : classes_(classes), counts_(classes * classes, 0) {
-  if (classes == 0) throw std::invalid_argument("ConfusionMatrix: 0 classes");
-}
+namespace {
 
-void ConfusionMatrix::add(std::int64_t truth, std::int64_t predicted) {
-  if (truth < 0 || predicted < 0 ||
-      static_cast<std::size_t>(truth) >= classes_ ||
-      static_cast<std::size_t>(predicted) >= classes_) {
-    throw std::invalid_argument("ConfusionMatrix::add: label out of range");
+// Blocks per lane, at least: where the byte budget below does not already
+// cut the rows finer, this keeps a block's gathered rows and activations
+// small enough to stay in the core's L2 cache.
+constexpr std::size_t kBlocksPerLane = 4;
+
+// Byte budget for one block's gathered input (1 MiB: 1024 rows of 16x16
+// floats); a block may exceed it by one chunk. The per-thread workspace
+// and the activations it feeds scale with it.
+constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
+
+}  // namespace
+
+BlockedEvaluator::BlockedEvaluator(std::vector<const data::Dataset*> sets)
+    : BlockedEvaluator(std::move(sets), ThreadPool::global().size() + 1) {}
+
+BlockedEvaluator::BlockedEvaluator(std::vector<const data::Dataset*> sets,
+                                   std::size_t lanes)
+    : sets_(std::move(sets)) {
+  if (lanes == 0) throw std::invalid_argument("BlockedEvaluator: 0 lanes");
+  std::size_t total_rows = 0;
+  for (std::size_t s = 0; s < sets_.size(); ++s) {
+    const data::Dataset& set = *sets_[s];
+    if (set.sample_shape() != sets_.front()->sample_shape()) {
+      throw std::invalid_argument("BlockedEvaluator: sample shapes differ");
+    }
+    for (std::size_t first = 0; first < set.size(); first += kEvalChunk) {
+      chunks_.push_back({s, first, std::min(kEvalChunk, set.size() - first)});
+    }
+    total_rows += set.size();
   }
-  ++counts_[static_cast<std::size_t>(truth) * classes_ +
-            static_cast<std::size_t>(predicted)];
-}
-
-std::size_t ConfusionMatrix::at(std::size_t truth, std::size_t predicted) const {
-  if (truth >= classes_ || predicted >= classes_) {
-    throw std::out_of_range("ConfusionMatrix::at");
+  block_begin_.push_back(0);
+  if (chunks_.empty()) return;
+  // Several blocks per lane, more if the byte budget asks for it, and a
+  // multiple of the lane count so parallel_for's static split is even.
+  const std::size_t bytes =
+      total_rows * sets_.front()->sample_size() * sizeof(float);
+  std::size_t blocks = std::max(lanes * kBlocksPerLane,
+                                (bytes + kBlockBytes - 1) / kBlockBytes);
+  blocks = (blocks + lanes - 1) / lanes * lanes;
+  // Chunk c goes to block (rows before c) * blocks / total_rows, so blocks
+  // hold equal row counts to within one chunk.
+  std::size_t rows_before = 0, block = 0;
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    const std::size_t b = rows_before * blocks / total_rows;
+    if (b != block) {
+      block_begin_.push_back(c);
+      block = b;
+    }
+    rows_before += chunks_[c].rows;
   }
-  return counts_[truth * classes_ + predicted];
+  block_begin_.push_back(chunks_.size());
 }
 
-std::size_t ConfusionMatrix::total() const {
-  std::size_t t = 0;
-  for (std::size_t c : counts_) t += c;
-  return t;
-}
+void BlockedEvaluator::run_batch(const nn::Sequential& model,
+                                 std::span<const std::size_t> chunk_ids,
+                                 std::span<ChunkScore> scores) const {
+  // The per-thread workspace: the gathered batch and the buffer the layers
+  // ping-pong with, both reused from batch to batch.
+  thread_local Tensor x, spare;
+  std::size_t rows = 0;
+  for (std::size_t id : chunk_ids) rows += chunks_[id].rows;
+  const auto& sample_shape = sets_.front()->sample_shape();
+  std::vector<std::size_t> shape{rows};
+  shape.insert(shape.end(), sample_shape.begin(), sample_shape.end());
+  x.resize(shape);
 
-double ConfusionMatrix::accuracy() const {
-  const std::size_t t = total();
-  if (t == 0) return 0.0;
-  std::size_t correct = 0;
-  for (std::size_t c = 0; c < classes_; ++c) correct += at(c, c);
-  return static_cast<double>(correct) / static_cast<double>(t);
-}
+  // Adjacent chunks of one set are adjacent rows: one memcpy per run.
+  const std::size_t width = sets_.front()->sample_size();
+  float* dst = x.raw();
+  for (std::size_t i = 0; i < chunk_ids.size();) {
+    const Chunk& run = chunks_[chunk_ids[i]];
+    std::size_t run_rows = run.rows;
+    for (++i; i < chunk_ids.size(); ++i) {
+      const Chunk& next = chunks_[chunk_ids[i]];
+      if (next.set != run.set || next.first != run.first + run_rows) break;
+      run_rows += next.rows;
+    }
+    std::memcpy(dst, sets_[run.set]->features(run.first).data(),
+                run_rows * width * sizeof(float));
+    dst += run_rows * width;
+  }
 
-std::vector<double> ConfusionMatrix::per_class_recall() const {
-  std::vector<double> out(classes_, 0.0);
-  for (std::size_t c = 0; c < classes_; ++c) {
-    std::size_t row_total = 0;
-    for (std::size_t p = 0; p < classes_; ++p) row_total += at(c, p);
-    if (row_total > 0) {
-      out[c] = static_cast<double>(at(c, c)) / static_cast<double>(row_total);
+  model.infer(x, spare);
+  HACCS_CHECK_MSG(x.rank() == 2 && x.extent(0) == rows,
+                  "BlockedEvaluator: model must map rows to logit rows");
+  const std::size_t classes = x.extent(1);
+  const float* logits = x.raw();
+  for (std::size_t id : chunk_ids) {
+    const Chunk& chunk = chunks_[id];
+    const auto labels = sets_[chunk.set]->labels();
+    ChunkScore& score = scores[id];
+    for (std::size_t r = 0; r < chunk.rows; ++r, logits += classes) {
+      const nn::RowLoss row = nn::softmax_cross_entropy_row(
+          {logits, classes}, labels[chunk.first + r]);
+      score.loss_total += row.loss;
+      if (row.correct) ++score.correct;
     }
   }
-  return out;
 }
 
-std::vector<double> ConfusionMatrix::per_class_precision() const {
-  std::vector<double> out(classes_, 0.0);
-  for (std::size_t p = 0; p < classes_; ++p) {
-    std::size_t col_total = 0;
-    for (std::size_t c = 0; c < classes_; ++c) col_total += at(c, p);
-    if (col_total > 0) {
-      out[p] = static_cast<double>(at(p, p)) / static_cast<double>(col_total);
+std::vector<EvalResult> BlockedEvaluator::evaluate(
+    const nn::Sequential& model) const {
+  std::vector<ChunkScore> scores(chunks_.size());
+  const std::size_t min_rows = model.min_invariant_rows();
+  parallel_for(0, blocks(), [&](std::size_t b) {
+    // A chunk under min_rows would take the small-GEMM loops alone but the
+    // blocked kernel inside a larger batch, so it runs by itself.
+    std::vector<std::size_t> batch;
+    batch.reserve(block_begin_[b + 1] - block_begin_[b]);
+    for (std::size_t c = block_begin_[b]; c < block_begin_[b + 1]; ++c) {
+      if (chunks_[c].rows < min_rows) {
+        run_batch(model, {&c, 1}, scores);
+      } else {
+        batch.push_back(c);
+      }
     }
-  }
-  return out;
-}
-
-void ConfusionMatrix::merge(const ConfusionMatrix& other) {
-  if (other.classes_ != classes_) {
-    throw std::invalid_argument("ConfusionMatrix::merge: class mismatch");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-}
-
-ConfusionMatrix confusion_matrix(const nn::Sequential& model,
-                                 const data::Dataset& dataset,
-                                 std::size_t batch_size) {
-  if (batch_size == 0) {
-    throw std::invalid_argument("confusion_matrix: zero batch size");
-  }
-  ConfusionMatrix matrix(dataset.num_classes());
-  if (dataset.empty()) return matrix;
-  std::vector<std::size_t> indices(dataset.size());
-  for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
-  const std::size_t num_batches = (indices.size() + batch_size - 1) / batch_size;
-  // One matrix per batch, filled in parallel through the const inference
-  // path, then merged serially. Counts are integers, so the merge order
-  // cannot change the result.
-  std::vector<ConfusionMatrix> partial(num_batches,
-                                       ConfusionMatrix(dataset.num_classes()));
-  parallel_for(0, num_batches, [&](std::size_t bi) {
-    const std::size_t start = bi * batch_size;
-    const std::size_t end = std::min(indices.size(), start + batch_size);
-    const std::span<const std::size_t> batch(indices.data() + start,
-                                             end - start);
-    const Tensor logits = model.infer(dataset.batch_features(batch));
-    const auto labels = dataset.batch_labels(batch);
-    const std::size_t c = logits.extent(1);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const float* row = logits.raw() + i * c;
-      const auto pred = static_cast<std::int64_t>(
-          std::max_element(row, row + c) - row);
-      partial[bi].add(labels[i], pred);
-    }
+    if (!batch.empty()) run_batch(model, batch, scores);
   });
-  for (const ConfusionMatrix& p : partial) matrix.merge(p);
-  return matrix;
+
+  // Per set, in chunk order, each chunk's mean loss weighted back by its
+  // row count: (sum / n) * n, as a per-set loop of chunk losses adds it.
+  std::vector<EvalResult> results(sets_.size());
+  std::size_t c = 0;
+  for (std::size_t s = 0; s < sets_.size(); ++s) {
+    double loss_sum = 0.0;
+    std::size_t correct = 0;
+    for (; c < chunks_.size() && chunks_[c].set == s; ++c) {
+      const auto n = static_cast<double>(chunks_[c].rows);
+      loss_sum += scores[c].loss_total / n * n;
+      correct += scores[c].correct;
+    }
+    const std::size_t size = sets_[s]->size();
+    if (size == 0) continue;
+    results[s].samples = size;
+    results[s].loss = loss_sum / static_cast<double>(size);
+    results[s].accuracy =
+        static_cast<double>(correct) / static_cast<double>(size);
+  }
+  return results;
 }
 
 double participation_gini(std::span<const std::size_t> selection_counts) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "src/common/error.hpp"
 #include "src/tensor/vecops.hpp"
@@ -37,35 +38,35 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, Rng& rng)
   he_uniform(weight_, in_, rng);
 }
 
-Tensor Dense::forward(const Tensor& input) {
+void Dense::affine(const Tensor& input, Tensor& out) const {
   if (input.rank() != 2 || input.extent(1) != in_) {
-    throw std::invalid_argument("Dense::forward: expected (N, " +
-                                std::to_string(in_) + "), got " +
-                                input.shape_string());
+    throw std::invalid_argument("Dense: expected (N, " + std::to_string(in_) +
+                                "), got " + input.shape_string());
   }
-  last_input_ = input;
   const std::size_t n = input.extent(0);
-  Tensor out({n, out_});
+  out.resize({n, out_});
   ops::gemm_bt(input, weight_, out);
+  const float* bias = bias_.raw();
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < out_; ++j) out.at(i, j) += bias_[j];
+    float* row = out.raw() + i * out_;
+    for (std::size_t j = 0; j < out_; ++j) row[j] += bias[j];
   }
+}
+
+Tensor Dense::forward(const Tensor& input) {
+  Tensor out;
+  affine(input, out);
+  last_input_ = input;
   return out;
 }
 
-Tensor Dense::infer(const Tensor& input) const {
-  if (input.rank() != 2 || input.extent(1) != in_) {
-    throw std::invalid_argument("Dense::infer: expected (N, " +
-                                std::to_string(in_) + "), got " +
-                                input.shape_string());
-  }
-  const std::size_t n = input.extent(0);
-  Tensor out({n, out_});
-  ops::gemm_bt(input, weight_, out);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < out_; ++j) out.at(i, j) += bias_[j];
-  }
-  return out;
+void Dense::infer(Tensor& x, Tensor& spare) const {
+  affine(x, spare);
+  std::swap(x, spare);
+}
+
+std::size_t Dense::min_invariant_rows() const {
+  return ops::gemm_blocked_min_rows(out_, in_);
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {
@@ -76,10 +77,10 @@ Tensor Dense::backward(const Tensor& grad_output) {
   }
   // dW += dY^T X ; db += column sums of dY ; dX = dY W.
   ops::gemm_at(grad_output, last_input_, grad_weight_, /*accumulate=*/true);
+  float* grad_bias = grad_bias_.raw();
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < out_; ++j) {
-      grad_bias_[j] += grad_output.at(i, j);
-    }
+    const float* row = grad_output.raw() + i * out_;
+    for (std::size_t j = 0; j < out_; ++j) grad_bias[j] += row[j];
   }
   Tensor grad_input({n, in_});
   ops::gemm(grad_output, weight_, grad_input);
@@ -103,33 +104,32 @@ Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
   he_uniform(weight_, in_channels * kernel * kernel, rng);
 }
 
-Tensor Conv2d::forward(const Tensor& input) {
+ops::Conv2dShape Conv2d::shape_of(const Tensor& input) const {
   if (input.rank() != 4 || input.extent(1) != in_channels_) {
-    throw std::invalid_argument("Conv2d::forward: bad input " +
-                                input.shape_string());
+    throw std::invalid_argument("Conv2d: bad input " + input.shape_string());
   }
+  return ops::Conv2dShape{input.extent(0), in_channels_,   input.extent(2),
+                          input.extent(3), out_channels_, kernel_,
+                          stride_,         padding_};
+}
+
+void Conv2d::convolve(const ops::Conv2dShape& shape, const Tensor& input,
+                      Tensor& out) const {
+  out.resize({shape.batch, out_channels_, shape.out_h(), shape.out_w()});
+  ops::conv2d_forward(shape, input, weight_, bias_, out);
+}
+
+Tensor Conv2d::forward(const Tensor& input) {
+  last_shape_ = shape_of(input);
   last_input_ = input;
-  last_shape_ = ops::Conv2dShape{input.extent(0), in_channels_,
-                                 input.extent(2), input.extent(3),
-                                 out_channels_, kernel_, stride_, padding_};
-  Tensor out({last_shape_.batch, out_channels_, last_shape_.out_h(),
-              last_shape_.out_w()});
-  ops::conv2d_forward(last_shape_, input, weight_, bias_, out);
+  Tensor out;
+  convolve(last_shape_, input, out);
   return out;
 }
 
-Tensor Conv2d::infer(const Tensor& input) const {
-  if (input.rank() != 4 || input.extent(1) != in_channels_) {
-    throw std::invalid_argument("Conv2d::infer: bad input " +
-                                input.shape_string());
-  }
-  const ops::Conv2dShape shape{input.extent(0),  in_channels_,
-                               input.extent(2),  input.extent(3),
-                               out_channels_,    kernel_,
-                               stride_,          padding_};
-  Tensor out({shape.batch, out_channels_, shape.out_h(), shape.out_w()});
-  ops::conv2d_forward(shape, input, weight_, bias_, out);
-  return out;
+void Conv2d::infer(Tensor& x, Tensor& spare) const {
+  convolve(shape_of(x), x, spare);
+  std::swap(x, spare);
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
@@ -147,27 +147,27 @@ MaxPool2d::MaxPool2d(std::size_t window) : window_(window) {
   if (window == 0) throw std::invalid_argument("MaxPool2d: zero window");
 }
 
-Tensor MaxPool2d::forward(const Tensor& input) {
+ops::Pool2dShape MaxPool2d::shape_of(const Tensor& input) const {
   if (input.rank() != 4) {
-    throw std::invalid_argument("MaxPool2d::forward: expected NCHW");
+    throw std::invalid_argument("MaxPool2d: expected NCHW");
   }
-  last_shape_ = ops::Pool2dShape{input.extent(0), input.extent(1),
-                                 input.extent(2), input.extent(3), window_};
+  return ops::Pool2dShape{input.extent(0), input.extent(1), input.extent(2),
+                          input.extent(3), window_};
+}
+
+Tensor MaxPool2d::forward(const Tensor& input) {
+  last_shape_ = shape_of(input);
   Tensor out({last_shape_.batch, last_shape_.channels, last_shape_.out_h(),
               last_shape_.out_w()});
   ops::maxpool_forward(last_shape_, input, out, argmax_);
   return out;
 }
 
-Tensor MaxPool2d::infer(const Tensor& input) const {
-  if (input.rank() != 4) {
-    throw std::invalid_argument("MaxPool2d::infer: expected NCHW");
-  }
-  const ops::Pool2dShape shape{input.extent(0), input.extent(1),
-                               input.extent(2), input.extent(3), window_};
-  Tensor out({shape.batch, shape.channels, shape.out_h(), shape.out_w()});
-  ops::maxpool_forward_infer(shape, input, out);
-  return out;
+void MaxPool2d::infer(Tensor& x, Tensor& spare) const {
+  const ops::Pool2dShape shape = shape_of(x);
+  spare.resize({shape.batch, shape.channels, shape.out_h(), shape.out_w()});
+  ops::maxpool_forward_infer(shape, x, spare);
+  std::swap(x, spare);
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_output) {
@@ -182,15 +182,11 @@ Tensor MaxPool2d::backward(const Tensor& grad_output) {
 Tensor ReLU::forward(const Tensor& input) {
   last_input_ = input;
   Tensor out = input;
-  vec::relu(out.data(), input.data());
+  vec::relu(out.data());
   return out;
 }
 
-Tensor ReLU::infer(const Tensor& input) const {
-  Tensor out = input;
-  vec::relu(out.data(), input.data());
-  return out;
-}
+void ReLU::infer(Tensor& x, Tensor& /*spare*/) const { vec::relu(x.data()); }
 
 Tensor ReLU::backward(const Tensor& grad_output) {
   HACCS_CHECK_MSG(grad_output.same_shape(last_input_), "ReLU grad shape");
@@ -202,20 +198,19 @@ Tensor ReLU::backward(const Tensor& grad_output) {
 // -------------------------------------------------------------- Flatten ----
 
 Tensor Flatten::forward(const Tensor& input) {
-  if (input.rank() < 2) {
-    throw std::invalid_argument("Flatten: expected rank >= 2");
-  }
+  Tensor out = input;
+  Tensor spare;
+  infer(out, spare);
   last_shape_ = input.shape();
-  const std::size_t n = input.extent(0);
-  return input.reshaped({n, input.size() / n});
+  return out;
 }
 
-Tensor Flatten::infer(const Tensor& input) const {
-  if (input.rank() < 2) {
+void Flatten::infer(Tensor& x, Tensor& /*spare*/) const {
+  if (x.rank() < 2) {
     throw std::invalid_argument("Flatten: expected rank >= 2");
   }
-  const std::size_t n = input.extent(0);
-  return input.reshaped({n, input.size() / n});
+  const std::size_t n = x.extent(0);
+  x.reshape({n, x.size() / n});
 }
 
 Tensor Flatten::backward(const Tensor& grad_output) {
@@ -246,8 +241,8 @@ Tensor Dropout::forward(const Tensor& input) {
   return out;
 }
 
-Tensor Dropout::infer(const Tensor& input) const {
-  return input;  // inverted dropout is the identity at inference time
+void Dropout::infer(Tensor& /*x*/, Tensor& /*spare*/) const {
+  // Inverted dropout is the identity at inference time.
 }
 
 Tensor Dropout::backward(const Tensor& grad_output) {

@@ -24,11 +24,19 @@ class Layer {
   virtual Tensor forward(const Tensor& input) = 0;
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
-  /// Inference-only forward: caches nothing and does not mutate the layer,
-  /// so a shared model can be evaluated from multiple threads concurrently.
-  /// Stochastic train-time behavior (dropout) is disabled regardless of the
-  /// training flag.
-  virtual Tensor infer(const Tensor& input) const = 0;
+  /// Inference-only forward of one batch, in place: `x` holds the input
+  /// and, on return, the output. Elementwise and reshaping layers work on
+  /// `x` itself; the others write into `spare` and swap it with `x`, so two
+  /// caller-owned buffers ping-pong through a model and keep their storage
+  /// once it fits. Caches nothing and does not mutate the layer, so a shared
+  /// model can be evaluated from several threads at once. Stochastic
+  /// train-time behavior (dropout) is off regardless of the training flag.
+  virtual void infer(Tensor& x, Tensor& spare) const = 0;
+
+  /// Inference gives a row the same bits in every batch of at least this
+  /// many rows: rows never mix, but a GEMM under the small-product cutoff
+  /// rounds differently (ops::gemm_blocked_min_rows).
+  virtual std::size_t min_invariant_rows() const { return 1; }
 
   /// Parameter / gradient tensors (paired by index); empty for stateless
   /// layers. Non-owning pointers — the layer retains ownership.
@@ -55,7 +63,8 @@ class Dense : public Layer {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  Tensor infer(const Tensor& input) const override;
+  void infer(Tensor& x, Tensor& spare) const override;
+  std::size_t min_invariant_rows() const override;
   std::vector<Tensor*> parameters() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> gradients() override { return {&grad_weight_, &grad_bias_}; }
   std::string name() const override { return "Dense"; }
@@ -64,6 +73,9 @@ class Dense : public Layer {
   std::size_t out_features() const { return out_; }
 
  private:
+  /// out = input W^T + b, the one body of forward() and infer().
+  void affine(const Tensor& input, Tensor& out) const;
+
   std::size_t in_, out_;
   Tensor weight_, bias_, grad_weight_, grad_bias_;
   Tensor last_input_;
@@ -77,12 +89,17 @@ class Conv2d : public Layer {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  Tensor infer(const Tensor& input) const override;
+  void infer(Tensor& x, Tensor& spare) const override;
   std::vector<Tensor*> parameters() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> gradients() override { return {&grad_weight_, &grad_bias_}; }
   std::string name() const override { return "Conv2d"; }
 
  private:
+  ops::Conv2dShape shape_of(const Tensor& input) const;
+  /// The one convolution body of forward() and infer().
+  void convolve(const ops::Conv2dShape& shape, const Tensor& input,
+                Tensor& out) const;
+
   std::size_t in_channels_, out_channels_, kernel_, stride_, padding_;
   Tensor weight_, bias_, grad_weight_, grad_bias_;
   Tensor last_input_;
@@ -96,10 +113,12 @@ class MaxPool2d : public Layer {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  Tensor infer(const Tensor& input) const override;
+  void infer(Tensor& x, Tensor& spare) const override;
   std::string name() const override { return "MaxPool2d"; }
 
  private:
+  ops::Pool2dShape shape_of(const Tensor& input) const;
+
   std::size_t window_;
   ops::Pool2dShape last_shape_{};
   std::vector<std::size_t> argmax_;
@@ -110,7 +129,7 @@ class ReLU : public Layer {
  public:
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  Tensor infer(const Tensor& input) const override;
+  void infer(Tensor& x, Tensor& spare) const override;
   std::string name() const override { return "ReLU"; }
 
  private:
@@ -122,7 +141,7 @@ class Flatten : public Layer {
  public:
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  Tensor infer(const Tensor& input) const override;
+  void infer(Tensor& x, Tensor& spare) const override;
   std::string name() const override { return "Flatten"; }
 
  private:
@@ -137,7 +156,7 @@ class Dropout : public Layer {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  Tensor infer(const Tensor& input) const override;
+  void infer(Tensor& x, Tensor& spare) const override;
   std::string name() const override { return "Dropout"; }
 
  private:

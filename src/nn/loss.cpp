@@ -6,6 +6,25 @@
 
 namespace haccs::nn {
 
+namespace {
+
+/// The softmax normalizer of one row: its first maximum and Σ exp(x - max),
+/// each exp rounded to float and summed in double.
+struct RowStats {
+  float max;
+  std::size_t argmax;
+  double exp_total;
+};
+
+RowStats row_stats(std::span<const float> row) {
+  const auto top = std::max_element(row.begin(), row.end());
+  RowStats stats{*top, static_cast<std::size_t>(top - row.begin()), 0.0};
+  for (float v : row) stats.exp_total += std::exp(v - stats.max);
+  return stats;
+}
+
+}  // namespace
+
 Tensor softmax(const Tensor& logits) {
   if (logits.rank() != 2) {
     throw std::invalid_argument("softmax: expected (N, classes)");
@@ -15,16 +34,26 @@ Tensor softmax(const Tensor& logits) {
   for (std::size_t i = 0; i < n; ++i) {
     const float* row = logits.raw() + i * c;
     float* out = probs.raw() + i * c;
-    const float m = *std::max_element(row, row + c);
-    double total = 0.0;
+    const RowStats stats = row_stats({row, c});
+    const float inv = static_cast<float>(1.0 / stats.exp_total);
     for (std::size_t j = 0; j < c; ++j) {
-      out[j] = std::exp(row[j] - m);
-      total += out[j];
+      out[j] = std::exp(row[j] - stats.max) * inv;
     }
-    const float inv = static_cast<float>(1.0 / total);
-    for (std::size_t j = 0; j < c; ++j) out[j] *= inv;
   }
   return probs;
+}
+
+RowLoss softmax_cross_entropy_row(std::span<const float> row,
+                                  std::int64_t label) {
+  if (label < 0 || static_cast<std::size_t>(label) >= row.size()) {
+    throw std::invalid_argument("softmax_cross_entropy: label out of range");
+  }
+  const RowStats stats = row_stats(row);
+  const double log_total = std::log(stats.exp_total);
+  return RowLoss{-(row[static_cast<std::size_t>(label)] - stats.max -
+                   log_total),
+                 stats.argmax == static_cast<std::size_t>(label), stats.max,
+                 stats.exp_total};
 }
 
 LossResult softmax_cross_entropy(const Tensor& logits,
@@ -39,27 +68,17 @@ LossResult softmax_cross_entropy(const Tensor& logits,
   LossResult result;
   result.grad_logits = Tensor({n, c});
   double loss_total = 0.0;
+  const float inv_n = 1.0f / static_cast<float>(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t label = labels[i];
-    if (label < 0 || static_cast<std::size_t>(label) >= c) {
-      throw std::invalid_argument("softmax_cross_entropy: label out of range");
-    }
     const float* row = logits.raw() + i * c;
+    const RowLoss r = softmax_cross_entropy_row({row, c}, labels[i]);
+    loss_total += r.loss;
+    if (r.correct) ++result.correct;
     float* grad = result.grad_logits.raw() + i * c;
-    const float m = *std::max_element(row, row + c);
-    double total = 0.0;
-    for (std::size_t j = 0; j < c; ++j) total += std::exp(row[j] - m);
-    const double log_total = std::log(total);
-    loss_total += -(row[label] - m - log_total);
-
-    const std::size_t argmax =
-        static_cast<std::size_t>(std::max_element(row, row + c) - row);
-    if (argmax == static_cast<std::size_t>(label)) ++result.correct;
-
-    const float inv_n = 1.0f / static_cast<float>(n);
+    const auto label = static_cast<std::size_t>(labels[i]);
     for (std::size_t j = 0; j < c; ++j) {
-      const float p = static_cast<float>(std::exp(row[j] - m) / total);
-      grad[j] = (p - (j == static_cast<std::size_t>(label) ? 1.0f : 0.0f)) * inv_n;
+      const float p = static_cast<float>(std::exp(row[j] - r.max) / r.exp_total);
+      grad[j] = (p - (j == label ? 1.0f : 0.0f)) * inv_n;
     }
   }
   result.loss = loss_total / static_cast<double>(n);

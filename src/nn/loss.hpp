@@ -18,6 +18,19 @@ struct LossResult {
   std::size_t correct = 0;  ///< argmax matches label
 };
 
+/// One row of softmax cross-entropy: the arithmetic every batch loss and
+/// every evaluator shares.
+struct RowLoss {
+  double loss = 0.0;       ///< -log softmax(row)[label]
+  bool correct = false;    ///< the row's first maximum is at `label`
+  float max = 0.0f;        ///< max(row)
+  double exp_total = 0.0;  ///< sum_j exp(row[j] - max), the normalizer
+};
+
+/// Throws std::invalid_argument unless label is in [0, row.size()).
+RowLoss softmax_cross_entropy_row(std::span<const float> row,
+                                  std::int64_t label);
+
 /// logits: (N, classes); labels[i] in [0, classes). Throws on shape or label
 /// range violations.
 LossResult softmax_cross_entropy(const Tensor& logits,

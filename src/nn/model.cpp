@@ -1,5 +1,6 @@
 #include "src/nn/model.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "src/common/error.hpp"
@@ -17,10 +18,23 @@ Tensor Sequential::forward(const Tensor& input) {
   return x;
 }
 
+void Sequential::infer(Tensor& x, Tensor& spare) const {
+  for (const auto& layer : layers_) layer->infer(x, spare);
+}
+
 Tensor Sequential::infer(const Tensor& input) const {
   Tensor x = input;
-  for (const auto& layer : layers_) x = layer->infer(x);
+  Tensor spare;
+  infer(x, spare);
   return x;
+}
+
+std::size_t Sequential::min_invariant_rows() const {
+  std::size_t rows = 1;
+  for (const auto& layer : layers_) {
+    rows = std::max(rows, layer->min_invariant_rows());
+  }
+  return rows;
 }
 
 Tensor Sequential::backward(const Tensor& grad_output) {

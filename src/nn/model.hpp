@@ -31,8 +31,17 @@ class Sequential {
 
   /// Inference-only forward pass: no layer state is touched, so a shared
   /// model can be evaluated from multiple threads concurrently. Dropout is
-  /// always inactive on this path.
+  /// always inactive on this path. In place, as Layer::infer: `x` holds the
+  /// batch and, on return, the logits; `spare` is the second buffer the
+  /// layers ping-pong with. Both are the caller's, and reused across
+  /// batches they stop allocating once they reach the largest shape.
+  void infer(Tensor& x, Tensor& spare) const;
+  /// By-value wrapper over the in-place pass.
   Tensor infer(const Tensor& input) const;
+
+  /// The largest Layer::min_invariant_rows of any layer: batches of at
+  /// least this many rows give every row the same logits.
+  std::size_t min_invariant_rows() const;
 
   void zero_grad();
   void set_training(bool training);

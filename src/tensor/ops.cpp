@@ -135,6 +135,11 @@ void gemm_at_raw(std::size_t m, std::size_t n, std::size_t k, const float* a,
 
 }  // namespace
 
+std::size_t gemm_blocked_min_rows(std::size_t n, std::size_t k) {
+  HACCS_CHECK_MSG(n > 0 && k > 0, "gemm_blocked_min_rows: zero extent");
+  return kSmallGemmVolume / (n * k) + 1;
+}
+
 void set_kernel_backend(KernelBackend backend) {
   g_backend.store(backend, std::memory_order_relaxed);
 }

@@ -43,6 +43,13 @@ void gemm_bt(const Tensor& a, const Tensor& b, Tensor& c,
 void gemm_at(const Tensor& a, const Tensor& b, Tensor& c,
              bool accumulate = false);
 
+/// The fewest output rows m for which a dispatching GEMM with n output
+/// columns and depth k runs the blocked kernel; smaller products run plain
+/// loops, which round differently. Each output row of either kernel depends
+/// on its own input row alone, so a row gets the same bits in every batch
+/// on the same side of this cutoff.
+std::size_t gemm_blocked_min_rows(std::size_t n, std::size_t k);
+
 /// Reference GEMM kernels: the plain loop nests the blocked implementations
 /// are tested against. Numerically these accumulate in a different order
 /// than the blocked kernels, so agreement is tolerance-bounded, not bitwise.

@@ -11,7 +11,7 @@
 namespace haccs {
 
 namespace {
-std::size_t shape_product(const std::vector<std::size_t>& shape) {
+std::size_t shape_product(std::span<const std::size_t> shape) {
   std::size_t total = 1;
   for (std::size_t e : shape) {
     if (e == 0) throw std::invalid_argument("Tensor: zero extent");
@@ -75,6 +75,20 @@ Tensor Tensor::reshaped(std::vector<std::size_t> new_shape) const {
     throw std::invalid_argument("Tensor::reshaped: size mismatch");
   }
   return Tensor(std::move(new_shape), data_);
+}
+
+void Tensor::reshape(std::initializer_list<std::size_t> new_shape) {
+  const std::span<const std::size_t> shape(new_shape.begin(), new_shape.size());
+  if (shape_product(shape) != data_.size()) {
+    throw std::invalid_argument("Tensor::reshape: size mismatch");
+  }
+  shape_.assign(shape.begin(), shape.end());
+}
+
+void Tensor::resize(std::span<const std::size_t> new_shape) {
+  const std::size_t size = shape_product(new_shape);
+  shape_.assign(new_shape.begin(), new_shape.end());
+  data_.resize(size);
 }
 
 void Tensor::fill(float value) {

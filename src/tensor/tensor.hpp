@@ -53,6 +53,17 @@ class Tensor {
   /// Reinterprets the flat data with a new shape of identical total size.
   Tensor reshaped(std::vector<std::size_t> new_shape) const;
 
+  /// In-place reshaped(): same data, new shape of identical total size.
+  void reshape(std::initializer_list<std::size_t> new_shape);
+
+  /// Gives the tensor `new_shape`, reusing its storage when the capacity
+  /// suffices (no allocation once a buffer has seen its largest shape).
+  /// Element values are unspecified afterwards: callers overwrite them all.
+  void resize(std::span<const std::size_t> new_shape);
+  void resize(std::initializer_list<std::size_t> new_shape) {
+    resize(std::span<const std::size_t>(new_shape.begin(), new_shape.size()));
+  }
+
   void fill(float value);
 
   /// Sum / mean / min / max over all elements (0 for sum of empty).

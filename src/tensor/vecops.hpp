@@ -97,12 +97,11 @@ inline void sgd_momentum_step(std::span<float> p, std::span<const float> g,
   }
 }
 
-/// dst[i] = max(src[i], 0) — ReLU forward, branch-free.
-inline void relu(std::span<float> dst, std::span<const float> src) {
-  float* __restrict d = dst.data();
-  const float* __restrict s = src.data();
-  const std::size_t n = dst.size();
-  for (std::size_t i = 0; i < n; ++i) d[i] = s[i] > 0.0f ? s[i] : 0.0f;
+/// x[i] = max(x[i], 0) in place — ReLU forward, branch-free.
+inline void relu(std::span<float> x) {
+  float* d = x.data();
+  const std::size_t n = x.size();
+  for (std::size_t i = 0; i < n; ++i) d[i] = d[i] > 0.0f ? d[i] : 0.0f;
 }
 
 /// dst[i] = in[i] > 0 ? dst[i] : 0 — ReLU backward mask, branch-free select.

@@ -3,6 +3,7 @@
 // (de)serialization, optimizer behavior, and end-to-end learnability.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/common/rng.hpp"
@@ -228,6 +229,39 @@ TEST(Sequential, SameSeedSameInitialization) {
   Sequential m1 = make_mlp(10, {7}, 3, rng1);
   Sequential m2 = make_mlp(10, {7}, 3, rng2);
   EXPECT_EQ(m1.get_parameters(), m2.get_parameters());
+}
+
+TEST(Sequential, InPlaceInferReusesItsBuffers) {
+  Rng rng(12);
+  const Sequential model = make_lenet(1, 12, 12, 10, rng);
+  Tensor input({5, 1, 12, 12});
+  for (float& v : input.data()) v = static_cast<float>(rng.uniform(-1, 1));
+  const Tensor want = model.infer(input);
+
+  Tensor x = input, spare;
+  model.infer(x, spare);
+  ASSERT_EQ(x.shape(), want.shape());
+  for (std::size_t i = 0; i < x.size(); ++i) ASSERT_EQ(x[i], want[i]);
+
+  // Once both buffers have held the largest activation, another batch of
+  // the same shape runs without reallocating either of them.
+  x = input;
+  model.infer(x, spare);
+  const float* buffers[] = {x.raw(), spare.raw()};
+  x.resize(input.shape());
+  std::copy(input.data().begin(), input.data().end(), x.data().begin());
+  model.infer(x, spare);
+  EXPECT_TRUE((x.raw() == buffers[0] && spare.raw() == buffers[1]) ||
+              (x.raw() == buffers[1] && spare.raw() == buffers[0]));
+  for (std::size_t i = 0; i < x.size(); ++i) ASSERT_EQ(x[i], want[i]);
+}
+
+TEST(Sequential, MinInvariantRowsFollowsTheSmallGemmCutoff) {
+  Rng rng(13);
+  // Dense(64 -> 10): 640 * m multiply-adds stay under the 4096 cutoff up
+  // to m = 6, so batches of 7 or more rows share every row's bits.
+  EXPECT_EQ(make_mlp(256, {64}, 10, rng).min_invariant_rows(), 7u);
+  EXPECT_EQ(make_mlp(256, {}, 64, rng).min_invariant_rows(), 1u);
 }
 
 TEST(Lenet, BuildsAndRuns28x28) {

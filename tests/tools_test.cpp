@@ -1,4 +1,4 @@
-// Tests for checkpointing (nn/serialize), confusion-matrix evaluation
+// Tests for checkpointing (nn/serialize), the fairness metrics
 // (fl/evaluation), and the stratified coverage selector.
 #include <gtest/gtest.h>
 
@@ -67,65 +67,6 @@ TEST(Serialize, SizeMismatchRejectedAtSet) {
   nn::save_parameters(small, path);
   EXPECT_THROW(nn::load_into(big, path), std::invalid_argument);
   std::filesystem::remove(path);
-}
-
-TEST(Confusion, CountsAndMetrics) {
-  fl::ConfusionMatrix m(3);
-  m.add(0, 0);
-  m.add(0, 0);
-  m.add(0, 1);  // one class-0 sample misread as 1
-  m.add(1, 1);
-  m.add(2, 1);  // class 2 never predicted correctly
-  EXPECT_EQ(m.total(), 5u);
-  EXPECT_EQ(m.at(0, 0), 2u);
-  EXPECT_EQ(m.at(2, 1), 1u);
-  EXPECT_DOUBLE_EQ(m.accuracy(), 3.0 / 5.0);
-
-  const auto recall = m.per_class_recall();
-  EXPECT_DOUBLE_EQ(recall[0], 2.0 / 3.0);
-  EXPECT_DOUBLE_EQ(recall[1], 1.0);
-  EXPECT_DOUBLE_EQ(recall[2], 0.0);
-
-  const auto precision = m.per_class_precision();
-  EXPECT_DOUBLE_EQ(precision[0], 1.0);
-  EXPECT_DOUBLE_EQ(precision[1], 1.0 / 3.0);
-  EXPECT_DOUBLE_EQ(precision[2], 0.0);
-
-  EXPECT_THROW(m.add(3, 0), std::invalid_argument);
-  EXPECT_THROW(m.add(0, -1), std::invalid_argument);
-}
-
-TEST(Confusion, MergeAccumulates) {
-  fl::ConfusionMatrix a(2), b(2);
-  a.add(0, 0);
-  b.add(0, 1);
-  b.add(1, 1);
-  a.merge(b);
-  EXPECT_EQ(a.total(), 3u);
-  EXPECT_EQ(a.at(0, 1), 1u);
-  fl::ConfusionMatrix c(3);
-  EXPECT_THROW(a.merge(c), std::invalid_argument);
-}
-
-TEST(Confusion, FromModelMatchesEvaluate) {
-  data::SyntheticImageConfig gcfg;
-  gcfg.classes = 4;
-  gcfg.height = 6;
-  gcfg.width = 6;
-  data::SyntheticImageGenerator gen(gcfg);
-  data::Dataset ds(gen.sample_shape(), 4);
-  Rng rng(9);
-  for (std::int64_t c = 0; c < 4; ++c) gen.fill(ds, c, 15, rng);
-
-  Rng model_rng(11);
-  nn::Sequential model;
-  model.add(std::make_unique<nn::Flatten>());
-  model.add(std::make_unique<nn::Dense>(36, 4, model_rng));
-
-  const auto matrix = fl::confusion_matrix(model, ds);
-  const auto eval = fl::evaluate(model, ds);
-  EXPECT_EQ(matrix.total(), ds.size());
-  EXPECT_NEAR(matrix.accuracy(), eval.accuracy, 1e-9);
 }
 
 TEST(Fairness, GiniBounds) {
