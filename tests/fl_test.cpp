@@ -7,12 +7,10 @@
 #include <cmath>
 
 #include "src/common/error.hpp"
-#include "src/common/threadpool.hpp"
 #include "src/data/partition.hpp"
 #include "src/fl/engine.hpp"
 #include "src/fl/evaluation.hpp"
 #include "src/fl/history.hpp"
-#include "src/nn/loss.hpp"
 #include "src/select/random_selector.hpp"
 
 namespace haccs::fl {
@@ -92,76 +90,6 @@ TEST(Evaluate, EmptyDatasetGivesZeros) {
   const auto result = evaluate(model, empty);
   EXPECT_EQ(result.samples, 0u);
   EXPECT_DOUBLE_EQ(result.accuracy, 0.0);
-}
-
-/// Test sets of assorted sizes. The tiny MLP's Dense(16 -> 4) takes the
-/// blocked GEMM from 65 rows on, so every set under that, and the 1-row
-/// tail of 129, runs alone; 129 and 300 span several 128-row chunks.
-data::FederatedDataset ragged_fed() {
-  const auto gen = tiny_gen();
-  data::FederatedDataset fed;
-  fed.num_classes = 4;
-  Rng rng(8);
-  for (std::size_t tests : {0, 1, 3, 6, 7, 30, 129, 300, 2, 40}) {
-    data::ClientData client{data::Dataset(gen.sample_shape(), 4),
-                            data::Dataset(gen.sample_shape(), 4)};
-    for (std::size_t i = 0; i < tests; ++i) {
-      gen.fill(client.test, static_cast<std::int64_t>(i % 4), 1, rng);
-    }
-    fed.clients.push_back(std::move(client));
-  }
-  return fed;
-}
-
-TEST(BlockedEvaluator, ResultsDoNotDependOnBlockSize) {
-  const auto fed = ragged_fed();
-  std::vector<const data::Dataset*> sets;
-  for (const auto& client : fed.clients) sets.push_back(&client.test);
-  const auto model = tiny_model_factory()();
-  ASSERT_GT(model.min_invariant_rows(), 1u);
-
-  // Reference: each set alone, one by-value inference per 128-row chunk.
-  std::vector<EvalResult> want(sets.size());
-  for (std::size_t s = 0; s < sets.size(); ++s) {
-    const data::Dataset& set = *sets[s];
-    double loss_sum = 0.0;
-    std::size_t correct = 0;
-    for (std::size_t first = 0; first < set.size(); first += kEvalChunk) {
-      std::vector<std::size_t> rows;
-      const std::size_t end = std::min(set.size(), first + kEvalChunk);
-      for (std::size_t r = first; r < end; ++r) rows.push_back(r);
-      const auto loss = nn::softmax_cross_entropy(
-          model.infer(set.batch_features(rows)), set.batch_labels(rows));
-      loss_sum += loss.loss * static_cast<double>(rows.size());
-      correct += loss.correct;
-    }
-    if (set.empty()) continue;
-    want[s] = {loss_sum / static_cast<double>(set.size()),
-               static_cast<double>(correct) / static_cast<double>(set.size()),
-               set.size()};
-  }
-
-  std::size_t fewest = sets.size(), most = 0;
-  for (std::size_t lanes : {1, 2, 3, 8, 1000}) {
-    const BlockedEvaluator evaluator(sets, lanes);
-    fewest = std::min(fewest, evaluator.blocks());
-    most = std::max(most, evaluator.blocks());
-    std::vector<EvalResult> inline_got;
-    ThreadPool::global()
-        .submit([&] { inline_got = evaluator.evaluate(model); })
-        .get();
-    for (const auto& got : {evaluator.evaluate(model), inline_got}) {
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t s = 0; s < want.size(); ++s) {
-        SCOPED_TRACE("lanes " + std::to_string(lanes) + " set " +
-                     std::to_string(s));
-        EXPECT_EQ(got[s].loss, want[s].loss);
-        EXPECT_EQ(got[s].accuracy, want[s].accuracy);
-        EXPECT_EQ(got[s].samples, want[s].samples);
-      }
-    }
-  }
-  EXPECT_LT(fewest, most);  // the lane counts really changed the blocking
 }
 
 TEST(BlockedEvaluator, RejectsMixedSampleShapes) {

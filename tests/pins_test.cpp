@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -21,6 +22,7 @@
 #include "src/data/synthetic.hpp"
 #include "src/fl/client.hpp"
 #include "src/fl/engine.hpp"
+#include "src/fl/evaluation.hpp"
 #include "src/nn/loss.hpp"
 #include "src/tensor/ops.hpp"
 
@@ -253,6 +255,48 @@ TEST(KernelPins, PopulationEvaluateLenetIsPinned) {
     EXPECT_PIN(population_digest_two_widths(/*use_cnn=*/true),
                (PathPins{0x4c2ebb59eaa885bfULL, 0xf665c42facfeaabcULL,
                          0xf665c42facfeaabcULL}));
+  });
+}
+
+/// Results must not depend on how the evaluator blocks the chunks: at
+/// every lane count, from the pool and inline, each set (plus an empty one)
+/// scores as the oracle scores it alone, and the blocking really changes.
+TEST(KernelPins, BlockedEvaluatorMatchesOracleAtEveryBlockSize) {
+  const auto fed = pin_federation();
+  const data::Dataset empty(fed.clients[0].test.sample_shape(),
+                            fed.num_classes);
+  std::vector<const data::Dataset*> sets{&empty};
+  for (const auto& client : fed.clients) sets.push_back(&client.test);
+  for_each_backend([&] {
+    for (bool use_cnn : {false, true}) {
+      const auto model = core::default_model_factory(fed, 99, use_cnn)();
+      ASSERT_GT(model.min_invariant_rows(), 1u);
+      std::vector<fl::EvalResult> want(sets.size());
+      for (std::size_t s = 1; s < sets.size(); ++s) {
+        want[s] = oracle_evaluate(model, *sets[s]);
+      }
+      std::size_t fewest = sets.size(), most = 0;
+      for (std::size_t lanes : {1, 2, 3, 8, 1000}) {
+        const fl::BlockedEvaluator evaluator(sets, lanes);
+        fewest = std::min(fewest, evaluator.blocks());
+        most = std::max(most, evaluator.blocks());
+        std::vector<fl::EvalResult> inline_got;
+        ThreadPool::global()
+            .submit([&] { inline_got = evaluator.evaluate(model); })
+            .get();
+        for (const auto& got : {evaluator.evaluate(model), inline_got}) {
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t s = 0; s < want.size(); ++s) {
+            SCOPED_TRACE("cnn " + std::to_string(use_cnn) + " lanes " +
+                         std::to_string(lanes) + " set " + std::to_string(s));
+            EXPECT_EQ(got[s].loss, want[s].loss);
+            EXPECT_EQ(got[s].accuracy, want[s].accuracy);
+            EXPECT_EQ(got[s].samples, want[s].samples);
+          }
+        }
+      }
+      EXPECT_LT(fewest, most);
+    }
   });
 }
 

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Fixture test for tools/ab.py: a throwaway git repository whose
 benchmark/run.py is a stub that reports fixed metrics, with the working
-tree twice as fast as the committed revision on round_ms.p90.
+tree twice as fast as the committed revision on round_ms.p90. The stub
+"builds" its speed into build-bench/ only when that directory is missing,
+as an incremental build over sources with old timestamps would.
 
 Run: python3 tools/ab_test.py
 """
@@ -17,28 +19,34 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 import ab  # noqa: E402
 
-# Stands in for benchmark/run.py: one run, metrics from the checkout's
-# speed.txt, and a line per call in $AB_TEST_LOG recording the run order.
+# Stands in for benchmark/run.py: one run, metrics from the speed built
+# into the checkout's build-bench/, and lines in $AB_TEST_LOG recording
+# each build and the run order.
 STUB_RUN_PY = r'''
-import argparse, json, os
+import argparse, json, os, shutil
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 p = argparse.ArgumentParser()
 p.add_argument("--workload")
 p.add_argument("--seed", type=int)
-p.add_argument("--seconds", type=float, default=20.0)
 p.add_argument("--out")
 a = p.parse_args()
-with open(os.path.join(ROOT, "speed.txt")) as f:
+binary = os.path.join(ROOT, "build-bench", "speed")
+if not os.path.exists(binary):
+    os.makedirs(os.path.dirname(binary), exist_ok=True)
+    shutil.copy(os.path.join(ROOT, "speed.txt"), binary)
+    with open(os.environ["AB_TEST_LOG"], "a") as f:
+        f.write("build\n")
+with open(binary) as f:
     speed = float(f.read())
 with open(os.path.join(ROOT, "metrics.json")) as f:
     names = json.load(f)
 with open(os.environ["AB_TEST_LOG"], "a") as f:
-    f.write(f"{speed} {a.workload} {a.seed}\n")
+    f.write(f"run {speed} {a.workload} {a.seed}\n")
 metrics = {n: 1000.0 + a.seed for n in names}
 metrics["round_ms.p90"] *= speed
 with open(a.out, "w") as f:
     json.dump({"host": {"nproc": 4, "commit": str(speed)},
-               "seconds": a.seconds, "trace": 0,
+               "seconds": 20.0, "trace": 0,
                "runs": [{"workload": a.workload, "seed": a.seed,
                          "metrics": metrics}]}, f)
 '''
@@ -86,16 +94,21 @@ class AbTest(unittest.TestCase):
              self.repo, "--scratch", self.scratch, "--pairs", str(pairs)],
             env=env, capture_output=True, text=True)
 
+    def logged(self, kind):
+        """The logged lines of `kind` ("build" or "run"), split, in order."""
+        with open(self.log) as f:
+            return [line.split()[1:] for line in f
+                    if line.split()[0] == kind]
+
     def test_pairs_alternate_and_compare_reports_the_gain(self):
         done = self.run_ab(10)
         self.assertEqual(done.returncode, 0, done.stderr)
-        with open(self.log) as f:
-            order = [line.split() for line in f]
         expected = []
         for pair in range(1, 11):
             sides = ["1.0", "0.5"] if pair % 2 == 1 else ["0.5", "1.0"]
             expected += [[s, "population-1500", str(pair)] for s in sides]
-        self.assertEqual(order, expected)
+        self.assertEqual(self.logged("run"), expected)
+        self.assertEqual(len(self.logged("build")), 2)
 
         for side, speed in (("base", "1.0"), ("change", "0.5")):
             with open(os.path.join(self.scratch, f"{side}.json")) as f:
@@ -118,15 +131,34 @@ class AbTest(unittest.TestCase):
         self.assertFalse(os.path.exists(
             os.path.join(self.scratch, "base", "untracked.txt")))
 
-    def test_reexport_keeps_the_benchmark_build_only(self):
+    def test_reexport_keeps_the_benchmark_build_only_for_same_sources(self):
         side = os.path.join(self.dir.name, "side")
+        ab.export_rev(self.repo, "HEAD", side)
         os.makedirs(os.path.join(side, ab.KEEP))
         os.makedirs(os.path.join(side, "src"))
         open(os.path.join(side, "stale.txt"), "w").close()
         ab.export_rev(self.repo, "HEAD", side)
         self.assertEqual(sorted(os.listdir(side)),
-                         sorted([".gitignore", ab.KEEP, "benchmark",
-                                 "metrics.json", "speed.txt"]))
+                         sorted([".gitignore", ab.STAMP, ab.KEEP,
+                                 "benchmark", "metrics.json", "speed.txt"]))
+        ab.export_worktree(self.repo, side)  # other sources
+        self.assertNotIn(ab.KEEP, os.listdir(side))
+
+    def test_rerun_on_other_sources_rebuilds_and_measures_them(self):
+        self.assertEqual(self.run_ab(1).returncode, 0)
+        self.assertEqual(self.run_ab(1).returncode, 0)
+        self.assertEqual(len(self.logged("build")), 2)  # both builds kept
+        # A new HEAD (committed, so older than the kept builds) and another
+        # working-tree edit: both sides must rebuild and measure the new
+        # sources rather than the previous binaries.
+        self.write("speed.txt", "0.25")
+        git(self.repo, "commit", "-q", "-am", "faster")
+        self.write("speed.txt", "0.125")
+        done = self.run_ab(1)
+        self.assertEqual(done.returncode, 0, done.stderr)
+        self.assertEqual(len(self.logged("build")), 4)
+        self.assertEqual([run[0] for run in self.logged("run")[-2:]],
+                         ["0.25", "0.125"])
 
 
 if __name__ == "__main__":
