@@ -40,15 +40,6 @@ DistanceMatrix DistanceMatrix::build(
   return m;
 }
 
-void DistanceMatrix::set(std::size_t i, std::size_t j, double value) {
-  if (i >= n_ || j >= n_) throw std::out_of_range("DistanceMatrix::set");
-  if (value < 0.0) {
-    throw std::invalid_argument("DistanceMatrix: negative distance");
-  }
-  data_[i * n_ + j] = value;
-  data_[j * n_ + i] = value;
-}
-
 std::vector<std::size_t> DistanceMatrix::neighbors_within(std::size_t center,
                                                           double eps) const {
   if (center >= n_) throw std::out_of_range("neighbors_within");
@@ -57,12 +48,6 @@ std::vector<std::size_t> DistanceMatrix::neighbors_within(std::size_t center,
     if (j != center && at(center, j) <= eps) out.push_back(j);
   }
   return out;
-}
-
-double DistanceMatrix::kth_nearest_distance(std::size_t center,
-                                            std::size_t k) const {
-  std::vector<double> scratch;
-  return kth_nearest_distance(center, k, scratch);
 }
 
 double DistanceMatrix::kth_nearest_distance(std::size_t center, std::size_t k,

@@ -13,9 +13,6 @@ namespace haccs::clustering {
 
 class DistanceMatrix {
  public:
-  /// Zero-initialized n x n matrix.
-  explicit DistanceMatrix(std::size_t n);
-
   /// Builds the matrix by evaluating `distance(i, j)` for every i < j
   /// (diagonal fixed at 0, symmetry enforced). Evaluation is parallelized
   /// with balanced pairing: task t computes rows t and n-1-t, so every task
@@ -28,7 +25,6 @@ class DistanceMatrix {
   std::size_t size() const { return n_; }
 
   double at(std::size_t i, std::size_t j) const { return data_[i * n_ + j]; }
-  void set(std::size_t i, std::size_t j, double value);
 
   /// Indices of all points within `eps` of `center` (excluding the center
   /// itself), i.e. the eps-neighborhood used by DBSCAN/OPTICS.
@@ -36,16 +32,15 @@ class DistanceMatrix {
                                             double eps) const;
 
   /// Distance to the k-th nearest other point (k >= 1) — the core-distance
-  /// primitive.
-  double kth_nearest_distance(std::size_t center, std::size_t k) const;
-
-  /// Same, reusing `scratch` for the row copy instead of allocating an
-  /// n-element vector per call (OPTICS computes one core distance per point,
-  /// which made the per-call allocation a measurable cost at scale).
+  /// primitive. `scratch` holds the row copy, so OPTICS, which computes one
+  /// core distance per point, allocates it once rather than per call.
   double kth_nearest_distance(std::size_t center, std::size_t k,
                               std::vector<double>& scratch) const;
 
  private:
+  /// Zero-initialized n x n matrix.
+  explicit DistanceMatrix(std::size_t n);
+
   std::size_t n_;
   std::vector<double> data_;
 };

@@ -100,15 +100,6 @@ double Rng::laplace(double mu, double b) {
   return mu - b * sign * std::log(1.0 - 2.0 * std::abs(u));
 }
 
-double Rng::exponential(double lambda) {
-  if (lambda <= 0.0) throw std::invalid_argument("exponential: rate must be > 0");
-  double u;
-  do {
-    u = uniform();
-  } while (u <= 0.0);
-  return -std::log(u) / lambda;
-}
-
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
 std::size_t Rng::categorical(std::span<const double> weights) {
@@ -147,14 +138,6 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
   }
   pool.resize(k);
   return pool;
-}
-
-std::vector<std::size_t> Rng::sample_with_replacement(
-    std::span<const double> weights, std::size_t k) {
-  std::vector<std::size_t> out;
-  out.reserve(k);
-  for (std::size_t i = 0; i < k; ++i) out.push_back(categorical(weights));
-  return out;
 }
 
 }  // namespace haccs

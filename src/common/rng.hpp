@@ -94,9 +94,6 @@ class Rng {
   /// Laplace mechanism (paper Eq. 5): scale b = 1/epsilon.
   double laplace(double mu, double b);
 
-  /// Exponential with rate lambda.
-  double exponential(double lambda);
-
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p);
 
@@ -118,11 +115,6 @@ class Rng {
   /// Requires k <= n.
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
-
-  /// k indices drawn from the categorical distribution given by `weights`,
-  /// with replacement (the paper's Weighted-SRSWR primitive).
-  std::vector<std::size_t> sample_with_replacement(
-      std::span<const double> weights, std::size_t k);
 
   State state() const {
     State out;

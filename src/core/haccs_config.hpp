@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "src/clustering/dbscan.hpp"
 #include "src/clustering/optics.hpp"
@@ -31,10 +30,6 @@ enum class InClusterPolicy {
   MinLatency,      ///< the paper's Algorithm 1: fastest available device
   WeightedRandom,  ///< §V-E's suggested mitigation: latency-weighted sampling
 };
-
-std::string to_string(Extraction e);
-std::string to_string(ClusterAlgorithm a);
-std::string to_string(InClusterPolicy p);
 
 struct HaccsConfig {
   /// Which distribution summary clients report (P(y), P(X|y), or Q(X|y)).

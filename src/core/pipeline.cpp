@@ -12,31 +12,6 @@
 
 namespace haccs::core {
 
-std::string to_string(Extraction e) {
-  switch (e) {
-    case Extraction::Auto: return "auto";
-    case Extraction::Xi: return "xi";
-    case Extraction::Dbscan: return "dbscan";
-  }
-  throw std::invalid_argument("to_string: bad Extraction");
-}
-
-std::string to_string(ClusterAlgorithm a) {
-  switch (a) {
-    case ClusterAlgorithm::Optics: return "optics";
-    case ClusterAlgorithm::Dbscan: return "dbscan";
-  }
-  throw std::invalid_argument("to_string: bad ClusterAlgorithm");
-}
-
-std::string to_string(InClusterPolicy p) {
-  switch (p) {
-    case InClusterPolicy::MinLatency: return "min_latency";
-    case InClusterPolicy::WeightedRandom: return "weighted_random";
-  }
-  throw std::invalid_argument("to_string: bad InClusterPolicy");
-}
-
 double ClientSummary::distance(const ClientSummary& a, const ClientSummary& b,
                                stats::DistanceKind kind) {
   if (a.kind != b.kind) {

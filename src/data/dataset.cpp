@@ -40,18 +40,6 @@ std::size_t Dataset::add_rows(std::span<const std::int64_t> labels) {
   return first;
 }
 
-void Dataset::append(Dataset&& other) {
-  if (other.sample_shape_ != sample_shape_ ||
-      other.num_classes_ != num_classes_) {
-    throw std::invalid_argument("Dataset::append: incompatible dataset");
-  }
-  features_.insert(features_.end(), other.features_.begin(),
-                   other.features_.end());
-  labels_.insert(labels_.end(), other.labels_.begin(), other.labels_.end());
-  other.features_.clear();
-  other.labels_.clear();
-}
-
 std::span<const float> Dataset::features(std::size_t i) const {
   if (i >= size()) throw std::out_of_range("Dataset::features");
   return {features_.data() + i * sample_size_, sample_size_};

@@ -31,9 +31,6 @@ class Dataset {
   /// from different threads.
   std::span<float> mutable_features(std::size_t i);
 
-  /// Moves all samples of `other` into this dataset (shapes must match).
-  void append(Dataset&& other);
-
   std::size_t size() const { return labels_.size(); }
   bool empty() const { return labels_.empty(); }
   std::size_t num_classes() const { return num_classes_; }

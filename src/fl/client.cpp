@@ -17,7 +17,6 @@ LocalTrainResult train_local(nn::Sequential& model,
   if (config.batch_size == 0 || config.epochs == 0) {
     throw std::invalid_argument("train_local: zero batch size or epochs");
   }
-  model.set_training(true);
   nn::SgdOptimizer optimizer(config.sgd);
 
   LocalTrainResult result;

@@ -28,7 +28,6 @@ LocalTrainResult train_local_fedprox(nn::Sequential& model,
         "train_local_fedprox: global parameter size mismatch");
   }
   model.set_parameters(global_params);
-  model.set_training(true);
   nn::SgdOptimizer optimizer(config.local.sgd);
 
   // Adds mu * (w - w_global) to the accumulated gradients — the gradient of

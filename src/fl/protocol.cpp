@@ -5,6 +5,7 @@
 
 namespace haccs::fl {
 
+namespace {
 net::UpdateKind to_update_kind(CompressionKind kind) {
   switch (kind) {
     case CompressionKind::None: return net::UpdateKind::Dense;
@@ -13,15 +14,7 @@ net::UpdateKind to_update_kind(CompressionKind kind) {
   }
   throw std::invalid_argument("to_update_kind: bad kind");
 }
-
-CompressionKind to_compression_kind(net::UpdateKind kind) {
-  switch (kind) {
-    case net::UpdateKind::Dense: return CompressionKind::None;
-    case net::UpdateKind::SparseTopK: return CompressionKind::TopK;
-    case net::UpdateKind::Int8: return CompressionKind::Int8;
-  }
-  throw std::invalid_argument("to_compression_kind: bad kind");
-}
+}  // namespace
 
 net::UpdatePayload make_update_payload(const CompressedUpdate& compressed,
                                        std::size_t n,

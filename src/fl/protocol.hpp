@@ -1,13 +1,13 @@
 // Bridge between the FL layer's types and the net wire format.
 //
 // src/net knows byte shapes; src/fl knows federated semantics. This header
-// is where they meet: CompressionKind <-> UpdateKind, CompressedUpdate ->
-// UpdatePayload, the TrainJob downlink (make_train_job, which both roots
-// fan out with, and read_train_job, its inverse on the worker), and the
-// frame-size pricing the engine uses for per-round uplink/downlink
-// accounting. The pricing functions return the exact byte
-// counts the codecs emit (pinned by NetCodec.* tests), so RoundRecord's
-// bytes are real wire bytes whether a round ran in-process or over TCP.
+// is where they meet: CompressedUpdate -> UpdatePayload, the TrainJob
+// downlink (make_train_job, which both roots fan out with, and
+// read_train_job, its inverse on the worker), and the frame-size pricing the
+// engine uses for per-round uplink/downlink accounting. The pricing
+// functions return the exact byte counts the codecs emit (pinned by
+// NetCodec.* tests), so RoundRecord's bytes are real wire bytes whether a
+// round ran in-process or over TCP.
 #pragma once
 
 #include <cstdint>
@@ -18,9 +18,6 @@
 #include "src/net/messages.hpp"
 
 namespace haccs::fl {
-
-net::UpdateKind to_update_kind(CompressionKind kind);
-CompressionKind to_compression_kind(net::UpdateKind kind);
 
 /// Wire form of a compressed update (delta of length n). The payload's
 /// to_dense() reproduces `compressed.dense` bit-exactly. Throws

@@ -217,41 +217,4 @@ Tensor Flatten::backward(const Tensor& grad_output) {
   return grad_output.reshaped(last_shape_);
 }
 
-// -------------------------------------------------------------- Dropout ----
-
-Dropout::Dropout(double rate, Rng& rng) : rate_(rate), rng_(rng.fork()) {
-  if (rate < 0.0 || rate >= 1.0) {
-    throw std::invalid_argument("Dropout: rate must be in [0, 1)");
-  }
-}
-
-Tensor Dropout::forward(const Tensor& input) {
-  if (!training_ || rate_ == 0.0) {
-    mask_.clear();
-    return input;
-  }
-  Tensor out = input;
-  mask_.resize(input.size());
-  const float scale = static_cast<float>(1.0 / (1.0 - rate_));
-  auto o = out.data();
-  for (std::size_t i = 0; i < o.size(); ++i) {
-    mask_[i] = rng_.bernoulli(rate_) ? 0.0f : scale;
-    o[i] *= mask_[i];
-  }
-  return out;
-}
-
-void Dropout::infer(Tensor& /*x*/, Tensor& /*spare*/) const {
-  // Inverted dropout is the identity at inference time.
-}
-
-Tensor Dropout::backward(const Tensor& grad_output) {
-  if (mask_.empty()) return grad_output;  // eval mode or rate 0
-  HACCS_CHECK_MSG(grad_output.size() == mask_.size(), "Dropout grad shape");
-  Tensor grad_input = grad_output;
-  auto gi = grad_input.data();
-  for (std::size_t i = 0; i < gi.size(); ++i) gi[i] *= mask_[i];
-  return grad_input;
-}
-
 }  // namespace haccs::nn

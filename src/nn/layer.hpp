@@ -29,8 +29,7 @@ class Layer {
   /// `x` itself; the others write into `spare` and swap it with `x`, so two
   /// caller-owned buffers ping-pong through a model and keep their storage
   /// once it fits. Caches nothing and does not mutate the layer, so a shared
-  /// model can be evaluated from several threads at once. Stochastic
-  /// train-time behavior (dropout) is off regardless of the training flag.
+  /// model can be evaluated from several threads at once.
   virtual void infer(Tensor& x, Tensor& spare) const = 0;
 
   /// Inference gives a row the same bits in every batch of at least this
@@ -45,14 +44,7 @@ class Layer {
 
   virtual void zero_grad();
 
-  /// Dropout behaves differently in training vs. evaluation.
-  virtual void set_training(bool training) { training_ = training; }
-  bool training() const { return training_; }
-
   virtual std::string name() const = 0;
-
- protected:
-  bool training_ = true;
 };
 
 /// Fully-connected layer: y = x W^T + b, x: (N, in), W: (out, in), b: (out).
@@ -146,23 +138,6 @@ class Flatten : public Layer {
 
  private:
   std::vector<std::size_t> last_shape_;
-};
-
-/// Inverted dropout: active only in training mode. Seeded per-layer so the
-/// mask stream is deterministic given the construction seed.
-class Dropout : public Layer {
- public:
-  Dropout(double rate, Rng& rng);
-
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
-  void infer(Tensor& x, Tensor& spare) const override;
-  std::string name() const override { return "Dropout"; }
-
- private:
-  double rate_;
-  Rng rng_;
-  std::vector<float> mask_;
 };
 
 }  // namespace haccs::nn

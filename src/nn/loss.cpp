@@ -25,24 +25,6 @@ RowStats row_stats(std::span<const float> row) {
 
 }  // namespace
 
-Tensor softmax(const Tensor& logits) {
-  if (logits.rank() != 2) {
-    throw std::invalid_argument("softmax: expected (N, classes)");
-  }
-  const std::size_t n = logits.extent(0), c = logits.extent(1);
-  Tensor probs({n, c});
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* row = logits.raw() + i * c;
-    float* out = probs.raw() + i * c;
-    const RowStats stats = row_stats({row, c});
-    const float inv = static_cast<float>(1.0 / stats.exp_total);
-    for (std::size_t j = 0; j < c; ++j) {
-      out[j] = std::exp(row[j] - stats.max) * inv;
-    }
-  }
-  return probs;
-}
-
 RowLoss softmax_cross_entropy_row(std::span<const float> row,
                                   std::int64_t label) {
   if (label < 0 || static_cast<std::size_t>(label) >= row.size()) {

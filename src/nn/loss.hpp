@@ -36,7 +36,4 @@ RowLoss softmax_cross_entropy_row(std::span<const float> row,
 LossResult softmax_cross_entropy(const Tensor& logits,
                                  std::span<const std::int64_t> labels);
 
-/// Softmax probabilities per row (for inspection / calibration tests).
-Tensor softmax(const Tensor& logits);
-
 }  // namespace haccs::nn

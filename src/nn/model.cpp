@@ -49,10 +49,6 @@ void Sequential::zero_grad() {
   for (auto& layer : layers_) layer->zero_grad();
 }
 
-void Sequential::set_training(bool training) {
-  for (auto& layer : layers_) layer->set_training(training);
-}
-
 std::size_t Sequential::parameter_count() const {
   std::size_t total = 0;
   for (const auto& layer : layers_) {

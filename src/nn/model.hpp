@@ -30,11 +30,11 @@ class Sequential {
   Tensor backward(const Tensor& grad_output);
 
   /// Inference-only forward pass: no layer state is touched, so a shared
-  /// model can be evaluated from multiple threads concurrently. Dropout is
-  /// always inactive on this path. In place, as Layer::infer: `x` holds the
-  /// batch and, on return, the logits; `spare` is the second buffer the
-  /// layers ping-pong with. Both are the caller's, and reused across
-  /// batches they stop allocating once they reach the largest shape.
+  /// model can be evaluated from multiple threads concurrently. In place, as
+  /// Layer::infer: `x` holds the batch and, on return, the logits; `spare`
+  /// is the second buffer the layers ping-pong with. Both are the caller's,
+  /// and reused across batches they stop allocating once they reach the
+  /// largest shape.
   void infer(Tensor& x, Tensor& spare) const;
   /// By-value wrapper over the in-place pass.
   Tensor infer(const Tensor& input) const;
@@ -44,7 +44,6 @@ class Sequential {
   std::size_t min_invariant_rows() const;
 
   void zero_grad();
-  void set_training(bool training);
 
   std::size_t layer_count() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_.at(i); }

@@ -49,6 +49,4 @@ void SgdOptimizer::step(Sequential& model) {
   }
 }
 
-void SgdOptimizer::reset() { velocity_.clear(); }
-
 }  // namespace haccs::nn

@@ -20,11 +20,8 @@ class SgdOptimizer {
 
   /// Applies one update step using the gradients currently accumulated in
   /// the model. Momentum buffers are lazily sized on first use and reused
-  /// across steps; reset() clears them (used when a client receives fresh
-  /// global weights).
+  /// across steps; each local run builds a fresh optimizer.
   void step(Sequential& model);
-
-  void reset();
 
   const SgdConfig& config() const { return config_; }
   void set_learning_rate(double lr) { config_.learning_rate = lr; }

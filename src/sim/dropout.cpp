@@ -79,25 +79,6 @@ class PermanentRandomDropout final : public DropoutSchedule {
   std::vector<bool> dropped_;
 };
 
-class StaggeredJoin final : public DropoutSchedule {
- public:
-  explicit StaggeredJoin(std::vector<std::size_t> join_epoch_of)
-      : join_epoch_of_(std::move(join_epoch_of)) {}
-
-  std::vector<bool> available(std::size_t epoch) const override {
-    std::vector<bool> mask(join_epoch_of_.size());
-    for (std::size_t i = 0; i < mask.size(); ++i) {
-      mask[i] = epoch >= join_epoch_of_[i];
-    }
-    return mask;
-  }
-
-  std::size_t num_clients() const override { return join_epoch_of_.size(); }
-
- private:
-  std::vector<std::size_t> join_epoch_of_;
-};
-
 class GroupDropout final : public DropoutSchedule {
  public:
   GroupDropout(std::vector<int> group_of, std::vector<int> dropped_groups,
@@ -281,11 +262,6 @@ std::unique_ptr<DropoutSchedule> make_permanent_random_dropout(
     std::uint64_t seed) {
   return std::make_unique<PermanentRandomDropout>(num_clients, count,
                                                   from_epoch, seed);
-}
-
-std::unique_ptr<DropoutSchedule> make_staggered_join(
-    std::vector<std::size_t> join_epoch_of) {
-  return std::make_unique<StaggeredJoin>(std::move(join_epoch_of));
 }
 
 std::unique_ptr<DropoutSchedule> make_group_dropout(

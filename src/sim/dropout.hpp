@@ -39,11 +39,6 @@ std::unique_ptr<DropoutSchedule> make_permanent_random_dropout(
     std::size_t num_clients, std::size_t count, std::size_t from_epoch,
     std::uint64_t seed);
 
-/// §IV-C "devices joining the system during model training": client i is
-/// unavailable until its join epoch, then available from that epoch onward.
-std::unique_ptr<DropoutSchedule> make_staggered_join(
-    std::vector<std::size_t> join_epoch_of);
-
 /// Paper Fig. 1b: entire pre-selected groups are permanently dropped.
 /// `group_of[i]` is client i's group; `dropped_groups` lists group ids to
 /// remove from epoch `from_epoch` onward.

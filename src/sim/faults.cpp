@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "src/obs/metrics.hpp"
 
@@ -28,16 +29,6 @@ struct FaultMetrics {
 };
 
 }  // namespace
-
-std::string to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::None: return "none";
-    case FaultKind::Crash: return "crash";
-    case FaultKind::Corruption: return "corruption";
-    case FaultKind::Straggler: return "straggler";
-  }
-  throw std::invalid_argument("to_string: bad FaultKind");
-}
 
 FaultModel::FaultModel(FaultModelConfig config) : config_(config) {
   auto check_rate = [](double r, const char* name) {

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 
 #include "src/common/rng.hpp"
 
@@ -31,8 +30,6 @@ enum class FaultKind { None, Crash, Corruption, Straggler };
 inline constexpr double kStragglerAlpha = 1.5;
 /// Pareto scale: the minimum excursion multiplier.
 inline constexpr double kStragglerScale = 2.0;
-
-std::string to_string(FaultKind kind);
 
 /// How a corrupted update is mangled. The mode is part of the seeded fault
 /// trace so validation tests see all three shapes deterministically.

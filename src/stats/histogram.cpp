@@ -59,16 +59,6 @@ void Histogram::set_counts(std::vector<double> counts) {
   counts_ = std::move(counts);
 }
 
-std::vector<double> Histogram::normalized() const {
-  std::vector<double> out(counts_.size(), 0.0);
-  const double t = total();
-  if (t <= 0.0) return out;  // zero vector by design (see header)
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    out[i] = std::max(counts_[i], 0.0) / t;
-  }
-  return out;
-}
-
 void Histogram::clamp_nonnegative() {
   for (double& c : counts_) c = std::max(c, 0.0);
 }
@@ -112,21 +102,6 @@ double hellinger_distance(std::span<const double> p, std::span<const double> q) 
 
 double hellinger_distance(const Histogram& a, const Histogram& b) {
   return hellinger_distance(a.counts(), b.counts());
-}
-
-double average_hellinger_distance(std::span<const Histogram> a,
-                                  std::span<const Histogram> b) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("average_hellinger_distance: arity mismatch");
-  }
-  if (a.empty()) {
-    throw std::invalid_argument("average_hellinger_distance: empty sets");
-  }
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    acc += hellinger_distance(a[i], b[i]);
-  }
-  return acc / static_cast<double>(a.size());
 }
 
 double weighted_hellinger_distance(std::span<const Histogram> a,

@@ -37,11 +37,6 @@ class Histogram {
   std::span<const double> counts() const { return counts_; }
   void set_counts(std::vector<double> counts);
 
-  /// Probability vector: counts / total. An all-zero histogram normalizes to
-  /// the zero vector (NOT uniform) so that "no data for this label" is
-  /// maximally distinguishable under Hellinger.
-  std::vector<double> normalized() const;
-
   /// Clamps negative bins (which DP noise can produce) to zero.
   void clamp_nonnegative();
 
@@ -56,7 +51,9 @@ class Histogram {
 
 /// One side of Eq. 3, prepared: out[i] = sqrt(max(counts[i], 0) / total)
 /// with total the sum of the clamped counts. An all-zero (or all-negative)
-/// vector prepares to the zero row. `out` must have counts.size() slots.
+/// vector prepares to the zero row, not the uniform one, so that "no data
+/// for this label" is maximally distinguishable under Hellinger. `out` must
+/// have counts.size() slots.
 void sqrt_probabilities(std::span<const double> counts, std::span<double> out);
 
 /// Eq. 3 over two prepared rows: (1/sqrt(2)) * || a - b ||_2. Every
@@ -74,12 +71,6 @@ double hellinger_distance(std::span<const double> p, std::span<const double> q);
 
 /// Hellinger over two histograms' normalized forms.
 double hellinger_distance(const Histogram& a, const Histogram& b);
-
-/// Average Hellinger distance across paired histogram sets (the paper's
-/// distance for the P(X|y) summary). The sets must have equal arity; pairs
-/// where both histograms are empty contribute 0.
-double average_hellinger_distance(std::span<const Histogram> a,
-                                  std::span<const Histogram> b);
 
 /// Mass-weighted average Hellinger across paired histogram sets: each label's
 /// Hellinger distance is weighted by that label's share of the two clients'

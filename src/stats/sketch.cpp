@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "src/common/rng.hpp"
@@ -19,47 +18,6 @@ std::uint64_t mix(std::uint64_t seed, std::uint64_t index) {
 }
 
 }  // namespace
-
-CountMinSketch::CountMinSketch(std::size_t width, std::size_t depth,
-                               std::uint64_t seed)
-    : width_(width), seed_(seed), rows_(width * depth, 0.0) {
-  if (width == 0 || depth == 0) {
-    throw std::invalid_argument("CountMinSketch: zero geometry");
-  }
-}
-
-std::size_t CountMinSketch::bucket(std::size_t row, std::uint64_t index) const {
-  return static_cast<std::size_t>(mix(seed_ + row, index) % width_);
-}
-
-void CountMinSketch::add(std::uint64_t index, double weight) {
-  if (weight < 0.0) {
-    throw std::invalid_argument("CountMinSketch: negative weight");
-  }
-  const std::size_t depth = rows_.size() / width_;
-  for (std::size_t r = 0; r < depth; ++r) {
-    rows_[r * width_ + bucket(r, index)] += weight;
-  }
-  total_ += weight;
-}
-
-double CountMinSketch::estimate(std::uint64_t index) const {
-  const std::size_t depth = rows_.size() / width_;
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t r = 0; r < depth; ++r) {
-    best = std::min(best, rows_[r * width_ + bucket(r, index)]);
-  }
-  return best;
-}
-
-void CountMinSketch::merge(const CountMinSketch& other) {
-  if (other.width_ != width_ || other.rows_.size() != rows_.size() ||
-      other.seed_ != seed_) {
-    throw std::invalid_argument("CountMinSketch: geometry mismatch");
-  }
-  for (std::size_t i = 0; i < rows_.size(); ++i) rows_[i] += other.rows_[i];
-  total_ += other.total_;
-}
 
 std::vector<float> project_embedding(std::span<const double> v,
                                      std::size_t dim, std::uint64_t seed) {

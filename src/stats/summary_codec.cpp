@@ -1,20 +1,11 @@
 #include "src/stats/summary_codec.hpp"
 
-#include <vector>
+#include <cmath>
+#include <string>
 
 #include "src/net/wire.hpp"
 
 namespace haccs::stats {
-
-namespace {
-void expect_kind(const net::SummaryMsg& msg, SummaryKind kind,
-                 const char* what) {
-  if (msg.kind != static_cast<std::uint8_t>(kind)) {
-    throw net::WireError(std::string("summary codec: message is not a ") +
-                         what + " summary");
-  }
-}
-}  // namespace
 
 net::SummaryMsg encode_summary_msg(std::uint32_t client_id,
                                    const ResponseSummary& summary) {
@@ -26,73 +17,22 @@ net::SummaryMsg encode_summary_msg(std::uint32_t client_id,
   return msg;
 }
 
-net::SummaryMsg encode_summary_msg(std::uint32_t client_id,
-                                   const ConditionalSummary& summary,
-                                   const ConditionalSummaryConfig& config) {
-  net::SummaryMsg msg;
-  msg.client_id = client_id;
-  msg.kind = static_cast<std::uint8_t>(SummaryKind::Conditional);
-  msg.lo = config.lo;
-  msg.hi = config.hi;
-  msg.tables.reserve(summary.per_label.size());
-  for (const auto& hist : summary.per_label) {
-    const auto counts = hist.counts();
-    msg.tables.emplace_back(counts.begin(), counts.end());
-  }
-  return msg;
-}
-
-net::SummaryMsg encode_summary_msg(std::uint32_t client_id,
-                                   const QuantileSummary& summary,
-                                   const QuantileSummaryConfig& config) {
-  net::SummaryMsg msg;
-  msg.client_id = client_id;
-  msg.kind = static_cast<std::uint8_t>(SummaryKind::Quantile);
-  msg.lo = config.lo;
-  msg.hi = config.hi;
-  msg.tables = summary.per_label;
-  msg.mass = summary.mass;
-  return msg;
-}
-
 ResponseSummary decode_response_summary(const net::SummaryMsg& msg) {
-  expect_kind(msg, SummaryKind::Response, "response");
+  if (msg.kind != static_cast<std::uint8_t>(SummaryKind::Response)) {
+    throw net::WireError("summary codec: message is not a response summary");
+  }
   if (msg.tables.size() != 1 || msg.tables.front().empty()) {
     throw net::WireError("summary codec: response summary needs one "
                          "non-empty label-count row");
   }
+  for (const double count : msg.tables.front()) {
+    if (!std::isfinite(count) || count < 0.0) {
+      throw net::WireError("summary codec: response summary has a negative "
+                           "or non-finite label count");
+    }
+  }
   ResponseSummary summary(msg.tables.front().size());
   summary.label_counts.set_counts(msg.tables.front());
-  return summary;
-}
-
-ConditionalSummary decode_conditional_summary(const net::SummaryMsg& msg) {
-  expect_kind(msg, SummaryKind::Conditional, "conditional");
-  if (!(msg.lo < msg.hi)) {
-    throw net::WireError("summary codec: conditional summary needs lo < hi");
-  }
-  ConditionalSummary summary;
-  summary.per_label.reserve(msg.tables.size());
-  for (const auto& row : msg.tables) {
-    if (row.empty()) {
-      throw net::WireError("summary codec: empty conditional histogram row");
-    }
-    Histogram hist(row.size(), msg.lo, msg.hi);
-    hist.set_counts(row);
-    summary.per_label.push_back(std::move(hist));
-  }
-  return summary;
-}
-
-QuantileSummary decode_quantile_summary(const net::SummaryMsg& msg) {
-  expect_kind(msg, SummaryKind::Quantile, "quantile");
-  if (msg.mass.size() != msg.tables.size()) {
-    throw net::WireError(
-        "summary codec: quantile mass/table arity mismatch");
-  }
-  QuantileSummary summary;
-  summary.per_label = msg.tables;
-  summary.mass = msg.mass;
   return summary;
 }
 

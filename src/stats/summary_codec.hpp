@@ -2,14 +2,13 @@
 // clients upload distribution summaries once, before training).
 //
 // net::SummaryMsg is deliberately generic — kind tag, value range, a list of
-// double tables, a mass vector — so src/net never depends on src/stats. This
-// header maps the three concrete summary types onto it:
-//   * ResponseSummary      -> one table row (the P(y) label counts)
-//   * ConditionalSummary   -> one row per label (P(X|y) bin counts), lo/hi
-//                             carrying the binning range
-//   * QuantileSummary      -> one row per label (the quantiles) + mass
-// Decoders throw net::WireError on a kind mismatch or malformed tables, the
-// same failure surface as the payload codecs.
+// double tables, a mass vector — so src/net never depends on src/stats.
+// Serving mode admits only the P(y) summary (haccs_server refuses every
+// strategy that needs another kind), so this header maps just that one:
+// a ResponseSummary is one table row, the label counts; lo, hi and mass stay
+// unset. The decoder throws net::WireError on a kind mismatch or a malformed
+// row, the same failure surface as the payload codecs, so a peer that sends
+// a summary no honest client could produce is refused by name.
 #pragma once
 
 #include <cstdint>
@@ -21,15 +20,10 @@ namespace haccs::stats {
 
 net::SummaryMsg encode_summary_msg(std::uint32_t client_id,
                                    const ResponseSummary& summary);
-net::SummaryMsg encode_summary_msg(std::uint32_t client_id,
-                                   const ConditionalSummary& summary,
-                                   const ConditionalSummaryConfig& config);
-net::SummaryMsg encode_summary_msg(std::uint32_t client_id,
-                                   const QuantileSummary& summary,
-                                   const QuantileSummaryConfig& config);
 
+/// Rejects any count that is negative, NaN or infinite: label counts are
+/// never negative (privatized ones are clamp_nonnegative()d), and such a
+/// count would turn every Hellinger distance to that client into NaN.
 ResponseSummary decode_response_summary(const net::SummaryMsg& msg);
-ConditionalSummary decode_conditional_summary(const net::SummaryMsg& msg);
-QuantileSummary decode_quantile_summary(const net::SummaryMsg& msg);
 
 }  // namespace haccs::stats

@@ -1,12 +1,8 @@
 #include "src/tensor/tensor.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
-
-#include "src/common/error.hpp"
-#include "src/tensor/vecops.hpp"
 
 namespace haccs {
 
@@ -95,29 +91,6 @@ void Tensor::fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
 }
 
-float Tensor::sum() const {
-  return std::accumulate(data_.begin(), data_.end(), 0.0f);
-}
-
-float Tensor::mean() const {
-  if (data_.empty()) throw std::logic_error("Tensor::mean of empty tensor");
-  return sum() / static_cast<float>(data_.size());
-}
-
-float Tensor::min() const {
-  if (data_.empty()) throw std::logic_error("Tensor::min of empty tensor");
-  return *std::min_element(data_.begin(), data_.end());
-}
-
-float Tensor::max() const {
-  if (data_.empty()) throw std::logic_error("Tensor::max of empty tensor");
-  return *std::max_element(data_.begin(), data_.end());
-}
-
-double Tensor::squared_norm() const {
-  return vec::squared_norm(std::span<const float>(data_));
-}
-
 std::string Tensor::shape_string() const {
   std::ostringstream os;
   os << '[';
@@ -127,28 +100,6 @@ std::string Tensor::shape_string() const {
   }
   os << ']';
   return os.str();
-}
-
-Tensor& Tensor::operator+=(const Tensor& other) {
-  HACCS_CHECK_MSG(same_shape(other), "Tensor += shape mismatch");
-  vec::add(data_, other.data_);
-  return *this;
-}
-
-Tensor& Tensor::operator-=(const Tensor& other) {
-  HACCS_CHECK_MSG(same_shape(other), "Tensor -= shape mismatch");
-  vec::sub(data_, other.data_);
-  return *this;
-}
-
-Tensor& Tensor::operator*=(float scalar) {
-  vec::scale(data_, scalar);
-  return *this;
-}
-
-void Tensor::add_scaled(const Tensor& other, float scalar) {
-  HACCS_CHECK_MSG(same_shape(other), "Tensor::add_scaled shape mismatch");
-  vec::axpy(data_, other.data_, scalar);
 }
 
 }  // namespace haccs

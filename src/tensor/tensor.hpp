@@ -66,26 +66,10 @@ class Tensor {
 
   void fill(float value);
 
-  /// Sum / mean / min / max over all elements (0 for sum of empty).
-  float sum() const;
-  float mean() const;
-  float min() const;
-  float max() const;
-
-  /// Squared L2 norm of all elements.
-  double squared_norm() const;
-
   bool same_shape(const Tensor& other) const { return shape_ == other.shape_; }
 
   /// "[2, 3, 4]"-style shape string for error messages.
   std::string shape_string() const;
-
-  // ---- in-place arithmetic (shapes must match exactly) ----
-  Tensor& operator+=(const Tensor& other);
-  Tensor& operator-=(const Tensor& other);
-  Tensor& operator*=(float scalar);
-  /// this += scalar * other (axpy).
-  void add_scaled(const Tensor& other, float scalar);
 
  private:
   void check_rank(std::size_t expected) const;

@@ -145,12 +145,6 @@ TEST(Rng, SampleWithoutReplacementDistinct) {
   EXPECT_THROW(rng.sample_without_replacement(3, 4), std::invalid_argument);
 }
 
-TEST(Rng, SampleWithReplacementSize) {
-  Rng rng(29);
-  const std::vector<double> w = {1.0, 2.0};
-  EXPECT_EQ(rng.sample_with_replacement(w, 25).size(), 25u);
-}
-
 TEST(Rng, BernoulliExtremes) {
   Rng rng(31);
   for (int i = 0; i < 100; ++i) {

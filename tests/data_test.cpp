@@ -62,16 +62,6 @@ TEST(Dataset, LabelCounts) {
   EXPECT_DOUBLE_EQ(counts[2], 2.0);
 }
 
-TEST(Dataset, AppendMovesSamples) {
-  Dataset a({1}, 2), b({1}, 2);
-  const std::vector<float> v = {1.0f};
-  a.add(v, 0);
-  b.add(v, 1);
-  a.append(std::move(b));
-  EXPECT_EQ(a.size(), 2u);
-  EXPECT_EQ(a.label(1), 1);
-}
-
 TEST(SyntheticGenerator, DeterministicPrototypes) {
   SyntheticImageGenerator g1(SyntheticImageConfig::mnist_like());
   SyntheticImageGenerator g2(SyntheticImageConfig::mnist_like());

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -210,13 +211,23 @@ TEST(HierFleet, MalformedReconnectIsRefusedAndTheSlotSurvives) {
   ASSERT_EQ(foreign->send(net::encode_summary(stats::encode_summary_msg(
                 1, stats::summarize_response(fed.clients[0].train)))),
             net::TransportStatus::Ok);
+  // Worker 0 sending a NaN label count, which would make every Hellinger
+  // distance to client 0 NaN.
+  auto poisoned = listener.connect();
+  ASSERT_EQ(poisoned->send(net::encode_hello({0, 1})),
+            net::TransportStatus::Ok);
+  auto nan_counts = stats::encode_summary_msg(
+      0, stats::summarize_response(fed.clients[0].train));
+  nan_counts.tables.front()[0] = std::numeric_limits<double>::quiet_NaN();
+  ASSERT_EQ(poisoned->send(net::encode_summary(nan_counts)),
+            net::TransportStatus::Ok);
 
   net::Transport* reacquired = nullptr;
   EXPECT_NO_THROW(reacquired = fleet.reacquire(0));
   EXPECT_EQ(reacquired, nullptr);
   // Each refused peer was dropped: its end of the link sees the close.
   for (auto* peer : {truncated.get(), conditional.get(), empty.get(),
-                     huge.get(), foreign.get()}) {
+                     huge.get(), foreign.get(), poisoned.get()}) {
     net::Frame frame;
     EXPECT_EQ(peer->recv(&frame, 1000), net::TransportStatus::Closed);
   }

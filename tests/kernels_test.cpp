@@ -230,7 +230,6 @@ TEST(Kernels, SequentialInferMatchesEvalModeForward) {
   nn::Sequential model = nn::make_cnn_mini(1, 12, 12, 10, rng);
   Tensor input({4, 1, 12, 12});
   fill_random(input, rng);
-  model.set_training(false);
   const Tensor fwd = model.forward(input);
   const Tensor inf = model.infer(input);
   ASSERT_EQ(fwd.size(), inf.size());

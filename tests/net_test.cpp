@@ -724,50 +724,29 @@ TEST(SummaryCodec, ResponseRoundTripsThroughFrame) {
             as_vector(summary.label_counts.counts()));
 }
 
-TEST(SummaryCodec, ConditionalRoundTripsThroughFrame) {
-  const auto dataset = tiny_dataset();
-  stats::ConditionalSummaryConfig config;
-  const auto summary = stats::summarize_conditional(dataset, config);
-  const auto msg = net::decode_summary(
-      net::encode_summary(stats::encode_summary_msg(2, summary, config)));
-  const auto back = stats::decode_conditional_summary(msg);
-  ASSERT_EQ(back.per_label.size(), summary.per_label.size());
-  for (std::size_t c = 0; c < summary.per_label.size(); ++c) {
-    EXPECT_EQ(as_vector(back.per_label[c].counts()),
-              as_vector(summary.per_label[c].counts()));
-  }
-  // Distances — what clustering actually consumes — survive the wire.
-  EXPECT_DOUBLE_EQ(stats::distance(back, summary), 0.0);
-}
-
-TEST(SummaryCodec, QuantileRoundTripsThroughFrame) {
-  const auto dataset = tiny_dataset();
-  stats::QuantileSummaryConfig config;
-  const auto summary = stats::summarize_quantiles(dataset, config);
-  const auto msg = net::decode_summary(
-      net::encode_summary(stats::encode_summary_msg(1, summary, config)));
-  const auto back = stats::decode_quantile_summary(msg);
-  EXPECT_EQ(back.per_label, summary.per_label);
-  EXPECT_EQ(back.mass, summary.mass);
-}
-
 TEST(SummaryCodec, MalformedMessagesThrow) {
   const auto dataset = tiny_dataset();
   const auto response = stats::encode_summary_msg(
       0, stats::summarize_response(dataset));
   // Kind mismatch.
-  EXPECT_THROW(stats::decode_conditional_summary(response), net::WireError);
-  EXPECT_THROW(stats::decode_quantile_summary(response), net::WireError);
+  net::SummaryMsg conditional = response;
+  conditional.kind = static_cast<std::uint8_t>(stats::SummaryKind::Conditional);
+  EXPECT_THROW(stats::decode_response_summary(conditional), net::WireError);
   // Empty tables.
   net::SummaryMsg empty = response;
   empty.tables.clear();
   EXPECT_THROW(stats::decode_response_summary(empty), net::WireError);
-  // Conditional with an inverted bin range.
-  stats::ConditionalSummaryConfig config;
-  auto conditional = stats::encode_summary_msg(
-      0, stats::summarize_conditional(dataset, config), config);
-  conditional.hi = conditional.lo;
-  EXPECT_THROW(stats::decode_conditional_summary(conditional), net::WireError);
+  // A count no honest client sends: it would make every Hellinger distance
+  // to this client NaN.
+  for (const double poison : {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity(),
+                              -1.0}) {
+    net::SummaryMsg poisoned = response;
+    poisoned.tables.front()[1] = poison;
+    EXPECT_THROW(stats::decode_response_summary(poisoned), net::WireError)
+        << poison;
+  }
 }
 
 // ---------------------------------------------------------------------------

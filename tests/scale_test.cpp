@@ -92,49 +92,6 @@ TEST(SketchMatrix, AppendAssignRow) {
   EXPECT_THROW(SketchMatrix(0), std::invalid_argument);
 }
 
-TEST(CountMin, NeverUnderestimatesAndBoundsOverestimate) {
-  stats::CountMinSketch sketch(/*width=*/64, /*depth=*/4);
-  Rng rng(11);
-  std::map<std::uint64_t, double> truth;
-  for (int i = 0; i < 400; ++i) {
-    const std::uint64_t index = rng.uniform_index(10'000);
-    const double w = 1.0 + rng.uniform();
-    truth[index] += w;
-    sketch.add(index, w);
-  }
-  // Point estimates never undershoot; the e/width overestimate bound holds
-  // with probability 1 - e^-depth per query, so allow a small tail.
-  const double bound = (std::exp(1.0) / 64.0) * sketch.total();
-  std::size_t exceeded = 0;
-  for (const auto& [index, count] : truth) {
-    const double est = sketch.estimate(index);
-    ASSERT_GE(est, count - 1e-9);
-    if (est - count > bound) ++exceeded;
-  }
-  EXPECT_LE(exceeded, truth.size() / 20);
-  EXPECT_THROW(sketch.add(1, -1.0), std::invalid_argument);
-  EXPECT_THROW(stats::CountMinSketch(0, 4), std::invalid_argument);
-}
-
-TEST(CountMin, MergeMatchesCombinedStream) {
-  stats::CountMinSketch a(32, 3), b(32, 3), combined(32, 3);
-  for (std::uint64_t i = 0; i < 50; ++i) {
-    a.add(i, 2.0);
-    combined.add(i, 2.0);
-  }
-  for (std::uint64_t i = 25; i < 75; ++i) {
-    b.add(i, 1.0);
-    combined.add(i, 1.0);
-  }
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.total(), combined.total());
-  for (std::uint64_t i = 0; i < 75; ++i) {
-    EXPECT_DOUBLE_EQ(a.estimate(i), combined.estimate(i));
-  }
-  stats::CountMinSketch other(16, 3);
-  EXPECT_THROW(a.merge(other), std::invalid_argument);
-}
-
 TEST(SketchHellinger, ExactWhenNativeDimensionFits) {
   // Identity embedding: class count <= sketch budget, so the sketch-space
   // estimate must equal the true Hellinger distance bit-for-float-bit.

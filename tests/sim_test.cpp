@@ -174,17 +174,6 @@ TEST(Dropout, PermanentRandomDropsFromEpoch) {
                std::invalid_argument);
 }
 
-TEST(Dropout, StaggeredJoinBringsClientsOnline) {
-  // Clients join at epochs 0, 3, 3, 10.
-  const auto s = make_staggered_join({0, 3, 3, 10});
-  EXPECT_EQ(s->num_clients(), 4u);
-  EXPECT_EQ(s->available(0), (std::vector<bool>{true, false, false, false}));
-  EXPECT_EQ(s->available(2), (std::vector<bool>{true, false, false, false}));
-  EXPECT_EQ(s->available(3), (std::vector<bool>{true, true, true, false}));
-  EXPECT_EQ(s->available(10), (std::vector<bool>{true, true, true, true}));
-  EXPECT_EQ(s->available(100), (std::vector<bool>{true, true, true, true}));
-}
-
 TEST(Dropout, GroupDropoutRemovesWholeGroups) {
   // 9 clients in 3 groups of 3.
   const std::vector<int> group_of = {0, 0, 0, 1, 1, 1, 2, 2, 2};

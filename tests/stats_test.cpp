@@ -41,13 +41,16 @@ TEST(HistogramTest, ObserveRequiresValueBinned) {
 }
 
 TEST(HistogramTest, NormalizedSumsToOneOrZero) {
+  // Every distance normalizes counts through sqrt_probabilities.
   Histogram h(3);
-  EXPECT_EQ(h.normalized(), (std::vector<double>{0, 0, 0}));  // empty => zero
+  std::vector<double> row(3, 1.0);
+  sqrt_probabilities(h.counts(), row);
+  EXPECT_EQ(row, (std::vector<double>{0, 0, 0}));  // empty => zero
   h.add_count(1, 2.0);
   h.add_count(2, 2.0);
-  const auto p = h.normalized();
-  EXPECT_DOUBLE_EQ(p[1], 0.5);
-  EXPECT_DOUBLE_EQ(p[2], 0.5);
+  sqrt_probabilities(h.counts(), row);
+  EXPECT_DOUBLE_EQ(row[1] * row[1], 0.5);
+  EXPECT_DOUBLE_EQ(row[2] * row[2], 0.5);
 }
 
 TEST(HistogramTest, ClampNonnegative) {
@@ -102,19 +105,6 @@ TEST(Hellinger, ArityMismatchThrows) {
   const std::vector<double> p = {1.0};
   const std::vector<double> q = {0.5, 0.5};
   EXPECT_THROW(hellinger_distance(p, q), std::invalid_argument);
-}
-
-TEST(Hellinger, AverageOverHistogramSets) {
-  std::vector<Histogram> a, b;
-  a.emplace_back(2);
-  a.emplace_back(2);
-  b.emplace_back(2);
-  b.emplace_back(2);
-  a[0].add_count(0);  // identical to b[0]
-  b[0].add_count(0);
-  a[1].add_count(0);  // disjoint from b[1]
-  b[1].add_count(1);
-  EXPECT_NEAR(average_hellinger_distance(a, b), 0.5, 1e-12);  // (0 + 1) / 2
 }
 
 // ---- Summaries ----

@@ -52,33 +52,6 @@ TEST(Tensor, ReshapePreservesData) {
   EXPECT_THROW(t.reshaped({4, 2}), std::invalid_argument);
 }
 
-TEST(Tensor, Reductions) {
-  Tensor t({4}, {1, -2, 3, 6});
-  EXPECT_FLOAT_EQ(t.sum(), 8.0f);
-  EXPECT_FLOAT_EQ(t.mean(), 2.0f);
-  EXPECT_FLOAT_EQ(t.min(), -2.0f);
-  EXPECT_FLOAT_EQ(t.max(), 6.0f);
-  EXPECT_DOUBLE_EQ(t.squared_norm(), 1 + 4 + 9 + 36);
-}
-
-TEST(Tensor, InPlaceArithmetic) {
-  Tensor a({2}, {1, 2});
-  Tensor b({2}, {3, 4});
-  a += b;
-  EXPECT_FLOAT_EQ(a[0], 4.0f);
-  a -= b;
-  EXPECT_FLOAT_EQ(a[1], 2.0f);
-  a *= 2.0f;
-  EXPECT_FLOAT_EQ(a[0], 2.0f);
-  a.add_scaled(b, 0.5f);
-  EXPECT_FLOAT_EQ(a[1], 6.0f);
-}
-
-TEST(Tensor, ShapeMismatchArithmeticThrows) {
-  Tensor a({2}), b({3});
-  EXPECT_THROW(a += b, InternalError);
-}
-
 // ---- GEMM ----
 
 TEST(Gemm, MatchesHandComputedProduct) {

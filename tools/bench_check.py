@@ -21,6 +21,11 @@ env, then the per-suite default.
 Benchmarks only present in the current run (newly added) are reported but
 never fail the check; commit the regenerated baseline alongside the change
 that added them.
+
+Times from hosts with different CPU counts do not compare (the scale suite's
+sharded clustering runs 3x faster on 4 cores than on 1), so the check refuses
+with exit 2 when the two files' context.num_cpus differ; regenerate the
+baseline on this host instead.
 """
 import argparse
 import json
@@ -48,6 +53,12 @@ def resolve_tolerance(suite, flag_value):
     if env is not None:
         return float(env)
     return SUITE_TOLERANCE.get(suite, DEFAULT_TOLERANCE)
+
+
+def num_cpus(path):
+    """context.num_cpus of a google-benchmark JSON file, or None."""
+    with open(path) as fh:
+        return json.load(fh).get("context", {}).get("num_cpus")
 
 
 def load_benchmarks(path):
@@ -92,6 +103,14 @@ def main():
     )
     args = parser.parse_args()
     tolerance = resolve_tolerance(args.suite, args.tolerance)
+
+    base_cpus, cur_cpus = num_cpus(args.baseline), num_cpus(args.current)
+    if base_cpus != cur_cpus:
+        print(f"bench_check: baseline {args.baseline} was taken with "
+              f"num_cpus={base_cpus}, this run has num_cpus={cur_cpus}; "
+              "times across hosts do not compare, regenerate the baseline "
+              "on this host", file=sys.stderr)
+        return 2
 
     baseline = load_benchmarks(args.baseline)
     current = load_benchmarks(args.current)

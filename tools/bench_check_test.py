@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Fixture tests for tools/bench_check.py: the single-run and the repeated
-google-benchmark JSON shapes.
+google-benchmark JSON shapes, and the refusal to compare across hosts.
 
 Run: python3 tools/bench_check_test.py
 """
@@ -65,11 +65,11 @@ class BenchCheckTest(unittest.TestCase):
             json.dump(doc, fh)
         return path
 
-    def check(self, baseline, current, tolerance):
+    def check(self, baseline, current, tolerance, out=None):
         argv = ["bench_check.py", self.write("base.json", baseline),
                 self.write("cur.json", current), "--tolerance",
                 str(tolerance)]
-        out = io.StringIO()
+        out = out if out is not None else io.StringIO()
         old_argv = sys.argv
         sys.argv = argv
         try:
@@ -112,6 +112,16 @@ class BenchCheckTest(unittest.TestCase):
             1)
         self.assertEqual(self.check(baseline, single_run({"BM_A": 10.0}), 0.5),
                          1)
+
+    def test_refuses_a_baseline_from_a_host_with_other_cpu_count(self):
+        baseline = dict(single_run({"BM_A": 10.0}), context={"num_cpus": 1})
+        current = dict(single_run({"BM_A": 10.0}), context={"num_cpus": 4})
+        out = io.StringIO()
+        self.assertEqual(self.check(baseline, current, 0.5, out), 2)
+        self.assertIn("num_cpus=1", out.getvalue())
+        self.assertIn("num_cpus=4", out.getvalue())
+        current["context"]["num_cpus"] = 1
+        self.assertEqual(self.check(baseline, current, 0.5), 0)
 
 
 if __name__ == "__main__":
