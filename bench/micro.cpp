@@ -1,9 +1,10 @@
 // Substrate micro-benchmarks (google-benchmark): the kernels every
 // experiment leans on — the GEMM family (optimized and reference), both
-// convolution directions, full train steps, evaluation throughput, FedAvg
-// accumulation, Hellinger distances, the population-scale summary pipeline
-// and re-cluster, the Laplace mechanism, OPTICS, and device-profile
-// sampling. Benches that run on the thread pool time real (wall) time.
+// convolution directions, full train steps, one whole local training job,
+// evaluation throughput, FedAvg accumulation, Hellinger distances, the
+// population-scale summary pipeline and re-cluster, the Laplace mechanism,
+// OPTICS, and device-profile sampling. Benches that run on the thread pool
+// time real (wall) time.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -170,6 +171,36 @@ void BM_MlpTrainStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MlpTrainStep);
+
+void BM_LocalTrainJob(benchmark::State& state) {
+  // One paper-femnist-shaped local job as the in-process dispatcher runs
+  // it: the job's model, set_parameters, train_local over 150 samples of
+  // 28x28 (five batches of 32) with the default MLP, get_parameters.
+  const data::SyntheticImageGenerator gen(
+      data::SyntheticImageConfig::femnist_like(10));
+  data::FederatedDataset fed;
+  fed.num_classes = 10;
+  data::ClientData client{data::Dataset(gen.sample_shape(), 10),
+                          data::Dataset(gen.sample_shape(), 10)};
+  Rng rng(23);
+  for (std::int64_t label = 0; label < 10; ++label) {
+    gen.fill(client.train, label, 15, rng);
+  }
+  fed.clients.push_back(std::move(client));
+  const auto factory = core::default_model_factory(fed, 99);
+  const std::vector<float> global = factory().get_parameters();
+  fl::LocalWorkConfig work;
+  work.local.batch_size = 32;
+  work.local.sgd.learning_rate = 0.08;
+  fl::InProcessDispatcher dispatcher(fed, factory, work);
+  const fl::TrainJobSpec job{.rng_seed = 7};
+  std::vector<fl::TrainOutcome> outcomes(1);
+  for (auto _ : state) {
+    dispatcher.execute({&job, 1}, global, outcomes);
+    benchmark::DoNotOptimize(outcomes[0].updated.data());
+  }
+}
+BENCHMARK(BM_LocalTrainJob)->UseRealTime();
 
 void BM_Evaluation(benchmark::State& state) {
   // Test-set evaluation throughput through the const inference path — the

@@ -60,9 +60,10 @@ void log_line(LogLevel level, const std::string& message) {
   std::tm utc{};
   gmtime_r(&secs, &utc);
   char stamp[40];
-  std::snprintf(stamp, sizeof(stamp), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
-                utc.tm_year + 1900, utc.tm_mon + 1, utc.tm_mday, utc.tm_hour,
-                utc.tm_min, utc.tm_sec, static_cast<int>(ms));
+  const std::size_t date_len =
+      std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%S", &utc);
+  std::snprintf(stamp + date_len, sizeof(stamp) - date_len, ".%03dZ",
+                static_cast<int>(ms));
   {
     std::lock_guard lock(g_io_mutex);
     std::fprintf(stderr, "%s [%s] [t%02u] %s\n", stamp, level_tag(level),

@@ -19,7 +19,7 @@ AsyncFederatedTrainer::AsyncFederatedTrainer(
     const data::FederatedDataset& dataset,
     std::function<nn::Sequential()> model_factory, AsyncEngineConfig config)
     : dataset_(dataset),
-      model_factory_(std::move(model_factory)),
+      prototype_(model_factory()),
       config_(config),
       population_(dataset, config.latency, config.seed),
       fault_model_(config.faults) {
@@ -52,7 +52,7 @@ TrainingHistory AsyncFederatedTrainer::run(ClientSelector& selector,
   if (dropout.num_clients() != dataset_.clients.size()) {
     throw std::invalid_argument("run: dropout schedule arity mismatch");
   }
-  nn::Sequential model = model_factory_();
+  nn::Sequential model = prototype_.clone();
   std::vector<float> global_params = model.get_parameters();
   const std::size_t n = dataset_.clients.size();
 
@@ -133,7 +133,7 @@ TrainingHistory AsyncFederatedTrainer::run(ClientSelector& selector,
     } else {
       // Train now (simulation: result materializes at completion time).
       obs::StopWatch train_clock;
-      nn::Sequential local_model = model_factory_();
+      nn::Sequential local_model = prototype_.clone();
       const TrainOutcome out =
           run_local_job(job, dataset_.clients[id].train, local_model,
                         global_params, work, no_residual);

@@ -91,7 +91,9 @@ class AsyncFederatedTrainer {
 
  private:
   const data::FederatedDataset& dataset_;
-  std::function<nn::Sequential()> model_factory_;
+  /// Built once from the model factory: the initial global model, and the
+  /// model each local job trains a copy of.
+  const nn::Sequential prototype_;
   AsyncEngineConfig config_;
   Population population_;
   sim::FaultModel fault_model_;

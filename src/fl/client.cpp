@@ -32,11 +32,10 @@ LocalTrainResult train_local(nn::Sequential& model,
           std::min(indices.size(), start + config.batch_size);
       const std::span<const std::size_t> batch(indices.data() + start,
                                                end - start);
-      const Tensor features = dataset.batch_features(batch);
       const auto labels = dataset.batch_labels(batch);
 
       model.zero_grad();
-      const Tensor logits = model.forward(features);
+      const Tensor logits = model.forward(dataset.batch_features(batch));
       auto loss = nn::softmax_cross_entropy(logits, labels);
       model.backward(loss.grad_logits);
       optimizer.step(model);

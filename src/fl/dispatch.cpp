@@ -97,7 +97,7 @@ InProcessDispatcher::InProcessDispatcher(
     const data::FederatedDataset& dataset,
     std::function<nn::Sequential()> model_factory, LocalWorkConfig config)
     : dataset_(dataset),
-      model_factory_(std::move(model_factory)),
+      prototype_(model_factory()),
       config_(std::move(config)),
       residuals_(dataset.clients.size()) {}
 
@@ -107,7 +107,7 @@ void InProcessDispatcher::execute(std::span<const TrainJobSpec> jobs,
   // Clients within a round are independent, exactly like the real system.
   parallel_for(0, jobs.size(), [&](std::size_t j) {
     const TrainJobSpec& job = jobs[j];
-    nn::Sequential local_model = model_factory_();
+    nn::Sequential local_model = prototype_.clone();
     outcomes[job.slot] =
         run_local_job(job, dataset_.clients[job.client_id].train, local_model,
                       global_params, config_, residuals_[job.client_id]);

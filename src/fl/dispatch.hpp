@@ -133,7 +133,8 @@ struct LocalWorkConfig {
 /// Trains every job on the calling process's thread pool — the simulation's
 /// classic path. Holds the per-client error-feedback residuals for update
 /// compression (one instance per training run, like the engine's old
-/// residual table).
+/// residual table), and one model from `model_factory` that each job
+/// trains a copy of.
 class InProcessDispatcher final : public RoundDispatcher {
  public:
   InProcessDispatcher(const data::FederatedDataset& dataset,
@@ -146,7 +147,7 @@ class InProcessDispatcher final : public RoundDispatcher {
 
  private:
   const data::FederatedDataset& dataset_;
-  std::function<nn::Sequential()> model_factory_;
+  const nn::Sequential prototype_;
   LocalWorkConfig config_;
   std::vector<std::vector<float>> residuals_;
 };

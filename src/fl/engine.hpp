@@ -43,15 +43,15 @@ enum class LocalAlgorithm {
 struct EngineConfig {
   std::size_t rounds = 200;
   std::size_t clients_per_round = 10;
-  LocalTrainConfig local;
+  LocalTrainConfig local{};
   LocalAlgorithm algorithm = LocalAlgorithm::FedAvg;
   /// Uplink update compression (None = ship dense float32 updates). The
   /// latency model prices the compressed uplink, so compression directly
   /// shortens slow clients' rounds.
-  CompressionConfig compression;
+  CompressionConfig compression{};
   /// FedProx proximal coefficient (used when algorithm == FedProx).
   double fedprox_mu = 0.01;
-  sim::LatencyModelConfig latency;
+  sim::LatencyModelConfig latency{};
   /// Evaluate the global model every `eval_every` rounds (and on the final
   /// round). Evaluation reads every client's local test set.
   std::size_t eval_every = 5;
@@ -85,11 +85,11 @@ struct EngineConfig {
   /// Per-client circuit breaker: a client whose dispatches fail (crash or
   /// corrupt update) this many consecutive times is quarantined for an
   /// exponentially growing number of epochs.
-  sim::CircuitBreaker::Config breaker;
+  sim::CircuitBreaker::Config breaker{};
   /// Invoked at the start of every epoch, before selection. Used by drift
   /// experiments to mutate client data mid-training (§IV-C's changing
   /// distributions) — the engine reads datasets afresh each round.
-  std::function<void(std::size_t epoch)> on_epoch_begin;
+  std::function<void(std::size_t epoch)> on_epoch_begin{};
   /// Where local training runs (non-owning; must outlive the trainer's run).
   /// nullptr = in-process on the thread pool, bit-identical to the classic
   /// engine. Point at a fl::TransportDispatcher (net_driver.hpp) to route
@@ -106,12 +106,12 @@ struct EngineConfig {
   /// cadenced checkpointer is O(history) per save, not per round. Unset =
   /// no checkpointing, zero overhead.
   std::function<void(std::size_t next_epoch, const RunStateFactory&)>
-      on_checkpoint;
+      on_checkpoint{};
   /// Graceful-drain hook: polled at the start of every round; returning
   /// true ends the run after the last completed round (the history simply
   /// stops early). Lets a serving loop drain on SIGTERM instead of dying
   /// mid-round. Unset = run all rounds.
-  std::function<bool()> stop_requested;
+  std::function<bool()> stop_requested{};
 };
 
 /// Minimum work fraction a straggler performs under FedProx.

@@ -31,15 +31,15 @@ struct RoundRecord {
   double round_duration_s = 0.0; ///< straggler latency of this round
   double global_accuracy = 0.0;  ///< mean accuracy over all client test sets
   double global_loss = 0.0;
-  std::vector<std::size_t> selected;  ///< clients whose updates aggregated
+  std::vector<std::size_t> selected{};  ///< clients whose updates aggregated
 
   // Fault-layer accounting (all empty/zero on clean runs; `selected` keeps
   // its pre-fault meaning so bias metrics stay comparable).
   std::size_t dispatched = 0;    ///< clients sent the model this round
   double deadline_s = 0.0;       ///< round deadline (0 = none)
-  std::vector<std::size_t> crashed;   ///< died mid-round
-  std::vector<std::size_t> late;      ///< missed the deadline
-  std::vector<std::size_t> rejected;  ///< update failed validation
+  std::vector<std::size_t> crashed{};   ///< died mid-round
+  std::vector<std::size_t> late{};      ///< missed the deadline
+  std::vector<std::size_t> rejected{};  ///< update failed validation
 
   // Communication accounting, in real wire bytes (full frames as the net
   // codecs emit them — see fl/protocol.hpp pricing). Identical between an
@@ -48,7 +48,7 @@ struct RoundRecord {
   std::size_t uplink_bytes = 0;    ///< clients -> server (ClientUpdate frames)
 
   /// Wall-clock phase breakdown (observability; zeros on untraced runs).
-  PhaseTimings phase;
+  PhaseTimings phase{};
 
   /// Client-rounds of wasted work this round (dispatched but not aggregated).
   std::size_t wasted() const {

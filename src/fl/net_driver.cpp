@@ -502,7 +502,7 @@ WorkerLoop::WorkerLoop(const data::FederatedDataset& dataset,
                        std::function<nn::Sequential()> model_factory,
                        WorkerLoopConfig config)
     : dataset_(dataset),
-      model_factory_(std::move(model_factory)),
+      prototype_(model_factory()),
       config_(config),
       residuals_(dataset.clients.size()) {}
 
@@ -523,7 +523,7 @@ void WorkerLoop::handle_train_job(net::Transport& transport,
   const bool traced = msg.trace.valid();
   const std::uint64_t train_begin_ns = traced ? obs::now_ns() : 0;
 
-  nn::Sequential model = model_factory_();
+  nn::Sequential model = prototype_.clone();
   CompressedUpdate compressed;
   TrainOutcome outcome =
       run_local_job(order.job, dataset_.clients[msg.client_id].train, model,

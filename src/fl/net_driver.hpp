@@ -376,7 +376,8 @@ class WorkerLoop {
   void ship_trace_shard(net::Transport& transport);
 
   const data::FederatedDataset& dataset_;
-  std::function<nn::Sequential()> model_factory_;
+  /// Built once from the model factory; each job trains a copy.
+  const nn::Sequential prototype_;
   WorkerLoopConfig config_;
   std::vector<std::vector<float>> residuals_;
   std::size_t served_ = 0;
@@ -401,7 +402,7 @@ struct LoopbackClusterOptions {
   /// When enabled, BOTH directions of every worker link are wrapped in a
   /// ChaosTransport (per-direction forked seeds), so the dispatcher and the
   /// workers each face a hostile wire.
-  net::ChaosOptions chaos;
+  net::ChaosOptions chaos{};
   /// Forwarded to each WorkerLoop (serving-mode heartbeats).
   int worker_heartbeat_interval_ms = 0;
 };

@@ -45,7 +45,9 @@ class WireWriter {
   void f64(double v) { put(v); }
 
   /// Raw bytes, no length prefix (callers write the count themselves).
-  void bytes(const void* data, std::size_t len) {
+  /// Not inlined: inlined into a run of small writes, the vector's range
+  /// insert makes GCC 12 report a false -Wstringop-overflow.
+  [[gnu::noinline]] void bytes(const void* data, std::size_t len) {
     const auto* p = static_cast<const std::uint8_t*>(data);
     bytes_.insert(bytes_.end(), p, p + len);
   }

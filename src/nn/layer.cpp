@@ -53,10 +53,10 @@ void Dense::affine(const Tensor& input, Tensor& out) const {
   }
 }
 
-Tensor Dense::forward(const Tensor& input) {
+Tensor Dense::forward(Tensor input) {
   Tensor out;
   affine(input, out);
-  last_input_ = input;
+  last_input_ = std::move(input);
   return out;
 }
 
@@ -69,20 +69,25 @@ std::size_t Dense::min_invariant_rows() const {
   return ops::gemm_blocked_min_rows(out_, in_);
 }
 
-Tensor Dense::backward(const Tensor& grad_output) {
+void Dense::backward_params(const Tensor& grad_output) {
   const std::size_t n = last_input_.extent(0);
   if (grad_output.rank() != 2 || grad_output.extent(0) != n ||
       grad_output.extent(1) != out_) {
     throw std::invalid_argument("Dense::backward: grad shape mismatch");
   }
-  // dW += dY^T X ; db += column sums of dY ; dX = dY W.
+  // dW += dY^T X ; db += column sums of dY.
   ops::gemm_at(grad_output, last_input_, grad_weight_, /*accumulate=*/true);
   float* grad_bias = grad_bias_.raw();
   for (std::size_t i = 0; i < n; ++i) {
     const float* row = grad_output.raw() + i * out_;
     for (std::size_t j = 0; j < out_; ++j) grad_bias[j] += row[j];
   }
-  Tensor grad_input({n, in_});
+}
+
+Tensor Dense::backward(const Tensor& grad_output) {
+  backward_params(grad_output);
+  // dX = dY W.
+  Tensor grad_input({last_input_.extent(0), in_});
   ops::gemm(grad_output, weight_, grad_input);
   return grad_input;
 }
@@ -119,11 +124,11 @@ void Conv2d::convolve(const ops::Conv2dShape& shape, const Tensor& input,
   ops::conv2d_forward(shape, input, weight_, bias_, out);
 }
 
-Tensor Conv2d::forward(const Tensor& input) {
+Tensor Conv2d::forward(Tensor input) {
   last_shape_ = shape_of(input);
-  last_input_ = input;
   Tensor out;
   convolve(last_shape_, input, out);
+  last_input_ = std::move(input);
   return out;
 }
 
@@ -132,9 +137,13 @@ void Conv2d::infer(Tensor& x, Tensor& spare) const {
   std::swap(x, spare);
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
+void Conv2d::backward_params(const Tensor& grad_output) {
   ops::conv2d_backward_params(last_shape_, last_input_, grad_output,
                               grad_weight_, grad_bias_);
+}
+
+Tensor Conv2d::backward(const Tensor& grad_output) {
+  backward_params(grad_output);
   Tensor grad_input({last_shape_.batch, in_channels_, last_shape_.in_h,
                      last_shape_.in_w});
   ops::conv2d_backward_input(last_shape_, grad_output, weight_, grad_input);
@@ -155,7 +164,7 @@ ops::Pool2dShape MaxPool2d::shape_of(const Tensor& input) const {
                           input.extent(3), window_};
 }
 
-Tensor MaxPool2d::forward(const Tensor& input) {
+Tensor MaxPool2d::forward(Tensor input) {
   last_shape_ = shape_of(input);
   Tensor out({last_shape_.batch, last_shape_.channels, last_shape_.out_h(),
               last_shape_.out_w()});
@@ -179,11 +188,10 @@ Tensor MaxPool2d::backward(const Tensor& grad_output) {
 
 // ----------------------------------------------------------------- ReLU ----
 
-Tensor ReLU::forward(const Tensor& input) {
+Tensor ReLU::forward(Tensor input) {
   last_input_ = input;
-  Tensor out = input;
-  vec::relu(out.data());
-  return out;
+  vec::relu(input.data());
+  return input;
 }
 
 void ReLU::infer(Tensor& x, Tensor& /*spare*/) const { vec::relu(x.data()); }
@@ -197,12 +205,11 @@ Tensor ReLU::backward(const Tensor& grad_output) {
 
 // -------------------------------------------------------------- Flatten ----
 
-Tensor Flatten::forward(const Tensor& input) {
-  Tensor out = input;
-  Tensor spare;
-  infer(out, spare);
+Tensor Flatten::forward(Tensor input) {
   last_shape_ = input.shape();
-  return out;
+  Tensor spare;
+  infer(input, spare);
+  return input;
 }
 
 void Flatten::infer(Tensor& x, Tensor& /*spare*/) const {

@@ -1,10 +1,17 @@
 // Neural-network layers with explicit forward/backward passes.
 //
-// Each layer owns its parameters and gradient accumulators. The backward
-// contract: backward(grad_output) is called after forward(input) on the same
-// batch, accumulates parameter gradients (so multiple micro-batches can be
-// accumulated before an optimizer step), and returns the gradient w.r.t. the
-// layer's input.
+// Each layer owns its parameters and gradient accumulators. The training
+// contract, per batch:
+// - forward(input) takes the batch by value: a caller that moves it in
+//   costs no copy, and the layer keeps what its backward needs (Dense and
+//   Conv2d keep the input itself, ReLU a copy, Flatten its shape).
+// - backward(grad_output) then accumulates the parameter gradients (so
+//   several micro-batches can be accumulated before an optimizer step) and
+//   returns the gradient w.r.t. the layer's input.
+// - backward_params(grad_output) accumulates the same parameter gradients,
+//   bit for bit, and returns nothing. Sequential::backward calls it on the
+//   network's first layer with parameters, whose input gradient nobody
+//   reads; the layers before that one are skipped.
 #pragma once
 
 #include <memory>
@@ -21,8 +28,14 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  virtual Tensor forward(const Tensor& input) = 0;
+  virtual Tensor forward(Tensor input) = 0;
   virtual Tensor backward(const Tensor& grad_output) = 0;
+  /// backward() without the input gradient; a no-op for stateless layers.
+  virtual void backward_params(const Tensor& /*grad_output*/) {}
+
+  /// A deep copy: parameters, gradient accumulators and training caches.
+  /// Const, so one prototype can be copied from several threads at once.
+  virtual std::unique_ptr<Layer> clone() const = 0;
 
   /// Inference-only forward of one batch, in place: `x` holds the input
   /// and, on return, the output. Elementwise and reshaping layers work on
@@ -53,8 +66,12 @@ class Dense : public Layer {
   /// He-uniform initialization scaled for the fan-in, seeded from `rng`.
   Dense(std::size_t in_features, std::size_t out_features, Rng& rng);
 
-  Tensor forward(const Tensor& input) override;
+  Tensor forward(Tensor input) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<Dense>(*this);
+  }
   void infer(Tensor& x, Tensor& spare) const override;
   std::size_t min_invariant_rows() const override;
   std::vector<Tensor*> parameters() override { return {&weight_, &bias_}; }
@@ -79,8 +96,12 @@ class Conv2d : public Layer {
   Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
          std::size_t stride, std::size_t padding, Rng& rng);
 
-  Tensor forward(const Tensor& input) override;
+  Tensor forward(Tensor input) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<Conv2d>(*this);
+  }
   void infer(Tensor& x, Tensor& spare) const override;
   std::vector<Tensor*> parameters() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> gradients() override { return {&grad_weight_, &grad_bias_}; }
@@ -103,8 +124,11 @@ class MaxPool2d : public Layer {
  public:
   explicit MaxPool2d(std::size_t window);
 
-  Tensor forward(const Tensor& input) override;
+  Tensor forward(Tensor input) override;
   Tensor backward(const Tensor& grad_output) override;
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<MaxPool2d>(*this);
+  }
   void infer(Tensor& x, Tensor& spare) const override;
   std::string name() const override { return "MaxPool2d"; }
 
@@ -119,8 +143,11 @@ class MaxPool2d : public Layer {
 /// Elementwise rectified linear unit.
 class ReLU : public Layer {
  public:
-  Tensor forward(const Tensor& input) override;
+  Tensor forward(Tensor input) override;
   Tensor backward(const Tensor& grad_output) override;
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<ReLU>(*this);
+  }
   void infer(Tensor& x, Tensor& spare) const override;
   std::string name() const override { return "ReLU"; }
 
@@ -131,8 +158,11 @@ class ReLU : public Layer {
 /// Collapses (N, C, H, W) -> (N, C*H*W); backward restores the shape.
 class Flatten : public Layer {
  public:
-  Tensor forward(const Tensor& input) override;
+  Tensor forward(Tensor input) override;
   Tensor backward(const Tensor& grad_output) override;
+  std::unique_ptr<Layer> clone() const override {
+    return std::make_unique<Flatten>(*this);
+  }
   void infer(Tensor& x, Tensor& spare) const override;
   std::string name() const override { return "Flatten"; }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "src/common/error.hpp"
 
@@ -9,12 +10,20 @@ namespace haccs::nn {
 
 void Sequential::add(std::unique_ptr<Layer> layer) {
   HACCS_CHECK_MSG(layer != nullptr, "Sequential::add: null layer");
+  if (first_with_params_ == layers_.size() && layer->parameters().empty()) {
+    ++first_with_params_;
+  }
   layers_.push_back(std::move(layer));
 }
 
-Tensor Sequential::forward(const Tensor& input) {
-  Tensor x = input;
-  for (auto& layer : layers_) x = layer->forward(x);
+Sequential Sequential::clone() const {
+  Sequential copy;
+  for (const auto& layer : layers_) copy.add(layer->clone());
+  return copy;
+}
+
+Tensor Sequential::forward(Tensor x) {
+  for (auto& layer : layers_) x = layer->forward(std::move(x));
   return x;
 }
 
@@ -37,12 +46,15 @@ std::size_t Sequential::min_invariant_rows() const {
   return rows;
 }
 
-Tensor Sequential::backward(const Tensor& grad_output) {
-  Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
+void Sequential::backward(const Tensor& grad_output) {
+  if (first_with_params_ == layers_.size()) return;
+  const Tensor* g = &grad_output;
+  Tensor grad;
+  for (std::size_t i = layers_.size() - 1; i > first_with_params_; --i) {
+    grad = layers_[i]->backward(*g);
+    g = &grad;
   }
-  return g;
+  layers_[first_with_params_]->backward_params(*g);
 }
 
 void Sequential::zero_grad() {

@@ -16,7 +16,7 @@ class Sequential {
  public:
   Sequential() = default;
 
-  /// Non-copyable (layers hold training caches); movable.
+  /// Movable; copies are explicit, through clone().
   Sequential(const Sequential&) = delete;
   Sequential& operator=(const Sequential&) = delete;
   Sequential(Sequential&&) = default;
@@ -24,10 +24,20 @@ class Sequential {
 
   void add(std::unique_ptr<Layer> layer);
 
-  Tensor forward(const Tensor& input);
-  /// Backpropagates through all layers, accumulating parameter gradients.
-  /// Returns the gradient with respect to the model input.
-  Tensor backward(const Tensor& grad_output);
+  /// A deep copy of every layer (Layer::clone). Const, so pool threads can
+  /// each take a per-job copy of one shared prototype, which saves the
+  /// job a seeded initialisation that set_parameters would overwrite.
+  Sequential clone() const;
+
+  /// Training forward pass (Layer::forward); move the batch in to spare
+  /// a copy of it.
+  Tensor forward(Tensor input);
+  /// Backpropagates `grad_output` (d loss / d logits of the last forward)
+  /// and accumulates every parameter gradient. Nothing reads the gradient
+  /// of the network input, so it is not computed: the pass stops at the
+  /// first layer with parameters, which gets Layer::backward_params, and
+  /// the stateless layers before it are skipped.
+  void backward(const Tensor& grad_output);
 
   /// Inference-only forward pass: no layer state is touched, so a shared
   /// model can be evaluated from multiple threads concurrently. In place, as
@@ -62,6 +72,8 @@ class Sequential {
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
+  /// Index of the first layer with parameters; layers_.size() while none.
+  std::size_t first_with_params_ = 0;
 };
 
 /// Multi-layer perceptron: input_dim -> hidden... -> classes, ReLU between.

@@ -242,7 +242,9 @@ TEST(Partition, GroupTablePartitionStructure) {
     for (std::size_t c = 0; c < 10; ++c) {
       const bool in_group = static_cast<int>(c) == table[group][0] ||
                             static_cast<int>(c) == table[group][1];
-      if (!in_group) EXPECT_DOUBLE_EQ(counts[c], 0.0) << "client " << i;
+      if (!in_group) {
+        EXPECT_DOUBLE_EQ(counts[c], 0.0) << "client " << i;
+      }
     }
   }
 }

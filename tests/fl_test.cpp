@@ -4,12 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "src/common/error.hpp"
+#include "src/core/haccs_system.hpp"
 #include "src/data/partition.hpp"
 #include "src/fl/engine.hpp"
 #include "src/fl/evaluation.hpp"
+#include "src/fl/fedprox.hpp"
+#include "src/nn/loss.hpp"
 #include "src/fl/history.hpp"
 #include "src/select/random_selector.hpp"
 
@@ -58,6 +63,101 @@ TEST(TrainLocal, ReducesLossOnLocalData) {
   const auto result = train_local(model, fed.clients[0].train, cfg, rng);
   EXPECT_GT(result.batches, 0u);
   EXPECT_LT(result.final_loss, std::log(4.0));  // better than uniform
+}
+
+std::vector<std::uint32_t> bits_of(const std::vector<float>& values) {
+  std::vector<std::uint32_t> bits;
+  for (float v : values) bits.push_back(std::bit_cast<std::uint32_t>(v));
+  return bits;
+}
+
+// Sequential::backward stops at the first layer with parameters and skips
+// its input gradient; the parameter gradients must still be exactly those
+// of the full per-layer backward chain.
+TEST(Sequential, BackwardSkipsOnlyTheInputGradient) {
+  Rng rng(41);
+  data::FederatedDataset fed;
+  fed.num_classes = 10;
+  fed.clients.push_back(
+      {data::Dataset({1, 12, 12}, 10), data::Dataset({1, 12, 12}, 10)});
+  struct Case {
+    const char* name;
+    nn::Sequential model;
+    std::vector<std::size_t> input_shape;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"make_mlp", nn::make_mlp(20, {16, 8}, 10, rng), {6, 20}});
+  cases.push_back({"default factory MLP",
+                   core::default_model_factory(fed, 99)(), {6, 1, 12, 12}});
+  cases.push_back({"LeNet", nn::make_lenet(1, 12, 12, 10, rng), {6, 1, 12, 12}});
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Tensor x(c.input_shape);
+    for (auto& v : x.data()) v = static_cast<float>(rng.normal(0, 0.5));
+    std::vector<std::int64_t> labels(c.input_shape[0]);
+    for (auto& l : labels) l = static_cast<std::int64_t>(rng.uniform_index(10));
+    const Tensor logits = c.model.forward(x);
+    const auto loss = nn::softmax_cross_entropy(logits, labels);
+
+    c.model.zero_grad();
+    Tensor g = loss.grad_logits;
+    for (std::size_t i = c.model.layer_count(); i-- > 0;) {
+      g = c.model.layer(i).backward(g);
+    }
+    EXPECT_EQ(g.shape(), x.shape());
+    const auto chained = c.model.get_gradients();
+
+    c.model.zero_grad();
+    c.model.backward(loss.grad_logits);
+    EXPECT_EQ(bits_of(c.model.get_gradients()), bits_of(chained));
+  }
+}
+
+// The dispatchers train a clone of one prototype instead of a fresh
+// factory model per job: both local algorithms must give the same bits,
+// and the prototype must come out of it untouched.
+TEST(Sequential, CloneTrainsLikeTheFactoryModel) {
+  const auto fed = tiny_fed(2);
+  const auto& data = fed.clients[0].train;
+  for (const bool use_cnn : {false, true}) {
+    SCOPED_TRACE(use_cnn ? "LeNet" : "MLP");
+    const auto factory = core::default_model_factory(fed, 99, use_cnn);
+    const nn::Sequential prototype = factory();
+    const auto initial = prototype.get_parameters();
+    auto global = initial;
+    for (std::size_t i = 0; i < global.size(); ++i) {
+      global[i] += 0.01f * static_cast<float>(i % 7);
+    }
+    LocalTrainConfig local;
+    local.epochs = 2;
+    local.batch_size = 8;
+    local.sgd.learning_rate = 0.05;
+    local.sgd.momentum = 0.5;
+    FedProxConfig prox;
+    prox.local = local;
+    prox.mu = 0.1;
+    prox.work_fraction = 0.7;
+
+    auto trained = [&](nn::Sequential model, bool fedprox) {
+      Rng rng(17);
+      if (fedprox) {
+        train_local_fedprox(model, global, data, prox, rng);
+      } else {
+        model.set_parameters(global);
+        train_local(model, data, local, rng);
+      }
+      return bits_of(model.get_parameters());
+    };
+    for (const bool fedprox : {false, true}) {
+      SCOPED_TRACE(fedprox ? "FedProx" : "FedAvg");
+      const auto want = trained(factory(), fedprox);
+      EXPECT_NE(want, bits_of(global));
+      EXPECT_EQ(trained(prototype.clone(), fedprox), want);
+    }
+    EXPECT_EQ(bits_of(prototype.get_parameters()), bits_of(initial));
+    EXPECT_EQ(prototype.get_gradients(),
+              std::vector<float>(initial.size(), 0.0f));
+  }
 }
 
 TEST(TrainLocal, RejectsEmptyDatasetAndBadConfig) {

@@ -42,7 +42,6 @@ constexpr float kInf = std::numeric_limits<float>::infinity();
 
 bool same_bits(float a, float b) {
   std::uint32_t ua, ub;
-  std::memcmp(&ua, &a, 0);  // silence unused warnings on some compilers
   std::memcpy(&ua, &a, sizeof(ua));
   std::memcpy(&ub, &b, sizeof(ub));
   return ua == ub;
@@ -1314,7 +1313,7 @@ class RecordingSelector final : public fl::ClientSelector {
       std::size_t epoch, Rng& rng) override {
     return inner_.select(k, clients, epoch, rng);
   }
-  void report_failure(std::size_t client_id, std::size_t epoch,
+  void report_failure(std::size_t /*client_id*/, std::size_t /*epoch*/,
                       fl::FailureKind kind) override {
     failures.push_back(kind);
   }

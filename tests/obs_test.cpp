@@ -41,10 +41,17 @@ void* operator new(std::size_t size) {
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Not inlined: GCC would otherwise see free() on a pointer it knows came
+// from operator new and warn (-Wmismatched-new-delete), though the
+// replacement new above allocates it with malloc.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace haccs {
 namespace {
@@ -289,8 +296,8 @@ TEST_F(ObsTest, StopWatchInactiveWhenDisabled) {
   EXPECT_EQ(off.lap_ms(), 0.0);
   obs::set_metrics_enabled(true);
   obs::StopWatch on;
-  for (volatile int i = 0; i < 10000; ++i) {
-  }
+  volatile int sink = 0;
+  for (int i = 0; i < 10000; ++i) sink = sink + i;
   EXPECT_GT(on.lap_ms(), 0.0);
 }
 
@@ -501,8 +508,12 @@ TEST_F(ObsTest, RoundContextStampsRecordedSpans) {
 
   for (const auto& e : obs::TraceBuffer::global().snapshot()) {
     EXPECT_EQ(e.round, 5) << e.name;
-    if (std::string(e.name) == "ctx_span") EXPECT_NE(e.span_id, 0u);
-    if (std::string(e.name) == "ctx_mark") EXPECT_EQ(e.span_id, 0u);
+    if (std::string(e.name) == "ctx_span") {
+      EXPECT_NE(e.span_id, 0u);
+    }
+    if (std::string(e.name) == "ctx_mark") {
+      EXPECT_EQ(e.span_id, 0u);
+    }
   }
 }
 

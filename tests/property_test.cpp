@@ -320,7 +320,9 @@ TEST_P(PartitionProperty, StructuralInvariantsHold) {
     EXPECT_NEAR(total, 1.0, 1e-9);
     const auto counts = client.train.label_counts();
     for (std::size_t c = 0; c < counts.size(); ++c) {
-      if (mix[c] == 0.0) EXPECT_EQ(counts[c], 0.0) << "client " << i;
+      if (mix[c] == 0.0) {
+        EXPECT_EQ(counts[c], 0.0) << "client " << i;
+      }
     }
 
     // Same-group clients share identical mixtures.

@@ -4,6 +4,7 @@
     tools/ab.py REV                              # population-1500, 10 pairs
     tools/ab.py HEAD~1 --workload paper-femnist --workload hostile-churn
     tools/ab.py main --pairs 12 --scratch /tmp/ab
+    tools/ab.py HEAD --micro 'BM_MlpTrainStep|BM_LocalTrainJob'
 
 Exports REV (`git archive`) and the working tree (tracked and untracked,
 non-ignored files) into two scratch directories, then alternates
@@ -16,22 +17,30 @@ checkout's `run.py --compare` prints its verdict per metric: improved
 needs 9 of 10 pairs better and a median gap larger than the parent's
 interquartile range.
 
-Each side builds its own haccs_bench (Release) in its scratch directory the
-first time it runs. Reusing --scratch keeps a side's build only while its
-sources are the same: each side records a stamp of what it exported (REV's
-tree id, or a hash of the working-tree files), and a changed stamp discards
-the build. The exported files carry old timestamps (REV's commit time, or
+With --micro FILTER the pairs run the micro-benchmarks instead:
+`build/bench/micro --benchmark_filter=FILTER` of each side, in the same
+alternating order. For every benchmark both sides ran, it prints the
+medians of both sides' real times, the median and quartiles of the
+per-pair ratio change/REV, and the pairs the working tree won (ratio
+below 1). It reports and does not judge: the exit code is 0.
+
+Each side builds its own haccs_bench (Release), or with --micro its own
+build/bench/micro (Release), in its scratch directory the first time it
+runs. Reusing --scratch keeps a side's build only while its sources are the
+same: each side records a stamp of what it exported (REV's tree id, or a
+hash of the working-tree files), and a changed stamp discards the build. The exported files carry old timestamps (REV's commit time, or
 the working tree's own), so an incremental build on top of them could
 silently keep the previous binary.
 
 Exit codes: those of run.py --compare (0, or 1 when a metric regressed), or
-2 when a side could not be exported or run.
+2 when a side could not be exported, built or run.
 """
 import argparse
 import hashlib
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -40,6 +49,7 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "change")
 KEEP = "build-bench"  # a side's benchmark build, reused across calls
+MICRO_BUILD = "build"  # a side's micro-benchmark build, reused likewise
 STAMP = ".ab-sources"  # what the side's sources were exported from
 
 
@@ -58,7 +68,7 @@ def clear_sources(dest, stamp):
     except FileNotFoundError:
         same = False
     for name in os.listdir(dest):
-        if name == KEEP and same:
+        if name in (KEEP, MICRO_BUILD) and same:
             continue
         path = os.path.join(dest, name)
         if os.path.isdir(path) and not os.path.islink(path):
@@ -125,6 +135,59 @@ def run_side(side_dir, workload, seed, out):
         return json.load(f)
 
 
+def build_micro(side_dir):
+    """The side's bench/micro, configured and built (Release) if missing."""
+    build = os.path.join(side_dir, MICRO_BUILD)
+    binary = os.path.join(build, "bench", "micro")
+    if not os.path.exists(binary):
+        log(f"building {binary}")
+        quiet = {"stdout": subprocess.DEVNULL}
+        subprocess.run(["cmake", "-B", build, "-S", side_dir,
+                        "-DCMAKE_BUILD_TYPE=Release"], check=True, **quiet)
+        subprocess.run(["cmake", "--build", build, "--target", "micro", "-j",
+                        str(min(4, os.cpu_count() or 1))], check=True,
+                       **quiet)
+    return binary
+
+
+def run_micro(binary, pattern, out):
+    """Map benchmark name -> real time in ns for one run of `binary`."""
+    done = subprocess.run([binary, f"--benchmark_filter={pattern}",
+                           "--benchmark_format=json"], stdout=subprocess.PIPE,
+                          text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{binary} exited with {done.returncode}")
+    with open(out, "w") as f:
+        f.write(done.stdout)
+    to_ns = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+    return {b["name"]: float(b["real_time"]) * to_ns[b.get("time_unit", "ns")]
+            for b in json.loads(done.stdout)["benchmarks"]
+            if b.get("run_type", "iteration") == "iteration"}
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, statistics.median(values), q3
+
+
+def report_micro(results):
+    """One line per benchmark that every run of both sides reported."""
+    names = [n for n in results["base"][0]
+             if all(n in run for side in SIDES for run in results[side])]
+    print("# benchmark base_ns change_ns ratio_median ratio_q1 ratio_q3 wins")
+    for name in names:
+        base = [run[name] for run in results["base"]]
+        change = [run[name] for run in results["change"]]
+        ratios = [c / b for b, c in zip(base, change)]
+        q1, med, q3 = quartiles(ratios)
+        wins = sum(1 for r in ratios if r < 1.0)
+        print(f"{name} {statistics.median(base):.6g} "
+              f"{statistics.median(change):.6g} {med:.3f} {q1:.3f} {q3:.3f} "
+              f"{wins}/{len(ratios)}")
+
+
 def merge(results):
     """One --out-format result from several single-run results."""
     first = results[0]
@@ -144,6 +207,9 @@ def main():
                              "(default: a new temporary directory)")
     parser.add_argument("--repo", default=ROOT,
                         help="git repository to export (default: this one)")
+    parser.add_argument("--micro", metavar="FILTER",
+                        help="pair bench/micro runs of the benchmarks "
+                             "matching FILTER instead of benchmark/run.py")
     args = parser.parse_args()
     workloads = args.workload or ["population-1500"]
     scratch = os.path.abspath(args.scratch or
@@ -156,16 +222,28 @@ def main():
         export_worktree(args.repo, dirs["change"])
         os.makedirs(runs_dir, exist_ok=True)
         results = {side: [] for side in SIDES}
+        if args.micro:
+            binaries = {side: build_micro(dirs[side]) for side in SIDES}
         for pair in range(1, args.pairs + 1):
             for side in pair_order(pair):
+                if args.micro:
+                    out = os.path.join(runs_dir, f"{side}-micro-{pair}.json")
+                    log(f"pair {pair}/{args.pairs}: {side} micro")
+                    results[side].append(
+                        run_micro(binaries[side], args.micro, out))
+                    continue
                 for w in workloads:
                     out = os.path.join(runs_dir, f"{side}-{w}-{pair}.json")
                     log(f"pair {pair}/{args.pairs}: {side} {w} seed {pair}")
                     results[side].append(run_side(dirs[side], w, pair, out))
     except (subprocess.CalledProcessError, RuntimeError, OSError,
-            tarfile.TarError, json.JSONDecodeError) as e:
+            tarfile.TarError, json.JSONDecodeError, KeyError) as e:
         log(f"ab.py: {e}")
         return 2
+
+    if args.micro:
+        report_micro(results)
+        return 0
 
     merged = {}
     for side in SIDES:

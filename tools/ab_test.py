@@ -3,7 +3,9 @@
 benchmark/run.py is a stub that reports fixed metrics, with the working
 tree twice as fast as the committed revision on round_ms.p90. The stub
 "builds" its speed into build-bench/ only when that directory is missing,
-as an incremental build over sources with old timestamps would.
+as an incremental build over sources with old timestamps would. For
+--micro, a CMake project with no compiler "builds" bench/micro by copying
+a stub that prints google-benchmark JSON scaled by the same speed.
 
 Run: python3 tools/ab_test.py
 """
@@ -52,6 +54,38 @@ with open(a.out, "w") as f:
 '''
 
 
+# Stands in for build/bench/micro: google-benchmark JSON (two iteration
+# rows and one aggregate row) from the speed copied next to it at build
+# time, and a line in $AB_TEST_LOG per run.
+STUB_MICRO = r'''#!/usr/bin/env python3
+import json, os, sys
+HERE = os.path.dirname(os.path.abspath(__file__))
+with open(os.path.join(HERE, "speed")) as f:
+    speed = float(f.read())
+pattern = [a.split("=", 1)[1] for a in sys.argv[1:]
+           if a.startswith("--benchmark_filter=")][0]
+with open(os.environ["AB_TEST_LOG"], "a") as f:
+    f.write(f"micro {speed} {pattern}\n")
+print(json.dumps({"context": {}, "benchmarks": [
+    {"name": "BM_Fast", "run_type": "iteration",
+     "real_time": 2.0 * speed, "time_unit": "ms"},
+    {"name": "BM_Same", "run_type": "iteration",
+     "real_time": 300.0, "time_unit": "ns"},
+    {"name": "BM_Same_mean", "run_type": "aggregate",
+     "real_time": 1.0, "time_unit": "ns"}]}))
+'''
+
+STUB_CMAKE = r'''cmake_minimum_required(VERSION 3.16)
+project(stub NONE)
+add_custom_target(micro
+  COMMAND ${CMAKE_COMMAND} -E make_directory ${CMAKE_BINARY_DIR}/bench
+  COMMAND ${CMAKE_COMMAND} -E copy ${CMAKE_SOURCE_DIR}/micro.py
+          ${CMAKE_BINARY_DIR}/bench/micro
+  COMMAND ${CMAKE_COMMAND} -E copy ${CMAKE_SOURCE_DIR}/speed.txt
+          ${CMAKE_BINARY_DIR}/bench/speed)
+'''
+
+
 def git(repo, *args):
     subprocess.run(["git", "-C", repo, "-c", "user.name=ab", "-c",
                     "user.email=ab@example.com"] + list(args), check=True,
@@ -87,12 +121,12 @@ class AbTest(unittest.TestCase):
         with open(os.path.join(self.repo, rel), "w") as f:
             f.write(text)
 
-    def run_ab(self, pairs):
+    def run_ab(self, pairs, *extra):
         env = dict(os.environ, AB_TEST_LOG=self.log)
         return subprocess.run(
             [sys.executable, os.path.join(HERE, "ab.py"), "HEAD", "--repo",
-             self.repo, "--scratch", self.scratch, "--pairs", str(pairs)],
-            env=env, capture_output=True, text=True)
+             self.repo, "--scratch", self.scratch, "--pairs", str(pairs)]
+            + list(extra), env=env, capture_output=True, text=True)
 
     def logged(self, kind):
         """The logged lines of `kind` ("build" or "run"), split, in order."""
@@ -121,6 +155,25 @@ class AbTest(unittest.TestCase):
         self.assertIn("population-1500 round_ms.p90 improved", done.stdout)
         self.assertIn("population-1500 round_ms.p50 unchanged", done.stdout)
         self.assertNotIn("regressed", done.stdout.replace('"', " "))
+
+    def test_micro_pairs_alternate_and_report_ratios_and_wins(self):
+        self.write("CMakeLists.txt", STUB_CMAKE)
+        self.write("micro.py", STUB_MICRO)
+        os.chmod(os.path.join(self.repo, "micro.py"), 0o755)
+        git(self.repo, "add", "CMakeLists.txt", "micro.py")
+        git(self.repo, "commit", "-q", "-m", "micro")
+        done = self.run_ab(3, "--micro", "BM_.*")
+        self.assertEqual(done.returncode, 0, done.stderr)
+        self.assertEqual(self.logged("micro"),
+                         [["1.0", "BM_.*"], ["0.5", "BM_.*"],
+                          ["0.5", "BM_.*"], ["1.0", "BM_.*"],
+                          ["1.0", "BM_.*"], ["0.5", "BM_.*"]])
+        rows = {line.split()[0]: line.split()[1:]
+                for line in done.stdout.splitlines()
+                if not line.startswith("#")}
+        self.assertEqual(rows, {
+            "BM_Fast": ["2e+06", "1e+06", "0.500", "0.500", "0.500", "3/3"],
+            "BM_Same": ["300", "300", "1.000", "1.000", "1.000", "0/3"]})
 
     def test_worktree_export_takes_untracked_files_but_not_ignored_ones(self):
         done = self.run_ab(1)

@@ -7,7 +7,7 @@
 //
 //   haccs_run --strategy=haccs-py --partition=majority --rounds=200
 //   haccs_run --strategy=oort --partition=dirichlet --alpha=0.3
-//   haccs_run --strategy=haccs-pxy --dropout=0.1 --epsilon=0.1 \
+//   haccs_run --strategy=haccs-pxy --dropout=0.1 --epsilon=0.1
 //             --save-model=/tmp/model.bin --csv=/tmp/run
 //
 // Strategies: every selector registry name (src/core/selector_registry.hpp)
