@@ -56,8 +56,6 @@ void print_usage() {
       "  --listen-port-file=F  publish the bound listen port to F\n"
       "aggregation: --chunk-params=N   f64 elements per SubtreeChunk\n"
       "                        (default 16384)\n"
-      "  --max-update-norm=X   update validation threshold; must match the\n"
-      "                        root's engine (default 0 = off)\n"
       "  --round-timeout-ms=T  budget for a round's jobs to arrive from the\n"
       "                        root, then for the subtree to answer them;\n"
       "                        missing jobs and stragglers fail as Timeout\n"
@@ -108,7 +106,6 @@ int main(int argc, char** argv) try {
   const std::string listen_port_file =
       flags.get_string("listen-port-file", "");
   const std::size_t chunk_params = flags.get_count("chunk-params", 16384);
-  const double max_update_norm = flags.get_double("max-update-norm", 0.0);
   const int round_timeout_ms =
       static_cast<int>(flags.get_int("round-timeout-ms", 30000));
   const int handshake_timeout_ms =
@@ -146,7 +143,6 @@ int main(int argc, char** argv) try {
   config.num_aggs = num_aggs;
   config.num_workers = num_workers;
   config.chunk_params = chunk_params;
-  config.max_update_norm = max_update_norm;
   config.heartbeat_interval_ms = heartbeat_interval_ms;
   config.round_timeout_ms = round_timeout_ms;
   config.handshake_timeout_ms = handshake_timeout_ms;

@@ -30,6 +30,7 @@
 //       --rounds=5 --clients=12 --per-round=4 --summary-json=/tmp/s.json
 //   ./haccs_worker --worker-id=0 --workers=2 --port-file=/tmp/port ... &
 //   ./haccs_worker --worker-id=1 --workers=2 --port-file=/tmp/port ... &
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -43,7 +44,7 @@
 #include "bench/harness.hpp"
 #include "examples/multiprocess_common.hpp"
 #include "src/common/table.hpp"
-#include "src/core/live_recluster.hpp"
+#include "src/core/haccs_selector.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/core/selector_registry.hpp"
 #include "src/fl/checkpoint.hpp"
@@ -93,8 +94,10 @@ void print_usage() {
       "  --agg-groups=A       flat grouped aggregation: fold updates into A\n"
       "                       per-group partial sums in-process (the tree\n"
       "                       bit-identity baseline; default 0 = classic)\n"
-      "  --live-recluster     re-cluster the live population on every\n"
-      "                       worker/aggregator liveness edge (§5h)\n"
+      "  --live-recluster     re-cluster on every worker/aggregator\n"
+      "                       liveness edge: the selector clusters the live\n"
+      "                       clients and makes departed ones singletons,\n"
+      "                       exactly as at startup (§5h; haccs-py only)\n"
       "chaos (outbound fault injection): --chaos-seed --chaos-drop\n"
       "  --chaos-dup --chaos-reorder --chaos-corrupt --chaos-truncate\n"
       "  --chaos-disconnect\n"
@@ -279,8 +282,9 @@ int main(int argc, char** argv) try {
       dynamic_cast<core::HaccsSelector*>(selector.get());
   // Reported on /status (0 = unclustered): the selector's effective count
   // (DBSCAN noise remapped to singleton clusters), which is what scheduling
-  // actually operates on.
-  std::size_t num_clusters = 0;
+  // actually operates on. Atomic: a liveness re-cluster on the engine
+  // thread updates it while the status thread reads it.
+  std::atomic<std::size_t> num_clusters = 0;
   if (haccs_selector_ptr) {
     num_clusters = haccs_selector_ptr->num_clusters();
   } else if (const auto* fedlecc =
@@ -312,7 +316,6 @@ int main(int argc, char** argv) try {
   }
 
   // ---- live re-cluster (§5h): membership follows liveness edges ----
-  std::optional<core::LiveClusterTracker> live_tracker;
   if (live_recluster) {
     // A liveness edge covers one dispatcher peer: a worker's hosted clients
     // in flat mode, a whole subtree in tree mode.
@@ -323,17 +326,19 @@ int main(int argc, char** argv) try {
       clients_of_member[num_aggs > 0 ? w / (num_workers / num_aggs) : w]
           .push_back(c);
     }
-    live_tracker.emplace(wire_summaries, std::move(clients_of_member),
-                         selector_ctx.haccs);
+    // The dispatcher fires edges on the engine thread, so the selector has
+    // re-clustered before the next round's select().
+    dispatch_config.on_liveness =
+        [haccs_selector_ptr, &num_clusters,
+         clients_of_member = std::move(clients_of_member),
+         live = std::vector<bool>(fed.num_clients(), true)](
+            std::size_t member, bool alive) mutable {
+          for (std::size_t c : clients_of_member[member]) live[c] = alive;
+          if (haccs_selector_ptr->recluster_live(live)) {
+            num_clusters = haccs_selector_ptr->num_clusters();
+          }
+        };
   }
-  auto on_liveness = [&](std::size_t member, bool alive) {
-    if (!live_tracker) return;
-    live_tracker->on_member(member, alive);
-    // Refresh immediately: the dispatcher fires edges on the engine thread,
-    // so the new labels are in place before the next round's select().
-    live_tracker->refresh(*haccs_selector_ptr);
-  };
-  if (live_tracker) dispatch_config.on_liveness = on_liveness;
 
   // ---- ops plane: trace-shard collection + live status (§5i) ----
   // Shards arrive on the dispatcher's collection path during rounds and on
@@ -364,7 +369,7 @@ int main(int argc, char** argv) try {
     endpoints.metrics_text = [] {
       return obs::Registry::global().to_prometheus();
     };
-    endpoints.status_json = [&status_board, num_clusters, started, tier] {
+    endpoints.status_json = [&status_board, &num_clusters, started, tier] {
       const double uptime_s =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         started)
@@ -375,7 +380,7 @@ int main(int argc, char** argv) try {
       obs::JsonObject o;
       o.field("tier", tier)
           .field("uptime_s", uptime_s)
-          .field("clusters", num_clusters)
+          .field("clusters", num_clusters.load())
           .field("net_bytes_sent", sent)
           .field("net_bytes_received", received)
           .field("downlink_rate_bps",

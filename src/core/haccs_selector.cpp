@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <stdexcept>
 
 #include "src/common/error.hpp"
@@ -13,26 +15,34 @@
 
 namespace haccs::core {
 
-HaccsSelector::HaccsSelector(const data::FederatedDataset& dataset,
-                             HaccsConfig config)
-    : config_(config), dataset_(&dataset) {
-  if (config_.rho < 0.0 || config_.rho > 1.0) {
+HaccsConfig HaccsSelector::validated(HaccsConfig config) {
+  if (config.rho < 0.0 || config.rho > 1.0) {
     throw std::invalid_argument("HaccsSelector: rho must be in [0, 1]");
   }
-  if (config_.scale.enabled) {
-    recluster_scaled(dataset, /*initial=*/true);
-  } else {
-    recluster_exact(dataset);
-  }
+  return config;
+}
+
+HaccsSelector::HaccsSelector(const data::FederatedDataset& dataset,
+                             HaccsConfig config)
+    : config_(validated(std::move(config))), dataset_(&dataset) {
+  auto summaries = compute_summaries(dataset, config_);
+  const std::size_t n = summaries.size();
+  sync(std::move(summaries), std::vector<bool>(n, true), /*initial=*/true);
 }
 
 HaccsSelector::HaccsSelector(std::vector<int> cluster_labels,
                              HaccsConfig config)
-    : config_(config) {
-  if (config_.rho < 0.0 || config_.rho > 1.0) {
-    throw std::invalid_argument("HaccsSelector: rho must be in [0, 1]");
-  }
+    : config_(validated(std::move(config))) {
   build_clusters(std::move(cluster_labels));
+}
+
+HaccsSelector HaccsSelector::from_summaries(
+    std::vector<ClientSummary> summaries, HaccsConfig config) {
+  HaccsSelector selector(std::vector<int>{}, std::move(config));
+  const std::size_t n = summaries.size();
+  selector.sync(std::move(summaries), std::vector<bool>(n, true),
+                /*initial=*/true);
+  return selector;
 }
 
 std::string HaccsSelector::name() const {
@@ -45,11 +55,33 @@ void HaccsSelector::recluster(const data::FederatedDataset& dataset) {
   registry.counter("recluster_total").inc();
   // Looked up on every call so /metrics lists it before the first reuse.
   auto& reused = registry.counter("recluster_reused_total");
-  const std::size_t changed = config_.scale.enabled
-                                  ? recluster_scaled(dataset, /*initial=*/false)
-                                  : recluster_exact(dataset);
+  auto summaries = compute_summaries(dataset, config_);
+  // Clients keep their liveness; clients the dataset grew by join live.
+  auto live = population_->live;
+  live.resize(summaries.size(), true);
+  const std::size_t changed =
+      sync(std::move(summaries), std::move(live), /*initial=*/false);
   span.set_arg("changed_clients", static_cast<std::int64_t>(changed));
   if (changed == 0 && !config_.scale.enabled) reused.inc();
+}
+
+bool HaccsSelector::recluster_live(std::vector<bool> live) {
+  if (live.size() != population_->live.size()) {
+    throw std::invalid_argument(
+        "HaccsSelector::recluster_live: mask of " +
+        std::to_string(live.size()) + " clients for a population of " +
+        std::to_string(population_->live.size()) + " summarized clients");
+  }
+  if (live == population_->live) return false;
+  obs::Span span("recluster_live", "clustering");
+  sync(std::nullopt, std::move(live), /*initial=*/false);
+  obs::Registry::global().counter("recluster_live_total").inc();
+  return true;
+}
+
+std::size_t HaccsSelector::live_clients() const {
+  const auto& live = population_->live;
+  return static_cast<std::size_t>(std::count(live.begin(), live.end(), true));
 }
 
 namespace {
@@ -86,36 +118,22 @@ bool same_summary(const ClientSummary& a, const ClientSummary& b) {
 
 }  // namespace
 
-std::size_t HaccsSelector::recluster_exact(
-    const data::FederatedDataset& dataset) {
-  auto summaries = compute_summaries(dataset, config_);
-  const std::size_t n = summaries.size(), cached = exact_summaries_.size();
-  const std::size_t common = std::min(n, cached);
-  std::size_t changed = std::max(n, cached) - common;
-  for (std::size_t i = 0; i < common; ++i) {
-    if (!same_summary(summaries[i], exact_summaries_[i])) ++changed;
-  }
-  // An empty cache also runs the pipeline, which rejects an empty population.
-  if (changed > 0 || exact_summaries_.empty()) {
-    exact_labels_ = cluster_summaries(summaries, config_);
-    exact_summaries_ = std::move(summaries);
-  }
-  build_clusters(exact_labels_);
-  return changed;
-}
-
-std::size_t HaccsSelector::recluster_scaled(
-    const data::FederatedDataset& dataset, bool initial) {
-  obs::Span span("recluster_scaled", "clustering");
-  auto summaries = compute_summaries(dataset, config_);
-  if (incremental_ == nullptr) {
-    scale_summaries_ = std::make_shared<std::vector<ClientSummary>>();
-    // The callbacks capture the summary store and config by value (not
-    // `this`), so moving the selector cannot dangle them.
-    auto exact = [store = scale_summaries_,
-                  kind = config_.response_distance](std::size_t i,
-                                                    std::size_t j) {
-      return ClientSummary::distance((*store)[i], (*store)[j], kind);
+std::size_t HaccsSelector::sync(
+    std::optional<std::vector<ClientSummary>> fresh, std::vector<bool> live,
+    bool initial) {
+  Population& pop = *population_;
+  const std::size_t old_n = pop.summaries.size();
+  const std::size_t n = live.size();
+  auto sketch_of = [&](std::size_t c) {
+    return summary_embedding(fresh ? (*fresh)[c] : pop.summaries[c],
+                             config_.scale.sketch_dim, config_.scale.seed);
+  };
+  if (config_.scale.enabled && incremental_ == nullptr) {
+    auto exact = [population = population_, kind = config_.response_distance](
+                     std::size_t i, std::size_t j) {
+      const auto& p = *population;
+      return ClientSummary::distance(p.summaries[p.client_of_id[i]],
+                                     p.summaries[p.client_of_id[j]], kind);
     };
     auto cluster = [config = config_](const clustering::NeighborIndex& index) {
       return cluster_index(index, config);
@@ -124,50 +142,78 @@ std::size_t HaccsSelector::recluster_scaled(
         config_.scale.sketch_dim, std::move(exact), std::move(cluster),
         config_.scale);
   }
-  auto& store = *scale_summaries_;
-  const std::size_t old_n = scale_ids_.size();
-  const std::size_t new_n = summaries.size();
+  if (incremental_) id_of_client_.resize(std::max(n, old_n));
 
-  std::size_t changed = std::max(old_n, new_n) - std::min(old_n, new_n);
+  // Every client that joined, left, drifted or flipped liveness counts as
+  // changed. Ascending client order fixes the clusterer's id recycling.
+  std::size_t changed = 0;
+  for (std::size_t c = 0; c < std::max(n, old_n); ++c) {
+    const bool was = c < old_n && pop.live[c];
+    const bool is = c < n && live[c];
+    if (was && is) {
+      if (!fresh) continue;
+      if (!incremental_) {
+        if (!same_summary((*fresh)[c], pop.summaries[c])) ++changed;
+        continue;
+      }
+      // The scale path diffs what the clusterer sees: the sketch. A client
+      // with an identical sketch keeps its clean shard.
+      const auto sketch = sketch_of(c);
+      const auto current = incremental_->sketches().row(id_of_client_[c]);
+      if (std::equal(current.begin(), current.end(), sketch.begin())) continue;
+      incremental_->update_client(id_of_client_[c], sketch);
+    } else if (was) {
+      if (incremental_) incremental_->remove_client(id_of_client_[c]);
+    } else if (is) {
+      if (incremental_) {
+        const std::size_t id = incremental_->add_client(sketch_of(c));
+        if (pop.client_of_id.size() <= id) pop.client_of_id.resize(id + 1);
+        pop.client_of_id[id] = c;
+        id_of_client_[c] = id;
+      }
+    } else {
+      continue;
+    }
+    ++changed;
+  }
+  if (incremental_) id_of_client_.resize(n);
+  if (fresh) pop.summaries = std::move(*fresh);
+  pop.live = std::move(live);
 
-  // Surviving clients: refresh those whose sketch changed (drift). A client
-  // with an identical sketch keeps its cached summary and clean shard.
-  for (std::size_t i = 0; i < std::min(old_n, new_n); ++i) {
-    const auto sketch = summary_embedding(summaries[i], config_.scale.sketch_dim,
-                                          config_.scale.seed);
-    const auto current = incremental_->sketches().row(scale_ids_[i]);
-    if (!std::equal(current.begin(), current.end(), sketch.begin())) {
-      store[scale_ids_[i]] = summaries[i];
-      incremental_->update_client(scale_ids_[i], sketch);
-      ++changed;
+  if (incremental_) {
+    if (initial) {
+      incremental_->rebuild();
+    } else {
+      incremental_->recompute_if_dirty();
+    }
+    labels_.assign(n, -1);
+    for (std::size_t c = 0; c < n; ++c) {
+      if (pop.live[c]) labels_[c] = incremental_->label_of(id_of_client_[c]);
+    }
+  } else if (changed > 0 || old_n == 0) {
+    // The live clients, in client order, are the population the pipeline
+    // clusters; departed clients stay -1. An empty population still runs
+    // the pipeline, which rejects it.
+    std::vector<std::size_t> members;
+    for (std::size_t c = 0; c < n; ++c) {
+      if (pop.live[c]) members.push_back(c);
+    }
+    if (members.size() == n) {
+      labels_ = cluster_summaries(pop.summaries, config_);
+    } else {
+      labels_.assign(n, -1);
+      if (!members.empty()) {
+        std::vector<ClientSummary> survivors;
+        survivors.reserve(members.size());
+        for (std::size_t c : members) survivors.push_back(pop.summaries[c]);
+        const auto labels = cluster_summaries(survivors, config_);
+        for (std::size_t i = 0; i < members.size(); ++i) {
+          labels_[members[i]] = labels[i];
+        }
+      }
     }
   }
-  // Leaves: the dataset shrank — retire the tail.
-  for (std::size_t i = new_n; i < old_n; ++i) {
-    incremental_->remove_client(scale_ids_[i]);
-  }
-  if (new_n < old_n) scale_ids_.resize(new_n);
-  // Joins: the dataset grew.
-  for (std::size_t i = old_n; i < new_n; ++i) {
-    const auto sketch = summary_embedding(summaries[i], config_.scale.sketch_dim,
-                                          config_.scale.seed);
-    const std::size_t id = incremental_->add_client(sketch);
-    if (store.size() <= id) store.resize(id + 1);
-    store[id] = summaries[i];
-    scale_ids_.push_back(id);
-  }
-
-  if (initial) {
-    incremental_->rebuild();
-  } else {
-    incremental_->recompute_if_dirty();
-  }
-
-  std::vector<int> labels(new_n, -1);
-  for (std::size_t i = 0; i < new_n; ++i) {
-    labels[i] = incremental_->label_of(scale_ids_[i]);
-  }
-  build_clusters(std::move(labels));
+  build_clusters(labels_);
   return changed;
 }
 

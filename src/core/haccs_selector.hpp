@@ -18,6 +18,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "src/core/pipeline.hpp"
 #include "src/fl/selector.hpp"
@@ -32,6 +33,13 @@ class HaccsSelector final : public fl::ClientSelector {
 
   /// Uses precomputed cluster labels (for tests / ablations).
   HaccsSelector(std::vector<int> cluster_labels, HaccsConfig config);
+
+  /// Clusters the clients' reported summaries, indexed by client (serving
+  /// mode's wire-borne view). Without the dataset there is no drift
+  /// re-clustering, but recluster_live works on these summaries. (A named
+  /// constructor: `HaccsSelector({0}, config)` must stay the label one.)
+  static HaccsSelector from_summaries(std::vector<ClientSummary> summaries,
+                                      HaccsConfig config);
 
   std::vector<std::size_t> select(std::size_t k,
                                   const std::vector<fl::ClientRuntimeInfo>& clients,
@@ -55,15 +63,29 @@ class HaccsSelector final : public fl::ClientSelector {
   std::vector<std::uint8_t> save_state() const override;
   void load_state(std::span<const std::uint8_t> state) override;
 
-  /// Re-runs clustering (e.g. after clients join/leave or summaries change,
-  /// §IV-C's real-time adaptation). The client summaries are always
-  /// recomputed. On the exact path, summaries bitwise equal to the last
-  /// pipeline run's reuse its labels (no distance matrix, no OPTICS); any
-  /// changed client or a population change reruns the full pipeline. With
-  /// config.scale.enabled this is incremental: unchanged clients keep their
-  /// cached shard clustering, and a full recompute happens only when churn
-  /// crosses the dirtiness threshold (scale::IncrementalClusterer).
+  /// Re-runs clustering after the clients' data drifted or the dataset
+  /// grew or shrank (§IV-C's real-time adaptation). The client summaries
+  /// are always recomputed. On the exact path, summaries bitwise equal to
+  /// the cached ones reuse the cached labels (no distance matrix, no
+  /// OPTICS); any changed client reruns the pipeline on the live clients.
+  /// With config.scale.enabled this is incremental: unchanged clients keep
+  /// their cached shard clustering, and a full recompute happens only when
+  /// churn crosses the dirtiness threshold (scale::IncrementalClusterer).
   void recluster(const data::FederatedDataset& dataset);
+
+  /// Re-clusters for a change in which clients are reachable (serving
+  /// mode's liveness edges): `live[c]` says whether client c is. Departed
+  /// clients become singleton clusters, so scheduling weight goes to the
+  /// distributions that can actually train; a returning client is
+  /// clustered again from its cached summary. Same diff and paths as
+  /// recluster(). Returns false, doing nothing, when the mask equals the
+  /// current one; otherwise bumps `recluster_live_total`. Throws
+  /// std::invalid_argument unless the mask covers the summarized
+  /// population (a label-constructed selector has none).
+  bool recluster_live(std::vector<bool> live);
+
+  /// Clients currently live (all of them until recluster_live says not).
+  std::size_t live_clients() const;
 
   /// The incremental clusterer backing the scale path (null when
   /// config.scale.enabled is false or the selector was label-constructed).
@@ -90,16 +112,27 @@ class HaccsSelector final : public fl::ClientSelector {
       const std::vector<fl::ClientRuntimeInfo>& clients) const;
 
  private:
+  /// The population the clusters describe, indexed by client. The scale
+  /// path's exact-distance callback reads it by clusterer id through
+  /// `client_of_id` and holds it by shared_ptr, so moving the selector
+  /// cannot dangle the callback.
+  struct Population {
+    std::vector<ClientSummary> summaries;
+    std::vector<bool> live;
+    std::vector<std::size_t> client_of_id;  ///< scale path: id -> client
+  };
+
+  static HaccsConfig validated(HaccsConfig config);
   void build_clusters(std::vector<int> raw_labels);
-  /// Exact path: recompute the summaries and re-cluster, reusing the cached
-  /// labels when no summary changed. Returns the number of changed clients
-  /// (joins and leaves included).
-  std::size_t recluster_exact(const data::FederatedDataset& dataset);
-  /// Scale path: sync the incremental clusterer with the dataset (joins,
-  /// leaves, changed summaries) and refresh clusters_ from its labels.
-  /// Returns the number of changed clients.
-  std::size_t recluster_scaled(const data::FederatedDataset& dataset,
-                               bool initial);
+  /// The one diff behind recluster() and recluster_live(): `fresh`
+  /// summaries (nullopt = unchanged) and the `live` mask against the
+  /// cached population. The exact path reruns the pipeline on the live
+  /// clients iff any client changed, and otherwise reuses the cached
+  /// labels; the scale path feeds each change to the incremental
+  /// clusterer (`initial` rebuilds it from scratch). Returns the number of
+  /// changed clients, joins, leaves and liveness flips included.
+  std::size_t sync(std::optional<std::vector<ClientSummary>> fresh,
+                   std::vector<bool> live, bool initial);
 
   HaccsConfig config_;
   /// Set only by the dataset-constructing constructor; enables
@@ -112,18 +145,14 @@ class HaccsSelector final : public fl::ClientSelector {
   /// Clusters owed a replacement draw after a member failed mid-round.
   std::vector<std::size_t> replacement_queue_;
 
-  /// Exact path cache: the summaries and raw (pre-remap) labels of the last
-  /// full pipeline run. Derived from the dataset, so never checkpointed.
-  std::vector<ClientSummary> exact_summaries_;
-  std::vector<int> exact_labels_;
-
-  /// Scale path state. Summaries live behind a shared_ptr because the
-  /// clusterer's exact-distance callback captures them; the selector can be
-  /// moved without dangling the callback.
-  std::shared_ptr<std::vector<ClientSummary>> scale_summaries_;
+  /// Derived from the summaries, so never checkpointed: the population,
+  /// and the raw (pre-remap) labels last clustered from it.
+  std::shared_ptr<Population> population_ = std::make_shared<Population>();
+  std::vector<int> labels_;
+  /// Scale path: the clusterer, and client -> clusterer id (valid while
+  /// the client is live).
   std::unique_ptr<scale::IncrementalClusterer> incremental_;
-  /// Dataset index -> clusterer client id.
-  std::vector<std::size_t> scale_ids_;
+  std::vector<std::size_t> id_of_client_;
 };
 
 }  // namespace haccs::core

@@ -30,7 +30,7 @@ struct Entry {
 SelectorPtr make_haccs(const SelectorContext& ctx, const HaccsConfig& config) {
   if (ctx.dataset) return std::make_unique<HaccsSelector>(*ctx.dataset, config);
   return std::make_unique<HaccsSelector>(
-      cluster_summaries(*ctx.summaries, config), config);
+      HaccsSelector::from_summaries(*ctx.summaries, config));
 }
 
 /// The label-histogram selectors: client i's per-class counts come straight

@@ -39,7 +39,8 @@ struct SelectorContext {
   /// The population, in-process. Preferred when both are set.
   const data::FederatedDataset* dataset = nullptr;
   /// The population as reported over the wire (serving mode), used as
-  /// reported (privatized summaries included). Clustering runs once here:
+  /// reported (privatized summaries included). A HaccsSelector built from
+  /// them keeps them for HaccsSelector::recluster_live;
   /// `haccs.recluster_every` needs the dataset.
   const std::vector<ClientSummary>* summaries = nullptr;
 };

@@ -69,7 +69,8 @@ struct MidTierConfig {
   /// to O(chunk_params × aggregators) instead of O(model × aggregators).
   std::size_t chunk_params = 16384;
   /// Update-norm validation threshold; must match EngineConfig's so the
-  /// fold rejects exactly the updates the engine itself would reject.
+  /// fold rejects exactly the updates the engine itself would reject. The
+  /// haccs_agg binary leaves it 0, as the haccs_server root's engine does.
   double max_update_norm = 0.0;
   /// Upstream liveness cadence (0 = no heartbeats).
   int heartbeat_interval_ms = 0;

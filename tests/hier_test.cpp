@@ -24,7 +24,6 @@
 #include "src/core/haccs_config.hpp"
 #include "src/core/haccs_selector.hpp"
 #include "src/core/haccs_system.hpp"
-#include "src/core/live_recluster.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/fl/engine.hpp"
 #include "src/fl/net_driver.hpp"
@@ -727,51 +726,54 @@ TEST_F(StatusParsing, BurstOfConnectionsAllServedSerially) {
 }
 
 // ---------------------------------------------------------------------------
-// LiveRecluster: serving liveness edges -> incremental re-cluster -> selector
+// LiveRecluster: serving liveness edges -> selector re-cluster
 
 TEST(LiveRecluster, MemberChurnReclustersAndBumpsCounter) {
   obs::set_metrics_enabled(true);
   const auto fed = make_fed(8);
   core::HaccsConfig config;
-  const auto summaries = core::compute_summaries(fed, config);
 
-  // 4 members (workers), member m hosts clients {c : c % 4 == m}.
+  // 4 members (workers), member m hosts clients {c : c % 4 == m}; the mask
+  // follows each member's liveness edges, as haccs_server builds it.
   std::vector<std::vector<std::size_t>> clients_of_member(4);
   for (std::size_t c = 0; c < fed.clients.size(); ++c) {
     clients_of_member[c % 4].push_back(c);
   }
+  std::vector<bool> live(fed.clients.size(), true);
+  auto on_member = [&](std::size_t member, bool alive) {
+    for (std::size_t c : clients_of_member[member]) live[c] = alive;
+  };
 
   core::HaccsSelector selector(fed, config);
-  core::LiveClusterTracker tracker(summaries, clients_of_member, config);
-  EXPECT_EQ(tracker.num_clients(), 8u);
-  EXPECT_EQ(tracker.live_clients(), 8u);
+  EXPECT_EQ(selector.cluster_of().size(), 8u);
+  EXPECT_EQ(selector.live_clients(), 8u);
 
   auto& pushes = obs::Registry::global().counter("recluster_live_total");
   const double before = pushes.value();
 
-  // Nothing changed yet: refresh is a no-op.
-  EXPECT_FALSE(tracker.refresh(selector));
+  // Nothing changed yet: re-clustering is a no-op.
+  EXPECT_FALSE(selector.recluster_live(live));
   EXPECT_EQ(pushes.value(), before);
 
-  // Member 1 dies: its 2 hosted clients depart, labels get repushed.
-  tracker.on_member(1, false);
-  EXPECT_EQ(tracker.live_clients(), 6u);
-  EXPECT_TRUE(tracker.refresh(selector));
+  // Member 1 dies: its 2 hosted clients depart, labels get recomputed.
+  on_member(1, false);
+  EXPECT_TRUE(selector.recluster_live(live));
+  EXPECT_EQ(selector.live_clients(), 6u);
   EXPECT_EQ(pushes.value(), before + 1.0);
   // Labels stay full-size; departed clients fall back to singleton clusters
   // via the selector's noise remap, so no -1 survives.
   ASSERT_EQ(selector.cluster_of().size(), 8u);
   for (const int label : selector.cluster_of()) EXPECT_GE(label, 0);
 
-  // Idempotent edge + no-churn refresh: nothing to do.
-  tracker.on_member(1, false);
-  EXPECT_FALSE(tracker.refresh(selector));
+  // Idempotent edge + no-churn re-cluster: nothing to do.
+  on_member(1, false);
+  EXPECT_FALSE(selector.recluster_live(live));
   EXPECT_EQ(pushes.value(), before + 1.0);
 
-  // The member comes back: clients rejoin, one more push.
-  tracker.on_member(1, true);
-  EXPECT_EQ(tracker.live_clients(), 8u);
-  EXPECT_TRUE(tracker.refresh(selector));
+  // The member comes back: clients rejoin, one more re-cluster.
+  on_member(1, true);
+  EXPECT_TRUE(selector.recluster_live(live));
+  EXPECT_EQ(selector.live_clients(), 8u);
   EXPECT_EQ(pushes.value(), before + 2.0);
   obs::set_metrics_enabled(false);
 }

@@ -4,7 +4,8 @@
 //   * one pinned test per hostile shape — flash crowd, diurnal wave,
 //     correlated regional outage, mid-training label drift, adversarial
 //     (targeted) stragglers;
-//   * LiveClusterTracker churn driven by an outage schedule's liveness edges;
+//   * HaccsSelector::recluster_live driven by an outage schedule's liveness
+//     edges;
 //   * selector-zoo unit tests for DppSelector / FedLeccSelector /
 //     HicsSelector (contract, save/load round-trip, failure reporting,
 //     cluster and diversity sanity);
@@ -21,7 +22,6 @@
 #include <vector>
 
 #include "src/core/haccs_selector.hpp"
-#include "src/core/live_recluster.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/core/selector_registry.hpp"
 #include "src/obs/metrics.hpp"
@@ -144,7 +144,6 @@ TEST(HostileShapes, OutageLivenessEdgesDriveLiveReclustering) {
   const auto spec = small_spec();
   const auto fed = testing::build_dataset(spec);
   const auto config = testing::build_haccs_config(spec);
-  const auto summaries = core::compute_summaries(fed, config);
 
   // 4 members (regions); member m hosts the clients dark together in an
   // outage: here simply c % 4 == m, matching the schedule's region arity.
@@ -152,23 +151,26 @@ TEST(HostileShapes, OutageLivenessEdgesDriveLiveReclustering) {
   for (std::size_t c = 0; c < fed.clients.size(); ++c) {
     clients_of_member[c % 4].push_back(c);
   }
+  std::vector<bool> live(fed.clients.size(), true);
+  auto on_member = [&](std::size_t member, bool alive) {
+    for (std::size_t c : clients_of_member[member]) live[c] = alive;
+  };
   core::HaccsSelector selector(fed, config);
-  core::LiveClusterTracker tracker(summaries, clients_of_member, config);
 
-  // Drive the tracker with the membership transitions an outage schedule
+  // Drive the selector with the membership transitions an outage schedule
   // produces: regions 0 and 1 go dark at the outage, then recover.
-  tracker.on_member(0, false);
-  tracker.on_member(1, false);
-  EXPECT_LT(tracker.live_clients(), fed.clients.size());
-  EXPECT_TRUE(tracker.refresh(selector));
+  on_member(0, false);
+  on_member(1, false);
+  EXPECT_TRUE(selector.recluster_live(live));
+  EXPECT_LT(selector.live_clients(), fed.clients.size());
   ASSERT_EQ(selector.cluster_of().size(), fed.clients.size());
   for (const int label : selector.cluster_of()) EXPECT_GE(label, 0);
 
-  tracker.on_member(0, true);
-  tracker.on_member(1, true);
-  EXPECT_EQ(tracker.live_clients(), fed.clients.size());
-  EXPECT_TRUE(tracker.refresh(selector));
-  EXPECT_FALSE(tracker.refresh(selector));  // no churn -> no push
+  on_member(0, true);
+  on_member(1, true);
+  EXPECT_TRUE(selector.recluster_live(live));
+  EXPECT_EQ(selector.live_clients(), fed.clients.size());
+  EXPECT_FALSE(selector.recluster_live(live));  // no churn -> no re-cluster
   obs::set_metrics_enabled(false);
 }
 

@@ -1,13 +1,16 @@
 // Tests for the fast exact clustering path: client-ordered noise forks in
 // compute_summaries, the prepared-row Hellinger in summary_distances (bit
 // for bit against the per-pair ClientSummary::distance and the textbook
-// Eq. 3 loop), and HaccsSelector's exact-path re-cluster cache.
+// Eq. 3 loop), HaccsSelector's exact-path re-cluster cache, and its
+// re-cluster on liveness edges (recluster_live).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/core/haccs_selector.hpp"
 #include "src/net/wire.hpp"
@@ -369,6 +372,135 @@ TEST_F(ReclusterCache, StateBlobIsUnchangedAndRestoresToTheSameLabels) {
   selector.recluster(fed);
   restored.recluster(fed);
   EXPECT_EQ(restored.cluster_of(), selector.cluster_of());
+}
+
+// ---------------------------------------------------------------------------
+// ReclusterLive: liveness edges re-cluster through the same path as drift
+
+/// Labels renumbered by first appearance: equal iff same partition.
+std::vector<int> canonical(const std::vector<int>& labels) {
+  std::vector<int> out(labels.size());
+  std::vector<std::pair<int, int>> seen;
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    auto it = std::find_if(seen.begin(), seen.end(),
+                           [&](const auto& p) { return p.first == labels[i]; });
+    if (it == seen.end()) {
+      seen.emplace_back(labels[i], static_cast<int>(seen.size()));
+      it = seen.end() - 1;
+    }
+    out[i] = it->second;
+  }
+  return out;
+}
+
+/// 400 P(y) clients on 4 members, member m hosting {c : c % 4 == m}: more
+/// clients than the scale path's 256-client exact cutoff.
+class ReclusterLive : public ::testing::Test {
+ protected:
+  void SetUp() override { obs::set_metrics_enabled(true); }
+  void TearDown() override { obs::set_metrics_enabled(false); }
+
+  std::vector<bool> without_member(std::size_t member) const {
+    std::vector<bool> live(fed_.num_clients(), true);
+    for (std::size_t c = member; c < live.size(); c += 4) live[c] = false;
+    return live;
+  }
+
+  const data::FederatedDataset fed_ = majority_fed(400, 101);
+  const HaccsConfig cfg_{};
+  const std::vector<ClientSummary> summaries_ = compute_summaries(fed_, cfg_);
+};
+
+TEST_F(ReclusterLive, DepartedMemberLeavesTheExactClusteringOfTheSurvivors) {
+  auto selector = HaccsSelector::from_summaries(summaries_, cfg_);
+  const auto startup = selector.cluster_of();
+
+  const auto live = without_member(1);
+  ASSERT_TRUE(selector.recluster_live(live));
+  EXPECT_EQ(selector.live_clients(), 300u);
+  std::vector<ClientSummary> survivors;
+  std::vector<std::size_t> members;
+  for (std::size_t c = 0; c < live.size(); ++c) {
+    if (live[c]) {
+      survivors.push_back(summaries_[c]);
+      members.push_back(c);
+    }
+  }
+  const auto survivor_labels = cluster_summaries(survivors, cfg_);
+  std::vector<int> expected(live.size(), -1);  // departed: singletons
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    expected[members[i]] = survivor_labels[i];
+  }
+  EXPECT_EQ(canonical(selector.cluster_of()),
+            canonical(remapped(expected, cfg_)));
+
+  // The member returns: the startup clustering of the same population.
+  ASSERT_TRUE(selector.recluster_live(std::vector<bool>(live.size(), true)));
+  EXPECT_EQ(selector.cluster_of(), startup);
+}
+
+TEST_F(ReclusterLive, EveryMemberDeadLeavesOnlySingletons) {
+  auto selector = HaccsSelector::from_summaries(summaries_, cfg_);
+  ASSERT_NO_THROW(
+      selector.recluster_live(std::vector<bool>(fed_.num_clients(), false)));
+  EXPECT_EQ(selector.live_clients(), 0u);
+  EXPECT_EQ(selector.num_clusters(), fed_.num_clients());
+}
+
+TEST_F(ReclusterLive, DriftReclusterKeepsDepartedClientsOut) {
+  auto fed = fed_;
+  HaccsSelector selector(fed, cfg_);
+  const auto live = without_member(2);
+  selector.recluster_live(live);
+  Rng drift_rng(103);
+  data::apply_label_drift(fed, gen8(), 0.1, drift_rng);
+  selector.recluster(fed);
+
+  // Still the survivors' clustering, now of the drifted summaries.
+  const auto drifted = compute_summaries(fed, cfg_);
+  std::vector<ClientSummary> survivors;
+  for (std::size_t c = 0; c < live.size(); ++c) {
+    if (live[c]) survivors.push_back(drifted[c]);
+  }
+  const auto survivor_labels = cluster_summaries(survivors, cfg_);
+  std::vector<int> expected(live.size(), -1);
+  for (std::size_t c = 0, i = 0; c < live.size(); ++c) {
+    if (live[c]) expected[c] = survivor_labels[i++];
+  }
+  EXPECT_EQ(selector.live_clients(), 300u);
+  EXPECT_EQ(canonical(selector.cluster_of()),
+            canonical(remapped(expected, cfg_)));
+}
+
+TEST_F(ReclusterLive, ScalePathMovesClientsThroughTheSelectorsClusterer) {
+  HaccsConfig cfg = cfg_;
+  cfg.scale.enabled = true;
+  cfg.scale.shard_size = 128;
+  auto selector = HaccsSelector::from_summaries(summaries_, cfg);
+  ASSERT_NE(selector.incremental(), nullptr);
+  EXPECT_EQ(selector.incremental()->size(), 400u);
+
+  const auto live = without_member(3);
+  ASSERT_TRUE(selector.recluster_live(live));
+  EXPECT_EQ(selector.incremental()->size(), 300u);
+  for (std::size_t c = 0; c < live.size(); ++c) {
+    if (live[c]) continue;
+    const auto cluster = static_cast<std::size_t>(selector.cluster_of()[c]);
+    EXPECT_EQ(selector.clusters()[cluster].size(), 1u) << "client " << c;
+  }
+
+  ASSERT_TRUE(selector.recluster_live(std::vector<bool>(live.size(), true)));
+  EXPECT_EQ(selector.incremental()->size(), 400u);
+  EXPECT_EQ(selector.live_clients(), 400u);
+}
+
+TEST_F(ReclusterLive, MaskMustCoverTheSummarizedPopulation) {
+  auto selector = HaccsSelector::from_summaries(summaries_, cfg_);
+  EXPECT_THROW(selector.recluster_live(std::vector<bool>(3, true)),
+               std::invalid_argument);
+  HaccsSelector from_labels(std::vector<int>(4, 0), cfg_);
+  EXPECT_THROW(from_labels.recluster_live(std::vector<bool>(4, true)),
+               std::invalid_argument);
 }
 
 }  // namespace

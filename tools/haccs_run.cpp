@@ -55,7 +55,8 @@ void print_usage() {
       "  --hostile-at=N    epoch the shape arms at (default 1)\n"
       "  --hostile-span=N  duration / period knob (default 2)\n"
       "scaling (DESIGN.md §5h):\n"
-      "  --scale         route clustering through the sketch/shard pipeline\n"
+      "  --scale         route clustering through the sketch/shard pipeline;\n"
+      "                  the --scale-* knobs below require it\n"
       "  --scale-shard=N          max clients per clustering shard (default 1024)\n"
       "  --scale-sketch-dim=N     sketch embedding width (default 32)\n"
       "  --scale-exact-cutoff=N   dense exact matrix at/below this shard size\n"
@@ -156,6 +157,20 @@ int main(int argc, char** argv) try {
   if (mechanism != "laplace" && mechanism != "gaussian") {
     std::fprintf(stderr, "unknown mechanism '%s'\n", mechanism.c_str());
     return 1;
+  }
+  // The sketch/shard knobs only act on the scale path.
+  for (const char* knob : {"scale-shard", "scale-sketch-dim",
+                           "scale-exact-cutoff", "scale-dirty"}) {
+    if (!scale_enabled && flags.has(knob)) {
+      throw std::invalid_argument(std::string("--") + knob +
+                                  " requires --scale");
+    }
+  }
+  if (scale_shard == 0) {
+    throw std::invalid_argument("--scale-shard must be >= 1");
+  }
+  if (scale_sketch_dim == 0) {
+    throw std::invalid_argument("--scale-sketch-dim must be >= 1");
   }
 
   // ---- data ----

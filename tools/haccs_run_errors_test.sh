@@ -44,6 +44,12 @@ case "$name" in
       --clients=-1
     expect_error "clients_per_round (9) must lie in [1, 5]" \
       --clients=5 --per-round=9
+    for knob in --scale-shard=8 --scale-sketch-dim=8 --scale-exact-cutoff=8 \
+                --scale-dirty=0.5; do
+      expect_error "${knob%%=*} requires --scale" "$knob"
+    done
+    expect_error "--scale-shard must be >= 1" --scale --scale-shard=0
+    expect_error "--scale-sketch-dim must be >= 1" --scale --scale-sketch-dim=0
     ;;
   haccs_server)
     # Port 0 everywhere: a refusal that came too late would still not

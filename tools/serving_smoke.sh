@@ -13,6 +13,8 @@
 #      endpoint up: /healthz, /metrics, and /status are scraped mid-run, a
 #      worker is SIGKILLed, the server is SIGTERMed, and the flight-recorder
 #      dump plus the merged Chrome trace must both be parseable afterwards.
+#      The server runs with --live-recluster, so the killed worker's
+#      liveness edge must show as recluster_live_total >= 1 in the dump.
 #      Set HACCS_SMOKE_ARTIFACT_DIR to keep the dump + trace (CI uploads
 #      them as artifacts).
 #   4. 3-tier smoke (DESIGN.md §5j) — root + 2 mid-tier aggregators + 4
@@ -155,7 +157,7 @@ if command -v python3 >/dev/null; then
     --trace="$obs_dir/ops_trace.json" --flight-dir="$obs_dir/flight" \
     --summary-json="$obs_dir/ops_server.json" \
     --heartbeat-timeout-ms=2000 --quorum=0.5 --quorum-grace-ms=200 \
-    "${ops_flags[@]}" &
+    --live-recluster "${ops_flags[@]}" &
   server_pid=$!
   # Worker 0 is not wrapped in `timeout`: it is about to get SIGKILLed
   # directly, and killing a wrapper would orphan the real process.
@@ -199,6 +201,8 @@ flight = json.load(open(dumps[0]))
 for key in ("reason", "rounds", "log_lines", "metrics"):
     assert key in flight, (key, list(flight))
 assert flight["reason"] == "sigterm-drain", flight["reason"]
+live = flight["metrics"]["counters"].get("recluster_live_total", 0)
+assert live >= 1, f"no liveness re-cluster after the kill: {live}"
 trace = json.load(open(obs_dir + "/ops_trace.json"))
 events = trace["traceEvents"]
 pids = {e["pid"] for e in events}
@@ -211,8 +215,8 @@ assert child, "no worker local_train spans in the merged trace"
 for e in child:
     assert e["args"]["parent"] in rounds, e
 print(f"ops-plane OK: flight dump ({flight['reason']}, "
-      f"{len(flight['rounds'])} rounds ringed), merged trace with "
-      f"{len(pids)} tracks and {len(child)} worker spans")
+      f"{len(flight['rounds'])} rounds ringed, {live} live re-clusters), "
+      f"merged trace with {len(pids)} tracks and {len(child)} worker spans")
 EOF
   if [[ -n "${HACCS_SMOKE_ARTIFACT_DIR:-}" ]]; then
     mkdir -p "$HACCS_SMOKE_ARTIFACT_DIR"
