@@ -79,11 +79,6 @@ bool HaccsSelector::recluster_live(std::vector<bool> live) {
   return true;
 }
 
-std::size_t HaccsSelector::live_clients() const {
-  const auto& live = population_->live;
-  return static_cast<std::size_t>(std::count(live.begin(), live.end(), true));
-}
-
 namespace {
 
 bool same_bits(std::span<const double> a, std::span<const double> b) {
@@ -191,25 +186,22 @@ std::size_t HaccsSelector::sync(
       if (pop.live[c]) labels_[c] = incremental_->label_of(id_of_client_[c]);
     }
   } else if (changed > 0 || old_n == 0) {
-    // The live clients, in client order, are the population the pipeline
-    // clusters; departed clients stay -1. An empty population still runs
+    // The live clients, in client order, are the population the exact
+    // pipeline clusters (scale is off on this branch), read in place from
+    // the store by index; departed clients stay -1. With every client
+    // departed there is nothing to cluster; an empty population still runs
     // the pipeline, which rejects it.
     std::vector<std::size_t> members;
     for (std::size_t c = 0; c < n; ++c) {
       if (pop.live[c]) members.push_back(c);
     }
-    if (members.size() == n) {
-      labels_ = cluster_summaries(pop.summaries, config_);
-    } else {
-      labels_.assign(n, -1);
-      if (!members.empty()) {
-        std::vector<ClientSummary> survivors;
-        survivors.reserve(members.size());
-        for (std::size_t c : members) survivors.push_back(pop.summaries[c]);
-        const auto labels = cluster_summaries(survivors, config_);
-        for (std::size_t i = 0; i < members.size(); ++i) {
-          labels_[members[i]] = labels[i];
-        }
+    labels_.assign(n, -1);
+    if (!members.empty() || n == 0) {
+      const auto labels = cluster_distances(
+          summary_distances(pop.summaries, members, config_.response_distance),
+          config_);
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        labels_[members[i]] = labels[i];
       }
     }
   }

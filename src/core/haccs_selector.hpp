@@ -84,9 +84,6 @@ class HaccsSelector final : public fl::ClientSelector {
   /// population (a label-constructed selector has none).
   bool recluster_live(std::vector<bool> live);
 
-  /// Clients currently live (all of them until recluster_live says not).
-  std::size_t live_clients() const;
-
   /// The incremental clusterer backing the scale path (null when
   /// config.scale.enabled is false or the selector was label-constructed).
   /// Exposed for tests and the --summary-json report.

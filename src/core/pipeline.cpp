@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "src/common/error.hpp"
@@ -85,26 +86,37 @@ bool uses_prepared_rows(stats::SummaryKind kind,
 clustering::DistanceMatrix summary_distances(
     const std::vector<ClientSummary>& summaries,
     stats::DistanceKind response_kind) {
-  if (summaries.empty()) {
+  std::vector<std::size_t> all(summaries.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return summary_distances(summaries, all, response_kind);
+}
+
+clustering::DistanceMatrix summary_distances(
+    const std::vector<ClientSummary>& summaries,
+    std::span<const std::size_t> members,
+    stats::DistanceKind response_kind) {
+  if (members.empty()) {
     throw std::invalid_argument("summary_distances: no summaries");
   }
-  const stats::SummaryKind kind = summaries.front().kind;
+  const auto at = [&](std::size_t i) -> const ClientSummary& {
+    return summaries[members[i]];
+  };
+  const stats::SummaryKind kind = at(0).kind;
   const bool same_kind =
-      std::all_of(summaries.begin(), summaries.end(),
-                  [kind](const ClientSummary& s) { return s.kind == kind; });
+      std::all_of(members.begin(), members.end(), [&](std::size_t c) {
+        return summaries[c].kind == kind;
+      });
   if (!same_kind || !uses_prepared_rows(kind, response_kind)) {
     return clustering::DistanceMatrix::build(
-        summaries.size(), [&](std::size_t i, std::size_t j) {
-          return ClientSummary::distance(summaries[i], summaries[j],
-                                         response_kind);
+        members.size(), [&](std::size_t i, std::size_t j) {
+          return ClientSummary::distance(at(i), at(j), response_kind);
         });
   }
-  std::vector<stats::HellingerRows> rows(summaries.size());
-  parallel_for(0, summaries.size(), [&](std::size_t i) {
+  std::vector<stats::HellingerRows> rows(members.size());
+  parallel_for(0, members.size(), [&](std::size_t i) {
     rows[i] = kind == stats::SummaryKind::Conditional
-                  ? stats::HellingerRows(summaries[i].conditional.per_label)
-                  : stats::HellingerRows(
-                        summaries[i].response.label_counts.counts());
+                  ? stats::HellingerRows(at(i).conditional.per_label)
+                  : stats::HellingerRows(at(i).response.label_counts.counts());
   });
   if (kind == stats::SummaryKind::Conditional) {
     return clustering::DistanceMatrix::build(

@@ -6,6 +6,7 @@
 // (Fig. 8a), and the examples can each run exactly the production path.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "src/clustering/distance_matrix.hpp"
@@ -42,6 +43,15 @@ std::vector<ClientSummary> compute_summaries(
 /// Pairwise summary distances (server side).
 clustering::DistanceMatrix summary_distances(
     const std::vector<ClientSummary>& summaries,
+    stats::DistanceKind response_kind = stats::DistanceKind::Hellinger);
+
+/// Pairwise distances among `members` (indices into `summaries`), in that
+/// order: entry (i, j) compares summaries[members[i]] and
+/// summaries[members[j]], bit-identical to summary_distances of the
+/// gathered summaries.
+clustering::DistanceMatrix summary_distances(
+    const std::vector<ClientSummary>& summaries,
+    std::span<const std::size_t> members,
     stats::DistanceKind response_kind = stats::DistanceKind::Hellinger);
 
 /// Runs the configured clustering through the NeighborIndex seam. Labels

@@ -746,7 +746,7 @@ TEST(LiveRecluster, MemberChurnReclustersAndBumpsCounter) {
 
   core::HaccsSelector selector(fed, config);
   EXPECT_EQ(selector.cluster_of().size(), 8u);
-  EXPECT_EQ(selector.live_clients(), 8u);
+  const auto startup = selector.cluster_of();
 
   auto& pushes = obs::Registry::global().counter("recluster_live_total");
   const double before = pushes.value();
@@ -758,12 +758,15 @@ TEST(LiveRecluster, MemberChurnReclustersAndBumpsCounter) {
   // Member 1 dies: its 2 hosted clients depart, labels get recomputed.
   on_member(1, false);
   EXPECT_TRUE(selector.recluster_live(live));
-  EXPECT_EQ(selector.live_clients(), 6u);
   EXPECT_EQ(pushes.value(), before + 1.0);
   // Labels stay full-size; departed clients fall back to singleton clusters
   // via the selector's noise remap, so no -1 survives.
   ASSERT_EQ(selector.cluster_of().size(), 8u);
   for (const int label : selector.cluster_of()) EXPECT_GE(label, 0);
+  for (std::size_t c : clients_of_member[1]) {
+    const auto cluster = static_cast<std::size_t>(selector.cluster_of()[c]);
+    EXPECT_EQ(selector.clusters()[cluster].size(), 1u) << "client " << c;
+  }
 
   // Idempotent edge + no-churn re-cluster: nothing to do.
   on_member(1, false);
@@ -773,7 +776,7 @@ TEST(LiveRecluster, MemberChurnReclustersAndBumpsCounter) {
   // The member comes back: clients rejoin, one more re-cluster.
   on_member(1, true);
   EXPECT_TRUE(selector.recluster_live(live));
-  EXPECT_EQ(selector.live_clients(), 8u);
+  EXPECT_EQ(selector.cluster_of(), startup);
   EXPECT_EQ(pushes.value(), before + 2.0);
   obs::set_metrics_enabled(false);
 }

@@ -156,20 +156,25 @@ TEST(HostileShapes, OutageLivenessEdgesDriveLiveReclustering) {
     for (std::size_t c : clients_of_member[member]) live[c] = alive;
   };
   core::HaccsSelector selector(fed, config);
+  const auto startup = selector.cluster_of();
 
   // Drive the selector with the membership transitions an outage schedule
   // produces: regions 0 and 1 go dark at the outage, then recover.
   on_member(0, false);
   on_member(1, false);
   EXPECT_TRUE(selector.recluster_live(live));
-  EXPECT_LT(selector.live_clients(), fed.clients.size());
   ASSERT_EQ(selector.cluster_of().size(), fed.clients.size());
   for (const int label : selector.cluster_of()) EXPECT_GE(label, 0);
+  for (std::size_t c = 0; c < live.size(); ++c) {
+    if (live[c]) continue;
+    const auto cluster = static_cast<std::size_t>(selector.cluster_of()[c]);
+    EXPECT_EQ(selector.clusters()[cluster].size(), 1u) << "client " << c;
+  }
 
   on_member(0, true);
   on_member(1, true);
   EXPECT_TRUE(selector.recluster_live(live));
-  EXPECT_EQ(selector.live_clients(), fed.clients.size());
+  EXPECT_EQ(selector.cluster_of(), startup);
   EXPECT_FALSE(selector.recluster_live(live));  // no churn -> no re-cluster
   obs::set_metrics_enabled(false);
 }

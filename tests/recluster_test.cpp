@@ -417,7 +417,6 @@ TEST_F(ReclusterLive, DepartedMemberLeavesTheExactClusteringOfTheSurvivors) {
 
   const auto live = without_member(1);
   ASSERT_TRUE(selector.recluster_live(live));
-  EXPECT_EQ(selector.live_clients(), 300u);
   std::vector<ClientSummary> survivors;
   std::vector<std::size_t> members;
   for (std::size_t c = 0; c < live.size(); ++c) {
@@ -443,7 +442,6 @@ TEST_F(ReclusterLive, EveryMemberDeadLeavesOnlySingletons) {
   auto selector = HaccsSelector::from_summaries(summaries_, cfg_);
   ASSERT_NO_THROW(
       selector.recluster_live(std::vector<bool>(fed_.num_clients(), false)));
-  EXPECT_EQ(selector.live_clients(), 0u);
   EXPECT_EQ(selector.num_clusters(), fed_.num_clients());
 }
 
@@ -467,7 +465,6 @@ TEST_F(ReclusterLive, DriftReclusterKeepsDepartedClientsOut) {
   for (std::size_t c = 0, i = 0; c < live.size(); ++c) {
     if (live[c]) expected[c] = survivor_labels[i++];
   }
-  EXPECT_EQ(selector.live_clients(), 300u);
   EXPECT_EQ(canonical(selector.cluster_of()),
             canonical(remapped(expected, cfg_)));
 }
@@ -491,7 +488,6 @@ TEST_F(ReclusterLive, ScalePathMovesClientsThroughTheSelectorsClusterer) {
 
   ASSERT_TRUE(selector.recluster_live(std::vector<bool>(live.size(), true)));
   EXPECT_EQ(selector.incremental()->size(), 400u);
-  EXPECT_EQ(selector.live_clients(), 400u);
 }
 
 TEST_F(ReclusterLive, MaskMustCoverTheSummarizedPopulation) {
