@@ -1,9 +1,14 @@
-// Tests for src/select: the Random, TiFL, and Oort baseline strategies.
+// Tests for src/select: the Random, TiFL, and Oort baseline strategies, and
+// the state blobs of the loss-guided zoo (Oort, DPP, FedLECC, HiCS).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
+#include "src/select/dpp.hpp"
+#include "src/select/fedlecc.hpp"
+#include "src/select/hics.hpp"
 #include "src/select/oort.hpp"
 #include "src/select/random_selector.hpp"
 #include "src/select/tifl.hpp"
@@ -260,6 +265,60 @@ TEST(Oort, RejectsBadConfig) {
   EXPECT_THROW(OortSelector({.alpha = -1.0}), std::invalid_argument);
   EXPECT_THROW(OortSelector({.alpha = 1.0, .deadline_quantile = 0.0}),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// State-blob pins: a fixed feedback sequence must serialize to the same bytes
+// (tag, version, field order, values), so a checkpoint written by one build
+// resumes on the next. Update a pin only for a deliberate format change.
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (std::uint8_t b : bytes) hash = (hash ^ b) * 0x100000001b3ULL;
+  return hash;
+}
+
+/// Feeds `selector` a fixed mix of results and failures over 8 clients:
+/// one client floors its reliability, one recovers, two stay unobserved.
+std::vector<std::uint8_t> blob_after_fixed_feedback(fl::ClientSelector& s) {
+  s.initialize(make_view(8));
+  s.report_result(0, 1.5, 0);
+  for (int i = 0; i < 3; ++i) s.report_failure(1, 1, fl::FailureKind::Crash);
+  s.report_result(1, 0.75, 2);
+  s.report_failure(2, 2, fl::FailureKind::Timeout);
+  s.report_result(3, 2.25, 3);
+  s.report_result(3, 0.125, 4);
+  for (int i = 0; i < 9; ++i) {
+    s.report_failure(5, 5, fl::FailureKind::CorruptUpdate);
+  }
+  s.report_result(6, 3.0, 6);
+  s.report_failure(6, 7, fl::FailureKind::Crash);
+  return s.save_state();
+}
+
+std::vector<std::vector<double>> pin_label_counts() {
+  return {{9, 1, 0, 0}, {8, 2, 0, 0}, {0, 9, 1, 0}, {0, 8, 2, 0},
+          {0, 0, 9, 1}, {0, 0, 1, 9}, {3, 3, 2, 2}, {1, 0, 0, 9}};
+}
+
+TEST(SelectorStatePins, OortBlobIsPinned) {
+  OortSelector s({});
+  EXPECT_EQ(fnv1a(blob_after_fixed_feedback(s)), 0xdae9c683e42a661bULL);
+}
+
+TEST(SelectorStatePins, DppBlobIsPinned) {
+  DppSelector s(pin_label_counts(), {});
+  EXPECT_EQ(fnv1a(blob_after_fixed_feedback(s)), 0x0a4fa9e166757a38ULL);
+}
+
+TEST(SelectorStatePins, FedLeccBlobIsPinned) {
+  FedLeccSelector s(pin_label_counts(), {});
+  EXPECT_EQ(fnv1a(blob_after_fixed_feedback(s)), 0x0df673f667c4476aULL);
+}
+
+TEST(SelectorStatePins, HicsBlobIsPinned) {
+  HicsSelector s(pin_label_counts(), {});
+  EXPECT_EQ(fnv1a(blob_after_fixed_feedback(s)), 0x37ad39774703c126ULL);
 }
 
 }  // namespace
