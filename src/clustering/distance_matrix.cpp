@@ -40,16 +40,6 @@ DistanceMatrix DistanceMatrix::build(
   return m;
 }
 
-std::vector<std::size_t> DistanceMatrix::neighbors_within(std::size_t center,
-                                                          double eps) const {
-  if (center >= n_) throw std::out_of_range("neighbors_within");
-  std::vector<std::size_t> out;
-  for (std::size_t j = 0; j < n_; ++j) {
-    if (j != center && at(center, j) <= eps) out.push_back(j);
-  }
-  return out;
-}
-
 double DistanceMatrix::kth_nearest_distance(std::size_t center, std::size_t k,
                                             std::vector<double>& scratch) const {
   if (center >= n_) throw std::out_of_range("kth_nearest_distance");

@@ -26,11 +26,6 @@ class DistanceMatrix {
 
   double at(std::size_t i, std::size_t j) const { return data_[i * n_ + j]; }
 
-  /// Indices of all points within `eps` of `center` (excluding the center
-  /// itself), i.e. the eps-neighborhood used by DBSCAN/OPTICS.
-  std::vector<std::size_t> neighbors_within(std::size_t center,
-                                            double eps) const;
-
   /// Distance to the k-th nearest other point (k >= 1) — the core-distance
   /// primitive. `scratch` holds the row copy, so OPTICS, which computes one
   /// core distance per point, allocates it once rather than per call.

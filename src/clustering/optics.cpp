@@ -377,11 +377,5 @@ std::vector<int> extract_auto(const OpticsResult& result,
   return one_cluster(finite.back());
 }
 
-std::vector<int> extract_auto(const OpticsResult& result,
-                              const DistanceMatrix& distances,
-                              std::size_t min_pts) {
-  return extract_auto(result, DenseNeighborIndex(distances), min_pts);
-}
-
 }  // namespace haccs::clustering
 

@@ -76,8 +76,4 @@ std::vector<int> extract_auto(const OpticsResult& result,
                               const NeighborIndex& index,
                               std::size_t min_pts);
 
-std::vector<int> extract_auto(const OpticsResult& result,
-                              const DistanceMatrix& distances,
-                              std::size_t min_pts);
-
 }  // namespace haccs::clustering

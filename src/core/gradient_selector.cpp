@@ -68,11 +68,13 @@ void GradientClusterSelector::recluster(std::size_t num_clients) {
     if (sketches_[i].empty() || sketches_[j].empty()) {
       return 1.0;  // unseen clients match nobody
     }
-    std::vector<double> a(sketches_[i].begin(), sketches_[i].end());
-    std::vector<double> b(sketches_[j].begin(), sketches_[j].end());
+    const auto& a = sketches_[i];
+    const auto& b = sketches_[j];
     // Sketches can be negative; shift into the cosine on raw dot product.
     double dot = 0.0;
-    for (std::size_t d = 0; d < a.size(); ++d) dot += a[d] * b[d];
+    for (std::size_t d = 0; d < a.size(); ++d) {
+      dot += static_cast<double>(a[d]) * static_cast<double>(b[d]);
+    }
     return std::min(1.0, std::max(0.0, 1.0 - dot));  // unit vectors
   };
   const auto matrix = clustering::DistanceMatrix::build(num_clients, distance);

@@ -7,6 +7,7 @@
 #include <utility>
 #include <stdexcept>
 
+#include "src/clustering/groups.hpp"
 #include "src/common/error.hpp"
 #include "src/common/mutation.hpp"
 #include "src/net/wire.hpp"
@@ -217,31 +218,15 @@ void HaccsSelector::set_clusters(std::vector<int> cluster_labels) {
 }
 
 void HaccsSelector::build_clusters(std::vector<int> raw_labels) {
-  // Remap noise (-1) to fresh singleton cluster ids: a client whose
-  // distribution matches nobody must still be representable in scheduling.
-  int max_label = -1;
-  for (int l : raw_labels) max_label = std::max(max_label, l);
-  int next = max_label + 1;
-  for (int& l : raw_labels) {
-    if (l < 0) l = next++;
-  }
-  cluster_of_ = std::move(raw_labels);
+  // Noise becomes singleton clusters: a client whose distribution matches
+  // nobody must still be representable in scheduling.
+  auto groups = clustering::group_by_label(std::move(raw_labels));
+  cluster_of_ = std::move(groups.cluster_of);
+  clusters_ = std::move(groups.members);
   // Reliability penalties survive reclustering (they describe devices, not
   // clusters); replacement IOUs do not (their cluster ids are stale).
   penalty_.resize(cluster_of_.size(), 1.0);
   replacement_queue_.clear();
-  clusters_.assign(static_cast<std::size_t>(next), {});
-  for (std::size_t i = 0; i < cluster_of_.size(); ++i) {
-    clusters_[static_cast<std::size_t>(cluster_of_[i])].push_back(i);
-  }
-  // Drop empty cluster slots (possible when labels are non-contiguous).
-  std::erase_if(clusters_, [](const auto& c) { return c.empty(); });
-  // Rebuild the id map to match the compacted cluster list.
-  for (std::size_t c = 0; c < clusters_.size(); ++c) {
-    for (std::size_t member : clusters_[c]) {
-      cluster_of_[member] = static_cast<int>(c);
-    }
-  }
   obs::Registry::global()
       .gauge("haccs_clusters")
       .set(static_cast<double>(clusters_.size()));

@@ -3,26 +3,13 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "src/clustering/groups.hpp"
+
 namespace haccs::core {
 
-StratifiedSelector::StratifiedSelector(std::vector<int> cluster_labels) {
-  build(std::move(cluster_labels));
-}
-
-void StratifiedSelector::build(std::vector<int> raw_labels) {
-  int max_label = -1;
-  for (int l : raw_labels) max_label = std::max(max_label, l);
-  int next = max_label + 1;
-  for (int& l : raw_labels) {
-    if (l < 0) l = next++;  // noise -> singleton
-  }
-  clusters_.assign(static_cast<std::size_t>(next), {});
-  for (std::size_t i = 0; i < raw_labels.size(); ++i) {
-    clusters_[static_cast<std::size_t>(raw_labels[i])].push_back(i);
-  }
-  std::erase_if(clusters_, [](const auto& c) { return c.empty(); });
-  member_cursor_.assign(clusters_.size(), 0);
-}
+StratifiedSelector::StratifiedSelector(std::vector<int> cluster_labels)
+    : clusters_(clustering::group_by_label(std::move(cluster_labels)).members),
+      member_cursor_(clusters_.size(), 0) {}
 
 std::vector<std::size_t> StratifiedSelector::select(
     std::size_t k, const std::vector<fl::ClientRuntimeInfo>& clients,

@@ -35,8 +35,6 @@ class StratifiedSelector final : public fl::ClientSelector {
   }
 
  private:
-  void build(std::vector<int> raw_labels);
-
   std::vector<std::vector<std::size_t>> clusters_;
   /// Rotating start cluster and per-cluster member cursors.
   std::size_t next_cluster_ = 0;

@@ -13,7 +13,6 @@
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "src/common/logging.hpp"
@@ -192,42 +191,38 @@ std::unique_ptr<Transport> connect_tcp(const std::string& host,
                                        std::uint16_t port,
                                        const TcpConnectOptions& options) {
   const sockaddr_in addr = make_addr(host, port);
-  int backoff_ms = options.initial_backoff_ms;
-  for (int attempt = 0; attempt < options.attempts; ++attempt) {
-    if (attempt > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
-      backoff_ms = std::min(backoff_ms * 2, 2000);
-    }
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) continue;
-    int rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                       sizeof(addr));
-    if (rc != 0 && errno == EINTR) {
-      // POSIX: an EINTR'd connect keeps completing in the background.
-      // Retrying connect() would fail with EALREADY/EISCONN, so wait for
-      // writability and read the real outcome from SO_ERROR instead of
-      // treating the interruption as a failed attempt.
-      try {
-        if (poll_fd(fd, POLLOUT, 2000)) {
-          int so_error = -1;
-          socklen_t len = sizeof(so_error);
-          if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len) == 0 &&
-              so_error == 0) {
-            rc = 0;
-          }
-        }
-      } catch (const std::exception&) {
-        rc = -1;
-      }
-    }
-    if (rc == 0) {
-      return std::make_unique<TcpTransport>(
-          fd, host + ":" + std::to_string(port), options.io_timeout_ms);
-    }
-    ::close(fd);
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    HACCS_WARN << "tcp: socket: " << std::strerror(errno);
+    return nullptr;
   }
-  HACCS_WARN << "tcp: connect to " << host << ":" << port << " failed after "
-             << options.attempts << " attempts";
+  int rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                     sizeof(addr));
+  int err = rc == 0 ? 0 : errno;
+  if (rc != 0 && err == EINTR) {
+    // POSIX: an EINTR'd connect keeps completing in the background.
+    // Retrying connect() would fail with EALREADY/EISCONN, so wait for
+    // writability and read the real outcome from SO_ERROR instead of
+    // treating the interruption as a failure.
+    try {
+      if (poll_fd(fd, POLLOUT, 2000)) {
+        socklen_t len = sizeof(err);
+        if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) == 0 &&
+            err == 0) {
+          rc = 0;
+        }
+      }
+    } catch (const std::exception&) {
+      rc = -1;
+    }
+  }
+  if (rc == 0) {
+    return std::make_unique<TcpTransport>(
+        fd, host + ":" + std::to_string(port), options.io_timeout_ms);
+  }
+  ::close(fd);
+  HACCS_WARN << "tcp: connect to " << host << ":" << port
+             << " failed: " << std::strerror(err);
   return nullptr;
 }
 

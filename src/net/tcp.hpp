@@ -7,8 +7,8 @@
 //     transparently.
 //   * Every send/recv takes its own timeout and polls toward a deadline;
 //     there is no background thread. The protocol driver owns pacing.
-//   * connect_tcp retries with exponential backoff — the worker usually
-//     races the server to the port in the 2-process launch.
+//   * connect_tcp makes one attempt; callers that race a starting server
+//     to the port (workers, aggregators) own the retry loop and its backoff.
 //   * A CRC-damaged frame surfaces as Corrupt and the stream continues;
 //     header damage (desynchronized stream) surfaces as Closed, matching
 //     the frame parser's recoverable/fatal split.
@@ -23,13 +23,11 @@
 namespace haccs::net {
 
 struct TcpConnectOptions {
-  int attempts = 20;           ///< connect() tries before giving up
-  int initial_backoff_ms = 50; ///< doubles per failed attempt (cap 2 s)
-  int io_timeout_ms = -1;      ///< default timeout for send/recv (<0 = none)
+  int io_timeout_ms = -1;  ///< default timeout for send/recv (<0 = none)
 };
 
-/// Connects to host:port (IPv4 dotted quad or "localhost"). Returns nullptr
-/// after all attempts fail.
+/// Connects to host:port (IPv4 dotted quad or "localhost") in one attempt.
+/// Returns nullptr when the connect fails.
 std::unique_ptr<Transport> connect_tcp(const std::string& host,
                                        std::uint16_t port,
                                        const TcpConnectOptions& options = {});

@@ -2,83 +2,50 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
-#include "src/net/wire.hpp"
 #include "src/stats/distance.hpp"
 
 namespace haccs::select {
 
-DppSelector::DppSelector(std::vector<std::vector<double>> label_counts,
-                         DppConfig config)
-    : config_(config), population_(label_counts.size()) {
-  if (population_ == 0) {
+namespace {
+
+clustering::DistanceMatrix hellinger_matrix(
+    const std::vector<std::vector<double>>& label_counts) {
+  if (label_counts.empty()) {
     throw std::invalid_argument("DppSelector: empty population");
   }
-  if (config_.failure_factor <= 0.0 || config_.failure_factor > 1.0) {
-    throw std::invalid_argument("DppSelector: bad failure_factor");
-  }
-  similarity_.assign(population_ * population_, 1.0);
-  for (std::size_t i = 0; i < population_; ++i) {
-    for (std::size_t j = i + 1; j < population_; ++j) {
-      const double s =
-          1.0 - stats::distribution_distance(label_counts[i], label_counts[j],
-                                             stats::DistanceKind::Hellinger);
-      similarity_[i * population_ + j] = s;
-      similarity_[j * population_ + i] = s;
-    }
-  }
-  observed_loss_.assign(population_, std::numeric_limits<double>::quiet_NaN());
-  reliability_.assign(population_, 1.0);
+  return clustering::DistanceMatrix::build(
+      label_counts.size(), [&](std::size_t i, std::size_t j) {
+        return stats::distribution_distance(label_counts[i], label_counts[j],
+                                            stats::DistanceKind::Hellinger);
+      });
 }
 
-void DppSelector::initialize(
-    const std::vector<fl::ClientRuntimeInfo>& clients) {
-  if (clients.size() != population_) {
-    throw std::invalid_argument(
-        "DppSelector: runtime view does not match the summarized population");
-  }
-}
+}  // namespace
+
+DppSelector::DppSelector(std::vector<std::vector<double>> label_counts,
+                         DppConfig config)
+    : FeedbackSelector(label_counts.size(), config.initial_loss),
+      distances_(hellinger_matrix(label_counts)) {}
 
 double DppSelector::similarity(std::size_t a, std::size_t b) const {
-  return similarity_[a * population_ + b];
-}
-
-double DppSelector::reliability_of(std::size_t client_id) const {
-  return client_id < reliability_.size() ? reliability_[client_id] : 1.0;
+  return 1.0 - distances_.at(a, b);
 }
 
 double DppSelector::quality(const fl::ClientRuntimeInfo& client) const {
-  const double loss = std::isnan(observed_loss_[client.id])
-                          ? config_.initial_loss
-                          : observed_loss_[client.id];
   // sqrt keeps the kernel's quality^2 diagonal linear in (samples x loss),
   // the same statistical-utility shape Oort exploits.
   const double q = std::sqrt(static_cast<double>(client.num_samples) *
-                             std::max(loss, 1.0e-6)) *
-                   reliability_[client.id];
+                             std::max(loss_of(client.id), 1.0e-6)) *
+                   reliability_of(client.id);
   return std::max(q, 1.0e-9);
-}
-
-void DppSelector::report_result(std::size_t client_id, double loss,
-                                std::size_t /*epoch*/) {
-  if (client_id >= observed_loss_.size()) return;
-  observed_loss_[client_id] = loss;
-  reliability_[client_id] += 0.5 * (1.0 - reliability_[client_id]);
-}
-
-void DppSelector::report_failure(std::size_t client_id, std::size_t /*epoch*/,
-                                 fl::FailureKind /*kind*/) {
-  if (client_id >= reliability_.size()) return;
-  reliability_[client_id] = std::max(
-      config_.min_reliability, reliability_[client_id] * config_.failure_factor);
 }
 
 std::vector<std::size_t> DppSelector::select(
     std::size_t k, const std::vector<fl::ClientRuntimeInfo>& clients,
     std::size_t /*epoch*/, Rng& rng) {
-  if (clients.size() != population_) initialize(clients);
+  if (clients.size() != population()) initialize(clients);
 
   auto ids = fl::available_ids(clients);
   if (ids.size() <= k) return ids;
@@ -136,33 +103,6 @@ std::vector<std::size_t> DppSelector::select(
     }
   }
   return out;
-}
-
-std::vector<std::uint8_t> DppSelector::save_state() const {
-  net::WireWriter w;
-  w.string("DPP");
-  w.u16(1);  // state-blob version
-  w.f64_array(observed_loss_);
-  w.f64_array(reliability_);
-  return w.take();
-}
-
-void DppSelector::load_state(std::span<const std::uint8_t> state) {
-  net::WireReader r(state);
-  if (r.string() != "DPP") {
-    throw std::runtime_error("DppSelector: state blob from another selector");
-  }
-  if (r.u16() != 1) {
-    throw std::runtime_error("DppSelector: unsupported state version");
-  }
-  auto observed = r.f64_array();
-  auto reliability = r.f64_array();
-  r.expect_exhausted();
-  if (observed.size() != population_ || reliability.size() != population_) {
-    throw std::runtime_error("DppSelector: state population mismatch");
-  }
-  observed_loss_ = std::move(observed);
-  reliability_ = std::move(reliability);
 }
 
 }  // namespace haccs::select

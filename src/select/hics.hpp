@@ -16,7 +16,7 @@
 
 #include <vector>
 
-#include "src/fl/selector.hpp"
+#include "src/select/feedback_selector.hpp"
 
 namespace haccs::select {
 
@@ -27,41 +27,26 @@ struct HicsConfig {
   double latency_beta = 0.5;
   /// Loss assumed for never-trained clients.
   double initial_loss = 2.302585;
-  /// Reliability multiplier applied per reported failure; successes recover.
-  double failure_factor = 0.5;
-  double min_reliability = 1.0 / 64.0;
 };
 
-class HicsSelector final : public fl::ClientSelector {
+class HicsSelector final : public FeedbackSelector {
  public:
   /// `label_counts[i]` is client i's per-class label count (or distribution;
   /// normalized internally). Heterogeneity scores are fixed at construction.
   HicsSelector(std::vector<std::vector<double>> label_counts,
                HicsConfig config);
 
-  void initialize(const std::vector<fl::ClientRuntimeInfo>& clients) override;
   std::vector<std::size_t> select(
       std::size_t k, const std::vector<fl::ClientRuntimeInfo>& clients,
       std::size_t epoch, Rng& rng) override;
-  void report_result(std::size_t client_id, double loss,
-                     std::size_t epoch) override;
-  void report_failure(std::size_t client_id, std::size_t epoch,
-                      fl::FailureKind kind) override;
   std::string name() const override { return "HiCS"; }
 
   /// Static heterogeneity score of a client — for tests.
   double heterogeneity_of(std::size_t client_id) const;
-  double reliability_of(std::size_t client_id) const;
-
-  std::vector<std::uint8_t> save_state() const override;
-  void load_state(std::span<const std::uint8_t> state) override;
 
  private:
   HicsConfig config_;
-  std::size_t population_ = 0;
   std::vector<double> heterogeneity_;  // structural
-  std::vector<double> observed_loss_;  // NaN until first observation
-  std::vector<double> reliability_;    // in (0, 1]
 };
 
 }  // namespace haccs::select

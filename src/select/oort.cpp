@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -10,7 +9,8 @@
 
 namespace haccs::select {
 
-OortSelector::OortSelector(OortConfig config) : config_(config) {
+OortSelector::OortSelector(OortConfig config)
+    : FeedbackSelector(0, config.initial_loss), config_(config) {
   if (config_.alpha < 0.0) {
     throw std::invalid_argument("OortSelector: alpha must be >= 0");
   }
@@ -21,10 +21,8 @@ OortSelector::OortSelector(OortConfig config) : config_(config) {
 
 void OortSelector::initialize(
     const std::vector<fl::ClientRuntimeInfo>& clients) {
-  observed_loss_.assign(clients.size(),
-                        std::numeric_limits<double>::quiet_NaN());
+  reset(clients.size());
   last_round_.assign(clients.size(), 0);
-  reliability_.assign(clients.size(), 1.0);
 
   std::vector<double> latencies;
   latencies.reserve(clients.size());
@@ -37,41 +35,25 @@ void OortSelector::initialize(
 
 void OortSelector::report_result(std::size_t client_id, double loss,
                                  std::size_t epoch) {
-  if (client_id >= observed_loss_.size()) return;
-  observed_loss_[client_id] = loss;
+  if (client_id >= population()) return;
+  FeedbackSelector::report_result(client_id, loss, epoch);
   last_round_[client_id] = epoch + 1;
-  // Successful delivery recovers half the reliability gap (1.0 stays 1.0
-  // exactly, so fault-free runs are unchanged).
-  reliability_[client_id] += 0.5 * (1.0 - reliability_[client_id]);
-}
-
-void OortSelector::report_failure(std::size_t client_id, std::size_t /*epoch*/,
-                                  fl::FailureKind /*kind*/) {
-  if (client_id >= reliability_.size()) return;
-  reliability_[client_id] = std::max(
-      config_.min_reliability, reliability_[client_id] * config_.failure_factor);
 }
 
 std::vector<std::uint8_t> OortSelector::save_state() const {
   net::WireWriter w;
-  w.string("Oort");
-  w.u16(1);  // state-blob version
+  write_header(w);
   w.f64(deadline_s_);
-  w.f64_array(observed_loss_);  // NaN sentinels round-trip bit-exactly
+  w.f64_array(losses());  // NaN sentinels round-trip bit-exactly
   w.u64(last_round_.size());
   for (std::size_t r : last_round_) w.u64(static_cast<std::uint64_t>(r));
-  w.f64_array(reliability_);
+  w.f64_array(reliabilities());
   return w.take();
 }
 
 void OortSelector::load_state(std::span<const std::uint8_t> state) {
   net::WireReader r(state);
-  if (r.string() != "Oort") {
-    throw std::runtime_error("OortSelector: state blob from another selector");
-  }
-  if (r.u16() != 1) {
-    throw std::runtime_error("OortSelector: unsupported state version");
-  }
+  read_header(r);
   const double deadline = r.f64();
   auto observed = r.f64_array();
   const auto rounds_len = r.u64();
@@ -82,27 +64,17 @@ void OortSelector::load_state(std::span<const std::uint8_t> state) {
   }
   auto reliability = r.f64_array();
   r.expect_exhausted();
-  if (observed.size() != observed_loss_.size() ||
-      rounds.size() != last_round_.size() ||
-      reliability.size() != reliability_.size()) {
-    throw std::runtime_error("OortSelector: state population mismatch");
+  if (rounds.size() != last_round_.size()) {
+    throw std::runtime_error("Oort: state population mismatch");
   }
+  restore(std::move(observed), std::move(reliability));
   deadline_s_ = deadline;
-  observed_loss_ = std::move(observed);
   last_round_ = std::move(rounds);
-  reliability_ = std::move(reliability);
-}
-
-double OortSelector::reliability_of(std::size_t client_id) const {
-  return client_id < reliability_.size() ? reliability_[client_id] : 1.0;
 }
 
 double OortSelector::utility(const fl::ClientRuntimeInfo& client,
                              std::size_t epoch) const {
-  const double loss = std::isnan(observed_loss_[client.id])
-                          ? config_.initial_loss
-                          : observed_loss_[client.id];
-  double u = static_cast<double>(client.num_samples) * loss;
+  double u = static_cast<double>(client.num_samples) * loss_of(client.id);
   if (client.latency_s > deadline_s_ && deadline_s_ > 0.0) {
     u *= std::pow(deadline_s_ / client.latency_s, config_.alpha);
   }
@@ -113,13 +85,13 @@ double OortSelector::utility(const fl::ClientRuntimeInfo& client,
          static_cast<double>(client.num_samples);
   }
   // Reliability penalty from reported mid-round failures (1.0 when clean).
-  return u * reliability_[client.id];
+  return u * reliability_of(client.id);
 }
 
 std::vector<std::size_t> OortSelector::select(
     std::size_t k, const std::vector<fl::ClientRuntimeInfo>& clients,
     std::size_t epoch, Rng& rng) {
-  if (observed_loss_.size() != clients.size()) initialize(clients);
+  if (population() != clients.size()) initialize(clients);
 
   auto ids = fl::available_ids(clients);
   if (ids.size() <= k) return ids;
@@ -127,7 +99,7 @@ std::vector<std::size_t> OortSelector::select(
   // Split available ids into explored (have an observation) and unexplored.
   std::vector<std::size_t> explored, unexplored;
   for (std::size_t id : ids) {
-    (std::isnan(observed_loss_[id]) ? unexplored : explored).push_back(id);
+    (observed(id) ? explored : unexplored).push_back(id);
   }
 
   const double eps = std::max(

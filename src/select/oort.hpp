@@ -13,7 +13,7 @@
 // never-tried clients at random; the rest exploit the top-utility clients.
 #pragma once
 
-#include "src/fl/selector.hpp"
+#include "src/select/feedback_selector.hpp"
 
 namespace haccs::select {
 
@@ -30,14 +30,12 @@ struct OortConfig {
   double exploration_decay = 0.98;
   /// Loss assumed for never-trained clients.
   double initial_loss = 2.302585;
-  /// Reliability multiplier applied on each reported failure (utility is
-  /// scaled by the client's accumulated reliability; successes recover it).
-  double failure_factor = 0.5;
-  /// Reliability floor so a flaky client keeps a nonzero utility.
-  double min_reliability = 1.0 / 64.0;
 };
 
-class OortSelector final : public fl::ClientSelector {
+/// Utility is scaled by the client's reliability from the shared feedback
+/// ledger (Oort's own reliability story): reported failures shrink it,
+/// later successes recover it.
+class OortSelector final : public FeedbackSelector {
  public:
   explicit OortSelector(OortConfig config);
 
@@ -45,20 +43,15 @@ class OortSelector final : public fl::ClientSelector {
   std::vector<std::size_t> select(std::size_t k,
                                   const std::vector<fl::ClientRuntimeInfo>& clients,
                                   std::size_t epoch, Rng& rng) override;
+  /// Records the loss and the participation epoch.
   void report_result(std::size_t client_id, double loss,
                      std::size_t epoch) override;
-  /// Failure-aware reaction: multiplicative utility penalty (Oort's own
-  /// reliability story), recovered gradually by later successes.
-  void report_failure(std::size_t client_id, std::size_t epoch,
-                      fl::FailureKind kind) override;
   std::string name() const override { return "Oort"; }
 
   /// Current utility of a client (exposed for tests).
   double utility(const fl::ClientRuntimeInfo& client, std::size_t epoch) const;
 
   double deadline() const { return deadline_s_; }
-  /// Reliability multiplier of a client (1 = never failed) — for tests.
-  double reliability_of(std::size_t client_id) const;
 
   /// Crash-resume state: deadline, observed losses, participation history,
   /// and reliability multipliers.
@@ -68,9 +61,7 @@ class OortSelector final : public fl::ClientSelector {
  private:
   OortConfig config_;
   double deadline_s_ = 0.0;
-  std::vector<double> observed_loss_;     // NaN until first observation
   std::vector<std::size_t> last_round_;   // last participation epoch + 1
-  std::vector<double> reliability_;       // utility multiplier in (0, 1]
 };
 
 }  // namespace haccs::select

@@ -48,7 +48,7 @@ TEST(DistanceMatrixTest, RejectsNegativeDistance) {
 
 TEST(DistanceMatrixTest, NeighborsWithinExcludesSelf) {
   const auto m = from_points({0.0, 0.5, 5.0});
-  const auto nbrs = m.neighbors_within(0, 1.0);
+  const auto nbrs = DenseNeighborIndex(m).neighbors_within(0, 1.0);
   EXPECT_EQ(nbrs, (std::vector<std::size_t>{1}));
 }
 
@@ -160,7 +160,7 @@ TEST(Optics, ExtractDbscanMatchesDbscan) {
 TEST(Optics, ExtractAutoRecoversWellSeparatedClusters) {
   const auto m = from_points({0.0, 0.1, 0.2, 10.0, 10.1, 10.2, 20.0, 20.1});
   const auto result = optics(m, {.min_pts = 2, .max_eps = kUndefined});
-  const auto labels = extract_auto(result, m, 2);
+  const auto labels = extract_auto(result, DenseNeighborIndex(m), 2);
   EXPECT_EQ(labels[0], labels[1]);
   EXPECT_EQ(labels[1], labels[2]);
   EXPECT_EQ(labels[3], labels[4]);
@@ -176,7 +176,7 @@ TEST(Optics, ExtractAutoSingleClusterWhenUniform) {
   for (int i = 0; i < 12; ++i) xs.push_back(0.1 * i);
   const auto m = from_points(xs);
   const auto result = optics(m, {.min_pts = 2, .max_eps = kUndefined});
-  const auto labels = extract_auto(result, m, 2);
+  const auto labels = extract_auto(result, DenseNeighborIndex(m), 2);
   for (int l : labels) EXPECT_EQ(l, labels[0]);
   EXPECT_GE(labels[0], 0);
 }
@@ -190,7 +190,7 @@ TEST(Optics, ExtractAutoHandlesPairClusters) {
   }
   const auto m = from_points(xs);
   const auto result = optics(m, {.min_pts = 2, .max_eps = kUndefined});
-  const auto labels = extract_auto(result, m, 2);
+  const auto labels = extract_auto(result, DenseNeighborIndex(m), 2);
   std::set<int> distinct;
   for (int g = 0; g < 10; ++g) {
     EXPECT_EQ(labels[2 * g], labels[2 * g + 1]) << "pair " << g;
@@ -254,7 +254,7 @@ TEST(Optics, AllIdenticalPointsFormOneCluster) {
   const auto m = from_points(std::vector<double>(5, 0.0));
   const auto result = optics(m, {.min_pts = 2, .max_eps = kUndefined});
   ASSERT_EQ(result.ordering.size(), 5u);
-  const auto labels = extract_auto(result, m, 2);
+  const auto labels = extract_auto(result, DenseNeighborIndex(m), 2);
   ASSERT_EQ(labels.size(), 5u);
   for (int l : labels) EXPECT_EQ(l, labels[0]);
   EXPECT_GE(labels[0], 0);
@@ -264,7 +264,7 @@ TEST(Optics, SinglePointDoesNotCrash) {
   const auto m = from_points({0.7});
   const auto result = optics(m, {.min_pts = 2, .max_eps = kUndefined});
   ASSERT_EQ(result.ordering.size(), 1u);
-  const auto auto_labels = extract_auto(result, m, 2);
+  const auto auto_labels = extract_auto(result, DenseNeighborIndex(m), 2);
   ASSERT_EQ(auto_labels.size(), 1u);
   const auto eps_labels = extract_dbscan(result, 0.5, 2);
   ASSERT_EQ(eps_labels.size(), 1u);

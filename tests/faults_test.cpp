@@ -864,11 +864,11 @@ TEST(OortFailure, FailurePenalizesUtilityAndSuccessRecoversIt) {
   EXPECT_DOUBLE_EQ(selector.reliability_of(1), 0.5);
   EXPECT_DOUBLE_EQ(selector.utility(view[1], 1), 0.5 * before);
 
-  // Repeated failures floor at min_reliability, never zero.
+  // Repeated failures floor at kMinReliability, never zero.
   for (int i = 0; i < 20; ++i) {
     selector.report_failure(1, 1, fl::FailureKind::Crash);
   }
-  EXPECT_DOUBLE_EQ(selector.reliability_of(1), cfg.min_reliability);
+  EXPECT_DOUBLE_EQ(selector.reliability_of(1), select::kMinReliability);
   EXPECT_GT(selector.utility(view[1], 1), 0.0);
 
   // A successful round pulls reliability back toward 1.

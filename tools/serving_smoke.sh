@@ -6,8 +6,9 @@
 #      commit, and checkpointing enabled. The run must complete every round
 #      (no hang); lost updates are re-covered by reconnection and quorum
 #      degradation.
-#   2. Crash-resume smoke — the same workload is SIGKILLed shortly after its
-#      first checkpoint lands and restarted with --resume; the resumed run's
+#   2. Crash-resume smoke — once the first checkpoint lands, both workers
+#      are paused (SIGSTOP), the server is SIGKILLed mid-run and restarted
+#      with --resume, and the workers continue (SIGCONT); the resumed run's
 #      final metrics must match an uninterrupted reference bit-for-bit.
 #   3. Ops-plane smoke (DESIGN.md §5i) — a traced run with the exposition
 #      endpoint up: /healthz, /metrics, and /status are scraped mid-run, a
@@ -101,8 +102,7 @@ w1_pid=$!
 wait "$server_pid" && wait "$w0_pid" && wait "$w1_pid"
 rm -f "$obs_dir/port"
 # No `timeout` wrapper on this server: it is about to get SIGKILLed directly
-# (killing a timeout wrapper would orphan the real process), and if the kill
-# races with a fast run finishing, the server exits on its own anyway.
+# (killing a timeout wrapper would orphan the real process).
 "$build/examples/haccs_server" \
   --workers=2 --port=0 --port-file="$obs_dir/port" \
   --checkpoint="$obs_dir/resume_ck.bin" "${resume_flags[@]}" &
@@ -115,10 +115,32 @@ timeout 300 "$build/examples/haccs_worker" \
   --worker-id=1 --workers=2 --port-file="$obs_dir/port" \
   --reconnect-attempts=60 "${resume_flags[@]}" &
 w1_pid=$!
-while [[ ! -s "$obs_dir/resume_ck.bin" ]]; do sleep 0.05; done
-sleep 0.2
-kill -9 "$server_pid" 2>/dev/null
-wait "$server_pid" 2>/dev/null || true
+resume_fail() {
+  echo "crash-resume smoke FAILED: $*" >&2
+  exit 1
+}
+while [[ ! -s "$obs_dir/resume_ck.bin" ]]; do
+  kill -0 "$server_pid" 2>/dev/null ||
+    resume_fail "the server exited before its first checkpoint"
+  sleep 0.05
+done
+# Pause the workers themselves (the children of their `timeout` wrappers) so
+# the server cannot commit any more rounds, then kill it mid-run: the kill
+# can no longer race a fast run to its end.
+workers=()
+for wrapper in "$w0_pid" "$w1_pid"; do
+  pid="$(pgrep -P "$wrapper" -x haccs_worker || true)"
+  [[ -n "$pid" ]] || resume_fail "a worker exited before the kill"
+  workers+=("$pid")
+done
+kill -STOP "${workers[@]}"
+kill -9 "$server_pid" 2>/dev/null || true
+server_rc=0
+wait "$server_pid" 2>/dev/null || server_rc=$?
+# 137 = 128 + SIGKILL; anything else means the server had already exited.
+[[ "$server_rc" -eq 137 ]] ||
+  resume_fail "the server had already exited (status $server_rc) before the kill"
+kill -CONT "${workers[@]}"
 rm -f "$obs_dir/port"
 timeout 300 "$build/examples/haccs_server" \
   --workers=2 --port=0 --port-file="$obs_dir/port" \
