@@ -504,8 +504,8 @@ BENCHMARK(BM_FrameParserReassembly);
 // Flat vs tree round dispatch (DESIGN.md §5j): one full round's fan-out +
 // collection over loopback transports against emulated peers (no training —
 // the benchmark isolates the wire + fold path). The flat arm moves one dense
-// ClientUpdate per worker to the server; the tree arm moves one chunked f64
-// partial sum per aggregator, which is the uplink-compression story the
+// ClientUpdate per worker to the server; the tree arm moves one f64 partial
+// sum per aggregator, which is the uplink-compression story the
 // hierarchy exists for. Bytes/s counters report the modeled root uplink.
 
 constexpr std::size_t kRoundParams = 16384;
@@ -536,10 +536,9 @@ void bench_flat_worker(net::Transport& transport) {
   }
 }
 
-/// Emulated mid-tier aggregator: answers each SelectNotice round with a
-/// chunked weighted partial sum plus the SubtreeUpdate trailer.
-void bench_tree_agg(net::Transport& transport, std::uint32_t agg_id,
-                    std::size_t chunk_params) {
+/// Emulated mid-tier aggregator: answers each SelectNotice round with one
+/// SubtreeUpdate carrying the weighted partial sum and the client stats.
+void bench_tree_agg(net::Transport& transport, std::uint32_t agg_id) {
   for (;;) {
     net::Frame frame;
     const auto status = transport.recv(&frame, 200);
@@ -553,30 +552,14 @@ void bench_tree_agg(net::Transport& transport, std::uint32_t agg_id,
       if (transport.recv(&frame, 5000) != net::TransportStatus::Ok) return;
       params = net::decode_train_job(frame).params;
     }
-    const double weight = 10.0 * notice.clients.size();
-    std::uint64_t chunks = 0;
-    for (std::size_t offset = 0; offset < params.size();
-         offset += chunk_params) {
-      net::SubtreeChunkMsg chunk;
-      chunk.epoch = notice.epoch;
-      chunk.agg_id = agg_id;
-      chunk.offset = offset;
-      const std::size_t end = std::min(offset + chunk_params, params.size());
-      chunk.data.reserve(end - offset);
-      for (std::size_t k = offset; k < end; ++k) {
-        chunk.data.push_back(weight * static_cast<double>(params[k]));
-      }
-      if (transport.send(net::encode_subtree_chunk(chunk), 5000) !=
-          net::TransportStatus::Ok) {
-        return;
-      }
-      ++chunks;
-    }
     net::SubtreeUpdateMsg update;
     update.epoch = notice.epoch;
     update.agg_id = agg_id;
-    update.weight = weight;
-    update.n_chunks = chunks;
+    update.weight = 10.0 * notice.clients.size();
+    update.sum.reserve(params.size());
+    for (const float p : params) {
+      update.sum.push_back(update.weight * static_cast<double>(p));
+    }
     for (const std::uint32_t c : notice.clients) {
       net::SubtreeClientStat stat;
       stat.client_id = c;
@@ -635,7 +618,6 @@ BENCHMARK(BM_FlatRoundDispatch)->Unit(benchmark::kMillisecond);
 
 void BM_TreeRoundDispatch(benchmark::State& state) {
   const auto num_aggs = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kChunk = 4096;
   std::vector<net::LoopbackPair> pairs;
   std::vector<net::Transport*> root_side;
   std::vector<std::thread> aggs;
@@ -645,7 +627,7 @@ void BM_TreeRoundDispatch(benchmark::State& state) {
   }
   for (std::size_t a = 0; a < num_aggs; ++a) {
     aggs.emplace_back([&, a] {
-      bench_tree_agg(*pairs[a].b, static_cast<std::uint32_t>(a), kChunk);
+      bench_tree_agg(*pairs[a].b, static_cast<std::uint32_t>(a));
     });
   }
 
@@ -661,7 +643,7 @@ void BM_TreeRoundDispatch(benchmark::State& state) {
   }
   for (auto& pair : pairs) pair.a->send(net::encode_shutdown(), 1000);
   for (auto& thread : aggs) thread.join();
-  // Root uplink: one chunked f64 partial sum per aggregator per round,
+  // Root uplink: one f64 partial sum per aggregator per round,
   // independent of the worker count — the fan-in win.
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(num_aggs * kRoundParams *

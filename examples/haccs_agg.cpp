@@ -54,12 +54,10 @@ void print_usage() {
       "upstream (root): --host=H --port=P or --port-file=F\n"
       "downstream (workers): --listen-port=P (default 0 = ephemeral)\n"
       "  --listen-port-file=F  publish the bound listen port to F\n"
-      "aggregation: --chunk-params=N   f64 elements per SubtreeChunk\n"
-      "                        (default 16384)\n"
-      "  --round-timeout-ms=T  budget for a round's jobs to arrive from the\n"
-      "                        root, then for the subtree to answer them;\n"
-      "                        missing jobs and stragglers fail as Timeout\n"
-      "                        (default 30000)\n"
+      "rounds: --round-timeout-ms=T  budget for a round's jobs to arrive\n"
+      "                        from the root, then for the subtree to answer\n"
+      "                        them; missing jobs and stragglers fail as\n"
+      "                        Timeout (default 30000)\n"
       "  --handshake-timeout-ms=T  deadline per worker accept and per\n"
       "                        Hello/Summary frame at startup (default 60000)\n"
       "  --heartbeat-interval-ms=T  upstream liveness cadence, kept up\n"
@@ -105,7 +103,6 @@ int main(int argc, char** argv) try {
       static_cast<std::uint16_t>(flags.get_int("listen-port", 0));
   const std::string listen_port_file =
       flags.get_string("listen-port-file", "");
-  const std::size_t chunk_params = flags.get_count("chunk-params", 16384);
   const int round_timeout_ms =
       static_cast<int>(flags.get_int("round-timeout-ms", 30000));
   const int handshake_timeout_ms =
@@ -130,10 +127,6 @@ int main(int argc, char** argv) try {
     std::fprintf(stderr, "--aggs must divide --workers evenly\n");
     return 1;
   }
-  if (chunk_params == 0) {
-    std::fprintf(stderr, "--chunk-params must be >= 1\n");
-    return 1;
-  }
   // Aggregator span ids must stay distinct from the root's and every
   // worker's in a merged trace; workers salt bits 40+, aggregators 52+.
   obs::set_span_id_salt(static_cast<std::uint64_t>(agg_id + 1) << 52);
@@ -142,7 +135,6 @@ int main(int argc, char** argv) try {
   config.agg_id = agg_id;
   config.num_aggs = num_aggs;
   config.num_workers = num_workers;
-  config.chunk_params = chunk_params;
   config.heartbeat_interval_ms = heartbeat_interval_ms;
   config.round_timeout_ms = round_timeout_ms;
   config.handshake_timeout_ms = handshake_timeout_ms;

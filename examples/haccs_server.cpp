@@ -522,6 +522,10 @@ int main(int argc, char** argv) try {
     o.field("net_bytes_sent", wire.bytes_sent.value())
         .field("net_bytes_received", wire.bytes_received.value())
         .field("net_frames_corrupt", wire.frames_corrupt.value());
+    if (num_aggs > 0) {
+      // Subtrees lost before their round's update landed (§5j salvage).
+      o.field("aggs_salvaged", counter_value("hier_aggs_salvaged_total"));
+    }
     fl::append_summary_counters(o);
     if (!fl::write_summary_json(o, summary_json)) return 1;
   }

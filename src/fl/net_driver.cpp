@@ -542,9 +542,6 @@ void WorkerLoop::handle_train_job(net::Transport& transport,
     trace_.record(span);
     trace_id_ = msg.trace.trace_id;
     trace_epoch_ = static_cast<std::int64_t>(msg.epoch);
-    last_trace_id_.store(msg.trace.trace_id, std::memory_order_relaxed);
-    last_parent_span_.store(msg.trace.parent_span, std::memory_order_relaxed);
-    last_round_.store(msg.trace.round, std::memory_order_relaxed);
   }
 
   net::ClientUpdateMsg reply;
@@ -590,13 +587,7 @@ void WorkerLoop::ship_trace_shard(net::Transport& transport) {
 
 WorkerRunEnd WorkerLoop::serve(net::Transport& transport) {
   const HeartbeatThread heartbeat(config_.heartbeat_interval_ms, [&] {
-    net::HeartbeatMsg beat;
-    beat.sender_id = config_.worker_id;
-    beat.epoch = last_epoch_.load(std::memory_order_relaxed);
-    beat.trace.trace_id = last_trace_id_.load(std::memory_order_relaxed);
-    beat.trace.parent_span = last_parent_span_.load(std::memory_order_relaxed);
-    beat.trace.round = last_round_.load(std::memory_order_relaxed);
-    return transport.send(net::encode_heartbeat(beat)) !=
+    return transport.send(net::encode_heartbeat()) !=
            net::TransportStatus::Closed;
   });
 
@@ -631,7 +622,6 @@ WorkerRunEnd WorkerLoop::serve(net::Transport& transport) {
               static_cast<std::int64_t>(msg.epoch) != trace_epoch_) {
             ship_trace_shard(transport);
           }
-          last_epoch_.store(msg.epoch, std::memory_order_relaxed);
           handle_train_job(transport, msg);
           ++served_;
         } catch (const net::WireError& e) {

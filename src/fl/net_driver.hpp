@@ -381,19 +381,12 @@ class WorkerLoop {
   WorkerLoopConfig config_;
   std::vector<std::vector<float>> residuals_;
   std::size_t served_ = 0;
-  /// Last epoch seen in a TrainJob — echoed in heartbeats for diagnostics.
-  std::atomic<std::uint64_t> last_epoch_{0};
   /// Spans recorded for trace-context-carrying jobs (§5i). Gated on the
   /// RECEIVED context, not local trace flags: only the server decides
   /// whether a run is traced, and an untraced run records nothing here.
   obs::TraceBuffer trace_;
   std::uint64_t trace_id_ = 0;
   std::int64_t trace_epoch_ = -1;  ///< epoch the buffer's spans belong to
-  /// Last received context, republished in heartbeat trailers (relaxed
-  /// atomics: the heartbeat thread reads while the serve loop writes).
-  std::atomic<std::uint64_t> last_trace_id_{0};
-  std::atomic<std::uint64_t> last_parent_span_{0};
-  std::atomic<std::int64_t> last_round_{-1};
 };
 
 /// Knobs for LoopbackCluster beyond plain loopback options.

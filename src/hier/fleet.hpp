@@ -20,7 +20,8 @@
 // dispatcher still holds a raw pointer to (use-after-free on the next
 // fan-out). Aggregators are never resumed: a mid-tier process owns live
 // downstream state a fresh process cannot rebuild, so a dead aggregator
-// stays dead and the TreeDispatcher contains the loss.
+// stays dead and the TreeDispatcher salvages its subtree: only that
+// subtree's clients fail, every round it misses.
 #pragma once
 
 #include <cstddef>

@@ -69,9 +69,6 @@ FleetConfig subtree_fleet(const MidTierConfig& config) {
 MidTierAggregator::MidTierAggregator(const MidTierConfig& config,
                                      Fleet::Acceptor accept)
     : config_(config), fleet_(subtree_fleet(config), std::move(accept)) {
-  if (config_.chunk_params == 0) {
-    throw std::invalid_argument("MidTierAggregator: chunk_params must be > 0");
-  }
   const std::uint32_t per = config_.num_workers / config_.num_aggs;
   if (config_.status_board && config_.status_board->num_workers() < per) {
     throw std::invalid_argument(
@@ -128,10 +125,7 @@ bool MidTierAggregator::announce(net::Transport& upstream) {
 
 bool MidTierAggregator::serve(net::Transport& upstream) {
   const fl::HeartbeatThread heartbeat(config_.heartbeat_interval_ms, [&] {
-    net::HeartbeatMsg beat;
-    beat.sender_id = config_.agg_id;
-    beat.epoch = epoch_.load(std::memory_order_relaxed);
-    return send_upstream(upstream, net::encode_heartbeat(beat));
+    return send_upstream(upstream, net::encode_heartbeat());
   });
   fl::TransportDispatcherConfig dispatch;
   dispatch.send_timeout_ms = deadline(config_.round_timeout_ms);
@@ -288,7 +282,6 @@ bool MidTierAggregator::settle_round(net::Transport& upstream,
                                      fl::TransportDispatcher& dispatcher,
                                      Round& round) {
   served_epoch_ = round.epoch;
-  epoch_.store(round.epoch, std::memory_order_relaxed);
   std::vector<fl::TrainJobSpec> jobs;
   std::vector<net::Frame> frames;
   for (auto& [slot, job] : round.jobs) {
@@ -314,34 +307,19 @@ bool MidTierAggregator::settle_round(net::Transport& upstream,
   fl::fold_groups(
       jobs, round.global, outcomes, partial,
       [](std::size_t) { return std::size_t{0}; }, config_.max_update_norm);
-  const fl::PartialAggregate& folded = partial[0];
+  fl::PartialAggregate& folded = partial[0];
   stats_.folded += folded.updates;
   stats_.rejected += arrived - folded.updates;
   HierMetrics::get().folded.inc(folded.updates);
   HierMetrics::get().rejected.inc(arrived - folded.updates);
 
-  std::uint64_t n_chunks = 0;
-  for (std::size_t offset = 0; offset < folded.sum.size();
-       offset += config_.chunk_params) {
-    const std::size_t len =
-        std::min(config_.chunk_params, folded.sum.size() - offset);
-    net::SubtreeChunkMsg chunk;
-    chunk.epoch = round.epoch;
-    chunk.agg_id = config_.agg_id;
-    chunk.offset = offset;
-    chunk.data.assign(
-        folded.sum.begin() + static_cast<std::ptrdiff_t>(offset),
-        folded.sum.begin() + static_cast<std::ptrdiff_t>(offset + len));
-    if (!send_upstream(upstream, net::encode_subtree_chunk(chunk))) {
-      return false;
-    }
-    ++n_chunks;
-  }
-  net::SubtreeUpdateMsg trailer;
-  trailer.epoch = round.epoch;
-  trailer.agg_id = config_.agg_id;
-  trailer.weight = folded.weight;
-  trailer.n_chunks = n_chunks;
+  // The whole partial goes up in the round's one frame, with the stats
+  // that let the root's engine keep its per-slot bookkeeping.
+  net::SubtreeUpdateMsg update;
+  update.epoch = round.epoch;
+  update.agg_id = config_.agg_id;
+  update.weight = folded.weight;
+  update.sum = std::move(folded.sum);
   for (std::size_t slot = 0; slot < round.clients.size(); ++slot) {
     const fl::TrainOutcome& out = outcomes[slot];
     net::SubtreeClientStat stat;
@@ -352,9 +330,9 @@ bool MidTierAggregator::settle_round(net::Transport& upstream,
     stat.final_loss = out.result.final_loss;
     stat.batches = out.result.batches;
     stat.sample_count = static_cast<std::uint64_t>(out.weight);
-    trailer.stats.push_back(stat);
+    update.stats.push_back(stat);
   }
-  if (!send_upstream(upstream, net::encode_subtree_update(trailer))) {
+  if (!send_upstream(upstream, net::encode_subtree_update(update))) {
     return false;
   }
   ++stats_.rounds;

@@ -24,10 +24,9 @@
 //     fl::TransportDispatcher over the fleet's transports, which collects
 //     and settles the ClientUpdates (fl::DispatchCore, fl::UpdateLedger).
 //   * settle — fl::fold_groups folds the delivered updates in slot order
-//     into ONE weighted partial sum, which goes upstream as bounded
-//     SubtreeChunk frames followed by a SubtreeUpdate trailer carrying the
-//     per-client stats, so the root's engine keeps its normal bookkeeping
-//     without the raw updates.
+//     into ONE weighted partial sum, which goes upstream whole in the
+//     round's one SubtreeUpdate frame with the per-client stats, so the
+//     root's engine keeps its normal bookkeeping without the raw updates.
 //   * wind-down — the root's EvalReport is kept; its Shutdown runs
 //     Fleet::shut_down downstream and relays each worker's last TraceShard.
 //
@@ -65,9 +64,6 @@ struct MidTierConfig {
   /// slice [agg_id * per, (agg_id + 1) * per) with per = num_workers /
   /// num_aggs (num_aggs must divide num_workers).
   std::uint32_t num_workers = 1;
-  /// f64 elements per SubtreeChunk — bounds the root's per-peer buffering
-  /// to O(chunk_params × aggregators) instead of O(model × aggregators).
-  std::size_t chunk_params = 16384;
   /// Update-norm validation threshold; must match EngineConfig's so the
   /// fold rejects exactly the updates the engine itself would reject. The
   /// haccs_agg binary leaves it 0, as the haccs_server root's engine does.
@@ -130,7 +126,7 @@ class MidTierAggregator {
   bool serve(net::Transport& upstream);
   /// Reads upstream until a round's intake closes, or Shutdown, or loss.
   Next gather(net::Transport& upstream, Round& round);
-  /// Fans the round out, collects, folds, and ships the chunks and trailer.
+  /// Fans the round out, collects, folds, and ships the SubtreeUpdate.
   bool settle_round(net::Transport& upstream,
                     fl::TransportDispatcher& dispatcher, Round& round);
   /// Thread-safe: the heartbeat thread sends through it too.
@@ -144,7 +140,6 @@ class MidTierAggregator {
   net::EvalReportMsg report_;
   /// Last epoch served; frames for it or earlier are stale.
   std::optional<std::uint64_t> served_epoch_;
-  std::atomic<std::uint64_t> epoch_{0};  ///< echoed in heartbeats
   std::atomic<std::uint64_t> upstream_sent_{0};
   MidTierStats stats_;
 };

@@ -1,5 +1,7 @@
 #include "src/hier/tree_dispatcher.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -15,24 +17,21 @@ namespace haccs::hier {
 
 namespace {
 
-/// Chunks stashed per aggregator before the root stops reading from it —
-/// TCP backpressure then holds the data at the sender, which is what bounds
-/// root memory to O(chunk × aggregators).
-constexpr std::size_t kMaxStashChunks = 8;
-
-struct TreeMetrics {
-  obs::Counter& chunks =
-      obs::Registry::global().counter("hier_root_chunks_folded_total");
-  obs::Counter& torn =
-      obs::Registry::global().counter("hier_rounds_torn_total");
-  obs::Counter& salvaged =
+obs::Counter& salvaged_counter() {
+  static obs::Counter& counter =
       obs::Registry::global().counter("hier_aggs_salvaged_total");
+  return counter;
+}
 
-  static TreeMetrics& get() {
-    static TreeMetrics metrics;
-    return metrics;
+/// Fails every slot of one subtree's share of the round with `kind`.
+void fail_jobs(const std::vector<std::size_t>& job_indices,
+               std::span<const fl::TrainJobSpec> jobs, fl::FailureKind kind,
+               std::vector<fl::TrainOutcome>& outcomes) {
+  for (const std::size_t j : job_indices) {
+    outcomes[jobs[j].slot].delivered = false;
+    outcomes[jobs[j].slot].failure = kind;
   }
-};
+}
 
 }  // namespace
 
@@ -56,61 +55,11 @@ TreeDispatcher::TreeDispatcher(std::vector<net::Transport*> aggs,
     throw std::invalid_argument(
         "TreeDispatcher: aggregator count must evenly divide num_workers");
   }
-  partials_.assign(1, fl::PartialAggregate{});
+  partials_.assign(core_.size(), fl::PartialAggregate{});
 }
 
 std::size_t TreeDispatcher::group_of(std::size_t client_id) const {
   return (client_id % num_workers_) / (num_workers_ / core_.size());
-}
-
-bool TreeDispatcher::agg_finished(const AggRound& round,
-                                  std::size_t model_size) const {
-  if (!round.trailer) return false;
-  if (round.update.n_chunks == 0) return true;
-  return round.folded_chunks == round.update.n_chunks &&
-         round.folded_upto == model_size;
-}
-
-bool TreeDispatcher::gate_open(const std::vector<AggRound>& rounds,
-                               std::size_t a, std::uint64_t end) const {
-  for (std::size_t p = 0; p < a; ++p) {
-    const AggRound& prev = rounds[p];
-    if (!prev.participating) continue;  // contributes nothing — skip
-    if (prev.trailer && prev.update.n_chunks == 0) continue;
-    if (prev.folded_upto < end) return false;
-  }
-  return true;
-}
-
-void TreeDispatcher::try_fold(std::vector<AggRound>& rounds,
-                              std::vector<double>& acc) {
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (std::size_t a = 0; a < rounds.size(); ++a) {
-      AggRound& round = rounds[a];
-      if (!round.participating) continue;
-      const auto it = round.stash.find(round.folded_upto);
-      if (it == round.stash.end()) continue;  // next chunk not here yet
-      const std::uint64_t end = round.folded_upto + it->second.size();
-      if (end > acc.size()) {
-        HACCS_WARN << "tree: agg " << a << " chunk overruns the model ("
-                   << end << " > " << acc.size() << ") — dropped";
-        round.stash.erase(it);
-        continue;
-      }
-      if (!gate_open(rounds, a, end)) continue;
-      const std::vector<double>& data = it->second;
-      for (std::size_t k = 0; k < data.size(); ++k) {
-        acc[round.folded_upto + k] += data[k];
-      }
-      round.folded_upto = end;
-      ++round.folded_chunks;
-      round.stash.erase(it);
-      TreeMetrics::get().chunks.inc();
-      progress = true;
-    }
-  }
 }
 
 void TreeDispatcher::fan_out(std::span<const fl::TrainJobSpec> jobs,
@@ -143,10 +92,7 @@ void TreeDispatcher::fan_out(std::span<const fl::TrainJobSpec> jobs,
                                     trace_ctx)));
     }
     if (status != net::TransportStatus::Ok) {
-      for (const std::size_t j : round.job_indices) {
-        outcomes[jobs[j].slot].delivered = false;
-        outcomes[jobs[j].slot].failure = fl::send_failure(status);
-      }
+      fail_jobs(round.job_indices, jobs, fl::send_failure(status), outcomes);
       continue;
     }
     round.participating = true;
@@ -154,30 +100,72 @@ void TreeDispatcher::fan_out(std::span<const fl::TrainJobSpec> jobs,
   }
 }
 
-void TreeDispatcher::receive(std::size_t a, const net::Frame& frame,
-                             std::uint64_t epoch,
-                             std::vector<AggRound>& rounds,
-                             std::vector<double>& acc) {
-  AggRound& round = rounds[a];
-  try {
-    if (frame.type == net::MessageType::SubtreeChunk) {
-      auto msg = net::decode_subtree_chunk(frame);
-      if (msg.epoch != epoch) return;  // stale round — drop
-      round.stash.emplace(msg.offset, std::move(msg.data));
-    } else if (frame.type == net::MessageType::SubtreeUpdate) {
-      auto msg = net::decode_subtree_update(frame);
-      if (msg.epoch != epoch) return;
-      round.update = std::move(msg);
-      round.trailer = true;  // n_chunks == 0 may open gates
-    } else {
-      return;  // Heartbeat: liveness already refreshed
+void TreeDispatcher::settle(std::size_t a, AggRound& round,
+                            std::span<const fl::TrainJobSpec> jobs,
+                            std::size_t model_size,
+                            std::vector<fl::TrainOutcome>& outcomes) {
+  net::SubtreeUpdateMsg& update = *round.update;
+  // A stat settles one of this subtree's jobs, once: a stat naming another
+  // subtree's client, a client outside the round or a settled one is void.
+  std::unordered_map<std::uint32_t, std::size_t> unsettled;
+  for (const std::size_t j : round.job_indices) {
+    unsettled.emplace(static_cast<std::uint32_t>(jobs[j].client_id), j);
+  }
+  std::vector<std::pair<std::size_t, const net::SubtreeClientStat*>> settles;
+  bool any_delivered = false;
+  double delivered_weight = 0.0;
+  for (const net::SubtreeClientStat& stat : update.stats) {
+    const auto it = unsettled.find(stat.client_id);
+    if (it == unsettled.end()) continue;
+    settles.emplace_back(it->second, &stat);
+    unsettled.erase(it);
+    if (stat.delivered) {
+      any_delivered = true;
+      delivered_weight += static_cast<double>(stat.sample_count);
     }
-  } catch (const net::WireError& e) {
-    HACCS_WARN << "tree: bad subtree frame from agg " << a << ": "
-               << e.what();
+  }
+
+  // The update is input from outside the process: it counts only when it
+  // is self-consistent, or a NaN or a stray weight would reach the model.
+  const std::vector<double>& sum = update.sum;
+  const bool valid =
+      (sum.empty() || sum.size() == model_size) &&
+      std::all_of(sum.begin(), sum.end(),
+                  [](double v) { return std::isfinite(v); }) &&
+      sum.empty() != any_delivered && update.weight == delivered_weight;
+  if (!valid) {
+    HACCS_WARN << "tree: agg " << a << " sent an inconsistent SubtreeUpdate ("
+               << sum.size() << " of " << model_size << " sum elements, weight "
+               << update.weight << " vs " << delivered_weight
+               << " delivered); its subtree fails as CorruptUpdate";
+    fail_jobs(round.job_indices, jobs, fl::FailureKind::CorruptUpdate,
+              outcomes);
     return;
   }
-  try_fold(rounds, acc);
+
+  fl::PartialAggregate& partial = partials_[a];
+  for (const auto& [j, stat] : settles) {
+    fl::TrainOutcome& out = outcomes[jobs[j].slot];
+    if (stat->delivered) {
+      out.delivered = true;
+      out.pre_aggregated = true;
+      out.weight = static_cast<double>(stat->sample_count);
+      out.result.average_loss = stat->average_loss;
+      out.result.final_loss = stat->final_loss;
+      out.result.batches = static_cast<std::size_t>(stat->batches);
+      ++partial.updates;
+      core_.note_delivered(a);
+    } else {
+      out.delivered = false;
+      out.failure =
+          stat->failure <=
+                  static_cast<std::uint8_t>(fl::FailureKind::CorruptUpdate)
+              ? static_cast<fl::FailureKind>(stat->failure)
+              : fl::FailureKind::Crash;
+    }
+  }
+  partial.sum = std::move(update.sum);
+  partial.weight = update.weight;
 }
 
 void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
@@ -185,7 +173,7 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
                              std::vector<fl::TrainOutcome>& outcomes) {
   const std::size_t num_aggs = core_.size();
   const std::uint64_t epoch = jobs.empty() ? 0 : jobs.front().epoch;
-  partials_.assign(1, fl::PartialAggregate{});
+  partials_.assign(num_aggs, fl::PartialAggregate{});
   core_.begin_round(epoch, jobs.size());
 
   std::vector<AggRound> rounds(num_aggs);
@@ -194,118 +182,48 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
   }
   fan_out(jobs, global_params, rounds, outcomes);
 
-  // Collection: fold gated chunks as they arrive.
-  std::vector<double> acc(global_params.size(), 0.0);
-  bool torn = false;
-  auto unfinished = [&](std::size_t a) {
-    return rounds[a].participating && !agg_finished(rounds[a], acc.size());
+  // Collection: one SubtreeUpdate per participating aggregator.
+  const auto owes = [&](std::size_t a) {
+    return rounds[a].participating && !rounds[a].update;
   };
   fl::CollectHooks hooks;
-  hooks.owes = [&](std::size_t a) {
-    // A full stash means the aggregator is ahead of the fold gate: stop
-    // reading so TCP holds the bytes at the sender instead of root memory.
-    return !torn && unfinished(a) &&
-           rounds[a].stash.size() < kMaxStashChunks;
-  };
+  hooks.owes = owes;
   hooks.pending = [&](std::int64_t) {
-    if (torn) return false;
-    try_fold(rounds, acc);  // a salvaged predecessor may have opened gates
     for (std::size_t a = 0; a < num_aggs; ++a) {
-      if (unfinished(a)) return true;
+      if (owes(a)) return true;
     }
     return false;
   };
   hooks.on_frame = [&](std::size_t a, const net::Frame& frame) {
-    receive(a, frame, epoch, rounds, acc);
+    // Heartbeats: liveness is already refreshed.
+    if (frame.type != net::MessageType::SubtreeUpdate) return;
+    try {
+      net::SubtreeUpdateMsg msg = net::decode_subtree_update(frame);
+      if (msg.epoch == epoch) rounds[a].update = std::move(msg);  // else stale
+    } catch (const net::WireError& e) {
+      HACCS_WARN << "tree: bad SubtreeUpdate from agg " << a << ": "
+                 << e.what();
+    }
   };
   hooks.on_corrupt = [&](std::size_t a) {
-    // The frame (possibly a chunk) is gone, so the aggregator can no longer
-    // finish; the budget tears the round.
+    // If that was the update, the budget salvages the subtree.
     HACCS_WARN << "tree: corrupt frame from agg " << a;
   };
   hooks.on_lost = [&](std::size_t a, fl::FailureKind kind) {
-    if (!unfinished(a)) return;
-    AggRound& round = rounds[a];
-    if (round.folded_upto > 0 || round.folded_chunks > 0) {
-      // Its partial sum is already mixed into the shared accumulator and
-      // cannot be unfolded — the whole round tears.
-      torn = true;
-      return;
-    }
-    // Salvage: nothing folded, so this subtree simply contributed nothing —
-    // bitwise the flat run with those workers dead.
-    round.participating = false;
-    round.trailer = false;
-    round.stash.clear();
-    for (const std::size_t j : round.job_indices) {
-      fl::TrainOutcome& out = outcomes[jobs[j].slot];
-      out.delivered = false;
-      out.failure = kind;
-    }
-    TreeMetrics::get().salvaged.inc();
+    if (!owes(a)) return;
+    // Salvage: the subtree contributes nothing — bitwise the grouped flat
+    // run with those workers dead.
+    rounds[a].participating = false;
+    fail_jobs(rounds[a].job_indices, jobs, kind, outcomes);
+    salvaged_counter().inc();
   };
   core_.collect(hooks);
 
-  if (torn) {
-    // Fail every slot: total weight goes to zero and the engine leaves the
-    // model untouched — a torn round is a no-op, never a half-aggregate.
-    TreeMetrics::get().torn.inc();
-    HACCS_WARN << "tree: round " << epoch
-               << " torn (aggregator lost after contributing); "
-               << jobs.size() << " job(s) failed";
-    for (const fl::TrainJobSpec& job : jobs) {
-      fl::TrainOutcome& out = outcomes[job.slot];
-      out.delivered = false;
-      out.pre_aggregated = false;
-      out.failure = fl::FailureKind::Crash;
-      out.updated.clear();
-    }
-    core_.end_round();
-    return;
-  }
-
-  // Settle: per-client stats -> outcomes, trailer weights -> the merged
-  // partial. A stat counts only for a job routed to the aggregator that
-  // sent it, and only once; clients no trailer settles keep their default
-  // Crash.
-  std::unordered_map<std::uint32_t, std::size_t> job_of_client;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    job_of_client[static_cast<std::uint32_t>(jobs[j].client_id)] = j;
-  }
-  std::vector<bool> settled(jobs.size(), false);
-  fl::PartialAggregate& merged = partials_[0];
   for (std::size_t a = 0; a < num_aggs; ++a) {
-    AggRound& round = rounds[a];
-    if (!round.participating || !round.trailer) continue;
-    for (const net::SubtreeClientStat& stat : round.update.stats) {
-      const auto it = job_of_client.find(stat.client_id);
-      if (it == job_of_client.end() || group_of(stat.client_id) != a ||
-          settled[it->second]) {
-        continue;  // not this subtree's job this round, or already settled
-      }
-      settled[it->second] = true;
-      fl::TrainOutcome& out = outcomes[jobs[it->second].slot];
-      if (stat.delivered) {
-        out.delivered = true;
-        out.pre_aggregated = true;
-        out.weight = static_cast<double>(stat.sample_count);
-        out.result.average_loss = stat.average_loss;
-        out.result.final_loss = stat.final_loss;
-        out.result.batches = static_cast<std::size_t>(stat.batches);
-        ++merged.updates;
-        core_.note_delivered(a);
-      } else {
-        out.delivered = false;
-        out.failure = stat.failure <=
-                              static_cast<std::uint8_t>(
-                                  fl::FailureKind::CorruptUpdate)
-                          ? static_cast<fl::FailureKind>(stat.failure)
-                          : fl::FailureKind::Crash;
-      }
+    if (rounds[a].update) {
+      settle(a, rounds[a], jobs, global_params.size(), outcomes);
     }
-    merged.weight += round.update.weight;
   }
-  if (merged.updates > 0) merged.sum = std::move(acc);
   core_.end_round();
 }
 

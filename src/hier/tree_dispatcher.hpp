@@ -12,28 +12,26 @@
 // Fan-out sends each aggregator a SelectNotice scoping its subtree's slice
 // of the round (in slot order — that order IS the fold order downstream) and
 // relays every TrainJob to the aggregator owning its client. Collection
-// receives SubtreeChunk frames and folds them into ONE f64 accumulator with
-// group-ordered gating: a chunk from aggregator g covering elements [a, b)
-// folds only once every live aggregator g' < g has folded past b (or
-// finished) — so the per-element add sequence is exactly "group 0's sum,
-// then group 1's, ..." and the merged result is bit-identical to a flat
-// dispatcher running with agg_groups = A. Peak buffering is
-// O(chunk × aggregators): chunks ahead of the gate wait in a per-aggregator
-// stash that drains as predecessors advance (the `allreduce_ring_chunked`
-// idiom).
+// waits for one SubtreeUpdate per aggregator: its whole f64 partial sum, its
+// weight and its per-client stats. partials() hands the engine one
+// PartialAggregate per aggregator, in aggregator order — the groups of a
+// grouped flat root, arrived over the wire — and the engine's group-order
+// merge adds them, so the tree is bit-identical to a flat dispatcher
+// running with agg_groups = A.
 //
-// Failure containment: an aggregator that dies BEFORE contributing any
-// chunk is salvaged — its slots fail as Crash, everyone else's round
-// commits (bitwise what a flat run with those workers dead produces). An
-// aggregator that dies AFTER some of its chunks folded tears the whole
-// round: the shared accumulator cannot be unfolded, so every slot fails and
-// the model is untouched (total weight 0). A trailer settles only the
-// clients routed to the aggregator that sent it, each once.
+// Failure containment: an aggregator lost before its SubtreeUpdate lands is
+// salvaged — its slots fail as Crash (closed or silent) or Timeout (the
+// budget), everyone else's round commits: bitwise what a grouped flat run
+// with those workers dead produces. An update is input from outside the
+// process, so it counts only when it is self-consistent (a finite sum of
+// the model's length, present exactly when a settled stat is delivered,
+// and a weight equal to the delivered stats' sample counts); otherwise its
+// subtree's slots fail as CorruptUpdate. Its stats settle only the clients
+// routed to the aggregator that sent it, each once.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <map>
+#include <optional>
 #include <vector>
 
 #include "src/fl/dispatch.hpp"
@@ -60,8 +58,9 @@ class TreeDispatcher final : public fl::RoundDispatcher {
                const std::vector<float>& global_params,
                std::vector<fl::TrainOutcome>& outcomes) override;
 
-  /// One merged PartialAggregate: the group-ordered fold of every
-  /// aggregator's partial sum (§5j bit-identity doc in dispatch.hpp).
+  /// One PartialAggregate per aggregator, in aggregator order; an
+  /// aggregator that delivered nothing has an empty one (§5j bit-identity
+  /// doc in dispatch.hpp).
   const std::vector<fl::PartialAggregate>* partials() const override {
     return &partials_;
   }
@@ -73,11 +72,7 @@ class TreeDispatcher final : public fl::RoundDispatcher {
   struct AggRound {
     std::vector<std::size_t> job_indices;  ///< into the jobs span, slot order
     bool participating = false;  ///< alive at fan-out with jobs to run
-    std::map<std::uint64_t, std::vector<double>> stash;  ///< offset -> chunk
-    std::uint64_t folded_upto = 0;   ///< element frontier folded into acc
-    std::uint64_t folded_chunks = 0;
-    bool trailer = false;
-    net::SubtreeUpdateMsg update;
+    std::optional<net::SubtreeUpdateMsg> update;
   };
 
   std::size_t group_of(std::size_t client_id) const;
@@ -87,16 +82,12 @@ class TreeDispatcher final : public fl::RoundDispatcher {
                const std::vector<float>& global_params,
                std::vector<AggRound>& rounds,
                std::vector<fl::TrainOutcome>& outcomes);
-  /// Stashes a SubtreeChunk / records a SubtreeUpdate trailer from `a`.
-  void receive(std::size_t a, const net::Frame& frame, std::uint64_t epoch,
-               std::vector<AggRound>& rounds, std::vector<double>& acc);
-  /// Folds every gated chunk it can, round-robin until no progress.
-  void try_fold(std::vector<AggRound>& rounds, std::vector<double>& acc);
-  /// A chunk ending at `end` from aggregator `a` may fold only when every
-  /// participating predecessor has folded past `end` or finished.
-  bool gate_open(const std::vector<AggRound>& rounds, std::size_t a,
-                 std::uint64_t end) const;
-  bool agg_finished(const AggRound& round, std::size_t model_size) const;
+  /// Settles aggregator a's slots from its SubtreeUpdate and takes its
+  /// partial sum, or fails the subtree as CorruptUpdate when the update is
+  /// not self-consistent.
+  void settle(std::size_t a, AggRound& round,
+              std::span<const fl::TrainJobSpec> jobs, std::size_t model_size,
+              std::vector<fl::TrainOutcome>& outcomes);
 
   fl::DispatchCore core_;
   std::size_t num_workers_;

@@ -48,8 +48,9 @@ enum class MessageType : std::uint16_t {
   Checkpoint = 9,    ///< file frame: nn::serialize parameter checkpoint
   TraceShard = 10,   ///< worker -> server: buffered trace spans (§5i)
   TopologyHello = 11,  ///< aggregator -> root: subtree handshake (§5j)
-  SubtreeUpdate = 12,  ///< aggregator -> root: partial-FedAvg round trailer
-  SubtreeChunk = 13,   ///< aggregator -> root: one chunk of the partial sum
+  SubtreeUpdate = 12,  ///< aggregator -> root: a subtree's partial FedAvg
+  // 13 is retired (it carried one chunk of a partial sum) and stays
+  // unassigned.
 };
 
 struct Frame {

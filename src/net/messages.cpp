@@ -14,6 +14,11 @@ constexpr std::size_t kTrainJobFixedBytes = 95;
 constexpr std::size_t kClientUpdateFixedBytes = 61;
 /// The optional trace-context trailer: three u64s.
 constexpr std::size_t kTraceTrailerBytes = 24;
+/// Fixed SubtreeUpdate payload bytes: epoch, agg_id, weight and the sum's
+/// and stats' 8-byte counts.
+constexpr std::size_t kSubtreeUpdateFixedBytes = 36;
+/// One SubtreeClientStat on the wire.
+constexpr std::size_t kSubtreeStatBytes = 38;
 
 /// Decoder entry: checks the frame's type tag before parsing.
 WireReader reader_for(const Frame& frame, MessageType expected,
@@ -275,24 +280,6 @@ SelectNoticeMsg decode_select_notice(const Frame& frame) {
   return msg;
 }
 
-Frame encode_heartbeat(const HeartbeatMsg& msg) {
-  WireWriter w;
-  w.u32(msg.sender_id);
-  w.u64(msg.epoch);
-  encode_trace_ctx(w, msg.trace);
-  return Frame{MessageType::Heartbeat, w.take()};
-}
-
-HeartbeatMsg decode_heartbeat(const Frame& frame) {
-  auto r = reader_for(frame, MessageType::Heartbeat, "Heartbeat");
-  HeartbeatMsg msg;
-  msg.sender_id = r.u32();
-  msg.epoch = r.u64();
-  msg.trace = decode_trace_ctx(r);
-  r.expect_exhausted();
-  return msg;
-}
-
 Frame encode_eval_report(const EvalReportMsg& msg) {
   WireWriter w;
   w.u64(msg.epoch);
@@ -417,32 +404,14 @@ TopologyHelloMsg decode_topology_hello(const Frame& frame) {
   return msg;
 }
 
-Frame encode_subtree_chunk(const SubtreeChunkMsg& msg) {
-  WireWriter w;
-  w.u64(msg.epoch);
-  w.u32(msg.agg_id);
-  w.u64(msg.offset);
-  w.f64_array(msg.data);
-  return Frame{MessageType::SubtreeChunk, w.take()};
-}
-
-SubtreeChunkMsg decode_subtree_chunk(const Frame& frame) {
-  auto r = reader_for(frame, MessageType::SubtreeChunk, "SubtreeChunk");
-  SubtreeChunkMsg msg;
-  msg.epoch = r.u64();
-  msg.agg_id = r.u32();
-  msg.offset = r.u64();
-  msg.data = r.f64_array();
-  r.expect_exhausted();
-  return msg;
-}
-
 Frame encode_subtree_update(const SubtreeUpdateMsg& msg) {
   WireWriter w;
+  w.reserve(kSubtreeUpdateFixedBytes + msg.sum.size() * sizeof(double) +
+            msg.stats.size() * kSubtreeStatBytes);
   w.u64(msg.epoch);
   w.u32(msg.agg_id);
   w.f64(msg.weight);
-  w.u64(msg.n_chunks);
+  w.f64_array(msg.sum);
   w.u64(msg.stats.size());
   for (const SubtreeClientStat& s : msg.stats) {
     w.u32(s.client_id);
@@ -462,10 +431,9 @@ SubtreeUpdateMsg decode_subtree_update(const Frame& frame) {
   msg.epoch = r.u64();
   msg.agg_id = r.u32();
   msg.weight = r.f64();
-  msg.n_chunks = r.u64();
+  msg.sum = r.f64_array();
   const std::uint64_t count = r.u64();
-  // Each stat costs 38 fixed bytes on the wire.
-  if (count > r.remaining() / 38) {
+  if (count > r.remaining() / kSubtreeStatBytes) {
     throw WireError("decode: subtree stat count exceeds payload");
   }
   msg.stats.resize(static_cast<std::size_t>(count));
@@ -481,6 +449,8 @@ SubtreeUpdateMsg decode_subtree_update(const Frame& frame) {
   r.expect_exhausted();
   return msg;
 }
+
+Frame encode_heartbeat() { return Frame{MessageType::Heartbeat, {}}; }
 
 Frame encode_shutdown() { return Frame{MessageType::Shutdown, {}}; }
 

@@ -116,14 +116,6 @@ struct SelectNoticeMsg {
   std::vector<std::uint32_t> clients;
 };
 
-struct HeartbeatMsg {
-  std::uint32_t sender_id = 0;
-  std::uint64_t epoch = 0;
-  /// Optional trailer: the last context the sender saw (liveness probes can
-  /// then be placed on the round timeline).
-  obs::TraceContext trace;
-};
-
 /// server -> worker after a global evaluation.
 struct EvalReportMsg {
   std::uint64_t epoch = 0;
@@ -172,18 +164,6 @@ struct TopologyHelloMsg {
   std::uint32_t num_clients = 0;   ///< clients hosted across the subtree
 };
 
-/// aggregator -> root: one fixed-size chunk of the subtree's weighted
-/// partial sum (Σ w_i · updated_i in f64, chunked so the root never buffers
-/// a whole per-peer model — the `allreduce_ring_chunked` idiom). `offset`
-/// is the chunk's first parameter index; chunks arrive in index order per
-/// aggregator.
-struct SubtreeChunkMsg {
-  std::uint64_t epoch = 0;
-  std::uint32_t agg_id = 0;
-  std::uint64_t offset = 0;
-  std::vector<double> data;
-};
-
 /// Per-client training stats forwarded upstream alongside the partial sum,
 /// so the root's engine can do its normal per-slot bookkeeping (losses,
 /// breakers, selector reports) without seeing the raw updates.
@@ -197,18 +177,20 @@ struct SubtreeClientStat {
   std::uint64_t sample_count = 0;  ///< the FedAvg weight
 };
 
-/// aggregator -> root: end-of-round trailer after the last SubtreeChunk.
-/// `weight` is Σ sample_count over folded clients — integers, so the sum is
-/// exact in f64 and the root's total weight is grouping-independent.
+/// aggregator -> root: the subtree's whole round, one frame per round.
+/// `sum` is the subtree's weighted partial sum (Σ w_i · updated_i in f64,
+/// folded in slot order), empty when nothing was folded; `weight` is
+/// Σ sample_count over the folded clients — integers, so the sum is exact
+/// in f64 and the root's total weight is grouping-independent.
 struct SubtreeUpdateMsg {
   std::uint64_t epoch = 0;
   std::uint32_t agg_id = 0;
   double weight = 0.0;
-  std::uint64_t n_chunks = 0;  ///< chunks this aggregator sent for the epoch
+  std::vector<double> sum;
   std::vector<SubtreeClientStat> stats;
 };
 
-// Shutdown carries no payload: an empty MessageType::Shutdown frame.
+// Heartbeat and Shutdown carry no payload: an empty frame of their type.
 
 Frame encode_hello(const HelloMsg& msg);
 HelloMsg decode_hello(const Frame& frame);
@@ -222,9 +204,6 @@ ClientUpdateMsg decode_client_update(const Frame& frame);
 Frame encode_select_notice(const SelectNoticeMsg& msg);
 SelectNoticeMsg decode_select_notice(const Frame& frame);
 
-Frame encode_heartbeat(const HeartbeatMsg& msg);
-HeartbeatMsg decode_heartbeat(const Frame& frame);
-
 Frame encode_eval_report(const EvalReportMsg& msg);
 EvalReportMsg decode_eval_report(const Frame& frame);
 
@@ -237,12 +216,10 @@ TraceShardMsg decode_trace_shard(const Frame& frame);
 Frame encode_topology_hello(const TopologyHelloMsg& msg);
 TopologyHelloMsg decode_topology_hello(const Frame& frame);
 
-Frame encode_subtree_chunk(const SubtreeChunkMsg& msg);
-SubtreeChunkMsg decode_subtree_chunk(const Frame& frame);
-
 Frame encode_subtree_update(const SubtreeUpdateMsg& msg);
 SubtreeUpdateMsg decode_subtree_update(const Frame& frame);
 
+Frame encode_heartbeat();
 Frame encode_shutdown();
 
 /// Fixed per-message wire overhead (frame header + metadata, excluding the

@@ -13,7 +13,7 @@ const char* to_string(TransportStatus status) {
 }
 
 NetMetrics& NetMetrics::get() {
-  // Frame sizes span four orders of magnitude (a 28-byte heartbeat to a
+  // Frame sizes span four orders of magnitude (a 16-byte heartbeat to a
   // ~400 KB parameter frame), so the buckets are powers of four in bytes.
   static const std::vector<double> kByteBuckets = {
       64, 256, 1024, 4096, 16384, 65536, 262144, 1048576};

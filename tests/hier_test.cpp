@@ -1,8 +1,8 @@
 // Tests for the hierarchical aggregation tree (DESIGN.md §5j): the tree wire
 // codecs, the 3-tier root→aggregator→worker pipeline's bit-identity with the
-// flat grouped dispatcher, salvage and tear on aggregator loss, trailer
-// settlement, the tree root's config refusals, StatusServer request parsing,
-// and the live join/leave re-cluster tracker.
+// flat grouped dispatcher, salvage on aggregator loss, SubtreeUpdate
+// settlement and validation, the tree root's config refusals, StatusServer
+// request parsing, and the live join/leave re-cluster tracker.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -14,6 +14,8 @@
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <future>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -91,22 +93,20 @@ TEST(HierCodec, TopologyHelloRoundTrip) {
   EXPECT_EQ(back.num_clients, 4096u);
 }
 
-TEST(HierCodec, SubtreeChunkRoundTripPreservesBits) {
-  net::SubtreeChunkMsg msg;
+TEST(HierCodec, SubtreeUpdateSumRoundTripPreservesBits) {
+  net::SubtreeUpdateMsg msg;
   msg.epoch = 41;
   msg.agg_id = 2;
-  msg.offset = 16384;
   // Edge-case doubles: the fold must be bit-exact, so the codec must be too.
-  msg.data = {-0.0, 4.9406564584124654e-324, 1.0 / 3.0,
-              -1.7976931348623157e308, 42.0};
-  const net::SubtreeChunkMsg back =
-      net::decode_subtree_chunk(net::encode_subtree_chunk(msg));
+  msg.sum = {-0.0, 4.9406564584124654e-324, 1.0 / 3.0,
+             -1.7976931348623157e308, 42.0};
+  const net::SubtreeUpdateMsg back =
+      net::decode_subtree_update(net::encode_subtree_update(msg));
   EXPECT_EQ(back.epoch, 41u);
   EXPECT_EQ(back.agg_id, 2u);
-  EXPECT_EQ(back.offset, 16384u);
-  ASSERT_EQ(back.data.size(), msg.data.size());
-  EXPECT_EQ(std::memcmp(back.data.data(), msg.data.data(),
-                        msg.data.size() * sizeof(double)),
+  ASSERT_EQ(back.sum.size(), msg.sum.size());
+  EXPECT_EQ(std::memcmp(back.sum.data(), msg.sum.data(),
+                        msg.sum.size() * sizeof(double)),
             0);
 }
 
@@ -115,7 +115,7 @@ TEST(HierCodec, SubtreeUpdateRoundTrip) {
   msg.epoch = 7;
   msg.agg_id = 1;
   msg.weight = 123.0;
-  msg.n_chunks = 9;
+  msg.sum = {2.5, -7.0};
   net::SubtreeClientStat ok;
   ok.client_id = 11;
   ok.delivered = 1;
@@ -134,7 +134,7 @@ TEST(HierCodec, SubtreeUpdateRoundTrip) {
   EXPECT_EQ(back.epoch, 7u);
   EXPECT_EQ(back.agg_id, 1u);
   EXPECT_EQ(back.weight, 123.0);
-  EXPECT_EQ(back.n_chunks, 9u);
+  EXPECT_EQ(back.sum, msg.sum);
   ASSERT_EQ(back.stats.size(), 2u);
   EXPECT_EQ(back.stats[0].client_id, 11u);
   EXPECT_EQ(back.stats[0].delivered, 1);
@@ -181,9 +181,6 @@ struct TreeHarness {
       config.agg_id = static_cast<std::uint32_t>(a);
       config.num_aggs = static_cast<std::uint32_t>(num_aggs);
       config.num_workers = static_cast<std::uint32_t>(num_workers);
-      // Small chunks force multi-chunk settles, exercising the root's
-      // gated out-of-order fold rather than a trivial one-chunk path.
-      config.chunk_params = 64;
       config.max_update_norm = engine.max_update_norm;
       config.round_timeout_ms = 60000;
       listeners_.push_back(std::make_unique<net::TcpListener>(0));
@@ -328,11 +325,12 @@ TEST(HierTree, ThreeTierRunBitIdenticalToGroupedFlat) {
 }
 
 /// Emulates one mid-tier aggregator for a single round: receives the
-/// SelectNotice + TrainJobs, then settles with one chunk + trailer where
-/// every client "trained" to params + 1. `extra_stats` names more clients
-/// the trailer claims as delivered (a misbehaving aggregator).
-void emulate_agg_round(net::Transport& transport, std::uint32_t agg_id,
-                       const std::vector<std::uint32_t>& extra_stats = {}) {
+/// SelectNotice + TrainJobs, then settles with one SubtreeUpdate in which
+/// every client "trained" to params + 1 with weight 10. `tamper` edits the
+/// update before it is sent (a misbehaving aggregator).
+void emulate_agg_round(
+    net::Transport& transport, std::uint32_t agg_id,
+    const std::function<void(net::SubtreeUpdateMsg&)>& tamper = nullptr) {
   net::Frame frame;
   ASSERT_EQ(transport.recv(&frame, 10000), net::TransportStatus::Ok);
   ASSERT_EQ(frame.type, net::MessageType::SelectNotice);
@@ -345,25 +343,14 @@ void emulate_agg_round(net::Transport& transport, std::uint32_t agg_id,
     params = net::decode_train_job(frame).params;
   }
 
-  net::SubtreeChunkMsg chunk;
-  chunk.epoch = notice.epoch;
-  chunk.agg_id = agg_id;
-  chunk.offset = 0;
-  const double weight = 10.0 * notice.clients.size();
-  for (const float p : params) {
-    chunk.data.push_back(weight * (static_cast<double>(p) + 1.0));
-  }
-  ASSERT_EQ(transport.send(net::encode_subtree_chunk(chunk), 10000),
-            net::TransportStatus::Ok);
-
   net::SubtreeUpdateMsg update;
   update.epoch = notice.epoch;
   update.agg_id = agg_id;
-  update.weight = weight;
-  update.n_chunks = 1;
-  std::vector<std::uint32_t> named = notice.clients;
-  named.insert(named.end(), extra_stats.begin(), extra_stats.end());
-  for (const std::uint32_t c : named) {
+  update.weight = 10.0 * notice.clients.size();
+  for (const float p : params) {
+    update.sum.push_back(update.weight * (static_cast<double>(p) + 1.0));
+  }
+  for (const std::uint32_t c : notice.clients) {
     net::SubtreeClientStat stat;
     stat.client_id = c;
     stat.delivered = 1;
@@ -371,6 +358,7 @@ void emulate_agg_round(net::Transport& transport, std::uint32_t agg_id,
     stat.batches = 1;
     update.stats.push_back(stat);
   }
+  if (tamper) tamper(update);
   ASSERT_EQ(transport.send(net::encode_subtree_update(update), 10000),
             net::TransportStatus::Ok);
 }
@@ -391,8 +379,7 @@ TEST(HierTree, DeadAggregatorIsSalvagedNotTorn) {
                                   /*num_workers=*/4);
 
   std::thread agg([&] { emulate_agg_round(*live.b, 0); });
-  // Aggregator 1 accepts its round and then dies before contributing a
-  // single chunk — the salvage case (vs the torn case after contributing).
+  // Aggregator 1 accepts its round and then dies before its update.
   std::thread dying([&] {
     net::Frame frame;
     dead.b->recv(&frame, 10000);  // SelectNotice
@@ -422,11 +409,13 @@ TEST(HierTree, DeadAggregatorIsSalvagedNotTorn) {
 
   const auto* partials = dispatcher.partials();
   ASSERT_NE(partials, nullptr);
-  ASSERT_EQ(partials->size(), 1u);
+  ASSERT_EQ(partials->size(), 2u);
   EXPECT_EQ((*partials)[0].weight, 10.0);
   EXPECT_EQ((*partials)[0].updates, 1u);
   ASSERT_EQ((*partials)[0].sum.size(), params.size());
   EXPECT_EQ((*partials)[0].sum[0], 10.0 * 2.0);  // weight * (param + 1)
+  EXPECT_TRUE((*partials)[1].sum.empty());
+  EXPECT_EQ((*partials)[1].weight, 0.0);
 
   EXPECT_EQ(
       obs::Registry::global().counter("hier_aggs_salvaged_total").value(),
@@ -445,35 +434,42 @@ std::vector<fl::TrainJobSpec> two_subtree_jobs() {
   return jobs;
 }
 
-// An aggregator that dies after one of its chunks folded tears the round:
-// the shared accumulator cannot be unfolded, so every slot fails as Crash
-// and the merged partial carries no weight.
-TEST(HierTree, AggregatorLostAfterFoldingTearsTheRound) {
+// An aggregator lost part-way through its update, after the other subtree
+// delivered, costs only its own subtree: its slot fails as Crash and the
+// other subtree's partial is kept bit for bit.
+TEST(HierTree, AggregatorLostMidUpdateIsSalvaged) {
   obs::set_metrics_enabled(true);
-  auto folding = net::make_loopback_pair();
+  auto dying_link = net::make_loopback_pair();
   auto healthy = net::make_loopback_pair();
-  const double torn_before =
-      obs::Registry::global().counter("hier_rounds_torn_total").value();
+  const double salvaged_before =
+      obs::Registry::global().counter("hier_aggs_salvaged_total").value();
 
   fl::TransportDispatcherConfig config;
   config.recv_timeout_ms = 10000;
-  hier::TreeDispatcher dispatcher({folding.a.get(), healthy.a.get()}, config,
-                                  /*num_workers=*/4);
+  hier::TreeDispatcher dispatcher({dying_link.a.get(), healthy.a.get()},
+                                  config, /*num_workers=*/4);
 
-  // Aggregator 0 folds the first two of three elements, then dies. It has
-  // no predecessor, so its chunk folds as soon as it lands.
+  std::promise<void> delivered;
+  net::SubtreeUpdateMsg sent;
+  std::thread agg([&] {
+    emulate_agg_round(*healthy.b, 1, [&](net::SubtreeUpdateMsg& update) {
+      sent = update;
+    });
+    delivered.set_value();
+  });
+  // Aggregator 0 sends the first half of an encoded update, then dies.
   std::thread dying([&] {
     net::Frame frame;
-    folding.b->recv(&frame, 10000);  // SelectNotice
-    folding.b->recv(&frame, 10000);  // its one TrainJob
-    net::SubtreeChunkMsg chunk;
-    chunk.epoch = 0;
-    chunk.offset = 0;
-    chunk.data = {1.0, 2.0};
-    folding.b->send(net::encode_subtree_chunk(chunk), 10000);
-    folding.b.reset();
+    dying_link.b->recv(&frame, 10000);  // SelectNotice
+    dying_link.b->recv(&frame, 10000);  // its one TrainJob
+    net::SubtreeUpdateMsg update;
+    update.sum = {1.0, 2.0, 3.0};
+    const std::vector<std::uint8_t> bytes =
+        net::encode_frame(net::encode_subtree_update(update));
+    delivered.get_future().wait();
+    dying_link.b->send_raw({bytes.data(), bytes.size() / 2}, 10000);
+    dying_link.b.reset();
   });
-  std::thread agg([&] { emulate_agg_round(*healthy.b, 1); });
 
   const auto jobs = two_subtree_jobs();
   const std::vector<float> params = {1.0f, 2.0f, 3.0f};
@@ -482,23 +478,27 @@ TEST(HierTree, AggregatorLostAfterFoldingTearsTheRound) {
   dying.join();
   agg.join();
 
-  for (const fl::TrainOutcome& out : outcomes) {
-    EXPECT_FALSE(out.delivered);
-    EXPECT_FALSE(out.pre_aggregated);
-    EXPECT_EQ(out.failure, fl::FailureKind::Crash);
-  }
+  EXPECT_FALSE(outcomes[0].delivered);
+  EXPECT_EQ(outcomes[0].failure, fl::FailureKind::Crash);
+  EXPECT_TRUE(outcomes[1].delivered);
   const auto* partials = dispatcher.partials();
   ASSERT_NE(partials, nullptr);
-  ASSERT_EQ(partials->size(), 1u);
+  ASSERT_EQ(partials->size(), 2u);
+  EXPECT_TRUE((*partials)[0].sum.empty());
   EXPECT_EQ((*partials)[0].weight, 0.0);
-  EXPECT_EQ((*partials)[0].updates, 0u);
-  EXPECT_EQ(obs::Registry::global().counter("hier_rounds_torn_total").value(),
-            torn_before + 1.0);
+  EXPECT_EQ((*partials)[1].weight, sent.weight);
+  ASSERT_EQ((*partials)[1].sum.size(), sent.sum.size());
+  EXPECT_EQ(std::memcmp((*partials)[1].sum.data(), sent.sum.data(),
+                        sent.sum.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(
+      obs::Registry::global().counter("hier_aggs_salvaged_total").value(),
+      salvaged_before + 1.0);
   obs::set_metrics_enabled(false);
 }
 
 // An aggregator that stays connected but silent past the heartbeat timeout
-// is declared dead; it folded nothing, so it is salvaged, not torn.
+// is declared dead and salvaged.
 TEST(HierTree, SilentAggregatorIsDeclaredDeadAndSalvaged) {
   obs::set_metrics_enabled(true);
   auto live = net::make_loopback_pair();
@@ -558,7 +558,15 @@ TEST(HierTree, TrailerSettlesOnlyItsOwnSubtreeOnce) {
 
   // Aggregator 0's trailer names client 0 again and client 2, which routes
   // to aggregator 1 — and aggregator 1 dies without settling anything.
-  std::thread agg([&] { emulate_agg_round(*live.b, 0, {0, 2}); });
+  std::thread agg([&] {
+    emulate_agg_round(*live.b, 0, [](net::SubtreeUpdateMsg& update) {
+      for (const std::uint32_t c : {0u, 2u}) {
+        net::SubtreeClientStat stat = update.stats.front();
+        stat.client_id = c;
+        update.stats.push_back(stat);
+      }
+    });
+  });
   std::thread dying([&] {
     net::Frame frame;
     dead.b->recv(&frame, 10000);  // SelectNotice
@@ -579,6 +587,62 @@ TEST(HierTree, TrailerSettlesOnlyItsOwnSubtreeOnce) {
   const auto* partials = dispatcher.partials();
   ASSERT_NE(partials, nullptr);
   EXPECT_EQ((*partials)[0].updates, 1u);
+}
+
+/// Runs a round in which aggregator 0 sends `tamper`ed SubtreeUpdate and
+/// aggregator 1 a sound one, and checks the root refuses only the first:
+/// slot 0 fails as CorruptUpdate and contributes nothing, slot 1 commits.
+void expect_update_refused(
+    const std::function<void(net::SubtreeUpdateMsg&)>& tamper) {
+  auto bad = net::make_loopback_pair();
+  auto good = net::make_loopback_pair();
+  fl::TransportDispatcherConfig config;
+  config.recv_timeout_ms = 10000;
+  hier::TreeDispatcher dispatcher({bad.a.get(), good.a.get()}, config,
+                                  /*num_workers=*/4);
+  std::thread bad_agg([&] { emulate_agg_round(*bad.b, 0, tamper); });
+  std::thread good_agg([&] { emulate_agg_round(*good.b, 1); });
+
+  const auto jobs = two_subtree_jobs();
+  const std::vector<float> params = {1.0f, 2.0f, 3.0f};
+  std::vector<fl::TrainOutcome> outcomes(2);
+  dispatcher.execute(jobs, params, outcomes);
+  bad_agg.join();
+  good_agg.join();
+
+  EXPECT_FALSE(outcomes[0].delivered);
+  EXPECT_EQ(outcomes[0].failure, fl::FailureKind::CorruptUpdate);
+  EXPECT_TRUE(outcomes[1].delivered);
+  const auto* partials = dispatcher.partials();
+  ASSERT_NE(partials, nullptr);
+  ASSERT_EQ(partials->size(), 2u);
+  EXPECT_TRUE((*partials)[0].sum.empty());
+  EXPECT_EQ((*partials)[0].weight, 0.0);
+  EXPECT_EQ((*partials)[0].updates, 0u);
+  EXPECT_EQ((*partials)[1].weight, 10.0);
+  EXPECT_EQ((*partials)[1].sum.size(), params.size());
+}
+
+TEST(HierTree, UpdateWhoseSumIsNotTheModelsLengthIsRefused) {
+  expect_update_refused(
+      [](net::SubtreeUpdateMsg& update) { update.sum.pop_back(); });
+}
+
+TEST(HierTree, UpdateWithANonFiniteSumIsRefused) {
+  expect_update_refused([](net::SubtreeUpdateMsg& update) {
+    update.sum[1] = std::numeric_limits<double>::quiet_NaN();
+  });
+}
+
+TEST(HierTree, UpdateWhoseSumDisagreesWithItsDeliveredStatsIsRefused) {
+  // Its one client is delivered at the right weight, but no sum came.
+  expect_update_refused(
+      [](net::SubtreeUpdateMsg& update) { update.sum.clear(); });
+}
+
+TEST(HierTree, UpdateWhoseWeightDisagreesWithItsStatsIsRefused) {
+  expect_update_refused(
+      [](net::SubtreeUpdateMsg& update) { update.weight += 1.0; });
 }
 
 // The tree takes the flat root's config; each field only a flat root can

@@ -79,7 +79,7 @@ class Borrowed final : public net::Transport {
 struct Settled {
   std::vector<double> sum;
   net::SubtreeUpdateMsg trailer;
-  std::size_t heartbeats = 0;  ///< Heartbeat frames ahead of the trailer
+  std::size_t heartbeats = 0;  ///< Heartbeat frames ahead of the update
 };
 
 /// The params every hand-built round ships; small integers, so every
@@ -227,7 +227,7 @@ class MidTierRig {
     return sum;
   }
 
-  /// Reads the SubtreeChunk frames and the trailer that settle a round.
+  /// Reads the SubtreeUpdate that settles a round.
   Settled settle() {
     Settled out;
     for (;;) {
@@ -235,17 +235,12 @@ class MidTierRig {
       const auto status = root_->recv(&frame, kWaitMs);
       EXPECT_EQ(status, net::TransportStatus::Ok);
       if (status != net::TransportStatus::Ok) return out;
-      if (frame.type == net::MessageType::SubtreeChunk) {
-        const auto chunk = net::decode_subtree_chunk(frame);
-        out.sum.resize(chunk.offset + chunk.data.size());
-        std::copy(chunk.data.begin(), chunk.data.end(),
-                  out.sum.begin() + static_cast<std::ptrdiff_t>(chunk.offset));
-      } else if (frame.type == net::MessageType::SubtreeUpdate) {
+      if (frame.type == net::MessageType::SubtreeUpdate) {
         out.trailer = net::decode_subtree_update(frame);
+        out.sum = out.trailer.sum;
         return out;
-      } else if (frame.type == net::MessageType::Heartbeat) {
-        ++out.heartbeats;
       }
+      if (frame.type == net::MessageType::Heartbeat) ++out.heartbeats;
     }
   }
 

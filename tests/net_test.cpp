@@ -192,19 +192,24 @@ TEST(Wire, UnconsumedBytesFailExhaustionCheck) {
 // ---------------------------------------------------------------------------
 // Frames
 
-net::Frame heartbeat_frame(std::uint32_t sender, std::uint64_t epoch) {
-  return net::encode_heartbeat({sender, epoch, {}});
+/// A small frame with a payload that names its sender.
+net::Frame notice_frame(std::uint32_t sender, std::uint64_t epoch) {
+  return net::encode_select_notice({epoch, 0.0, {sender}});
+}
+
+std::uint32_t sender_of(const net::Frame& frame) {
+  return net::decode_select_notice(frame).clients.at(0);
 }
 
 TEST(Frame, EncodeDecodeRoundTrip) {
-  const net::Frame frame = heartbeat_frame(3, 17);
+  const net::Frame frame = notice_frame(3, 17);
   const auto bytes = net::encode_frame(frame);
   EXPECT_EQ(bytes.size(), net::kFrameHeaderBytes + frame.payload.size());
   net::Frame out;
   std::size_t consumed = 0;
   ASSERT_EQ(net::decode_frame(bytes, &out, &consumed), net::FrameStatus::Ok);
   EXPECT_EQ(consumed, bytes.size());
-  EXPECT_EQ(out.type, net::MessageType::Heartbeat);
+  EXPECT_EQ(out.type, net::MessageType::SelectNotice);
   EXPECT_EQ(out.payload, frame.payload);
 }
 
@@ -218,7 +223,7 @@ TEST(Frame, EmptyPayloadRoundTrips) {
 }
 
 TEST(Frame, HeaderDamageIsDetected) {
-  auto bytes = net::encode_frame(heartbeat_frame(1, 1));
+  auto bytes = net::encode_frame(notice_frame(1, 1));
   net::Frame out;
   {
     auto bad = bytes;
@@ -238,14 +243,14 @@ TEST(Frame, HeaderDamageIsDetected) {
 }
 
 TEST(Frame, PayloadDamageFailsChecksum) {
-  auto bytes = net::encode_frame(heartbeat_frame(1, 1));
+  auto bytes = net::encode_frame(notice_frame(1, 1));
   bytes[net::kFrameHeaderBytes] ^= 0x01;
   net::Frame out;
   EXPECT_EQ(net::decode_frame(bytes, &out), net::FrameStatus::BadChecksum);
 }
 
 TEST(Frame, TruncationReportsNeedMore) {
-  const auto bytes = net::encode_frame(heartbeat_frame(1, 1));
+  const auto bytes = net::encode_frame(notice_frame(1, 1));
   net::Frame out;
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     const std::span<const std::uint8_t> prefix(bytes.data(), cut);
@@ -260,7 +265,7 @@ TEST(FrameParser, ReassemblesFramesFedByteByByte) {
   std::vector<net::Frame> sent;
   std::vector<std::uint8_t> stream;
   for (std::uint32_t i = 0; i < 3; ++i) {
-    sent.push_back(heartbeat_frame(i, 100 + i));
+    sent.push_back(notice_frame(i, 100 + i));
     const auto bytes = net::encode_frame(sent.back());
     stream.insert(stream.end(), bytes.begin(), bytes.end());
   }
@@ -287,7 +292,7 @@ TEST(FrameParser, ReassemblesFramesFedByteByByte) {
 TEST(FrameParser, CorruptFrameIsConsumedAndStreamContinues) {
   std::vector<std::uint8_t> stream;
   for (std::uint32_t i = 0; i < 3; ++i) {
-    auto bytes = net::encode_frame(heartbeat_frame(i, i));
+    auto bytes = net::encode_frame(notice_frame(i, i));
     if (i == 1) bytes[net::kFrameHeaderBytes + 2] ^= 0xFF;  // damage frame 1
     stream.insert(stream.end(), bytes.begin(), bytes.end());
   }
@@ -295,15 +300,15 @@ TEST(FrameParser, CorruptFrameIsConsumedAndStreamContinues) {
   parser.feed(stream);
   net::Frame out;
   ASSERT_EQ(parser.next(&out), net::FrameStatus::Ok);
-  EXPECT_EQ(net::decode_heartbeat(out).sender_id, 0u);
+  EXPECT_EQ(sender_of(out), 0u);
   ASSERT_EQ(parser.next(&out), net::FrameStatus::BadChecksum);
   ASSERT_EQ(parser.next(&out), net::FrameStatus::Ok);
-  EXPECT_EQ(net::decode_heartbeat(out).sender_id, 2u);
+  EXPECT_EQ(sender_of(out), 2u);
   EXPECT_FALSE(parser.fatal());
 }
 
 TEST(FrameParser, HeaderDamageIsFatal) {
-  auto bytes = net::encode_frame(heartbeat_frame(0, 0));
+  auto bytes = net::encode_frame(notice_frame(0, 0));
   bytes[1] ^= 0xFF;  // magic
   net::FrameParser parser;
   parser.feed(bytes);
@@ -414,9 +419,9 @@ TEST(NetCodec, EmptyParamsRoundTrip) {
 }
 
 TEST(NetCodec, DecodeRejectsWrongFrameType) {
-  EXPECT_THROW(net::decode_hello(heartbeat_frame(0, 0)), net::WireError);
-  EXPECT_THROW(net::decode_train_job(heartbeat_frame(0, 0)), net::WireError);
-  EXPECT_THROW(net::decode_client_update(heartbeat_frame(0, 0)),
+  EXPECT_THROW(net::decode_hello(notice_frame(0, 0)), net::WireError);
+  EXPECT_THROW(net::decode_train_job(notice_frame(0, 0)), net::WireError);
+  EXPECT_THROW(net::decode_client_update(notice_frame(0, 0)),
                net::WireError);
 }
 
@@ -505,14 +510,10 @@ TEST(NetCodec, TraceTrailerRoundTripsOnEveryServingMessage) {
     EXPECT_EQ(back.trace.round, ctx.round);
   }
   {
-    net::HeartbeatMsg msg;
-    msg.sender_id = 2;
-    msg.epoch = 12;
-    msg.trace = ctx;
-    const auto back = net::decode_heartbeat(net::encode_heartbeat(msg));
-    EXPECT_EQ(back.sender_id, 2u);
-    EXPECT_EQ(back.trace.trace_id, ctx.trace_id);
-    EXPECT_EQ(back.trace.round, ctx.round);
+    // Heartbeats carry nothing, traced run or not: an empty frame.
+    const net::Frame beat = net::encode_heartbeat();
+    EXPECT_EQ(beat.type, net::MessageType::Heartbeat);
+    EXPECT_TRUE(beat.payload.empty());
   }
   {
     net::EvalReportMsg msg{30, 0.825, 0.61, ctx};
@@ -996,13 +997,13 @@ TEST(Checkpoint, GoldenFileBytes) {
 
 TEST(Loopback, FramesRoundTripBothDirections) {
   auto pair = net::make_loopback_pair();
-  ASSERT_EQ(pair.a->send(heartbeat_frame(1, 10)), net::TransportStatus::Ok);
-  ASSERT_EQ(pair.b->send(heartbeat_frame(2, 20)), net::TransportStatus::Ok);
+  ASSERT_EQ(pair.a->send(notice_frame(1, 10)), net::TransportStatus::Ok);
+  ASSERT_EQ(pair.b->send(notice_frame(2, 20)), net::TransportStatus::Ok);
   net::Frame out;
   ASSERT_EQ(pair.b->recv(&out, 1000), net::TransportStatus::Ok);
-  EXPECT_EQ(net::decode_heartbeat(out).sender_id, 1u);
+  EXPECT_EQ(sender_of(out), 1u);
   ASSERT_EQ(pair.a->recv(&out, 1000), net::TransportStatus::Ok);
-  EXPECT_EQ(net::decode_heartbeat(out).sender_id, 2u);
+  EXPECT_EQ(sender_of(out), 2u);
 }
 
 TEST(Loopback, RecvTimesOutOnEmptyQueue) {
@@ -1020,7 +1021,7 @@ TEST(Loopback, InjectedCorruptionSurfacesAsCorruptAndIsCounted) {
   auto pair = net::make_loopback_pair(options);
   int ok = 0, corrupt = 0;
   for (int i = 0; i < 6; ++i) {
-    ASSERT_EQ(pair.b->send(heartbeat_frame(9, i)), net::TransportStatus::Ok);
+    ASSERT_EQ(pair.b->send(notice_frame(9, i)), net::TransportStatus::Ok);
     net::Frame out;
     const auto status = pair.a->recv(&out, 1000);
     if (status == net::TransportStatus::Ok) ++ok;
@@ -1034,13 +1035,13 @@ TEST(Loopback, InjectedCorruptionSurfacesAsCorruptAndIsCounted) {
 
 TEST(Loopback, CloseDrainsBufferedFramesThenReportsClosed) {
   auto pair = net::make_loopback_pair();
-  ASSERT_EQ(pair.b->send(heartbeat_frame(5, 1)), net::TransportStatus::Ok);
+  ASSERT_EQ(pair.b->send(notice_frame(5, 1)), net::TransportStatus::Ok);
   pair.b->close();
   net::Frame out;
   // The frame sent before close still arrives; then the channel is dead.
   EXPECT_EQ(pair.a->recv(&out, 1000), net::TransportStatus::Ok);
   EXPECT_EQ(pair.a->recv(&out, 1000), net::TransportStatus::Closed);
-  EXPECT_EQ(pair.a->send(heartbeat_frame(5, 2)), net::TransportStatus::Closed);
+  EXPECT_EQ(pair.a->send(notice_frame(5, 2)), net::TransportStatus::Closed);
 }
 
 // ---------------------------------------------------------------------------

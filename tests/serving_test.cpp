@@ -441,8 +441,7 @@ void echo_jobs(net::Transport& transport, int count,
           std::chrono::milliseconds(delay_ms_before_reply);
       while (std::chrono::steady_clock::now() < deadline) {
         if (heartbeat_every_ms > 0) {
-          transport.send(net::encode_heartbeat(
-              net::HeartbeatMsg{0, msg.epoch, {}}));
+          transport.send(net::encode_heartbeat());
           std::this_thread::sleep_for(
               std::chrono::milliseconds(heartbeat_every_ms));
         } else {
