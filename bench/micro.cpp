@@ -536,7 +536,7 @@ void bench_flat_worker(net::Transport& transport) {
   }
 }
 
-/// Emulated mid-tier aggregator: answers each SelectNotice round with one
+/// Emulated mid-tier aggregator: answers each SubtreeRound with one
 /// SubtreeUpdate carrying the weighted partial sum and the client stats.
 void bench_tree_agg(net::Transport& transport, std::uint32_t agg_id) {
   for (;;) {
@@ -545,24 +545,19 @@ void bench_tree_agg(net::Transport& transport, std::uint32_t agg_id) {
     if (status == net::TransportStatus::Closed) return;
     if (status != net::TransportStatus::Ok) continue;
     if (frame.type == net::MessageType::Shutdown) return;
-    if (frame.type != net::MessageType::SelectNotice) continue;
-    const auto notice = net::decode_select_notice(frame);
-    std::vector<float> params;
-    for (std::size_t i = 0; i < notice.clients.size(); ++i) {
-      if (transport.recv(&frame, 5000) != net::TransportStatus::Ok) return;
-      params = net::decode_train_job(frame).params;
-    }
+    if (frame.type != net::MessageType::SubtreeRound) continue;
+    const auto round = net::decode_subtree_round(frame);
     net::SubtreeUpdateMsg update;
-    update.epoch = notice.epoch;
+    update.epoch = round.epoch;
     update.agg_id = agg_id;
-    update.weight = 10.0 * notice.clients.size();
-    update.sum.reserve(params.size());
-    for (const float p : params) {
+    update.weight = 10.0 * round.jobs.size();
+    update.sum.reserve(round.params.size());
+    for (const float p : round.params) {
       update.sum.push_back(update.weight * static_cast<double>(p));
     }
-    for (const std::uint32_t c : notice.clients) {
+    for (const net::SubtreeJob& job : round.jobs) {
       net::SubtreeClientStat stat;
-      stat.client_id = c;
+      stat.client_id = job.client_id;
       stat.delivered = 1;
       stat.sample_count = 10;
       stat.batches = 1;

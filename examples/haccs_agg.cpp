@@ -6,9 +6,9 @@
 // serves them with the flat root's fleet, dispatcher and fold, and it talks
 // upstream to the root over a single TCP connection like one big worker.
 // It is deliberately workload-agnostic — it never loads a dataset or model;
-// update weights come off the wire (sample_count) and the global parameter
-// vector is captured from the TrainJobs it relays, so the same binary
-// serves any experiment the root and workers agree on.
+// update weights come off the wire (sample_count) and each round's global
+// parameters, recipe and norm bound arrive in the root's SubtreeRound, so
+// the same binary serves any experiment the root and workers agree on.
 //
 // Lifecycle: bind the listener, publish its port (--listen-port-file),
 // connect upstream, admit every subtree worker (Hello + Summary), announce
@@ -20,16 +20,12 @@
 //
 //   ./haccs_agg --agg-id=0 --aggs=2 --workers=4 --port-file=/tmp/root.port
 //       --listen-port-file=/tmp/agg0.port
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "bench/harness.hpp"
 #include "examples/multiprocess_common.hpp"
-#include "src/common/logging.hpp"
 #include "src/fl/net_driver.hpp"
 #include "src/hier/mid_tier.hpp"
 #include "src/net/chaos.hpp"
@@ -54,10 +50,9 @@ void print_usage() {
       "upstream (root): --host=H --port=P or --port-file=F\n"
       "downstream (workers): --listen-port=P (default 0 = ephemeral)\n"
       "  --listen-port-file=F  publish the bound listen port to F\n"
-      "rounds: --round-timeout-ms=T  budget for a round's jobs to arrive\n"
-      "                        from the root, then for the subtree to answer\n"
-      "                        them; missing jobs and stragglers fail as\n"
-      "                        Timeout (default 30000)\n"
+      "rounds: --round-timeout-ms=T  budget for the subtree to answer a\n"
+      "                        round's jobs; stragglers fail as Timeout\n"
+      "                        (default 30000)\n"
       "  --handshake-timeout-ms=T  deadline per worker accept and per\n"
       "                        Hello/Summary frame at startup (default 60000)\n"
       "  --heartbeat-interval-ms=T  upstream liveness cadence, kept up\n"
@@ -67,6 +62,10 @@ void print_usage() {
       "  --chaos-dup --chaos-reorder --chaos-corrupt --chaos-truncate\n"
       "  --chaos-disconnect\n"
       "misc: --reconnect-attempts=N --reconnect-backoff-ms=T --log-level=L\n"
+      "  (HACCS_LOG env is honored when --log-level is absent)\n"
+      "accounting: hier_rounds_total, hier_updates_folded_total and the exit\n"
+      "  line count SubtreeUpdates sent, not accepted; a subtree the root\n"
+      "  lost shows in the root's hier_aggs_salvaged_total (aggs_salvaged)\n"
       "exit codes: 0 shutdown, 1 error, 2 run failed (a refused or missing\n"
       "  worker, or the root lost), 3 connect exhausted");
 }
@@ -84,13 +83,7 @@ int main(int argc, char** argv) try {
   // Byte accounting across the tree is this binary's contract with the
   // smoke test, so the metrics pillar is always on here.
   obs::set_metrics_enabled(true);
-  const std::string log_level = flags.get_string("log-level", "");
-  if (!log_level.empty()) {
-    set_log_level(parse_log_level(log_level));
-  } else if (const char* env_level = std::getenv("HACCS_LOG");
-             env_level != nullptr && env_level[0] != '\0') {
-    set_log_level(parse_log_level(env_level));
-  }
+  examples::apply_log_level(flags);
 
   const std::string host = flags.get_string("host", "127.0.0.1");
   auto port = static_cast<std::uint16_t>(flags.get_int("port", 4242));
@@ -157,44 +150,25 @@ int main(int argc, char** argv) try {
                agg_id, num_aggs, listener.port(), agg.worker_begin(),
                agg.worker_end());
 
-  std::optional<net::StatusServer> status_server;
-  if (status_port >= 0) {
-    const auto started = std::chrono::steady_clock::now();
-    net::StatusEndpoints endpoints;
-    endpoints.metrics_text = [] {
-      return obs::Registry::global().to_prometheus();
-    };
-    endpoints.status_json = [&status_board, agg_id, num_aggs, started] {
-      const double uptime_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        started)
-              .count();
-      auto counter = [](const char* name) {
-        return obs::Registry::global().counter(name).value();
-      };
-      obs::JsonObject o;
-      o.field("tier", "mid")
-          .field("agg_id", agg_id)
-          .field("aggs", num_aggs)
-          .field("uptime_s", uptime_s)
-          .field("rounds", counter("hier_rounds_total"))
-          .field("upstream_bytes_sent",
-                 counter("hier_upstream_bytes_sent_total"))
-          .field("upstream_bytes_received",
-                 counter("hier_upstream_bytes_received_total"))
-          .field_raw("serving", status_board.to_json());
-      return o.str();
-    };
-    status_server.emplace(static_cast<std::uint16_t>(status_port),
-                          std::move(endpoints));
-    if (!status_port_file.empty()) {
-      examples::write_port_file(status_port_file, status_server->port());
-    }
-    std::fprintf(stderr,
-                 "status endpoint on 127.0.0.1:%u (/metrics /status "
-                 "/healthz)\n",
-                 status_server->port());
-  }
+  const auto status_server = examples::start_status_endpoint(
+      status_port, status_port_file,
+      [&status_board, agg_id, num_aggs](double uptime_s) {
+        auto counter = [](const char* name) {
+          return obs::Registry::global().counter(name).value();
+        };
+        obs::JsonObject o;
+        o.field("tier", "mid")
+            .field("agg_id", agg_id)
+            .field("aggs", num_aggs)
+            .field("uptime_s", uptime_s)
+            .field("rounds", counter("hier_rounds_total"))
+            .field("upstream_bytes_sent",
+                   counter("hier_upstream_bytes_sent_total"))
+            .field("upstream_bytes_received",
+                   counter("hier_upstream_bytes_received_total"))
+            .field_raw("serving", status_board.to_json());
+        return o.str();
+      });
 
   // Connect upstream with backoff — the root may still be binding when a
   // scripted launch starts every tier at once.

@@ -31,7 +31,6 @@
 //   ./haccs_worker --worker-id=0 --workers=2 --port-file=/tmp/port ... &
 //   ./haccs_worker --worker-id=1 --workers=2 --port-file=/tmp/port ... &
 #include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -109,7 +108,8 @@ void print_usage() {
       "  --status-port-file=F write the resolved status port to F\n"
       "  --flight-dir=D       crash flight recorder: dump flight-<ts>.json\n"
       "                       into D on SIGSEGV/SIGABRT/drain\n"
-      "telemetry: --trace --metrics --events --log-level\n"
+      "telemetry: --trace --metrics --events --log-level (HACCS_LOG env is\n"
+      "  honored when --log-level is absent)\n"
       "  (--trace merges worker span shards into one Chrome trace)\n",
       haccs::core::selector_usage(haccs::core::SelectorInput::ResponseSummaries)
           .c_str());
@@ -127,6 +127,7 @@ int main(int argc, char** argv) try {
 
   bench::ExperimentConfig exp;
   exp.apply_flags(flags);
+  examples::apply_log_level(flags);
   // Wire telemetry (net_bytes_*_total, net_frames_corrupt_total) is the
   // point of this binary, so the metrics pillar is always on here — the
   // summary reports actual transported bytes, not just priced ones.
@@ -361,45 +362,27 @@ int main(int argc, char** argv) try {
   // aggregators in tree mode.
   fl::ServingStatusBoard status_board(num_aggs > 0 ? num_aggs : num_workers);
   const char* const tier = num_aggs > 0 ? "root" : "flat";
-  std::optional<net::StatusServer> status_server;
-  if (status_port >= 0) {
-    dispatch_config.status_board = &status_board;
-    const auto started = std::chrono::steady_clock::now();
-    net::StatusEndpoints endpoints;
-    endpoints.metrics_text = [] {
-      return obs::Registry::global().to_prometheus();
-    };
-    endpoints.status_json = [&status_board, &num_clusters, started, tier] {
-      const double uptime_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        started)
-              .count();
-      const auto& wire = net::NetMetrics::get();
-      const std::uint64_t sent = wire.bytes_sent.value();
-      const std::uint64_t received = wire.bytes_received.value();
-      obs::JsonObject o;
-      o.field("tier", tier)
-          .field("uptime_s", uptime_s)
-          .field("clusters", num_clusters.load())
-          .field("net_bytes_sent", sent)
-          .field("net_bytes_received", received)
-          .field("downlink_rate_bps",
-                 uptime_s > 0 ? static_cast<double>(sent) / uptime_s : 0.0)
-          .field("uplink_rate_bps",
-                 uptime_s > 0 ? static_cast<double>(received) / uptime_s
-                              : 0.0)
-          .field_raw("serving", status_board.to_json());
-      return o.str();
-    };
-    status_server.emplace(static_cast<std::uint16_t>(status_port),
-                          std::move(endpoints));
-    if (!status_port_file.empty()) {
-      examples::write_port_file(status_port_file, status_server->port());
-    }
-    std::fprintf(stderr, "status endpoint on 127.0.0.1:%u "
-                 "(/metrics /status /healthz)\n",
-                 status_server->port());
-  }
+  if (status_port >= 0) dispatch_config.status_board = &status_board;
+  const auto status_server = examples::start_status_endpoint(
+      status_port, status_port_file,
+      [&status_board, &num_clusters, tier](double uptime_s) {
+        const auto& wire = net::NetMetrics::get();
+        const std::uint64_t sent = wire.bytes_sent.value();
+        const std::uint64_t received = wire.bytes_received.value();
+        obs::JsonObject o;
+        o.field("tier", tier)
+            .field("uptime_s", uptime_s)
+            .field("clusters", num_clusters.load())
+            .field("net_bytes_sent", sent)
+            .field("net_bytes_received", received)
+            .field("downlink_rate_bps",
+                   uptime_s > 0 ? static_cast<double>(sent) / uptime_s : 0.0)
+            .field("uplink_rate_bps",
+                   uptime_s > 0 ? static_cast<double>(received) / uptime_s
+                                : 0.0)
+            .field_raw("serving", status_board.to_json());
+        return o.str();
+      });
 
   std::optional<fl::TransportDispatcher> flat_dispatcher;
   std::optional<hier::TreeDispatcher> tree_dispatcher;

@@ -21,12 +21,10 @@
 //   ./haccs_worker --worker-id=0 --workers=2 --port-file=/tmp/port
 //       --rounds=5 --clients=12 --per-round=4
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "bench/harness.hpp"
 #include "examples/multiprocess_common.hpp"
-#include "src/common/logging.hpp"
 #include "src/fl/net_driver.hpp"
 #include "src/hier/fleet.hpp"
 #include "src/net/chaos.hpp"
@@ -78,14 +76,7 @@ int main(int argc, char** argv) try {
 
   bench::ExperimentConfig exp;
   exp.apply_flags(flags);
-  // Fleet launchers set one HACCS_LOG for every worker; an explicit
-  // --log-level still wins (apply_flags already consumed it above).
-  if (!flags.has("log-level")) {
-    const char* env_level = std::getenv("HACCS_LOG");
-    if (env_level != nullptr && env_level[0] != '\0') {
-      set_log_level(parse_log_level(env_level));
-    }
-  }
+  examples::apply_log_level(flags);
   const std::string host = flags.get_string("host", "127.0.0.1");
   auto port = static_cast<std::uint16_t>(flags.get_int("port", 4242));
   const std::string port_file = flags.get_string("port-file", "");

@@ -1,5 +1,6 @@
 // Shared pieces of the multi-process examples: workload construction, port
-// files, the --chaos-* flags and the upstream connect with backoff.
+// files, the log level, the status endpoint, the --chaos-* flags and the
+// upstream connect with backoff.
 //
 // haccs_server and haccs_worker each rebuild the identical federation from
 // the same flags + seed (synthetic data is a pure function of the seed), so
@@ -11,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -19,10 +21,13 @@
 #include <thread>
 
 #include "bench/harness.hpp"
+#include "src/common/logging.hpp"
 #include "src/common/rng.hpp"
 #include "src/data/partition.hpp"
 #include "src/net/chaos.hpp"
+#include "src/net/status.hpp"
 #include "src/net/transport.hpp"
+#include "src/obs/metrics.hpp"
 
 namespace haccs::examples {
 
@@ -70,6 +75,43 @@ inline std::uint16_t wait_for_port_file(const std::string& path,
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
+}
+
+/// Applies --log-level or, when it is absent, the HACCS_LOG a fleet
+/// launcher sets for every process.
+inline void apply_log_level(const Flags& flags) {
+  std::string level = flags.get_string("log-level", "");
+  if (const char* env = std::getenv("HACCS_LOG"); level.empty() && env) {
+    level = env;
+  }
+  if (!level.empty()) set_log_level(parse_log_level(level));
+}
+
+/// Starts the ops endpoint when `port` >= 0 (0 = ephemeral; null when
+/// off): /metrics from the global registry, /status from `status_json`
+/// (given the process's uptime in seconds), /healthz built in. Publishes
+/// the bound port to `port_file` when set and prints the banner.
+inline std::unique_ptr<net::StatusServer> start_status_endpoint(
+    int port, const std::string& port_file,
+    std::function<std::string(double uptime_s)> status_json) {
+  if (port < 0) return nullptr;
+  const auto started = std::chrono::steady_clock::now();
+  net::StatusEndpoints endpoints;
+  endpoints.metrics_text = [] {
+    return obs::Registry::global().to_prometheus();
+  };
+  endpoints.status_json = [started, status_json = std::move(status_json)] {
+    return status_json(std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - started)
+                           .count());
+  };
+  auto server = std::make_unique<net::StatusServer>(
+      static_cast<std::uint16_t>(port), std::move(endpoints));
+  if (!port_file.empty()) write_port_file(port_file, server->port());
+  std::fprintf(stderr,
+               "status endpoint on 127.0.0.1:%u (/metrics /status /healthz)\n",
+               server->port());
+  return server;
 }
 
 /// Dials the upstream tier with capped exponential backoff: `dial` makes

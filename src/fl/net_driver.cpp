@@ -16,6 +16,10 @@ namespace haccs::fl {
 
 namespace {
 
+/// One poll slice of the collection loop: it reads each owing peer for this
+/// long per pass.
+constexpr int kPollSliceMs = 10;
+
 struct ServingMetrics {
   obs::Counter& heartbeats_missed =
       obs::Registry::global().counter("heartbeats_missed_total");
@@ -643,7 +647,7 @@ WorkerRunEnd WorkerLoop::serve(net::Transport& transport) {
         ship_trace_shard(transport);
         return WorkerRunEnd::Shutdown;
       default:
-        break;  // SelectNotice / Heartbeat: informational
+        break;  // Heartbeat etc.: informational
     }
   }
   return end;

@@ -15,10 +15,10 @@
 //     through its ledger and, with agg_groups, folds them with fold_groups
 //     (dispatch.hpp). Failures are routed into
 //     ClientSelector::report_failure like simulated faults. dispatch() runs
-//     the same round on TrainJob frames the caller already holds: it is how
-//     hier::MidTierAggregator, the flat root of its subtree, relays its
-//     root's frames, so a failure at either tier reaches the engine the
-//     same way.
+//     the same round on TrainJob frames the caller builds: it is how
+//     hier::MidTierAggregator, the flat root of its subtree, serves its
+//     root's SubtreeRound under that round's recipe, so a failure at either
+//     tier reaches the engine the same way.
 //   * WorkerLoop — the worker side: recover the job with read_train_job,
 //     run the identical local training (run_local_job with the job's forked
 //     RNG seed), reply with a ClientUpdate in the priced wire form. Keeps
@@ -29,8 +29,8 @@
 //     the full protocol at memory speed, bit-identical to the in-process
 //     run (pinned in tests/net_test.cpp).
 //
-// Collection (DispatchCore::collect) polls one kPollSliceMs slice per peer
-// that still owes frames until the root says the round is settled or
+// Collection (DispatchCore::collect) polls one short slice per peer that
+// still owes frames until the root says the round is settled or
 // recv_timeout_ms, the whole-round budget, runs out. Serving mode (DESIGN.md
 // §5g): with heartbeat_timeout_ms any inbound frame refreshes a peer's
 // liveness and a silent peer is declared dead, like a closed one. The flat
@@ -152,18 +152,13 @@ struct TransportDispatcherConfig {
   std::size_t agg_groups = 0;
   /// Update-norm validation threshold for the grouped fold — must match
   /// EngineConfig::max_update_norm so rejection decisions are identical.
-  /// (A tree validates at the mid tier, whose config carries its own.)
+  /// A tree root ships it to every mid tier's fold in the SubtreeRound.
   double max_update_norm = 0.0;
 };
 
 /// The FailureKind a failed send charges: Timeout for a missed deadline,
 /// Crash for anything else.
 FailureKind send_failure(net::TransportStatus status);
-
-/// One poll slice of the serving I/O model: the collection loop reads each
-/// owing peer for this long per pass, and a mid tier closes an implicit
-/// round's job intake once its upstream has been quiet this long.
-inline constexpr int kPollSliceMs = 10;
 
 /// Milliseconds on the steady clock: the one clock every serving deadline,
 /// liveness check and status-board age is measured on.
@@ -293,9 +288,9 @@ class TransportDispatcher final : public RoundDispatcher {
                const std::vector<float>& global_params,
                std::vector<TrainOutcome>& outcomes) override;
 
-  /// execute() over TrainJob frames the caller already holds: frame_of(i)
-  /// is sent for jobs[i] as is, instead of one built from config().work.
-  /// A mid tier relays its root's frames, trace trailer included, this way.
+  /// execute() over TrainJob frames the caller builds: frame_of(i) is sent
+  /// for jobs[i] as is, instead of one built from config().work. A mid tier
+  /// sends its root's recipe and trace context this way.
   void dispatch(std::span<const TrainJobSpec> jobs,
                 const std::function<net::Frame(std::size_t)>& frame_of,
                 std::span<const float> global_params,

@@ -2,8 +2,9 @@
 //
 // src/net knows byte shapes; src/fl knows federated semantics. This header
 // is where they meet: CompressedUpdate -> UpdatePayload, the TrainJob
-// downlink (make_train_job, which both roots fan out with, and
-// read_train_job, its inverse on the worker), and the frame-size pricing the
+// downlink (make_train_job, which the flat root and every mid tier fan out
+// with, and read_train_job, its inverse on the worker), the recipe a tree
+// root ships once per SubtreeRound, and the frame-size pricing the
 // engine uses for per-round uplink/downlink accounting. The pricing
 // functions return the exact byte counts the codecs emit (pinned by
 // NetCodec.* tests), so RoundRecord's bytes are real wire bytes whether a
@@ -43,6 +44,12 @@ struct TrainJobOrder {
   LocalWorkConfig work;
 };
 TrainJobOrder read_train_job(const net::TrainJobMsg& msg);
+
+/// A round's recipe in its wire form (a TrainJob's, a SubtreeRound's), and
+/// its inverse: read_work_recipe(make_work_recipe(w)) orders the same local
+/// work as w, so a TrainJob built from either is the same bytes.
+net::WorkRecipe make_work_recipe(const LocalWorkConfig& work);
+LocalWorkConfig read_work_recipe(const net::WorkRecipe& recipe);
 
 /// Full frame size of a TrainJob carrying an n-parameter model (downlink).
 std::size_t train_job_frame_bytes(std::size_t n);

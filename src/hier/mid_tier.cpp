@@ -24,8 +24,6 @@ struct HierMetrics {
       obs::Registry::global().counter("hier_updates_folded_total");
   obs::Counter& rejected =
       obs::Registry::global().counter("hier_updates_rejected_total");
-  obs::Counter& jobs_relayed =
-      obs::Registry::global().counter("hier_jobs_relayed_total");
   obs::Counter& worker_failures =
       obs::Registry::global().counter("hier_worker_failures_total");
   obs::Counter& upstream_sent =
@@ -146,7 +144,7 @@ bool MidTierAggregator::serve(net::Transport& upstream) {
   // to peer c % per: since per divides num_workers, that is c's worker.
   fl::TransportDispatcher dispatcher(fleet_.transports(), std::move(dispatch));
   for (;;) {
-    Round round;
+    net::SubtreeRoundMsg round;
     switch (gather(upstream, round)) {
       case Next::Round:
         if (settle_round(upstream, dispatcher, round)) continue;
@@ -166,50 +164,14 @@ bool MidTierAggregator::serve(net::Transport& upstream) {
   }
 }
 
-MidTierAggregator::Next MidTierAggregator::gather(net::Transport& upstream,
-                                                  Round& round) {
-  bool open = false;
-  const auto slot_of = [&](std::uint32_t client) {
-    const auto [it, added] =
-        round.slot_of.emplace(client, round.clients.size());
-    if (added) round.clients.push_back(client);
-    return it->second;
-  };
-  const auto in_subtree = [&](std::uint32_t client) {
-    const std::uint32_t w = client % config_.num_workers;
-    return w >= worker_begin_ && w < worker_end_;
-  };
-  const auto stale = [&](std::uint64_t epoch) {
-    return served_epoch_ && epoch <= *served_epoch_;
-  };
-  // A noticed round waits for every slot's job, up to the round budget; an
-  // implicit one (its notice lost) cannot know its size, so its intake
-  // closes once upstream is quiet: a poll slice with no frame, and none
-  // partly arrived.
-  std::int64_t intake_deadline = -1;
+MidTierAggregator::Next MidTierAggregator::gather(
+    net::Transport& upstream, net::SubtreeRoundMsg& round) {
   for (;;) {
-    int wait_ms = -1;
-    if (open && !round.noticed) {
-      wait_ms = fl::kPollSliceMs;
-    } else if (intake_deadline >= 0) {
-      wait_ms = static_cast<int>(
-          std::max<std::int64_t>(0, intake_deadline - fl::steady_ms()));
-    }
     net::Frame frame;
-    const auto status = upstream.recv(&frame, wait_ms);
-    if (status == net::TransportStatus::Timeout) {
-      if (!open) continue;
-      // Once the intake closes, a job still missing fails as Timeout.
-      const bool closes =
-          round.noticed
-              ? intake_deadline >= 0 && fl::steady_ms() >= intake_deadline
-              : !upstream.receiving();
-      if (closes) return Next::Round;
-      continue;
-    }
+    const auto status = upstream.recv(&frame, -1);
     if (status == net::TransportStatus::Closed) return Next::Lost;
-    // Lost control traffic: a job it carried fails as Timeout.
-    if (status == net::TransportStatus::Corrupt) continue;
+    // A lost round fails at the root's collection budget.
+    if (status != net::TransportStatus::Ok) continue;
     const std::size_t bytes = frame_wire_bytes(frame);
     stats_.upstream_bytes_received += bytes;
     HierMetrics::get().upstream_received.inc(bytes);
@@ -220,49 +182,20 @@ MidTierAggregator::Next MidTierAggregator::gather(net::Transport& upstream,
         case net::MessageType::EvalReport:
           report_ = net::decode_eval_report(frame);
           break;
-        case net::MessageType::SelectNotice: {
-          const net::SelectNoticeMsg notice = net::decode_select_notice(frame);
-          if (stale(notice.epoch) || (open && notice.epoch == round.epoch)) {
-            break;
-          }
-          if (open) {
-            HACCS_WARN << "agg " << config_.agg_id << ": round "
-                       << round.epoch << " abandoned for round "
-                       << notice.epoch;
-          }
-          round = Round{};
-          open = true;
-          round.epoch = notice.epoch;
-          round.noticed = true;
-          if (config_.round_timeout_ms > 0) {
-            intake_deadline = fl::steady_ms() + config_.round_timeout_ms;
-          }
-          for (const std::uint32_t id : notice.clients) {
-            if (in_subtree(id)) slot_of(id);
-          }
-          break;
-        }
-        case net::MessageType::TrainJob: {
-          net::TrainJobMsg msg = net::decode_train_job(frame);
-          if (stale(msg.epoch)) break;
-          if (!open) {
-            // The SelectNotice was lost (hostile link): an implicit round
-            // whose slots follow arrival order — which IS slot order, since
-            // the root sends jobs in slot order over one in-order link.
-            open = true;
-            round.epoch = msg.epoch;
-          }
-          if (msg.epoch != round.epoch) break;
-          if (!in_subtree(msg.client_id)) {
-            HACCS_WARN << "agg " << config_.agg_id << ": TrainJob for client "
-                       << msg.client_id << " outside subtree — dropped";
-            break;
-          }
-          fl::TrainJobSpec job = fl::read_train_job(msg).job;
-          job.slot = slot_of(msg.client_id);
-          if (round.global.empty()) round.global = std::move(msg.params);
-          // A duplicated TrainJob is relayed once.
-          round.jobs.emplace(job.slot, std::make_pair(job, std::move(frame)));
+        case net::MessageType::SubtreeRound: {
+          round = net::decode_subtree_round(frame);
+          // A stale or duplicated round was served already.
+          if (served_epoch_ && round.epoch <= *served_epoch_) break;
+          const auto outside = std::find_if(
+              round.jobs.begin(), round.jobs.end(),
+              [&](const net::SubtreeJob& job) {
+                const std::uint32_t w = job.client_id % config_.num_workers;
+                return w < worker_begin_ || w >= worker_end_;
+              });
+          if (outside == round.jobs.end()) return Next::Round;
+          HACCS_WARN << "agg " << config_.agg_id << ": round " << round.epoch
+                     << " names client " << outside->client_id
+                     << ", outside the subtree — dropped";
           break;
         }
         default:
@@ -272,41 +205,40 @@ MidTierAggregator::Next MidTierAggregator::gather(net::Transport& upstream,
       HACCS_WARN << "agg " << config_.agg_id
                  << ": bad frame from the root: " << e.what();
     }
-    if (open && round.noticed && round.jobs.size() == round.clients.size()) {
-      return Next::Round;
-    }
   }
 }
 
 bool MidTierAggregator::settle_round(net::Transport& upstream,
                                      fl::TransportDispatcher& dispatcher,
-                                     Round& round) {
+                                     const net::SubtreeRoundMsg& round) {
   served_epoch_ = round.epoch;
-  std::vector<fl::TrainJobSpec> jobs;
-  std::vector<net::Frame> frames;
-  for (auto& [slot, job] : round.jobs) {
-    jobs.push_back(job.first);
-    frames.push_back(std::move(job.second));
+  const fl::LocalWorkConfig work = fl::read_work_recipe(round.recipe);
+  std::vector<fl::TrainJobSpec> jobs;  // slot = index
+  for (const net::SubtreeJob& job : round.jobs) {
+    jobs.push_back({jobs.size(), job.client_id, round.epoch, job.rng_seed,
+                    job.work_fraction});
   }
-  // A slot whose TrainJob never arrived fails as Timeout, like a flat
-  // worker that never answers.
-  std::vector<fl::TrainOutcome> outcomes(round.clients.size());
-  for (fl::TrainOutcome& out : outcomes) out.failure = fl::FailureKind::Timeout;
+  // Each worker gets the TrainJob a flat root would send it.
+  std::vector<fl::TrainOutcome> outcomes(jobs.size());
   dispatcher.dispatch(
-      jobs, [&](std::size_t j) { return std::move(frames[j]); }, round.global,
-      outcomes);
-  HierMetrics::get().jobs_relayed.inc(jobs.size());
+      jobs,
+      [&](std::size_t j) {
+        return net::encode_train_job(
+            fl::make_train_job(jobs[j], work, round.params, round.trace));
+      },
+      round.params, outcomes);
 
   obs::Span span("subtree_settle", "hier");
   const auto arrived = static_cast<std::size_t>(
       std::count_if(outcomes.begin(), outcomes.end(),
                     [](const fl::TrainOutcome& out) { return out.delivered; }));
   // One group over the subtree's own slots: the same fold, in the same slot
-  // order, that a grouped flat root runs for this group.
+  // order and under the same norm bound, that a grouped flat root runs for
+  // this group.
   std::vector<fl::PartialAggregate> partial(1);
   fl::fold_groups(
-      jobs, round.global, outcomes, partial,
-      [](std::size_t) { return std::size_t{0}; }, config_.max_update_norm);
+      jobs, round.params, outcomes, partial,
+      [](std::size_t) { return std::size_t{0}; }, round.max_update_norm);
   fl::PartialAggregate& folded = partial[0];
   stats_.folded += folded.updates;
   stats_.rejected += arrived - folded.updates;
@@ -320,10 +252,10 @@ bool MidTierAggregator::settle_round(net::Transport& upstream,
   update.agg_id = config_.agg_id;
   update.weight = folded.weight;
   update.sum = std::move(folded.sum);
-  for (std::size_t slot = 0; slot < round.clients.size(); ++slot) {
+  for (std::size_t slot = 0; slot < jobs.size(); ++slot) {
     const fl::TrainOutcome& out = outcomes[slot];
     net::SubtreeClientStat stat;
-    stat.client_id = round.clients[slot];
+    stat.client_id = round.jobs[slot].client_id;
     stat.delivered = out.delivered ? 1 : 0;
     stat.failure = static_cast<std::uint8_t>(out.failure);
     stat.average_loss = out.result.average_loss;

@@ -13,20 +13,18 @@
 //     each worker's Summary frames as they came off the wire. Mid-run
 //     reconnects are staged by the fleet and claimed through
 //     Fleet::reacquire; a bad one costs only its own connection.
-//   * rounds — the root's SelectNotice numbers the round's slots (the
-//     subtree's clients in notice order) and its TrainJobs follow. The
-//     aggregator reads upstream until it holds a job for every slot, or
-//     until round_timeout_ms runs out. Without a notice (lost on a hostile
-//     link) slots follow arrival order and the intake closes once upstream
-//     is quiet: one fl::kPollSliceMs with no frame, and none partly
-//     arrived. A slot whose job never arrived fails as Timeout, and later
-//     frames for its epoch are dropped as stale. The jobs then go out verbatim through a
+//   * rounds — the root's one SubtreeRound carries the round: parameters,
+//     recipe and norm bound once, and the subtree's jobs in slot order.
+//     Stale and duplicated epochs are ignored; a round naming a client
+//     outside the subtree is dropped with a warning. Each worker gets the
+//     TrainJob a flat root would build (fl::make_train_job) through a
 //     fl::TransportDispatcher over the fleet's transports, which collects
 //     and settles the ClientUpdates (fl::DispatchCore, fl::UpdateLedger).
-//   * settle — fl::fold_groups folds the delivered updates in slot order
-//     into ONE weighted partial sum, which goes upstream whole in the
-//     round's one SubtreeUpdate frame with the per-client stats, so the
-//     root's engine keeps its normal bookkeeping without the raw updates.
+//   * settle — fl::fold_groups folds the delivered updates in slot order,
+//     under the round's norm bound, into ONE weighted partial sum, which
+//     goes upstream whole in the round's one SubtreeUpdate frame with the
+//     per-client stats, so the root's engine keeps its normal bookkeeping
+//     without the raw updates.
 //   * wind-down — the root's EvalReport is kept; its Shutdown runs
 //     Fleet::shut_down downstream and relays each worker's last TraceShard.
 //
@@ -38,15 +36,16 @@
 // root's liveness deadline met while the aggregator collects; upstream is
 // read only between rounds, so a lost upstream link is noticed after the
 // round.
+//
+// stats() and the hier_* counters count what this aggregator did: a round
+// is counted when its SubtreeUpdate is sent, not when the root accepts it.
+// A subtree the root salvaged shows in the root's hier_aggs_salvaged_total.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/fl/dispatch.hpp"
@@ -64,15 +63,11 @@ struct MidTierConfig {
   /// slice [agg_id * per, (agg_id + 1) * per) with per = num_workers /
   /// num_aggs (num_aggs must divide num_workers).
   std::uint32_t num_workers = 1;
-  /// Update-norm validation threshold; must match EngineConfig's so the
-  /// fold rejects exactly the updates the engine itself would reject. The
-  /// haccs_agg binary leaves it 0, as the haccs_server root's engine does.
-  double max_update_norm = 0.0;
   /// Upstream liveness cadence (0 = no heartbeats).
   int heartbeat_interval_ms = 0;
-  /// Budget for a noticed round's job intake, and again for sending the
-  /// jobs and collecting the updates: missing jobs and stragglers fail as
-  /// Timeout rather than wedging the subtree (0 = wait forever).
+  /// Budget for sending a round's jobs and collecting the updates:
+  /// stragglers fail as Timeout rather than wedging the subtree (0 = wait
+  /// forever).
   int round_timeout_ms = 30000;
   /// Deadline for each downstream accept and handshake frame at startup
   /// (0 = wait forever).
@@ -83,8 +78,8 @@ struct MidTierConfig {
 };
 
 struct MidTierStats {
-  std::size_t rounds = 0;            ///< rounds settled upstream
-  std::size_t folded = 0;            ///< updates folded into partials
+  std::size_t rounds = 0;            ///< SubtreeUpdates sent upstream
+  std::size_t folded = 0;            ///< updates folded into them
   std::size_t rejected = 0;          ///< updates failing norm validation
   std::size_t worker_failures = 0;   ///< workers found closed or dead
   std::uint64_t upstream_bytes_sent = 0;
@@ -108,27 +103,19 @@ class MidTierAggregator {
   bool run(net::Transport& upstream);
 
  private:
-  /// One round's intake from upstream.
-  struct Round {
-    std::uint64_t epoch = 0;
-    bool noticed = false;  ///< false: the SelectNotice was lost
-    std::vector<std::uint32_t> clients;  ///< the subtree's clients by slot
-    std::unordered_map<std::uint32_t, std::size_t> slot_of;
-    /// Each arrived job and its frame as the root sent it, by slot.
-    std::map<std::size_t, std::pair<fl::TrainJobSpec, net::Frame>> jobs;
-    std::vector<float> global;  ///< from the round's first TrainJob
-  };
   enum class Next { Round, Shutdown, Lost };
 
   /// Admits the subtree, then announces it upstream with its summaries.
   bool announce(net::Transport& upstream);
   /// Serves rounds until the root's Shutdown (true) or upstream loss.
   bool serve(net::Transport& upstream);
-  /// Reads upstream until a round's intake closes, or Shutdown, or loss.
-  Next gather(net::Transport& upstream, Round& round);
+  /// Reads upstream until a SubtreeRound to serve arrives, or Shutdown, or
+  /// loss.
+  Next gather(net::Transport& upstream, net::SubtreeRoundMsg& round);
   /// Fans the round out, collects, folds, and ships the SubtreeUpdate.
   bool settle_round(net::Transport& upstream,
-                    fl::TransportDispatcher& dispatcher, Round& round);
+                    fl::TransportDispatcher& dispatcher,
+                    const net::SubtreeRoundMsg& round);
   /// Thread-safe: the heartbeat thread sends through it too.
   bool send_upstream(net::Transport& upstream, const net::Frame& frame);
 

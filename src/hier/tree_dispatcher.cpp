@@ -66,31 +66,26 @@ void TreeDispatcher::fan_out(std::span<const fl::TrainJobSpec> jobs,
                              const std::vector<float>& global_params,
                              std::vector<AggRound>& rounds,
                              std::vector<fl::TrainOutcome>& outcomes) {
-  const obs::TraceContext trace_ctx =
-      obs::trace_enabled() ? obs::round_context() : obs::TraceContext{};
+  // One frame per subtree: the parameters and the recipe cross each root
+  // link once, whatever the subtree's job count.
+  net::SubtreeRoundMsg msg;
+  msg.epoch = jobs.empty() ? 0 : jobs.front().epoch;
+  msg.max_update_norm = core_.config().max_update_norm;
+  msg.recipe = fl::make_work_recipe(core_.config().work);
+  msg.params = global_params;
+  msg.trace = obs::trace_enabled() ? obs::round_context() : obs::TraceContext{};
   for (std::size_t a = 0; a < rounds.size(); ++a) {
     AggRound& round = rounds[a];
     if (round.job_indices.empty()) continue;
-    // SelectNotice scopes the subtree round (and fixes the fold order),
-    // then the TrainJobs follow in slot order down the same link.
-    auto status = net::TransportStatus::Closed;  // a dead agg fails as Crash
-    if (!core_.dead(a)) {
-      net::SelectNoticeMsg notice;
-      notice.epoch = jobs[round.job_indices.front()].epoch;
-      for (const std::size_t j : round.job_indices) {
-        notice.clients.push_back(static_cast<std::uint32_t>(jobs[j].client_id));
-      }
-      status = core_.send(a, net::encode_select_notice(notice));
+    msg.jobs.clear();
+    for (const std::size_t j : round.job_indices) {  // slot order
+      msg.jobs.push_back({static_cast<std::uint32_t>(jobs[j].client_id),
+                          jobs[j].rng_seed, jobs[j].work_fraction});
     }
-    for (std::size_t i = 0;
-         i < round.job_indices.size() && status == net::TransportStatus::Ok;
-         ++i) {
-      status = core_.send(
-          a, net::encode_train_job(
-                 fl::make_train_job(jobs[round.job_indices[i]],
-                                    core_.config().work, global_params,
-                                    trace_ctx)));
-    }
+    // A dead aggregator fails as Crash.
+    const auto status = core_.dead(a)
+                            ? net::TransportStatus::Closed
+                            : core_.send(a, net::encode_subtree_round(msg));
     if (status != net::TransportStatus::Ok) {
       fail_jobs(round.job_indices, jobs, fl::send_failure(status), outcomes);
       continue;

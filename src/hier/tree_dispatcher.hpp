@@ -3,25 +3,28 @@
 //
 // The engine's RoundDispatcher seam, implemented over A mid-tier aggregator
 // transports instead of W worker transports. It is the flat root's code with
-// a different frame handler: it takes the same fl::TransportDispatcherConfig,
-// builds every TrainJob with fl::make_train_job, and collects through the
-// same fl::DispatchCore loop (liveness, heartbeat deadline, whole-round
-// budget, status board, trace-shard forwarding — net_driver.hpp). Its
-// peers, board rows and liveness edges are aggregators.
+// different frames: it takes the same fl::TransportDispatcherConfig and
+// collects through the same fl::DispatchCore loop (liveness, heartbeat
+// deadline, whole-round budget, status board, trace-shard forwarding —
+// net_driver.hpp). Its peers, board rows and liveness edges are
+// aggregators.
 //
-// Fan-out sends each aggregator a SelectNotice scoping its subtree's slice
-// of the round (in slot order — that order IS the fold order downstream) and
-// relays every TrainJob to the aggregator owning its client. Collection
-// waits for one SubtreeUpdate per aggregator: its whole f64 partial sum, its
-// weight and its per-client stats. partials() hands the engine one
+// Fan-out sends each aggregator one SubtreeRound: the global parameters,
+// the config's recipe and max_update_norm, the trace context, and its
+// subtree's jobs in slot order (that order IS the fold order downstream).
+// The mid tier builds each worker's TrainJob from it with
+// fl::make_train_job, as the flat root does. Collection waits for one
+// SubtreeUpdate per aggregator: its whole f64 partial sum, its weight and
+// its per-client stats. partials() hands the engine one
 // PartialAggregate per aggregator, in aggregator order — the groups of a
 // grouped flat root, arrived over the wire — and the engine's group-order
 // merge adds them, so the tree is bit-identical to a flat dispatcher
 // running with agg_groups = A.
 //
-// Failure containment: an aggregator lost before its SubtreeUpdate lands is
-// salvaged — its slots fail as Crash (closed or silent) or Timeout (the
-// budget), everyone else's round commits: bitwise what a grouped flat run
+// Failure containment: an aggregator lost before its SubtreeUpdate lands,
+// or whose SubtreeRound or SubtreeUpdate the link lost, is salvaged — its
+// slots fail as Crash (closed or silent) or Timeout (the budget), everyone
+// else's round commits: bitwise what a grouped flat run
 // with those workers dead produces. An update is input from outside the
 // process, so it counts only when it is self-consistent (a finite sum of
 // the model's length, present exactly when a settled stat is delivered,
@@ -49,7 +52,7 @@ class TreeDispatcher final : public fl::RoundDispatcher {
   /// std::invalid_argument naming the field for the flat-only settings a
   /// tree cannot honour: quorum_fraction < 1, a reacquire hook (a dead
   /// aggregator stays dead), and agg_groups > 0 (the tree's grouping is its
-  /// aggregators). max_update_norm is unused: the mid tier validates.
+  /// aggregators). max_update_norm reaches every mid tier's fold.
   TreeDispatcher(std::vector<net::Transport*> aggs,
                  fl::TransportDispatcherConfig config,
                  std::size_t num_workers);
@@ -76,8 +79,8 @@ class TreeDispatcher final : public fl::RoundDispatcher {
   };
 
   std::size_t group_of(std::size_t client_id) const;
-  /// Sends each aggregator its SelectNotice and TrainJobs; marks the ones
-  /// that took their whole share as participating.
+  /// Sends each aggregator its SubtreeRound; marks the ones that took it as
+  /// participating.
   void fan_out(std::span<const fl::TrainJobSpec> jobs,
                const std::vector<float>& global_params,
                std::vector<AggRound>& rounds,

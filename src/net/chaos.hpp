@@ -77,7 +77,6 @@ class ChaosTransport final : public Transport {
   TransportStatus recv(Frame* out, int timeout_ms = -1) override;
   void close() override;
   std::string peer() const override;
-  bool receiving() const override { return inner_->receiving(); }
 
   ChaosStats stats() const;
 

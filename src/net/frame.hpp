@@ -38,7 +38,8 @@ inline constexpr std::size_t kMaxPayloadBytes = std::size_t{1} << 30;
 /// new types, never renumber.
 enum class MessageType : std::uint16_t {
   Hello = 1,         ///< worker -> server: capabilities handshake
-  SelectNotice = 2,  ///< server -> worker: clients picked this round
+  // 2 is retired (it announced a round's clients ahead of their TrainJobs)
+  // and stays unassigned.
   TrainJob = 3,      ///< server -> worker: params + one client's train order
   ClientUpdate = 4,  ///< worker -> server: compressed update + train stats
   Heartbeat = 5,     ///< either direction: liveness probe
@@ -51,6 +52,7 @@ enum class MessageType : std::uint16_t {
   SubtreeUpdate = 12,  ///< aggregator -> root: a subtree's partial FedAvg
   // 13 is retired (it carried one chunk of a partial sum) and stays
   // unassigned.
+  SubtreeRound = 14,  ///< root -> aggregator: a subtree's whole round
 };
 
 struct Frame {

@@ -1,5 +1,7 @@
 #include "src/net/messages.hpp"
 
+#include <cmath>
+
 #include "src/net/wire.hpp"
 
 namespace haccs::net {
@@ -19,6 +21,11 @@ constexpr std::size_t kTraceTrailerBytes = 24;
 constexpr std::size_t kSubtreeUpdateFixedBytes = 36;
 /// One SubtreeClientStat on the wire.
 constexpr std::size_t kSubtreeStatBytes = 38;
+/// Fixed SubtreeRound payload bytes: epoch, max_update_norm, the 59-byte
+/// recipe and the params' and jobs' 8-byte counts.
+constexpr std::size_t kSubtreeRoundFixedBytes = 91;
+/// One SubtreeJob on the wire.
+constexpr std::size_t kSubtreeJobBytes = 20;
 
 /// Decoder entry: checks the frame's type tag before parsing.
 WireReader reader_for(const Frame& frame, MessageType expected,
@@ -131,6 +138,40 @@ obs::TraceContext decode_trace_ctx(WireReader& r) {
   return ctx;
 }
 
+/// A WorkRecipe on the wire. A TrainJob carries its client's work_fraction
+/// between fedprox_mu and local_epochs; a SubtreeRound passes null and
+/// carries none there.
+void encode_recipe(WireWriter& w, const WorkRecipe& recipe,
+                   const double* work_fraction) {
+  w.u8(recipe.algorithm);
+  w.f64(recipe.fedprox_mu);
+  if (work_fraction) w.f64(*work_fraction);
+  w.u64(recipe.local_epochs);
+  w.u64(recipe.batch_size);
+  w.f64(recipe.learning_rate);
+  w.f64(recipe.momentum);
+  w.f64(recipe.weight_decay);
+  w.u8(recipe.compression_kind);
+  w.f64(recipe.topk_fraction);
+  w.u8(recipe.error_feedback);
+}
+
+WorkRecipe decode_recipe(WireReader& r, double* work_fraction) {
+  WorkRecipe recipe;
+  recipe.algorithm = r.u8();
+  recipe.fedprox_mu = r.f64();
+  if (work_fraction) *work_fraction = r.f64();
+  recipe.local_epochs = r.u64();
+  recipe.batch_size = r.u64();
+  recipe.learning_rate = r.f64();
+  recipe.momentum = r.f64();
+  recipe.weight_decay = r.f64();
+  recipe.compression_kind = r.u8();
+  recipe.topk_fraction = r.f64();
+  recipe.error_feedback = r.u8();
+  return recipe;
+}
+
 }  // namespace
 
 std::vector<float> UpdatePayload::to_dense() const {
@@ -193,17 +234,7 @@ Frame encode_train_job(const TrainJobMsg& msg) {
   w.u64(msg.epoch);
   w.u32(msg.client_id);
   w.u64(msg.rng_seed);
-  w.u8(msg.algorithm);
-  w.f64(msg.fedprox_mu);
-  w.f64(msg.work_fraction);
-  w.u64(msg.local_epochs);
-  w.u64(msg.batch_size);
-  w.f64(msg.learning_rate);
-  w.f64(msg.momentum);
-  w.f64(msg.weight_decay);
-  w.u8(msg.compression_kind);
-  w.f64(msg.topk_fraction);
-  w.u8(msg.error_feedback);
+  encode_recipe(w, msg.recipe, &msg.work_fraction);
   w.f32_array(msg.params);
   encode_trace_ctx(w, msg.trace);
   return Frame{MessageType::TrainJob, w.take()};
@@ -215,17 +246,7 @@ TrainJobMsg decode_train_job(const Frame& frame) {
   msg.epoch = r.u64();
   msg.client_id = r.u32();
   msg.rng_seed = r.u64();
-  msg.algorithm = r.u8();
-  msg.fedprox_mu = r.f64();
-  msg.work_fraction = r.f64();
-  msg.local_epochs = r.u64();
-  msg.batch_size = r.u64();
-  msg.learning_rate = r.f64();
-  msg.momentum = r.f64();
-  msg.weight_decay = r.f64();
-  msg.compression_kind = r.u8();
-  msg.topk_fraction = r.f64();
-  msg.error_feedback = r.u8();
+  msg.recipe = decode_recipe(r, &msg.work_fraction);
   msg.params = r.f32_array();
   msg.trace = decode_trace_ctx(r);
   r.expect_exhausted();
@@ -258,24 +279,6 @@ ClientUpdateMsg decode_client_update(const Frame& frame) {
   msg.sample_count = r.u64();
   msg.update = decode_update_payload(r);
   msg.trace = decode_trace_ctx(r);
-  r.expect_exhausted();
-  return msg;
-}
-
-Frame encode_select_notice(const SelectNoticeMsg& msg) {
-  WireWriter w;
-  w.u64(msg.epoch);
-  w.f64(msg.deadline_s);
-  w.u32_array(msg.clients);
-  return Frame{MessageType::SelectNotice, w.take()};
-}
-
-SelectNoticeMsg decode_select_notice(const Frame& frame) {
-  auto r = reader_for(frame, MessageType::SelectNotice, "SelectNotice");
-  SelectNoticeMsg msg;
-  msg.epoch = r.u64();
-  msg.deadline_s = r.f64();
-  msg.clients = r.u32_array();
   r.expect_exhausted();
   return msg;
 }
@@ -446,6 +449,49 @@ SubtreeUpdateMsg decode_subtree_update(const Frame& frame) {
     s.batches = r.u64();
     s.sample_count = r.u64();
   }
+  r.expect_exhausted();
+  return msg;
+}
+
+Frame encode_subtree_round(const SubtreeRoundMsg& msg) {
+  WireWriter w;
+  w.reserve(kSubtreeRoundFixedBytes + msg.params.size() * sizeof(float) +
+            msg.jobs.size() * kSubtreeJobBytes + kTraceTrailerBytes);
+  w.u64(msg.epoch);
+  w.f64(msg.max_update_norm);
+  encode_recipe(w, msg.recipe, nullptr);
+  w.f32_array(msg.params);
+  w.u64(msg.jobs.size());
+  for (const SubtreeJob& job : msg.jobs) {
+    w.u32(job.client_id);
+    w.u64(job.rng_seed);
+    w.f64(job.work_fraction);
+  }
+  encode_trace_ctx(w, msg.trace);
+  return Frame{MessageType::SubtreeRound, w.take()};
+}
+
+SubtreeRoundMsg decode_subtree_round(const Frame& frame) {
+  auto r = reader_for(frame, MessageType::SubtreeRound, "SubtreeRound");
+  SubtreeRoundMsg msg;
+  msg.epoch = r.u64();
+  msg.max_update_norm = r.f64();
+  if (!std::isfinite(msg.max_update_norm)) {
+    throw WireError("decode: subtree round norm bound is not finite");
+  }
+  msg.recipe = decode_recipe(r, nullptr);
+  msg.params = r.f32_array();
+  const std::uint64_t count = r.u64();
+  if (count > r.remaining() / kSubtreeJobBytes) {
+    throw WireError("decode: subtree job count exceeds payload");
+  }
+  msg.jobs.resize(static_cast<std::size_t>(count));
+  for (SubtreeJob& job : msg.jobs) {
+    job.client_id = r.u32();
+    job.rng_seed = r.u64();
+    job.work_fraction = r.f64();
+  }
+  msg.trace = decode_trace_ctx(r);
   r.expect_exhausted();
   return msg;
 }

@@ -63,17 +63,12 @@ struct HelloMsg {
   std::uint32_t num_clients = 0;
 };
 
-/// server -> worker: everything one client needs to run its local round.
-/// Ships the full training recipe so a worker needs only its data shard and
-/// the model factory; `rng_seed` is the engine's forked per-client stream,
-/// which is what keeps a remote round bit-identical to the in-process one.
-struct TrainJobMsg {
-  std::uint64_t epoch = 0;
-  std::uint32_t client_id = 0;
-  std::uint64_t rng_seed = 0;
-  std::uint8_t algorithm = 0;      ///< fl::LocalAlgorithm
+/// The local-training recipe of a round: what every TrainJob of the round
+/// carries besides its client's own fields (fl::LocalWorkConfig's wire
+/// form), and what a SubtreeRound carries once.
+struct WorkRecipe {
+  std::uint8_t algorithm = 0;  ///< fl::LocalAlgorithm
   double fedprox_mu = 0.0;
-  double work_fraction = 1.0;
   std::uint64_t local_epochs = 1;
   std::uint64_t batch_size = 32;
   double learning_rate = 0.01;
@@ -82,6 +77,18 @@ struct TrainJobMsg {
   std::uint8_t compression_kind = 0;  ///< fl::CompressionKind
   double topk_fraction = 0.1;
   std::uint8_t error_feedback = 1;
+};
+
+/// server -> worker: everything one client needs to run its local round.
+/// Ships the full training recipe so a worker needs only its data shard and
+/// the model factory; `rng_seed` is the engine's forked per-client stream,
+/// which is what keeps a remote round bit-identical to the in-process one.
+struct TrainJobMsg {
+  std::uint64_t epoch = 0;
+  std::uint32_t client_id = 0;
+  std::uint64_t rng_seed = 0;
+  double work_fraction = 1.0;
+  WorkRecipe recipe;
   std::vector<float> params;  ///< global parameters (downlink payload)
   /// Optional trace-context trailer (DESIGN.md §5i): encoded only when
   /// valid(), so an untraced run's frames are byte-identical to pre-trace
@@ -107,13 +114,6 @@ struct ClientUpdateMsg {
   UpdatePayload update;
   /// Optional trailer: the TrainJob's context echoed back for correlation.
   obs::TraceContext trace;
-};
-
-/// server -> worker: ids picked this round (round control / observability).
-struct SelectNoticeMsg {
-  std::uint64_t epoch = 0;
-  double deadline_s = 0.0;
-  std::vector<std::uint32_t> clients;
 };
 
 /// server -> worker after a global evaluation.
@@ -190,6 +190,29 @@ struct SubtreeUpdateMsg {
   std::vector<SubtreeClientStat> stats;
 };
 
+/// One client's share of a SubtreeRound: the TrainJob fields that differ
+/// from client to client.
+struct SubtreeJob {
+  std::uint32_t client_id = 0;
+  std::uint64_t rng_seed = 0;
+  double work_fraction = 1.0;
+};
+
+/// root -> aggregator: the subtree's whole round, one frame per round. The
+/// global parameters and the recipe cross the link once; `jobs` are the
+/// subtree's clients in slot order, which is the order the aggregator folds
+/// them in. `max_update_norm` is the root's validation bound (0 = none), so
+/// the subtree's fold rejects exactly what the root's would.
+struct SubtreeRoundMsg {
+  std::uint64_t epoch = 0;
+  double max_update_norm = 0.0;
+  WorkRecipe recipe;
+  std::vector<float> params;
+  std::vector<SubtreeJob> jobs;
+  /// Optional trace-context trailer, as on TrainJobMsg.
+  obs::TraceContext trace;
+};
+
 // Heartbeat and Shutdown carry no payload: an empty frame of their type.
 
 Frame encode_hello(const HelloMsg& msg);
@@ -200,9 +223,6 @@ TrainJobMsg decode_train_job(const Frame& frame);
 
 Frame encode_client_update(const ClientUpdateMsg& msg);
 ClientUpdateMsg decode_client_update(const Frame& frame);
-
-Frame encode_select_notice(const SelectNoticeMsg& msg);
-SelectNoticeMsg decode_select_notice(const Frame& frame);
 
 Frame encode_eval_report(const EvalReportMsg& msg);
 EvalReportMsg decode_eval_report(const Frame& frame);
@@ -218,6 +238,10 @@ TopologyHelloMsg decode_topology_hello(const Frame& frame);
 
 Frame encode_subtree_update(const SubtreeUpdateMsg& msg);
 SubtreeUpdateMsg decode_subtree_update(const Frame& frame);
+
+Frame encode_subtree_round(const SubtreeRoundMsg& msg);
+/// Also refuses a non-finite max_update_norm.
+SubtreeRoundMsg decode_subtree_round(const Frame& frame);
 
 Frame encode_heartbeat();
 Frame encode_shutdown();

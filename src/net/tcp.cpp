@@ -164,8 +164,6 @@ class TcpTransport final : public Transport {
 
   std::string peer() const override { return peer_; }
 
-  bool receiving() const override { return parser_.buffered() > 0; }
-
  private:
   int fd_;
   std::string peer_;

@@ -1,8 +1,9 @@
 // Tests for the hierarchical aggregation tree (DESIGN.md §5j): the tree wire
 // codecs, the 3-tier root→aggregator→worker pipeline's bit-identity with the
-// flat grouped dispatcher, salvage on aggregator loss, SubtreeUpdate
-// settlement and validation, the tree root's config refusals, StatusServer
-// request parsing, and the live join/leave re-cluster tracker.
+// flat grouped dispatcher (the root's norm bound included), salvage on
+// aggregator loss and on a lost SubtreeRound, SubtreeUpdate settlement and
+// validation, the tree root's config refusals, StatusServer request
+// parsing, and the live join/leave re-cluster tracker.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -29,6 +30,7 @@
 #include "src/core/pipeline.hpp"
 #include "src/fl/engine.hpp"
 #include "src/fl/net_driver.hpp"
+#include "src/fl/protocol.hpp"
 #include "src/hier/fleet.hpp"
 #include "src/hier/mid_tier.hpp"
 #include "src/hier/tree_dispatcher.hpp"
@@ -36,6 +38,7 @@
 #include "src/net/messages.hpp"
 #include "src/net/status.hpp"
 #include "src/net/tcp.hpp"
+#include "src/net/wire.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
 #include "src/select/random_selector.hpp"
@@ -67,6 +70,10 @@ fl::EngineConfig make_engine(std::size_t rounds = 3) {
   cfg.seed = 23;
   return cfg;
 }
+
+/// A norm bound on make_engine()'s updates over make_fed() that rejects
+/// some of a 3-round run's updates and keeps the rest.
+constexpr double kTightNormBound = 0.4;
 
 std::string record_json_no_phase(const fl::RoundRecord& record) {
   fl::RoundRecord copy = record;
@@ -148,6 +155,94 @@ TEST(HierCodec, SubtreeUpdateRoundTrip) {
             static_cast<std::uint8_t>(fl::FailureKind::Timeout));
 }
 
+// The recipe crosses the root link once and comes back as the same local
+// work: a TrainJob built from the decoded round is the TrainJob the flat
+// root builds, byte for byte.
+TEST(HierCodec, SubtreeRoundRoundTripKeepsEveryWorkersTrainJob) {
+  fl::LocalWorkConfig work;
+  work.local.epochs = 3;
+  work.local.batch_size = 17;
+  work.local.sgd.learning_rate = 0.05;
+  work.local.sgd.momentum = 0.9;
+  work.local.sgd.weight_decay = 1e-4;
+  work.fedprox = true;
+  work.fedprox_mu = 0.03;
+  work.compression.kind = fl::CompressionKind::TopK;
+  work.compression.topk_fraction = 0.25;
+  work.compression.error_feedback = false;
+
+  net::SubtreeRoundMsg msg;
+  msg.epoch = 9;
+  msg.max_update_norm = 2.5;
+  msg.recipe = fl::make_work_recipe(work);
+  msg.params = {1.5f, -0.0f, 3.25f};
+  msg.jobs = {{6, 0xABCDEFull, 0.5}, {2, 7, 1.0}};
+  msg.trace = {0x5eed, 77, 9};
+  const net::SubtreeRoundMsg back =
+      net::decode_subtree_round(net::encode_subtree_round(msg));
+  EXPECT_EQ(back.epoch, 9u);
+  EXPECT_EQ(back.max_update_norm, 2.5);
+  EXPECT_EQ(back.params, msg.params);
+  EXPECT_EQ(back.trace.trace_id, msg.trace.trace_id);
+  EXPECT_EQ(back.trace.parent_span, msg.trace.parent_span);
+  EXPECT_EQ(back.trace.round, msg.trace.round);
+  ASSERT_EQ(back.jobs.size(), 2u);
+  const fl::LocalWorkConfig back_work = fl::read_work_recipe(back.recipe);
+  for (std::size_t slot = 0; slot < back.jobs.size(); ++slot) {
+    EXPECT_EQ(back.jobs[slot].client_id, msg.jobs[slot].client_id);
+    EXPECT_EQ(back.jobs[slot].rng_seed, msg.jobs[slot].rng_seed);
+    EXPECT_EQ(back.jobs[slot].work_fraction, msg.jobs[slot].work_fraction);
+    fl::TrainJobSpec spec;
+    spec.client_id = back.jobs[slot].client_id;
+    spec.epoch = back.epoch;
+    spec.rng_seed = back.jobs[slot].rng_seed;
+    spec.work_fraction = back.jobs[slot].work_fraction;
+    EXPECT_EQ(net::encode_train_job(fl::make_train_job(spec, back_work,
+                                                       back.params, back.trace))
+                  .payload,
+              net::encode_train_job(
+                  fl::make_train_job(spec, work, msg.params, msg.trace))
+                  .payload)
+        << "slot " << slot;
+  }
+}
+
+TEST(HierCodec, SubtreeRoundDecodeRefusesMalformedPayloads) {
+  net::SubtreeRoundMsg msg;
+  msg.params = {1.0f, 2.0f, 3.0f};
+  msg.jobs = {{0, 1, 1.0}};
+  const net::Frame frame = net::encode_subtree_round(msg);
+  EXPECT_NO_THROW(net::decode_subtree_round(frame));
+  {
+    net::Frame cut = frame;
+    cut.payload.resize(cut.payload.size() - 2);
+    EXPECT_THROW(net::decode_subtree_round(cut), net::WireError);
+  }
+  {
+    // The job count sits ahead of the one 20-byte job.
+    net::Frame inflated = frame;
+    const std::size_t count_at = inflated.payload.size() - 20 - 8;
+    inflated.payload[count_at] = 2;
+    EXPECT_THROW(net::decode_subtree_round(inflated), net::WireError);
+    inflated.payload[count_at + 7] = 0x10;
+    EXPECT_THROW(net::decode_subtree_round(inflated), net::WireError);
+  }
+  {
+    net::Frame padded = frame;
+    padded.payload.push_back(0);
+    EXPECT_THROW(net::decode_subtree_round(padded), net::WireError);
+  }
+  for (const double bound : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+    net::SubtreeRoundMsg unbounded = msg;
+    unbounded.max_update_norm = bound;
+    EXPECT_THROW(
+        net::decode_subtree_round(net::encode_subtree_round(unbounded)),
+        net::WireError)
+        << bound;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // HierTree: the full 3-tier pipeline
 
@@ -157,9 +252,14 @@ TEST(HierCodec, SubtreeUpdateRoundTrip) {
 /// side of the handshake runs through the library fleet, exactly as
 /// haccs_server's does.
 struct TreeHarness {
+  /// `wrap` (optional) wraps aggregator a's root-side transport before the
+  /// root's fleet admits it, e.g. in a probe.
   TreeHarness(const data::FederatedDataset& fed,
               std::function<nn::Sequential()> factory, std::size_t num_aggs,
-              std::size_t num_workers, const fl::EngineConfig& engine)
+              std::size_t num_workers,
+              const std::function<std::unique_ptr<net::Transport>(
+                  std::size_t, std::unique_ptr<net::Transport>)>& wrap =
+                  nullptr)
       : fleet_(
             [&] {
               hier::FleetConfig config;
@@ -181,7 +281,6 @@ struct TreeHarness {
       config.agg_id = static_cast<std::uint32_t>(a);
       config.num_aggs = static_cast<std::uint32_t>(num_aggs);
       config.num_workers = static_cast<std::uint32_t>(num_workers);
-      config.max_update_norm = engine.max_update_norm;
       config.round_timeout_ms = 60000;
       listeners_.push_back(std::make_unique<net::TcpListener>(0));
       aggs_.push_back(std::make_unique<hier::MidTierAggregator>(
@@ -189,7 +288,8 @@ struct TreeHarness {
             return listener->accept(timeout_ms);
           }));
       auto pair = net::make_loopback_pair();
-      root_ends_.push_back(std::move(pair.a));
+      root_ends_.push_back(wrap ? wrap(a, std::move(pair.a))
+                                : std::move(pair.a));
       agg_ends_.push_back(std::move(pair.b));
     }
     for (std::size_t a = 0; a < num_aggs; ++a) {
@@ -242,6 +342,59 @@ struct TreeHarness {
   hier::Fleet fleet_;
 };
 
+/// What one engine run produced: per-round JSON (phase timings dropped), the
+/// final parameters and the updates it rejected.
+struct RunResult {
+  std::vector<std::string> lines;
+  std::vector<float> params;
+  std::size_t rejected = 0;
+};
+
+/// Runs `engine` (RandomSelector) through a 3-tier tree (root + 2 aggregators
+/// + 4 workers) or through the flat dispatcher with agg_groups = 2. Either
+/// way the root's TransportDispatcherConfig carries the engine's recipe and
+/// max_update_norm, and nothing else does.
+RunResult run_tree_or_grouped_flat(
+    const data::FederatedDataset& fed,
+    const std::function<nn::Sequential()>& factory, bool tree,
+    fl::EngineConfig engine) {
+  RunResult out;
+  engine.on_checkpoint = [&](std::size_t,
+                             const fl::EngineConfig::RunStateFactory& make) {
+    out.params = make().global_params;
+  };
+  fl::TransportDispatcherConfig config;
+  config.work.local = engine.local;
+  config.work.compression = engine.compression;
+  config.recv_timeout_ms = 120000;
+  config.max_update_norm = engine.max_update_norm;
+  const auto run = [&](fl::RoundDispatcher& dispatcher) {
+    engine.dispatcher = &dispatcher;
+    fl::FederatedTrainer trainer(fed, factory, engine);
+    select::RandomSelector selector;
+    const auto history = trainer.run(selector);
+    for (const auto& record : history.records()) {
+      out.lines.push_back(record_json_no_phase(record));
+      out.rejected += record.rejected.size();
+    }
+  };
+  if (tree) {
+    TreeHarness harness(fed, factory, /*num_aggs=*/2, /*num_workers=*/4);
+    hier::TreeDispatcher dispatcher(harness.root_transports(), config,
+                                    /*num_workers=*/4);
+    run(dispatcher);
+    harness.shutdown_and_join();
+    EXPECT_TRUE(harness.agg_ok_[0]);
+    EXPECT_TRUE(harness.agg_ok_[1]);
+  } else {
+    fl::LoopbackCluster cluster(fed, factory, 4);
+    config.agg_groups = 2;
+    fl::TransportDispatcher dispatcher(cluster.server_transports(), config);
+    run(dispatcher);
+  }
+  return out;
+}
+
 // The headline §5j guarantee: a 3-tier run (root + 2 aggregators + 4
 // workers) is bit-identical to the flat dispatcher running with
 // agg_groups = 2 — per-round JSON byte equality AND bitwise-equal final
@@ -256,53 +409,8 @@ TEST(HierTree, ThreeTierRunBitIdenticalToGroupedFlat) {
   auto run = [&](bool tree, fl::CompressionKind kind) {
     fl::EngineConfig engine = make_engine(3);
     engine.compression.kind = kind;
-    std::vector<float> final_params;
-    engine.on_checkpoint = [&](std::size_t,
-                               const fl::EngineConfig::RunStateFactory& make) {
-      final_params = make().global_params;
-    };
-
-    std::vector<std::string> lines;
-    if (tree) {
-      TreeHarness harness(fed, factory, /*num_aggs=*/2, /*num_workers=*/4,
-                          engine);
-
-      fl::TransportDispatcherConfig config;
-      config.work.local = engine.local;
-      config.work.compression = engine.compression;
-      config.recv_timeout_ms = 120000;
-      hier::TreeDispatcher dispatcher(harness.root_transports(), config,
-                                      /*num_workers=*/4);
-      engine.dispatcher = &dispatcher;
-
-      fl::FederatedTrainer trainer(fed, factory, engine);
-      select::RandomSelector selector;
-      const auto history = trainer.run(selector);
-      for (const auto& record : history.records()) {
-        lines.push_back(record_json_no_phase(record));
-      }
-      harness.shutdown_and_join();
-      EXPECT_TRUE(harness.agg_ok_[0]);
-      EXPECT_TRUE(harness.agg_ok_[1]);
-    } else {
-      fl::LoopbackCluster cluster(fed, factory, 4);
-      fl::TransportDispatcherConfig config;
-      config.work.local = engine.local;
-      config.work.compression = engine.compression;
-      config.recv_timeout_ms = 120000;
-      config.agg_groups = 2;
-      config.max_update_norm = engine.max_update_norm;
-      fl::TransportDispatcher dispatcher(cluster.server_transports(), config);
-      engine.dispatcher = &dispatcher;
-
-      fl::FederatedTrainer trainer(fed, factory, engine);
-      select::RandomSelector selector;
-      const auto history = trainer.run(selector);
-      for (const auto& record : history.records()) {
-        lines.push_back(record_json_no_phase(record));
-      }
-    }
-    return std::make_pair(lines, final_params);
+    RunResult result = run_tree_or_grouped_flat(fed, factory, tree, engine);
+    return std::make_pair(std::move(result.lines), std::move(result.params));
   };
 
   for (const auto kind :
@@ -324,35 +432,53 @@ TEST(HierTree, ThreeTierRunBitIdenticalToGroupedFlat) {
   }
 }
 
+// The root's norm bound is the tree's: set only on the root's dispatcher
+// config, it reaches every mid tier's fold in the SubtreeRound, so the tree
+// rejects exactly the updates the grouped flat root rejects.
+TEST(HierTree, RootNormBoundReachesTheMidTierFold) {
+  const auto fed = make_fed();
+  const auto factory = core::default_model_factory(fed, 99);
+  fl::EngineConfig engine = make_engine(3);
+  engine.max_update_norm = kTightNormBound;
+  const RunResult flat = run_tree_or_grouped_flat(fed, factory, false, engine);
+  const RunResult tree = run_tree_or_grouped_flat(fed, factory, true, engine);
+
+  // Tight enough to bite, loose enough that updates still land.
+  EXPECT_GE(flat.rejected, 1u);
+  EXPECT_LT(flat.rejected, engine.rounds * engine.clients_per_round);
+  EXPECT_EQ(tree.rejected, flat.rejected);
+  ASSERT_EQ(tree.lines.size(), flat.lines.size());
+  for (std::size_t r = 0; r < tree.lines.size(); ++r) {
+    EXPECT_EQ(tree.lines[r], flat.lines[r]) << "round " << r;
+  }
+  ASSERT_EQ(tree.params.size(), flat.params.size());
+  EXPECT_EQ(std::memcmp(tree.params.data(), flat.params.data(),
+                        flat.params.size() * sizeof(float)),
+            0);
+}
+
 /// Emulates one mid-tier aggregator for a single round: receives the
-/// SelectNotice + TrainJobs, then settles with one SubtreeUpdate in which
-/// every client "trained" to params + 1 with weight 10. `tamper` edits the
-/// update before it is sent (a misbehaving aggregator).
+/// SubtreeRound, then settles with one SubtreeUpdate in which every client
+/// "trained" to params + 1 with weight 10. `tamper` edits the update before
+/// it is sent (a misbehaving aggregator).
 void emulate_agg_round(
     net::Transport& transport, std::uint32_t agg_id,
     const std::function<void(net::SubtreeUpdateMsg&)>& tamper = nullptr) {
   net::Frame frame;
   ASSERT_EQ(transport.recv(&frame, 10000), net::TransportStatus::Ok);
-  ASSERT_EQ(frame.type, net::MessageType::SelectNotice);
-  const net::SelectNoticeMsg notice = net::decode_select_notice(frame);
-
-  std::vector<float> params;
-  for (std::size_t i = 0; i < notice.clients.size(); ++i) {
-    ASSERT_EQ(transport.recv(&frame, 10000), net::TransportStatus::Ok);
-    ASSERT_EQ(frame.type, net::MessageType::TrainJob);
-    params = net::decode_train_job(frame).params;
-  }
+  ASSERT_EQ(frame.type, net::MessageType::SubtreeRound);
+  const net::SubtreeRoundMsg round = net::decode_subtree_round(frame);
 
   net::SubtreeUpdateMsg update;
-  update.epoch = notice.epoch;
+  update.epoch = round.epoch;
   update.agg_id = agg_id;
-  update.weight = 10.0 * notice.clients.size();
-  for (const float p : params) {
+  update.weight = 10.0 * round.jobs.size();
+  for (const float p : round.params) {
     update.sum.push_back(update.weight * (static_cast<double>(p) + 1.0));
   }
-  for (const std::uint32_t c : notice.clients) {
+  for (const net::SubtreeJob& job : round.jobs) {
     net::SubtreeClientStat stat;
-    stat.client_id = c;
+    stat.client_id = job.client_id;
     stat.delivered = 1;
     stat.sample_count = 10;
     stat.batches = 1;
@@ -382,8 +508,7 @@ TEST(HierTree, DeadAggregatorIsSalvagedNotTorn) {
   // Aggregator 1 accepts its round and then dies before its update.
   std::thread dying([&] {
     net::Frame frame;
-    dead.b->recv(&frame, 10000);  // SelectNotice
-    dead.b->recv(&frame, 10000);  // its one TrainJob
+    dead.b->recv(&frame, 10000);  // its SubtreeRound
     dead.b.reset();
   });
 
@@ -460,8 +585,7 @@ TEST(HierTree, AggregatorLostMidUpdateIsSalvaged) {
   // Aggregator 0 sends the first half of an encoded update, then dies.
   std::thread dying([&] {
     net::Frame frame;
-    dying_link.b->recv(&frame, 10000);  // SelectNotice
-    dying_link.b->recv(&frame, 10000);  // its one TrainJob
+    dying_link.b->recv(&frame, 10000);  // its SubtreeRound
     net::SubtreeUpdateMsg update;
     update.sum = {1.0, 2.0, 3.0};
     const std::vector<std::uint8_t> bytes =
@@ -545,6 +669,111 @@ TEST(HierTree, SilentAggregatorIsDeclaredDeadAndSalvaged) {
   obs::set_metrics_enabled(false);
 }
 
+/// Forwards to the transport it owns, except that it swallows the first
+/// SubtreeRound sent through it: a root link that lost one round.
+class LosesFirstRound final : public net::Transport {
+ public:
+  explicit LosesFirstRound(std::unique_ptr<net::Transport> inner)
+      : inner_(std::move(inner)) {}
+  net::TransportStatus send(const net::Frame& frame, int timeout_ms) override {
+    if (frame.type == net::MessageType::SubtreeRound && !lost_) {
+      lost_ = true;
+      return net::TransportStatus::Ok;
+    }
+    return inner_->send(frame, timeout_ms);
+  }
+  net::TransportStatus send_raw(std::span<const std::uint8_t> encoded,
+                                int timeout_ms) override {
+    return inner_->send_raw(encoded, timeout_ms);
+  }
+  net::TransportStatus recv(net::Frame* out, int timeout_ms) override {
+    return inner_->recv(out, timeout_ms);
+  }
+  void close() override { inner_->close(); }
+  std::string peer() const override { return inner_->peer(); }
+
+ private:
+  std::unique_ptr<net::Transport> inner_;
+  bool lost_ = false;
+};
+
+// A SubtreeRound the root link loses costs only that subtree's round, as a
+// lost SubtreeUpdate does: its slots fail as Timeout at the root's budget,
+// the other subtree commits, the subtree counts as salvaged, and its
+// aggregator serves the next round as if nothing happened.
+TEST(HierTree, LostSubtreeRoundCostsOnlyItsSubtree) {
+  obs::set_metrics_enabled(true);
+  const double salvaged_before =
+      obs::Registry::global().counter("hier_aggs_salvaged_total").value();
+  const auto fed = make_fed();
+  const auto factory = core::default_model_factory(fed, 99);
+  TreeHarness harness(
+      fed, factory, /*num_aggs=*/2, /*num_workers=*/4,
+      [](std::size_t a, std::unique_ptr<net::Transport> root_end)
+          -> std::unique_ptr<net::Transport> {
+        if (a != 1) return root_end;
+        return std::make_unique<LosesFirstRound>(std::move(root_end));
+      });
+  constexpr int kBudgetMs = 1500;
+  fl::TransportDispatcherConfig config;
+  config.recv_timeout_ms = kBudgetMs;
+  hier::TreeDispatcher dispatcher(harness.root_transports(), config,
+                                  /*num_workers=*/4);
+
+  // Client c lives on worker c, so clients 0 and 1 are aggregator 0's and
+  // clients 2 and 3 aggregator 1's.
+  const std::vector<float> params = factory().get_parameters();
+  auto round = [&](std::size_t epoch) {
+    std::vector<fl::TrainJobSpec> jobs(4);
+    for (std::size_t c = 0; c < jobs.size(); ++c) {
+      jobs[c].slot = c;
+      jobs[c].client_id = c;
+      jobs[c].epoch = epoch;
+      jobs[c].rng_seed = 100 * epoch + c;
+    }
+    std::vector<fl::TrainOutcome> outcomes(jobs.size());
+    dispatcher.execute(jobs, params, outcomes);
+    return outcomes;
+  };
+
+  const auto started = std::chrono::steady_clock::now();
+  const auto lost = round(1);
+  EXPECT_GE(std::chrono::steady_clock::now() - started,
+            std::chrono::milliseconds(kBudgetMs));
+  EXPECT_TRUE(lost[0].delivered);
+  EXPECT_TRUE(lost[1].delivered);
+  for (const std::size_t slot : {2, 3}) {
+    EXPECT_FALSE(lost[slot].delivered) << "slot " << slot;
+    EXPECT_EQ(lost[slot].failure, fl::FailureKind::Timeout) << "slot " << slot;
+  }
+  const auto* partials = dispatcher.partials();
+  ASSERT_NE(partials, nullptr);
+  EXPECT_EQ((*partials)[0].updates, 2u);
+  EXPECT_EQ((*partials)[0].sum.size(), params.size());
+  EXPECT_TRUE((*partials)[1].sum.empty());
+  EXPECT_EQ((*partials)[1].weight, 0.0);
+  EXPECT_EQ(
+      obs::Registry::global().counter("hier_aggs_salvaged_total").value(),
+      salvaged_before + 1.0);
+  EXPECT_TRUE(dispatcher.agg_alive(1));
+
+  const auto next = round(2);
+  for (std::size_t slot = 0; slot < next.size(); ++slot) {
+    EXPECT_TRUE(next[slot].delivered) << "slot " << slot;
+  }
+  EXPECT_EQ((*partials)[1].updates, 2u);
+  EXPECT_EQ((*partials)[1].sum.size(), params.size());
+  EXPECT_EQ(
+      obs::Registry::global().counter("hier_aggs_salvaged_total").value(),
+      salvaged_before + 1.0);
+
+  harness.shutdown_and_join();
+  EXPECT_TRUE(harness.agg_ok_[0]);
+  EXPECT_TRUE(harness.agg_ok_[1]);
+  EXPECT_EQ(harness.aggs_[1]->stats().rounds, 1u);
+  obs::set_metrics_enabled(false);
+}
+
 // A trailer settles only the clients routed to the aggregator that sent it,
 // each once: naming the other subtree's client, or its own client twice,
 // must neither deliver that client nor inflate the update count.
@@ -569,8 +798,7 @@ TEST(HierTree, TrailerSettlesOnlyItsOwnSubtreeOnce) {
   });
   std::thread dying([&] {
     net::Frame frame;
-    dead.b->recv(&frame, 10000);  // SelectNotice
-    dead.b->recv(&frame, 10000);  // its one TrainJob
+    dead.b->recv(&frame, 10000);  // its SubtreeRound
     dead.b.reset();
   });
 

@@ -1,12 +1,13 @@
 // Tests for the mid-tier aggregator (src/hier/mid_tier.hpp) driven by hand:
-// an emulated root on a loopback pair sends SelectNotice and TrainJob frames,
-// and emulated workers connect over TCP to the aggregator's listener,
-// handshake with hier::send_worker_hello and answer their jobs frame by
-// frame. HierMidTier.* pins how a closed worker, a CRC-bad frame, the round
-// budget and a lost SelectNotice settle a subtree round, that a noticed
-// round waits for jobs the root sends slowly, that only a client's own
-// worker can settle it, that heartbeats flow while a round collects, and
-// that TrainJob and Summary frames cross the tier byte for byte.
+// an emulated root on a loopback pair sends SubtreeRound frames, and
+// emulated workers connect over TCP to the aggregator's listener, handshake
+// with hier::send_worker_hello and answer their jobs frame by frame.
+// HierMidTier.* pins how a closed worker, a CRC-bad frame and the round
+// budget settle a subtree round, that stale and duplicated rounds are not
+// served again, that only a client's own worker can settle it, that
+// heartbeats flow while a round collects, that each worker's TrainJob is
+// the one a flat root would send, and that Summary frames cross the tier
+// byte for byte.
 // HierMidTierHandshake.* pins that a bad downstream handshake stops the
 // aggregator before it announces itself.
 #include <gtest/gtest.h>
@@ -155,33 +156,29 @@ class MidTierRig {
     return summaries;
   }
 
-  /// Sends the round's SelectNotice (unless `notice` is false, as if the
-  /// link lost it) and one TrainJob per client, in the given order, under
-  /// `trace`, pausing `pause_ms` before each TrainJob; returns the TrainJob
-  /// frames sent.
+  /// Sends the round's SubtreeRound, its jobs for `clients` in the given
+  /// order under `trace`; returns the TrainJob frames a flat root would
+  /// send for them, in that order.
   std::vector<net::Frame> open_round(std::uint64_t epoch,
                                      const std::vector<std::uint32_t>& clients,
-                                     bool notice = true,
-                                     const obs::TraceContext& trace = {},
-                                     int pause_ms = 0) {
-    if (notice) {
-      net::SelectNoticeMsg msg;
-      msg.epoch = epoch;
-      msg.clients = clients;
-      EXPECT_EQ(root_->send(net::encode_select_notice(msg)),
-                net::TransportStatus::Ok);
-    }
-    std::vector<net::Frame> sent;
+                                     const obs::TraceContext& trace = {}) {
+    net::SubtreeRoundMsg round;
+    round.epoch = epoch;
+    round.recipe = fl::make_work_recipe(fl::LocalWorkConfig{});
+    round.params = kParams;
+    round.trace = trace;
+    std::vector<net::Frame> expected;
     for (const std::uint32_t c : clients) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(pause_ms));
+      round.jobs.push_back({c, 0, 1.0});
       fl::TrainJobSpec spec;
       spec.client_id = c;
       spec.epoch = epoch;
-      sent.push_back(net::encode_train_job(
+      expected.push_back(net::encode_train_job(
           fl::make_train_job(spec, fl::LocalWorkConfig{}, kParams, trace)));
-      EXPECT_EQ(root_->send(sent.back()), net::TransportStatus::Ok);
     }
-    return sent;
+    EXPECT_EQ(root_->send(net::encode_subtree_round(round)),
+              net::TransportStatus::Ok);
+    return expected;
   }
 
   /// The next TrainJob frame worker `w` receives.
@@ -375,50 +372,33 @@ TEST(HierMidTier, DeadlineFailsStragglersAsTimeoutAndFoldsArrivals) {
   EXPECT_TRUE(rig.finish());
 }
 
-TEST(HierMidTier,
-     LostSelectNoticeOpensAnImplicitRoundSettledWhenItsWorkersAnswer) {
-  // A round budget far beyond settle()'s wait: settling at all proves the
-  // round did not wait for it.
-  MidTierRig rig(/*round_timeout_ms=*/6 * kWaitMs);
-  rig.handshake();
-  rig.open_round(5, {3, 0, 1}, /*notice=*/false);
-  for (const std::size_t w : {1, 0, 1}) {
-    const auto job = rig.job(w);
-    ASSERT_EQ(rig.workers_[w]->send(MidTierRig::update(job.client_id, 5)),
-              net::TransportStatus::Ok);
-  }
-  // Upstream fell quiet after the jobs, which closed the implicit round's
-  // intake; it settles once every relayed job is answered.
-  const Settled settled = rig.settle();
-  EXPECT_EQ(settled.trailer.epoch, 5u);
-  ASSERT_EQ(settled.trailer.stats.size(), 3u);
-  expect_stat(settled.trailer, 0, 3, true);  // arrival order is slot order
-  expect_stat(settled.trailer, 1, 0, true);
-  expect_stat(settled.trailer, 2, 1, true);
-  EXPECT_EQ(settled.sum, MidTierRig::expected_sum({3, 0, 1}));
-  EXPECT_TRUE(rig.finish());
-}
-
-// A noticed round waits for every job however slowly the root sends them:
-// gaps far longer than a poll slice (a loaded root, a large model on a slow
-// link) must not close the intake early and fail the late slots.
-TEST(HierMidTier, NoticedRoundWaitsForJobsAcrossPausesUpstream) {
+// A round is served once: a duplicated or stale SubtreeRound reaches no
+// worker, and the next new round is served as usual.
+TEST(HierMidTier, StaleAndDuplicatedRoundsAreNotServedAgain) {
   MidTierRig rig(/*round_timeout_ms=*/kWaitMs);
   rig.handshake();
-  rig.open_round(1, {0, 1, 2, 3}, /*notice=*/true, {}, /*pause_ms=*/50);
-  for (int i = 0; i < 2; ++i) {
-    for (const std::size_t w : {0, 1}) {
-      const auto job = rig.job(w);
-      ASSERT_EQ(rig.workers_[w]->send(MidTierRig::update(job.client_id, 1)),
-                net::TransportStatus::Ok);
-    }
+  rig.open_round(2, {0, 1});
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    EXPECT_EQ(rig.job(c).epoch, 2u);
+    ASSERT_EQ(rig.workers_[c]->send(MidTierRig::update(c, 2)),
+              net::TransportStatus::Ok);
   }
+  EXPECT_EQ(rig.settle().trailer.epoch, 2u);
+
+  rig.open_round(2, {0, 1});  // duplicated
+  rig.open_round(1, {0, 1});  // stale
+  rig.open_round(3, {1});
+  EXPECT_EQ(rig.job(1).epoch, 3u);
+  ASSERT_EQ(rig.workers_[1]->send(MidTierRig::update(1, 3)),
+            net::TransportStatus::Ok);
   const Settled settled = rig.settle();
-  ASSERT_EQ(settled.trailer.stats.size(), 4u);
-  for (std::uint32_t c = 0; c < 4; ++c) expect_stat(settled.trailer, c, c, true);
-  EXPECT_EQ(settled.sum, MidTierRig::expected_sum({0, 1, 2, 3}));
+  EXPECT_EQ(settled.trailer.epoch, 3u);
+  ASSERT_EQ(settled.trailer.stats.size(), 1u);
+  expect_stat(settled.trailer, 0, 1, true);
+  net::Frame frame;
+  EXPECT_EQ(rig.workers_[0]->recv(&frame, 100), net::TransportStatus::Timeout);
   EXPECT_TRUE(rig.finish());
-  EXPECT_EQ(rig.agg().stats().folded, 4u);
+  EXPECT_EQ(rig.agg().stats().rounds, 2u);
 }
 
 TEST(HierMidTier, OnlyTheClientsOwnWorkerCanSettleIt) {
@@ -465,9 +445,10 @@ TEST(HierMidTier, HeartbeatsReachTheRootWhileTheRoundCollects) {
   EXPECT_TRUE(rig.finish());
 }
 
-// The root's frames reach the workers, and the workers' summaries reach the
-// root, exactly as sent: TrainJobs untraced and traced (the trace trailer
-// rides along whatever the aggregator's own trace flags), and each Summary.
+// Each worker receives, byte for byte, the TrainJob a flat root would send
+// it for the SubtreeRound's job, untraced and traced (the trace trailer
+// rides along whatever the aggregator's own trace flags); the workers'
+// summaries reach the root exactly as sent.
 TEST(HierMidTier, RelaysTrainJobsAndSummariesByteForByte) {
   MidTierRig rig(/*round_timeout_ms=*/kWaitMs);
   const std::vector<net::Frame> relayed = rig.handshake();
@@ -491,7 +472,7 @@ TEST(HierMidTier, RelaysTrainJobsAndSummariesByteForByte) {
     SCOPED_TRACE(trace.valid() ? "traced" : "untraced");
     const std::uint64_t epoch = trace.valid() ? 2 : 1;
     const std::vector<net::Frame> sent =
-        rig.open_round(epoch, {0, 1}, /*notice=*/true, trace);
+        rig.open_round(epoch, {0, 1}, trace);
     for (std::size_t w = 0; w < 2; ++w) {
       const net::Frame frame = rig.job_frame(w);
       EXPECT_EQ(frame.payload, sent[w].payload) << "client " << w;

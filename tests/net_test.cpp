@@ -192,24 +192,25 @@ TEST(Wire, UnconsumedBytesFailExhaustionCheck) {
 // ---------------------------------------------------------------------------
 // Frames
 
-/// A small frame with a payload that names its sender.
-net::Frame notice_frame(std::uint32_t sender, std::uint64_t epoch) {
-  return net::encode_select_notice({epoch, 0.0, {sender}});
+/// A small frame with a payload that names its sender: an empty TraceShard,
+/// 28 payload bytes.
+net::Frame shard_frame(std::uint32_t sender, std::uint64_t epoch) {
+  return net::encode_trace_shard({sender, epoch, 0, {}});
 }
 
 std::uint32_t sender_of(const net::Frame& frame) {
-  return net::decode_select_notice(frame).clients.at(0);
+  return net::decode_trace_shard(frame).worker_id;
 }
 
 TEST(Frame, EncodeDecodeRoundTrip) {
-  const net::Frame frame = notice_frame(3, 17);
+  const net::Frame frame = shard_frame(3, 17);
   const auto bytes = net::encode_frame(frame);
   EXPECT_EQ(bytes.size(), net::kFrameHeaderBytes + frame.payload.size());
   net::Frame out;
   std::size_t consumed = 0;
   ASSERT_EQ(net::decode_frame(bytes, &out, &consumed), net::FrameStatus::Ok);
   EXPECT_EQ(consumed, bytes.size());
-  EXPECT_EQ(out.type, net::MessageType::SelectNotice);
+  EXPECT_EQ(out.type, net::MessageType::TraceShard);
   EXPECT_EQ(out.payload, frame.payload);
 }
 
@@ -223,7 +224,7 @@ TEST(Frame, EmptyPayloadRoundTrips) {
 }
 
 TEST(Frame, HeaderDamageIsDetected) {
-  auto bytes = net::encode_frame(notice_frame(1, 1));
+  auto bytes = net::encode_frame(shard_frame(1, 1));
   net::Frame out;
   {
     auto bad = bytes;
@@ -243,14 +244,14 @@ TEST(Frame, HeaderDamageIsDetected) {
 }
 
 TEST(Frame, PayloadDamageFailsChecksum) {
-  auto bytes = net::encode_frame(notice_frame(1, 1));
+  auto bytes = net::encode_frame(shard_frame(1, 1));
   bytes[net::kFrameHeaderBytes] ^= 0x01;
   net::Frame out;
   EXPECT_EQ(net::decode_frame(bytes, &out), net::FrameStatus::BadChecksum);
 }
 
 TEST(Frame, TruncationReportsNeedMore) {
-  const auto bytes = net::encode_frame(notice_frame(1, 1));
+  const auto bytes = net::encode_frame(shard_frame(1, 1));
   net::Frame out;
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     const std::span<const std::uint8_t> prefix(bytes.data(), cut);
@@ -265,7 +266,7 @@ TEST(FrameParser, ReassemblesFramesFedByteByByte) {
   std::vector<net::Frame> sent;
   std::vector<std::uint8_t> stream;
   for (std::uint32_t i = 0; i < 3; ++i) {
-    sent.push_back(notice_frame(i, 100 + i));
+    sent.push_back(shard_frame(i, 100 + i));
     const auto bytes = net::encode_frame(sent.back());
     stream.insert(stream.end(), bytes.begin(), bytes.end());
   }
@@ -292,7 +293,7 @@ TEST(FrameParser, ReassemblesFramesFedByteByByte) {
 TEST(FrameParser, CorruptFrameIsConsumedAndStreamContinues) {
   std::vector<std::uint8_t> stream;
   for (std::uint32_t i = 0; i < 3; ++i) {
-    auto bytes = net::encode_frame(notice_frame(i, i));
+    auto bytes = net::encode_frame(shard_frame(i, i));
     if (i == 1) bytes[net::kFrameHeaderBytes + 2] ^= 0xFF;  // damage frame 1
     stream.insert(stream.end(), bytes.begin(), bytes.end());
   }
@@ -308,7 +309,7 @@ TEST(FrameParser, CorruptFrameIsConsumedAndStreamContinues) {
 }
 
 TEST(FrameParser, HeaderDamageIsFatal) {
-  auto bytes = net::encode_frame(notice_frame(0, 0));
+  auto bytes = net::encode_frame(shard_frame(0, 0));
   bytes[1] ^= 0xFF;  // magic
   net::FrameParser parser;
   parser.feed(bytes);
@@ -325,17 +326,17 @@ TEST(NetCodec, TrainJobRoundTripsEveryField) {
   msg.epoch = 41;
   msg.client_id = 9;
   msg.rng_seed = 0xFEEDFACECAFEBEEFull;
-  msg.algorithm = 1;
-  msg.fedprox_mu = 0.03;
+  msg.recipe.algorithm = 1;
+  msg.recipe.fedprox_mu = 0.03;
   msg.work_fraction = 0.4;
-  msg.local_epochs = 3;
-  msg.batch_size = 16;
-  msg.learning_rate = 0.05;
-  msg.momentum = 0.9;
-  msg.weight_decay = 1e-4;
-  msg.compression_kind = 2;
-  msg.topk_fraction = 0.25;
-  msg.error_feedback = 0;
+  msg.recipe.local_epochs = 3;
+  msg.recipe.batch_size = 16;
+  msg.recipe.learning_rate = 0.05;
+  msg.recipe.momentum = 0.9;
+  msg.recipe.weight_decay = 1e-4;
+  msg.recipe.compression_kind = 2;
+  msg.recipe.topk_fraction = 0.25;
+  msg.recipe.error_feedback = 0;
   msg.params = {1.0f, -2.5f, kNaN, kInf, 0.0f};
   const auto frame = net::encode_train_job(msg);
   EXPECT_EQ(net::kFrameHeaderBytes + frame.payload.size(),
@@ -344,17 +345,17 @@ TEST(NetCodec, TrainJobRoundTripsEveryField) {
   EXPECT_EQ(back.epoch, msg.epoch);
   EXPECT_EQ(back.client_id, msg.client_id);
   EXPECT_EQ(back.rng_seed, msg.rng_seed);
-  EXPECT_EQ(back.algorithm, msg.algorithm);
-  EXPECT_EQ(back.fedprox_mu, msg.fedprox_mu);
+  EXPECT_EQ(back.recipe.algorithm, msg.recipe.algorithm);
+  EXPECT_EQ(back.recipe.fedprox_mu, msg.recipe.fedprox_mu);
   EXPECT_EQ(back.work_fraction, msg.work_fraction);
-  EXPECT_EQ(back.local_epochs, msg.local_epochs);
-  EXPECT_EQ(back.batch_size, msg.batch_size);
-  EXPECT_EQ(back.learning_rate, msg.learning_rate);
-  EXPECT_EQ(back.momentum, msg.momentum);
-  EXPECT_EQ(back.weight_decay, msg.weight_decay);
-  EXPECT_EQ(back.compression_kind, msg.compression_kind);
-  EXPECT_EQ(back.topk_fraction, msg.topk_fraction);
-  EXPECT_EQ(back.error_feedback, msg.error_feedback);
+  EXPECT_EQ(back.recipe.local_epochs, msg.recipe.local_epochs);
+  EXPECT_EQ(back.recipe.batch_size, msg.recipe.batch_size);
+  EXPECT_EQ(back.recipe.learning_rate, msg.recipe.learning_rate);
+  EXPECT_EQ(back.recipe.momentum, msg.recipe.momentum);
+  EXPECT_EQ(back.recipe.weight_decay, msg.recipe.weight_decay);
+  EXPECT_EQ(back.recipe.compression_kind, msg.recipe.compression_kind);
+  EXPECT_EQ(back.recipe.topk_fraction, msg.recipe.topk_fraction);
+  EXPECT_EQ(back.recipe.error_feedback, msg.recipe.error_feedback);
   ASSERT_EQ(back.params.size(), msg.params.size());
   for (std::size_t i = 0; i < msg.params.size(); ++i) {
     EXPECT_TRUE(same_bits(back.params[i], msg.params[i])) << "param " << i;
@@ -419,9 +420,9 @@ TEST(NetCodec, EmptyParamsRoundTrip) {
 }
 
 TEST(NetCodec, DecodeRejectsWrongFrameType) {
-  EXPECT_THROW(net::decode_hello(notice_frame(0, 0)), net::WireError);
-  EXPECT_THROW(net::decode_train_job(notice_frame(0, 0)), net::WireError);
-  EXPECT_THROW(net::decode_client_update(notice_frame(0, 0)),
+  EXPECT_THROW(net::decode_hello(shard_frame(0, 0)), net::WireError);
+  EXPECT_THROW(net::decode_train_job(shard_frame(0, 0)), net::WireError);
+  EXPECT_THROW(net::decode_client_update(shard_frame(0, 0)),
                net::WireError);
 }
 
@@ -447,16 +448,6 @@ TEST(NetCodec, SmallerControlMessagesRoundTrip) {
         net::decode_hello(net::encode_hello({7, 25}));
     EXPECT_EQ(back.worker_id, 7u);
     EXPECT_EQ(back.num_clients, 25u);
-  }
-  {
-    net::SelectNoticeMsg msg;
-    msg.epoch = 12;
-    msg.deadline_s = 3.5;
-    msg.clients = {1, 4, 1, 5};
-    const auto back = net::decode_select_notice(net::encode_select_notice(msg));
-    EXPECT_EQ(back.epoch, msg.epoch);
-    EXPECT_EQ(back.deadline_s, msg.deadline_s);
-    EXPECT_EQ(back.clients, msg.clients);
   }
   {
     net::EvalReportMsg msg{30, 0.825, 0.61, {}};
@@ -889,17 +880,17 @@ net::TrainJobMsg golden_train_job() {
   msg.epoch = 41;
   msg.client_id = 1234;
   msg.rng_seed = 0x9E3779B97F4A7C15ull;
-  msg.algorithm = 1;
-  msg.fedprox_mu = 0.01;
+  msg.recipe.algorithm = 1;
+  msg.recipe.fedprox_mu = 0.01;
   msg.work_fraction = 0.75;
-  msg.local_epochs = 2;
-  msg.batch_size = 20;
-  msg.learning_rate = 0.05;
-  msg.momentum = 0.9;
-  msg.weight_decay = -0.0;
-  msg.compression_kind = 2;
-  msg.topk_fraction = 0.1;
-  msg.error_feedback = 1;
+  msg.recipe.local_epochs = 2;
+  msg.recipe.batch_size = 20;
+  msg.recipe.learning_rate = 0.05;
+  msg.recipe.momentum = 0.9;
+  msg.recipe.weight_decay = -0.0;
+  msg.recipe.compression_kind = 2;
+  msg.recipe.topk_fraction = 0.1;
+  msg.recipe.error_feedback = 1;
   msg.params = golden_floats(4099);
   return msg;
 }
@@ -960,7 +951,7 @@ TEST(Frame, GoldenClientUpdateBytesForEveryKind) {
                 0x802CCAB622BA1226ull);
 }
 
-TEST(Frame, GoldenSummaryAndSelectNoticeBytes) {
+TEST(Frame, GoldenSummaryBytes) {
   net::SummaryMsg summary;
   summary.client_id = 17;
   summary.kind = 2;
@@ -973,14 +964,24 @@ TEST(Frame, GoldenSummaryAndSelectNoticeBytes) {
   summary.mass = {0.1, 0.0, 0.9};
   expect_golden("Summary", net::encode_frame(net::encode_summary(summary)),
                 165, 0xC04355E9D1810473ull);
+}
 
-  net::SelectNoticeMsg notice;
-  notice.epoch = 41;
-  notice.deadline_s = 2.5;
-  notice.clients = {7, 3, 4000000000u, 0, 19};
-  expect_golden("SelectNotice",
-                net::encode_frame(net::encode_select_notice(notice)), 60,
-                0x9BA897487C540F8Aull);
+TEST(Frame, GoldenSubtreeRoundBytes) {
+  net::SubtreeRoundMsg msg;
+  msg.epoch = 41;
+  msg.max_update_norm = 1e-300;
+  msg.recipe = golden_train_job().recipe;
+  msg.params = golden_floats(1027);
+  msg.jobs = {{1234, 0x9E3779B97F4A7C15ull, 0.75},
+              {4000000000u, ~0ull, -0.0},
+              {0, 0, 1.0}};
+  expect_golden("untraced SubtreeRound",
+                net::encode_frame(net::encode_subtree_round(msg)), 4275,
+                0xE5FEC39AD7731A47ull);
+  msg.trace = {0xFEEDFACECAFEBEEFull, 77, 41};
+  expect_golden("traced SubtreeRound",
+                net::encode_frame(net::encode_subtree_round(msg)), 4299,
+                0x72EF8D04F0B75491ull);
 }
 
 TEST(Checkpoint, GoldenFileBytes) {
@@ -997,8 +998,8 @@ TEST(Checkpoint, GoldenFileBytes) {
 
 TEST(Loopback, FramesRoundTripBothDirections) {
   auto pair = net::make_loopback_pair();
-  ASSERT_EQ(pair.a->send(notice_frame(1, 10)), net::TransportStatus::Ok);
-  ASSERT_EQ(pair.b->send(notice_frame(2, 20)), net::TransportStatus::Ok);
+  ASSERT_EQ(pair.a->send(shard_frame(1, 10)), net::TransportStatus::Ok);
+  ASSERT_EQ(pair.b->send(shard_frame(2, 20)), net::TransportStatus::Ok);
   net::Frame out;
   ASSERT_EQ(pair.b->recv(&out, 1000), net::TransportStatus::Ok);
   EXPECT_EQ(sender_of(out), 1u);
@@ -1021,7 +1022,7 @@ TEST(Loopback, InjectedCorruptionSurfacesAsCorruptAndIsCounted) {
   auto pair = net::make_loopback_pair(options);
   int ok = 0, corrupt = 0;
   for (int i = 0; i < 6; ++i) {
-    ASSERT_EQ(pair.b->send(notice_frame(9, i)), net::TransportStatus::Ok);
+    ASSERT_EQ(pair.b->send(shard_frame(9, i)), net::TransportStatus::Ok);
     net::Frame out;
     const auto status = pair.a->recv(&out, 1000);
     if (status == net::TransportStatus::Ok) ++ok;
@@ -1035,13 +1036,13 @@ TEST(Loopback, InjectedCorruptionSurfacesAsCorruptAndIsCounted) {
 
 TEST(Loopback, CloseDrainsBufferedFramesThenReportsClosed) {
   auto pair = net::make_loopback_pair();
-  ASSERT_EQ(pair.b->send(notice_frame(5, 1)), net::TransportStatus::Ok);
+  ASSERT_EQ(pair.b->send(shard_frame(5, 1)), net::TransportStatus::Ok);
   pair.b->close();
   net::Frame out;
   // The frame sent before close still arrives; then the channel is dead.
   EXPECT_EQ(pair.a->recv(&out, 1000), net::TransportStatus::Ok);
   EXPECT_EQ(pair.a->recv(&out, 1000), net::TransportStatus::Closed);
-  EXPECT_EQ(pair.a->send(notice_frame(5, 2)), net::TransportStatus::Closed);
+  EXPECT_EQ(pair.a->send(shard_frame(5, 2)), net::TransportStatus::Closed);
 }
 
 // ---------------------------------------------------------------------------
@@ -1078,9 +1079,9 @@ TEST(Tcp, LocalhostRoundTripIncludingLargeFrames) {
   EXPECT_EQ(back.params, job.params);
 }
 
-// A recv() Timeout with half a frame in hand is not a quiet link:
-// receiving() tells the two apart.
-TEST(Tcp, ReceivingReportsAPartlyArrivedFrame) {
+// A recv() Timeout with half a frame in hand keeps that half: the frame
+// completes on a later recv().
+TEST(Tcp, PartlyArrivedFrameSurvivesARecvTimeout) {
   net::TcpListener listener(0);
   std::unique_ptr<net::Transport> server;
   std::thread acceptor([&] { server = listener.accept(5000); });
@@ -1095,14 +1096,11 @@ TEST(Tcp, ReceivingReportsAPartlyArrivedFrame) {
   const std::size_t half = bytes.size() / 2;
   net::Frame out;
   EXPECT_EQ(server->recv(&out, 20), net::TransportStatus::Timeout);
-  EXPECT_FALSE(server->receiving());
   ASSERT_EQ(client->send_raw(all.first(half)), net::TransportStatus::Ok);
   EXPECT_EQ(server->recv(&out, 50), net::TransportStatus::Timeout);
-  EXPECT_TRUE(server->receiving());
   ASSERT_EQ(client->send_raw(all.subspan(half)), net::TransportStatus::Ok);
   ASSERT_EQ(server->recv(&out, 5000), net::TransportStatus::Ok);
   EXPECT_EQ(net::decode_hello(out).worker_id, 4u);
-  EXPECT_FALSE(server->receiving());
 }
 
 TEST(Tcp, AcceptTimesOutWithoutAConnection) {

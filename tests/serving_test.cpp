@@ -603,9 +603,9 @@ TEST(WorkerReconnect, ServeResumesAcrossTransports) {
       msg.epoch = 1;
       msg.client_id = 0;
       msg.rng_seed = 7;
-      msg.local_epochs = 1;
-      msg.batch_size = 16;
-      msg.learning_rate = 0.05f;
+      msg.recipe.local_epochs = 1;
+      msg.recipe.batch_size = 16;
+      msg.recipe.learning_rate = 0.05f;
       msg.params = core::default_model_factory(fed, 99)().get_parameters();
       ASSERT_EQ(pair.a->send(net::encode_train_job(msg)),
                 net::TransportStatus::Ok);

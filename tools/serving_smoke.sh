@@ -21,7 +21,8 @@
 #   4. 3-tier smoke (DESIGN.md §5j) — root + 2 mid-tier aggregators + 4
 #      workers across 7 real processes over TCP. A clean traced run checks
 #      per-tier byte accounting (each aggregator's upstream counters must sum
-#      exactly to the root's transport counters) and the merged cross-tier
+#      exactly to the root's transport counters, and the root must send less
+#      than the priced per-client downlink) and the merged cross-tier
 #      trace; a second run drops frames on one aggregator's uplink under a
 #      tight root collection budget and must still complete every round.
 #      The drop is seeded to hit that aggregator's first SubtreeUpdate, so
@@ -334,11 +335,16 @@ for a in (0, 1):
     down += int(m.group(4))
 assert up == summary["net_bytes_received"], (up, summary)
 assert down == summary["net_bytes_sent"], (down, summary)
+# Each aggregator's one SubtreeRound carries the parameters once a round,
+# so the root sends less than the priced downlink of one TrainJob per
+# client (6 jobs over 2 aggregators here).
+assert summary["net_bytes_sent"] < summary["downlink_bytes"], summary
 trace = json.load(open(obs_dir + "/tree_trace.json"))
 pids = {e["pid"] for e in trace["traceEvents"]}
 assert 1 in pids and len(pids) >= 3, pids
 print(f"3-tier smoke OK: {summary['rounds_completed']} rounds, byte "
-      f"accounting exact ({up} B up / {down} B down across 2 aggregators), "
+      f"accounting exact ({up} B up / {down} B down across 2 aggregators, "
+      f"{summary['downlink_bytes']} B priced downlink), "
       f"merged trace with {len(pids)} tracks")
 EOF
 else
