@@ -25,7 +25,7 @@
 
 #include "bench/harness.hpp"
 #include "src/common/table.hpp"
-#include "src/sim/dropout.hpp"
+#include "src/sim/hostile.hpp"
 
 int main(int argc, char** argv) {
   using namespace haccs;
@@ -82,18 +82,16 @@ int main(int argc, char** argv) {
       if (hostile) {
         schedule = hostile_schedule.get();
         engine.faults.crash_rate = 0.1;
-        engine.faults.targeted_fraction = 0.2;
-        engine.faults.targeted_from = quarter;
+        sim::apply_targeted_stragglers(engine.faults,
+                                       sim::HostileKind::TargetedStragglers,
+                                       0.2, quarter);
         engine.faults.seed = exp.seed + 977;
         // A deadline turns the targeted cohort's slowdown into real waste
         // (late updates are discarded) instead of an unbounded round stall.
         engine.deadline_quantile = 0.9;
-        engine.on_epoch_begin = [&working, &gen, half = 2 * quarter,
-                                 seed = exp.seed + 307](std::size_t epoch) {
-          if (epoch != half) return;
-          Rng drift_rng(seed);
-          data::apply_label_drift(working, gen, 0.3, drift_rng);
-        };
+        engine.on_epoch_begin =
+            sim::make_drift_hook(sim::HostileKind::Drift, working, gen, 0.3,
+                                 2 * quarter, exp.seed);
       }
       const auto [name, history] =
           bench::run_strategy(slug, working, engine, haccs, schedule);

@@ -116,8 +116,7 @@ void ExperimentConfig::apply_flags(const Flags& flags) {
   // Telemetry flags are shared by every binary that uses the harness.
   // obs::configure is a no-op (all pillars stay disabled) when no path is
   // given, so the default run carries only a relaxed atomic load per probe.
-  const std::string level = flags.get_string("log-level", "");
-  if (!level.empty()) set_log_level(parse_log_level(level));
+  apply_log_level(flags);
   obs::Options obs_options;
   obs_options.trace_path = flags.get_string("trace", "");
   obs_options.metrics_path = flags.get_string("metrics", "");

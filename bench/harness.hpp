@@ -61,7 +61,8 @@ struct ExperimentConfig {
   /// --clients, --per-round; counts refuse negatives) plus the telemetry
   /// flags shared by every binary that links the harness: --trace=FILE
   /// (Chrome trace JSON), --metrics=FILE (metrics snapshot JSON),
-  /// --events=FILE (per-round JSONL), --log-level=error|warn|info|debug.
+  /// --events=FILE (per-round JSONL), --log-level=error|warn|info|debug
+  /// (apply_log_level: the HACCS_LOG environment variable when absent).
   /// Telemetry files are flushed automatically at process exit
   /// (obs::configure registers an atexit hook), so bench mains need no
   /// explicit teardown.

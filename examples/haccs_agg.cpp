@@ -26,6 +26,7 @@
 
 #include "bench/harness.hpp"
 #include "examples/multiprocess_common.hpp"
+#include "src/common/logging.hpp"
 #include "src/fl/net_driver.hpp"
 #include "src/hier/mid_tier.hpp"
 #include "src/net/chaos.hpp"
@@ -83,7 +84,7 @@ int main(int argc, char** argv) try {
   // Byte accounting across the tree is this binary's contract with the
   // smoke test, so the metrics pillar is always on here.
   obs::set_metrics_enabled(true);
-  examples::apply_log_level(flags);
+  apply_log_level(flags);
 
   const std::string host = flags.get_string("host", "127.0.0.1");
   auto port = static_cast<std::uint16_t>(flags.get_int("port", 4242));

@@ -127,7 +127,6 @@ int main(int argc, char** argv) try {
 
   bench::ExperimentConfig exp;
   exp.apply_flags(flags);
-  examples::apply_log_level(flags);
   // Wire telemetry (net_bytes_*_total, net_frames_corrupt_total) is the
   // point of this binary, so the metrics pillar is always on here — the
   // summary reports actual transported bytes, not just priced ones.

@@ -76,7 +76,6 @@ int main(int argc, char** argv) try {
 
   bench::ExperimentConfig exp;
   exp.apply_flags(flags);
-  examples::apply_log_level(flags);
   const std::string host = flags.get_string("host", "127.0.0.1");
   auto port = static_cast<std::uint16_t>(flags.get_int("port", 4242));
   const std::string port_file = flags.get_string("port-file", "");

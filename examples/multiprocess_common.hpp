@@ -1,5 +1,5 @@
 // Shared pieces of the multi-process examples: workload construction, port
-// files, the log level, the status endpoint, the --chaos-* flags and the
+// files, the status endpoint, the --chaos-* flags and the
 // upstream connect with backoff.
 //
 // haccs_server and haccs_worker each rebuild the identical federation from
@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -21,7 +20,6 @@
 #include <thread>
 
 #include "bench/harness.hpp"
-#include "src/common/logging.hpp"
 #include "src/common/rng.hpp"
 #include "src/data/partition.hpp"
 #include "src/net/chaos.hpp"
@@ -75,16 +73,6 @@ inline std::uint16_t wait_for_port_file(const std::string& path,
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-}
-
-/// Applies --log-level or, when it is absent, the HACCS_LOG a fleet
-/// launcher sets for every process.
-inline void apply_log_level(const Flags& flags) {
-  std::string level = flags.get_string("log-level", "");
-  if (const char* env = std::getenv("HACCS_LOG"); level.empty() && env) {
-    level = env;
-  }
-  if (!level.empty()) set_log_level(parse_log_level(level));
 }
 
 /// Starts the ops endpoint when `port` >= 0 (0 = ephemeral; null when

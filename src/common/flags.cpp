@@ -1,6 +1,7 @@
 #include "src/common/flags.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <stdexcept>
 
 namespace haccs {
@@ -35,74 +36,42 @@ Flags::Flags(int argc, const char* const* argv) {
 }
 
 bool Flags::has(const std::string& name) const {
+  return lookup(name) != nullptr;
+}
+
+const std::string* Flags::lookup(const std::string& name) const {
   auto it = values_.find(name);
-  if (it != values_.end()) consumed_[name] = true;
-  return it != values_.end();
+  if (it == values_.end()) return nullptr;
+  consumed_[name] = true;
+  return &it->second;
 }
 
 std::string Flags::get_string(const std::string& name,
                               const std::string& default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  consumed_[name] = true;
-  return it->second;
+  const std::string* v = lookup(name);
+  return v ? *v : default_value;
 }
 
 std::int64_t Flags::get_int(const std::string& name,
                             std::int64_t default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  consumed_[name] = true;
-  const std::string& v = it->second;
-  std::int64_t value = 0;
-  const char* const last = v.data() + v.size();
-  const auto [end, error] = std::from_chars(v.data(), last, value);
-  if (v.empty() || error != std::errc() || end != last) {
-    throw std::invalid_argument("flag --" + name +
-                                " expects an integer, got '" + v + "'");
-  }
-  return value;
+  const std::string* v = lookup(name);
+  return v ? parse_int("flag --" + name, *v) : default_value;
 }
 
 std::size_t Flags::get_count(const std::string& name,
                              std::size_t default_value) const {
-  const std::int64_t value =
-      get_int(name, static_cast<std::int64_t>(default_value));
-  if (value < 0) {
-    throw std::invalid_argument("flag --" + name +
-                                " expects a non-negative integer, got '" +
-                                values_.at(name) + "'");
-  }
-  return static_cast<std::size_t>(value);
+  const std::string* v = lookup(name);
+  return v ? parse_count("flag --" + name, *v) : default_value;
 }
 
 double Flags::get_double(const std::string& name, double default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  consumed_[name] = true;
-  std::size_t used = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(it->second, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (used == 0 || used != it->second.size()) {
-    throw std::invalid_argument("flag --" + name + " expects a number, got '" +
-                                it->second + "'");
-  }
-  return value;
+  const std::string* v = lookup(name);
+  return v ? parse_double("flag --" + name, *v) : default_value;
 }
 
 bool Flags::get_bool(const std::string& name, bool default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  consumed_[name] = true;
-  const std::string& v = it->second;
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  throw std::invalid_argument("flag --" + name + " expects a boolean, got '" +
-                              v + "'");
+  const std::string* v = lookup(name);
+  return v ? parse_bool("flag --" + name, *v) : default_value;
 }
 
 void Flags::check_unused() const {
@@ -116,6 +85,46 @@ void Flags::check_unused() const {
   if (!unused.empty()) {
     throw std::invalid_argument("unknown flags: " + unused);
   }
+}
+
+std::int64_t parse_int(const std::string& what, const std::string& v) {
+  std::int64_t value = 0;
+  const char* const last = v.data() + v.size();
+  const auto [end, error] = std::from_chars(v.data(), last, value);
+  if (error != std::errc() || end != last) {
+    throw std::invalid_argument(what + " expects an integer, got '" + v + "'");
+  }
+  return value;
+}
+
+std::size_t parse_count(const std::string& what, const std::string& v) {
+  const std::int64_t value = parse_int(what, v);
+  if (value < 0) {
+    throw std::invalid_argument(what + " expects a non-negative integer, got '" +
+                                v + "'");
+  }
+  return static_cast<std::size_t>(value);
+}
+
+double parse_double(const std::string& what, const std::string& v) {
+  std::size_t used = 0;
+  double value = 0.0;
+  try {
+    value = std::stod(v, &used);
+  } catch (const std::exception&) {
+    used = 0;
+  }
+  if (used == 0 || used != v.size() || !std::isfinite(value)) {
+    throw std::invalid_argument(what + " expects a finite number, got '" + v +
+                                "'");
+  }
+  return value;
+}
+
+bool parse_bool(const std::string& what, const std::string& v) {
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
+  throw std::invalid_argument(what + " expects a boolean, got '" + v + "'");
 }
 
 }  // namespace haccs

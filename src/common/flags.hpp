@@ -22,7 +22,8 @@ class Flags {
   /// True if the flag was present on the command line.
   bool has(const std::string& name) const;
 
-  /// Typed lookups consume the whole value: "2x" is no integer. Each throws
+  /// Typed lookups consume the whole value through the parse_* functions
+  /// below: "2x" is no integer, "nan" no number. Each throws
   /// std::invalid_argument naming the flag on a malformed value.
   std::string get_string(const std::string& name,
                          const std::string& default_value) const;
@@ -42,9 +43,20 @@ class Flags {
   void check_unused() const;
 
  private:
+  /// The flag's value, marked consumed; null when absent.
+  const std::string* lookup(const std::string& name) const;
+
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, bool> consumed_;
   std::vector<std::string> positional_;
 };
+
+/// The value parsers behind the typed lookups, for other `key=value`
+/// grammars. Each takes the whole string ("2x" is no integer, "nan" no
+/// finite number) or throws std::invalid_argument "<what> expects ...".
+std::int64_t parse_int(const std::string& what, const std::string& v);
+std::size_t parse_count(const std::string& what, const std::string& v);
+double parse_double(const std::string& what, const std::string& v);
+bool parse_bool(const std::string& what, const std::string& v);
 
 }  // namespace haccs

@@ -5,10 +5,12 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <ctime>
 #include <mutex>
 #include <stdexcept>
 
+#include "src/common/flags.hpp"
 #include "src/obs/flight.hpp"
 #include "src/obs/obs.hpp"
 
@@ -27,11 +29,6 @@ const char* level_tag(LogLevel level) {
     default: return "?????";
   }
 }
-}  // namespace
-
-void set_log_level(LogLevel level) { g_level = static_cast<int>(level); }
-
-LogLevel log_level() { return static_cast<LogLevel>(g_level.load()); }
 
 LogLevel parse_log_level(const std::string& name) {
   std::string lower(name);
@@ -43,6 +40,17 @@ LogLevel parse_log_level(const std::string& name) {
   if (lower == "error") return LogLevel::Error;
   if (lower == "off") return LogLevel::Off;
   throw std::invalid_argument("unknown log level: " + name);
+}
+}  // namespace
+
+LogLevel log_level() { return static_cast<LogLevel>(g_level.load()); }
+
+void apply_log_level(const Flags& flags) {
+  std::string level = flags.get_string("log-level", "");
+  if (const char* env = std::getenv("HACCS_LOG"); level.empty() && env) {
+    level = env;
+  }
+  if (!level.empty()) g_level = static_cast<int>(parse_log_level(level));
 }
 
 namespace detail {

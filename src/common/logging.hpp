@@ -2,7 +2,7 @@
 //
 // Benches and examples narrate progress at Info level; the FL round engine
 // logs per-round details at Debug. The level is process-global and defaults
-// to Info; tests set it to Warn to keep ctest output clean.
+// to Info; apply_log_level sets it from the command line or environment.
 //
 // Each line is prefixed with an ISO-8601 UTC timestamp, the level tag, and
 // the obs thread id ("2026-08-05T12:34:56.789Z [INFO ] [t00] ..."), so log
@@ -14,15 +14,19 @@
 
 namespace haccs {
 
+class Flags;
+
 enum class LogLevel : int { Debug = 0, Info = 1, Warn = 2, Error = 3, Off = 4 };
 
-/// Sets the global log threshold; messages below it are discarded.
-void set_log_level(LogLevel level);
+/// The global log threshold; messages below it are discarded.
 LogLevel log_level();
 
-/// Parses "debug" / "info" / "warn" / "error" / "off" (case-insensitive).
-/// Throws std::invalid_argument on anything else.
-LogLevel parse_log_level(const std::string& name);
+/// Sets the threshold from --log-level or, when the flag is absent, the
+/// HACCS_LOG environment variable a fleet launcher sets for every process:
+/// "debug" / "info" / "warn" / "error" / "off" (case-insensitive). Leaves
+/// it alone when neither is set; throws std::invalid_argument on any other
+/// value.
+void apply_log_level(const Flags& flags);
 
 namespace detail {
 void log_line(LogLevel level, const std::string& message);

@@ -10,8 +10,9 @@
 #pragma once
 
 #include <atomic>
-#include <stdexcept>
 #include <string>
+
+#include "src/common/name_table.hpp"
 
 namespace haccs::mutation {
 
@@ -46,22 +47,13 @@ inline void set_active(Kind kind) {
   active_mutation().store(kind, std::memory_order_relaxed);
 }
 
-inline std::string to_string(Kind kind) {
-  switch (kind) {
-    case Kind::None: return "none";
-    case Kind::DropEq7Normalization: return "drop-eq7-normalization";
-    case Kind::DropFailurePenalty: return "drop-failure-penalty";
-    case Kind::ClusterDistanceL2: return "cluster-distance-l2";
-  }
-  throw std::invalid_argument("bad mutation Kind");
-}
-
 inline Kind parse(const std::string& name) {
-  if (name == "none") return Kind::None;
-  if (name == "drop-eq7-normalization") return Kind::DropEq7Normalization;
-  if (name == "drop-failure-penalty") return Kind::DropFailurePenalty;
-  if (name == "cluster-distance-l2") return Kind::ClusterDistanceL2;
-  throw std::invalid_argument("unknown mutation: " + name);
+  static constexpr Named<Kind> kNames[] = {
+      {Kind::None, "none"},
+      {Kind::DropEq7Normalization, "drop-eq7-normalization"},
+      {Kind::DropFailurePenalty, "drop-failure-penalty"},
+      {Kind::ClusterDistanceL2, "cluster-distance-l2"}};
+  return parse_name(kNames, name, "mutation");
 }
 
 /// RAII arm/disarm so a test can never leak an active mutation.

@@ -7,6 +7,9 @@
 
 namespace haccs::core {
 
+/// Seeds the sparse random projection of update deltas into sketches.
+constexpr std::uint64_t kProjectionSeed = 211;
+
 GradientClusterSelector::GradientClusterSelector(GradientSelectorConfig config)
     : config_(config), inner_(std::vector<int>{}, config.scheduling) {
   if (config_.sketch_dim == 0) {
@@ -44,7 +47,7 @@ void GradientClusterSelector::report_update(std::size_t client_id,
   // two signed sketch slots chosen by a hash of its index. O(model_dim).
   std::vector<float> sketch(config_.sketch_dim, 0.0f);
   for (std::size_t i = 0; i < update.size(); ++i) {
-    SplitMix64 h(config_.projection_seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
+    SplitMix64 h(kProjectionSeed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
     const std::uint64_t bits = h.next();
     const std::size_t d1 = bits % config_.sketch_dim;
     const std::size_t d2 = (bits >> 20) % config_.sketch_dim;

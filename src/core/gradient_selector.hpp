@@ -25,7 +25,6 @@ struct GradientSelectorConfig {
   std::size_t recluster_every = 5;
   /// Cosine-distance threshold for the DBSCAN grouping of sketches.
   double eps = 0.3;
-  std::uint64_t projection_seed = 211;
   /// Shared scheduling knobs (rho, in-cluster policy, initial loss).
   HaccsConfig scheduling;
 };

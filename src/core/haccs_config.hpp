@@ -15,7 +15,7 @@ namespace haccs::core {
 /// How flat clusters are extracted from the OPTICS ordering.
 enum class Extraction {
   Auto,    ///< largest-gap cut (default; hyperparameter-free)
-  Xi,      ///< the ξ steep-area method
+  Xi,      ///< the ξ steep-area method, ξ = 0.05
   Dbscan,  ///< fixed-eps cut
 };
 
@@ -55,7 +55,6 @@ struct HaccsConfig {
   clustering::OpticsConfig optics{.min_pts = 2,
                                   .max_eps = clustering::kUndefined};
   Extraction extraction = Extraction::Auto;
-  double xi = 0.05;                       ///< for Extraction::Xi
   clustering::DbscanConfig dbscan{.eps = 0.3, .min_pts = 2};
 
   InClusterPolicy in_cluster = InClusterPolicy::MinLatency;
@@ -81,10 +80,9 @@ struct HaccsConfig {
   /// priority when it fails mid-round (crash/timeout/corruption): its
   /// effective latency is scaled by the accumulated penalty, so the
   /// next-fastest same-cluster device stands in on subsequent rounds.
+  /// Accumulated penalties decay back toward 1 by a factor 0.95 per epoch,
+  /// so a device that behaves again regains its priority.
   double failure_penalty = 2.0;
-  /// Per-epoch multiplicative decay pulling accumulated penalties back
-  /// toward 1 (a device that behaves again regains its priority).
-  double failure_penalty_decay = 0.95;
   /// Re-sample a same-cluster stand-in on the round after a member fails
   /// (keeps every distribution represented under churn). Set false — with
   /// failure_penalty = 1 — for a fault-unaware HACCS baseline in ablations.

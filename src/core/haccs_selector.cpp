@@ -82,6 +82,9 @@ bool HaccsSelector::recluster_live(std::vector<bool> live) {
 
 namespace {
 
+/// Per-epoch decay pulling accumulated failure penalties back toward 1.
+constexpr double kFailurePenaltyDecay = 0.95;
+
 bool same_bits(std::span<const double> a, std::span<const double> b) {
   return a.size() == b.size() &&
          (a.empty() ||
@@ -361,7 +364,7 @@ std::vector<std::size_t> HaccsSelector::select(
   // Reliability penalties decay toward 1 each epoch (exactly 1 stays 1, so
   // fault-free runs take the identical code path).
   for (double& p : penalty_) {
-    p = 1.0 + (p - 1.0) * config_.failure_penalty_decay;
+    p = 1.0 + (p - 1.0) * kFailurePenaltyDecay;
   }
 
   // Effective latency for in-cluster ranking: expected latency inflated by

@@ -132,6 +132,9 @@ clustering::DistanceMatrix summary_distances(
 
 namespace {
 
+/// The ξ steepness Extraction::Xi cuts the reachability plot at.
+constexpr double kXi = 0.05;
+
 /// "Everyone similar" vs "everyone different": when extraction finds no
 /// structure it returns a single all-encompassing cluster, but that is only
 /// the right degeneration when the summaries actually are similar. Hellinger
@@ -180,7 +183,7 @@ std::vector<int> cluster_index(const clustering::NeighborIndex& index,
       labels = clustering::extract_auto(result, index, config.optics.min_pts);
       break;
     case Extraction::Xi:
-      labels = clustering::extract_xi(result, config.xi, config.optics.min_pts);
+      labels = clustering::extract_xi(result, kXi, config.optics.min_pts);
       break;
     case Extraction::Dbscan:
       labels = clustering::extract_dbscan(result, config.dbscan.eps,

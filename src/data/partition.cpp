@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "src/common/error.hpp"
+#include "src/common/name_table.hpp"
 
 namespace haccs::data {
 
@@ -311,6 +312,73 @@ FederatedDataset partition_dirichlet(const SyntheticImageGenerator& gen,
   const auto styles = draw_styles(config, config.num_clients, rng);
   return assemble(gen, mixtures, counts, config.test_samples, rotations, rng,
                   styles);
+}
+
+namespace {
+
+const Named<PartitionKind> kPartitionNames[] = {
+    {PartitionKind::Majority, "majority"},
+    {PartitionKind::Iid, "iid"},
+    {PartitionKind::KLabels, "klabels"},
+    {PartitionKind::FeatureSkew, "feature-skew"},
+    {PartitionKind::Dirichlet, "dirichlet"},
+    {PartitionKind::Groups, "groups"}};
+
+}  // namespace
+
+std::string to_string(PartitionKind kind) {
+  return name_of(kPartitionNames, kind);
+}
+
+PartitionKind parse_partition_kind(const std::string& name) {
+  return parse_name(kPartitionNames, name, "partition");
+}
+
+std::string partition_kind_names() { return joined_names(kPartitionNames); }
+
+void check_partition(PartitionKind kind, std::size_t num_clients,
+                     std::size_t classes, std::size_t k, double alpha) {
+  auto require = [&](bool ok, const std::string& what) {
+    if (!ok) {
+      throw std::invalid_argument("partition " + to_string(kind) + " needs " +
+                                  what);
+    }
+  };
+  const std::string have = " (" + std::to_string(classes) + " classes)";
+  if (kind == PartitionKind::Majority || kind == PartitionKind::FeatureSkew) {
+    require(classes >= 4, "at least 4 classes" + have);
+  } else if (kind == PartitionKind::KLabels) {
+    require(k >= 1 && k <= classes,
+            "k in [1, classes], got " + std::to_string(k) + have);
+  } else if (kind == PartitionKind::Dirichlet) {
+    require(alpha > 0.0, "alpha > 0");
+  } else if (kind == PartitionKind::Groups) {
+    require(num_clients % 10 == 0, "a multiple of 10 clients, got " +
+                                       std::to_string(num_clients));
+    require(classes >= 10, "at least 10 classes" + have);
+  }
+}
+
+FederatedDataset make_federation(const SyntheticImageGenerator& gen,
+                                 const PartitionConfig& config,
+                                 PartitionKind kind, std::size_t k,
+                                 double alpha, double rotation_degrees,
+                                 Rng& rng) {
+  switch (kind) {
+    case PartitionKind::Majority:
+      return partition_majority_label(gen, config, rng);
+    case PartitionKind::Iid:
+      return partition_iid(gen, config, rng);
+    case PartitionKind::KLabels:
+      return partition_k_random_labels(gen, config, k, rng);
+    case PartitionKind::FeatureSkew:
+      return partition_feature_skew(gen, config, rotation_degrees, rng);
+    case PartitionKind::Dirichlet:
+      return partition_dirichlet(gen, config, alpha, rng);
+    case PartitionKind::Groups:
+      return partition_group_table(gen, config, rng);
+  }
+  throw std::invalid_argument("make_federation: bad PartitionKind");
 }
 
 void apply_label_drift(FederatedDataset& dataset,

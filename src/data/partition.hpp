@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -52,6 +53,27 @@ struct PartitionConfig {
   double style_brightness_stddev = 0.0;
   double style_contrast_stddev = 0.0;
 };
+
+/// The partitions a workload names (haccs_run --partition, the fuzz spec's
+/// partition=); make_federation maps each to its builder below.
+enum class PartitionKind { Majority, Iid, KLabels, FeatureSkew, Dirichlet, Groups };
+
+std::string to_string(PartitionKind kind);
+PartitionKind parse_partition_kind(const std::string& name);
+std::string partition_kind_names();  ///< "majority|iid|...", for --help
+
+/// Throws std::invalid_argument when `kind` cannot lay out `num_clients`
+/// clients over `classes` labels with its knob (`k` for KLabels, `alpha`
+/// for Dirichlet); runs before any data exists.
+void check_partition(PartitionKind kind, std::size_t num_clients,
+                     std::size_t classes, std::size_t k, double alpha);
+
+/// The federation `kind` names; each knob reaches only the builder using it.
+FederatedDataset make_federation(const SyntheticImageGenerator& gen,
+                                 const PartitionConfig& config,
+                                 PartitionKind kind, std::size_t k,
+                                 double alpha, double rotation_degrees,
+                                 Rng& rng);
 
 /// Paper §V-A main setup: one majority label (75%) plus three noise labels
 /// (12% / 7% / 6%). Majority labels rotate round-robin over the class space

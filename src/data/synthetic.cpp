@@ -9,6 +9,9 @@
 
 namespace haccs::data {
 
+/// Sinusoid components summed into each class prototype.
+constexpr std::size_t kWavesPerClass = 4;
+
 SyntheticImageConfig SyntheticImageConfig::mnist_like() {
   return SyntheticImageConfig{};
 }
@@ -57,7 +60,7 @@ SyntheticImageGenerator::SyntheticImageGenerator(SyntheticImageConfig config)
     for (std::size_t ch = 0; ch < config_.channels; ++ch) {
       float* proto =
           prototypes_.data() + (cls * config_.channels + ch) * plane;
-      for (std::size_t wave = 0; wave < config_.waves_per_class; ++wave) {
+      for (std::size_t wave = 0; wave < kWavesPerClass; ++wave) {
         // Low spatial frequencies (1..3 cycles) keep prototypes smooth so
         // small translations leave classes recognizable.
         const double fy = rng.uniform(1.0, 3.0);

@@ -29,7 +29,6 @@ struct SyntheticImageConfig {
   std::size_t width = 28;
   double noise_stddev = 0.35;   ///< per-pixel Gaussian noise
   std::size_t max_shift = 2;    ///< uniform translation in [-max_shift, +max_shift]
-  std::size_t waves_per_class = 4;  ///< sinusoid components per prototype
   std::uint64_t prototype_seed = 42;  ///< fixes the class prototypes
 
   /// MNIST-like: 28x28 grayscale, 10 classes.

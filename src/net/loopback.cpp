@@ -12,6 +12,9 @@ namespace haccs::net {
 
 namespace {
 
+/// Frames a direction buffers before send blocks (backpressure).
+constexpr std::size_t kMaxQueue = 1024;
+
 /// One direction of the pair: a bounded queue of encoded frames.
 struct Channel {
   std::mutex mutex;
@@ -55,15 +58,14 @@ class LoopbackTransport final : public Transport {
   TransportStatus push_encoded(std::vector<std::uint8_t> encoded,
                                int timeout_ms) {
     Channel& ch = is_a_ ? shared_->a_to_b : shared_->b_to_a;
-    const std::size_t corrupt_every = is_a_
-                                          ? shared_->options.corrupt_every_n_a
-                                          : shared_->options.corrupt_every_n_b;
+    const std::size_t corrupt_every =
+        is_a_ ? 0 : shared_->options.corrupt_every_n_b;
     const std::size_t bytes = encoded.size();
     {
       obs::Span span("net_send", "net");
       std::unique_lock<std::mutex> lock(ch.mutex);
       if (!wait_until(lock, ch.writable, timeout_ms, [&] {
-            return ch.closed || ch.frames.size() < shared_->options.max_queue;
+            return ch.closed || ch.frames.size() < kMaxQueue;
           })) {
         return TransportStatus::Timeout;
       }

@@ -7,10 +7,11 @@
 // path and the substrate for the bit-identity guarantee: the bytes a worker
 // thread sees are exactly the bytes a worker process would.
 //
-// Fault injection: `corrupt_every_n` flips one payload byte in every Nth
-// frame sent through an endpoint, producing genuine CRC failures downstream
-// — how tests drive the engine's Corrupt-handling path without a lossy
-// network.
+// Fault injection: `corrupt_every_n_b` flips one payload byte in every Nth
+// frame the worker end sends, producing genuine CRC failures downstream —
+// how tests drive the engine's Corrupt-handling path without a lossy
+// network. Each direction buffers up to 1024 frames before send blocks
+// (backpressure).
 #pragma once
 
 #include <cstddef>
@@ -21,12 +22,8 @@
 namespace haccs::net {
 
 struct LoopbackOptions {
-  /// Frames a direction buffers before send blocks (backpressure).
-  std::size_t max_queue = 1024;
-  /// Flip a payload byte in every Nth frame sent from endpoint A (the
-  /// server side of make_loopback_pair). 0 disables.
-  std::size_t corrupt_every_n_a = 0;
-  /// Same, for frames sent from endpoint B (the worker side).
+  /// Flip a payload byte in every Nth frame sent from endpoint B (the
+  /// worker side of make_loopback_pair). 0 disables.
   std::size_t corrupt_every_n_b = 0;
 };
 

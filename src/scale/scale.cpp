@@ -17,6 +17,11 @@ namespace haccs::scale {
 
 namespace {
 
+// ANN candidates: points sharing a bucket in any of kLshTables sign-random-
+// projection hash tables of kLshBits hyperplane bits; buckets of at most
+// kMaxBucket points contribute all their pairs.
+constexpr std::size_t kLshTables = 6, kLshBits = 10, kMaxBucket = 64;
+
 obs::Counter& candidate_pairs_counter() {
   static obs::Counter& c =
       obs::Registry::global().counter("scale_candidate_pairs_total");
@@ -70,22 +75,19 @@ clustering::SparseNeighborGraph build_candidate_graph(
     ScaleStats* stats) {
   const std::size_t m = members.size();
   const std::size_t dim = sketches.dim();
-  const std::size_t tables = std::max<std::size_t>(1, config.lsh_tables);
-  const std::size_t bits =
-      std::min<std::size_t>(63, std::max<std::size_t>(1, config.lsh_bits));
 
   // Candidate generation: per table, hash every member to a sign-bit key
-  // over `bits` random hyperplanes, sort by key, and pair within buckets.
+  // over kLshBits random hyperplanes, sort by key, and pair within buckets.
   std::vector<std::pair<std::size_t, std::size_t>> pairs;
   std::vector<std::pair<std::uint64_t, std::size_t>> keyed(m);
-  std::vector<double> planes(bits * dim);
-  for (std::size_t t = 0; t < tables; ++t) {
+  std::vector<double> planes(kLshBits * dim);
+  for (std::size_t t = 0; t < kLshTables; ++t) {
     Rng rng(SplitMix64(config.seed ^ ((t + 1) * 0x9e3779b97f4a7c15ULL)).next());
     for (double& p : planes) p = rng.normal();
     parallel_for(0, m, [&](std::size_t i) {
       const auto row = sketches.row(members[i]);
       std::uint64_t key = 0;
-      for (std::size_t b = 0; b < bits; ++b) {
+      for (std::size_t b = 0; b < kLshBits; ++b) {
         const double* plane = planes.data() + b * dim;
         double dot = 0.0;
         for (std::size_t d = 0; d < dim; ++d) {
@@ -101,7 +103,7 @@ clustering::SparseNeighborGraph build_candidate_graph(
       std::size_t hi = lo + 1;
       while (hi < m && keyed[hi].first == keyed[lo].first) ++hi;
       const std::size_t bucket = hi - lo;
-      if (bucket <= config.max_bucket) {
+      if (bucket <= kMaxBucket) {
         for (std::size_t a = lo; a < hi; ++a) {
           for (std::size_t b = a + 1; b < hi; ++b) {
             pairs.emplace_back(std::min(keyed[a].second, keyed[b].second),

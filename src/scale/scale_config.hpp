@@ -31,16 +31,9 @@ struct ScaleConfig {
   /// exactly with the legacy path, which the differential oracle pins).
   std::size_t exact_cutoff = 256;
 
-  /// ANN candidate generation: `lsh_tables` independent sign-random-
-  /// projection hash tables of `lsh_bits` hyperplane bits each. Points
-  /// sharing a bucket in any table become candidate pairs.
-  std::size_t lsh_tables = 6;
-  std::size_t lsh_bits = 10;
-
-  /// Buckets at or below this size contribute all pairs; larger buckets
-  /// connect each point to its `bucket_window` successors only (bounds the
-  /// candidate count when sketches collapse onto few distinct keys).
-  std::size_t max_bucket = 64;
+  /// ANN candidate buckets over 64 points (scale.cpp) connect each point to
+  /// its `bucket_window` successors only instead of contributing all pairs
+  /// (bounds the candidate count when sketches collapse onto few keys).
   std::size_t bucket_window = 16;
 
   /// Incremental re-cluster: joins/leaves/updates accumulate dirtiness;

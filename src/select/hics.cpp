@@ -9,15 +9,14 @@
 
 namespace haccs::select {
 
+// The weight formula's additive floor and latency exponent (hics.hpp).
+constexpr double kBaseWeight = 0.05, kLatencyBeta = 0.5;
+
 HicsSelector::HicsSelector(std::vector<std::vector<double>> label_counts,
                            HicsConfig config)
-    : FeedbackSelector(label_counts.size(), config.initial_loss),
-      config_(config) {
+    : FeedbackSelector(label_counts.size(), config.initial_loss) {
   if (label_counts.empty()) {
     throw std::invalid_argument("HicsSelector: empty population");
-  }
-  if (config_.base < 0.0 || config_.latency_beta < 0.0) {
-    throw std::invalid_argument("HicsSelector: bad config");
   }
   // Population-mean distribution: normalize each client first so a large
   // client cannot pass for "the average" by sheer sample mass.
@@ -61,11 +60,10 @@ std::vector<std::size_t> HicsSelector::select(
   std::vector<double> weight(ids.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const std::size_t id = ids[i];
-    double w = (config_.base + heterogeneity_[id]) *
+    double w = (kBaseWeight + heterogeneity_[id]) *
                std::max(loss_of(id), 1.0e-6) * reliability_of(id);
-    if (config_.latency_beta > 0.0 && clients[id].latency_s > 0.0 &&
-        min_latency > 0.0) {
-      w *= std::pow(min_latency / clients[id].latency_s, config_.latency_beta);
+    if (clients[id].latency_s > 0.0 && min_latency > 0.0) {
+      w *= std::pow(min_latency / clients[id].latency_s, kLatencyBeta);
     }
     weight[i] = std::max(w, 1.0e-12);
   }

@@ -6,10 +6,11 @@
 // against the population-mean label distribution; per round, clients are
 // drawn WITHOUT replacement with probability proportional to
 //
-//   (base + het_i) * loss_i * reliability_i * (t_min / t_i)^beta
+//   (0.05 + het_i) * loss_i * reliability_i * (t_min / t_i)^0.5
 //
-// — loss keeps the statistical-utility signal, the latency term softly
-// prefers fast clients, and the heterogeneity factor keeps rare
+// — the 0.05 floor keeps a perfectly-average client's weight nonzero, loss
+// keeps the statistical-utility signal, the latency term softly prefers
+// fast clients, and the heterogeneity factor keeps rare
 // distributions represented, which is the one-shot (non-clustered) version
 // of the coverage HACCS gets from Eq. 7.
 #pragma once
@@ -21,10 +22,6 @@
 namespace haccs::select {
 
 struct HicsConfig {
-  /// Additive floor so a perfectly-average client keeps a nonzero weight.
-  double base = 0.05;
-  /// Exponent of the (t_min / t_i) latency preference; 0 disables it.
-  double latency_beta = 0.5;
   /// Loss assumed for never-trained clients.
   double initial_loss = 2.302585;
 };
@@ -45,7 +42,6 @@ class HicsSelector final : public FeedbackSelector {
   double heterogeneity_of(std::size_t client_id) const;
 
  private:
-  HicsConfig config_;
   std::vector<double> heterogeneity_;  // structural
 };
 

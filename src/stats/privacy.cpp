@@ -5,7 +5,36 @@
 #include <limits>
 #include <stdexcept>
 
+#include "src/common/name_table.hpp"
+
 namespace haccs::stats {
+
+namespace {
+
+const Named<NoiseMechanism> kMechanismNames[] = {
+    {NoiseMechanism::Laplace, "laplace"},
+    {NoiseMechanism::Gaussian, "gaussian"}};
+
+}  // namespace
+
+std::string to_string(NoiseMechanism mechanism) {
+  return name_of(kMechanismNames, mechanism);
+}
+
+NoiseMechanism parse_noise_mechanism(const std::string& name) {
+  return parse_name(kMechanismNames, name, "noise mechanism");
+}
+
+std::string noise_mechanism_names() { return joined_names(kMechanismNames); }
+
+PrivacyConfig privacy_for_budget(double epsilon, NoiseMechanism mechanism) {
+  if (!std::isfinite(epsilon) || epsilon < 0.0) {
+    throw std::invalid_argument(
+        "DP budget epsilon must be finite and >= 0 (0 = no noise)");
+  }
+  return epsilon == 0.0 ? PrivacyConfig::none()
+                        : PrivacyConfig{epsilon, mechanism};
+}
 
 PrivacyConfig PrivacyConfig::none() {
   return PrivacyConfig{std::numeric_limits<double>::infinity()};

@@ -10,6 +10,8 @@
 // therefore preserves the DP guarantee.
 #pragma once
 
+#include <string>
+
 #include "src/common/rng.hpp"
 #include "src/stats/summary.hpp"
 
@@ -21,6 +23,10 @@ enum class NoiseMechanism {
   Gaussian,  ///< (ε, δ)-DP via σ = sqrt(2 ln(1.25/δ)) · Δ / ε
 };
 
+std::string to_string(NoiseMechanism mechanism);
+NoiseMechanism parse_noise_mechanism(const std::string& name);
+std::string noise_mechanism_names();  ///< "laplace|gaussian", for --help
+
 /// ε must be > 0; ε = +inf is treated as "no noise".
 struct PrivacyConfig {
   double epsilon = 0.1;
@@ -31,6 +37,11 @@ struct PrivacyConfig {
   static PrivacyConfig none();
   bool enabled() const;
 };
+
+/// The privacy of a workload's DP budget (haccs_run --epsilon, the fuzz
+/// spec's epsilon=): `mechanism` noise at `epsilon` > 0, none() at 0.
+/// Throws std::invalid_argument on a negative or non-finite budget.
+PrivacyConfig privacy_for_budget(double epsilon, NoiseMechanism mechanism);
 
 /// The Gaussian mechanism's noise stddev for sensitivity `sensitivity`.
 double gaussian_noise_stddev(double epsilon, double delta,

@@ -821,7 +821,7 @@ RunArtifacts run_scenario_mut(const ScenarioSpec& spec,
 RunArtifacts run_scenario(const ScenarioSpec& spec,
                           const data::FederatedDataset& fed,
                           fl::RoundDispatcher* dispatcher = nullptr) {
-  if (spec.hostile == HostileKind::Drift) {
+  if (spec.hostile == sim::HostileKind::Drift) {
     // Drift mutates the dataset mid-run; every run gets a FRESH copy of the
     // pristine dataset so the (seeded, deterministic) drift replays
     // identically instead of compounding across runs.

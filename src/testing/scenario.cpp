@@ -5,11 +5,11 @@
 #include <stdexcept>
 #include <vector>
 
+#include "src/common/flags.hpp"
+#include "src/common/name_table.hpp"
 #include "src/common/rng.hpp"
 #include "src/core/haccs_system.hpp"
 #include "src/core/selector_registry.hpp"
-#include "src/data/synthetic.hpp"
-#include "src/sim/dropout.hpp"
 
 namespace haccs::testing {
 
@@ -27,114 +27,27 @@ std::string format_double(double v) {
   return os.str();
 }
 
-}  // namespace
-
-std::string to_string(PartitionKind kind) {
-  switch (kind) {
-    case PartitionKind::Majority: return "majority";
-    case PartitionKind::Iid: return "iid";
-    case PartitionKind::KLabels: return "klabels";
-    case PartitionKind::Dirichlet: return "dirichlet";
-    case PartitionKind::FeatureSkew: return "feature-skew";
-  }
-  throw std::invalid_argument("bad PartitionKind");
+/// The generator every build of this scenario draws from.
+data::SyntheticImageGenerator spec_generator(const ScenarioSpec& spec) {
+  data::SyntheticImageConfig cfg =
+      data::SyntheticImageConfig::femnist_like(spec.classes);
+  cfg.height = spec.image;
+  cfg.width = spec.image;
+  cfg.noise_stddev = 0.6;
+  return data::SyntheticImageGenerator(cfg);
 }
 
-std::string to_string(HostileKind kind) {
-  switch (kind) {
-    case HostileKind::None: return "none";
-    case HostileKind::FlashCrowd: return "flash-crowd";
-    case HostileKind::Diurnal: return "diurnal";
-    case HostileKind::Outage: return "outage";
-    case HostileKind::Drift: return "drift";
-    case HostileKind::TargetedStragglers: return "targeted-stragglers";
-  }
-  throw std::invalid_argument("bad HostileKind");
-}
-
-PartitionKind parse_partition_kind(const std::string& name) {
-  if (name == "majority") return PartitionKind::Majority;
-  if (name == "iid") return PartitionKind::Iid;
-  if (name == "klabels") return PartitionKind::KLabels;
-  if (name == "dirichlet") return PartitionKind::Dirichlet;
-  if (name == "feature-skew") return PartitionKind::FeatureSkew;
-  throw std::invalid_argument("unknown partition kind: " + name);
-}
-
-HostileKind parse_hostile_kind(const std::string& name) {
-  if (name == "none") return HostileKind::None;
-  if (name == "flash-crowd") return HostileKind::FlashCrowd;
-  if (name == "diurnal") return HostileKind::Diurnal;
-  if (name == "outage") return HostileKind::Outage;
-  if (name == "drift") return HostileKind::Drift;
-  if (name == "targeted-stragglers") return HostileKind::TargetedStragglers;
-  throw std::invalid_argument("unknown hostile kind: " + name);
-}
-
-namespace {
-
-std::string algorithm_name(core::ClusterAlgorithm a) {
-  return a == core::ClusterAlgorithm::Optics ? "optics" : "dbscan";
-}
-
-core::ClusterAlgorithm parse_algorithm(const std::string& name) {
-  if (name == "optics") return core::ClusterAlgorithm::Optics;
-  if (name == "dbscan") return core::ClusterAlgorithm::Dbscan;
-  throw std::invalid_argument("unknown clustering algorithm: " + name);
-}
-
-std::string extraction_name(core::Extraction e) {
-  switch (e) {
-    case core::Extraction::Auto: return "auto";
-    case core::Extraction::Xi: return "xi";
-    case core::Extraction::Dbscan: return "dbscan";
-  }
-  throw std::invalid_argument("bad Extraction");
-}
-
-core::Extraction parse_extraction(const std::string& name) {
-  if (name == "auto") return core::Extraction::Auto;
-  if (name == "xi") return core::Extraction::Xi;
-  if (name == "dbscan") return core::Extraction::Dbscan;
-  throw std::invalid_argument("unknown extraction: " + name);
-}
-
-std::string compression_name(fl::CompressionKind kind) {
-  switch (kind) {
-    case fl::CompressionKind::None: return "none";
-    case fl::CompressionKind::TopK: return "topk";
-    case fl::CompressionKind::Int8: return "int8";
-  }
-  throw std::invalid_argument("bad CompressionKind");
-}
-
-fl::CompressionKind parse_compression(const std::string& name) {
-  if (name == "none") return fl::CompressionKind::None;
-  if (name == "topk") return fl::CompressionKind::TopK;
-  if (name == "int8") return fl::CompressionKind::Int8;
-  throw std::invalid_argument("unknown compression kind: " + name);
-}
-
-std::string mechanism_name(stats::NoiseMechanism m) {
-  return m == stats::NoiseMechanism::Laplace ? "laplace" : "gaussian";
-}
-
-stats::NoiseMechanism parse_mechanism(const std::string& name) {
-  if (name == "laplace") return stats::NoiseMechanism::Laplace;
-  if (name == "gaussian") return stats::NoiseMechanism::Gaussian;
-  throw std::invalid_argument("unknown noise mechanism: " + name);
-}
-
-// Every key parse_spec_string understands, for the did-you-mean suggestion.
-const char* const kSpecKeys[] = {
-    "seed", "clients", "per_round", "rounds", "classes", "image",
-    "min_samples", "max_samples", "test_samples", "partition", "klabels",
-    "alpha", "rotation", "selector", "algorithm", "extraction", "distance",
-    "rho", "epsilon", "mechanism", "compression", "topk_fraction", "crash",
-    "corruption", "straggler", "overcommit", "deadline", "max_norm",
-    "dropout", "fedprox", "workers", "chaos_drop", "chaos_dup",
-    "chaos_reorder", "chaos_corrupt", "chaos_truncate", "chaos_disconnect",
-    "hostile", "hostile_frac", "hostile_at", "hostile_span"};
+const Named<core::ClusterAlgorithm> kAlgorithmNames[] = {
+    {core::ClusterAlgorithm::Optics, "optics"},
+    {core::ClusterAlgorithm::Dbscan, "dbscan"}};
+const Named<core::Extraction> kExtractionNames[] = {
+    {core::Extraction::Auto, "auto"},
+    {core::Extraction::Xi, "xi"},
+    {core::Extraction::Dbscan, "dbscan"}};
+const Named<fl::CompressionKind> kCompressionNames[] = {
+    {fl::CompressionKind::None, "none"},
+    {fl::CompressionKind::TopK, "topk"},
+    {fl::CompressionKind::Int8, "int8"}};
 
 std::size_t edit_distance(const std::string& a, const std::string& b) {
   // Plain Levenshtein, one rolling row; key names are short so O(|a||b|) is
@@ -156,8 +69,11 @@ std::size_t edit_distance(const std::string& a, const std::string& b) {
 std::string unknown_key_message(const std::string& key) {
   std::string message = "unknown spec key: " + key;
   std::size_t best = std::string::npos;
-  const char* best_key = nullptr;
-  for (const char* candidate : kSpecKeys) {
+  std::string best_key;
+  // The known keys are the ones to_spec_string prints, in its order.
+  std::istringstream printed(to_spec_string(ScenarioSpec{}));
+  for (std::string item; std::getline(printed, item, ',');) {
+    const std::string candidate = item.substr(0, item.find('='));
     const std::size_t d = edit_distance(key, candidate);
     if (d < best) {
       best = d;
@@ -166,8 +82,8 @@ std::string unknown_key_message(const std::string& key) {
   }
   // Only suggest when the typo is plausibly a typo of that key: within 3
   // edits or so — "chaos_dorp" suggests chaos_drop, "zzz" suggests nothing.
-  if (best_key != nullptr && best <= std::max<std::size_t>(2, key.size() / 3)) {
-    message += " (did you mean '" + std::string(best_key) + "'?)";
+  if (best <= std::max<std::size_t>(2, key.size() / 3)) {
+    message += " (did you mean '" + best_key + "'?)";
   }
   return message;
 }
@@ -189,9 +105,11 @@ ScenarioSpec generate_scenario(std::uint64_t seed) {
   s.max_samples = s.min_samples + 8 + rng.uniform_index(24);
   s.test_samples = 6 + rng.uniform_index(6);
 
-  s.partition = pick(rng, {PartitionKind::Majority, PartitionKind::Iid,
-                           PartitionKind::KLabels, PartitionKind::Dirichlet,
-                           PartitionKind::FeatureSkew});
+  s.partition = pick(rng, {data::PartitionKind::Majority,
+                           data::PartitionKind::Iid,
+                           data::PartitionKind::KLabels,
+                           data::PartitionKind::Dirichlet,
+                           data::PartitionKind::FeatureSkew});
   s.klabels = 2 + rng.uniform_index(3);
   s.alpha = pick(rng, {0.1, 0.3, 0.5, 1.0});
   s.rotation = pick(rng, {15.0, 30.0, 45.0});
@@ -253,9 +171,10 @@ ScenarioSpec generate_scenario(std::uint64_t seed) {
   // per spec (TESTING.md). hostile_at = 1 always lands mid-run (rounds >= 2),
   // so the selector sees both the benign and hostile regimes in one run.
   if (rng.bernoulli(0.3)) {
-    s.hostile = pick(rng, {HostileKind::FlashCrowd, HostileKind::Diurnal,
-                           HostileKind::Outage, HostileKind::Drift,
-                           HostileKind::TargetedStragglers});
+    s.hostile = pick(rng, {sim::HostileKind::FlashCrowd,
+                           sim::HostileKind::Diurnal, sim::HostileKind::Outage,
+                           sim::HostileKind::Drift,
+                           sim::HostileKind::TargetedStragglers});
     s.hostile_frac = pick(rng, {0.2, 0.3, 0.5});
     s.hostile_at = 1;
     s.hostile_span = 1 + rng.uniform_index(3);  // 1..3
@@ -278,13 +197,17 @@ void validate_spec(const ScenarioSpec& s) {
     fail("sample range");
   }
   if (s.test_samples == 0) fail("test_samples == 0");
+  // The checks haccs_run runs on the same workload knobs.
   try {
     core::selector_info(s.selector);
+    data::check_partition(s.partition, s.clients, s.classes, s.klabels,
+                          s.alpha);
+    sim::check_availability(s.dropout, s.hostile_frac, s.hostile_span);
+    stats::privacy_for_budget(s.epsilon, s.mechanism);
   } catch (const std::invalid_argument& e) {
     fail(e.what());
   }
   if (s.rho < 0.0 || s.rho > 1.0) fail("rho outside [0, 1]");
-  if (s.epsilon < 0.0) fail("epsilon < 0");
   if (s.topk_fraction <= 0.0 || s.topk_fraction > 1.0) fail("topk_fraction");
   for (double rate : {s.crash_rate, s.corruption_rate, s.straggler_rate}) {
     if (rate < 0.0 || rate > 1.0) fail("fault rate outside [0, 1]");
@@ -294,21 +217,17 @@ void validate_spec(const ScenarioSpec& s) {
     fail("deadline_quantile outside [0, 1]");
   }
   if (s.max_update_norm < 0.0) fail("max_update_norm < 0");
-  if (s.dropout < 0.0 || s.dropout >= 1.0) fail("dropout outside [0, 1)");
   if (s.workers == 0 || s.workers > 8) fail("workers out of range");
+  // Fuzz-only bounds: the knobs of the partitions a spec does not draw stay
+  // valid too, and the hostile epochs stay small.
   if (s.klabels == 0 || s.klabels > s.classes) fail("klabels out of range");
   if (s.alpha <= 0.0) fail("alpha <= 0");
   for (double rate : {s.chaos_drop, s.chaos_dup, s.chaos_reorder,
                       s.chaos_corrupt, s.chaos_truncate, s.chaos_disconnect}) {
     if (rate < 0.0 || rate > 1.0) fail("chaos rate outside [0, 1]");
   }
-  if (s.hostile_frac < 0.0 || s.hostile_frac > 1.0) {
-    fail("hostile_frac outside [0, 1]");
-  }
   if (s.hostile_at > 64) fail("hostile_at out of range");
-  if (s.hostile_span == 0 || s.hostile_span > 64) {
-    fail("hostile_span out of range");
-  }
+  if (s.hostile_span > 64) fail("hostile_span out of range");
 }
 
 std::string to_spec_string(const ScenarioSpec& s) {
@@ -318,17 +237,18 @@ std::string to_spec_string(const ScenarioSpec& s) {
      << ",classes=" << s.classes << ",image=" << s.image
      << ",min_samples=" << s.min_samples << ",max_samples=" << s.max_samples
      << ",test_samples=" << s.test_samples
-     << ",partition=" << to_string(s.partition) << ",klabels=" << s.klabels
+     << ",partition=" << data::to_string(s.partition)
+     << ",klabels=" << s.klabels
      << ",alpha=" << format_double(s.alpha)
      << ",rotation=" << format_double(s.rotation)
      << ",selector=" << s.selector
-     << ",algorithm=" << algorithm_name(s.algorithm)
-     << ",extraction=" << extraction_name(s.extraction)
+     << ",algorithm=" << name_of(kAlgorithmNames, s.algorithm)
+     << ",extraction=" << name_of(kExtractionNames, s.extraction)
      << ",distance=" << stats::to_string(s.distance)
      << ",rho=" << format_double(s.rho)
      << ",epsilon=" << format_double(s.epsilon)
-     << ",mechanism=" << mechanism_name(s.mechanism)
-     << ",compression=" << compression_name(s.compression)
+     << ",mechanism=" << stats::to_string(s.mechanism)
+     << ",compression=" << name_of(kCompressionNames, s.compression)
      << ",topk_fraction=" << format_double(s.topk_fraction)
      << ",crash=" << format_double(s.crash_rate)
      << ",corruption=" << format_double(s.corruption_rate)
@@ -344,7 +264,7 @@ std::string to_spec_string(const ScenarioSpec& s) {
      << ",chaos_corrupt=" << format_double(s.chaos_corrupt)
      << ",chaos_truncate=" << format_double(s.chaos_truncate)
      << ",chaos_disconnect=" << format_double(s.chaos_disconnect)
-     << ",hostile=" << to_string(s.hostile)
+     << ",hostile=" << sim::to_string(s.hostile)
      << ",hostile_frac=" << format_double(s.hostile_frac)
      << ",hostile_at=" << s.hostile_at
      << ",hostile_span=" << s.hostile_span;
@@ -366,68 +286,61 @@ ScenarioSpec parse_spec_string(const std::string& text) {
     }
     const std::string key = item.substr(0, eq);
     const std::string value = item.substr(eq + 1);
-    try {
-      if (key == "seed") s.seed = std::stoull(value);
-      else if (key == "clients") s.clients = std::stoul(value);
-      else if (key == "per_round") s.per_round = std::stoul(value);
-      else if (key == "rounds") s.rounds = std::stoul(value);
-      else if (key == "classes") s.classes = std::stoul(value);
-      else if (key == "image") s.image = std::stoul(value);
-      else if (key == "min_samples") s.min_samples = std::stoul(value);
-      else if (key == "max_samples") s.max_samples = std::stoul(value);
-      else if (key == "test_samples") s.test_samples = std::stoul(value);
-      else if (key == "partition") s.partition = parse_partition_kind(value);
-      else if (key == "klabels") s.klabels = std::stoul(value);
-      else if (key == "alpha") s.alpha = std::stod(value);
-      else if (key == "rotation") s.rotation = std::stod(value);
-      else if (key == "selector") s.selector = value;
-      else if (key == "algorithm") s.algorithm = parse_algorithm(value);
-      else if (key == "extraction") s.extraction = parse_extraction(value);
-      else if (key == "distance") s.distance = stats::parse_distance_kind(value);
-      else if (key == "rho") s.rho = std::stod(value);
-      else if (key == "epsilon") s.epsilon = std::stod(value);
-      else if (key == "mechanism") s.mechanism = parse_mechanism(value);
-      else if (key == "compression") s.compression = parse_compression(value);
-      else if (key == "topk_fraction") s.topk_fraction = std::stod(value);
-      else if (key == "crash") s.crash_rate = std::stod(value);
-      else if (key == "corruption") s.corruption_rate = std::stod(value);
-      else if (key == "straggler") s.straggler_rate = std::stod(value);
-      else if (key == "overcommit") s.overcommit = std::stod(value);
-      else if (key == "deadline") s.deadline_quantile = std::stod(value);
-      else if (key == "max_norm") s.max_update_norm = std::stod(value);
-      else if (key == "dropout") s.dropout = std::stod(value);
-      else if (key == "fedprox") s.fedprox = std::stoi(value) != 0;
-      else if (key == "workers") s.workers = std::stoul(value);
-      else if (key == "chaos_drop") s.chaos_drop = std::stod(value);
-      else if (key == "chaos_dup") s.chaos_dup = std::stod(value);
-      else if (key == "chaos_reorder") s.chaos_reorder = std::stod(value);
-      else if (key == "chaos_corrupt") s.chaos_corrupt = std::stod(value);
-      else if (key == "chaos_truncate") s.chaos_truncate = std::stod(value);
-      else if (key == "chaos_disconnect") s.chaos_disconnect = std::stod(value);
-      else if (key == "hostile") s.hostile = parse_hostile_kind(value);
-      else if (key == "hostile_frac") s.hostile_frac = std::stod(value);
-      else if (key == "hostile_at") s.hostile_at = std::stoul(value);
-      else if (key == "hostile_span") s.hostile_span = std::stoul(value);
-      else throw std::invalid_argument(unknown_key_message(key));
-    } catch (const std::invalid_argument&) {
-      throw;
-    } catch (const std::exception&) {
-      throw std::invalid_argument("bad value for spec key " + key + ": " +
-                                  value);
-    }
+    // Values parse whole and finite, through the flag parsers.
+    const std::string what = "spec key " + key;
+    auto count = [&] { return parse_count(what, value); };
+    auto real = [&] { return parse_double(what, value); };
+    auto named = [&](const auto& table) {
+      return parse_name(table, value, key.c_str());
+    };
+    if (key == "seed") s.seed = count();
+    else if (key == "clients") s.clients = count();
+    else if (key == "per_round") s.per_round = count();
+    else if (key == "rounds") s.rounds = count();
+    else if (key == "classes") s.classes = count();
+    else if (key == "image") s.image = count();
+    else if (key == "min_samples") s.min_samples = count();
+    else if (key == "max_samples") s.max_samples = count();
+    else if (key == "test_samples") s.test_samples = count();
+    else if (key == "partition") s.partition = data::parse_partition_kind(value);
+    else if (key == "klabels") s.klabels = count();
+    else if (key == "alpha") s.alpha = real();
+    else if (key == "rotation") s.rotation = real();
+    else if (key == "selector") s.selector = value;
+    else if (key == "algorithm") s.algorithm = named(kAlgorithmNames);
+    else if (key == "extraction") s.extraction = named(kExtractionNames);
+    else if (key == "distance") s.distance = stats::parse_distance_kind(value);
+    else if (key == "rho") s.rho = real();
+    else if (key == "epsilon") s.epsilon = real();
+    else if (key == "mechanism") s.mechanism = stats::parse_noise_mechanism(value);
+    else if (key == "compression") s.compression = named(kCompressionNames);
+    else if (key == "topk_fraction") s.topk_fraction = real();
+    else if (key == "crash") s.crash_rate = real();
+    else if (key == "corruption") s.corruption_rate = real();
+    else if (key == "straggler") s.straggler_rate = real();
+    else if (key == "overcommit") s.overcommit = real();
+    else if (key == "deadline") s.deadline_quantile = real();
+    else if (key == "max_norm") s.max_update_norm = real();
+    else if (key == "dropout") s.dropout = real();
+    else if (key == "fedprox") s.fedprox = parse_bool(what, value);
+    else if (key == "workers") s.workers = count();
+    else if (key == "chaos_drop") s.chaos_drop = real();
+    else if (key == "chaos_dup") s.chaos_dup = real();
+    else if (key == "chaos_reorder") s.chaos_reorder = real();
+    else if (key == "chaos_corrupt") s.chaos_corrupt = real();
+    else if (key == "chaos_truncate") s.chaos_truncate = real();
+    else if (key == "chaos_disconnect") s.chaos_disconnect = real();
+    else if (key == "hostile") s.hostile = sim::parse_hostile_kind(value);
+    else if (key == "hostile_frac") s.hostile_frac = real();
+    else if (key == "hostile_at") s.hostile_at = count();
+    else if (key == "hostile_span") s.hostile_span = count();
+    else throw std::invalid_argument(unknown_key_message(key));
   }
   validate_spec(s);
   return s;
 }
 
 data::FederatedDataset build_dataset(const ScenarioSpec& spec) {
-  data::SyntheticImageConfig cfg =
-      data::SyntheticImageConfig::femnist_like(spec.classes);
-  cfg.height = spec.image;
-  cfg.width = spec.image;
-  cfg.noise_stddev = 0.6;
-  data::SyntheticImageGenerator gen(cfg);
-
   data::PartitionConfig pcfg;
   pcfg.num_clients = spec.clients;
   pcfg.min_samples = spec.min_samples;
@@ -439,19 +352,8 @@ data::FederatedDataset build_dataset(const ScenarioSpec& spec) {
   pcfg.style_contrast_stddev = 0.1;
 
   Rng rng(spec.seed ^ 0xda7a5e3dULL);
-  switch (spec.partition) {
-    case PartitionKind::Majority:
-      return data::partition_majority_label(gen, pcfg, rng);
-    case PartitionKind::Iid:
-      return data::partition_iid(gen, pcfg, rng);
-    case PartitionKind::KLabels:
-      return data::partition_k_random_labels(gen, pcfg, spec.klabels, rng);
-    case PartitionKind::Dirichlet:
-      return data::partition_dirichlet(gen, pcfg, spec.alpha, rng);
-    case PartitionKind::FeatureSkew:
-      return data::partition_feature_skew(gen, pcfg, spec.rotation, rng);
-  }
-  throw std::invalid_argument("bad PartitionKind");
+  return data::make_federation(spec_generator(spec), pcfg, spec.partition,
+                               spec.klabels, spec.alpha, spec.rotation, rng);
 }
 
 fl::EngineConfig build_engine_config(const ScenarioSpec& spec) {
@@ -472,10 +374,8 @@ fl::EngineConfig build_engine_config(const ScenarioSpec& spec) {
   cfg.faults.corruption_rate = spec.corruption_rate;
   cfg.faults.straggler_rate = spec.straggler_rate;
   cfg.faults.seed = spec.seed + 13;
-  if (spec.hostile == HostileKind::TargetedStragglers) {
-    cfg.faults.targeted_fraction = spec.hostile_frac;
-    cfg.faults.targeted_from = spec.hostile_at;
-  }
+  sim::apply_targeted_stragglers(cfg.faults, spec.hostile, spec.hostile_frac,
+                                 spec.hostile_at);
   cfg.overcommit = spec.overcommit;
   cfg.deadline_quantile = spec.deadline_quantile;
   cfg.max_update_norm = spec.max_update_norm;
@@ -490,10 +390,7 @@ core::HaccsConfig build_haccs_config(const ScenarioSpec& spec) {
   cfg.algorithm = spec.algorithm;
   cfg.extraction = spec.extraction;
   cfg.rho = spec.rho;
-  if (spec.epsilon > 0.0) {
-    cfg.privacy = stats::PrivacyConfig{spec.epsilon};
-    cfg.privacy.mechanism = spec.mechanism;
-  }
+  cfg.privacy = stats::privacy_for_budget(spec.epsilon, spec.mechanism);
   return cfg;
 }
 
@@ -525,60 +422,15 @@ net::ChaosOptions build_chaos_options(const ScenarioSpec& spec) {
 
 std::unique_ptr<sim::DropoutSchedule> build_availability(
     const ScenarioSpec& spec) {
-  // The base per-epoch dropout uses seed + 101 — the derivation run_scenario
-  // has always used, so benign replays stay bit-identical to older builds.
-  std::unique_ptr<sim::DropoutSchedule> schedule =
-      spec.dropout > 0.0
-          ? sim::make_per_epoch_dropout(spec.clients, spec.dropout,
-                                        spec.seed + 101)
-          : sim::make_always_available(spec.clients);
-  std::unique_ptr<sim::DropoutSchedule> hostile;
-  switch (spec.hostile) {
-    case HostileKind::FlashCrowd:
-      hostile = sim::make_flash_crowd(spec.clients, spec.hostile_frac,
-                                      spec.hostile_at, spec.seed + 211);
-      break;
-    case HostileKind::Diurnal:
-      // Period = span + 1 keeps the trough strictly shorter than the period
-      // for any frac < 1, so the wave never blacks out a whole cycle.
-      hostile = sim::make_diurnal_wave(spec.clients, spec.hostile_frac,
-                                       spec.hostile_span + 1, spec.seed + 211);
-      break;
-    case HostileKind::Outage:
-      hostile = sim::make_regional_outage(spec.clients, /*num_regions=*/4,
-                                          spec.hostile_frac, spec.hostile_at,
-                                          spec.hostile_span, spec.seed + 211);
-      break;
-    case HostileKind::None:
-    case HostileKind::Drift:
-    case HostileKind::TargetedStragglers:
-      break;  // not availability-shaped
-  }
-  if (hostile) {
-    schedule = sim::make_intersection(std::move(schedule), std::move(hostile));
-  }
-  return schedule;
+  return sim::make_availability(spec.clients, spec.dropout, spec.hostile,
+                                spec.hostile_frac, spec.hostile_at,
+                                spec.hostile_span, spec.seed);
 }
 
 std::function<void(std::size_t)> build_drift_hook(const ScenarioSpec& spec,
                                                   data::FederatedDataset& fed) {
-  if (spec.hostile != HostileKind::Drift) return {};
-  // Rebuild the generator exactly as build_dataset configured it, so drifted
-  // clients are redrawn from the same class prototypes they came from.
-  data::SyntheticImageConfig cfg =
-      data::SyntheticImageConfig::femnist_like(spec.classes);
-  cfg.height = spec.image;
-  cfg.width = spec.image;
-  cfg.noise_stddev = 0.6;
-  const std::size_t at = spec.hostile_at;
-  const double frac = spec.hostile_frac;
-  const std::uint64_t seed = spec.seed + 307;
-  return [&fed, cfg, at, frac, seed](std::size_t epoch) {
-    if (epoch != at) return;
-    data::SyntheticImageGenerator gen(cfg);
-    Rng rng(seed);
-    data::apply_label_drift(fed, gen, frac, rng);
-  };
+  return sim::make_drift_hook(spec.hostile, fed, spec_generator(spec),
+                              spec.hostile_frac, spec.hostile_at, spec.seed);
 }
 
 }  // namespace haccs::testing

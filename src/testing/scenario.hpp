@@ -13,6 +13,12 @@
 // machine. Dimensions are drawn independently so the sweep covers the
 // pairwise interactions (faults x compression, DP x clustering, ...) that
 // example-based tests cannot enumerate.
+//
+// The workload vocabulary a spec shares with haccs_run is named, checked
+// and built where each concept lives: partition kinds in src/data, hostile
+// shapes and availability in src/sim/hostile.hpp, the DP budget and
+// mechanism in src/stats/privacy.hpp. Values parse through the Flags value
+// parsers. This file keeps the keys, the generator and the fuzz-only bounds.
 #pragma once
 
 #include <cstdint>
@@ -25,26 +31,9 @@
 #include "src/fl/engine.hpp"
 #include "src/fl/selector.hpp"
 #include "src/net/chaos.hpp"
+#include "src/sim/hostile.hpp"
 
 namespace haccs::testing {
-
-enum class PartitionKind { Majority, Iid, KLabels, Dirichlet, FeatureSkew };
-
-/// Time-structured adversity (ROADMAP "hostile-world scenarios"): one shape
-/// per spec, parameterized by hostile_frac / hostile_at / hostile_span.
-enum class HostileKind {
-  None,
-  FlashCrowd,          ///< frac of clients all join at epoch hostile_at
-  Diurnal,             ///< availability wave, period hostile_span
-  Outage,              ///< correlated regional blackout for hostile_span epochs
-  Drift,               ///< frac of clients' label distributions redrawn
-  TargetedStragglers,  ///< fixed adversarial cohort slowed from hostile_at
-};
-
-std::string to_string(PartitionKind kind);
-std::string to_string(HostileKind kind);
-PartitionKind parse_partition_kind(const std::string& name);
-HostileKind parse_hostile_kind(const std::string& name);
 
 struct ScenarioSpec {
   std::uint64_t seed = 1;
@@ -59,7 +48,7 @@ struct ScenarioSpec {
   std::size_t max_samples = 48;
   std::size_t test_samples = 8;
 
-  PartitionKind partition = PartitionKind::Majority;
+  data::PartitionKind partition = data::PartitionKind::Majority;
   std::size_t klabels = 3;      ///< for PartitionKind::KLabels
   double alpha = 0.5;           ///< Dirichlet concentration
   double rotation = 30.0;       ///< feature-skew rotation, degrees
@@ -104,12 +93,10 @@ struct ScenarioSpec {
   // affected fraction (joining cohort / wave trough / dark regions / drifted
   // clients / adversarial cohort); `hostile_at` the epoch the adversity
   // starts; `hostile_span` its duration or wave period.
-  HostileKind hostile = HostileKind::None;
+  sim::HostileKind hostile = sim::HostileKind::None;
   double hostile_frac = 0.3;
   std::size_t hostile_at = 1;
   std::size_t hostile_span = 2;
-
-  bool hostile_enabled() const { return hostile != HostileKind::None; }
 
   bool chaos_enabled() const {
     return chaos_drop > 0.0 || chaos_dup > 0.0 || chaos_reorder > 0.0 ||
@@ -148,17 +135,13 @@ std::function<nn::Sequential()> build_model_factory(
 /// Chaos knobs in transport form; seeded from spec.seed so a replayed spec
 /// injects the identical fault script.
 net::ChaosOptions build_chaos_options(const ScenarioSpec& spec);
-/// The availability schedule every run of this scenario shares: the base
-/// per-epoch dropout composed with the availability-shaped hostile kinds
-/// (flash crowd, diurnal wave, regional outage). Never null — benign specs
-/// get an always-available schedule.
+/// sim::make_availability over the spec's knobs: never null.
 std::unique_ptr<sim::DropoutSchedule> build_availability(
     const ScenarioSpec& spec);
-/// EngineConfig::on_epoch_begin hook applying mid-training label drift to
-/// `dataset` (in place, seeded by the spec). Empty unless hostile == Drift.
-/// `dataset` must be the pristine build_dataset output and must outlive the
-/// hook; runs that share a dataset object must each use a FRESH copy, since
-/// the drift mutates it.
+/// sim::make_drift_hook over the spec's knobs: empty unless hostile ==
+/// Drift. `dataset` must be the pristine build_dataset output and must
+/// outlive the hook; runs that share a dataset object must each use a FRESH
+/// copy, since the drift mutates it.
 std::function<void(std::size_t)> build_drift_hook(const ScenarioSpec& spec,
                                                   data::FederatedDataset& fed);
 

@@ -27,8 +27,8 @@ std::vector<Pass> simplification_passes() {
   add([](ScenarioSpec& s) {
     // Drop the hostile-world shape entirely, resetting its knobs to the
     // defaults so the shrunk spec round-trips through the printer cleanly.
-    const bool changed = s.hostile != HostileKind::None;
-    s.hostile = HostileKind::None;
+    const bool changed = s.hostile != sim::HostileKind::None;
+    s.hostile = sim::HostileKind::None;
     s.hostile_frac = 0.3;
     s.hostile_at = 1;
     s.hostile_span = 2;
@@ -72,8 +72,8 @@ std::vector<Pass> simplification_passes() {
     return changed;
   });
   add([](ScenarioSpec& s) {
-    const bool changed = s.partition != PartitionKind::Majority;
-    s.partition = PartitionKind::Majority;
+    const bool changed = s.partition != data::PartitionKind::Majority;
+    s.partition = data::PartitionKind::Majority;
     return changed;
   });
   add([](ScenarioSpec& s) {

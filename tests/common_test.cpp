@@ -333,6 +333,21 @@ TEST(Flags, RejectsMalformedValues) {
   EXPECT_EQ(flags.get_count("absent", 7), 7u);
 }
 
+TEST(Flags, RejectsNonFiniteNumbersNamingTheFlag) {
+  const char* argv[] = {"prog", "--rho=nan", "--a=inf", "--b=-inf"};
+  Flags flags(4, argv);
+  for (const char* name : {"rho", "a", "b"}) {
+    try {
+      flags.get_double(name, 0.0);
+      ADD_FAILURE() << "--" << name << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + name),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Flags, CheckUnusedDetectsTypos) {
   const char* argv[] = {"prog", "--truly-unknown=1"};
   Flags flags(2, argv);

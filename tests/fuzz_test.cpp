@@ -94,6 +94,16 @@ TEST(FuzzSpec, ParseRejectsUnknownKeysAndBadValues) {
                std::invalid_argument);
 }
 
+TEST(FuzzSpec, ParseRejectsPartialAndNonFiniteValues) {
+  // Values parse whole through the flag parsers: a numeric prefix is no
+  // number, NaN and Inf are no finite number, and 2 is no boolean.
+  for (const std::string text :
+       {"clients=10x", "rho=0.5junk", "rho=nan", "alpha=inf", "fedprox=2"}) {
+    EXPECT_THROW(testing::parse_spec_string(text), std::invalid_argument)
+        << text;
+  }
+}
+
 TEST(FuzzSpec, OmittedKeysKeepDefaults) {
   const auto spec = testing::parse_spec_string("seed=9,clients=12");
   EXPECT_EQ(spec.seed, 9u);

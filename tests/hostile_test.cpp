@@ -37,7 +37,7 @@
 namespace haccs {
 namespace {
 
-using testing::HostileKind;
+using sim::HostileKind;
 using testing::ScenarioSpec;
 
 ScenarioSpec small_spec() {
@@ -534,7 +534,7 @@ TEST(ScenarioSpecRoundTrip, EveryHostileKindNameRoundTrips) {
        {HostileKind::None, HostileKind::FlashCrowd, HostileKind::Diurnal,
         HostileKind::Outage, HostileKind::Drift,
         HostileKind::TargetedStragglers}) {
-    EXPECT_EQ(testing::parse_hostile_kind(testing::to_string(kind)), kind);
+    EXPECT_EQ(sim::parse_hostile_kind(sim::to_string(kind)), kind);
   }
   for (const auto& name : kZoo) {
     EXPECT_EQ(testing::parse_spec_string("selector=" + name).selector, name);
@@ -580,7 +580,7 @@ TEST(HostileShapes, EveryShapeRunsCleanThroughCheckScenario) {
     spec.selector = "haccs-py";
     const auto violations = testing::check_scenario(spec, options);
     for (const auto& v : violations) {
-      ADD_FAILURE() << testing::to_string(kind) << ": " << v.oracle << " — "
+      ADD_FAILURE() << sim::to_string(kind) << ": " << v.oracle << " — "
                     << v.detail << "\n  " << testing::replay_command(spec);
     }
   }

@@ -21,7 +21,7 @@ data::FederatedDataset small_federation() {
   spec.clients = 16;
   spec.classes = 6;
   spec.image = 8;
-  spec.partition = testing::PartitionKind::Dirichlet;
+  spec.partition = data::PartitionKind::Dirichlet;
   spec.alpha = 1.0;
   return testing::build_dataset(spec);
 }

@@ -37,18 +37,21 @@ struct SeedRange {
   std::uint64_t last = 0;  // inclusive
 };
 
-/// "A..B" (inclusive) or "N" (meaning 0..N-1).
+/// "A..B" (inclusive) or "N" (meaning 0..N-1); each bound a whole integer.
 SeedRange parse_seeds(const std::string& text) {
+  auto bound = [](const std::string& part) {
+    return static_cast<std::uint64_t>(haccs::parse_count("flag --seeds", part));
+  };
   SeedRange range;
   const auto dots = text.find("..");
   if (dots == std::string::npos) {
-    const auto count = std::stoull(text);
+    const auto count = bound(text);
     if (count == 0) throw std::invalid_argument("--seeds count must be > 0");
     range.last = count - 1;
     return range;
   }
-  range.first = std::stoull(text.substr(0, dots));
-  range.last = std::stoull(text.substr(dots + 2));
+  range.first = bound(text.substr(0, dots));
+  range.last = bound(text.substr(dots + 2));
   if (range.last < range.first) {
     throw std::invalid_argument("--seeds range is empty: " + text);
   }

@@ -10,11 +10,11 @@
 //   haccs_run --strategy=haccs-pxy --dropout=0.1 --epsilon=0.1
 //             --save-model=/tmp/model.bin --csv=/tmp/run
 //
-// Strategies: every selector registry name (src/core/selector_registry.hpp)
-// Partitions: majority | iid | klabels | feature-skew | dirichlet | groups
-// Hostile-world shapes (--hostile): flash-crowd | diurnal | outage | drift |
-//             targeted-stragglers
-#include <algorithm>
+// Strategies: every selector registry name (src/core/selector_registry.hpp).
+// Partitions, hostile-world shapes and DP noise mechanisms: the name tables
+// of src/data/partition.hpp, src/sim/hostile.hpp and src/stats/privacy.hpp,
+// which also check and build them for the fuzzer's scenarios (--help lists
+// the names).
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -29,6 +29,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
 #include "src/nn/serialize.hpp"
+#include "src/sim/hostile.hpp"
 
 namespace {
 
@@ -36,8 +37,7 @@ void print_usage() {
   std::printf(
       "haccs_run — federated training experiment driver\n"
       "  --strategy=S    %s (default haccs-py)\n"
-      "  --partition=P   majority|iid|klabels|feature-skew|dirichlet|groups "
-      "(default majority)\n"
+      "  --partition=P   %s (default majority)\n"
       "  --dataset=D     mnist|femnist|cifar (default femnist)\n"
       "  --clients=N --per-round=K --rounds=R --classes=C --seed=N --full\n"
       "  --k=N           labels per client for --partition=klabels (default 5)\n"
@@ -45,12 +45,11 @@ void print_usage() {
       "  --rotation=DEG  feature-skew rotation (default 45)\n"
       "  --rho=R         Eq. 7 trade-off (default 0.5)\n"
       "  --epsilon=E     DP budget for summaries (default: no noise)\n"
-      "  --mechanism=M   laplace|gaussian DP noise for --epsilon (default "
-      "laplace)\n"
+      "  --mechanism=M   %s DP noise for --epsilon (default laplace)\n"
       "  --dropout=F     per-epoch unavailable fraction (default 0)\n"
       "  --recluster=N   re-cluster every N epochs (default 0 = static)\n"
       "hostile-world shapes (TESTING.md):\n"
-      "  --hostile=K     flash-crowd|diurnal|outage|drift|targeted-stragglers\n"
+      "  --hostile=K     %s (default none)\n"
       "  --hostile-frac=F  affected fraction of clients/regions (default 0.3)\n"
       "  --hostile-at=N    epoch the shape arms at (default 1)\n"
       "  --hostile-span=N  duration / period knob (default 2)\n"
@@ -72,10 +71,14 @@ void print_usage() {
       "  --trace=F       write Chrome trace-event JSON (open in Perfetto)\n"
       "  --metrics=F     write metrics registry snapshot JSON\n"
       "  --events=F      write per-round structured events (JSONL)\n"
-      "  --log-level=L   debug|info|warn|error|off (default info)\n"
+      "  --log-level=L   debug|info|warn|error|off (default: HACCS_LOG, else\n"
+      "                  info)\n"
       "  --summary-json=F  write machine-readable run summary JSON\n"
       "  --help          this text\n",
-      haccs::core::selector_usage().c_str());
+      haccs::core::selector_usage().c_str(),
+      haccs::data::partition_kind_names().c_str(),
+      haccs::stats::noise_mechanism_names().c_str(),
+      haccs::sim::hostile_kind_names().c_str());
 }
 
 std::vector<double> parse_targets(const std::string& csv) {
@@ -85,13 +88,9 @@ std::vector<double> parse_targets(const std::string& csv) {
     auto comma = csv.find(',', start);
     if (comma == std::string::npos) comma = csv.size();
     const std::string item = csv.substr(start, comma - start);
-    std::size_t used = 0;
     try {
-      out.push_back(std::stod(item, &used));
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used == 0 || used != item.size()) {
+      out.push_back(haccs::parse_double("--targets", item));
+    } catch (const std::invalid_argument&) {
       throw std::invalid_argument(
           "flag --targets expects comma-separated numbers, got '" + item +
           "'");
@@ -115,15 +114,18 @@ int main(int argc, char** argv) try {
   bench::ExperimentConfig exp;
   exp.apply_flags(flags);
   const std::string strategy = flags.get_string("strategy", "haccs-py");
-  const std::string partition = flags.get_string("partition", "majority");
+  const auto partition =
+      data::parse_partition_kind(flags.get_string("partition", "majority"));
   const auto k_labels = flags.get_count("k", 5);
   const double alpha = flags.get_double("alpha", 0.5);
   const double rotation = flags.get_double("rotation", 45.0);
   const double rho = flags.get_double("rho", 0.5);
   const double epsilon = flags.get_double("epsilon", 0.0);
-  const std::string mechanism = flags.get_string("mechanism", "laplace");
+  const auto mechanism =
+      stats::parse_noise_mechanism(flags.get_string("mechanism", "laplace"));
   const double dropout_fraction = flags.get_double("dropout", 0.0);
-  const std::string hostile = flags.get_string("hostile", "");
+  const auto hostile =
+      sim::parse_hostile_kind(flags.get_string("hostile", "none"));
   const double hostile_frac = flags.get_double("hostile-frac", 0.3);
   const auto hostile_at = flags.get_count("hostile-at", 1);
   const auto hostile_span = flags.get_count("hostile-span", 2);
@@ -141,23 +143,13 @@ int main(int argc, char** argv) try {
   const std::string summary_json = flags.get_string("summary-json", "");
   flags.check_unused();
 
-  // Reject bad names and an engine config the trainer would refuse before
-  // any data is generated.
+  // Reject a bad strategy, an engine config the trainer would refuse and
+  // any workload knob out of range before any data is generated.
   core::selector_info(strategy);
   exp.check();
-  const char* const kHostileShapes[] = {"",       "none",  "flash-crowd",
-                                        "diurnal", "outage", "drift",
-                                        "targeted-stragglers"};
-  if (std::find(std::begin(kHostileShapes), std::end(kHostileShapes),
-                hostile) == std::end(kHostileShapes)) {
-    std::fprintf(stderr, "unknown hostile shape '%s' (--help for options)\n",
-                 hostile.c_str());
-    return 1;
-  }
-  if (mechanism != "laplace" && mechanism != "gaussian") {
-    std::fprintf(stderr, "unknown mechanism '%s'\n", mechanism.c_str());
-    return 1;
-  }
+  data::check_partition(partition, exp.num_clients, exp.classes, k_labels,
+                        alpha);
+  sim::check_availability(dropout_fraction, hostile_frac, hostile_span);
   // The sketch/shard knobs only act on the scale path.
   for (const char* knob : {"scale-shard", "scale-sketch-dim",
                            "scale-exact-cutoff", "scale-dirty"}) {
@@ -173,27 +165,22 @@ int main(int argc, char** argv) try {
     throw std::invalid_argument("--scale-sketch-dim must be >= 1");
   }
 
+  core::HaccsConfig haccs;
+  haccs.rho = rho;
+  haccs.privacy = stats::privacy_for_budget(epsilon, mechanism);
+  haccs.recluster_every = recluster;
+  haccs.scale.enabled = scale_enabled;
+  haccs.scale.shard_size = scale_shard;
+  haccs.scale.sketch_dim = scale_sketch_dim;
+  haccs.scale.exact_cutoff = scale_exact_cutoff;
+  haccs.scale.dirty_threshold = scale_dirty;
+
   // ---- data ----
   auto gen = exp.make_generator();
   Rng rng(exp.seed);
-  const auto pcfg = exp.make_partition_config();
-  data::FederatedDataset fed;
-  if (partition == "majority") {
-    fed = data::partition_majority_label(gen, pcfg, rng);
-  } else if (partition == "iid") {
-    fed = data::partition_iid(gen, pcfg, rng);
-  } else if (partition == "klabels") {
-    fed = data::partition_k_random_labels(gen, pcfg, k_labels, rng);
-  } else if (partition == "feature-skew") {
-    fed = data::partition_feature_skew(gen, pcfg, rotation, rng);
-  } else if (partition == "dirichlet") {
-    fed = data::partition_dirichlet(gen, pcfg, alpha, rng);
-  } else if (partition == "groups") {
-    fed = data::partition_group_table(gen, pcfg, rng);
-  } else {
-    std::fprintf(stderr, "unknown partition '%s'\n", partition.c_str());
-    return 1;
-  }
+  data::FederatedDataset fed =
+      data::make_federation(gen, exp.make_partition_config(), partition,
+                            k_labels, alpha, rotation, rng);
 
   // ---- engine ----
   auto engine_config = exp.make_engine_config(fed);
@@ -201,78 +188,33 @@ int main(int argc, char** argv) try {
     engine_config.algorithm = fl::LocalAlgorithm::FedProx;
     engine_config.fedprox_mu = mu;
   }
-  if (hostile == "targeted-stragglers") {
-    engine_config.faults.targeted_fraction = hostile_frac;
-    engine_config.faults.targeted_from = hostile_at;
-  } else if (hostile == "drift") {
-    // Mid-training label-distribution drift: redraw a fraction of every
-    // client's training labels at the trigger epoch. The trainer holds a
-    // reference to `fed`, so the in-place mutation is what it trains on.
-    engine_config.on_epoch_begin = [&fed, &gen, hostile_frac, hostile_at,
-                                    seed = exp.seed + 307](std::size_t epoch) {
-      if (epoch != hostile_at) return;
-      Rng drift_rng(seed);
-      data::apply_label_drift(fed, gen, hostile_frac, drift_rng);
-    };
-  }
+  sim::apply_targeted_stragglers(engine_config.faults, hostile, hostile_frac,
+                                 hostile_at);
+  // The trainer holds a reference to `fed`, so the drift hook's in-place
+  // mutation is what it trains on.
+  engine_config.on_epoch_begin = sim::make_drift_hook(
+      hostile, fed, gen, hostile_frac, hostile_at, exp.seed);
   fl::FederatedTrainer trainer(fed, core::default_model_factory(fed, 99),
                                engine_config);
 
   // ---- strategy ----
-  core::HaccsConfig haccs;
-  haccs.rho = rho;
-  haccs.recluster_every = recluster;
-  haccs.scale.enabled = scale_enabled;
-  haccs.scale.shard_size = scale_shard;
-  haccs.scale.sketch_dim = scale_sketch_dim;
-  haccs.scale.exact_cutoff = scale_exact_cutoff;
-  haccs.scale.dirty_threshold = scale_dirty;
-  if (epsilon > 0.0) {
-    haccs.privacy = stats::PrivacyConfig{epsilon};
-    if (mechanism == "gaussian") {
-      haccs.privacy.mechanism = stats::NoiseMechanism::Gaussian;
-    }
-  }
   const auto selector =
       bench::make_selector(strategy, fed, engine_config, haccs);
 
   // ---- run ----
   std::fprintf(stderr, "running %s on %s/%s: %zu clients, %zu/round, %zu rounds\n",
                selector->name().c_str(), bench::to_string(exp.dataset).c_str(),
-               partition.c_str(), fed.num_clients(),
+               data::to_string(partition).c_str(), fed.num_clients(),
                engine_config.clients_per_round, engine_config.rounds);
-  std::unique_ptr<sim::DropoutSchedule> schedule;
-  if (dropout_fraction > 0.0) {
-    schedule = sim::make_per_epoch_dropout(fed.num_clients(), dropout_fraction,
-                                           exp.seed + 101);
-  }
-  std::unique_ptr<sim::DropoutSchedule> shape;
-  if (hostile == "flash-crowd") {
-    shape = sim::make_flash_crowd(fed.num_clients(), hostile_frac, hostile_at,
-                                  exp.seed + 211);
-  } else if (hostile == "diurnal") {
-    shape = sim::make_diurnal_wave(fed.num_clients(), hostile_frac,
-                                   hostile_span + 1, exp.seed + 211);
-  } else if (hostile == "outage") {
-    shape = sim::make_regional_outage(fed.num_clients(), 4, hostile_frac,
-                                      hostile_at, hostile_span, exp.seed + 211);
-  }
-  if (shape) {
-    schedule = schedule ? sim::make_intersection(std::move(schedule),
-                                                 std::move(shape))
-                        : std::move(shape);
-  }
-  fl::TrainingHistory history;
-  if (schedule) {
-    history = trainer.run(*selector, *schedule);
-  } else {
-    history = trainer.run(*selector);
-  }
+  const auto schedule = sim::make_availability(
+      fed.num_clients(), dropout_fraction, hostile, hostile_frac, hostile_at,
+      hostile_span, exp.seed);
+  const fl::TrainingHistory history = trainer.run(*selector, *schedule);
 
   // ---- report ----
   Table summary({"metric", "value"});
   summary.add_row({"strategy", selector->name()});
-  summary.add_row({"partition", partition});
+  summary.add_row({"partition", data::to_string(partition)});
   summary.add_row({"final_accuracy", Table::num(history.final_accuracy(), 4)});
   summary.add_row({"best_accuracy", Table::num(history.best_accuracy(), 4)});
   summary.add_row({"total_sim_time_s", Table::num(history.total_time(), 1)});
@@ -331,7 +273,7 @@ int main(int argc, char** argv) try {
     }
     obs::JsonObject o;
     o.field("strategy", selector->name())
-        .field("partition", partition)
+        .field("partition", data::to_string(partition))
         .field("dataset", bench::to_string(exp.dataset))
         .field("rounds", engine_config.rounds)
         .field("clients", fed.num_clients())

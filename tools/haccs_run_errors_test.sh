@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
-# Bad inputs to haccs_run or haccs_server fail cleanly: exit code 1 and one
-# "<binary>: ..." line naming the problem, never an abort, and before any
-# data is generated or any port is opened. The binary's file name picks the
-# cases and the expected prefix.
+# Bad inputs to haccs_run, haccs_server or haccs_fuzz fail cleanly: one
+# "<binary>: ..." line naming the problem and the binary's usage-error exit
+# code (1; 2 for haccs_fuzz), never an abort, and before any data is
+# generated or any port is opened. The binary's file name picks the cases,
+# the expected prefix and the expected exit code.
 #
-# Usage: tools/haccs_run_errors_test.sh <path-to-haccs_run|haccs_server>
+# Usage: tools/haccs_run_errors_test.sh <path-to-haccs_run|haccs_server|haccs_fuzz>
 set -uo pipefail
 
 run="$1"
 name="$(basename "$run")"
+want_rc=1
+[[ "$name" == haccs_fuzz ]] && want_rc=2
 failures=0
 
 # expect_error EXPECTED_SUBSTRING ARGS...
@@ -18,8 +21,8 @@ expect_error() {
   local err rc
   err="$(timeout 60 "$run" "$@" 2>&1 >/dev/null)"
   rc=$?
-  if [[ "$rc" -ne 1 ]]; then
-    echo "FAIL: $name $* exited $rc (want 1): $err"
+  if [[ "$rc" -ne "$want_rc" ]]; then
+    echo "FAIL: $name $* exited $rc (want $want_rc): $err"
     failures=$((failures + 1))
   elif [[ "$err" != "$name: "*"$expected"* ]]; then
     echo "FAIL: $name $* printed '$err' (want '$name: ...$expected')"
@@ -50,6 +53,14 @@ case "$name" in
     done
     expect_error "--scale-shard must be >= 1" --scale --scale-shard=0
     expect_error "--scale-sketch-dim must be >= 1" --scale --scale-sketch-dim=0
+    expect_error "unknown partition 'bogus'" --partition=bogus
+    expect_error "unknown hostile shape 'bogus'" --hostile=bogus
+    expect_error "unknown noise mechanism 'bogus'" --mechanism=bogus
+    expect_error "dropout must lie in [0, 1)" --dropout=1.5
+    expect_error "hostile frac must lie in [0, 1]" --hostile-frac=2
+    expect_error "--rho expects a finite number, got 'nan'" --rho=nan
+    expect_error "epsilon must be finite and >= 0" --epsilon=-1
+    expect_error "hostile span must be >= 1" --hostile=diurnal --hostile-span=0
     ;;
   haccs_server)
     # Port 0 everywhere: a refusal that came too late would still not
@@ -63,6 +74,14 @@ case "$name" in
     expect_error "--resume requires --checkpoint" --port=0 --resume
     expect_error "--live-recluster requires --strategy=haccs-py, got --strategy=random" \
       --port=0 --live-recluster --strategy=random
+    expect_error "--rho expects a finite number, got 'nan'" --port=0 --rho=nan
+    ;;
+  haccs_fuzz)
+    expect_error "spec key clients expects an integer, got '10x'" \
+      --replay=clients=10x
+    expect_error "unknown spec key: hostile_fraq (did you mean 'hostile_frac'?)" \
+      --replay=hostile_fraq=0.2
+    expect_error "--seeds expects an integer, got '2x'" --seeds=2x
     ;;
   *)
     echo "FAIL: no bad-input cases for '$name'"
