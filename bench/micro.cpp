@@ -26,6 +26,7 @@
 #include "src/net/crc32.hpp"
 #include "src/net/frame.hpp"
 #include "src/net/messages.hpp"
+#include "src/net/topology.hpp"
 #include "src/nn/loss.hpp"
 #include "src/nn/model.hpp"
 #include "src/nn/optimizer.hpp"
@@ -628,7 +629,8 @@ void BM_TreeRoundDispatch(benchmark::State& state) {
 
   fl::TransportDispatcherConfig config;
   config.recv_timeout_ms = 30000;
-  hier::TreeDispatcher dispatcher(root_side, config, kRoundWorkers);
+  hier::TreeDispatcher dispatcher(root_side, config,
+                                  net::Topology(kRoundWorkers, num_aggs));
   const auto jobs = bench_round_jobs();
   const std::vector<float> params(kRoundParams, 1.0f);
   for (auto _ : state) {

@@ -32,6 +32,7 @@
 #include "src/net/chaos.hpp"
 #include "src/net/status.hpp"
 #include "src/net/tcp.hpp"
+#include "src/net/topology.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
 
@@ -46,8 +47,10 @@ void print_usage() {
       "  --agg-id=I            this aggregator's id in [0, --aggs)\n"
       "  --aggs=A              total aggregators (default 1)\n"
       "  --workers=W           federation-wide worker count; this process\n"
-      "                        fronts workers [I*W/A, (I+1)*W/A) (A must\n"
-      "                        divide W)\n"
+      "                        fronts workers [I*W/A, (I+1)*W/A)\n"
+      "  shape refusals (exit 1, before binding): --workers=0, --aggs=0,\n"
+      "                        --aggs not dividing --workers, --agg-id\n"
+      "                        outside [0, --aggs)\n"
       "upstream (root): --host=H --port=P or --port-file=F\n"
       "downstream (workers): --listen-port=P (default 0 = ephemeral)\n"
       "  --listen-port-file=F  publish the bound listen port to F\n"
@@ -89,10 +92,9 @@ int main(int argc, char** argv) try {
   const std::string host = flags.get_string("host", "127.0.0.1");
   auto port = static_cast<std::uint16_t>(flags.get_int("port", 4242));
   const std::string port_file = flags.get_string("port-file", "");
-  const auto agg_id = static_cast<std::uint32_t>(flags.get_count("agg-id", 0));
-  const auto num_aggs = static_cast<std::uint32_t>(flags.get_count("aggs", 1));
-  const auto num_workers =
-      static_cast<std::uint32_t>(flags.get_count("workers", 1));
+  const std::size_t agg_flag = flags.get_count("agg-id", 0);
+  const std::size_t aggs_flag = flags.get_count("aggs", 1);
+  const std::size_t workers_flag = flags.get_count("workers", 1);
   const auto listen_port =
       static_cast<std::uint16_t>(flags.get_int("listen-port", 0));
   const std::string listen_port_file =
@@ -113,29 +115,28 @@ int main(int argc, char** argv) try {
   const net::ChaosOptions chaos = examples::parse_chaos_flags(flags);
   flags.check_unused();
 
-  if (num_aggs == 0 || agg_id >= num_aggs) {
-    std::fprintf(stderr, "--agg-id must lie in [0, --aggs)\n");
-    return 1;
-  }
-  if (num_workers == 0 || num_workers % num_aggs != 0) {
-    std::fprintf(stderr, "--aggs must divide --workers evenly\n");
-    return 1;
-  }
+  // Startup refusals throw: the handler at the bottom prints the one line
+  // "haccs_agg: <why>" and exits 1, before anything binds or connects.
+  // Refuses --workers=0, --aggs=0, --aggs not dividing --workers and an
+  // --agg-id outside [0, --aggs), before the ids narrow to 32 bits.
+  const net::Topology topology(workers_flag, aggs_flag);
+  const net::WorkerSlice slice = topology.slice(agg_flag);
+  const auto agg_id = static_cast<std::uint32_t>(agg_flag);
+  const auto num_aggs = static_cast<std::uint32_t>(aggs_flag);
   // Aggregator span ids must stay distinct from the root's and every
   // worker's in a merged trace; workers salt bits 40+, aggregators 52+.
   obs::set_span_id_salt(static_cast<std::uint64_t>(agg_id + 1) << 52);
 
   hier::MidTierConfig config;
+  config.topology = topology;
   config.agg_id = agg_id;
-  config.num_aggs = num_aggs;
-  config.num_workers = num_workers;
   config.heartbeat_interval_ms = heartbeat_interval_ms;
   config.round_timeout_ms = round_timeout_ms;
   config.handshake_timeout_ms = handshake_timeout_ms;
 
   // The board rows are this aggregator's subtree workers, surfaced per peer
   // on /status and in haccs_top.
-  fl::ServingStatusBoard status_board(num_workers / num_aggs);
+  fl::ServingStatusBoard status_board(slice.size());
   config.status_board = &status_board;
 
   net::TcpListener listener(listen_port);
@@ -147,9 +148,8 @@ int main(int argc, char** argv) try {
   }
   std::fprintf(stderr,
                "agg %u/%u: listening on 127.0.0.1:%u, fronting workers "
-               "[%u, %u)\n",
-               agg_id, num_aggs, listener.port(), agg.worker_begin(),
-               agg.worker_end());
+               "[%zu, %zu)\n",
+               agg_id, num_aggs, listener.port(), slice.begin, slice.end);
 
   const auto status_server = examples::start_status_endpoint(
       status_port, status_port_file,

@@ -30,6 +30,7 @@
 //       --rounds=5 --clients=12 --per-round=4 --summary-json=/tmp/s.json
 //   ./haccs_worker --worker-id=0 --workers=2 --port-file=/tmp/port ... &
 //   ./haccs_worker --worker-id=1 --workers=2 --port-file=/tmp/port ... &
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -54,6 +55,7 @@
 #include "src/net/chaos.hpp"
 #include "src/net/status.hpp"
 #include "src/net/tcp.hpp"
+#include "src/net/topology.hpp"
 #include "src/obs/flight.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
@@ -87,12 +89,16 @@ void print_usage() {
       "  --overcommit=F       over-select by F (e.g. 0.5 = +50%%)\n"
       "tree (DESIGN.md §5j): --aggs=A  accept A haccs_agg mid-tier\n"
       "                       aggregators instead of workers; --workers\n"
-      "                       still names the federation-wide worker count\n"
-      "                       (A must divide it). Aggregation is\n"
-      "                       bit-identical to a flat --agg-groups=A run.\n"
+      "                       still names the federation-wide worker count.\n"
+      "                       Aggregation is bit-identical to a flat\n"
+      "                       --agg-groups=A run.\n"
       "  --agg-groups=A       flat grouped aggregation: fold updates into A\n"
       "                       per-group partial sums in-process (the tree\n"
       "                       bit-identity baseline; default 0 = classic)\n"
+      "  shape refusals (exit 1, before listening): --workers=0; --aggs or\n"
+      "                       --agg-groups not dividing --workers; both\n"
+      "                       --aggs and --agg-groups; --aggs with --quorum\n"
+      "                       < 1\n"
       "  --live-recluster     re-cluster on every worker/aggregator\n"
       "                       liveness edge: the selector clusters the live\n"
       "                       clients and makes departed ones singletons,\n"
@@ -166,9 +172,6 @@ int main(int argc, char** argv) try {
   // Startup refusals throw: the handler at the bottom prints the one line
   // "haccs_server: <why>" and exits 1, before anything listens or any data
   // is generated.
-  if (num_workers == 0) {
-    throw std::invalid_argument("--workers must be >= 1");
-  }
   if (resume && checkpoint_path.empty()) {
     throw std::invalid_argument("--resume requires --checkpoint");
   }
@@ -177,10 +180,11 @@ int main(int argc, char** argv) try {
         "--aggs and --agg-groups are exclusive (a tree run IS the grouped "
         "aggregation)");
   }
-  if ((num_aggs > 0 && num_workers % num_aggs != 0) ||
-      (agg_groups > 0 && num_workers % agg_groups != 0)) {
-    throw std::invalid_argument("--aggs/--agg-groups must divide --workers");
-  }
+  // The serving shape: a tree's aggregators, or the groups a grouped flat
+  // root folds, which are the same subtrees (§5j). Refuses --workers=0 and
+  // --aggs/--agg-groups that do not divide --workers.
+  const net::Topology topology(
+      num_workers, std::max<std::size_t>({1, num_aggs, agg_groups}));
   if (num_aggs > 0 && quorum < 1.0) {
     throw std::invalid_argument(
         "--quorum is not supported in tree mode (the mid tier owns straggler "
@@ -245,10 +249,11 @@ int main(int argc, char** argv) try {
                num_aggs > 0 ? "aggregator(s)" : "worker(s)");
 
   // The peers are workers (flat) or mid-tier aggregators (tree); both yield
-  // the same wire-borne summary view.
+  // the same wire-borne summary view. A flat root is the one aggregator
+  // over every worker (its --agg-groups are the dispatcher's).
   hier::FleetConfig fleet_config;
-  fleet_config.num_workers = num_workers;
-  fleet_config.num_aggs = num_aggs;
+  fleet_config.topology = num_aggs > 0 ? topology : net::Topology(num_workers);
+  if (num_aggs > 0) fleet_config.agg_id = std::nullopt;
   fleet_config.num_clients = fed.num_clients();
   fleet_config.io_timeout_ms = io_timeout_ms;
   fleet_config.chaos = chaos;
@@ -318,22 +323,18 @@ int main(int argc, char** argv) try {
   // ---- live re-cluster (§5h): membership follows liveness edges ----
   if (live_recluster) {
     // A liveness edge covers one dispatcher peer: a worker's hosted clients
-    // in flat mode, a whole subtree in tree mode.
-    const std::size_t members = num_aggs > 0 ? num_aggs : num_workers;
-    std::vector<std::vector<std::size_t>> clients_of_member(members);
-    for (std::size_t c = 0; c < fed.num_clients(); ++c) {
-      const std::size_t w = c % num_workers;
-      clients_of_member[num_aggs > 0 ? w / (num_workers / num_aggs) : w]
-          .push_back(c);
-    }
-    // The dispatcher fires edges on the engine thread, so the selector has
-    // re-clustered before the next round's select().
+    // in flat mode, a whole subtree in tree mode. The dispatcher fires edges
+    // on the engine thread, so the selector has re-clustered before the
+    // next round's select().
     dispatch_config.on_liveness =
-        [haccs_selector_ptr, &num_clusters,
-         clients_of_member = std::move(clients_of_member),
+        [haccs_selector_ptr, &num_clusters, topology, tree = num_aggs > 0,
          live = std::vector<bool>(fed.num_clients(), true)](
             std::size_t member, bool alive) mutable {
-          for (std::size_t c : clients_of_member[member]) live[c] = alive;
+          for (std::size_t c = 0; c < live.size(); ++c) {
+            if ((tree ? topology.agg_of(c) : topology.worker_of(c)) == member) {
+              live[c] = alive;
+            }
+          }
           if (haccs_selector_ptr->recluster_live(live)) {
             num_clusters = haccs_selector_ptr->num_clusters();
           }
@@ -387,7 +388,7 @@ int main(int argc, char** argv) try {
   std::optional<hier::TreeDispatcher> tree_dispatcher;
   if (num_aggs > 0) {
     tree_dispatcher.emplace(fleet.transports(), std::move(dispatch_config),
-                            num_workers);
+                            topology);
     engine_config.dispatcher = &*tree_dispatcher;
   } else {
     flat_dispatcher.emplace(fleet.transports(), std::move(dispatch_config));

@@ -29,6 +29,7 @@
 #include "src/hier/fleet.hpp"
 #include "src/net/chaos.hpp"
 #include "src/net/tcp.hpp"
+#include "src/net/topology.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/obs.hpp"
 #include "src/obs/trace.hpp"
@@ -79,10 +80,8 @@ int main(int argc, char** argv) try {
   const std::string host = flags.get_string("host", "127.0.0.1");
   auto port = static_cast<std::uint16_t>(flags.get_int("port", 4242));
   const std::string port_file = flags.get_string("port-file", "");
-  const auto worker_id =
-      static_cast<std::uint32_t>(flags.get_count("worker-id", 0));
-  const auto num_workers =
-      static_cast<std::uint32_t>(flags.get_count("workers", 1));
+  const std::size_t worker_flag = flags.get_count("worker-id", 0);
+  const std::size_t workers_flag = flags.get_count("workers", 1);
   const int idle_timeout_ms =
       static_cast<int>(flags.get_int("idle-timeout-ms", 120000));
   const int heartbeat_interval_ms =
@@ -93,10 +92,13 @@ int main(int argc, char** argv) try {
       static_cast<int>(flags.get_int("reconnect-backoff-ms", 200));
   const net::ChaosOptions chaos = examples::parse_chaos_flags(flags);
   flags.check_unused();
-  if (num_workers == 0 || worker_id >= num_workers) {
-    std::fprintf(stderr, "--worker-id must lie in [0, --workers)\n");
-    return 1;
-  }
+  // Startup refusals throw: the handler at the bottom prints the one line
+  // "haccs_worker: <why>" and exits 1, before any data is generated or any
+  // connection made. Refuses --workers=0 and a --worker-id outside
+  // [0, --workers), checked before the ids narrow to their 32-bit wire form.
+  net::Topology(workers_flag).check_worker(worker_flag);
+  const auto worker_id = static_cast<std::uint32_t>(worker_flag);
+  const auto num_workers = static_cast<std::uint32_t>(workers_flag);
   // Span ids minted here must stay distinct from the server's and every
   // other worker's when shards are merged into one trace (§5i): salt the
   // high bits with the worker id.

@@ -338,13 +338,10 @@ bool UpdateLedger::settle(std::size_t w, const net::Frame& frame,
 
 TransportDispatcher::TransportDispatcher(std::vector<net::Transport*> workers,
                                          TransportDispatcherConfig config)
-    : core_(std::move(workers), std::move(config)), ledger_(core_.size()) {
-  const std::size_t groups = core_.config().agg_groups;
-  if (groups > 0 && (groups > core_.size() || core_.size() % groups != 0)) {
-    throw std::invalid_argument(
-        "TransportDispatcher: agg_groups must evenly divide the worker count");
-  }
-}
+    : core_(std::move(workers), std::move(config)),
+      ledger_(core_.size()),
+      topology_(core_.size(),
+                std::max<std::size_t>(core_.config().agg_groups, 1)) {}
 
 void TransportDispatcher::execute(std::span<const TrainJobSpec> jobs,
                                   const std::vector<float>& global_params,
@@ -430,7 +427,7 @@ void TransportDispatcher::dispatch(
   // its update while we are still sending jobs).
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const TrainJobSpec& job = jobs[j];
-    const std::size_t w = job.client_id % core_.size();
+    const std::size_t w = topology_.worker_of(job.client_id);
     const auto status = core_.send(w, frame_of(j));
     if (status == net::TransportStatus::Ok) {
       ledger_.expect(w, job);
@@ -455,14 +452,11 @@ void TransportDispatcher::dispatch(
   if (config.agg_groups > 0) {
     // Jobs are in slot order, so each group folds its slots in the order
     // the mid tier does (hier/mid_tier.hpp) — the bit-identity invariant.
-    // Group of a client = its worker's contiguous aggregator slice.
-    const std::size_t per_group = core_.size() / config.agg_groups;
+    // Group of a client = its aggregator under the same topology.
     partials_.assign(config.agg_groups, PartialAggregate{});
     fold_groups(
         jobs, global_params, outcomes, partials_,
-        [&](std::size_t client) {
-          return (client % core_.size()) / per_group;
-        },
+        [&](std::size_t client) { return topology_.agg_of(client); },
         config.max_update_norm);
   }
   core_.end_round();

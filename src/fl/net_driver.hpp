@@ -11,9 +11,9 @@
 //     reconstruction, and the failure calls each transport event maps onto
 //     (Corrupt -> CorruptUpdate, Closed -> Crash, time up -> Timeout).
 //   * TransportDispatcher — the flat root: fans TrainJobs (make_train_job,
-//     protocol.hpp) out by client_id % workers, settles ClientUpdate frames
-//     through its ledger and, with agg_groups, folds them with fold_groups
-//     (dispatch.hpp). Failures are routed into
+//     protocol.hpp) out to each client's worker (net::Topology), settles
+//     ClientUpdate frames through its ledger and, with agg_groups, folds
+//     them with fold_groups (dispatch.hpp). Failures are routed into
 //     ClientSelector::report_failure like simulated faults. dispatch() runs
 //     the same round on TrainJob frames the caller builds: it is how
 //     hier::MidTierAggregator, the flat root of its subtree, serves its
@@ -57,6 +57,7 @@
 #include "src/net/chaos.hpp"
 #include "src/net/loopback.hpp"
 #include "src/net/messages.hpp"
+#include "src/net/topology.hpp"
 #include "src/net/transport.hpp"
 #include "src/obs/trace.hpp"
 
@@ -144,9 +145,9 @@ struct TransportDispatcherConfig {
   /// the live re-cluster path (§5h phase 2). Unset = no callbacks.
   std::function<void(std::size_t, bool)> on_liveness;
   /// Grouped aggregation (§5j): > 0 folds delivered updates into this many
-  /// per-group PartialAggregates (group of a client = its worker's
-  /// contiguous aggregator slice; workers.size() must divide evenly) instead
-  /// of returning raw updates to the engine. A flat run with agg_groups == A
+  /// per-group PartialAggregates (group of a client = its aggregator in
+  /// net::Topology(workers, agg_groups)) instead of returning raw updates to
+  /// the engine. A flat run with agg_groups == A
   /// aggregates bit-identically to an A-aggregator tree run — the
   /// byte-equality baseline. 0 (default) leaves the classic path untouched.
   std::size_t agg_groups = 0;
@@ -278,7 +279,9 @@ class DispatchCore {
 };
 
 /// The flat root: ships TrainJob frames, collects ClientUpdate frames.
-/// `workers` are non-owning; jobs are routed by client_id % workers.size().
+/// `workers` are non-owning; each job goes to its client's worker and group
+/// under net::Topology(workers.size(), max(agg_groups, 1)), whose
+/// std::invalid_argument a bad agg_groups raises.
 class TransportDispatcher final : public RoundDispatcher {
  public:
   TransportDispatcher(std::vector<net::Transport*> workers,
@@ -303,6 +306,7 @@ class TransportDispatcher final : public RoundDispatcher {
  private:
   DispatchCore core_;
   UpdateLedger ledger_;
+  net::Topology topology_;
   /// Per-group partial sums from the last execute() (agg_groups mode).
   std::vector<PartialAggregate> partials_;
 };

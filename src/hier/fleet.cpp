@@ -20,71 +20,46 @@ FleetError refusal(const std::string& peer, const std::string& why) {
   return FleetError("handshake with " + peer + " refused: " + why);
 }
 
-}  // namespace
-
-net::HelloMsg check_worker_hello(const net::Frame& frame,
-                                 const PeerScope& scope) {
-  net::HelloMsg hello;
-  try {
-    hello = net::decode_hello(frame);
-  } catch (const net::WireError& e) {
-    // CRC-valid but malformed (e.g. truncated): refuse this peer only.
-    throw refusal(scope.peer, std::string("malformed frame: ") + e.what());
-  }
-  if (hello.worker_id < scope.worker_begin ||
-      hello.worker_id >= scope.worker_end) {
-    throw refusal(scope.peer, "bad worker id " +
-                                  std::to_string(hello.worker_id) +
-                                  " (expected " +
-                                  std::to_string(scope.worker_begin) + ".." +
-                                  std::to_string(scope.worker_end - 1) + ")");
-  }
-  return hello;
+/// Bound on client ids and on a peer's claimed client count.
+std::size_t client_limit(const FleetConfig& config) {
+  return config.num_clients > 0 ? config.num_clients : SIZE_MAX;
 }
 
+/// Decodes one Summary from `who` (e.g. "worker 3") at address `peer`, which
+/// may describe only clients of `workers` — its own for a worker, its
+/// subtree's for an aggregator. Throws FleetError naming the peer.
 std::pair<std::uint32_t, stats::ResponseSummary> check_summary(
-    const net::Frame& frame, const PeerScope& scope, const std::string& who) {
+    const net::Frame& frame, const FleetConfig& config,
+    net::WorkerSlice workers, const std::string& peer, const std::string& who) {
   try {
     const net::SummaryMsg msg = net::decode_summary(frame);
-    if (msg.client_id >= scope.client_limit()) {
-      throw refusal(scope.peer, who + ": summary for unknown client " +
-                                    std::to_string(msg.client_id));
+    if (msg.client_id >= client_limit(config)) {
+      throw refusal(peer, who + ": summary for unknown client " +
+                              std::to_string(msg.client_id));
     }
-    const std::size_t worker = msg.client_id % scope.num_workers;
-    if (worker < scope.worker_begin || worker >= scope.worker_end) {
+    if (!workers.contains(config.topology.worker_of(msg.client_id))) {
       // A peer started with the wrong --workers would otherwise overwrite
       // summaries of clients another peer hosts.
-      throw refusal(scope.peer, who + ": summary for client " +
-                                    std::to_string(msg.client_id) +
-                                    ", which it does not host (check "
-                                    "--workers)");
+      throw refusal(peer, who + ": summary for client " +
+                              std::to_string(msg.client_id) +
+                              ", which it does not host (check --workers)");
     }
     return {msg.client_id, stats::decode_response_summary(msg)};
   } catch (const net::WireError& e) {
     // A Conditional or empty Summary, or a truncated one.
-    throw refusal(scope.peer, std::string("malformed frame: ") + e.what());
+    throw refusal(peer, std::string("malformed frame: ") + e.what());
   }
 }
+
+}  // namespace
 
 Fleet::Fleet(FleetConfig config, Acceptor accept)
     : config_(std::move(config)),
       accept_(std::move(accept)),
       summaries_(config_.num_clients, stats::ResponseSummary(1)),
       have_summary_(config_.num_clients, false) {
-  if (config_.num_workers == 0 ||
-      (tree() && config_.num_workers % config_.num_aggs != 0)) {
-    throw std::invalid_argument(
-        "Fleet: num_aggs must evenly divide a non-zero num_workers");
-  }
-  if (config_.worker_end == 0) config_.worker_end = config_.num_workers;
-  if (config_.worker_begin >= config_.worker_end ||
-      config_.worker_end > config_.num_workers) {
-    throw std::invalid_argument(
-        "Fleet: [worker_begin, worker_end) must be a non-empty slice of the "
-        "workers");
-  }
-  const std::size_t peers =
-      tree() ? config_.num_aggs : config_.worker_end - config_.worker_begin;
+  if (!tree()) workers_ = config_.topology.slice(*config_.agg_id);
+  const std::size_t peers = tree() ? config_.topology.aggs() : workers_.size();
   slots_.resize(peers);
   pending_.resize(peers);
   sessions_.assign(peers, 0);
@@ -92,8 +67,7 @@ Fleet::Fleet(FleetConfig config, Acceptor accept)
 
 std::size_t Fleet::admit(std::unique_ptr<net::Transport> transport,
                          std::vector<net::Frame>& frames) {
-  PeerScope scope{transport->peer(), config_.num_workers, config_.worker_begin,
-                  config_.worker_end, config_.num_clients};
+  const std::string peer = transport->peer();
   const std::string role = tree() ? "aggregator" : "worker";
   net::Frame frame;
   const auto hello_type =
@@ -101,47 +75,49 @@ std::size_t Fleet::admit(std::unique_ptr<net::Transport> transport,
   if (transport->recv(&frame, config_.io_timeout_ms) !=
           net::TransportStatus::Ok ||
       frame.type != hello_type) {
-    throw refusal(scope.peer,
-                  tree() ? "no TopologyHello frame" : "no Hello frame");
+    throw refusal(peer, tree() ? "no TopologyHello frame" : "no Hello frame");
   }
+  // The peer's id and client count, and the workers it speaks for.
   std::size_t id = 0;
   std::uint32_t num_clients = 0;
-  if (tree()) {
-    net::TopologyHelloMsg hello;
-    try {
-      hello = net::decode_topology_hello(frame);
-    } catch (const net::WireError& e) {
-      throw refusal(scope.peer, std::string("malformed frame: ") + e.what());
+  net::WorkerSlice workers;
+  const net::Topology& topology = config_.topology;
+  try {
+    if (tree()) {
+      const net::TopologyHelloMsg hello = net::decode_topology_hello(frame);
+      if (!topology.announces(hello)) {
+        throw refusal(peer,
+                      "aggregator topology mismatch (agg " +
+                          std::to_string(hello.agg_id) + "/" +
+                          std::to_string(hello.num_aggs) + ", workers [" +
+                          std::to_string(hello.worker_begin) + ", " +
+                          std::to_string(hello.worker_end) +
+                          ")) — check --aggs/--workers on every tier");
+      }
+      id = hello.agg_id;
+      num_clients = hello.num_clients;
+      workers = topology.slice(id);
+    } else {
+      const net::HelloMsg hello = net::decode_hello(frame);
+      if (!workers_.contains(hello.worker_id)) {
+        throw refusal(peer,
+                      "bad worker id " + std::to_string(hello.worker_id) +
+                          " (expected " + std::to_string(workers_.begin) +
+                          ".." + std::to_string(workers_.end - 1) + ")");
+      }
+      id = hello.worker_id;
+      num_clients = hello.num_clients;
+      workers = {id, id + 1};
     }
-    const std::size_t per = config_.num_workers / config_.num_aggs;
-    if (hello.num_aggs != config_.num_aggs ||
-        hello.agg_id >= config_.num_aggs ||
-        hello.worker_begin != hello.agg_id * per ||
-        hello.worker_end != (hello.agg_id + 1) * per) {
-      throw refusal(scope.peer,
-                    "aggregator topology mismatch (agg " +
-                        std::to_string(hello.agg_id) + "/" +
-                        std::to_string(hello.num_aggs) + ", workers [" +
-                        std::to_string(hello.worker_begin) + ", " +
-                        std::to_string(hello.worker_end) +
-                        ")) — check --aggs/--workers on every tier");
-    }
-    id = hello.agg_id;
-    num_clients = hello.num_clients;
-    scope.worker_begin = hello.worker_begin;
-    scope.worker_end = hello.worker_end;
-  } else {
-    const net::HelloMsg hello = check_worker_hello(frame, scope);
-    id = hello.worker_id;
-    num_clients = hello.num_clients;
-    scope.worker_begin = id;
-    scope.worker_end = id + 1;
+  } catch (const net::WireError& e) {
+    // CRC-valid but malformed (e.g. truncated): refuse this peer only.
+    throw refusal(peer, std::string("malformed frame: ") + e.what());
   }
   const std::string who = role + " " + std::to_string(id);
-  if (num_clients > scope.client_limit()) {
-    throw refusal(scope.peer, who + " claims " + std::to_string(num_clients) +
-                                  " clients of " +
-                                  std::to_string(scope.num_clients));
+  if (num_clients > client_limit(config_)) {
+    throw refusal(peer, who + " claims " + std::to_string(num_clients) +
+                            " clients of " +
+                            std::to_string(config_.num_clients));
   }
   // §IV-A uplink: one P(y) summary per hosted client — sent on the first
   // connect and repeated on every reconnect, so a restarted root rebuilds
@@ -152,11 +128,11 @@ std::size_t Fleet::admit(std::unique_ptr<net::Transport> transport,
     if (transport->recv(&frame, config_.io_timeout_ms) !=
             net::TransportStatus::Ok ||
         frame.type != net::MessageType::Summary) {
-      throw refusal(scope.peer, who + ": summary " + std::to_string(s + 1) +
-                                    " of " + std::to_string(num_clients) +
-                                    " never arrived");
+      throw refusal(peer, who + ": summary " + std::to_string(s + 1) +
+                              " of " + std::to_string(num_clients) +
+                              " never arrived");
     }
-    received.push_back(check_summary(frame, scope, who));
+    received.push_back(check_summary(frame, config_, workers, peer, who));
     frames.push_back(std::move(frame));
   }
   for (auto& [client, summary] : received) {
@@ -166,14 +142,14 @@ std::size_t Fleet::admit(std::unique_ptr<net::Transport> transport,
     summaries_[client] = std::move(summary);
     have_summary_[client] = true;
   }
-  const std::size_t slot = tree() ? id : id - config_.worker_begin;
+  const std::size_t slot = tree() ? id : id - workers_.begin;
   // The chaos seed forks per peer, and per session for workers so a
   // reconnect does not replay its fault script.
   net::ChaosOptions forked = config_.chaos;
   forked.seed = config_.chaos.seed ^ (0xa11ce11aULL * (id + 1)) ^
                 (0x5e5510ULL * (tree() ? 0 : ++sessions_[slot]));
-  HACCS_INFO << who << " connected (" << scope.peer << "), hosting "
-             << num_clients << " client(s)";
+  HACCS_INFO << who << " connected (" << peer << "), hosting " << num_clients
+             << " client(s)";
   pending_[slot] = net::wrap_chaos(std::move(transport), forked);
   return slot;
 }
@@ -196,7 +172,7 @@ std::vector<std::vector<net::Frame>> Fleet::accept_all(int accept_timeout_ms) {
       // with backoff forever, each accept rearming the deadline.
       pending_[slot].reset();
       const std::string role = tree() ? "aggregator" : "worker";
-      const std::size_t id = tree() ? slot : config_.worker_begin + slot;
+      const std::size_t id = tree() ? slot : workers_.begin + slot;
       throw FleetError("duplicate " + role + " id " + std::to_string(id) +
                        " from " + peer + " — check each " + role + "'s --" +
                        (tree() ? "agg-id" : "worker-id"));
@@ -233,7 +209,7 @@ void Fleet::shut_down(
   // Late heartbeats are skipped; Closed, any other frame, or the shard
   // quota ends a peer's drain.
   const std::size_t shards_per_peer =
-      tree() ? config_.num_workers / config_.num_aggs : 1;
+      tree() ? config_.topology.workers_per_agg() : 1;
   for (const auto& t : slots_) {
     if (!t) continue;
     const auto deadline =
@@ -276,11 +252,9 @@ bool Fleet::have_all_summaries() const {
 bool send_worker_hello(net::Transport& transport,
                        const data::FederatedDataset& dataset,
                        std::uint32_t worker_id, std::uint32_t num_workers) {
-  std::vector<std::uint32_t> hosted;
-  for (std::size_t c = worker_id; c < dataset.clients.size();
-       c += num_workers) {
-    hosted.push_back(static_cast<std::uint32_t>(c));
-  }
+  const std::vector<std::uint32_t> hosted =
+      net::Topology(num_workers)
+          .hosted_clients(worker_id, dataset.clients.size());
   if (transport.send(net::encode_hello(net::HelloMsg{
                          worker_id, static_cast<std::uint32_t>(hosted.size())}))
       != net::TransportStatus::Ok) {

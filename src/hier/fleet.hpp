@@ -28,14 +28,15 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/data/partition.hpp"
 #include "src/net/chaos.hpp"
 #include "src/net/messages.hpp"
+#include "src/net/topology.hpp"
 #include "src/net/transport.hpp"
 #include "src/stats/summary.hpp"
 
@@ -47,54 +48,23 @@ class FleetError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// What a handshaking peer may describe: the clients whose worker
-/// (client % num_workers) lies in [worker_begin, worker_end) — its own for
-/// a worker, its subtree's for an aggregator — with ids below num_clients
-/// when the checking tier knows it (0 = unknown, as at a mid tier).
-struct PeerScope {
-  std::string peer;  ///< the connection's address, named in refusals
-  std::size_t num_workers = 1;
-  std::size_t worker_begin = 0;
-  std::size_t worker_end = 0;
-  std::size_t num_clients = 0;
-
-  /// Bound on client ids and on a peer's claimed client count.
-  std::size_t client_limit() const {
-    return num_clients > 0 ? num_clients : SIZE_MAX;
-  }
-};
-
-/// The frame-level admission checks of Fleet's handshake. Each throws
-/// FleetError naming the peer. check_worker_hello decodes a Hello and
-/// checks its id lies in [worker_begin, worker_end); check_summary decodes
-/// one Summary from `who` (e.g. "worker 3") and checks the peer hosts its
-/// client.
-net::HelloMsg check_worker_hello(const net::Frame& frame,
-                                 const PeerScope& scope);
-std::pair<std::uint32_t, stats::ResponseSummary> check_summary(
-    const net::Frame& frame, const PeerScope& scope, const std::string& who);
-
 struct FleetConfig {
-  /// Federation-wide worker count.
-  std::size_t num_workers = 1;
-  /// Flat: the workers this fleet fronts, [worker_begin, worker_end), peer
-  /// slot s holding worker worker_begin + s. worker_end = 0 means
-  /// num_workers: every worker, as at a flat root. A mid tier fronts its
-  /// subtree's slice.
-  std::size_t worker_begin = 0;
-  std::size_t worker_end = 0;
-  /// 0 = flat: the peers are workers. > 0 = tree: the peers are this many
-  /// aggregators, aggregator a fronting workers [a·per, (a+1)·per) with
-  /// per = num_workers / num_aggs.
-  std::size_t num_aggs = 0;
-  /// Summaries may name clients [0, num_clients); 0 = unknown, as at a mid
-  /// tier (PeerScope::client_limit).
+  /// The serving tree's shape.
+  net::Topology topology{1};
+  /// The aggregator this fleet serves as: the peers are its workers, peer
+  /// slot s holding worker topology.slice(*agg_id).begin + s — every worker
+  /// at a flat root (aggregator 0 of a one-aggregator topology), its subtree
+  /// at a mid tier. nullopt: the peers are the topology's aggregators, as at
+  /// a tree root.
+  std::optional<std::size_t> agg_id = 0;
+  /// Summaries may name clients [0, num_clients), and a peer may claim at
+  /// most that many; 0 = unknown, as at a mid tier.
   std::size_t num_clients = 0;
   /// Per-frame deadline for handshake receives and wind-down sends.
   int io_timeout_ms = 120000;
   /// Outbound fault injection on every admitted session; the seed is forked
   /// per peer, and per session for workers.
-  net::ChaosOptions chaos;
+  net::ChaosOptions chaos{};
 };
 
 class Fleet {
@@ -103,6 +73,7 @@ class Fleet {
   using Acceptor =
       std::function<std::unique_ptr<net::Transport>(int timeout_ms)>;
 
+  /// Throws std::invalid_argument for an agg_id outside the topology.
   Fleet(FleetConfig config, Acceptor accept);
 
   /// Fills every peer slot from the acceptor. At startup a timeout, a
@@ -137,7 +108,7 @@ class Fleet {
   bool have_all_summaries() const;
 
  private:
-  bool tree() const { return config_.num_aggs > 0; }
+  bool tree() const { return !config_.agg_id; }
 
   /// Runs the handshake on one accepted transport and stages the session in
   /// its peer's pending slot (a newer reconnect replaces an older staged
@@ -149,6 +120,8 @@ class Fleet {
                     std::vector<net::Frame>& frames);
 
   FleetConfig config_;
+  /// The workers the peers are, unless they are aggregators.
+  net::WorkerSlice workers_;
   Acceptor accept_;
   std::vector<std::unique_ptr<net::Transport>> slots_;
   /// Handshaken reconnects staged per peer until reacquire() claims them.
@@ -159,7 +132,8 @@ class Fleet {
 };
 
 /// Worker side of the handshake: Hello, then one P(y) Summary for each
-/// hosted client (id % num_workers == worker_id). False on a failed send.
+/// client worker_id hosts among num_workers (net::Topology). False on a
+/// failed send.
 bool send_worker_hello(net::Transport& transport,
                        const data::FederatedDataset& dataset,
                        std::uint32_t worker_id, std::uint32_t num_workers);

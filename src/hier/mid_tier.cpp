@@ -1,7 +1,6 @@
 #include "src/hier/mid_tier.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 #include "src/common/logging.hpp"
@@ -44,37 +43,17 @@ std::size_t frame_wire_bytes(const net::Frame& frame) {
 /// A MidTierConfig budget (0 = none) as a transport deadline (<0 = none).
 int deadline(int budget_ms) { return budget_ms > 0 ? budget_ms : -1; }
 
-FleetConfig subtree_fleet(const MidTierConfig& config) {
-  if (config.num_aggs == 0 || config.num_workers == 0 ||
-      config.num_workers % config.num_aggs != 0) {
-    throw std::invalid_argument(
-        "MidTierAggregator: num_aggs must evenly divide num_workers");
-  }
-  if (config.agg_id >= config.num_aggs) {
-    throw std::invalid_argument("MidTierAggregator: agg_id out of range");
-  }
-  const std::uint32_t per = config.num_workers / config.num_aggs;
-  FleetConfig fleet;
-  fleet.num_workers = config.num_workers;
-  fleet.worker_begin = config.agg_id * per;
-  fleet.worker_end = fleet.worker_begin + per;
-  fleet.io_timeout_ms = deadline(config.handshake_timeout_ms);
-  return fleet;
-}
-
 }  // namespace
 
+// The subtree fleet admits topology.slice(agg_id) and refuses an agg_id out
+// of range; the dispatcher serve() builds checks the status board's rows.
 MidTierAggregator::MidTierAggregator(const MidTierConfig& config,
                                      Fleet::Acceptor accept)
-    : config_(config), fleet_(subtree_fleet(config), std::move(accept)) {
-  const std::uint32_t per = config_.num_workers / config_.num_aggs;
-  if (config_.status_board && config_.status_board->num_workers() < per) {
-    throw std::invalid_argument(
-        "MidTierAggregator: status_board has fewer rows than workers");
-  }
-  worker_begin_ = config_.agg_id * per;
-  worker_end_ = worker_begin_ + per;
-}
+    : config_(config),
+      fleet_({.topology = config.topology,
+              .agg_id = config.agg_id,
+              .io_timeout_ms = deadline(config.handshake_timeout_ms)},
+             std::move(accept)) {}
 
 bool MidTierAggregator::send_upstream(net::Transport& upstream,
                                       const net::Frame& frame) {
@@ -99,11 +78,7 @@ bool MidTierAggregator::run(net::Transport& upstream) {
 bool MidTierAggregator::announce(net::Transport& upstream) {
   const std::vector<std::vector<net::Frame>> summaries =
       fleet_.accept_all(deadline(config_.handshake_timeout_ms));
-  net::TopologyHelloMsg hello;
-  hello.agg_id = config_.agg_id;
-  hello.num_aggs = config_.num_aggs;
-  hello.worker_begin = worker_begin_;
-  hello.worker_end = worker_end_;
+  net::TopologyHelloMsg hello = config_.topology.hello(config_.agg_id);
   for (const auto& frames : summaries) {
     hello.num_clients += static_cast<std::uint32_t>(frames.size());
   }
@@ -116,7 +91,7 @@ bool MidTierAggregator::announce(net::Transport& upstream) {
     }
   }
   HACCS_INFO << "agg " << config_.agg_id << ": subtree up (workers ["
-             << worker_begin_ << ", " << worker_end_ << "), "
+             << hello.worker_begin << ", " << hello.worker_end << "), "
              << hello.num_clients << " clients)";
   return true;
 }
@@ -140,8 +115,9 @@ bool MidTierAggregator::serve(net::Transport& upstream) {
     ++stats_.worker_failures;
     HierMetrics::get().worker_failures.inc();
   };
-  // Peer p is worker worker_begin_ + p, and the dispatcher sends client c
-  // to peer c % per: since per divides num_workers, that is c's worker.
+  // Peer p is the slice's worker begin + p, and the dispatcher sends client
+  // c to peer c % per (its own one-aggregator topology over the per peers):
+  // since per divides the worker count, that is c's worker.
   fl::TransportDispatcher dispatcher(fleet_.transports(), std::move(dispatch));
   for (;;) {
     net::SubtreeRoundMsg round;
@@ -189,8 +165,8 @@ MidTierAggregator::Next MidTierAggregator::gather(
           const auto outside = std::find_if(
               round.jobs.begin(), round.jobs.end(),
               [&](const net::SubtreeJob& job) {
-                const std::uint32_t w = job.client_id % config_.num_workers;
-                return w < worker_begin_ || w >= worker_end_;
+                return config_.topology.agg_of(job.client_id) !=
+                       config_.agg_id;
               });
           if (outside == round.jobs.end()) return Next::Round;
           HACCS_WARN << "agg " << config_.agg_id << ": round " << round.epoch

@@ -52,17 +52,16 @@
 #include "src/fl/net_driver.hpp"
 #include "src/hier/fleet.hpp"
 #include "src/net/messages.hpp"
+#include "src/net/topology.hpp"
 #include "src/net/transport.hpp"
 
 namespace haccs::hier {
 
 struct MidTierConfig {
+  /// The serving tree's shape; this aggregator fronts its workers
+  /// topology.slice(agg_id).
+  net::Topology topology{1};
   std::uint32_t agg_id = 0;
-  std::uint32_t num_aggs = 1;
-  /// Federation-wide worker count; this aggregator fronts the contiguous
-  /// slice [agg_id * per, (agg_id + 1) * per) with per = num_workers /
-  /// num_aggs (num_aggs must divide num_workers).
-  std::uint32_t num_workers = 1;
   /// Upstream liveness cadence (0 = no heartbeats).
   int heartbeat_interval_ms = 0;
   /// Budget for sending a round's jobs and collecting the updates:
@@ -72,8 +71,8 @@ struct MidTierConfig {
   /// Deadline for each downstream accept and handshake frame at startup
   /// (0 = wait forever).
   int handshake_timeout_ms = 60000;
-  /// Live-status mirror (rows = subtree workers, indexed from 0). May be
-  /// null.
+  /// Live-status mirror (rows = subtree workers, indexed from 0; run()
+  /// throws std::invalid_argument on fewer rows). May be null.
   fl::ServingStatusBoard* status_board = nullptr;
 };
 
@@ -90,10 +89,9 @@ class MidTierAggregator {
  public:
   /// `accept` yields the subtree workers' connections (a TcpListener in
   /// haccs_agg); it is called again between rounds to take reconnects.
+  /// Throws std::invalid_argument for an agg_id outside the topology.
   MidTierAggregator(const MidTierConfig& config, Fleet::Acceptor accept);
 
-  std::uint32_t worker_begin() const { return worker_begin_; }
-  std::uint32_t worker_end() const { return worker_end_; }
   const MidTierStats& stats() const { return stats_; }
 
   /// Runs the aggregator to completion: downstream admission, TopologyHello
@@ -120,8 +118,6 @@ class MidTierAggregator {
   bool send_upstream(net::Transport& upstream, const net::Frame& frame);
 
   MidTierConfig config_;
-  std::uint32_t worker_begin_ = 0;
-  std::uint32_t worker_end_ = 0;
   Fleet fleet_;
   /// The root's wind-down report, kept for the subtree's Shutdown.
   net::EvalReportMsg report_;

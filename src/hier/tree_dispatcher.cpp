@@ -37,8 +37,8 @@ void fail_jobs(const std::vector<std::size_t>& job_indices,
 
 TreeDispatcher::TreeDispatcher(std::vector<net::Transport*> aggs,
                                fl::TransportDispatcherConfig config,
-                               std::size_t num_workers)
-    : core_(std::move(aggs), std::move(config)), num_workers_(num_workers) {
+                               net::Topology topology)
+    : core_(std::move(aggs), std::move(config)), topology_(topology) {
   const fl::TransportDispatcherConfig& c = core_.config();
   const std::pair<bool, const char*> flat_only[] = {
       {c.quorum_fraction < 1.0, "quorum_fraction < 1"},
@@ -51,15 +51,13 @@ TreeDispatcher::TreeDispatcher(std::vector<net::Transport*> aggs,
                                   "honour");
     }
   }
-  if (num_workers_ == 0 || num_workers_ % core_.size() != 0) {
+  if (topology_.aggs() != core_.size()) {
     throw std::invalid_argument(
-        "TreeDispatcher: aggregator count must evenly divide num_workers");
+        "TreeDispatcher: the topology has " +
+        std::to_string(topology_.aggs()) + " aggregators but there are " +
+        std::to_string(core_.size()) + " transports");
   }
   partials_.assign(core_.size(), fl::PartialAggregate{});
-}
-
-std::size_t TreeDispatcher::group_of(std::size_t client_id) const {
-  return (client_id % num_workers_) / (num_workers_ / core_.size());
 }
 
 void TreeDispatcher::fan_out(std::span<const fl::TrainJobSpec> jobs,
@@ -173,7 +171,7 @@ void TreeDispatcher::execute(std::span<const fl::TrainJobSpec> jobs,
 
   std::vector<AggRound> rounds(num_aggs);
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    rounds[group_of(jobs[j].client_id)].job_indices.push_back(j);
+    rounds[topology_.agg_of(jobs[j].client_id)].job_indices.push_back(j);
   }
   fan_out(jobs, global_params, rounds, outcomes);
 

@@ -40,22 +40,23 @@
 #include "src/fl/dispatch.hpp"
 #include "src/fl/net_driver.hpp"
 #include "src/net/messages.hpp"
+#include "src/net/topology.hpp"
 #include "src/net/transport.hpp"
 
 namespace haccs::hier {
 
 class TreeDispatcher final : public fl::RoundDispatcher {
  public:
-  /// `num_workers` is the federation-wide worker count; the aggregator of a
-  /// client is (client_id % num_workers) / (num_workers / aggs.size()), so
-  /// it must be a multiple of the aggregator count. Throws
-  /// std::invalid_argument naming the field for the flat-only settings a
-  /// tree cannot honour: quorum_fraction < 1, a reacquire hook (a dead
-  /// aggregator stays dead), and agg_groups > 0 (the tree's grouping is its
-  /// aggregators). max_update_norm reaches every mid tier's fold.
+  /// `aggs[a]` is aggregator a of `topology`, which routes each client to
+  /// its aggregator. Throws std::invalid_argument when the topology's
+  /// aggregator count is not aggs.size(), and naming the field for the
+  /// flat-only settings a tree cannot honour: quorum_fraction < 1, a
+  /// reacquire hook (a dead aggregator stays dead), and agg_groups > 0 (the
+  /// tree's grouping is its aggregators). max_update_norm reaches every mid
+  /// tier's fold.
   TreeDispatcher(std::vector<net::Transport*> aggs,
                  fl::TransportDispatcherConfig config,
-                 std::size_t num_workers);
+                 net::Topology topology);
 
   void execute(std::span<const fl::TrainJobSpec> jobs,
                const std::vector<float>& global_params,
@@ -78,7 +79,6 @@ class TreeDispatcher final : public fl::RoundDispatcher {
     std::optional<net::SubtreeUpdateMsg> update;
   };
 
-  std::size_t group_of(std::size_t client_id) const;
   /// Sends each aggregator its SubtreeRound; marks the ones that took it as
   /// participating.
   void fan_out(std::span<const fl::TrainJobSpec> jobs,
@@ -93,7 +93,7 @@ class TreeDispatcher final : public fl::RoundDispatcher {
               std::vector<fl::TrainOutcome>& outcomes);
 
   fl::DispatchCore core_;
-  std::size_t num_workers_;
+  net::Topology topology_;
   std::vector<fl::PartialAggregate> partials_;
 };
 

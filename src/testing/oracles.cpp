@@ -899,7 +899,11 @@ void check_chaos_liveness(const ScenarioSpec& spec,
                               spec.workers, copts);
   fl::TransportDispatcherConfig dcfg;
   dcfg.work = fl::local_work_config(engine);
-  dcfg.recv_timeout_ms = 60000;  // whole-round budget: bounds any hang
+  // Whole-round budget: bounds any hang. A lost frame can leave a round
+  // short of quorum while its worker keeps heartbeating, so the round waits
+  // out the whole budget; a fuzz scenario's round trains in well under a
+  // second, so a few seconds, well above the heartbeat deadline, is enough.
+  dcfg.recv_timeout_ms = 5000;
   dcfg.heartbeat_timeout_ms = 2000;
   dcfg.quorum_fraction = 0.5;
   dcfg.quorum_grace_ms = 50;

@@ -7,6 +7,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "src/net/chaos.hpp"
 #include "src/net/loopback.hpp"
 #include "src/net/messages.hpp"
+#include "src/net/topology.hpp"
 #include "src/stats/summary_codec.hpp"
 
 namespace haccs {
@@ -57,7 +59,7 @@ struct LoopbackAcceptor {
 
 hier::FleetConfig flat_config(std::size_t workers, std::size_t clients) {
   hier::FleetConfig config;
-  config.num_workers = workers;
+  config.topology = net::Topology(workers);
   config.num_clients = clients;
   config.io_timeout_ms = 1000;
   return config;
@@ -65,7 +67,8 @@ hier::FleetConfig flat_config(std::size_t workers, std::size_t clients) {
 
 hier::FleetConfig tree_config(std::size_t aggs, std::size_t workers) {
   hier::FleetConfig config = flat_config(workers, 0);
-  config.num_aggs = aggs;
+  config.topology = net::Topology(workers, aggs);
+  config.agg_id = std::nullopt;
   return config;
 }
 

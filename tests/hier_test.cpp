@@ -36,6 +36,7 @@
 #include "src/hier/tree_dispatcher.hpp"
 #include "src/net/loopback.hpp"
 #include "src/net/messages.hpp"
+#include "src/net/topology.hpp"
 #include "src/net/status.hpp"
 #include "src/net/tcp.hpp"
 #include "src/net/wire.hpp"
@@ -263,8 +264,8 @@ struct TreeHarness {
       : fleet_(
             [&] {
               hier::FleetConfig config;
-              config.num_workers = num_workers;
-              config.num_aggs = num_aggs;
+              config.topology = net::Topology(num_workers, num_aggs);
+              config.agg_id = std::nullopt;
               config.num_clients = fed.clients.size();
               config.io_timeout_ms = 30000;
               return config;
@@ -278,9 +279,8 @@ struct TreeHarness {
     const std::size_t per = num_workers / num_aggs;
     for (std::size_t a = 0; a < num_aggs; ++a) {
       hier::MidTierConfig config;
+      config.topology = net::Topology(num_workers, num_aggs);
       config.agg_id = static_cast<std::uint32_t>(a);
-      config.num_aggs = static_cast<std::uint32_t>(num_aggs);
-      config.num_workers = static_cast<std::uint32_t>(num_workers);
       config.round_timeout_ms = 60000;
       listeners_.push_back(std::make_unique<net::TcpListener>(0));
       aggs_.push_back(std::make_unique<hier::MidTierAggregator>(
@@ -381,7 +381,7 @@ RunResult run_tree_or_grouped_flat(
   if (tree) {
     TreeHarness harness(fed, factory, /*num_aggs=*/2, /*num_workers=*/4);
     hier::TreeDispatcher dispatcher(harness.root_transports(), config,
-                                    /*num_workers=*/4);
+                                    net::Topology(4, 2));
     run(dispatcher);
     harness.shutdown_and_join();
     EXPECT_TRUE(harness.agg_ok_[0]);
@@ -502,7 +502,7 @@ TEST(HierTree, DeadAggregatorIsSalvagedNotTorn) {
   fl::TransportDispatcherConfig config;
   config.recv_timeout_ms = 10000;
   hier::TreeDispatcher dispatcher({live.a.get(), dead.a.get()}, config,
-                                  /*num_workers=*/4);
+                                  net::Topology(4, 2));
 
   std::thread agg([&] { emulate_agg_round(*live.b, 0); });
   // Aggregator 1 accepts its round and then dies before its update.
@@ -572,7 +572,7 @@ TEST(HierTree, AggregatorLostMidUpdateIsSalvaged) {
   fl::TransportDispatcherConfig config;
   config.recv_timeout_ms = 10000;
   hier::TreeDispatcher dispatcher({dying_link.a.get(), healthy.a.get()},
-                                  config, /*num_workers=*/4);
+                                  config, net::Topology(4, 2));
 
   std::promise<void> delivered;
   net::SubtreeUpdateMsg sent;
@@ -636,7 +636,7 @@ TEST(HierTree, SilentAggregatorIsDeclaredDeadAndSalvaged) {
   config.recv_timeout_ms = 10000;
   config.heartbeat_timeout_ms = 250;
   hier::TreeDispatcher dispatcher({live.a.get(), silent.a.get()}, config,
-                                  /*num_workers=*/4);
+                                  net::Topology(4, 2));
 
   std::thread agg([&] { emulate_agg_round(*live.b, 0); });
   const auto jobs = two_subtree_jobs();
@@ -718,7 +718,7 @@ TEST(HierTree, LostSubtreeRoundCostsOnlyItsSubtree) {
   fl::TransportDispatcherConfig config;
   config.recv_timeout_ms = kBudgetMs;
   hier::TreeDispatcher dispatcher(harness.root_transports(), config,
-                                  /*num_workers=*/4);
+                                  net::Topology(4, 2));
 
   // Client c lives on worker c, so clients 0 and 1 are aggregator 0's and
   // clients 2 and 3 aggregator 1's.
@@ -783,7 +783,7 @@ TEST(HierTree, TrailerSettlesOnlyItsOwnSubtreeOnce) {
   fl::TransportDispatcherConfig config;
   config.recv_timeout_ms = 10000;
   hier::TreeDispatcher dispatcher({live.a.get(), dead.a.get()}, config,
-                                  /*num_workers=*/4);
+                                  net::Topology(4, 2));
 
   // Aggregator 0's trailer names client 0 again and client 2, which routes
   // to aggregator 1 — and aggregator 1 dies without settling anything.
@@ -827,7 +827,7 @@ void expect_update_refused(
   fl::TransportDispatcherConfig config;
   config.recv_timeout_ms = 10000;
   hier::TreeDispatcher dispatcher({bad.a.get(), good.a.get()}, config,
-                                  /*num_workers=*/4);
+                                  net::Topology(4, 2));
   std::thread bad_agg([&] { emulate_agg_round(*bad.b, 0, tamper); });
   std::thread good_agg([&] { emulate_agg_round(*good.b, 1); });
 
@@ -897,7 +897,7 @@ TEST(HierTree, UnsupportedConfigFieldIsRejectedByName) {
     fl::TransportDispatcherConfig config;
     set(config);
     try {
-      hier::TreeDispatcher dispatcher(aggs, config, /*num_workers=*/4);
+      hier::TreeDispatcher dispatcher(aggs, config, net::Topology(4, 2));
       ADD_FAILURE() << field << " was accepted";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
@@ -906,7 +906,8 @@ TEST(HierTree, UnsupportedConfigFieldIsRejectedByName) {
   }
   // The defaults are all honoured.
   EXPECT_NO_THROW(
-      hier::TreeDispatcher(aggs, fl::TransportDispatcherConfig{}, 4));
+      hier::TreeDispatcher(aggs, fl::TransportDispatcherConfig{},
+                           net::Topology(4, 2)));
 }
 
 // ---------------------------------------------------------------------------

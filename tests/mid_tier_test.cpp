@@ -94,8 +94,7 @@ class MidTierRig {
   explicit MidTierRig(int round_timeout_ms, int heartbeat_interval_ms = 0)
       : fed_(make_fed()), listener_(0) {
     hier::MidTierConfig config;
-    config.num_aggs = 1;
-    config.num_workers = 2;
+    config.topology = net::Topology(2);
     config.round_timeout_ms = round_timeout_ms;
     config.heartbeat_interval_ms = heartbeat_interval_ms;
     config.handshake_timeout_ms = kWaitMs;

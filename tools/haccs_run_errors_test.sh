@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# Bad inputs to haccs_run, haccs_server or haccs_fuzz fail cleanly: one
-# "<binary>: ..." line naming the problem and the binary's usage-error exit
-# code (1; 2 for haccs_fuzz), never an abort, and before any data is
-# generated or any port is opened. The binary's file name picks the cases,
-# the expected prefix and the expected exit code.
+# Bad inputs to haccs_run, haccs_server, haccs_agg, haccs_worker or
+# haccs_fuzz fail cleanly: one "<binary>: ..." line naming the problem and
+# the binary's usage-error exit code (1; 2 for haccs_fuzz), never an abort,
+# and before any data is generated, any port is opened or any connection is
+# made. The binary's file name picks the cases, the expected prefix and the
+# expected exit code. The serving binaries' shape refusals all come from
+# net::Topology (src/net/topology.hpp).
 #
-# Usage: tools/haccs_run_errors_test.sh <path-to-haccs_run|haccs_server|haccs_fuzz>
+# Usage: tools/haccs_run_errors_test.sh <path-to-haccs_run|haccs_server|
+#        haccs_agg|haccs_worker|haccs_fuzz>
 set -uo pipefail
 
 run="$1"
@@ -75,6 +78,38 @@ case "$name" in
     expect_error "--live-recluster requires --strategy=haccs-py, got --strategy=random" \
       --port=0 --live-recluster --strategy=random
     expect_error "--rho expects a finite number, got 'nan'" --port=0 --rho=nan
+    expect_error "serving topology: workers = 0" --port=0 --workers=0
+    expect_error "serving topology: aggs = 2 does not divide workers = 3" \
+      --port=0 --workers=3 --aggs=2
+    expect_error "serving topology: aggs = 3 does not divide workers = 4" \
+      --port=0 --workers=4 --agg-groups=3
+    expect_error "--quorum is not supported in tree mode" \
+      --port=0 --workers=2 --aggs=2 --quorum=0.5
+    ;;
+  haccs_agg)
+    # --listen-port=0 and a port file nobody writes: a refusal that came too
+    # late would still neither collide nor connect anywhere.
+    # --workers defaults to 1, which two aggregators cannot split.
+    expect_error "serving topology: aggs = 2 does not divide workers = 1" \
+      --listen-port=0 --port-file=/nonexistent --agg-id=2 --aggs=2
+    expect_error "serving topology: aggregator id 2 out of range [0, 2)" \
+      --listen-port=0 --port-file=/nonexistent --agg-id=2 --aggs=2 --workers=4
+    # 2^32 would wrap to aggregator 0 in a 32-bit id.
+    expect_error "serving topology: aggregator id 4294967296 out of range [0, 2)" \
+      --listen-port=0 --port-file=/nonexistent --agg-id=4294967296 --aggs=2 \
+      --workers=4
+    expect_error "serving topology: aggs = 3 does not divide workers = 4" \
+      --listen-port=0 --port-file=/nonexistent --aggs=3 --workers=4
+    expect_error "serving topology: workers = 0" \
+      --listen-port=0 --port-file=/nonexistent --workers=0
+    ;;
+  haccs_worker)
+    expect_error "serving topology: worker id 4 out of range [0, 4)" \
+      --port-file=/nonexistent --worker-id=4 --workers=4
+    expect_error "serving topology: worker id 4294967296 out of range [0, 4)" \
+      --port-file=/nonexistent --worker-id=4294967296 --workers=4
+    expect_error "serving topology: workers = 0" \
+      --port-file=/nonexistent --workers=0
     ;;
   haccs_fuzz)
     expect_error "spec key clients expects an integer, got '10x'" \
