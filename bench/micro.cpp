@@ -1,10 +1,10 @@
 // Substrate micro-benchmarks (google-benchmark): the kernels every
 // experiment leans on — the GEMM family (optimized and reference), both
 // convolution directions, full train steps, one whole local training job,
-// evaluation throughput, FedAvg accumulation, Hellinger distances, the
-// population-scale summary pipeline and re-cluster, the Laplace mechanism,
-// OPTICS, and device-profile sampling. Benches that run on the thread pool
-// time real (wall) time.
+// evaluation throughput, FedAvg accumulation and the engine's settle fold,
+// Hellinger distances, the population-scale summary pipeline and
+// re-cluster, the Laplace mechanism, OPTICS, and device-profile sampling.
+// Benches that run on the thread pool time real (wall) time.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -279,6 +279,36 @@ void BM_FedAvgAccumulate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * clients * params);
 }
 BENCHMARK(BM_FedAvgAccumulate)->Arg(16384)->Arg(262144)->UseRealTime();
+
+void BM_EngineSettle(benchmark::State& state) {
+  // The engine's settle fold at paper-femnist's shape: 10 raw updates of
+  // 50,890 parameters validated (no norm bound) and summed on the thread
+  // pool, each left as its delta for report_update, into a sum that lives
+  // across rounds. The deltas drift from round to round; the work does not.
+  const std::size_t params = 50890;
+  const std::size_t clients = 10;
+  Rng rng(12);
+  std::vector<float> global(params);
+  for (auto& v : global) v = static_cast<float>(rng.normal());
+  std::vector<std::vector<float>> updates(clients,
+                                          std::vector<float>(params));
+  for (auto& u : updates) {
+    for (auto& v : u) v = static_cast<float>(rng.normal());
+  }
+  std::vector<fl::FoldSlot> slots(clients);
+  fl::PartialAggregate folded;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < clients; ++i) {
+      slots[i] = {updates[i], static_cast<double>(60 + i), 0};
+    }
+    fl::fold_updates(slots, global, std::span(&folded, 1), 0.0,
+                     /*leave_deltas=*/true);
+    benchmark::DoNotOptimize(folded.sum.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * clients * params);
+}
+BENCHMARK(BM_EngineSettle)->UseRealTime();
 
 void BM_Hellinger(benchmark::State& state) {
   const auto bins = static_cast<std::size_t>(state.range(0));

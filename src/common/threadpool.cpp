@@ -137,4 +137,13 @@ void parallel_for(std::size_t begin, std::size_t end,
   parallel_for(ThreadPool::global(), begin, end, fn);
 }
 
+void parallel_for_ranges(
+    std::size_t n, std::size_t grain,
+    const std::function<void(std::size_t, std::size_t)>& fn) {
+  parallel_for(0, (n + grain - 1) / grain, [&](std::size_t r) {
+    const std::size_t lo = r * grain;
+    fn(lo, std::min(n, lo + grain));
+  });
+}
+
 }  // namespace haccs

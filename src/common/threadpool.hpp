@@ -60,4 +60,12 @@ void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& fn);
 
+/// Cuts [0, n) into ranges of `grain` indices (the last one shorter) and
+/// runs fn(lo, hi) for each on the global pool, as parallel_for runs
+/// indices. For elementwise loops over long vectors: each range is one
+/// cache-sized block of work.
+void parallel_for_ranges(
+    std::size_t n, std::size_t grain,
+    const std::function<void(std::size_t, std::size_t)>& fn);
+
 }  // namespace haccs

@@ -94,6 +94,10 @@ TrainingHistory AsyncFederatedTrainer::run(ClientSelector& selector,
   LocalWorkConfig work;
   work.local = config_.local;
   std::vector<float> no_residual;
+  // One model and one parameter buffer serve every local job: each job
+  // loads the global parameters into the model first.
+  nn::Sequential local_model = prototype_.clone();
+  std::vector<float> updated;
   // Wall time spent in local training since the last aggregation, for that
   // aggregation's phase breakdown.
   double train_wall_ms = 0.0;
@@ -133,14 +137,13 @@ TrainingHistory AsyncFederatedTrainer::run(ClientSelector& selector,
     } else {
       // Train now (simulation: result materializes at completion time).
       obs::StopWatch train_clock;
-      nn::Sequential local_model = prototype_.clone();
-      const TrainOutcome out =
-          run_local_job(job, dataset_.clients[id].train, local_model,
-                        global_params, work, no_residual);
+      event.loss = run_local_job(job, dataset_.clients[id].train,
+                                 local_model, global_params, work,
+                                 no_residual, updated)
+                       .average_loss;
       train_wall_ms += train_clock.lap_ms();
-      event.loss = out.result.average_loss;
-      event.delta.resize(out.updated.size());
-      vec::diff(event.delta, out.updated, global_params);
+      event.delta.resize(updated.size());
+      vec::diff(event.delta, updated, global_params);
       fault_model_.corrupt(fault, event.delta);
     }
     const double jitter =

@@ -92,7 +92,7 @@ class AsyncFederatedTrainer {
  private:
   const data::FederatedDataset& dataset_;
   /// Built once from the model factory: the initial global model, and the
-  /// model each local job trains a copy of.
+  /// model a run's one training copy is cloned from.
   const nn::Sequential prototype_;
   AsyncEngineConfig config_;
   Population population_;

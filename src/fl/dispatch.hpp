@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -53,51 +54,79 @@ struct TrainOutcome {
   /// engine refuses simulated corruption on such a dispatcher.
   bool pre_aggregated = false;
   /// Updated parameters (post-compression reconstruction), same length as
-  /// the global vector. Empty when pre_aggregated.
+  /// the global vector. Empty when pre_aggregated. The engine keeps its
+  /// outcomes across rounds, so a dispatcher that writes in place (as the
+  /// in-process one does) reuses this storage every round.
   std::vector<float> updated;
   /// FedAvg weight from the wire (sample count). Transport dispatchers fill
   /// it for the grouped fold; the engine keeps pricing weights from its own
   /// dataset, so the two are cross-checked, never mixed.
   double weight = 0.0;
   LocalTrainResult result;
+
+  /// Back to a fresh outcome, keeping `updated`'s storage.
+  void reset();
 };
 
 /// One group's weighted running sum — the unit hierarchical FedAvg ships
 /// upstream (DESIGN.md §5j). `sum` is Σ weight_i · updated_i accumulated in
-/// f64 with vec::accumulate_scaled, i.e. the engine's own FedAvg loop
-/// restricted to the group's slots in slot order. Weights are integer
-/// sample counts, so `weight` is exact in f64 and the total is independent
-/// of how clients were grouped.
+/// f64, i.e. the engine's own FedAvg loop restricted to the group's slots
+/// in slot order; it is empty when the group folded nothing. Weights are
+/// integer sample counts, so `weight` is exact in f64 and the total is
+/// independent of how clients were grouped.
 struct PartialAggregate {
   std::vector<double> sum;
   double weight = 0.0;
   std::size_t updates = 0;
 };
 
-/// The FedAvg fold, the one both engines' flat rounds, the grouped flat
-/// root and the mid tier all run: delta = updated - global → validation
-/// (`update_is_valid(max_update_norm)`) → agg.sum += weight · updated, in
-/// f64. `delta` receives the parameter delta either way, for the selector's
-/// report_update. Returns false when the delta fails validation — the
-/// caller books that as a rejected (CorruptUpdate) update. `agg.sum` is
-/// lazily sized on first fold.
-bool fold_into_partial(PartialAggregate& agg, std::span<const float> updated,
-                       std::span<const float> global_params, double weight,
-                       double max_update_norm, std::vector<float>& delta);
+/// One slot's input to fold_updates, and its verdict.
+struct FoldSlot {
+  std::span<float> updated;        ///< empty = nothing to fold
+  double weight = 0.0;
+  std::size_t group = 0;           ///< index into the partials
+  bool accepted = false;           ///< out: validated and folded
+};
+
+/// The FedAvg fold, the one the engine's flat rounds, the grouped flat root
+/// and the mid tier all run. Each non-empty slot is validated as
+/// `update_is_valid(updated - global_params, max_update_norm)`; the
+/// accepted ones are summed, partials[group].sum = Σ weight · updated in
+/// f64. Every partial is rebuilt from this call's slots alone, its `sum`
+/// storage reused (so a caller that keeps its partials across rounds never
+/// reallocates them), and a group that accepts nothing ends with an empty
+/// sum. With `leave_deltas`, each accepted slot's `updated` is overwritten
+/// by its delta, updated - global_params (the float subtraction of
+/// vec::diff), while it is in cache for the sum.
+///
+/// Two passes on the thread pool: validation in parallel over slots (the
+/// delta is computed on the fly, never stored), then the sums in parallel
+/// over parameter ranges. Each element adds its group's accepted slots in
+/// slot order, so the result does not depend on the pool's width and is
+/// bit-identical to a serial slot-by-slot fold.
+void fold_updates(std::span<FoldSlot> slots,
+                  std::span<const float> global_params,
+                  std::span<PartialAggregate> partials,
+                  double max_update_norm, bool leave_deltas = false);
 
 /// The grouped post-collection fold (§5j), shared by the flat root's
-/// agg_groups mode and the mid tier: walks `jobs` in order (slot order, the
-/// fold order both tiers pin) and folds each delivered update into
-/// partials[group_of(client_id)] with fold_into_partial. A validation
-/// reject becomes an undelivered CorruptUpdate outcome, the engine's own
-/// accounting for it; a folded outcome becomes pre_aggregated. Either way
-/// the outcome's update is released.
+/// agg_groups mode and the mid tier: folds each delivered update of `jobs`
+/// into partials[group_of(client_id)] with fold_updates (slot order, the
+/// fold order both tiers pin). A validation reject becomes an undelivered
+/// CorruptUpdate outcome, the engine's own accounting for it; a folded
+/// outcome becomes pre_aggregated. Either way the outcome's `updated` is
+/// emptied.
 void fold_groups(std::span<const TrainJobSpec> jobs,
                  std::span<const float> global_params,
                  std::span<TrainOutcome> outcomes,
                  std::span<PartialAggregate> partials,
                  const std::function<std::size_t(std::size_t)>& group_of,
                  double max_update_norm);
+
+/// Parameters per range when a round's sums are built or divided in
+/// parallel: one range of a group's f64 sum (32 KiB) stays in cache while
+/// every accepted slot streams in.
+inline constexpr std::size_t kFoldRange = 4096;
 
 /// Executes one round's jobs. `outcomes` is pre-sized to the round's
 /// dispatch count; implementations fill outcomes[job.slot] for every job
@@ -133,8 +162,10 @@ struct LocalWorkConfig {
 /// Trains every job on the calling process's thread pool — the simulation's
 /// classic path. Holds the per-client error-feedback residuals for update
 /// compression (one instance per training run, like the engine's old
-/// residual table), and one model from `model_factory` that each job
-/// trains a copy of.
+/// residual table), one model from `model_factory`, and a free list of its
+/// clones: a job takes a clone (cloning anew only when the list is empty),
+/// trains it from the global parameters and returns it, so the models'
+/// buffers live across jobs and rounds.
 class InProcessDispatcher final : public RoundDispatcher {
  public:
   InProcessDispatcher(const data::FederatedDataset& dataset,
@@ -146,24 +177,32 @@ class InProcessDispatcher final : public RoundDispatcher {
                std::vector<TrainOutcome>& outcomes) override;
 
  private:
+  /// An idle clone from the free list, or a fresh one when it is empty.
+  nn::Sequential take_model();
+
   const data::FederatedDataset& dataset_;
   const nn::Sequential prototype_;
   LocalWorkConfig config_;
   std::vector<std::vector<float>> residuals_;
+  std::mutex models_mutex_;
+  std::vector<nn::Sequential> idle_models_;  ///< clones between jobs
 };
 
 /// Shared by both dispatchers and the remote worker: run one job's local
-/// training + compression against `global_params` and return the updated
-/// parameter vector (post-compression reconstruction) plus train stats.
+/// training + compression against `global_params`, write the updated
+/// parameter vector (post-compression reconstruction) into `updated`,
+/// reusing its storage, and return the train stats. `model` is overwritten
+/// with `global_params` first, so any model of the right shape will do.
 /// `residual` is the client's error-feedback buffer. When `compressed_out`
 /// is non-null and compression is on, it receives the wire-form compressed
 /// update (what a remote worker serializes).
-TrainOutcome run_local_job(const TrainJobSpec& job,
-                           const data::Dataset& train_data,
-                           nn::Sequential& model,
-                           const std::vector<float>& global_params,
-                           const LocalWorkConfig& config,
-                           std::vector<float>& residual,
-                           CompressedUpdate* compressed_out = nullptr);
+LocalTrainResult run_local_job(const TrainJobSpec& job,
+                               const data::Dataset& train_data,
+                               nn::Sequential& model,
+                               const std::vector<float>& global_params,
+                               const LocalWorkConfig& config,
+                               std::vector<float>& residual,
+                               std::vector<float>& updated,
+                               CompressedUpdate* compressed_out = nullptr);
 
 }  // namespace haccs::fl

@@ -1,12 +1,15 @@
 #include "src/fl/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <unordered_set>
 
 #include "src/common/error.hpp"
 #include "src/common/logging.hpp"
+#include "src/common/threadpool.hpp"
 #include "src/fl/protocol.hpp"
 #include "src/obs/events.hpp"
 #include "src/obs/flight.hpp"
@@ -310,6 +313,16 @@ TrainingHistory FederatedTrainer::run(ClientSelector& selector,
     return state;
   };
 
+  // Model-sized round buffers, owned here so they outlive every round:
+  // resized each round, they allocate only while the first rounds size
+  // them. Each slot's outcome keeps its `updated` vector (the in-process
+  // dispatcher trains into it, and the fold leaves the delta there), the
+  // fold keeps its f64 sum, and `delta` is the corruption scratch.
+  std::vector<TrainOutcome> outcomes;
+  std::vector<FoldSlot> fold_slots;
+  PartialAggregate folded;
+  std::vector<float> delta;
+
   for (std::size_t epoch = start_epoch; epoch < config_.rounds; ++epoch) {
     if (config_.stop_requested && config_.stop_requested()) {
       HACCS_INFO << "engine: stop requested, draining after epoch " << epoch;
@@ -325,6 +338,7 @@ TrainingHistory FederatedTrainer::run(ClientSelector& selector,
     }
     obs::StopWatch phase_clock;   // lap per phase -> RoundRecord::phase
     obs::StopWatch round_clock;   // whole-round wall time
+    obs::FaultMeter round_faults;  // the round's minor page faults
     PhaseTimings phase;
 
     if (config_.on_epoch_begin) config_.on_epoch_begin(epoch);
@@ -400,7 +414,8 @@ TrainingHistory FederatedTrainer::run(ClientSelector& selector,
       // job (its fork is still consumed, keeping the streams aligned across
       // fault configurations). The rest go to the dispatcher — thread pool,
       // loopback workers, or TCP peers, all computing the same update.
-      std::vector<TrainOutcome> outcomes(n_dispatched);
+      outcomes.resize(n_dispatched);
+      for (TrainOutcome& outcome : outcomes) outcome.reset();
       std::vector<TrainJobSpec> jobs;
       jobs.reserve(n_dispatched);
       for (std::size_t i = 0; i < n_dispatched; ++i) {
@@ -430,41 +445,48 @@ TrainingHistory FederatedTrainer::run(ClientSelector& selector,
       dispatcher->execute(jobs, global_params, outcomes);
       phase.train_ms = phase_clock.lap_ms();
 
-      // Settle every slot in dispatch order, so the global model and the
-      // selector's report sequence are independent of worker timing. A raw
-      // update folds into `folded` (a pre-aggregating dispatcher already
-      // folded its own with the same function); whatever failed — simulated,
-      // on the wire, or in validation — is booked by one failure path.
+      // Settle the round. Simulated wire corruption first, serially in
+      // slot order; then every raw update is validated and folded into
+      // `folded` on the thread pool (a pre-aggregating dispatcher already
+      // folded its own with the same function); then every slot is booked
+      // in dispatch order, so the global model and the selector's report
+      // sequence are independent of worker timing. Whatever failed —
+      // simulated, on the wire, or in validation — is booked by one
+      // failure path.
       obs::Span aggregate_span("aggregate", "fl");
-      PartialAggregate folded;
-      std::vector<float> delta;
+      fold_slots.assign(n_dispatched, FoldSlot{});
+      for (std::size_t i = 0; i < n_dispatched; ++i) {
+        TrainOutcome& outcome = outcomes[i];
+        if (!outcome.delivered || outcome.pre_aggregated) continue;
+        std::vector<float>& updated = outcome.updated;
+        if (faults[i].kind == sim::FaultKind::Corruption) {
+          // Wire-level corruption: mangle the delta the server receives
+          // (client-side state, e.g. compression residuals, stays clean).
+          delta.resize(updated.size());
+          vec::diff(delta, updated, global_params);
+          fault_model_.corrupt(faults[i], delta);
+          for (std::size_t p = 0; p < updated.size(); ++p) {
+            updated[p] = global_params[p] + delta[p];
+          }
+        }
+        fold_slots[i].updated = updated;
+        fold_slots[i].weight =
+            static_cast<double>(dataset_.clients[dispatched[i]].train.size());
+      }
+      // Each accepted update is left as its delta, for report_update.
+      fold_updates(fold_slots, global_params, std::span(&folded, 1),
+                   config_.max_update_norm, /*leave_deltas=*/true);
       double total_weight = 0.0;
       std::size_t arrived_updates = 0;  // frames received (incl. corrupt)
       for (std::size_t i = 0; i < n_dispatched; ++i) {
         const std::size_t id = dispatched[i];
         TrainOutcome& outcome = outcomes[i];
-        const auto weight =
-            static_cast<double>(dataset_.clients[id].train.size());
         const bool raw = outcome.delivered && !outcome.pre_aggregated;
-        if (raw) {
-          std::vector<float>& updated = outcome.updated;
-          if (faults[i].kind == sim::FaultKind::Corruption) {
-            // Wire-level corruption: mangle the delta the server receives
-            // (client-side state, e.g. compression residuals, stays clean).
-            std::vector<float> corrupted(updated.size());
-            vec::diff(corrupted, updated, global_params);
-            fault_model_.corrupt(faults[i], corrupted);
-            for (std::size_t p = 0; p < updated.size(); ++p) {
-              updated[p] = global_params[p] + corrupted[p];
-            }
-          }
-          if (!fold_into_partial(folded, updated, global_params, weight,
-                                 config_.max_update_norm, delta)) {
-            HACCS_DEBUG << selector.name() << " epoch " << epoch
-                        << " rejected invalid update from client " << id;
-            outcome.delivered = false;
-            outcome.failure = FailureKind::CorruptUpdate;
-          }
+        if (raw && !fold_slots[i].accepted) {
+          HACCS_DEBUG << selector.name() << " epoch " << epoch
+                      << " rejected invalid update from client " << id;
+          outcome.delivered = false;
+          outcome.failure = FailureKind::CorruptUpdate;
         }
         // A frame arrived (it counts as uplink) unless the client crashed
         // or was given up on; a corrupt frame arrived but its payload died.
@@ -483,29 +505,28 @@ TrainingHistory FederatedTrainer::run(ClientSelector& selector,
           continue;
         }
         observed_times.push_back(eff_latency[i]);
-        total_weight += weight;
+        total_weight += static_cast<double>(dataset_.clients[id].train.size());
         view[id].last_loss = outcome.result.average_loss;
         breakers[id].record_success();
         selector.report_result(id, outcome.result.average_loss, epoch);
-        if (raw) selector.report_update(id, delta, epoch);
+        if (raw) selector.report_update(id, outcome.updated, epoch);  // delta
         record.selected.push_back(id);
       }
       std::vector<double>& accumulated = folded.sum;
       double folded_weight = folded.weight;
-      if (const std::vector<PartialAggregate>* parts = dispatcher->partials()) {
-        // Grouped / hierarchical aggregation: merge the per-group partial
-        // sums into the accumulator in group order. Per element this is the
-        // identical f64 add sequence no matter which tier performed the
-        // group folds, so tree and flat grouped runs converge bitwise.
+      const std::vector<PartialAggregate>* parts = dispatcher->partials();
+      if (parts != nullptr) {
+        // Grouped / hierarchical aggregation: the per-group partial sums
+        // merge into the accumulator in group order, below. Per element
+        // this is the identical f64 add sequence no matter which tier
+        // performed the group folds, so tree and flat grouped runs
+        // converge bitwise. (The zero fill reuses the sum's storage.)
         if (accumulated.empty()) accumulated.assign(global_params.size(), 0.0);
         for (const PartialAggregate& part : *parts) {
           folded_weight += part.weight;
-          if (part.sum.empty()) continue;
-          HACCS_CHECK_MSG(part.sum.size() == accumulated.size(),
-                          "partial aggregate has wrong parameter count");
-          for (std::size_t p = 0; p < accumulated.size(); ++p) {
-            accumulated[p] += part.sum[p];
-          }
+          HACCS_CHECK_MSG(
+              part.sum.empty() || part.sum.size() == accumulated.size(),
+              "partial aggregate has wrong parameter count");
         }
       }
       // Integer sample-count weights sum exactly in f64, so any mismatch
@@ -513,9 +534,23 @@ TrainingHistory FederatedTrainer::run(ClientSelector& selector,
       HACCS_CHECK_MSG(folded_weight == total_weight,
                       "folded weights disagree with the engine");
       if (total_weight > 0.0) {
-        for (std::size_t p = 0; p < global_params.size(); ++p) {
-          global_params[p] = static_cast<float>(accumulated[p] / total_weight);
-        }
+        const std::span<const PartialAggregate> merged =
+            parts ? std::span<const PartialAggregate>(*parts)
+                  : std::span<const PartialAggregate>();
+        parallel_for_ranges(
+            global_params.size(), kFoldRange,
+            [&](std::size_t lo, std::size_t hi) {
+              for (const PartialAggregate& part : merged) {
+                if (part.sum.empty()) continue;
+                for (std::size_t p = lo; p < hi; ++p) {
+                  accumulated[p] += part.sum[p];
+                }
+              }
+              for (std::size_t p = lo; p < hi; ++p) {
+                global_params[p] =
+                    static_cast<float>(accumulated[p] / total_weight);
+              }
+            });
       }
       phase.aggregate_ms = phase_clock.lap_ms();
       // Round byte accounting: priced from the codecs' exact frame sizes
@@ -551,8 +586,10 @@ TrainingHistory FederatedTrainer::run(ClientSelector& selector,
     }
     record.global_accuracy = last_accuracy;
     record.global_loss = last_loss;
+    phase.minor_faults = round_faults.lap();
     record.phase = phase;
     metrics.rounds.inc();
+    metrics.minor_faults.inc(phase.minor_faults);
     metrics.round_ms.observe(round_clock.lap_ms());
     if (obs::events_enabled() || obs::FlightRecorder::global().enabled()) {
       // One render feeds both sinks; either probe alone still costs one
@@ -580,14 +617,50 @@ LocalWorkConfig local_work_config(const EngineConfig& config) {
   return work;
 }
 
-bool update_is_valid(std::span<const float> delta, double max_norm) {
+namespace {
+/// The validity decision over the n values elem(0), ..., elem(n-1).
+template <typename Elem>
+bool values_are_valid(std::size_t n, Elem elem, double max_norm) {
+  if (max_norm <= 0.0) {
+    // Without a bound the decision is "every value is finite", tested
+    // branch-free so it vectorises. That is exactly what the bounded path
+    // below decides at max_norm = 0: the square of a finite float is exact
+    // in double and at most FLT_MAX² ≈ 1.2e77, so a sum of fewer than 1e231
+    // such squares stays below DBL_MAX ≈ 1.8e308, and its isfinite test
+    // can never fail.
+    std::uint32_t non_finite = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto bits = std::bit_cast<std::uint32_t>(elem(i));
+      non_finite |= static_cast<std::uint32_t>((bits & 0x7f800000u) ==
+                                               0x7f800000u);
+    }
+    return non_finite == 0;
+  }
   double norm_sq = 0.0;
-  for (float v : delta) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const float v = elem(i);
     if (!std::isfinite(v)) return false;
     norm_sq += static_cast<double>(v) * static_cast<double>(v);
   }
-  if (!std::isfinite(norm_sq)) return false;
-  return max_norm <= 0.0 || norm_sq <= max_norm * max_norm;
+  return std::isfinite(norm_sq) && norm_sq <= max_norm * max_norm;
+}
+}  // namespace
+
+bool update_is_valid(std::span<const float> delta, double max_norm) {
+  const float* d = delta.data();
+  return values_are_valid(
+      delta.size(), [d](std::size_t i) { return d[i]; }, max_norm);
+}
+
+bool update_is_valid(std::span<const float> updated,
+                     std::span<const float> global_params, double max_norm) {
+  HACCS_CHECK_MSG(updated.size() == global_params.size(),
+                  "update_is_valid: update and global sizes differ");
+  const float* __restrict u = updated.data();
+  const float* __restrict g = global_params.data();
+  return values_are_valid(
+      updated.size(), [u, g](std::size_t i) { return u[i] - g[i]; },
+      max_norm);
 }
 
 }  // namespace haccs::fl

@@ -182,6 +182,10 @@ struct EngineMetrics {
       obs::Registry::global().counter("evaluations_total");
   obs::Histogram& round_ms =
       obs::Registry::global().histogram("round_wall_ms");
+  /// Minor page faults taken during rounds (PhaseTimings::minor_faults);
+  /// stays 0 while timing is off.
+  obs::Counter& minor_faults =
+      obs::Registry::global().counter("round_minor_faults_total");
 
   static EngineMetrics& get();
 };
@@ -264,9 +268,14 @@ class FederatedTrainer {
 LocalWorkConfig local_work_config(const EngineConfig& config);
 
 /// Server-side update validation: true when every element of `delta` is
-/// finite and (when max_norm > 0) its L2 norm is within max_norm. Both
-/// engines call this before aggregation so a corrupted or diverged client
-/// cannot poison the global model.
+/// finite and (when max_norm > 0) its L2 norm, one serial f64 sum, is
+/// within max_norm. Both engines call this before aggregation so a
+/// corrupted or diverged client cannot poison the global model.
 bool update_is_valid(std::span<const float> delta, double max_norm);
+
+/// The same decision on the delta `updated - global_params`, computed
+/// element by element as vec::diff would and never stored.
+bool update_is_valid(std::span<const float> updated,
+                     std::span<const float> global_params, double max_norm);
 
 }  // namespace haccs::fl

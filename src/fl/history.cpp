@@ -113,7 +113,8 @@ std::string round_event_json(const char* engine, const RoundRecord& r) {
       .field_raw("crashed", obs::json_array(r.crashed))
       .field_raw("late", obs::json_array(r.late))
       .field_raw("rejected", obs::json_array(r.rejected))
-      .field_raw("phase_wall_ms", phases.str());
+      .field_raw("phase_wall_ms", phases.str())
+      .field("minor_faults", r.phase.minor_faults);
   return event.str();
 }
 

@@ -8,21 +8,25 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
 namespace haccs::fl {
 
-/// Wall-clock phase breakdown of one round, milliseconds. All zeros unless
-/// telemetry is enabled (obs::timing_enabled()) — the engines skip the
-/// clock reads entirely on untraced runs.
+/// Wall-clock phase breakdown of one round, milliseconds, and its page
+/// faults. All zeros unless telemetry is enabled (obs::timing_enabled()) —
+/// the engines skip the clock reads entirely on untraced runs.
 struct PhaseTimings {
   double selection_ms = 0.0;  ///< selector.select + invariant checks
   double dispatch_ms = 0.0;   ///< fault trace + deadline computation
   double train_ms = 0.0;      ///< local training, wall (all clients)
   double aggregate_ms = 0.0;  ///< validation + FedAvg accumulation
   double evaluate_ms = 0.0;   ///< global evaluation (0 on non-eval rounds)
+  /// Minor page faults the whole process took during the round (getrusage
+  /// delta, every thread): how often round buffers were freshly mapped.
+  std::uint64_t minor_faults = 0;
 };
 
 struct RoundRecord {

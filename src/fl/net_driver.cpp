@@ -314,18 +314,16 @@ bool UpdateLedger::settle(std::size_t w, const net::Frame& frame,
   // Payload semantics (messages.hpp): Dense carries the updated parameters
   // themselves; compressed kinds carry the delta, reconstructed with the
   // same arithmetic the in-process path uses — bit-identical either way.
-  std::vector<float> updated;
   if (msg.update.kind == net::UpdateKind::Dense) {
-    updated = std::move(msg.update.dense);
+    out.updated = std::move(msg.update.dense);
   } else {
     const auto dense = msg.update.to_dense();
-    updated.resize(dense.size());
+    out.updated.resize(dense.size());
     for (std::size_t p = 0; p < dense.size(); ++p) {
-      updated[p] = global_params[p] + dense[p];
+      out.updated[p] = global_params[p] + dense[p];
     }
   }
   out.delivered = true;
-  out.updated = std::move(updated);
   out.weight = static_cast<double>(msg.sample_count);
   out.result.average_loss = msg.average_loss;
   out.result.final_loss = msg.final_loss;
@@ -453,7 +451,7 @@ void TransportDispatcher::dispatch(
     // Jobs are in slot order, so each group folds its slots in the order
     // the mid tier does (hier/mid_tier.hpp) — the bit-identity invariant.
     // Group of a client = its aggregator under the same topology.
-    partials_.assign(config.agg_groups, PartialAggregate{});
+    partials_.resize(config.agg_groups);  // keeps each group's sum storage
     fold_groups(
         jobs, global_params, outcomes, partials_,
         [&](std::size_t client) { return topology_.agg_of(client); },
@@ -500,7 +498,7 @@ WorkerLoop::WorkerLoop(const data::FederatedDataset& dataset,
                        std::function<nn::Sequential()> model_factory,
                        WorkerLoopConfig config)
     : dataset_(dataset),
-      prototype_(model_factory()),
+      model_(model_factory()),
       config_(config),
       residuals_(dataset.clients.size()) {}
 
@@ -521,11 +519,12 @@ void WorkerLoop::handle_train_job(net::Transport& transport,
   const bool traced = msg.trace.valid();
   const std::uint64_t train_begin_ns = traced ? obs::now_ns() : 0;
 
-  nn::Sequential model = prototype_.clone();
   CompressedUpdate compressed;
-  TrainOutcome outcome =
-      run_local_job(order.job, dataset_.clients[msg.client_id].train, model,
-                    msg.params, work, residuals_[msg.client_id], &compressed);
+  std::vector<float> updated;
+  const LocalTrainResult result =
+      run_local_job(order.job, dataset_.clients[msg.client_id].train, model_,
+                    msg.params, work, residuals_[msg.client_id], updated,
+                    &compressed);
 
   if (traced) {
     obs::TraceEvent span;
@@ -546,15 +545,15 @@ void WorkerLoop::handle_train_job(net::Transport& transport,
   reply.trace = msg.trace;
   reply.epoch = msg.epoch;
   reply.client_id = msg.client_id;
-  reply.average_loss = outcome.result.average_loss;
-  reply.final_loss = outcome.result.final_loss;
-  reply.batches = outcome.result.batches;
+  reply.average_loss = result.average_loss;
+  reply.final_loss = result.final_loss;
+  reply.batches = result.batches;
   reply.sample_count = dataset_.clients[msg.client_id].train.size();
-  const std::size_t n = outcome.updated.size();
+  const std::size_t n = updated.size();
   if (work.compression.kind == CompressionKind::None) {
     // Dense uplink ships the updated parameters themselves (messages.hpp).
     CompressedUpdate dense;
-    dense.dense = std::move(outcome.updated);
+    dense.dense = std::move(updated);
     reply.update = make_update_payload(dense, n, work.compression);
   } else {
     reply.update = make_update_payload(compressed, n, work.compression);

@@ -375,8 +375,9 @@ class WorkerLoop {
   void ship_trace_shard(net::Transport& transport);
 
   const data::FederatedDataset& dataset_;
-  /// Built once from the model factory; each job trains a copy.
-  const nn::Sequential prototype_;
+  /// Built once from the model factory; every job trains it afresh from
+  /// the job's parameters.
+  nn::Sequential model_;
   WorkerLoopConfig config_;
   std::vector<std::vector<float>> residuals_;
   std::size_t served_ = 0;

@@ -211,23 +211,21 @@ bool MidTierAggregator::settle_round(net::Transport& upstream,
   // One group over the subtree's own slots: the same fold, in the same slot
   // order and under the same norm bound, that a grouped flat root runs for
   // this group.
-  std::vector<fl::PartialAggregate> partial(1);
   fl::fold_groups(
-      jobs, round.params, outcomes, partial,
+      jobs, round.params, outcomes, std::span(&partial_, 1),
       [](std::size_t) { return std::size_t{0}; }, round.max_update_norm);
-  fl::PartialAggregate& folded = partial[0];
-  stats_.folded += folded.updates;
-  stats_.rejected += arrived - folded.updates;
-  HierMetrics::get().folded.inc(folded.updates);
-  HierMetrics::get().rejected.inc(arrived - folded.updates);
+  stats_.folded += partial_.updates;
+  stats_.rejected += arrived - partial_.updates;
+  HierMetrics::get().folded.inc(partial_.updates);
+  HierMetrics::get().rejected.inc(arrived - partial_.updates);
 
   // The whole partial goes up in the round's one frame, with the stats
   // that let the root's engine keep its per-slot bookkeeping.
   net::SubtreeUpdateMsg update;
   update.epoch = round.epoch;
   update.agg_id = config_.agg_id;
-  update.weight = folded.weight;
-  update.sum = std::move(folded.sum);
+  update.weight = partial_.weight;
+  update.sum = std::move(partial_.sum);
   for (std::size_t slot = 0; slot < jobs.size(); ++slot) {
     const fl::TrainOutcome& out = outcomes[slot];
     net::SubtreeClientStat stat;
@@ -240,9 +238,9 @@ bool MidTierAggregator::settle_round(net::Transport& upstream,
     stat.sample_count = static_cast<std::uint64_t>(out.weight);
     update.stats.push_back(stat);
   }
-  if (!send_upstream(upstream, net::encode_subtree_update(update))) {
-    return false;
-  }
+  const net::Frame frame = net::encode_subtree_update(update);
+  partial_.sum = std::move(update.sum);  // its storage serves the next round
+  if (!send_upstream(upstream, frame)) return false;
   ++stats_.rounds;
   HierMetrics::get().rounds.inc();
   return true;

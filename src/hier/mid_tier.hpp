@@ -125,6 +125,9 @@ class MidTierAggregator {
   std::optional<std::uint64_t> served_epoch_;
   std::atomic<std::uint64_t> upstream_sent_{0};
   MidTierStats stats_;
+  /// The subtree's one-group partial, kept so its f64 sum's storage serves
+  /// every round.
+  fl::PartialAggregate partial_;
 };
 
 }  // namespace haccs::hier

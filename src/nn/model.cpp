@@ -73,6 +73,12 @@ std::size_t Sequential::parameter_count() const {
 
 std::vector<float> Sequential::get_parameters() const {
   std::vector<float> flat;
+  get_parameters(flat);
+  return flat;
+}
+
+void Sequential::get_parameters(std::vector<float>& flat) const {
+  flat.clear();
   flat.reserve(parameter_count());
   for (const auto& layer : layers_) {
     for (Tensor* p : const_cast<Layer&>(*layer).parameters()) {
@@ -80,7 +86,6 @@ std::vector<float> Sequential::get_parameters() const {
       flat.insert(flat.end(), d.begin(), d.end());
     }
   }
-  return flat;
 }
 
 void Sequential::set_parameters(std::span<const float> flat) {

@@ -63,6 +63,8 @@ class Sequential {
 
   /// Copies all parameters into one flat vector (layer order, tensor order).
   std::vector<float> get_parameters() const;
+  /// The same copy into `flat`, reusing its storage.
+  void get_parameters(std::vector<float>& flat) const;
 
   /// Restores parameters from a flat vector; size must match exactly.
   void set_parameters(std::span<const float> flat);

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <mutex>
 
+#include <sys/resource.h>
+
 #include "src/obs/events.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
@@ -103,6 +105,26 @@ double StopWatch::lap_ms() {
   const double ms = static_cast<double>(now - last_) * 1e-6;
   last_ = now;
   return ms;
+}
+
+namespace {
+std::uint64_t process_minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<std::uint64_t>(usage.ru_minflt);
+}
+}  // namespace
+
+FaultMeter::FaultMeter() : active_(timing_enabled()) {
+  if (active_) last_ = process_minor_faults();
+}
+
+std::uint64_t FaultMeter::lap() {
+  if (!active_) return 0;
+  const std::uint64_t now = process_minor_faults();
+  const std::uint64_t faults = now - last_;
+  last_ = now;
+  return faults;
 }
 
 // ---------------------------------------------------------------------------

@@ -67,6 +67,20 @@ class StopWatch {
   std::uint64_t last_ = 0;
 };
 
+/// Minor page-fault meter for the whole process (getrusage ru_minflt, every
+/// thread's faults). Like StopWatch, it reads the count only when
+/// timing_enabled() was true at construction; lap() returns 0 otherwise.
+class FaultMeter {
+ public:
+  FaultMeter();
+  /// Minor faults since construction or the previous lap.
+  std::uint64_t lap();
+
+ private:
+  bool active_;
+  std::uint64_t last_ = 0;
+};
+
 // ---------------------------------------------------------------------------
 // Minimal JSON emission (shared by all three pillars and the tool summaries;
 // no parser, no DOM — just correctly escaped text).

@@ -63,15 +63,18 @@ inline void accumulate_scaled(std::span<double> acc,
   for (std::size_t i = 0; i < n; ++i) d[i] += w * static_cast<double>(s[i]);
 }
 
-/// Sum of x[i]^2 in double precision.
-inline double squared_norm(std::span<const float> x) {
-  const float* __restrict s = x.data();
-  const std::size_t n = x.size();
-  double acc = 0.0;
+/// acc[i] = 0.0 + w * src[i]: the first accumulate_scaled into a zeroed
+/// `acc`, without the zero fill. The explicit 0.0 + keeps the result's bits
+/// (a -0.0 product becomes +0.0, as it does when added to a zeroed sum);
+/// without -ffast-math the compiler may not drop it.
+inline void assign_scaled(std::span<double> acc, std::span<const float> src,
+                          double w) {
+  double* __restrict d = acc.data();
+  const float* __restrict s = src.data();
+  const std::size_t n = acc.size();
   for (std::size_t i = 0; i < n; ++i) {
-    acc += static_cast<double>(s[i]) * static_cast<double>(s[i]);
+    d[i] = 0.0 + w * static_cast<double>(s[i]);
   }
-  return acc;
 }
 
 /// Plain SGD step: p[i] -= lr * (g[i] + wd * p[i]).

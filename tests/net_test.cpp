@@ -126,6 +126,46 @@ TEST(Crc32, MatchesReferenceOnOneMebibyte) {
             crc32_reference(bytes.data(), bytes.size()));
 }
 
+// The table path alone: crc32 takes it on hosts without PCLMULQDQ (or under
+// HACCS_PORTABLE_KERNELS=1), and for every tail shorter than 16 bytes.
+TEST(Crc32Table, MatchesReferenceAtEveryLengthAndAlignment) {
+  const auto bytes = random_bytes(256 + 16, 25);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 256; ++len) {
+      const std::uint8_t* p = bytes.data() + offset;
+      ASSERT_EQ(net::crc32_table(p, len), crc32_reference(p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Table, MatchesReferenceUnderRandomSeedsAndLengths) {
+  const auto bytes = random_bytes(std::size_t{1} << 16, 26);
+  Rng rng(27);
+  for (int trial = 0; trial < 100; ++trial) {
+    const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+    const std::size_t len = rng.next_u64() % bytes.size();
+    ASSERT_EQ(net::crc32_table(bytes.data(), len, seed),
+              crc32_reference(bytes.data(), len, seed))
+        << "seed " << seed << " length " << len;
+  }
+}
+
+TEST(Crc32Table, AgreesWithTheDispatchedPathAcrossBlockBoundaries) {
+  // Lengths around the 64-byte minimum and the 16-byte block edges, where
+  // the carry-less-multiply path hands its tail to the table path.
+  const auto bytes = random_bytes(4096 + 16, 28);
+  for (std::size_t len : {63u, 64u, 65u, 79u, 80u, 127u, 128u, 129u, 191u,
+                          192u, 1000u, 4095u, 4096u}) {
+    for (std::size_t offset : {0u, 1u, 7u, 15u}) {
+      const std::uint8_t* p = bytes.data() + offset;
+      ASSERT_EQ(net::crc32(p, len, 0x12345678u),
+                net::crc32_table(p, len, 0x12345678u))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Wire primitives
 

@@ -417,6 +417,32 @@ TEST_F(ObsTest, EngineEmitsOneEventPerRoundAndCountsRounds) {
   std::remove(path.c_str());
 }
 
+TEST_F(ObsTest, EngineCountsMinorFaultsPerRound) {
+  const auto fed = obs_fed();
+  constexpr std::size_t kRounds = 4;
+  // Untimed, the meter stays off.
+  const auto untimed = run_once(fed, kRounds);
+  for (const auto& record : untimed.records()) {
+    EXPECT_EQ(record.phase.minor_faults, 0u);
+  }
+  obs::set_metrics_enabled(true);
+  const auto history = run_once(fed, kRounds);
+  std::uint64_t total = 0;
+  for (const auto& record : history.records()) {
+    total += record.phase.minor_faults;
+    const std::string event = fl::round_event_json("sync", record);
+    EXPECT_NE(event.find("\"minor_faults\":" +
+                         std::to_string(record.phase.minor_faults)),
+              std::string::npos)
+        << event;
+  }
+  // The first round at least maps fresh buffers.
+  EXPECT_GT(total, 0u);
+  EXPECT_EQ(
+      obs::Registry::global().counter("round_minor_faults_total").value(),
+      total);
+}
+
 TEST_F(ObsTest, TracedRunMatchesUntraced) {
   const auto fed = obs_fed();
   constexpr std::size_t kRounds = 8;

@@ -171,10 +171,11 @@ if [[ "$skip_sanitize" -eq 0 ]]; then
     --gtest_filter='Loopback.*:Tcp.*:TransportDispatcher.*:EngineOverTransport.*:ChaosTransport.*:ServingDispatcher.*:WorkerReconnect.*:ServingTrace.*:ServingStatus.*:HierMidTier*:HierTree.*:HierFleet.*'
 
   # parallel_for runs a chunk on the calling thread as well as on the
-  # workers, and data generation writes every dataset row from the pool.
+  # workers, data generation writes every dataset row from the pool, and
+  # the engine's settle fold validates and sums updates on it.
   echo "== thread pool and parallel data generation under TSan =="
   "$repo/build-tsan/tests/haccs_tests" \
-    --gtest_filter='ThreadPool.*:ParallelFor.*:Rng*:Partition.*:SyntheticGenerator.*'
+    --gtest_filter='ThreadPool.*:ParallelFor.*:Rng*:Partition.*:SyntheticGenerator.*:EngineSettle.*:EngineFaults.*'
 fi
 
 echo "== all checks passed =="

@@ -58,6 +58,25 @@ SeedRange parse_seeds(const std::string& text) {
   return range;
 }
 
+void print_usage() {
+  std::cout
+      << "haccs_fuzz — deterministic scenario fuzzer (TESTING.md)\n"
+         "  --seeds=A..B        inclusive seed range, or N for 0..N-1\n"
+         "                      (default 0..49)\n"
+         "  --time-budget=S     stop starting scenarios after S seconds\n"
+         "                      (default 0 = no budget)\n"
+         "  --replay=SPEC       check one spec string instead of a sweep\n"
+         "  --mutate=NAME       arm a planted bug (default none)\n"
+         "  --expect-violation  exit 0 only if some oracle fires\n"
+         "  --shrink=BOOL       shrink failures to a minimal spec (default 1)\n"
+         "  --list              print the sweep's specs without running them\n"
+         "  --reproducers=F     append each shrunk reproducer to F\n"
+         "  --differential=BOOL run the differential oracles (default 1)\n"
+         "  --srswr-draws=N     draws for the sampling oracle (default 4000)\n"
+         "  --help              this text\n"
+         "exit status: 0 clean, 1 violations found, 2 usage error\n";
+}
+
 void print_violations(const ScenarioSpec& spec,
                       const std::vector<haccs::testing::Violation>& violations) {
   std::cout << "FAIL " << haccs::testing::to_spec_string(spec) << "\n";
@@ -102,6 +121,10 @@ std::size_t run_one(const ScenarioSpec& spec, const OracleOptions& options,
 int main(int argc, char** argv) {
   try {
     haccs::Flags flags(argc, argv);
+    if (flags.get_bool("help", false)) {
+      print_usage();
+      return 0;
+    }
 
     const std::string seeds_text = flags.get_string("seeds", "0..49");
     const double time_budget_s = flags.get_double("time-budget", 0.0);
