@@ -10,6 +10,31 @@ namespace haccs::core {
 /// Seeds the sparse random projection of update deltas into sketches.
 constexpr std::uint64_t kProjectionSeed = 211;
 
+std::vector<float> sketch_update(std::span<const float> update,
+                                 std::size_t dim) {
+  // Each update coordinate scatters into two signed sketch slots chosen by
+  // a hash of its index. O(update.size()).
+  std::vector<float> sketch(dim, 0.0f);
+  for (std::size_t i = 0; i < update.size(); ++i) {
+    SplitMix64 h(kProjectionSeed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
+    const std::uint64_t bits = h.next();
+    const std::size_t d1 = bits % dim;
+    const std::size_t d2 = (bits >> 20) % dim;
+    const float s1 = (bits >> 40) & 1 ? 1.0f : -1.0f;
+    const float s2 = (bits >> 41) & 1 ? 1.0f : -1.0f;
+    sketch[d1] += s1 * update[i];
+    sketch[d2] += s2 * update[i];
+  }
+  // Unit-normalize: cosine structure is what clusters gradient directions.
+  double norm = 0.0;
+  for (float v : sketch) norm += static_cast<double>(v) * v;
+  norm = std::sqrt(norm);
+  if (norm > 0.0) {
+    for (float& v : sketch) v = static_cast<float>(v / norm);
+  }
+  return sketch;
+}
+
 GradientClusterSelector::GradientClusterSelector(GradientSelectorConfig config)
     : config_(config), inner_(std::vector<int>{}, config.scheduling) {
   if (config_.sketch_dim == 0) {
@@ -41,29 +66,7 @@ void GradientClusterSelector::report_update(std::size_t client_id,
                                             std::span<const float> update,
                                             std::size_t /*epoch*/) {
   if (client_id >= sketches_.size()) return;
-  if (model_dim_ == 0) model_dim_ = update.size();
-
-  // Sparse Johnson-Lindenstrauss sketch: each model coordinate scatters into
-  // two signed sketch slots chosen by a hash of its index. O(model_dim).
-  std::vector<float> sketch(config_.sketch_dim, 0.0f);
-  for (std::size_t i = 0; i < update.size(); ++i) {
-    SplitMix64 h(kProjectionSeed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
-    const std::uint64_t bits = h.next();
-    const std::size_t d1 = bits % config_.sketch_dim;
-    const std::size_t d2 = (bits >> 20) % config_.sketch_dim;
-    const float s1 = (bits >> 40) & 1 ? 1.0f : -1.0f;
-    const float s2 = (bits >> 41) & 1 ? 1.0f : -1.0f;
-    sketch[d1] += s1 * update[i];
-    sketch[d2] += s2 * update[i];
-  }
-  // Unit-normalize: cosine structure is what clusters gradient directions.
-  double norm = 0.0;
-  for (float v : sketch) norm += static_cast<double>(v) * v;
-  norm = std::sqrt(norm);
-  if (norm > 0.0) {
-    for (float& v : sketch) v = static_cast<float>(v / norm);
-  }
-  sketches_[client_id] = std::move(sketch);
+  sketches_[client_id] = sketch_update(update, config_.sketch_dim);
 }
 
 void GradientClusterSelector::recluster(std::size_t num_clients) {
@@ -94,14 +97,6 @@ std::vector<std::size_t> GradientClusterSelector::select(
     recluster(clients.size());
   }
   return inner_.select(k, clients, epoch, rng);
-}
-
-std::span<const float> GradientClusterSelector::sketch(
-    std::size_t client_id) const {
-  if (client_id >= sketches_.size()) {
-    throw std::out_of_range("GradientClusterSelector::sketch");
-  }
-  return sketches_[client_id];
 }
 
 }  // namespace haccs::core

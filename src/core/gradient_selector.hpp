@@ -5,13 +5,17 @@
 // measured: gradient clusters need re-clustering every few epochs because
 // directions change as the model trains, where data summaries stay stable.
 //
-// Each participant's parameter update is sketched by a seeded Gaussian
+// Each participant's parameter update is sketched by a seeded sparse
 // random projection (Johnson-Lindenstrauss: cosine structure survives the
-// projection), so the server keeps O(sketch_dim) floats per client instead
-// of a full model copy. Clients never yet observed form singleton clusters.
+// projection; the projection is hashed per coordinate, never stored), so
+// the server keeps O(sketch_dim) floats per client instead of a full model
+// copy. Clients never yet observed form singleton clusters.
 // Selection reuses the HACCS cluster machinery (Eqs. 6-7, Weighted-SRSWR,
 // min-latency in-cluster).
 #pragma once
+
+#include <span>
+#include <vector>
 
 #include "src/core/haccs_selector.hpp"
 
@@ -28,6 +32,12 @@ struct GradientSelectorConfig {
   /// Shared scheduling knobs (rho, in-cluster policy, initial loss).
   HaccsConfig scheduling;
 };
+
+/// The unit-norm sketch of one parameter update: a sparse seeded
+/// Johnson-Lindenstrauss projection into `dim` slots (zero for a zero
+/// update). Deterministic in the update, so equal updates sketch equally.
+std::vector<float> sketch_update(std::span<const float> update,
+                                 std::size_t dim);
 
 class GradientClusterSelector final : public fl::ClientSelector {
  public:
@@ -46,18 +56,12 @@ class GradientClusterSelector final : public fl::ClientSelector {
   std::size_t num_clusters() const { return inner_.num_clusters(); }
   const std::vector<int>& cluster_of() const { return inner_.cluster_of(); }
 
-  /// The stored sketch of a client (empty if never observed) — for tests.
-  std::span<const float> sketch(std::size_t client_id) const;
-
  private:
   void recluster(std::size_t num_clients);
 
   GradientSelectorConfig config_;
   HaccsSelector inner_;
   std::vector<std::vector<float>> sketches_;  // per client; empty = unseen
-  /// Projection matrix rows are generated lazily per model dimension chunk
-  /// from the seed, so the full model-size matrix never materializes.
-  std::size_t model_dim_ = 0;
 };
 
 }  // namespace haccs::core

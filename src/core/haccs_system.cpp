@@ -30,9 +30,7 @@ std::function<nn::Sequential()> default_model_factory(
     Rng rng(seed);
     nn::Sequential model;
     model.add(std::make_unique<nn::Flatten>());
-    model.add(std::make_unique<nn::Dense>(channels * h * w, 64, rng));
-    model.add(std::make_unique<nn::ReLU>());
-    model.add(std::make_unique<nn::Dense>(64, classes, rng));
+    model.add(nn::make_mlp(channels * h * w, {64}, classes, rng));
     return model;
   };
 }

@@ -20,14 +20,6 @@ Dataset::Dataset(std::vector<std::size_t> sample_shape, std::size_t num_classes)
   }
 }
 
-void Dataset::add(std::span<const float> features, std::int64_t label) {
-  if (features.size() != sample_size_) {
-    throw std::invalid_argument("Dataset::add: feature size mismatch");
-  }
-  const std::size_t row = add_rows({&label, 1});
-  std::copy(features.begin(), features.end(), mutable_features(row).begin());
-}
-
 std::size_t Dataset::add_rows(std::span<const std::int64_t> labels) {
   for (std::int64_t label : labels) {
     if (label < 0 || static_cast<std::size_t>(label) >= num_classes_) {

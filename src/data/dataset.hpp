@@ -19,8 +19,6 @@ class Dataset {
   /// `num_classes` bounds the valid label range [0, num_classes).
   Dataset(std::vector<std::size_t> sample_shape, std::size_t num_classes);
 
-  void add(std::span<const float> features, std::int64_t label);
-
   /// Appends one sample per label, with zeroed features, and returns the
   /// index of the first. Throws std::invalid_argument, adding nothing, if
   /// any label is outside [0, num_classes()). The caller then writes each

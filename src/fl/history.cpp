@@ -79,15 +79,6 @@ std::size_t TrainingHistory::total_uplink_bytes() const {
   return total;
 }
 
-std::size_t TrainingHistory::wasted_until_accuracy(double target) const {
-  std::size_t total = 0;
-  for (const auto& r : records_) {
-    total += r.wasted();
-    if (r.global_accuracy >= target) break;
-  }
-  return total;
-}
-
 std::string round_event_json(const char* engine, const RoundRecord& r) {
   obs::JsonObject phases;
   phases.field("selection_ms", r.phase.selection_ms)

@@ -97,10 +97,6 @@ class TrainingHistory {
   /// Total wasted client-rounds (crashed + late + rejected).
   std::size_t total_wasted() const;
 
-  /// Wasted client-rounds accumulated up to (and including) the first round
-  /// whose accuracy reaches `target`; the full-run total if never reached.
-  std::size_t wasted_until_accuracy(double target) const;
-
   /// Total downlink wire bytes (TrainJob frames) across the run.
   std::size_t total_downlink_bytes() const;
 

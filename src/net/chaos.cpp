@@ -37,20 +37,17 @@ TransportStatus ChaosTransport::mangle_and_send(
     if (disconnected_) return TransportStatus::Closed;
     if (options_.disconnect_rate > 0.0 &&
         rng_.bernoulli(options_.disconnect_rate)) {
-      ++stats_.disconnects;
       disconnected_ = true;
       has_held_ = false;
       held_.clear();
       tear_down = true;
     } else if (options_.drop_rate > 0.0 && rng_.bernoulli(options_.drop_rate)) {
-      ++stats_.dropped;
       // The caller sees Ok — exactly what a lossy network looks like from
       // the sender's side of a kernel buffer.
     } else {
       if (options_.corrupt_rate > 0.0 &&
           rng_.bernoulli(options_.corrupt_rate) &&
           encoded.size() > kFrameHeaderBytes) {
-        ++stats_.corrupted;
         const std::size_t payload_len = encoded.size() - kFrameHeaderBytes;
         const std::size_t at =
             kFrameHeaderBytes + rng_.uniform_index(payload_len);
@@ -58,16 +55,13 @@ TransportStatus ChaosTransport::mangle_and_send(
       }
       if (options_.truncate_rate > 0.0 &&
           rng_.bernoulli(options_.truncate_rate) && encoded.size() > 1) {
-        ++stats_.truncated;
         encoded.resize(1 + rng_.uniform_index(encoded.size() - 1));
       }
       const bool duplicate = options_.duplicate_rate > 0.0 &&
                              rng_.bernoulli(options_.duplicate_rate);
-      if (duplicate) ++stats_.duplicated;
       const bool hold = options_.reorder_rate > 0.0 &&
                         rng_.bernoulli(options_.reorder_rate) && !has_held_;
       if (hold) {
-        ++stats_.reordered;
         held_ = encoded;
         has_held_ = true;
         if (duplicate) to_send.push_back(encoded);
@@ -114,11 +108,6 @@ void ChaosTransport::close() {
 
 std::string ChaosTransport::peer() const {
   return "chaos(" + inner_->peer() + ")";
-}
-
-ChaosStats ChaosTransport::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
 }
 
 std::unique_ptr<Transport> wrap_chaos(std::unique_ptr<Transport> inner,

@@ -51,21 +51,6 @@ struct ChaosOptions {
   }
 };
 
-/// Counts of injected events, for tests and run summaries.
-struct ChaosStats {
-  std::size_t dropped = 0;
-  std::size_t duplicated = 0;
-  std::size_t reordered = 0;
-  std::size_t corrupted = 0;
-  std::size_t truncated = 0;
-  std::size_t disconnects = 0;
-
-  std::size_t total() const {
-    return dropped + duplicated + reordered + corrupted + truncated +
-           disconnects;
-  }
-};
-
 class ChaosTransport final : public Transport {
  public:
   ChaosTransport(std::unique_ptr<Transport> inner, ChaosOptions options);
@@ -78,8 +63,6 @@ class ChaosTransport final : public Transport {
   void close() override;
   std::string peer() const override;
 
-  ChaosStats stats() const;
-
  private:
   /// The chaos pipeline for one outbound frame. Caller holds no lock.
   TransportStatus mangle_and_send(std::vector<std::uint8_t> encoded,
@@ -87,13 +70,12 @@ class ChaosTransport final : public Transport {
 
   std::unique_ptr<Transport> inner_;
   ChaosOptions options_;
-  mutable std::mutex mutex_;  ///< guards rng_, held_, stats_, disconnected_
+  std::mutex mutex_;  ///< guards rng_, held_, disconnected_
   Rng rng_;
   /// Frame held back by a reorder event, shipped after the next send.
   std::vector<std::uint8_t> held_;
   bool has_held_ = false;
   bool disconnected_ = false;
-  ChaosStats stats_;
 };
 
 /// Wraps `inner` in a ChaosTransport when `options.enabled()`; otherwise

@@ -16,6 +16,10 @@ void Sequential::add(std::unique_ptr<Layer> layer) {
   layers_.push_back(std::move(layer));
 }
 
+void Sequential::add(Sequential tail) {
+  for (auto& layer : tail.layers_) add(std::move(layer));
+}
+
 Sequential Sequential::clone() const {
   Sequential copy;
   for (const auto& layer : layers_) copy.add(layer->clone());
@@ -29,13 +33,6 @@ Tensor Sequential::forward(Tensor x) {
 
 void Sequential::infer(Tensor& x, Tensor& spare) const {
   for (const auto& layer : layers_) layer->infer(x, spare);
-}
-
-Tensor Sequential::infer(const Tensor& input) const {
-  Tensor x = input;
-  Tensor spare;
-  infer(x, spare);
-  return x;
 }
 
 std::size_t Sequential::min_invariant_rows() const {
@@ -104,18 +101,6 @@ void Sequential::set_parameters(std::span<const float> flat) {
   if (offset != flat.size()) {
     throw std::invalid_argument("set_parameters: flat vector too long");
   }
-}
-
-std::vector<float> Sequential::get_gradients() const {
-  std::vector<float> flat;
-  flat.reserve(parameter_count());
-  for (const auto& layer : layers_) {
-    for (Tensor* g : const_cast<Layer&>(*layer).gradients()) {
-      auto d = g->data();
-      flat.insert(flat.end(), d.begin(), d.end());
-    }
-  }
-  return flat;
 }
 
 Sequential make_mlp(std::size_t input_dim,

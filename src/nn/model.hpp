@@ -23,6 +23,8 @@ class Sequential {
   Sequential& operator=(Sequential&&) = default;
 
   void add(std::unique_ptr<Layer> layer);
+  /// Appends every layer of `tail`, in order.
+  void add(Sequential tail);
 
   /// A deep copy of every layer (Layer::clone). Const, so pool threads can
   /// each take a per-job copy of one shared prototype, which saves the
@@ -46,8 +48,6 @@ class Sequential {
   /// and reused across batches they stop allocating once they reach the
   /// largest shape.
   void infer(Tensor& x, Tensor& spare) const;
-  /// By-value wrapper over the in-place pass.
-  Tensor infer(const Tensor& input) const;
 
   /// The largest Layer::min_invariant_rows of any layer: batches of at
   /// least this many rows give every row the same logits.
@@ -68,9 +68,6 @@ class Sequential {
 
   /// Restores parameters from a flat vector; size must match exactly.
   void set_parameters(std::span<const float> flat);
-
-  /// Copies all accumulated gradients into one flat vector.
-  std::vector<float> get_gradients() const;
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;

@@ -1,6 +1,5 @@
 #include "src/nn/serialize.hpp"
 
-#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <stdexcept>
@@ -9,42 +8,6 @@
 #include "src/net/wire.hpp"
 
 namespace haccs::nn {
-
-namespace {
-// Pre-frame checkpoint format (v1): "HCCS", u32 version, u64 count, floats.
-// Still readable; new checkpoints are net frames (see save_parameters).
-constexpr char kLegacyMagic[4] = {'H', 'C', 'C', 'S'};
-constexpr std::uint32_t kLegacyVersion = 1;
-
-std::vector<float> load_legacy(std::ifstream& in, const std::string& path) {
-  char magic[4];
-  std::uint32_t version = 0;
-  std::uint64_t count = 0;
-  in.read(magic, sizeof(magic));
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in || std::memcmp(magic, kLegacyMagic, sizeof(kLegacyMagic)) != 0) {
-    throw std::runtime_error("load_parameters: not a HACCS checkpoint: " +
-                             path);
-  }
-  if (version != kLegacyVersion) {
-    throw std::runtime_error("load_parameters: unsupported version " +
-                             std::to_string(version));
-  }
-  // Sanity bound: reject absurd counts before allocating.
-  if (count > (1ULL << 32)) {
-    throw std::runtime_error("load_parameters: implausible parameter count");
-  }
-  std::vector<float> params(static_cast<std::size_t>(count));
-  in.read(reinterpret_cast<char*>(params.data()),
-          static_cast<std::streamsize>(params.size() * sizeof(float)));
-  if (!in || in.gcount() != static_cast<std::streamsize>(params.size() *
-                                                         sizeof(float))) {
-    throw std::runtime_error("load_parameters: truncated file: " + path);
-  }
-  return params;
-}
-}  // namespace
 
 void save_parameters(const Sequential& model, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
@@ -61,18 +24,6 @@ void save_parameters(const Sequential& model, const std::string& path) {
 std::vector<float> load_parameters(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("load_parameters: cannot open " + path);
-  // Peek the magic to route between the frame format and legacy v1 files.
-  char magic[4] = {};
-  in.read(magic, sizeof(magic));
-  if (!in) {
-    throw std::runtime_error("load_parameters: not a HACCS checkpoint: " +
-                             path);
-  }
-  in.seekg(0);
-  if (std::memcmp(magic, kLegacyMagic, sizeof(kLegacyMagic)) == 0) {
-    return load_legacy(in, path);
-  }
-
   std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
                                   std::istreambuf_iterator<char>());
   net::Frame frame;

@@ -5,8 +5,9 @@
 // a length-prefixed float32 array. Sharing the frame format with the
 // transport layer means checkpoints get the same integrity checking as
 // network traffic — truncation, header damage, and payload corruption each
-// fail loudly at load with a distinct message. Files written by the
-// pre-frame "HCCS" v1 format are still readable.
+// fail loudly at load with a distinct message. A file that does not open
+// with the frame magic, such as one in the retired pre-frame "HCCS" v1
+// format, is "not a HACCS checkpoint".
 //
 // The architecture itself is code (model factories are deterministic in
 // their seed), so checkpoints store only the parameters — the caller pairs

@@ -47,12 +47,6 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
   return out;
 }
 
-void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
 const std::vector<double>& default_ms_buckets() {
   static const std::vector<double> buckets = {
       0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 60000};
@@ -184,9 +178,17 @@ bool Registry::write(const std::string& path) const {
 
 void Registry::reset() {
   std::lock_guard lock(mutex_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
-  for (auto& [name, h] : histograms_) h->reset();
+  for (auto& [name, c] : counters_) {
+    c->value_.store(0, std::memory_order_relaxed);
+  }
+  for (auto& [name, g] : gauges_) {
+    g->value_.store(0.0, std::memory_order_relaxed);
+  }
+  for (auto& [name, h] : histograms_) {
+    for (auto& b : h->buckets_) b.store(0, std::memory_order_relaxed);
+    h->count_.store(0, std::memory_order_relaxed);
+    h->sum_.store(0.0, std::memory_order_relaxed);
+  }
 }
 
 }  // namespace haccs::obs

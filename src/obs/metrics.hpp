@@ -11,8 +11,8 @@
 // All mutating calls are gated on metrics_enabled(): with metrics off every
 // site pays one relaxed atomic load and nothing else, and registry state
 // stays frozen (verified by ObsDisabled tests). Registered instruments are
-// never erased — reset() zeroes values in place — so cached references stay
-// valid for the process lifetime.
+// never erased — Registry::reset() zeroes values in place — so cached
+// references stay valid for the process lifetime.
 #pragma once
 
 #include <atomic>
@@ -32,9 +32,8 @@ class Counter {
   std::uint64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
-
  private:
+  friend class Registry;  // reset()
   std::atomic<std::uint64_t> value_{0};
 };
 
@@ -43,9 +42,8 @@ class Gauge {
  public:
   void set(double v);
   double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
-
  private:
+  friend class Registry;  // reset()
   std::atomic<double> value_{0.0};
 };
 
@@ -63,9 +61,9 @@ class Histogram {
   const std::vector<double>& bounds() const { return bounds_; }
   /// bounds().size() + 1 entries; the last is the overflow bucket.
   std::vector<std::uint64_t> bucket_counts() const;
-  void reset();
 
  private:
+  friend class Registry;  // reset()
   std::vector<double> bounds_;
   std::vector<std::atomic<std::uint64_t>> buckets_;
   std::atomic<std::uint64_t> count_{0};

@@ -93,8 +93,6 @@ void set_span_id_salt(std::uint64_t salt) {
   g_span_salt.store(salt, std::memory_order_relaxed);
 }
 
-std::uint64_t current_span_id() { return t_open_span; }
-
 std::uint64_t process_trace_id() {
   static const std::uint64_t id =
       static_cast<std::uint64_t>(

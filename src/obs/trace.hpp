@@ -62,9 +62,6 @@ struct TraceContext {
 std::uint64_t next_span_id();
 void set_span_id_salt(std::uint64_t salt);
 
-/// Id of the innermost active Span on this thread; 0 when none.
-std::uint64_t current_span_id();
-
 /// Stable nonzero id for this process's trace session (derived once from
 /// the clock; no RNG draw, so tracing never perturbs seeded runs).
 std::uint64_t process_trace_id();

@@ -41,10 +41,6 @@ HicsSelector::HicsSelector(std::vector<std::vector<double>> label_counts,
   }
 }
 
-double HicsSelector::heterogeneity_of(std::size_t client_id) const {
-  return client_id < heterogeneity_.size() ? heterogeneity_[client_id] : 0.0;
-}
-
 std::vector<std::size_t> HicsSelector::select(
     std::size_t k, const std::vector<fl::ClientRuntimeInfo>& clients,
     std::size_t /*epoch*/, Rng& rng) {

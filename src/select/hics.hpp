@@ -38,9 +38,6 @@ class HicsSelector final : public FeedbackSelector {
       std::size_t epoch, Rng& rng) override;
   std::string name() const override { return "HiCS"; }
 
-  /// Static heterogeneity score of a client — for tests.
-  double heterogeneity_of(std::size_t client_id) const;
-
  private:
   std::vector<double> heterogeneity_;  // structural
 };

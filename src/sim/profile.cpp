@@ -5,16 +5,6 @@
 
 namespace haccs::sim {
 
-std::string to_string(PerfCategory category) {
-  switch (category) {
-    case PerfCategory::Fast: return "fast";
-    case PerfCategory::Medium: return "medium";
-    case PerfCategory::Slow: return "slow";
-    case PerfCategory::VerySlow: return "very_slow";
-  }
-  throw std::invalid_argument("to_string: bad PerfCategory");
-}
-
 std::pair<double, double> DeviceProfile::compute_multiplier_range(
     PerfCategory c) {
   switch (c) {

@@ -6,15 +6,13 @@
 // interval. Network latency is 20-200 ms for every category, per the table.
 #pragma once
 
-#include <string>
+#include <utility>
 
 #include "src/common/rng.hpp"
 
 namespace haccs::sim {
 
 enum class PerfCategory : int { Fast = 0, Medium = 1, Slow = 2, VerySlow = 3 };
-
-std::string to_string(PerfCategory category);
 
 /// Category assignment probabilities, in enum order (paper §V-A).
 inline constexpr double kCategoryProbabilities[4] = {0.60, 0.20, 0.15, 0.05};

@@ -38,16 +38,10 @@ inline std::size_t Histogram::bin_of(double value) const {
   return static_cast<std::size_t>(static_cast<std::ptrdiff_t>(x));
 }
 
-void Histogram::observe(double value, double weight) {
-  if (!value_binned_) {
-    throw std::logic_error("Histogram::observe requires a value-binned histogram");
-  }
-  counts_[bin_of(value)] += weight;
-}
-
 void Histogram::observe_all(std::span<const float> values) {
   if (!value_binned_) {
-    throw std::logic_error("Histogram::observe requires a value-binned histogram");
+    throw std::logic_error(
+        "Histogram::observe_all requires a value-binned histogram");
   }
   for (float v : values) counts_[bin_of(static_cast<double>(v))] += 1.0;
 }

@@ -27,11 +27,9 @@ class Histogram {
   /// Adds `weight` to a category bin directly.
   void add_count(std::size_t bin, double weight = 1.0);
 
-  /// Bins a value (requires the value-binned constructor).
-  void observe(double value, double weight = 1.0);
-
-  /// observe(v) for every value, in one call (the P(X|y) summary bins every
-  /// feature value of every sample).
+  /// Bins every value with weight 1 (requires the value-binned
+  /// constructor); the P(X|y) summary bins every feature value of every
+  /// sample.
   void observe_all(std::span<const float> values);
 
   std::span<const double> counts() const { return counts_; }

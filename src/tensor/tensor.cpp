@@ -38,34 +38,6 @@ std::size_t Tensor::extent(std::size_t dim) const {
   return shape_[dim];
 }
 
-void Tensor::check_rank(std::size_t expected) const {
-  if (shape_.size() != expected) {
-    throw std::logic_error("Tensor: expected rank " + std::to_string(expected) +
-                           ", have shape " + shape_string());
-  }
-}
-
-float& Tensor::at(std::size_t r, std::size_t c) {
-  check_rank(2);
-  return data_[r * shape_[1] + c];
-}
-
-float Tensor::at(std::size_t r, std::size_t c) const {
-  check_rank(2);
-  return data_[r * shape_[1] + c];
-}
-
-float& Tensor::at(std::size_t n, std::size_t c, std::size_t h, std::size_t w) {
-  check_rank(4);
-  return data_[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
-}
-
-float Tensor::at(std::size_t n, std::size_t c, std::size_t h,
-                 std::size_t w) const {
-  check_rank(4);
-  return data_[((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w];
-}
-
 Tensor Tensor::reshaped(std::vector<std::size_t> new_shape) const {
   if (shape_product(new_shape) != data_.size()) {
     throw std::invalid_argument("Tensor::reshaped: size mismatch");

@@ -42,14 +42,6 @@ class Tensor {
   float& operator[](std::size_t i) { return data_[i]; }
   float operator[](std::size_t i) const { return data_[i]; }
 
-  /// 2-D access: requires rank() == 2.
-  float& at(std::size_t r, std::size_t c);
-  float at(std::size_t r, std::size_t c) const;
-
-  /// 4-D access (N, C, H, W): requires rank() == 4.
-  float& at(std::size_t n, std::size_t c, std::size_t h, std::size_t w);
-  float at(std::size_t n, std::size_t c, std::size_t h, std::size_t w) const;
-
   /// Reinterprets the flat data with a new shape of identical total size.
   Tensor reshaped(std::vector<std::size_t> new_shape) const;
 
@@ -72,8 +64,6 @@ class Tensor {
   std::string shape_string() const;
 
  private:
-  void check_rank(std::size_t expected) const;
-
   std::vector<std::size_t> shape_;
   std::vector<float> data_;
 };

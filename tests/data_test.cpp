@@ -13,6 +13,7 @@
 #include "src/data/dataset.hpp"
 #include "src/data/partition.hpp"
 #include "src/data/synthetic.hpp"
+#include "tests/helpers.hpp"
 
 namespace haccs::data {
 namespace {
@@ -20,7 +21,7 @@ namespace {
 TEST(Dataset, AddAndRetrieve) {
   Dataset ds({2, 2}, 3);
   const std::vector<float> sample = {1, 2, 3, 4};
-  ds.add(sample, 2);
+  add_sample(ds, sample, 2);
   EXPECT_EQ(ds.size(), 1u);
   EXPECT_EQ(ds.label(0), 2);
   EXPECT_EQ(ds.features(0)[3], 4.0f);
@@ -28,34 +29,33 @@ TEST(Dataset, AddAndRetrieve) {
 
 TEST(Dataset, RejectsBadInput) {
   Dataset ds({2}, 2);
-  const std::vector<float> wrong_size = {1, 2, 3};
-  const std::vector<float> ok = {1, 2};
-  EXPECT_THROW(ds.add(wrong_size, 0), std::invalid_argument);
-  EXPECT_THROW(ds.add(ok, 2), std::invalid_argument);   // label out of range
-  EXPECT_THROW(ds.add(ok, -1), std::invalid_argument);
+  const std::vector<std::int64_t> too_big = {0, 2}, negative = {-1};
+  EXPECT_THROW(ds.add_rows(too_big), std::invalid_argument);  // label range
+  EXPECT_THROW(ds.add_rows(negative), std::invalid_argument);
+  EXPECT_EQ(ds.size(), 0u);  // a rejected call adds nothing
   EXPECT_THROW(Dataset({0}, 2), std::invalid_argument);
   EXPECT_THROW(Dataset({2}, 0), std::invalid_argument);
 }
 
 TEST(Dataset, BatchAssembly) {
   Dataset ds({2}, 2);
-  ds.add(std::vector<float>{1, 2}, 0);
-  ds.add(std::vector<float>{3, 4}, 1);
-  ds.add(std::vector<float>{5, 6}, 0);
+  add_sample(ds, std::vector<float>{1, 2}, 0);
+  add_sample(ds, std::vector<float>{3, 4}, 1);
+  add_sample(ds, std::vector<float>{5, 6}, 0);
   const std::vector<std::size_t> idx = {2, 0};
   const Tensor batch = ds.batch_features(idx);
   EXPECT_EQ(batch.shape(), (std::vector<std::size_t>{2, 2}));
-  EXPECT_FLOAT_EQ(batch.at(0, 0), 5.0f);
-  EXPECT_FLOAT_EQ(batch.at(1, 1), 2.0f);
+  EXPECT_FLOAT_EQ(batch[0], 5.0f);  // row 0, column 0
+  EXPECT_FLOAT_EQ(batch[3], 2.0f);  // row 1, column 1
   EXPECT_EQ(ds.batch_labels(idx), (std::vector<std::int64_t>{0, 0}));
 }
 
 TEST(Dataset, LabelCounts) {
   Dataset ds({1}, 3);
   const std::vector<float> v = {0.0f};
-  ds.add(v, 0);
-  ds.add(v, 2);
-  ds.add(v, 2);
+  add_sample(ds, v, 0);
+  add_sample(ds, v, 2);
+  add_sample(ds, v, 2);
   const auto counts = ds.label_counts();
   EXPECT_DOUBLE_EQ(counts[0], 1.0);
   EXPECT_DOUBLE_EQ(counts[1], 0.0);

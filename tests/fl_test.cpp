@@ -17,6 +17,7 @@
 #include "src/nn/loss.hpp"
 #include "src/fl/history.hpp"
 #include "src/select/random_selector.hpp"
+#include "tests/helpers.hpp"
 
 namespace haccs::fl {
 namespace {
@@ -105,11 +106,11 @@ TEST(Sequential, BackwardSkipsOnlyTheInputGradient) {
       g = c.model.layer(i).backward(g);
     }
     EXPECT_EQ(g.shape(), x.shape());
-    const auto chained = c.model.get_gradients();
+    const auto chained = flat_gradients(c.model);
 
     c.model.zero_grad();
     c.model.backward(loss.grad_logits);
-    EXPECT_EQ(bits_of(c.model.get_gradients()), bits_of(chained));
+    EXPECT_EQ(bits_of(flat_gradients(c.model)), bits_of(chained));
   }
 }
 
@@ -155,7 +156,7 @@ TEST(Sequential, CloneTrainsLikeTheFactoryModel) {
       EXPECT_EQ(trained(prototype.clone(), fedprox), want);
     }
     EXPECT_EQ(bits_of(prototype.get_parameters()), bits_of(initial));
-    EXPECT_EQ(prototype.get_gradients(),
+    EXPECT_EQ(flat_gradients(prototype),
               std::vector<float>(initial.size(), 0.0f));
   }
 }

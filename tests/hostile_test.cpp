@@ -485,7 +485,8 @@ TEST(SelectorZoo, DppKernelPrefersDiverseSets) {
 
 TEST(SelectorZoo, HicsScoresSkewedClientsAboveAverageOnes) {
   // Three average clients and one rare-label client: the rare client's
-  // heterogeneity (distance to the population mean) must dominate.
+  // heterogeneity (distance to the population mean) must dominate its
+  // selection weight when loss, reliability and latency are all equal.
   std::vector<std::vector<double>> counts = {
       {5.0, 5.0, 5.0, 5.0},
       {5.0, 5.0, 5.0, 5.0},
@@ -493,9 +494,13 @@ TEST(SelectorZoo, HicsScoresSkewedClientsAboveAverageOnes) {
       {0.0, 0.0, 0.0, 20.0},
   };
   select::HicsSelector selector(counts, select::HicsConfig{});
-  for (int c = 0; c < 3; ++c) {
-    EXPECT_LT(selector.heterogeneity_of(c), selector.heterogeneity_of(3));
-  }
+  auto view = make_view(4);
+  for (auto& c : view) c.latency_s = 1.0;
+  selector.initialize(view);
+  Rng rng(11);
+  std::vector<std::size_t> picks(view.size(), 0);
+  for (int t = 0; t < 400; ++t) ++picks[selector.select(1, view, 0, rng)[0]];
+  for (int c = 0; c < 3; ++c) EXPECT_LT(picks[c], picks[3]) << "client " << c;
 }
 
 // ---------------------------------------------------------------------------

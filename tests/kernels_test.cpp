@@ -18,6 +18,7 @@
 #include "src/fl/client.hpp"
 #include "src/nn/model.hpp"
 #include "src/tensor/ops.hpp"
+#include "tests/helpers.hpp"
 
 namespace haccs {
 namespace {
@@ -145,12 +146,12 @@ TEST(Kernels, GemmPropagatesNaNThroughZeroRows) {
   b.raw()[5 * n + 7] = std::numeric_limits<float>::quiet_NaN();
   Tensor c({m, n});
   ops::gemm(a, b, c);
-  EXPECT_TRUE(std::isnan(c.at(0, 7)));
-  EXPECT_TRUE(std::isnan(c.at(7, 7)));
-  EXPECT_EQ(c.at(0, 6), 0.0f);
+  EXPECT_TRUE(std::isnan(c[0 * n + 7]));
+  EXPECT_TRUE(std::isnan(c[7 * n + 7]));
+  EXPECT_EQ(c[0 * n + 6], 0.0f);
   Tensor c_ref({m, n});
   ops::gemm_reference(a, b, c_ref);
-  EXPECT_TRUE(std::isnan(c_ref.at(3, 7)));
+  EXPECT_TRUE(std::isnan(c_ref[3 * n + 7]));
 }
 
 ops::Conv2dShape conv_shape(std::size_t batch, std::size_t cin, std::size_t h,
@@ -231,7 +232,7 @@ TEST(Kernels, SequentialInferMatchesEvalModeForward) {
   Tensor input({4, 1, 12, 12});
   fill_random(input, rng);
   const Tensor fwd = model.forward(input);
-  const Tensor inf = model.infer(input);
+  const Tensor inf = infer_copy(model, input);
   ASSERT_EQ(fwd.size(), inf.size());
   for (std::size_t i = 0; i < fwd.size(); ++i) {
     ASSERT_EQ(fwd.raw()[i], inf.raw()[i]) << "element " << i;

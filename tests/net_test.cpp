@@ -861,8 +861,8 @@ TEST(Checkpoint, GarbageFileIsNotACheckpoint) {
   }
 }
 
-TEST(Checkpoint, LegacyV1FilesStillLoad) {
-  // Hand-write the pre-frame format: "HCCS", u32 version, u64 count, floats.
+TEST(Checkpoint, LegacyV1FilesAreRefused) {
+  // The retired pre-frame format: "HCCS", u32 version, u64 count, floats.
   const std::vector<float> params = {0.5f, -1.25f, 3.0f};
   std::vector<std::uint8_t> bytes = {'H', 'C', 'C', 'S', 1, 0, 0, 0};
   const std::uint64_t count = params.size();
@@ -872,7 +872,13 @@ TEST(Checkpoint, LegacyV1FilesStillLoad) {
   bytes.insert(bytes.end(), pp, pp + params.size() * sizeof(float));
   const std::string path = temp_path("ckpt_legacy.bin");
   write_file(path, bytes);
-  EXPECT_EQ(nn::load_parameters(path), params);
+  try {
+    nn::load_parameters(path);
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("not a HACCS checkpoint"),
+              std::string::npos);
+  }
 }
 
 // ---------------------------------------------------------------------------

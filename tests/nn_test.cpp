@@ -11,6 +11,7 @@
 #include "src/nn/loss.hpp"
 #include "src/nn/model.hpp"
 #include "src/nn/optimizer.hpp"
+#include "tests/helpers.hpp"
 
 namespace haccs::nn {
 namespace {
@@ -29,8 +30,8 @@ TEST(Dense, ForwardComputesAffineMap) {
 
   Tensor x({1, 2}, {1.0f, 1.0f});
   const Tensor y = layer.forward(x);
-  EXPECT_FLOAT_EQ(y.at(0, 0), 13.0f);  // 1*1 + 2*1 + 10
-  EXPECT_FLOAT_EQ(y.at(0, 1), 27.0f);  // 3*1 + 4*1 + 20
+  EXPECT_FLOAT_EQ(y[0], 13.0f);  // 1*1 + 2*1 + 10
+  EXPECT_FLOAT_EQ(y[1], 27.0f);  // 3*1 + 4*1 + 20
 }
 
 TEST(Dense, RejectsWrongInputWidth) {
@@ -126,7 +127,7 @@ void check_model_gradients(Sequential& model, std::size_t input_size,
   const Tensor logits = model.forward(x);
   const auto loss = softmax_cross_entropy(logits, labels);
   model.backward(loss.grad_logits);
-  const auto analytic = model.get_gradients();
+  const auto analytic = flat_gradients(model);
   const auto params = model.get_parameters();
 
   auto loss_at = [&](const std::vector<float>& p) {
@@ -196,7 +197,7 @@ TEST(Sequential, InPlaceInferReusesItsBuffers) {
   const Sequential model = make_lenet(1, 12, 12, 10, rng);
   Tensor input({5, 1, 12, 12});
   for (float& v : input.data()) v = static_cast<float>(rng.uniform(-1, 1));
-  const Tensor want = model.infer(input);
+  const Tensor want = infer_copy(model, input);
 
   Tensor x = input, spare;
   model.infer(x, spare);
@@ -308,8 +309,8 @@ TEST(Training, LearnsLinearlySeparableBlobs) {
     const bool positive = i % 2 == 0;
     labels[i] = positive ? 1 : 0;
     const double cx = positive ? 1.5 : -1.5;
-    x.at(i, 0) = static_cast<float>(data_rng.normal(cx, 0.5));
-    x.at(i, 1) = static_cast<float>(data_rng.normal(-cx, 0.5));
+    x[2 * i] = static_cast<float>(data_rng.normal(cx, 0.5));
+    x[2 * i + 1] = static_cast<float>(data_rng.normal(-cx, 0.5));
   }
 
   double first_loss = 0.0, last_loss = 0.0;

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <new>
 #include <sstream>
 #include <string>
@@ -477,38 +478,38 @@ TEST_F(ObsTest, TracedRunMatchesUntraced) {
 
 TEST_F(ObsTest, SpanIdsFormParentChain) {
   obs::set_trace_enabled(true);
-  EXPECT_EQ(obs::current_span_id(), 0u);
   std::uint64_t outer_id = 0;
   std::uint64_t inner_id = 0;
   {
     obs::Span outer("chain_outer", "test");
     outer_id = outer.id();
     EXPECT_NE(outer_id, 0u);
-    EXPECT_EQ(obs::current_span_id(), outer_id);
     {
       obs::Span inner("chain_inner", "test");
       inner_id = inner.id();
       EXPECT_NE(inner_id, 0u);
       EXPECT_NE(inner_id, outer_id);
-      EXPECT_EQ(obs::current_span_id(), inner_id);
     }
-    EXPECT_EQ(obs::current_span_id(), outer_id);
+    // Closing a span makes its parent the innermost again...
+    obs::Span sibling("chain_sibling", "test");
   }
-  EXPECT_EQ(obs::current_span_id(), 0u);
+  // ...and closing the last one leaves none open.
+  { obs::Span after("chain_after", "test"); }
   obs::set_trace_enabled(false);
 
-  const obs::TraceEvent* outer = nullptr;
-  const obs::TraceEvent* inner = nullptr;
+  std::map<std::string, const obs::TraceEvent*> by_name;
   const auto events = obs::TraceBuffer::global().snapshot();
-  for (const auto& e : events) {
-    if (std::string(e.name) == "chain_outer") outer = &e;
-    if (std::string(e.name) == "chain_inner") inner = &e;
+  for (const auto& e : events) by_name[e.name] = &e;
+  for (const char* name :
+       {"chain_outer", "chain_inner", "chain_sibling", "chain_after"}) {
+    ASSERT_TRUE(by_name.count(name)) << name;
   }
-  ASSERT_TRUE(outer && inner);
-  EXPECT_EQ(outer->span_id, outer_id);
-  EXPECT_EQ(outer->parent_id, 0u);
-  EXPECT_EQ(inner->span_id, inner_id);
-  EXPECT_EQ(inner->parent_id, outer_id);
+  EXPECT_EQ(by_name["chain_outer"]->span_id, outer_id);
+  EXPECT_EQ(by_name["chain_outer"]->parent_id, 0u);
+  EXPECT_EQ(by_name["chain_inner"]->span_id, inner_id);
+  EXPECT_EQ(by_name["chain_inner"]->parent_id, outer_id);
+  EXPECT_EQ(by_name["chain_sibling"]->parent_id, outer_id);
+  EXPECT_EQ(by_name["chain_after"]->parent_id, 0u);
 }
 
 TEST_F(ObsTest, RoundContextStampsRecordedSpans) {

@@ -25,6 +25,7 @@
 #include "src/fl/evaluation.hpp"
 #include "src/nn/loss.hpp"
 #include "src/tensor/ops.hpp"
+#include "tests/helpers.hpp"
 
 namespace haccs {
 namespace {
@@ -187,7 +188,7 @@ fl::EvalResult oracle_evaluate(const nn::Sequential& model,
     const std::size_t end = std::min(indices.size(), start + kBatch);
     const std::span<const std::size_t> batch(indices.data() + start,
                                              end - start);
-    const Tensor logits = model.infer(dataset.batch_features(batch));
+    const Tensor logits = infer_copy(model, dataset.batch_features(batch));
     const auto loss =
         nn::softmax_cross_entropy(logits, dataset.batch_labels(batch));
     loss_sum += loss.loss * static_cast<double>(batch.size());

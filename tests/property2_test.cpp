@@ -15,6 +15,7 @@
 #include "src/fl/compression.hpp"
 #include "src/select/random_selector.hpp"
 #include "src/stats/summary.hpp"
+#include "tests/helpers.hpp"
 
 namespace haccs {
 namespace {
@@ -86,7 +87,8 @@ TEST_P(QuantileProperty, SketchIsMonotoneAndDistanceIsMetricLike) {
     for (std::size_t i = 0; i < samples; ++i) {
       std::vector<float> v(3);
       for (auto& x : v) x = static_cast<float>(local.normal(0.0, 1.5));
-      ds.add(v, static_cast<std::int64_t>(local.uniform_index(classes)));
+      add_sample(ds, v,
+                 static_cast<std::int64_t>(local.uniform_index(classes)));
     }
     return ds;
   };
@@ -122,13 +124,6 @@ class SketchProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SketchProperty, SimilarUpdatesStaySimilarUnderProjection) {
   Rng rng(GetParam());
-  core::GradientSelectorConfig cfg;
-  cfg.sketch_dim = 64;
-  core::GradientClusterSelector selector(cfg);
-  std::vector<fl::ClientRuntimeInfo> view(3);
-  for (std::size_t i = 0; i < 3; ++i) view[i].id = i;
-  selector.initialize(view);
-
   const std::size_t dim = 500;
   std::vector<float> base(dim), near(dim), far(dim);
   for (std::size_t i = 0; i < dim; ++i) {
@@ -136,17 +131,17 @@ TEST_P(SketchProperty, SimilarUpdatesStaySimilarUnderProjection) {
     near[i] = base[i] + static_cast<float>(rng.normal(0.0, 0.05));
     far[i] = static_cast<float>(rng.normal());
   }
-  selector.report_update(0, base, 0);
-  selector.report_update(1, near, 0);
-  selector.report_update(2, far, 0);
+  const auto sketch = [](std::span<const float> update) {
+    return core::sketch_update(update, 64);
+  };
 
   auto cosine = [&](std::span<const float> a, std::span<const float> b) {
     double dot = 0.0;
     for (std::size_t i = 0; i < a.size(); ++i) dot += a[i] * b[i];
     return dot;  // sketches are unit-norm
   };
-  const double sim_near = cosine(selector.sketch(0), selector.sketch(1));
-  const double sim_far = cosine(selector.sketch(0), selector.sketch(2));
+  const double sim_near = cosine(sketch(base), sketch(near));
+  const double sim_far = cosine(sketch(base), sketch(far));
   EXPECT_GT(sim_near, 0.9);
   EXPECT_GT(sim_near, sim_far + 0.3);
 }

@@ -179,8 +179,8 @@ TEST(PreparedHellinger, ConditionalMatrixEqualsPerPair) {
   }
   summaries.push_back(zero);
   ClientSummary one_label = zero;
-  one_label.conditional.per_label[4].observe(0.5, 9.0);
-  one_label.conditional.per_label[4].observe(-1.0, 2.0);
+  one_label.conditional.per_label[4].observe_all(std::vector<float>(9, 0.5f));
+  one_label.conditional.per_label[4].observe_all(std::vector<float>(2, -1.0f));
   summaries.push_back(one_label);
   expect_matrix_matches_pairs(summaries, stats::DistanceKind::Hellinger,
                               "P(X|y)");

@@ -319,7 +319,7 @@ TEST(ChaosTransport, WrapIsPassthroughWhenDisabled) {
   EXPECT_EQ(wrapped.get(), raw);  // zero-cost: same object handed back
 }
 
-TEST(ChaosTransport, DropsAreSilentAndCounted) {
+TEST(ChaosTransport, DropsAreSilent) {
   auto pair = net::make_loopback_pair({});
   net::ChaosOptions chaos;
   chaos.drop_rate = 1.0;
@@ -329,9 +329,6 @@ TEST(ChaosTransport, DropsAreSilentAndCounted) {
   }
   net::Frame frame;
   EXPECT_EQ(pair.b->recv(&frame, 0), net::TransportStatus::Timeout);
-  const auto* chaotic = dynamic_cast<net::ChaosTransport*>(sender.get());
-  ASSERT_NE(chaotic, nullptr);
-  EXPECT_EQ(chaotic->stats().dropped, 5u);
 }
 
 TEST(ChaosTransport, CorruptionIsCaughtByReceiverCrc) {

@@ -46,11 +46,6 @@ TEST(Profile, FastCategoryHasNoComputeDelay) {
   EXPECT_DOUBLE_EQ(hi, 1.0);
 }
 
-TEST(Profile, CategoryNames) {
-  EXPECT_EQ(to_string(PerfCategory::Fast), "fast");
-  EXPECT_EQ(to_string(PerfCategory::VerySlow), "very_slow");
-}
-
 TEST(Latency, DecomposesIntoTransferPlusCompute) {
   LatencyModel model({.model_bytes = 1000000, .seconds_per_sample = 0.01,
                       .local_epochs = 2});

@@ -10,6 +10,7 @@
 #include "src/stats/metrics.hpp"
 #include "src/stats/privacy.hpp"
 #include "src/stats/summary.hpp"
+#include "tests/helpers.hpp"
 
 namespace haccs::stats {
 namespace {
@@ -27,17 +28,15 @@ TEST(HistogramTest, CountHistogramAccumulates) {
 
 TEST(HistogramTest, ValueBinning) {
   Histogram h(4, 0.0, 4.0);
-  h.observe(0.5);   // bin 0
-  h.observe(3.99);  // bin 3
-  h.observe(-10.0); // clamps to bin 0
-  h.observe(10.0);  // clamps to bin 3
+  // Bins 0 and 3, then clamps to bins 0 and 3.
+  h.observe_all(std::vector<float>{0.5f, 3.99f, -10.0f, 10.0f});
   EXPECT_DOUBLE_EQ(h.counts()[0], 2.0);
   EXPECT_DOUBLE_EQ(h.counts()[3], 2.0);
 }
 
 TEST(HistogramTest, ObserveRequiresValueBinned) {
   Histogram h(4);
-  EXPECT_THROW(h.observe(1.0), std::logic_error);
+  EXPECT_THROW(h.observe_all(std::vector<float>{1.0f}), std::logic_error);
 }
 
 TEST(HistogramTest, NormalizedSumsToOneOrZero) {
@@ -111,9 +110,9 @@ TEST(Hellinger, ArityMismatchThrows) {
 
 data::Dataset tiny_dataset() {
   data::Dataset ds({2}, 3);
-  ds.add(std::vector<float>{0.0f, 1.0f}, 0);
-  ds.add(std::vector<float>{0.5f, 1.5f}, 0);
-  ds.add(std::vector<float>{2.0f, 3.0f}, 2);
+  add_sample(ds, std::vector<float>{0.0f, 1.0f}, 0);
+  add_sample(ds, std::vector<float>{0.5f, 1.5f}, 0);
+  add_sample(ds, std::vector<float>{2.0f, 3.0f}, 2);
   return ds;
 }
 

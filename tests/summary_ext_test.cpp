@@ -8,6 +8,7 @@
 #include "src/stats/metrics.hpp"
 #include "src/stats/privacy.hpp"
 #include "src/stats/summary.hpp"
+#include "tests/helpers.hpp"
 
 namespace haccs::stats {
 namespace {
@@ -21,8 +22,8 @@ data::Dataset two_label_dataset(double offset_for_label1 = 0.0) {
       a[j] = static_cast<float>(rng.normal(0.0, 1.0));
       b[j] = static_cast<float>(rng.normal(offset_for_label1, 1.0));
     }
-    ds.add(a, 0);
-    ds.add(b, 1);
+    add_sample(ds, a, 0);
+    add_sample(ds, b, 1);
   }
   return ds;
 }
@@ -80,8 +81,8 @@ TEST(QuantileSummary, AbsentLabelContributesMaxDistance) {
   for (int i = 0; i < 20; ++i) {
     const std::vector<float> v = {static_cast<float>(rng.normal()),
                                   static_cast<float>(rng.normal())};
-    only0.add(v, 0);
-    only1.add(v, 1);
+    add_sample(only0, v, 0);
+    add_sample(only1, v, 1);
   }
   const auto a = summarize_quantiles(only0, cfg);
   const auto b = summarize_quantiles(only1, cfg);
@@ -167,7 +168,7 @@ TEST(GaussianMechanism, EmpiricalVarianceMatches) {
 TEST(GaussianMechanism, ResponseSummaryEndToEnd) {
   data::Dataset ds({1}, 4);
   const std::vector<float> v = {0.0f};
-  for (int i = 0; i < 100; ++i) ds.add(v, i % 4);
+  for (int i = 0; i < 100; ++i) add_sample(ds, v, i % 4);
   const auto clean = summarize_response(ds);
 
   PrivacyConfig cfg;

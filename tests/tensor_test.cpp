@@ -26,29 +26,14 @@ TEST(Tensor, RejectsZeroExtent) {
 TEST(Tensor, ValueConstructorChecksSize) {
   EXPECT_THROW(Tensor({2, 2}, {1.0f, 2.0f}), std::invalid_argument);
   Tensor ok({2, 2}, {1, 2, 3, 4});
-  EXPECT_EQ(ok.at(1, 1), 4.0f);
-}
-
-TEST(Tensor, At2dAnd4dIndexing) {
-  Tensor t2({2, 3});
-  t2.at(1, 2) = 5.0f;
-  EXPECT_EQ(t2[5], 5.0f);
-
-  Tensor t4({2, 3, 4, 5});
-  t4.at(1, 2, 3, 4) = 7.0f;
-  EXPECT_EQ(t4[((1 * 3 + 2) * 4 + 3) * 5 + 4], 7.0f);
-}
-
-TEST(Tensor, AtWrongRankThrows) {
-  Tensor t({2, 3, 4});
-  EXPECT_THROW(t.at(0, 0), std::logic_error);
-  EXPECT_THROW(t.at(0, 0, 0, 0), std::logic_error);
+  EXPECT_EQ(ok[3], 4.0f);
 }
 
 TEST(Tensor, ReshapePreservesData) {
   Tensor t({2, 3}, {1, 2, 3, 4, 5, 6});
   const Tensor r = t.reshaped({3, 2});
-  EXPECT_EQ(r.at(2, 1), 6.0f);
+  EXPECT_EQ(r.shape(), (std::vector<std::size_t>{3, 2}));
+  EXPECT_EQ(r[5], 6.0f);
   EXPECT_THROW(t.reshaped({4, 2}), std::invalid_argument);
 }
 
@@ -59,10 +44,10 @@ TEST(Gemm, MatchesHandComputedProduct) {
   Tensor b({3, 2}, {7, 8, 9, 10, 11, 12});
   Tensor c({2, 2});
   ops::gemm(a, b, c);
-  EXPECT_FLOAT_EQ(c.at(0, 0), 58.0f);
-  EXPECT_FLOAT_EQ(c.at(0, 1), 64.0f);
-  EXPECT_FLOAT_EQ(c.at(1, 0), 139.0f);
-  EXPECT_FLOAT_EQ(c.at(1, 1), 154.0f);
+  EXPECT_FLOAT_EQ(c[0], 58.0f);
+  EXPECT_FLOAT_EQ(c[1], 64.0f);
+  EXPECT_FLOAT_EQ(c[2], 139.0f);
+  EXPECT_FLOAT_EQ(c[3], 154.0f);
 }
 
 TEST(Gemm, AccumulateAddsToExisting) {
@@ -86,10 +71,10 @@ TEST(Gemm, TransposedVariantsAgree) {
   for (auto& v : a.data()) v = static_cast<float>(rng.normal());
   for (auto& v : b.data()) v = static_cast<float>(rng.normal());
   for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < m; ++j) a_t.at(i, j) = a.at(j, i);
+    for (std::size_t j = 0; j < m; ++j) a_t[i * m + j] = a[j * k + i];
   }
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < k; ++j) b_t.at(i, j) = b.at(j, i);
+    for (std::size_t j = 0; j < k; ++j) b_t[i * k + j] = b[j * n + i];
   }
   Tensor reference({m, n}), via_bt({m, n}), via_at({m, n});
   ops::gemm(a, b, reference);
@@ -252,10 +237,10 @@ TEST(MaxPool, SelectsWindowMaxima) {
   Tensor output({1, 1, 2, 2});
   std::vector<std::size_t> argmax;
   ops::maxpool_forward(s, input, output, argmax);
-  EXPECT_FLOAT_EQ(output.at(0, 0, 0, 0), 6.0f);
-  EXPECT_FLOAT_EQ(output.at(0, 0, 0, 1), 8.0f);
-  EXPECT_FLOAT_EQ(output.at(0, 0, 1, 0), 14.0f);
-  EXPECT_FLOAT_EQ(output.at(0, 0, 1, 1), 16.0f);
+  EXPECT_FLOAT_EQ(output[0], 6.0f);
+  EXPECT_FLOAT_EQ(output[1], 8.0f);
+  EXPECT_FLOAT_EQ(output[2], 14.0f);
+  EXPECT_FLOAT_EQ(output[3], 16.0f);
 }
 
 TEST(MaxPool, BackwardRoutesGradToArgmax) {

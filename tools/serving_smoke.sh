@@ -170,7 +170,10 @@ fi
 
 if command -v python3 >/dev/null; then
   echo "== ops-plane smoke: scrape, kill a worker, SIGTERM, flight dump =="
-  ops_flags=(--rounds=500 --clients=12 --per-round=4 --classes=6 --seed=7)
+  # Far more rounds than this leg runs before its SIGTERM: the scrape, the
+  # worker kill and the drain all need a server still running, and a
+  # 4-core host completes 500-600 of these rounds in that time.
+  ops_flags=(--rounds=50000 --clients=12 --per-round=4 --classes=6 --seed=7)
   rm -f "$obs_dir/port" "$obs_dir/status_port"
   mkdir -p "$obs_dir/flight"
   # No `timeout` wrapper: this server is SIGTERMed by hand below, and a
