@@ -203,6 +203,38 @@ void BM_LocalTrainJob(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalTrainJob)->UseRealTime();
 
+void BM_InProcessRound(benchmark::State& state) {
+  // One paper-femnist-shaped round through InProcessDispatcher on the
+  // global pool: 10 jobs on clients of 90-210 samples of 28x28 (3-7
+  // batches of 32), the default MLP, lr 0.08.
+  const data::SyntheticImageGenerator gen(
+      data::SyntheticImageConfig::femnist_like(10));
+  data::FederatedDataset fed;
+  fed.num_classes = 10;
+  Rng rng(29);
+  std::vector<fl::TrainJobSpec> jobs;
+  for (std::size_t i = 0; i < 10; ++i) {
+    data::ClientData client{data::Dataset(gen.sample_shape(), 10),
+                            data::Dataset(gen.sample_shape(), 10)};
+    const std::size_t samples = 90 + rng.uniform_index(121);
+    gen.fill(client.train, static_cast<std::int64_t>(i), samples, rng);
+    fed.clients.push_back(std::move(client));
+    jobs.push_back({.slot = i, .client_id = i, .rng_seed = 7 + i});
+  }
+  const auto factory = core::default_model_factory(fed, 99);
+  const std::vector<float> global = factory().get_parameters();
+  fl::LocalWorkConfig work;
+  work.local.batch_size = 32;
+  work.local.sgd.learning_rate = 0.08;
+  fl::InProcessDispatcher dispatcher(fed, factory, work);
+  std::vector<fl::TrainOutcome> outcomes(jobs.size());
+  for (auto _ : state) {
+    dispatcher.execute(jobs, global, outcomes);
+    benchmark::DoNotOptimize(outcomes[0].updated.data());
+  }
+}
+BENCHMARK(BM_InProcessRound)->UseRealTime();
+
 void BM_Evaluation(benchmark::State& state) {
   // Test-set evaluation throughput through the const inference path — the
   // per-client cost of Population::evaluate in both engines.

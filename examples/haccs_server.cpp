@@ -112,7 +112,7 @@ void print_usage() {
       "  --status-port=P      serve /metrics, /status, /healthz on\n"
       "                       127.0.0.1:P; 0 = ephemeral (default: off)\n"
       "  --status-port-file=F write the resolved status port to F\n"
-      "  --flight-dir=D       crash flight recorder: dump flight-<ts>.json\n"
+      "  --flight-dir=D       crash flight recorder: dump flight-<ts>-<pid>.json\n"
       "                       into D on SIGSEGV/SIGABRT/drain\n"
       "telemetry: --trace --metrics --events --log-level (HACCS_LOG env is\n"
       "  honored when --log-level is absent)\n"

@@ -50,13 +50,15 @@ Tensor Dataset::batch_features(std::span<const std::size_t> indices) const {
   shape.reserve(sample_shape_.size() + 1);
   shape.push_back(indices.size());
   shape.insert(shape.end(), sample_shape_.begin(), sample_shape_.end());
-  Tensor batch(std::move(shape));
-  float* out = batch.raw();
-  for (std::size_t n = 0; n < indices.size(); ++n) {
-    auto src = features(indices[n]);
-    std::copy(src.begin(), src.end(), out + n * sample_size_);
+  // Appended row by row into reserved storage: every element is written
+  // once, with no zero fill ahead of the copies.
+  std::vector<float> values;
+  values.reserve(indices.size() * sample_size_);
+  for (std::size_t i : indices) {
+    const auto src = features(i);
+    values.insert(values.end(), src.begin(), src.end());
   }
-  return batch;
+  return Tensor(std::move(shape), std::move(values));
 }
 
 std::vector<std::int64_t> Dataset::batch_labels(

@@ -1,6 +1,9 @@
 #include "src/fl/dispatch.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <numeric>
+#include <optional>
 #include <utility>
 
 #include "src/common/error.hpp"
@@ -172,24 +175,53 @@ nn::Sequential InProcessDispatcher::take_model() {
   return prototype_.clone();
 }
 
+std::vector<std::size_t> longest_first(std::span<const TrainJobSpec> jobs,
+                                       const data::FederatedDataset& dataset,
+                                       const LocalTrainConfig& local) {
+  std::vector<double> cost(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const data::Dataset& train = dataset.clients[jobs[j].client_id].train;
+    const std::size_t batches =
+        (train.size() + local.batch_size - 1) / local.batch_size *
+        local.epochs;
+    cost[j] = static_cast<double>(batches) * jobs[j].work_fraction;
+  }
+  std::vector<std::size_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (cost[a] != cost[b]) return cost[a] > cost[b];
+    return jobs[a].slot < jobs[b].slot;
+  });
+  return order;
+}
+
 void InProcessDispatcher::execute(std::span<const TrainJobSpec> jobs,
                                   const std::vector<float>& global_params,
                                   std::vector<TrainOutcome>& outcomes) {
   // Clients within a round are independent, exactly like the real system.
-  // A job's result does not depend on which clone trains it: run_local_job
-  // loads the global parameters first, every batch zeroes the gradients,
-  // and the forward pass rewrites the layers' caches.
-  parallel_for(0, jobs.size(), [&](std::size_t j) {
-    const TrainJobSpec& job = jobs[j];
-    nn::Sequential model = take_model();
-    TrainOutcome& out = outcomes[job.slot];
-    out.reset();
-    out.result = run_local_job(job, dataset_.clients[job.client_id].train,
-                               model, global_params, config_,
-                               residuals_[job.client_id], out.updated);
-    out.delivered = true;
+  // A job's result does not depend on which lane or clone trains it:
+  // run_local_job loads the global parameters first, every batch zeroes the
+  // gradients, and the forward pass rewrites the layers' caches.
+  const std::vector<std::size_t> order =
+      longest_first(jobs, dataset_, config_.local);
+  std::atomic<std::size_t> next{0};
+  const std::size_t lanes =
+      std::min(jobs.size(), ThreadPool::global().size() + 1);
+  parallel_for(0, lanes, [&](std::size_t) {
+    std::optional<nn::Sequential> model;
+    for (std::size_t i = next++; i < order.size(); i = next++) {
+      if (!model) model = take_model();
+      const TrainJobSpec& job = jobs[order[i]];
+      TrainOutcome& out = outcomes[job.slot];
+      out.reset();
+      out.result = run_local_job(job, dataset_.clients[job.client_id].train,
+                                 *model, global_params, config_,
+                                 residuals_[job.client_id], out.updated);
+      out.delivered = true;
+    }
+    if (!model) return;
     std::lock_guard<std::mutex> lock(models_mutex_);
-    idle_models_.push_back(std::move(model));
+    idle_models_.push_back(std::move(*model));
   });
 }
 

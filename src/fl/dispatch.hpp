@@ -159,13 +159,30 @@ struct LocalWorkConfig {
   CompressionConfig compression;
 };
 
+/// The order in which InProcessDispatcher's lanes claim `jobs`, as indices
+/// into `jobs`: longest first by estimated cost, ties by slot. A job's cost
+/// is its client's local batches, ceil(train size / batch_size) × epochs,
+/// times its work_fraction.
+std::vector<std::size_t> longest_first(std::span<const TrainJobSpec> jobs,
+                                       const data::FederatedDataset& dataset,
+                                       const LocalTrainConfig& local);
+
 /// Trains every job on the calling process's thread pool — the simulation's
 /// classic path. Holds the per-client error-feedback residuals for update
 /// compression (one instance per training run, like the engine's old
 /// residual table), one model from `model_factory`, and a free list of its
-/// clones: a job takes a clone (cloning anew only when the list is empty),
-/// trains it from the global parameters and returns it, so the models'
-/// buffers live across jobs and rounds.
+/// clones, so the models' buffers live across jobs and rounds.
+///
+/// A round runs min(jobs, pool threads + 1) lanes through parallel_for
+/// (one inline lane when called from inside a pool task). Each lane claims
+/// jobs in longest_first order from one atomic cursor, and takes a clone
+/// from the free list (cloning anew only when it is empty) for its first
+/// claim and returns it when the cursor runs out. parallel_for's static
+/// split would deal the jobs out by slot, so one lane could draw three big
+/// clients while another idles; with the cursor, a lane that finishes early
+/// takes the next job. Each job writes only outcomes[job.slot], and its
+/// result does not depend on the lane or the clone, so every bit is the
+/// same as under any other schedule.
 class InProcessDispatcher final : public RoundDispatcher {
  public:
   InProcessDispatcher(const data::FederatedDataset& dataset,

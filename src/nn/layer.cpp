@@ -76,12 +76,27 @@ void Dense::backward_params(const Tensor& grad_output) {
     throw std::invalid_argument("Dense::backward: grad shape mismatch");
   }
   // dW += dY^T X ; db += column sums of dY.
-  ops::gemm_at(grad_output, last_input_, grad_weight_, /*accumulate=*/true);
+  ops::gemm_at(grad_output, last_input_, grad_weight_,
+               /*accumulate=*/!grad_weight_zero_);
+  grad_weight_zero_ = false;
   float* grad_bias = grad_bias_.raw();
   for (std::size_t i = 0; i < n; ++i) {
     const float* row = grad_output.raw() + i * out_;
     for (std::size_t j = 0; j < out_; ++j) grad_bias[j] += row[j];
   }
+}
+
+std::vector<Tensor*> Dense::gradients() {
+  if (grad_weight_zero_) {
+    grad_weight_.fill(0.0f);
+    grad_weight_zero_ = false;
+  }
+  return {&grad_weight_, &grad_bias_};
+}
+
+void Dense::zero_grad() {
+  grad_bias_.fill(0.0f);
+  grad_weight_zero_ = true;
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {

@@ -55,6 +55,8 @@ class Layer {
   virtual std::vector<Tensor*> parameters() { return {}; }
   virtual std::vector<Tensor*> gradients() { return {}; }
 
+  /// Sets every parameter gradient to zero, as gradients() and the next
+  /// backward see them. A layer may defer the fill until one of them runs.
   virtual void zero_grad();
 
   virtual std::string name() const = 0;
@@ -75,7 +77,13 @@ class Dense : public Layer {
   void infer(Tensor& x, Tensor& spare) const override;
   std::size_t min_invariant_rows() const override;
   std::vector<Tensor*> parameters() override { return {&weight_, &bias_}; }
-  std::vector<Tensor*> gradients() override { return {&grad_weight_, &grad_bias_}; }
+  /// Zero-fills the weight gradient first if zero_grad deferred the fill.
+  std::vector<Tensor*> gradients() override;
+  /// Zeroes the bias gradient and defers the weight gradient's fill: the
+  /// next backward_params overwrites it with dY^T X (gemm_at without
+  /// accumulate, bit for bit the sum into zeros), so a training step never
+  /// writes the weight gradient twice.
+  void zero_grad() override;
   std::string name() const override { return "Dense"; }
 
   std::size_t in_features() const { return in_; }
@@ -88,6 +96,8 @@ class Dense : public Layer {
   std::size_t in_, out_;
   Tensor weight_, bias_, grad_weight_, grad_bias_;
   Tensor last_input_;
+  /// Set by zero_grad: grad_weight_'s contents are stale and stand for 0.
+  bool grad_weight_zero_ = false;
 };
 
 /// 2-D convolution over NCHW tensors with square kernels.

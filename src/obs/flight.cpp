@@ -32,7 +32,8 @@ void FlightRecorder::enable(const std::string& directory,
                             std::size_t max_log_lines) {
   std::lock_guard lock(mutex_);
   const std::time_t ts = std::time(nullptr);
-  path_ = directory + "/flight-" + std::to_string(ts) + ".json";
+  path_ = directory + "/flight-" + std::to_string(ts) + "-" +
+          std::to_string(::getpid()) + ".json";
   max_rounds_ = max_rounds;
   max_logs_ = max_log_lines;
   rounds_.clear();

@@ -1,6 +1,6 @@
 // Crash flight recorder (DESIGN.md §5i): a fixed-size in-memory ring of the
 // last N round events, recent log lines, and a metrics snapshot, dumped to
-// `flight-<ts>.json` when a serving run dies.
+// `flight-<ts>-<pid>.json` when a serving run dies.
 //
 // Two dump paths with very different constraints:
 //   * normal (SIGTERM drain, quorum-degraded round): re-render with the
@@ -29,8 +29,10 @@ class FlightRecorder {
  public:
   static FlightRecorder& global();
 
-  /// Arms the recorder: fixes the dump path to `directory`/flight-<ts>.json
-  /// (ts = wall-clock seconds at enable) and starts retaining history.
+  /// Arms the recorder: fixes the dump path to
+  /// `directory`/flight-<ts>-<pid>.json (ts = wall-clock seconds at enable,
+  /// pid this process's, so processes sharing a directory never clobber
+  /// each other's dump) and starts retaining history.
   void enable(const std::string& directory, std::size_t max_rounds = 32,
               std::size_t max_log_lines = 128);
   /// Disarms and drops retained state (tests).

@@ -32,7 +32,9 @@ void set_kernel_backend(KernelBackend backend);
 KernelBackend kernel_backend();
 
 /// C = A(m,k) * B(k,n). Shapes are validated; C is resized by the caller
-/// passing a correctly-shaped tensor. `accumulate == false` overwrites C.
+/// passing a correctly-shaped tensor. `accumulate == false` overwrites C;
+/// on every kernel path the result is bit for bit that of zero-filling C
+/// and accumulating, so a caller may drop such a fill.
 void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate = false);
 
 /// C = A(m,k) * B(n,k)^T -> (m,n).

@@ -9,8 +9,10 @@
 #include <cstdint>
 
 #include "src/common/error.hpp"
+#include "src/common/threadpool.hpp"
 #include "src/core/haccs_system.hpp"
 #include "src/data/partition.hpp"
+#include "src/fl/dispatch.hpp"
 #include "src/fl/engine.hpp"
 #include "src/fl/evaluation.hpp"
 #include "src/fl/fedprox.hpp"
@@ -111,6 +113,11 @@ TEST(Sequential, BackwardSkipsOnlyTheInputGradient) {
     c.model.zero_grad();
     c.model.backward(loss.grad_logits);
     EXPECT_EQ(bits_of(flat_gradients(c.model)), bits_of(chained));
+
+    // A fill that zero_grad defers still reads as zero.
+    c.model.zero_grad();
+    EXPECT_EQ(bits_of(flat_gradients(c.model)),
+              bits_of(std::vector<float>(chained.size(), 0.0f)));
   }
 }
 
@@ -159,6 +166,94 @@ TEST(Sequential, CloneTrainsLikeTheFactoryModel) {
     EXPECT_EQ(flat_gradients(prototype),
               std::vector<float>(initial.size(), 0.0f));
   }
+}
+
+// InProcessDispatcher claims jobs longest first from one cursor across
+// min(jobs, pool + 1) lanes. Which lane or clone trains a job must not
+// change a bit of its outcome.
+TEST(InProcessDispatcher, LongestFirstLanesKeepEveryBit) {
+  const auto gen = tiny_gen();
+  // Train sizes with batch_size 8: 3, 9, 5, 9, 2, 6 and 2 batches.
+  const std::size_t sizes[] = {20, 70, 33, 65, 9, 41, 16};
+  data::FederatedDataset fed;
+  fed.num_classes = 4;
+  Rng rng(31);
+  for (std::size_t c = 0; c < std::size(sizes); ++c) {
+    data::ClientData client{data::Dataset(gen.sample_shape(), 4),
+                            data::Dataset(gen.sample_shape(), 4)};
+    gen.fill(client.train, static_cast<std::int64_t>(c % 4), sizes[c], rng);
+    fed.clients.push_back(std::move(client));
+  }
+  LocalWorkConfig work;
+  work.local.batch_size = 8;
+  work.local.sgd.learning_rate = 0.05;
+  work.fedprox = true;
+  // Slot s trains client_of[s]; slot 3's 9 batches at work fraction 0.5
+  // cost 4.5 and sort after slot 0's 5. Slots 5 and 6 tie at 2.
+  const std::size_t client_of[] = {2, 0, 3, 1, 5, 6, 4};
+  std::vector<TrainJobSpec> jobs;
+  for (std::size_t s = 0; s < std::size(client_of); ++s) {
+    jobs.push_back({.slot = s,
+                    .client_id = client_of[s],
+                    .rng_seed = 100 + s,
+                    .work_fraction = s == 3 ? 0.5 : 1.0});
+  }
+  const std::vector<TrainJobSpec> reversed(jobs.rbegin(), jobs.rend());
+  const std::vector<std::size_t> want_slots = {2, 4, 0, 3, 1, 5, 6};
+  const auto claimed_slots = [&](const std::vector<TrainJobSpec>& js) {
+    std::vector<std::size_t> slots;
+    for (std::size_t j : longest_first(js, fed, work.local)) {
+      slots.push_back(js[j].slot);
+    }
+    return slots;
+  };
+  EXPECT_EQ(claimed_slots(jobs), want_slots);
+  EXPECT_EQ(claimed_slots(reversed), want_slots);
+
+  const auto factory = tiny_model_factory();
+  std::vector<float> global = factory().get_parameters();
+  for (std::size_t i = 0; i < global.size(); ++i) {
+    global[i] += 0.01f * static_cast<float>(i % 5);
+  }
+  // Each job alone on a fresh model: what every schedule must reproduce.
+  std::vector<std::vector<std::uint32_t>> want(jobs.size());
+  std::vector<LocalTrainResult> want_result(jobs.size());
+  for (const TrainJobSpec& job : jobs) {
+    nn::Sequential model = factory();
+    std::vector<float> residual, updated;
+    want_result[job.slot] =
+        run_local_job(job, fed.clients[job.client_id].train, model, global,
+                      work, residual, updated);
+    want[job.slot] = bits_of(updated);
+  }
+
+  InProcessDispatcher dispatcher(fed, factory, work);
+  const auto check = [&](const char* name, const std::vector<TrainJobSpec>& js,
+                         bool in_pool_task) {
+    SCOPED_TRACE(name);
+    std::vector<TrainOutcome> outcomes(js.size());
+    if (in_pool_task) {
+      // parallel_for runs inline inside a pool task: one lane.
+      ThreadPool::global()
+          .submit([&] { dispatcher.execute(js, global, outcomes); })
+          .get();
+    } else {
+      dispatcher.execute(js, global, outcomes);
+    }
+    for (std::size_t s = 0; s < outcomes.size(); ++s) {
+      SCOPED_TRACE("slot " + std::to_string(s));
+      EXPECT_TRUE(outcomes[s].delivered);
+      EXPECT_EQ(bits_of(outcomes[s].updated), want[s]);
+      EXPECT_EQ(outcomes[s].result.batches, want_result[s].batches);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(outcomes[s].result.average_loss),
+                std::bit_cast<std::uint64_t>(want_result[s].average_loss));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(outcomes[s].result.final_loss),
+                std::bit_cast<std::uint64_t>(want_result[s].final_loss));
+    }
+  };
+  check("global pool", jobs, false);
+  check("inside a pool task", jobs, true);
+  check("reversed span", reversed, false);
 }
 
 TEST(TrainLocal, RejectsEmptyDatasetAndBadConfig) {

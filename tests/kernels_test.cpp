@@ -8,8 +8,11 @@
 // iteration count (default 25).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <limits>
 #include <vector>
 
@@ -152,6 +155,63 @@ TEST(Kernels, GemmPropagatesNaNThroughZeroRows) {
   Tensor c_ref({m, n});
   ops::gemm_reference(a, b, c_ref);
   EXPECT_TRUE(std::isnan(c_ref[3 * n + 7]));
+}
+
+TEST(Kernels, OverwriteEqualsZeroFillThenAccumulate) {
+  // accumulate == false must give C the bits of zero-filling it and
+  // accumulating (nn::Dense::zero_grad relies on it), on every path. The
+  // tiny operands make every product underflow to -0 under FMA, where a
+  // chain from +0 ends at -0 and only +0 + acc restores +0.
+  using Op = void (*)(const Tensor&, const Tensor&, Tensor&, bool);
+  struct Variant {
+    const char* name;
+    Op op;
+    bool a_transposed, b_transposed;
+  };
+  const Variant variants[] = {{"gemm", ops::gemm, false, false},
+                              {"gemm_bt", ops::gemm_bt, false, true},
+                              {"gemm_at", ops::gemm_at, true, false}};
+  // (m, n, k): under the small-volume cutoff, blocked with edge tiles, and
+  // blocked with a depth that straddles KC.
+  const std::size_t shapes[][3] = {{3, 5, 7}, {13, 31, 17}, {7, 19, 257}};
+  Rng rng(106);
+  for (const auto backend :
+       {ops::KernelBackend::kOptimized, ops::KernelBackend::kReference}) {
+    ops::set_kernel_backend(backend);
+    for (const Variant& v : variants) {
+      for (const auto& [m, n, k] : shapes) {
+        for (const bool underflow : {false, true}) {
+          SCOPED_TRACE(std::string(v.name) + " " + std::to_string(m) + "x" +
+                       std::to_string(n) + "x" + std::to_string(k) +
+                       (underflow ? " underflow" : "") +
+                       (backend == ops::KernelBackend::kReference
+                            ? " reference"
+                            : ""));
+          Tensor a = v.a_transposed ? random_matrix(k, m, rng)
+                                    : random_matrix(m, k, rng);
+          Tensor b = v.b_transposed ? random_matrix(n, k, rng)
+                                    : random_matrix(k, n, rng);
+          if (underflow) {
+            a.fill(1e-30f);
+            b.fill(-1e-30f);
+          }
+          Tensor overwritten({m, n}), accumulated({m, n});
+          overwritten.fill(7.0f);
+          v.op(a, b, overwritten, /*accumulate=*/false);
+          v.op(a, b, accumulated, /*accumulate=*/true);
+          for (std::size_t i = 0; i < overwritten.size(); ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(overwritten[i]),
+                      std::bit_cast<std::uint32_t>(accumulated[i]))
+                << "element " << i;
+          }
+          if (underflow) {
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(overwritten[0]), 0u);
+          }
+        }
+      }
+    }
+  }
+  ops::set_kernel_backend(ops::KernelBackend::kOptimized);
 }
 
 ops::Conv2dShape conv_shape(std::size_t batch, std::size_t cin, std::size_t h,

@@ -377,10 +377,21 @@ fl::EngineConfig obs_engine(std::size_t rounds) {
   return cfg;
 }
 
+/// The default model, or with `hidden` set, Flatten + an MLP of that width.
 fl::TrainingHistory run_once(const data::FederatedDataset& fed,
-                             std::size_t rounds) {
-  fl::FederatedTrainer trainer(fed, core::default_model_factory(fed, 99),
-                               obs_engine(rounds));
+                             std::size_t rounds, std::size_t hidden = 0) {
+  auto factory = core::default_model_factory(fed, 99);
+  if (hidden > 0) {
+    const std::size_t inputs = fed.clients[0].train.sample_size();
+    factory = [inputs, hidden, classes = fed.num_classes] {
+      Rng rng(99);
+      nn::Sequential model;
+      model.add(std::make_unique<nn::Flatten>());
+      model.add(nn::make_mlp(inputs, {hidden}, classes, rng));
+      return model;
+    };
+  }
+  fl::FederatedTrainer trainer(fed, factory, obs_engine(rounds));
   select::RandomSelector selector;
   return trainer.run(selector);
 }
@@ -426,8 +437,14 @@ TEST_F(ObsTest, EngineCountsMinorFaultsPerRound) {
   for (const auto& record : untimed.records()) {
     EXPECT_EQ(record.phase.minor_faults, 0u);
   }
+  // The metered run trains a model 32x wider than the untimed run's
+  // (144->2048->10, a 1.2 MB weight tensor), so it cannot reuse what that
+  // run freed. Its first round allocates parameter-sized buffers (the
+  // engine's vectors, the dispatcher's clones) larger than any chunk the
+  // untimed run held; malloc maps them, or grows the heap, into fresh
+  // pages, and their first touch faults.
   obs::set_metrics_enabled(true);
-  const auto history = run_once(fed, kRounds);
+  const auto history = run_once(fed, kRounds, /*hidden=*/2048);
   std::uint64_t total = 0;
   for (const auto& record : history.records()) {
     total += record.phase.minor_faults;
@@ -437,7 +454,6 @@ TEST_F(ObsTest, EngineCountsMinorFaultsPerRound) {
               std::string::npos)
         << event;
   }
-  // The first round at least maps fresh buffers.
   EXPECT_GT(total, 0u);
   EXPECT_EQ(
       obs::Registry::global().counter("round_minor_faults_total").value(),

@@ -13,7 +13,8 @@
 #                 commit the diff alongside the change that caused it)
 #   --filter=RE   restrict to benchmarks matching RE (default: the compute
 #                 kernels — GEMM family, conv, train step, one whole local
-#                 training job, evaluation of one test set and of a
+#                 training job, one in-process round of ten such jobs,
+#                 evaluation of one test set and of a
 #                 1500-client population, FedAvg accumulation, the
 #                 engine's settle fold — plus the
 #                 population-scale summary pipeline and no-op re-cluster)
@@ -41,7 +42,7 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 jobs="$(nproc 2>/dev/null || echo 4)"
 
 out="$repo/BENCH_kernels.json"
-filter='BM_Gemm|BM_Conv2d|BM_MlpTrainStep|BM_LocalTrainJob|BM_Evaluation|BM_PopulationEvaluate|BM_FedAvgAccumulate|BM_EngineSettle|BM_SummaryPipeline|BM_HaccsRecluster'
+filter='BM_Gemm|BM_Conv2d|BM_MlpTrainStep|BM_LocalTrainJob|BM_InProcessRound|BM_Evaluation|BM_PopulationEvaluate|BM_FedAvgAccumulate|BM_EngineSettle|BM_SummaryPipeline|BM_HaccsRecluster'
 net_filter='BM_Crc32|BM_EncodeUpdate|BM_DecodeUpdate|BM_FrameParserReassembly|BM_FlatRoundDispatch|BM_TreeRoundDispatch'
 run_micro=1
 run_net=1
